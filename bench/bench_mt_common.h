@@ -279,7 +279,6 @@ inline MtCommitResult RunMtCommit(int nthreads, uint64_t txns_per_thread) {
   }
   CommitLog& log = **log_or;
 
-  std::atomic<TxnId> next_xid{kBootstrapTxn + 1};
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
   threads.reserve(nthreads);
@@ -288,10 +287,10 @@ inline MtCommitResult RunMtCommit(int nthreads, uint64_t txns_per_thread) {
       while (!go.load(std::memory_order_acquire)) {
       }
       for (uint64_t i = 0; i < txns_per_thread; ++i) {
-        const TxnId xid = next_xid.fetch_add(1);
-        if (!log.BeginTxn(xid).ok() || !log.CommitTxn(xid, xid).ok()) {
+        auto xid = log.BeginTxn();
+        if (!xid.ok() || !log.CommitTxn(*xid, *xid).ok()) {
           std::fprintf(stderr, "mt_commit: txn %llu failed\n",
-                       static_cast<unsigned long long>(xid));
+                       static_cast<unsigned long long>(i));
           return;
         }
       }

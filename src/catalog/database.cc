@@ -86,7 +86,14 @@ bool Database::read_only() const { return log_ != nullptr && log_->poisoned(); }
 
 Status Database::Commit(TxnId txn) {
   INV_RETURN_IF_ERROR(txns_->Commit(txn));
-  catalog_->OnCommit(txn);
+  // A read-only transaction that commits created and dropped nothing: DDL
+  // writes catalog rows, and TxnManager refuses to commit a read-only
+  // transaction that wrote. Skipping the no-op keeps the catalog mutex off
+  // the read path. (Abort keeps the call, so DDL a caller wrongly ran under
+  // a read-only xid is still undone.)
+  if (!IsReadOnlyTxn(txn)) {
+    catalog_->OnCommit(txn);
+  }
   return Status::Ok();
 }
 

@@ -7,11 +7,12 @@
 // module extends the same idea to the engine's own internals, the way
 // POSTGRES' descendants grew pg_stat_* views. Requirements, in order:
 //
-//   1. The hot paths PR 3 parallelized (buffer hits, group commit) must not
-//      re-serialize on instrumentation. Each early thread owns a
-//      cache-line-padded counter cell outright (indexed by its dense tag), so
-//      an increment is a plain relaxed load+store — no locked RMW, no shared
-//      cache line; reads sum the cells. No mutex anywhere near an increment.
+//   1. The hot paths PR 3 parallelized (buffer hits, group commit, snapshot
+//      reads) must not re-serialize on instrumentation. Counters and
+//      histograms are striped by ThreadStripe() into cache-line-padded
+//      cells; a live thread owns its stripe outright, so an increment is a
+//      plain relaxed load+store — no locked RMW, no shared cache line; reads
+//      sum the cells. No mutex anywhere near an increment.
 //   2. Instrumentation must be compilable out: -DINVFS_NO_METRICS turns every
 //      Add/Set/Observe/Record into a no-op (the registry and its readers stay
 //      so tooling keeps linking). scripts/check.sh's `metrics` leg measures
@@ -49,35 +50,24 @@ inline constexpr bool kMetricsEnabled = false;
 inline constexpr bool kMetricsEnabled = true;
 #endif
 
-// Monotonic counter. Each of the first kStripes-1 threads (by dense tag) owns
-// a cache-line-padded cell outright, so its increment is a plain relaxed
-// load+store — no locked RMW, which alone costs more than the ~5% hit-path
-// budget scripts/check.sh enforces. Later threads share one overflow cell via
-// fetch_add: still exact, just slower. Value() sums the cells: cheap enough
-// for snapshots and accessors, not meant for per-operation reads.
+// Monotonic counter, striped over kThreadStripes cache-line-padded cells
+// indexed by ThreadStripe(): live threads write cells of their own, and a
+// thread's cell passes to a later thread when it exits. Value() sums the
+// cells: cheap enough for snapshots and accessors, not meant for
+// per-operation reads.
 class Counter {
  public:
-  static constexpr size_t kStripes = 32;
-
   void Add(uint64_t n = 1) {
     if constexpr (kMetricsEnabled) {
-      const uint64_t tag = ThreadTag();
-      if (tag < kStripes) {
-        // Single writer per cell (tags are unique), so a non-atomic-RMW
-        // update loses nothing; atomic stores keep readers tear-free.
-        std::atomic<uint64_t>& v = cells_[tag].v;
-        v.store(v.load(std::memory_order_relaxed) + n,
-                std::memory_order_relaxed);
-      } else {
-        overflow_.fetch_add(n, std::memory_order_relaxed);
-      }
+      const uint32_t stripe = ThreadStripe();
+      obs_internal::AddToStripe(cells_[stripe].v, stripe, n);
     } else {
       (void)n;
     }
   }
 
   uint64_t Value() const {
-    uint64_t total = overflow_.load(std::memory_order_relaxed);
+    uint64_t total = 0;
     for (const Cell& c : cells_) {
       total += c.v.load(std::memory_order_relaxed);
     }
@@ -88,8 +78,7 @@ class Counter {
   struct alignas(64) Cell {
     std::atomic<uint64_t> v{0};
   };
-  std::array<Cell, kStripes> cells_{};  // cells_[tag], tag 0 unused
-  std::atomic<uint64_t> overflow_{0};
+  std::array<Cell, kThreadStripes> cells_{};
 };
 
 // Point-in-time signed value (queue depths, open handles).
@@ -117,25 +106,27 @@ class Gauge {
 
 // Latency/size histogram with fixed power-of-two buckets: bucket 0 counts
 // observations of 0, bucket i >= 1 counts values in [2^(i-1), 2^i), and the
-// last bucket absorbs everything larger. Fixed buckets mean zero allocation
-// and a single relaxed fetch_add per observation; count and sum ride on
-// striped counters so hot observers do not contend.
+// last bucket absorbs everything larger. Fixed buckets mean zero allocation;
+// buckets, count and sum are striped like Counter, so an observation writes
+// only the calling thread's own stripe.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 32;
 
   void Observe(uint64_t v) {
     if constexpr (kMetricsEnabled) {
-      buckets_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
-      count_.Add(1);
-      sum_.Add(v);
+      const uint32_t stripe = ThreadStripe();
+      Stripe& s = stripes_[stripe];
+      obs_internal::AddToStripe(s.buckets[BucketOf(v)], stripe, 1);
+      obs_internal::AddToStripe(s.count, stripe, 1);
+      obs_internal::AddToStripe(s.sum, stripe, v);
     } else {
       (void)v;
     }
   }
 
-  uint64_t Count() const { return count_.Value(); }
-  uint64_t Sum() const { return sum_.Value(); }
+  uint64_t Count() const { return SumOver(&Stripe::count); }
+  uint64_t Sum() const { return SumOver(&Stripe::sum); }
 
   // Value at quantile `p` in (0, 1], e.g. 0.5 / 0.99 / 0.999. Reported as the
   // inclusive upper bound of the bucket holding the target observation — a
@@ -156,8 +147,10 @@ class Histogram {
   }
   std::array<uint64_t, kBuckets> Buckets() const {
     std::array<uint64_t, kBuckets> out{};
-    for (size_t i = 0; i < kBuckets; ++i) {
-      out[i] = buckets_[i].load(std::memory_order_relaxed);
+    for (const Stripe& s : stripes_) {
+      for (size_t i = 0; i < kBuckets; ++i) {
+        out[i] += s.buckets[i].load(std::memory_order_relaxed);
+      }
     }
     return out;
   }
@@ -179,9 +172,21 @@ class Histogram {
   }
 
  private:
-  std::array<std::atomic<uint64_t>, kBuckets> buckets_{};
-  Counter count_;
-  Counter sum_;
+  struct alignas(64) Stripe {
+    std::array<std::atomic<uint64_t>, kBuckets> buckets{};
+    std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> sum{0};
+  };
+
+  uint64_t SumOver(std::atomic<uint64_t> Stripe::*field) const {
+    uint64_t total = 0;
+    for (const Stripe& s : stripes_) {
+      total += (s.*field).load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  std::array<Stripe, kThreadStripes> stripes_{};
 };
 
 enum class MetricKind { kCounter, kGauge, kHistogram };

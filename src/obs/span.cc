@@ -29,14 +29,37 @@ constinit thread_local uint64_t t_trace_id = 0;
 constinit thread_local uint64_t t_span_id = 0;
 constinit thread_local const char* t_tenant = nullptr;
 
+namespace {
+
+// A thread's current range [next, end) of ids drawn from a shared source.
+struct IdBlock {
+  uint64_t next = 0;
+  uint64_t end = 0;
+};
+
+constexpr uint64_t kIdBlock = 1024;
+
+constinit thread_local IdBlock t_trace_ids;
+constinit thread_local IdBlock t_span_ids;
+
+uint64_t TakeId(IdBlock& block, std::atomic<uint64_t>& source) {
+  if (block.next == block.end) {
+    block.next = source.fetch_add(kIdBlock, std::memory_order_relaxed) + 1;
+    block.end = block.next + kIdBlock;
+  }
+  return block.next++;
+}
+
+}  // namespace
+
 uint64_t NextTraceId() {
-  static std::atomic<uint64_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed) + 1;
+  static std::atomic<uint64_t> source{0};
+  return TakeId(t_trace_ids, source);
 }
 
 uint64_t NextSpanId() {
-  static std::atomic<uint64_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed) + 1;
+  static std::atomic<uint64_t> source{0};
+  return TakeId(t_span_ids, source);
 }
 
 }  // namespace obs_internal
@@ -60,7 +83,7 @@ void SpanRing::RecordSpan(const SpanRecord& r) {
     (void)r;
     return;
   }
-  const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const uint64_t seq = head_.Claim();
   Slot& s = slots_[seq & mask_];
   // Same seqlock protocol as TraceRing::Record: invalidate, payload with
   // relaxed stores, publish seq last.
@@ -113,7 +136,7 @@ std::vector<SpanRecord> SpanRing::Snapshot() const {
 }
 
 void SpanRing::CountDrop() {
-  dropped_.fetch_add(1, std::memory_order_relaxed);
+  head_.CountDrop();
   Counter* c = drop_counter_.load(std::memory_order_acquire);
   if (c == nullptr) {
     // Resolved on first drop, never at construction (see TraceRing::CountDrop

@@ -48,7 +48,7 @@ inline constexpr bool kSpansEnabled = true;
 const char* InternSpanName(std::string_view name);
 
 struct SpanRecord {
-  uint64_t seq = 0;           // ring sequence, 1-based, monotonic
+  uint64_t seq = 0;           // ring sequence, 1-based, unique (RingHead)
   uint64_t trace_id = 0;      // shared by every span of one request
   uint64_t span_id = 0;       // unique per span, process-wide
   uint64_t parent_id = 0;     // 0 = root span of its trace
@@ -71,6 +71,8 @@ extern constinit thread_local uint64_t t_span_id;
 // tag is installed carries it, which is how one tenant's request tree stays
 // attributable through txn/buffer/log/device layers it shares with others.
 extern constinit thread_local const char* t_tenant;
+// Unique process-wide; each thread draws from a block of its own, so ids are
+// not ordered across threads.
 uint64_t NextTraceId();
 uint64_t NextSpanId();
 }  // namespace obs_internal
@@ -93,17 +95,13 @@ class SpanRing {
   // concurrent writes (slots being overwritten are skipped).
   std::vector<SpanRecord> Snapshot() const;
 
-  uint64_t TotalRecorded() const {
-    return next_.load(std::memory_order_relaxed);
-  }
+  uint64_t TotalRecorded() const { return head_.Recorded(); }
 
   // Published spans overwritten before any snapshot could have read them;
   // mirrored into the process-wide `span.dropped` counter of
   // MetricsRegistry::Default() so storms that outrun the ring are visible
   // (scripts/check.sh's load leg gates on it staying zero).
-  uint64_t TotalDropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  uint64_t TotalDropped() const { return head_.Dropped(); }
 
  private:
   struct Slot {
@@ -125,8 +123,7 @@ class SpanRing {
 
   size_t mask_;
   std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> next_{0};
-  std::atomic<uint64_t> dropped_{0};
+  obs_internal::RingHead head_;
   // Lazily resolved `span.dropped` cell of the default registry (see
   // TraceRing::drop_counter_ for why this cannot be done at construction).
   std::atomic<Counter*> drop_counter_{nullptr};

@@ -1,9 +1,11 @@
 #include "src/obs/trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 #include "src/obs/metrics.h"
+#include "src/util/mutex.h"
 
 namespace invfs {
 
@@ -47,6 +49,56 @@ uint64_t AssignThreadTag() {
   return t_thread_tag;
 }
 
+constinit thread_local int32_t t_thread_stripe = -1;
+
+namespace {
+
+// Stripes held by live threads, bit i for stripe i; bit 0 (the shared
+// stripe) is never handed out. Leaked: threads may exit after static
+// destruction has begun.
+struct StripeTable {
+  Mutex mu;
+  uint32_t held GUARDED_BY(mu) = 1;
+};
+
+StripeTable& Stripes() {
+  static StripeTable* table = new StripeTable();
+  return *table;
+}
+
+// Returns the thread's stripe when the thread exits. The mutex orders the
+// thread's last plain store to a stripe cell before the next holder's
+// first load of it, so single-writer cells lose nothing across owners.
+struct StripeRelease {
+  uint32_t stripe;
+  ~StripeRelease() {
+    t_thread_stripe = 0;  // anything the thread still records is shared
+    StripeTable& t = Stripes();
+    MutexLock lock(t.mu);
+    t.held &= ~(uint32_t{1} << stripe);
+  }
+};
+
+}  // namespace
+
+uint32_t AssignThreadStripe() {
+  static_assert(kThreadStripes == 32, "StripeTable::held is a 32-bit mask");
+  uint32_t stripe = 0;
+  {
+    StripeTable& t = Stripes();
+    MutexLock lock(t.mu);
+    if (t.held != ~uint32_t{0}) {
+      stripe = static_cast<uint32_t>(std::countr_one(t.held));
+      t.held |= uint32_t{1} << stripe;
+    }
+  }
+  t_thread_stripe = static_cast<int32_t>(stripe);
+  if (stripe != 0) {
+    thread_local StripeRelease release{stripe};
+  }
+  return stripe;
+}
+
 }  // namespace obs_internal
 
 uint64_t TraceNowMicros() {
@@ -56,6 +108,47 @@ uint64_t TraceNowMicros() {
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start)
           .count());
 }
+
+namespace obs_internal {
+
+uint64_t RingHead::Claim() {
+  const uint32_t stripe = ThreadStripe();
+  Cell& c = cells_[stripe];
+  AddToStripe(c.claimed, stripe, 1);
+  uint64_t seq = c.next.load(std::memory_order_relaxed);
+  if (stripe != 0) {
+    // Owned stripe: this thread is the cell's only writer.
+    if (seq == 0) {
+      seq = head_.fetch_add(kBlock, std::memory_order_relaxed) + 1;
+    }
+    // The block's last number empties the cell.
+    c.next.store(seq % kBlock == 0 ? 0 : seq + 1, std::memory_order_relaxed);
+    return seq;
+  }
+  while (seq != 0) {
+    const uint64_t after = seq % kBlock == 0 ? 0 : seq + 1;
+    if (c.next.compare_exchange_weak(seq, after, std::memory_order_relaxed)) {
+      return seq;
+    }
+  }
+  const uint64_t first = head_.fetch_add(kBlock, std::memory_order_relaxed) + 1;
+  // Park the rest of the block for the stripe's next records, unless another
+  // thread on the shared stripe installed a block meanwhile: then the rest
+  // of this one is a gap.
+  uint64_t empty = 0;
+  c.next.compare_exchange_strong(empty, first + 1, std::memory_order_relaxed);
+  return first;
+}
+
+uint64_t RingHead::Sum(std::atomic<uint64_t> Cell::*field) const {
+  uint64_t total = 0;
+  for (const Cell& c : cells_) {
+    total += (c.*field).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+}  // namespace obs_internal
 
 namespace {
 size_t TraceRoundUpPow2(size_t n) {
@@ -78,7 +171,7 @@ void TraceRing::Record(TraceEvent event, uint64_t a, uint64_t b, uint64_t c) {
   (void)b;
   (void)c;
 #else
-  const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed) + 1;
+  const uint64_t seq = head_.Claim();
   Slot& s = slots_[seq & mask_];
   // Invalidate first: a reader that copies a payload mixing the old and the
   // new record will see seq change (to 0 or to `seq`) on its re-check.
@@ -97,7 +190,7 @@ void TraceRing::Record(TraceEvent event, uint64_t a, uint64_t b, uint64_t c) {
 }
 
 void TraceRing::CountDrop() {
-  dropped_.fetch_add(1, std::memory_order_relaxed);
+  head_.CountDrop();
   Counter* c = drop_counter_.load(std::memory_order_acquire);
   if (c == nullptr) {
     // First drop of this ring: resolve the shared default-registry counter.

@@ -1,6 +1,7 @@
 #include "src/txn/commit_log.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <optional>
@@ -11,8 +12,22 @@
 
 namespace invfs {
 
+namespace {
+
+uint64_t NextLogId() {
+  static std::atomic<uint64_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+bool IsInProgress(const std::atomic<uint32_t>& status) {
+  return status.load(std::memory_order_relaxed) ==
+         static_cast<uint32_t>(TxnStatus::kInProgress);
+}
+
+}  // namespace
+
 CommitLog::CommitLog(DeviceManager* device, MetricsRegistry* metrics)
-    : device_(device) {
+    : device_(device), id_(NextLogId()) {
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics = owned_metrics_.get();
@@ -32,16 +47,35 @@ Result<std::unique_ptr<CommitLog>> CommitLog::Open(DeviceManager* device,
   if (!device->RelationExists(kCommitLogRelOid)) {
     INV_RETURN_IF_ERROR(device->CreateRelation(kCommitLogRelOid));
   }
-  // Open is single-threaded, but entries_ is guarded and a static member gets
-  // no constructor exemption from the analysis, so hold mu_ for the setup.
+  // Open is single-threaded, but the log's state is guarded and a static
+  // member gets no constructor exemption from the analysis, so hold mu_ for
+  // the setup.
   MutexLock lock(log->mu_);
   INV_RETURN_IF_ERROR(log->LoadFromDevice());
   // The bootstrap transaction is always committed at time zero.
-  if (log->entries_.size() <= kBootstrapTxn) {
-    log->entries_.resize(kBootstrapTxn + 1);
-  }
-  log->entries_[kBootstrapTxn] = Entry{TxnStatus::kCommitted, 0};
+  log->GrowTo(kBootstrapTxn + 1);
+  log->EntryAt(kBootstrapTxn).Set(TxnStatus::kCommitted, 0, 0);
   return log;
+}
+
+CommitLog::Entry& CommitLog::EntryAt(TxnId xid) const {
+  const uint64_t i = uint64_t{xid} + kFirstSegment;
+  const int seg = std::bit_width(i) - 1 - kFirstSegmentBits;
+  return segments_[seg][i - (uint64_t{kFirstSegment} << seg)];
+}
+
+void CommitLog::GrowTo(TxnId n) {
+  if (n <= size_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  const uint64_t last = uint64_t{n} - 1 + kFirstSegment;
+  const int last_seg = std::bit_width(last) - 1 - kFirstSegmentBits;
+  for (int k = 0; k <= last_seg; ++k) {
+    if (segments_[k] == nullptr) {
+      segments_[k] = std::make_unique<Entry[]>(size_t{kFirstSegment} << k);
+    }
+  }
+  size_.store(n, std::memory_order_release);
 }
 
 Status CommitLog::LoadFromDevice() {
@@ -59,21 +93,17 @@ Status CommitLog::LoadFromDevice() {
     }
     for (uint32_t i = b == 0 ? 1 : 0; i < kEntriesPerPage; ++i) {
       const std::byte* p = buf.data() + i * kEntrySize;
-      Entry e;
-      e.status = static_cast<TxnStatus>(GetU32(p));
-      e.commit_ts = GetU64(p + 8);
+      TxnStatus status = static_cast<TxnStatus>(GetU32(p));
       const TxnId xid = b * kEntriesPerPage + i;
-      if (e.status != TxnStatus::kUnused) {
-        if (entries_.size() <= xid) {
-          entries_.resize(xid + 1);
-        }
+      if (status != TxnStatus::kUnused) {
+        GrowTo(xid + 1);
         // Crash recovery: an in-progress entry means the writer died before
         // commit. It never happened.
-        if (e.status == TxnStatus::kInProgress) {
-          e.status = TxnStatus::kAborted;
+        if (status == TxnStatus::kInProgress) {
+          status = TxnStatus::kAborted;
           converted_blocks.insert(b);
         }
-        entries_[xid] = e;
+        EntryAt(xid).Set(status, GetU64(p + 8), 0);
       }
     }
   }
@@ -82,12 +112,12 @@ Status CommitLog::LoadFromDevice() {
   // the horizon). Whatever is still unused after a crash is burned: record it
   // aborted so the xid can never be reused and offline readers agree.
   if (xid_horizon_ > 0) {
-    if (entries_.size() <= xid_horizon_) {
-      entries_.resize(xid_horizon_ + 1);
-    }
+    GrowTo(xid_horizon_ + 1);
     for (TxnId x = kBootstrapTxn + 1; x <= xid_horizon_; ++x) {
-      if (entries_[x].status == TxnStatus::kUnused) {
-        entries_[x].status = TxnStatus::kAborted;
+      Entry& e = EntryAt(x);
+      if (e.status.load(std::memory_order_relaxed) ==
+          static_cast<uint32_t>(TxnStatus::kUnused)) {
+        e.Set(TxnStatus::kAborted, 0, 0);
         converted_blocks.insert(static_cast<uint32_t>(x / kEntriesPerPage));
       }
     }
@@ -111,10 +141,10 @@ std::vector<std::byte> CommitLog::BuildPageImage(uint32_t block) const {
     if (x == 0) {
       // xid 0 is invalid; its entry carries the xid horizon instead.
       PutU64(p + 8, xid_horizon_);
-    } else if (x < entries_.size()) {
-      PutU32(p, static_cast<uint32_t>(entries_[x].status));
+    } else if (const Entry* e = Find(x)) {
+      PutU32(p, e->status.load(std::memory_order_relaxed));
       PutU32(p + 4, 0);
-      PutU64(p + 8, entries_[x].commit_ts);
+      PutU64(p + 8, e->commit_ts.load(std::memory_order_relaxed));
     }
   }
   return buf;
@@ -148,7 +178,8 @@ Status CommitLog::WaitPersisted(uint64_t seq) {
   // spent this wall time blocked on group commit, so the shared flush cost is
   // attributed to every member of the batch, not just the leader.
   ScopedSpan wait_span(&metrics_->spans(), "log.flush.wait", seq);
-  while (sticky_error_.ok() && persisted_seq_ < seq) {
+  while (sticky_error_.ok() &&
+         persisted_seq_.load(std::memory_order_relaxed) < seq) {
     if (flush_in_progress_) {
       flush_cv_.Wait(mu_);
       continue;
@@ -158,7 +189,8 @@ Status CommitLog::WaitPersisted(uint64_t seq) {
     // (they form the next group).
     flush_in_progress_ = true;
     const uint64_t covers = enqueue_seq_;
-    const uint64_t batch_size = covers - persisted_seq_;
+    const uint64_t batch_size =
+        covers - persisted_seq_.load(std::memory_order_relaxed);
     std::vector<uint32_t> blocks(dirty_blocks_.begin(), dirty_blocks_.end());
     dirty_blocks_.clear();
     std::vector<std::vector<std::byte>> images;
@@ -209,8 +241,12 @@ Status CommitLog::WaitPersisted(uint64_t seq) {
       // Only a successful flush makes the covered transitions durable (and
       // therefore visible: see VisibleStatus). On failure persisted_seq_
       // stays put and the sticky error poisons the log, so an unflushed
-      // commit can never be observed by readers.
-      persisted_seq_ = std::max(persisted_seq_, covers);
+      // commit can never be observed by readers. The capture version moves
+      // first, so a thread that sees the commit also misses its old capture.
+      BumpCaptureVersion();
+      persisted_seq_.store(
+          std::max(persisted_seq_.load(std::memory_order_relaxed), covers),
+          std::memory_order_release);
     } else if (sticky_error_.ok()) {
       sticky_error_ = s;
       metrics_->trace().Record(TraceEvent::kLogPoisoned,
@@ -241,21 +277,22 @@ TxnStatus CommitLog::VisibleStatus(const Entry& e) const {
   // still in progress: a crash before the flush recovers it as aborted, and
   // snapshot visibility (StatusOf / CommittedBefore) must never show a
   // commit that recovery could take back.
-  if (e.status == TxnStatus::kCommitted && e.durable_seq > persisted_seq_) {
+  const auto status =
+      static_cast<TxnStatus>(e.status.load(std::memory_order_acquire));
+  if (status == TxnStatus::kCommitted &&
+      e.durable_seq.load(std::memory_order_relaxed) >
+          persisted_seq_.load(std::memory_order_acquire)) {
     return TxnStatus::kInProgress;
   }
-  return e.status;
+  return status;
 }
 
-Status CommitLog::BeginTxn(TxnId xid) {
+Result<TxnId> CommitLog::BeginTxn() {
   MutexLock lock(mu_);
-  if (entries_.size() <= xid) {
-    entries_.resize(xid + 1);
-  }
-  if (entries_[xid].status != TxnStatus::kUnused) {
-    return Status::Internal("xid " + std::to_string(xid) + " reused");
-  }
-  entries_[xid].status = TxnStatus::kInProgress;
+  const TxnId xid = size_.load(std::memory_order_relaxed);
+  BumpCaptureVersion();
+  GrowTo(xid + 1);
+  EntryAt(xid).Set(TxnStatus::kInProgress, 0, 0);
   unresolved_.insert(xid);
   dirty_blocks_.insert(static_cast<uint32_t>(xid / kEntriesPerPage));
   // The begin record exists to prevent xid reuse after a crash. Persisting
@@ -267,23 +304,26 @@ Status CommitLog::BeginTxn(TxnId xid) {
   // kXidHorizonBatch transactions.
   if (xid <= xid_horizon_) {
     horizon_hits_->Add();
-    return FailStopLocked();
+    INV_RETURN_IF_ERROR(FailStopLocked());
+    return xid;
   }
   xid_horizon_ = xid + kXidHorizonBatch;
   dirty_blocks_.insert(0);  // the horizon record lives in log page 0
-  return WaitPersisted(EnqueueTransition(xid));
+  INV_RETURN_IF_ERROR(WaitPersisted(EnqueueTransition(xid)));
+  return xid;
 }
 
 Status CommitLog::CommitTxn(TxnId xid, Timestamp commit_ts) {
   MutexLock lock(mu_);
-  if (xid >= entries_.size() || entries_[xid].status != TxnStatus::kInProgress) {
+  const Entry* e = Find(xid);
+  if (e == nullptr || !IsInProgress(e->status)) {
     return Status::Internal("commit of unknown xid " + std::to_string(xid));
   }
   const uint64_t seq = EnqueueTransition(xid);
   // durable_seq hides the commit from readers until the covering flush lands
-  // (the leader may release mu_ mid-flush, so entries_ is observable before
-  // the device write completes).
-  entries_[xid] = Entry{TxnStatus::kCommitted, commit_ts, seq};
+  // (entries are read without mu_, so the entry is observable before the
+  // device write completes). Until then the capture is unchanged too.
+  EntryAt(xid).Set(TxnStatus::kCommitted, commit_ts, seq);
   const Status s = WaitPersisted(seq);
   if (s.ok()) {
     // The covering flush landed: the commit is durable and can never again
@@ -295,7 +335,8 @@ Status CommitLog::CommitTxn(TxnId xid, Timestamp commit_ts) {
 
 Status CommitLog::CommitTxnReadOnly(TxnId xid, Timestamp commit_ts) {
   MutexLock lock(mu_);
-  if (xid >= entries_.size() || entries_[xid].status != TxnStatus::kInProgress) {
+  const Entry* e = Find(xid);
+  if (e == nullptr || !IsInProgress(e->status)) {
     return Status::Internal("commit of unknown xid " + std::to_string(xid));
   }
   // durable_seq 0 makes the commit visible immediately: there is nothing a
@@ -303,7 +344,8 @@ Status CommitLog::CommitTxnReadOnly(TxnId xid, Timestamp commit_ts) {
   // burns it as aborted, which nothing observes). Deliberately no
   // FailStopLocked check — read-only commits must keep succeeding after the
   // log has poisoned, or in-flight readers would fail on a degraded device.
-  entries_[xid] = Entry{TxnStatus::kCommitted, commit_ts, 0};
+  BumpCaptureVersion();
+  EntryAt(xid).Set(TxnStatus::kCommitted, commit_ts, 0);
   unresolved_.erase(xid);
   dirty_blocks_.insert(xid / kEntriesPerPage);
   return Status::Ok();
@@ -311,10 +353,13 @@ Status CommitLog::CommitTxnReadOnly(TxnId xid, Timestamp commit_ts) {
 
 Status CommitLog::AbortTxn(TxnId xid) {
   MutexLock lock(mu_);
-  if (xid >= entries_.size() || entries_[xid].status != TxnStatus::kInProgress) {
+  const Entry* e = Find(xid);
+  if (e == nullptr || !IsInProgress(e->status)) {
     return Status::Internal("abort of unknown xid " + std::to_string(xid));
   }
-  entries_[xid].status = TxnStatus::kAborted;
+  BumpCaptureVersion();
+  EntryAt(xid).status.store(static_cast<uint32_t>(TxnStatus::kAborted),
+                            std::memory_order_release);
   // Aborted xids leave the unresolved set even though the abort record is
   // not yet durable: an aborted entry can never become visible, so excluding
   // it from captured snapshots is always correct (in-view + never-committed
@@ -327,44 +372,48 @@ Status CommitLog::AbortTxn(TxnId xid) {
 }
 
 TxnStatus CommitLog::StatusOf(TxnId xid) const {
-  MutexLock lock(mu_);
-  if (xid >= entries_.size()) {
-    return TxnStatus::kUnused;
-  }
-  return VisibleStatus(entries_[xid]);
+  const Entry* e = Find(xid);
+  return e == nullptr ? TxnStatus::kUnused : VisibleStatus(*e);
 }
 
 Timestamp CommitLog::CommitTimeOf(TxnId xid) const {
-  MutexLock lock(mu_);
-  if (xid >= entries_.size() ||
-      VisibleStatus(entries_[xid]) != TxnStatus::kCommitted) {
+  const Entry* e = Find(xid);
+  if (e == nullptr || VisibleStatus(*e) != TxnStatus::kCommitted) {
     return 0;
   }
-  return entries_[xid].commit_ts;
+  return e->commit_ts.load(std::memory_order_relaxed);
 }
 
 bool CommitLog::CommittedBefore(TxnId xid, Timestamp as_of) const {
-  MutexLock lock(mu_);
-  if (xid >= entries_.size()) {
-    return false;
-  }
-  const Entry& e = entries_[xid];
-  return VisibleStatus(e) == TxnStatus::kCommitted && e.commit_ts <= as_of;
+  const Entry* e = Find(xid);
+  return e != nullptr && VisibleStatus(*e) == TxnStatus::kCommitted &&
+         e->commit_ts.load(std::memory_order_relaxed) <= as_of;
 }
 
 TxnId CommitLog::MaxTxnId() const {
-  MutexLock lock(mu_);
-  return entries_.empty() ? 0 : static_cast<TxnId>(entries_.size() - 1);
+  const TxnId size = size_.load(std::memory_order_acquire);
+  return size == 0 ? 0 : size - 1;
 }
 
 std::shared_ptr<const SnapshotState> CommitLog::CaptureState() {
+  // The calling thread's previous capture, reused while no change that could
+  // alter it has happened in this log since.
+  struct LastCapture {
+    uint64_t log_id = 0;
+    uint64_t version = 0;
+    std::shared_ptr<const SnapshotState> state;
+  };
+  thread_local LastCapture last;
+  if (last.log_id == id_ &&
+      last.version == capture_version_.load(std::memory_order_acquire)) {
+    return last.state;
+  }
   MutexLock lock(mu_);
   auto state = std::make_shared<SnapshotState>();
-  state->xmax = static_cast<TxnId>(entries_.size());
+  state->xmax = size_.load(std::memory_order_relaxed);
   for (auto it = unresolved_.begin(); it != unresolved_.end();) {
     const TxnId xid = *it;
-    if (xid < entries_.size() &&
-        VisibleStatus(entries_[xid]) == TxnStatus::kInProgress) {
+    if (xid < state->xmax && VisibleStatus(EntryAt(xid)) == TxnStatus::kInProgress) {
       state->xip.push_back(xid);  // set order: ascending, as InView expects
       ++it;
     } else {
@@ -373,6 +422,7 @@ std::shared_ptr<const SnapshotState> CommitLog::CaptureState() {
       it = unresolved_.erase(it);
     }
   }
+  last = LastCapture{id_, capture_version_.load(std::memory_order_relaxed), state};
   return state;
 }
 

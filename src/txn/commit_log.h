@@ -38,6 +38,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -96,11 +97,14 @@ class CommitLog {
   static Result<std::unique_ptr<CommitLog>> Open(DeviceManager* device,
                                                  MetricsRegistry* metrics = nullptr);
 
-  // Register a new transaction id as in-progress. A crash can never lead to
-  // xid reuse: either the begin record itself is persisted (when it advances
-  // the xid horizon) or the previously persisted horizon covers the xid and
-  // recovery burns it as aborted.
-  Status BeginTxn(TxnId xid);
+  // Allocate the next transaction id and register it as in-progress, in one
+  // step under the log mutex: xids reach the log in allocation order, so a
+  // capture never sees a later xid begun while an earlier one has not (which
+  // would put the earlier one in view and let its commit flip a pinned
+  // answer). A crash can never lead to xid reuse: either the begin record
+  // itself is persisted (when it advances the xid horizon) or the previously
+  // persisted horizon covers the xid and recovery burns it as aborted.
+  Result<TxnId> BeginTxn();
 
   // Persist the commit decision (forces the containing log page to stable
   // storage — possibly via another thread's group flush — before returning).
@@ -116,6 +120,8 @@ class CommitLog {
   // in-progress, which is equally invisible.
   Status AbortTxn(TxnId xid);
 
+  // Status reads take no lock: entries live in segments that never move,
+  // and each field is an atomic the writers publish status-last.
   TxnStatus StatusOf(TxnId xid) const;
   // Commit timestamp; 0 unless committed.
   Timestamp CommitTimeOf(TxnId xid) const;
@@ -123,14 +129,16 @@ class CommitLog {
   // True iff `xid` committed at or before `as_of`.
   bool CommittedBefore(TxnId xid, Timestamp as_of) const;
 
-  // Highest xid ever registered (for xid allocation after reopen).
+  // Highest xid ever registered.
   TxnId MaxTxnId() const;
 
   // Freeze the set of currently unresolved xids. Snapshots built on the
   // returned state keep one immutable answer for every xid's visibility even
   // as transactions commit underneath them. O(active transactions), not
   // O(log size): the unresolved set is maintained incrementally and pruned
-  // lazily here.
+  // lazily here. Every change that can alter a capture bumps a version, and
+  // a thread gets its previous capture back, without the log mutex, while
+  // the version has not moved.
   std::shared_ptr<const SnapshotState> CaptureState();
 
   // True once a group flush failed permanently. The log refuses durable
@@ -154,13 +162,21 @@ class CommitLog {
  private:
   CommitLog(DeviceManager* device, MetricsRegistry* metrics);
 
+  // One xid's state. Writers (under mu_) store commit_ts and durable_seq
+  // before status (release); lock-free readers load status (acquire) first.
   struct Entry {
-    TxnStatus status = TxnStatus::kUnused;
-    Timestamp commit_ts = 0;
+    std::atomic<uint32_t> status{0};  // TxnStatus
+    std::atomic<Timestamp> commit_ts{0};
     // Flush sequence that makes a kCommitted entry durable; 0 means already
     // durable (bootstrap / loaded from the device). Readers must not see the
     // commit until persisted_seq_ reaches it — see VisibleStatus.
-    uint64_t durable_seq = 0;
+    std::atomic<uint64_t> durable_seq{0};
+
+    void Set(TxnStatus st, Timestamp ts, uint64_t seq) {
+      commit_ts.store(ts, std::memory_order_relaxed);
+      durable_seq.store(seq, std::memory_order_relaxed);
+      status.store(static_cast<uint32_t>(st), std::memory_order_release);
+    }
   };
 
   static constexpr uint32_t kEntrySize = 16;
@@ -173,6 +189,26 @@ class CommitLog {
   // under mu_ even though Open is single-threaded: Open is a static member,
   // so the analysis grants it no constructor exemption for guarded fields.
   Status LoadFromDevice() REQUIRES(mu_);
+  // Entry storage: segment k holds kFirstSegment << k entries and never
+  // moves once allocated, so readers index it without mu_. Together the
+  // segments cover the whole 32-bit xid space.
+  static constexpr int kFirstSegmentBits = 10;
+  static constexpr TxnId kFirstSegment = TxnId{1} << kFirstSegmentBits;
+  static constexpr size_t kSegments = 33 - kFirstSegmentBits;
+
+  // The entry of `xid`, which must be below size_.
+  Entry& EntryAt(TxnId xid) const;
+  // The entry of `xid`, or nullptr when xid has never been registered.
+  const Entry* Find(TxnId xid) const {
+    return xid < size_.load(std::memory_order_acquire) ? &EntryAt(xid) : nullptr;
+  }
+  // Make entries [0, n) exist (zero state), publishing the new size.
+  void GrowTo(TxnId n) REQUIRES(mu_);
+  // A change that can alter CaptureState's result (see capture_version_).
+  void BumpCaptureVersion() REQUIRES(mu_) {
+    capture_version_.fetch_add(1, std::memory_order_release);
+  }
+
   // Serialize the in-memory entries of `block` into an 8 KB page.
   std::vector<std::byte> BuildPageImage(uint32_t block) const REQUIRES(mu_);
   // Write one log page, zero-extending the relation up to it. Called by the
@@ -190,14 +226,24 @@ class CommitLog {
   // Status as transaction-visibility readers may see it: a committed entry
   // whose covering flush has not landed reads as still in progress, because
   // a crash right now would recover it as aborted.
-  TxnStatus VisibleStatus(const Entry& e) const REQUIRES(mu_);
+  TxnStatus VisibleStatus(const Entry& e) const;
   // Ok, or the clean fail-stop error once sticky_error_ poisoned the log.
   Status FailStopLocked() const REQUIRES(mu_);
 
   DeviceManager* device_;
   mutable Mutex mu_;
   CondVar flush_cv_;
-  std::vector<Entry> entries_ GUARDED_BY(mu_);  // indexed by xid
+  // Entries [0, size_) exist; segments are written under mu_ before size_
+  // is published (release), so a reader that sees an xid below size_ (acquire)
+  // sees its segment. The next xid BeginTxn allocates is size_.
+  std::array<std::unique_ptr<Entry[]>, kSegments> segments_;
+  std::atomic<TxnId> size_{0};
+  // Bumped under mu_ by every change that can alter a capture: a begin (xmax
+  // and xip grow), a read-only commit or an abort (xip shrinks), and a flush
+  // landing (commits become durable). CaptureState's per-thread reuse keys
+  // on it together with id_, which no other log in the process shares.
+  std::atomic<uint64_t> capture_version_{0};
+  const uint64_t id_;
   // Durable xid high-water mark (entry 0's timestamp field on disk). Begins
   // at or below it need no device wait; see BeginTxn.
   TxnId xid_horizon_ GUARDED_BY(mu_) = 0;
@@ -213,8 +259,9 @@ class CommitLog {
   std::set<uint32_t> dirty_blocks_ GUARDED_BY(mu_);
   // Last persist request enqueued.
   uint64_t enqueue_seq_ GUARDED_BY(mu_) = 0;
-  // All requests <= this are durable (advanced only on flush success).
-  uint64_t persisted_seq_ GUARDED_BY(mu_) = 0;
+  // All requests <= this are durable (advanced only on flush success, under
+  // mu_; read without it by VisibleStatus).
+  std::atomic<uint64_t> persisted_seq_{0};
   bool flush_in_progress_ GUARDED_BY(mu_) = false;
   // First flush failure; poisons the log.
   Status sticky_error_ GUARDED_BY(mu_) = Status::Ok();

@@ -19,7 +19,9 @@
 //     commit log: no begin record, no commit record, no log I/O at all, so
 //     pure readers keep working even on a poisoned log. The transaction is
 //     pinned to the SnapshotState captured at begin and acquires no data
-//     locks — writers never block it and it never blocks writers.
+//     locks — writers never block it and it never blocks writers. Read-only
+//     transactions live in a registry of their own, striped by the beginning
+//     thread's tag, so concurrent readers share no lock or cache line here.
 //
 // Neither POSTGRES 4.0.1 nor Inversion supports nested transactions, so one
 // client has at most one transaction open at a time; the Inversion layer
@@ -27,9 +29,11 @@
 
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "src/buffer/buffer_pool.h"
 #include "src/sim/sim_clock.h"
@@ -50,6 +54,7 @@ enum class TxnMode {
 // space; real xid allocation never gets near it (the commit log would be
 // 32 TB of entries first). They stamp no tuples, so visibility code only
 // ever sees them as a Snapshot's `self`, where StatusOf answers kUnused.
+// The low bits of a virtual xid name the registry stripe that holds it.
 inline constexpr TxnId kReadOnlyXidBase = 0x80000000u;
 
 inline bool IsReadOnlyTxn(TxnId xid) { return xid >= kReadOnlyXidBase; }
@@ -103,21 +108,52 @@ class TxnManager {
   CommitLog& log() { return *log_; }
 
  private:
+  // A read-write transaction.
   struct ActiveTxn {
     std::set<Oid> touched;  // relations dirtied (commit force set)
     std::shared_ptr<const SnapshotState> pinned;  // begin-time xid view
     bool written = false;
   };
 
+  // A read-only transaction. It reads its pin until it ends: it can take no
+  // exclusive lock, so it never switches to live state. `dirtied` is only
+  // set by a caller bug (a write under a read-only xid); Commit refuses it.
+  struct ReadOnlyTxn {
+    TxnId xid = kInvalidTxn;
+    std::shared_ptr<const SnapshotState> pinned;
+    bool dirtied = false;
+  };
+
+  // One stripe of the read-only registry. A thread begins in its
+  // ThreadStripe(), which no other live thread holds (except the shared
+  // stripe 0), on cache lines of its own. Few transactions are open per
+  // stripe, so a vector beats a map and, once warm, allocates nothing.
+  static constexpr TxnId kReadOnlyStripes = kThreadStripes;
+  struct alignas(64) ReadOnlyStripe {
+    Mutex mu;
+    TxnId next_seq GUARDED_BY(mu) = 1;
+    std::vector<ReadOnlyTxn> active GUARDED_BY(mu);
+
+    ReadOnlyTxn* Find(TxnId xid) REQUIRES(mu);
+  };
+
+  ReadOnlyStripe& StripeOf(TxnId xid) const {
+    return ro_[(xid - kReadOnlyXidBase) % kReadOnlyStripes];
+  }
+  Result<TxnId> BeginReadOnly();
+  // Remove `xid` from its stripe; false when it was not active.
+  bool EndReadOnly(TxnId xid, bool* dirtied);
+
   CommitLog* log_;
   BufferPool* buffers_;
   LockManager* locks_;
   SimClock* clock_;
 
+  // Read-write transactions only.
   mutable Mutex mu_;
-  TxnId next_xid_ GUARDED_BY(mu_);
-  TxnId next_read_xid_ GUARDED_BY(mu_) = kReadOnlyXidBase + 1;
   std::map<TxnId, ActiveTxn> active_ GUARDED_BY(mu_);
+
+  mutable std::array<ReadOnlyStripe, kReadOnlyStripes> ro_;
 
   // txn.* metrics.
   std::unique_ptr<MetricsRegistry> owned_metrics_;

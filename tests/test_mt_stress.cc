@@ -13,12 +13,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <condition_variable>
 #include <mutex>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "src/access/key_codec.h"
 #include "src/buffer/buffer_pool.h"
 #include "src/catalog/database.h"
 #include "src/harness/worlds.h"
@@ -26,6 +28,7 @@
 #include "src/obs/metrics.h"
 #include "src/txn/commit_log.h"
 #include "src/util/random.h"
+#include "src/vacuum/vacuum.h"
 
 namespace invfs {
 namespace {
@@ -248,7 +251,6 @@ TEST_F(MtStressTest, GroupCommitConcurrentBeginCommit) {
 
   constexpr int kThreads = 8;
   constexpr int kTxnsPerThread = 200;
-  std::atomic<TxnId> next_xid{kBootstrapTxn + 1};
   std::atomic<int> failures{0};
 
   std::vector<std::thread> threads;
@@ -256,11 +258,12 @@ TEST_F(MtStressTest, GroupCommitConcurrentBeginCommit) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kTxnsPerThread; ++i) {
-        const TxnId xid = next_xid.fetch_add(1);
-        if (!log.BeginTxn(xid).ok()) {
+        auto begun = log.BeginTxn();
+        if (!begun.ok()) {
           failures.fetch_add(1);
           continue;
         }
+        const TxnId xid = *begun;
         if (xid % 7 == 0) {
           if (!log.AbortTxn(xid).ok()) {
             failures.fetch_add(1);
@@ -276,7 +279,8 @@ TEST_F(MtStressTest, GroupCommitConcurrentBeginCommit) {
   }
   ASSERT_EQ(failures.load(), 0);
 
-  const TxnId last = next_xid.load() - 1;
+  const TxnId last = log.MaxTxnId();
+  ASSERT_EQ(last, kBootstrapTxn + kThreads * kTxnsPerThread);
   for (TxnId x = kBootstrapTxn + 1; x <= last; ++x) {
     const TxnStatus st = log.StatusOf(x);
     if (x % 7 == 0) {
@@ -358,6 +362,195 @@ TEST_F(MtStressTest, ConcurrentTransactionsThroughDatabase) {
     th.join();
   }
   EXPECT_EQ(failures.load(), 0);
+}
+
+// The read-only registry under real parallelism: reader threads run
+// read-only transactions (begin, ReadSnapshot, index probes, commit) while a
+// writer replaces rows under 2PL and vacuum discards dead versions and
+// rebuilds the index. Each round every reader holds one transaction open
+// across writer commits and checks that
+//   * its pinned answers never change: the rows it reads and XidVisible for
+//     every xid around its capture are the same before and after;
+//   * OldestActiveXmin honours its pin, whichever stripe holds it (if vacuum
+//     ignored a pin it would discard a version the reader still sees);
+//   * ActiveTxnCount is exact: every reader plus at most the writer's and
+//     vacuum's transactions while all readers hold, and 0 at the end.
+// Between rounds each reader runs a burst of short read-only transactions.
+TEST_F(MtStressTest, ReadOnlyRegistryUnderWriterAndVacuum) {
+  StorageEnv env;
+  auto db_or = Database::Open(&env);
+  ASSERT_TRUE(db_or.ok());
+  Database& db = **db_or;
+
+  constexpr int kKeys = 32;
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 20;
+  constexpr int kBurst = 50;
+  TableInfo* table = nullptr;
+  std::vector<Tid> tids;
+  {
+    auto txn = db.Begin();
+    ASSERT_TRUE(txn.ok());
+    auto t = db.catalog().CreateTable(
+        *txn, "ro", Schema{{"k", TypeId::kInt4}, {"v", TypeId::kInt4}},
+        kDeviceMagneticDisk);
+    ASSERT_TRUE(t.ok());
+    table = *t;
+    ASSERT_TRUE(db.catalog().CreateIndex(*txn, table, {0}).ok());
+    for (int k = 0; k < kKeys; ++k) {
+      auto tid = db.InsertRow(*txn, table, {Value::Int4(k), Value::Int4(0)});
+      ASSERT_TRUE(tid.ok());
+      tids.push_back(*tid);
+    }
+    ASSERT_TRUE(db.Commit(*txn).ok());
+  }
+  IndexInfo* index = table->indexes.front();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> writer_commits{0};
+  std::atomic<int> failures{0};
+  auto fail = [&](const std::string& what) {
+    failures.fetch_add(1);
+    ADD_FAILURE() << what;
+  };
+
+  std::thread writer([&] {
+    for (int v = 1; !stop.load() && failures.load() == 0; ++v) {
+      auto txn = db.Begin();
+      if (!txn.ok() || !db.LockTable(*txn, table, LockMode::kExclusive).ok()) {
+        return fail("writer could not begin and lock");
+      }
+      const int k = v % kKeys;
+      auto tid = db.ReplaceRow(*txn, table, tids[k], {Value::Int4(k), Value::Int4(v)});
+      if (!tid.ok() || !db.Commit(*txn).ok()) {
+        return fail("writer could not replace and commit");
+      }
+      tids[k] = *tid;
+      writer_commits.fetch_add(1);
+    }
+  });
+  std::thread vacuum([&] {
+    VacuumCleaner cleaner(&db);
+    while (!stop.load() && failures.load() == 0) {
+      auto txn = db.Begin();
+      if (!txn.ok()) {
+        return fail("vacuum could not begin");
+      }
+      auto stats = cleaner.VacuumTable(*txn, table, /*keep_history=*/false);
+      if (!stats.ok() || !db.Commit(*txn).ok()) {
+        return fail("vacuum failed: " + stats.status().ToString());
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  // The value of every key under `snap`, through the index; false unless
+  // exactly one version of each key is visible.
+  auto read_all = [&](const Snapshot& snap, std::vector<int>* out) {
+    out->clear();
+    for (int k = 0; k < kKeys; ++k) {
+      Result<std::vector<Tid>> found = [&] {
+        SharedGateLock gate(db.probe_gate());
+        return index->btree->Lookup(EncodeInt4Key(k));
+      }();
+      if (!found.ok()) {
+        return false;
+      }
+      int visible = 0;
+      for (Tid tid : *found) {
+        auto row = table->heap->Fetch(snap, tid);
+        if (!row.ok()) {
+          return false;
+        }
+        if (row->has_value() && (**row)[0].AsInt4() == k) {
+          ++visible;
+          out->push_back((**row)[1].AsInt4());
+        }
+      }
+      if (visible != 1) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  std::barrier sync(kReaders);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      for (int round = 0; round < kRounds; ++round) {
+        auto txn = db.Begin(TxnMode::kReadOnly);
+        if (!txn.ok()) {
+          fail("read-only begin failed");
+        }
+        const Snapshot snap = db.ReadSnapshot(txn.ok() ? *txn : kInvalidTxn);
+        std::vector<int> before;
+        std::vector<bool> answers;
+        if (snap.is_pinned()) {
+          if (!read_all(snap, &before)) {
+            fail("pinned read saw no single version of some key");
+          }
+          for (TxnId x = 0; x < snap.frozen->xmax + 64; ++x) {
+            answers.push_back(snap.XidVisible(x));
+          }
+          const TxnId oldest = db.txns().OldestActiveXmin();
+          if (oldest == kInvalidTxn || oldest > snap.frozen->HorizonXid()) {
+            fail("OldestActiveXmin " + std::to_string(oldest) +
+                 " ignores a live pin with horizon " +
+                 std::to_string(snap.frozen->HorizonXid()));
+          }
+        } else {
+          fail("read-only transaction has no pinned snapshot");
+        }
+        sync.arrive_and_wait();  // every reader holds its transaction
+        if (r == 0) {
+          const size_t n = db.txns().ActiveTxnCount();
+          if (n < kReaders || n > kReaders + 2) {
+            fail("ActiveTxnCount " + std::to_string(n) + " with " +
+                 std::to_string(kReaders) + " readers holding");
+          }
+        }
+        // Let the writer commit (and vacuum run) underneath the pins.
+        const uint64_t target = writer_commits.load() + 3;
+        while (writer_commits.load() < target && failures.load() == 0) {
+          std::this_thread::yield();
+        }
+        sync.arrive_and_wait();  // the count above is taken before any commit
+        if (snap.is_pinned()) {
+          std::vector<int> after;
+          const Snapshot again = db.ReadSnapshot(*txn);
+          if (!read_all(again, &after) || after != before) {
+            fail("pinned rows changed under a writer and vacuum");
+          }
+          for (TxnId x = 0; x < answers.size(); ++x) {
+            if (again.XidVisible(x) != answers[x]) {
+              fail("pinned answer for xid " + std::to_string(x) + " changed");
+            }
+          }
+        }
+        if (txn.ok() && !db.Commit(*txn).ok()) {
+          fail("read-only commit failed");
+        }
+        for (int i = 0; i < kBurst; ++i) {
+          auto quick = db.Begin(TxnMode::kReadOnly);
+          if (!quick.ok() || !db.ReadSnapshot(*quick).is_pinned() ||
+              !db.Commit(*quick).ok()) {
+            fail("short read-only transaction failed");
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : readers) {
+    th.join();
+  }
+  stop.store(true);
+  writer.join();
+  vacuum.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(writer_commits.load(), static_cast<uint64_t>(kRounds) * 3 - 1);
+  EXPECT_EQ(db.txns().ActiveTxnCount(), 0u);
+  EXPECT_EQ(db.txns().OldestActiveXmin(), kInvalidTxn);
 }
 
 // 8 threads hammer one registry — striped counters, a shared histogram, and

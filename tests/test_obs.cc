@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <barrier>
+#include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -479,6 +482,141 @@ TEST(SpanShapeTest, RpcWriteTreeLinksBufferMissAndCommitFlush) {
   EXPECT_EQ(world.db().metrics().spans().TotalDropped(), 0u)
       << "span ring wrapped mid-test; the tree walked above is incomplete";
   EXPECT_EQ(world.db().metrics().trace().TotalDropped(), 0u);
+}
+
+// Four threads record span trees and trace events into one registry at once.
+// Rings and ids are handed out in per-thread blocks, so this pins the
+// contracts that must survive that: totals are exact, ids are unique across
+// threads, and every span of one request links to its parent. The rings are
+// sized so nothing wraps, which makes the final snapshot complete.
+TEST(SpanRingTest, ThreadsKeepTotalsIdsAndParentLinks) {
+  constexpr int kThreads = 4;
+  constexpr int kRequests = 500;  // three spans and one trace event each
+  MetricsRegistry reg(/*trace_capacity=*/1 << 13, /*span_capacity=*/1 << 14);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&reg] {
+      for (int i = 0; i < kRequests; ++i) {
+        ScopedSpan root(&reg.spans(), "mt.root");
+        {
+          ScopedSpan child(&reg.spans(), "mt.child", root.span_id());
+          ScopedSpan leaf(&reg.spans(), "mt.leaf", root.span_id());
+          leaf.set_b(child.span_id());
+        }
+        reg.trace().Record(TraceEvent::kTxnBegin, root.trace_id());
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+
+  const uint64_t spans = uint64_t{kThreads} * kRequests * 3;
+  EXPECT_EQ(reg.spans().TotalRecorded(), spans);
+  EXPECT_EQ(reg.trace().TotalRecorded(), uint64_t{kThreads} * kRequests);
+  EXPECT_EQ(reg.spans().TotalDropped(), 0u);
+  EXPECT_EQ(reg.trace().TotalDropped(), 0u);
+
+  const std::vector<SpanRecord> snap = reg.spans().Snapshot();
+  ASSERT_EQ(snap.size(), spans);
+  std::set<uint64_t> span_ids;
+  std::set<uint64_t> seqs;
+  std::unordered_map<uint64_t, const SpanRecord*> by_id;
+  for (const SpanRecord& r : snap) {
+    span_ids.insert(r.span_id);
+    seqs.insert(r.seq);
+    by_id[r.span_id] = &r;
+  }
+  EXPECT_EQ(span_ids.size(), spans) << "span ids repeat across threads";
+  EXPECT_EQ(seqs.size(), spans) << "ring sequence numbers repeat";
+
+  std::set<uint64_t> trace_ids;
+  for (const SpanRecord& r : snap) {
+    const std::string_view name(r.name);
+    if (name == "mt.root") {
+      EXPECT_EQ(r.parent_id, 0u);
+      trace_ids.insert(r.trace_id);
+      continue;
+    }
+    // a = the root's span id; the leaf's b = its parent (the child).
+    const uint64_t parent_id = name == "mt.child" ? r.a : r.b;
+    EXPECT_EQ(r.parent_id, parent_id) << name;
+    auto parent = by_id.find(r.parent_id);
+    ASSERT_NE(parent, by_id.end()) << name << " lost its parent";
+    EXPECT_EQ(parent->second->trace_id, r.trace_id) << name;
+    EXPECT_EQ(parent->second->thread, r.thread) << name;
+    EXPECT_EQ(by_id.at(r.a)->trace_id, r.trace_id) << name;
+  }
+  EXPECT_EQ(trace_ids.size(), uint64_t{kThreads} * kRequests)
+      << "trace ids repeat across threads";
+
+  std::set<uint64_t> event_seqs;
+  for (const TraceRecord& r : reg.trace().Snapshot()) {
+    event_seqs.insert(r.seq);
+    EXPECT_EQ(trace_ids.count(r.a), 1u);
+  }
+  EXPECT_EQ(event_seqs.size(), uint64_t{kThreads} * kRequests);
+}
+
+// Thread stripes: a live thread owns its stripe (plain stores into its
+// cells) and hands it back on exit, and threads that find every stripe held
+// share stripe 0 (atomic RMWs). Counts must stay exact across owners coming
+// and going, and across owned and shared stripes at once.
+TEST(ThreadStripeTest, CountsStayExactAcrossReuseAndTheSharedStripe) {
+  Counter counter;
+  Histogram hist;
+  TraceRing ring(1 << 12);
+  constexpr int kSequential = 100;  // far more threads than stripes, in turn
+  constexpr int kConcurrent = 40;   // more live threads than stripes
+  constexpr int kEach = 50;
+  auto work = [&] {
+    for (int i = 0; i < kEach; ++i) {
+      counter.Add();
+      hist.Observe(static_cast<uint64_t>(i));
+      ring.Record(TraceEvent::kPageMiss, static_cast<uint64_t>(i));
+    }
+  };
+  for (int t = 0; t < kSequential; ++t) {
+    std::thread(work).join();
+  }
+  std::set<uint32_t> stripes;
+  {
+    std::barrier all_alive(kConcurrent);
+    std::vector<uint32_t> seen(kConcurrent);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kConcurrent; ++t) {
+      threads.emplace_back([&, t] {
+        all_alive.arrive_and_wait();
+        seen[static_cast<size_t>(t)] = ThreadStripe();
+        work();
+        all_alive.arrive_and_wait();  // hold every stripe until all have one
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+    size_t shared = 0;
+    for (uint32_t s : seen) {
+      if (s == 0) {
+        ++shared;
+      } else {
+        EXPECT_TRUE(stripes.insert(s).second) << "two live threads own stripe " << s;
+      }
+    }
+    EXPECT_GT(shared, 0u) << "40 live threads cannot all own one of 31 stripes";
+  }
+  const uint64_t total = uint64_t{kSequential + kConcurrent} * kEach;
+  EXPECT_EQ(counter.Value(), total);
+  EXPECT_EQ(hist.Count(), total);
+  EXPECT_EQ(ring.TotalRecorded(), total);
+  std::set<uint64_t> seqs;
+  for (const TraceRecord& r : ring.Snapshot()) {
+    EXPECT_TRUE(seqs.insert(r.seq).second) << "seq " << r.seq << " twice";
+  }
+  // Every stripe came back: a new thread owns one again.
+  uint32_t fresh = 0;
+  std::thread([&] { fresh = ThreadStripe(); }).join();
+  EXPECT_NE(fresh, 0u);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include "src/catalog/database.h"
 #include "src/txn/commit_log.h"
@@ -14,6 +16,13 @@ namespace invfs {
 namespace {
 
 // ---------------------------------------------------------------- CommitLog
+
+// Begins the log's next transaction; fails the test when the begin fails.
+TxnId BeginNext(CommitLog& log) {
+  auto xid = log.BeginTxn();
+  EXPECT_TRUE(xid.ok()) << xid.status().ToString();
+  return xid.ok() ? *xid : kInvalidTxn;
+}
 
 class CommitLogTest : public ::testing::Test {
  protected:
@@ -56,8 +65,8 @@ TEST(CommitLogFailureTest, UnflushedCommitIsNeverVisible) {
   ASSERT_TRUE(log_or.ok());
   CommitLog& log = **log_or;
 
-  const TxnId xid = kBootstrapTxn + 1;
-  ASSERT_TRUE(log.BeginTxn(xid).ok());
+  const TxnId xid = BeginNext(log);
+  ASSERT_EQ(xid, kBootstrapTxn + 1);
   dev.fail_writes.store(true);
   EXPECT_FALSE(log.CommitTxn(xid, 42).ok());
 
@@ -87,8 +96,8 @@ TEST(CommitLogFailureTest, UndurableDeleterIsNotDeadForever) {
   // entry may carry kCommitted, but its covering flush failed, so a crash
   // right now would recover it as aborted — and the deleted version would be
   // live again.
-  const TxnId deleter = kBootstrapTxn + 1;
-  ASSERT_TRUE(log.BeginTxn(deleter).ok());
+  const TxnId deleter = BeginNext(log);
+  ASSERT_EQ(deleter, kBootstrapTxn + 1);
   dev.fail_writes.store(true);
   EXPECT_FALSE(log.CommitTxn(deleter, 100).ok());
 
@@ -111,14 +120,14 @@ TEST(CommitLogFailureTest, UndurableDeleterIsNotDeadForever) {
 TEST_F(CommitLogTest, LifecycleOfOneTxn) {
   auto log = CommitLog::Open(&dev_);
   ASSERT_TRUE(log.ok());
-  ASSERT_TRUE((*log)->BeginTxn(5).ok());
-  EXPECT_EQ((*log)->StatusOf(5), TxnStatus::kInProgress);
-  ASSERT_TRUE((*log)->CommitTxn(5, 1234).ok());
-  EXPECT_EQ((*log)->StatusOf(5), TxnStatus::kCommitted);
-  EXPECT_EQ((*log)->CommitTimeOf(5), 1234u);
-  EXPECT_TRUE((*log)->CommittedBefore(5, 1234));
-  EXPECT_TRUE((*log)->CommittedBefore(5, 9999));
-  EXPECT_FALSE((*log)->CommittedBefore(5, 1233));
+  const TxnId xid = BeginNext(**log);
+  EXPECT_EQ((*log)->StatusOf(xid), TxnStatus::kInProgress);
+  ASSERT_TRUE((*log)->CommitTxn(xid, 1234).ok());
+  EXPECT_EQ((*log)->StatusOf(xid), TxnStatus::kCommitted);
+  EXPECT_EQ((*log)->CommitTimeOf(xid), 1234u);
+  EXPECT_TRUE((*log)->CommittedBefore(xid, 1234));
+  EXPECT_TRUE((*log)->CommittedBefore(xid, 9999));
+  EXPECT_FALSE((*log)->CommittedBefore(xid, 1233));
 }
 
 TEST_F(CommitLogTest, BootstrapAlwaysCommittedAtZero) {
@@ -131,19 +140,19 @@ TEST_F(CommitLogTest, BootstrapAlwaysCommittedAtZero) {
 TEST_F(CommitLogTest, AbortIsRemembered) {
   auto log = CommitLog::Open(&dev_);
   ASSERT_TRUE(log.ok());
-  ASSERT_TRUE((*log)->BeginTxn(3).ok());
-  ASSERT_TRUE((*log)->AbortTxn(3).ok());
-  EXPECT_EQ((*log)->StatusOf(3), TxnStatus::kAborted);
-  EXPECT_FALSE((*log)->CommittedBefore(3, ~0ull));
+  const TxnId xid = BeginNext(**log);
+  ASSERT_TRUE((*log)->AbortTxn(xid).ok());
+  EXPECT_EQ((*log)->StatusOf(xid), TxnStatus::kAborted);
+  EXPECT_FALSE((*log)->CommittedBefore(xid, ~0ull));
 }
 
 TEST_F(CommitLogTest, ReopenRecoversStateAndAbortsInFlight) {
   {
     auto log = CommitLog::Open(&dev_);
     ASSERT_TRUE(log.ok());
-    ASSERT_TRUE((*log)->BeginTxn(2).ok());
+    ASSERT_EQ(BeginNext(**log), 2u);
     ASSERT_TRUE((*log)->CommitTxn(2, 50).ok());
-    ASSERT_TRUE((*log)->BeginTxn(3).ok());  // never commits: "crash"
+    ASSERT_EQ(BeginNext(**log), 3u);  // never commits: "crash"
   }
   auto log = CommitLog::Open(&dev_);
   ASSERT_TRUE(log.ok());
@@ -152,6 +161,7 @@ TEST_F(CommitLogTest, ReopenRecoversStateAndAbortsInFlight) {
   EXPECT_EQ((*log)->StatusOf(3), TxnStatus::kAborted)
       << "in-progress at crash must read as aborted";
   EXPECT_GE((*log)->MaxTxnId(), 3u) << "xids must not be reused after crash";
+  EXPECT_GT(BeginNext(**log), 3u) << "xids must not be reused after crash";
 }
 
 // Regression: recovery used to convert in-progress entries to aborted only in
@@ -163,7 +173,7 @@ TEST_F(CommitLogTest, DoubleCrashKeepsConvertedAbortsOnDisk) {
   {
     auto log = CommitLog::Open(&dev_);
     ASSERT_TRUE(log.ok());
-    ASSERT_TRUE((*log)->BeginTxn(2).ok());  // crash #1 with txn 2 in flight
+    ASSERT_EQ(BeginNext(**log), 2u);  // crash #1 with txn 2 in flight
   }
   {
     auto log = CommitLog::Open(&dev_);  // recovery converts 2 to aborted...
@@ -189,7 +199,7 @@ TEST_F(CommitLogTest, GroupCommitCountersAreExactWithoutConcurrency) {
   auto log = CommitLog::Open(&dev_);
   ASSERT_TRUE(log.ok());
   for (TxnId x = 2; x < 12; ++x) {
-    ASSERT_TRUE((*log)->BeginTxn(x).ok());
+    ASSERT_EQ(BeginNext(**log), x);
     ASSERT_TRUE((*log)->CommitTxn(x, x).ok());
   }
   // 20 transitions, but only 11 durable waits: the first begin advances the
@@ -201,7 +211,7 @@ TEST_F(CommitLogTest, GroupCommitCountersAreExactWithoutConcurrency) {
   EXPECT_EQ((*log)->persist_batches(), 11u);
   EXPECT_EQ((*log)->device_page_writes(), 11u);
   // Aborts piggyback: no new batch, no new write.
-  ASSERT_TRUE((*log)->BeginTxn(12).ok());
+  ASSERT_EQ(BeginNext(**log), 12u);
   const uint64_t batches = (*log)->persist_batches();
   ASSERT_TRUE((*log)->AbortTxn(12).ok());
   EXPECT_EQ((*log)->persist_batches(), batches);
@@ -212,7 +222,7 @@ TEST_F(CommitLogTest, ManyTxnsSpanLogPages) {
     auto log = CommitLog::Open(&dev_);
     ASSERT_TRUE(log.ok());
     for (TxnId x = 2; x < 1200; ++x) {
-      ASSERT_TRUE((*log)->BeginTxn(x).ok());
+      ASSERT_EQ(BeginNext(**log), x);
       ASSERT_TRUE((*log)->CommitTxn(x, x * 10).ok());
     }
   }
@@ -226,10 +236,11 @@ TEST_F(CommitLogTest, RejectsProtocolViolations) {
   auto log = CommitLog::Open(&dev_);
   ASSERT_TRUE(log.ok());
   EXPECT_FALSE((*log)->CommitTxn(77, 1).ok());  // never began
-  ASSERT_TRUE((*log)->BeginTxn(8).ok());
-  EXPECT_FALSE((*log)->BeginTxn(8).ok());  // reuse
-  ASSERT_TRUE((*log)->CommitTxn(8, 1).ok());
-  EXPECT_FALSE((*log)->AbortTxn(8).ok());  // already committed
+  const TxnId xid = BeginNext(**log);
+  EXPECT_NE(BeginNext(**log), xid);  // never handed out twice
+  ASSERT_TRUE((*log)->CommitTxn(xid, 1).ok());
+  EXPECT_FALSE((*log)->CommitTxn(xid, 2).ok());  // already committed
+  EXPECT_FALSE((*log)->AbortTxn(xid).ok());  // already committed
 }
 
 // ------------------------------------------------------ Snapshot visibility
@@ -255,12 +266,11 @@ TEST_P(VisibilityTest, Matrix) {
   auto log = CommitLog::Open(&dev);
   ASSERT_TRUE(log.ok());
 
-  constexpr TxnId kIns = 10, kDel = 11;
-  ASSERT_TRUE((*log)->BeginTxn(kIns).ok());
+  const TxnId kIns = BeginNext(**log);
   if (c.xmin_committed) {
     ASSERT_TRUE((*log)->CommitTxn(kIns, c.xmin_time).ok());
   }
-  ASSERT_TRUE((*log)->BeginTxn(kDel).ok());
+  const TxnId kDel = BeginNext(**log);
   if (c.has_xmax && c.xmax_committed) {
     ASSERT_TRUE((*log)->CommitTxn(kDel, c.xmax_time).ok());
   }
@@ -292,12 +302,12 @@ TEST(Snapshot, OwnWritesVisibleOnlyToSelfAndOnlyNow) {
   NvramDevice dev(&store);
   auto log = CommitLog::Open(&dev);
   ASSERT_TRUE(log.ok());
-  ASSERT_TRUE((*log)->BeginTxn(7).ok());
-  TupleMeta mine{0, 7, kInvalidTxn};
+  const TxnId me = BeginNext(**log);
+  TupleMeta mine{0, me, kInvalidTxn};
 
-  Snapshot self{kTimestampNow, 7, log->get(), nullptr};
-  Snapshot other{kTimestampNow, 8, log->get(), nullptr};
-  Snapshot historical{999999, 7, log->get(), nullptr};
+  Snapshot self{kTimestampNow, me, log->get(), nullptr};
+  Snapshot other{kTimestampNow, me + 1, log->get(), nullptr};
+  Snapshot historical{999999, me, log->get(), nullptr};
   EXPECT_TRUE(self.IsVisible(mine));
   EXPECT_FALSE(other.IsVisible(mine));
   EXPECT_FALSE(historical.IsVisible(mine)) << "time travel never sees in-flight work";
@@ -308,12 +318,12 @@ TEST(Snapshot, OwnDeleteHidesRowFromSelf) {
   NvramDevice dev(&store);
   auto log = CommitLog::Open(&dev);
   ASSERT_TRUE(log.ok());
-  ASSERT_TRUE((*log)->BeginTxn(5).ok());
-  ASSERT_TRUE((*log)->CommitTxn(5, 10).ok());
-  ASSERT_TRUE((*log)->BeginTxn(6).ok());
-  TupleMeta meta{0, 5, 6};  // I (txn 6) deleted a committed row
-  Snapshot self{kTimestampNow, 6, log->get(), nullptr};
-  Snapshot other{kTimestampNow, 7, log->get(), nullptr};
+  const TxnId writer = BeginNext(**log);
+  ASSERT_TRUE((*log)->CommitTxn(writer, 10).ok());
+  const TxnId me = BeginNext(**log);
+  TupleMeta meta{0, writer, me};  // I deleted a committed row
+  Snapshot self{kTimestampNow, me, log->get(), nullptr};
+  Snapshot other{kTimestampNow, me + 1, log->get(), nullptr};
   EXPECT_FALSE(self.IsVisible(meta));
   EXPECT_TRUE(other.IsVisible(meta)) << "uncommitted delete invisible to others";
 }
@@ -323,14 +333,128 @@ TEST(Snapshot, DeadForeverMatchesVacuumCriterion) {
   NvramDevice dev(&store);
   auto log = CommitLog::Open(&dev);
   ASSERT_TRUE(log.ok());
-  ASSERT_TRUE((*log)->BeginTxn(5).ok());
-  ASSERT_TRUE((*log)->CommitTxn(5, 10).ok());
-  ASSERT_TRUE((*log)->BeginTxn(6).ok());
+  const TxnId writer = BeginNext(**log);
+  ASSERT_TRUE((*log)->CommitTxn(writer, 10).ok());
+  const TxnId deleter = BeginNext(**log);
   Snapshot snap{kTimestampNow, kInvalidTxn, log->get(), nullptr};
-  EXPECT_FALSE(snap.IsDeadForever(TupleMeta{0, 5, kInvalidTxn}));
-  EXPECT_FALSE(snap.IsDeadForever(TupleMeta{0, 5, 6})) << "deleter still running";
-  ASSERT_TRUE((*log)->CommitTxn(6, 20).ok());
-  EXPECT_TRUE(snap.IsDeadForever(TupleMeta{0, 5, 6}));
+  EXPECT_FALSE(snap.IsDeadForever(TupleMeta{0, writer, kInvalidTxn}));
+  EXPECT_FALSE(snap.IsDeadForever(TupleMeta{0, writer, deleter}))
+      << "deleter still running";
+  ASSERT_TRUE((*log)->CommitTxn(deleter, 20).ok());
+  EXPECT_TRUE(snap.IsDeadForever(TupleMeta{0, writer, deleter}));
+}
+
+// Regression: xids used to be allocated by TxnManager and registered with
+// the commit log afterwards, so xid 11 could reach the log before xid 10. A
+// capture in that gap had xmax 12 and xip {11}: xid 10 was in view, so once
+// it committed, a pinned snapshot's answer for it flipped from invisible to
+// visible. The log now allocates and registers each xid in one step, so
+// every xid below a capture's xmax was registered when it was taken.
+TEST_F(CommitLogTest, PinnedAnswerSurvivesCommitsOfNeighbouringXids) {
+  auto log = CommitLog::Open(&dev_);
+  ASSERT_TRUE(log.ok());
+  const TxnId a = BeginNext(**log);
+  const auto state = (*log)->CaptureState();
+  EXPECT_EQ(state->xmax, a + 1) << "xmax must be the next xid to hand out";
+  const Snapshot pinned{kTimestampNow, kInvalidTxn, log->get(), state};
+  const TxnId b = BeginNext(**log);
+  EXPECT_EQ(b, state->xmax);
+  EXPECT_FALSE(pinned.XidVisible(a));
+  EXPECT_FALSE(pinned.XidVisible(b));
+  ASSERT_TRUE((*log)->CommitTxn(b, 10).ok());
+  ASSERT_TRUE((*log)->CommitTxn(a, 20).ok());
+  EXPECT_FALSE(pinned.XidVisible(a)) << "pinned answer changed";
+  EXPECT_FALSE(pinned.XidVisible(b)) << "pinned answer changed";
+  const Snapshot fresh{kTimestampNow, kInvalidTxn, log->get(),
+                       (*log)->CaptureState()};
+  EXPECT_TRUE(fresh.XidVisible(a));
+  EXPECT_TRUE(fresh.XidVisible(b));
+}
+
+// The same property under real races, through the full begin path: threads
+// begin and commit while captures are taken. Every answer a capture gave must
+// be the answer it gives after all those transactions have committed.
+TEST(TxnManagerRaceTest, PinnedAnswersHoldWhileBeginsRace) {
+  StorageEnv env;
+  auto db_or = Database::Open(&env);
+  ASSERT_TRUE(db_or.ok());
+  Database& db = **db_or;
+  CommitLog& log = db.commit_log();
+
+  constexpr int kThreads = 4;
+  constexpr int kTxnsEach = 1000;
+  std::atomic<int> running{kThreads};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kTxnsEach; ++i) {
+        auto txn = db.Begin();
+        if (!txn.ok() || !db.Commit(*txn).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  struct Capture {
+    Snapshot snap;
+    std::vector<bool> visible;  // XidVisible(x) for x < xmax
+  };
+  std::vector<Capture> captures;
+  while (running.load() > 0 && captures.size() < 1000) {
+    auto state = log.CaptureState();
+    Capture c{Snapshot{kTimestampNow, kInvalidTxn, &log, state}, {}};
+    for (TxnId x = 0; x < state->xmax; ++x) {
+      c.visible.push_back(c.snap.XidVisible(x));
+    }
+    captures.push_back(std::move(c));
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+  ASSERT_EQ(failures.load(), 0);
+  for (const Capture& c : captures) {
+    for (TxnId x = 0; x < c.visible.size(); ++x) {
+      ASSERT_EQ(c.snap.XidVisible(x), c.visible[x])
+          << "xid " << x << " changed its answer in a capture with xmax "
+          << c.snap.frozen->xmax;
+    }
+  }
+}
+
+// CaptureState hands a thread its previous capture back while nothing that
+// could change it has happened, and a new one as soon as something has — in
+// this log, not in some other log that happens to have seen as many changes.
+TEST_F(CommitLogTest, CaptureIsReusedUntilItsLogChanges) {
+  std::shared_ptr<const SnapshotState> first;
+  {
+    auto log = CommitLog::Open(&dev_);
+    ASSERT_TRUE(log.ok());
+    const TxnId a = BeginNext(**log);
+    const TxnId b = BeginNext(**log);
+    const TxnId c = BeginNext(**log);
+    first = (*log)->CaptureState();
+    EXPECT_EQ(first, (*log)->CaptureState()) << "unchanged log, new capture";
+    EXPECT_EQ(first->xip, (std::vector<TxnId>{a, b, c}));
+    ASSERT_TRUE((*log)->CommitTxn(a, 5).ok());
+    const auto after = (*log)->CaptureState();
+    EXPECT_NE(after, first) << "a commit landed but the capture was reused";
+    EXPECT_EQ(after->xip, (std::vector<TxnId>{b, c}));
+  }
+  // A second log, possibly at the same address, with as many changes behind
+  // it: its capture must describe it, not the first log.
+  MemBlockStore other_store;
+  NvramDevice other_dev(&other_store);
+  auto other = CommitLog::Open(&other_dev);
+  ASSERT_TRUE(other.ok());
+  const TxnId x = BeginNext(**other);
+  ASSERT_TRUE((*other)->AbortTxn(x).ok());
+  const TxnId y = BeginNext(**other);
+  ASSERT_TRUE((*other)->AbortTxn(y).ok());
+  const auto state = (*other)->CaptureState();
+  EXPECT_EQ(state->xmax, y + 1);
+  EXPECT_TRUE(state->xip.empty());
 }
 
 // -------------------------------------------------------------- LockManager
