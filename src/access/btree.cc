@@ -179,9 +179,9 @@ Result<std::unique_ptr<BTree>> BTree::Create(Oid rel, BufferPool* pool) {
 
 Result<std::unique_ptr<BTree>> BTree::Open(Oid rel, BufferPool* pool) {
   auto tree = std::unique_ptr<BTree>(new BTree(rel, pool));
-  // Single-threaded open, but RootBlock carries REQUIRES(mu_) and a static
-  // member gets no constructor exemption from the analysis.
-  MutexLock lock(tree->mu_);
+  // Single-threaded open, but RootBlock carries REQUIRES_SHARED(mu_) and a
+  // static member gets no constructor exemption from the analysis.
+  ReaderMutexLock lock(tree->mu_);
   INV_ASSIGN_OR_RETURN(uint32_t root, tree->RootBlock());
   (void)root;
   return tree;
@@ -298,7 +298,7 @@ Status BTree::Insert(const BtreeKey& key, Tid tid) {
   if (key.size() > kEntryArea / 4) {
     return Status::InvalidArgument("btree key too large");
   }
-  MutexLock lock(mu_);
+  WriterMutexLock lock(mu_);
   const BtreeKey stored = CombineKey(key, tid);
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
   INV_ASSIGN_OR_RETURN(SplitResult split, InsertRec(root, stored, tid));
@@ -347,7 +347,7 @@ Result<uint32_t> BTree::LeftmostLeaf(uint32_t block) const {
 }
 
 Status BTree::Remove(const BtreeKey& key, Tid tid) {
-  MutexLock lock(mu_);
+  WriterMutexLock lock(mu_);
   const BtreeKey stored = CombineKey(key, tid);
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
   INV_ASSIGN_OR_RETURN(uint32_t leaf, FindLeaf(root, stored));
@@ -379,7 +379,7 @@ Status BTree::Remove(const BtreeKey& key, Tid tid) {
 }
 
 Result<std::vector<Tid>> BTree::Lookup(const BtreeKey& key) const {
-  MutexLock lock(mu_);
+  ReaderMutexLock lock(mu_);
   // Position at the first stored key with user part >= key.
   const BtreeKey lower = CombineKey(key, Tid{0, 0});
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
@@ -442,7 +442,7 @@ Status BTree::Iterator::Advance() {
 }
 
 Result<BTree::Iterator> BTree::Seek(const BtreeKey& lo) const {
-  MutexLock lock(mu_);
+  ReaderMutexLock lock(mu_);
   Iterator it;
   it.tree_ = this;
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
@@ -472,7 +472,7 @@ Result<uint64_t> BTree::CountEntries() const {
 }
 
 Status BTree::CheckInvariants() const {
-  MutexLock lock(mu_);
+  ReaderMutexLock lock(mu_);
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
   // Recursive bound check; collect leaf depth.
   int leaf_depth = -1;

@@ -86,8 +86,9 @@ class BTree {
   // Tree-structure helpers. mu_ guards no field directly — the tree lives in
   // buffer-pool pages — but every structural traversal or mutation must run
   // under it, so the helpers carry REQUIRES and the analysis proves the
-  // public entry points hold the monitor lock around them.
-  Result<uint32_t> RootBlock() const REQUIRES(mu_);
+  // public entry points hold the latch around them. Traversals need it
+  // shared (lookups of one tree run side by side), mutations exclusive.
+  Result<uint32_t> RootBlock() const REQUIRES_SHARED(mu_);
   Status SetRootBlock(uint32_t root) REQUIRES(mu_);
   Result<uint32_t> NewNode(bool leaf) REQUIRES(mu_);
 
@@ -95,12 +96,12 @@ class BTree {
       REQUIRES(mu_);
   // Descend from `block` to the leaf that could contain `key`.
   Result<uint32_t> FindLeaf(uint32_t block, const BtreeKey& key) const
-      REQUIRES(mu_);
-  Result<uint32_t> LeftmostLeaf(uint32_t block) const REQUIRES(mu_);
+      REQUIRES_SHARED(mu_);
+  Result<uint32_t> LeftmostLeaf(uint32_t block) const REQUIRES_SHARED(mu_);
 
   Oid rel_;
   BufferPool* pool_;
-  mutable Mutex mu_;
+  mutable SharedMutex mu_;
 };
 
 }  // namespace invfs

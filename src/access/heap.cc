@@ -31,7 +31,7 @@ Result<Tid> Heap::InsertRaw(TxnId txn, const Row& row, const TupleMeta& meta) {
       std::optional<uint16_t> slot;
       {
         // Page latch: lock-free snapshot readers may be decoding this page.
-        MutexLock latch(ref.Latch());
+        WriterMutexLock latch(ref.Latch());
         Page page = ref.page();
         auto added = page.AddTuple(encoded);
         if (added.ok()) {
@@ -52,7 +52,7 @@ Result<Tid> Heap::InsertRaw(TxnId txn, const Row& row, const TupleMeta& meta) {
   INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Extend(rel_, &new_block));
   uint16_t slot = 0;
   {
-    MutexLock latch(ref.Latch());
+    WriterMutexLock latch(ref.Latch());
     Page page = ref.page();
     INV_ASSIGN_OR_RETURN(slot, page.AddTuple(encoded));
     ref.MarkDirty();
@@ -66,7 +66,7 @@ Status Heap::Delete(TxnId txn, Tid tid) {
   // Page latch across the check-and-stamp: the xmax write is the one
   // in-place mutation of the no-overwrite scheme, and lock-free readers
   // decode this tuple's meta with no table lock held.
-  MutexLock latch(ref.Latch());
+  WriterMutexLock latch(ref.Latch());
   Page page = ref.page();
   INV_ASSIGN_OR_RETURN(auto tuple, page.GetMutableTuple(tid.slot));
   if (tuple.empty()) {
@@ -111,7 +111,7 @@ Result<std::optional<Row>> Heap::Fetch(const Snapshot& snap, Tid tid) const {
   PageRef ref = std::move(*ref_or);
   // Page latch: a concurrent writer may be stamping xmax or appending a
   // slot on this page; readers hold no table lock.
-  MutexLock latch(ref.Latch());
+  ReaderMutexLock latch(ref.Latch());
   Page page = ref.page();
   if (tid.slot >= page.num_slots()) {
     return std::optional<Row>();  // dangling entry; see above
@@ -139,7 +139,7 @@ Result<std::optional<Value>> Heap::FetchColumn(const Snapshot& snap, Tid tid,
     return ref_or.status();
   }
   PageRef ref = std::move(*ref_or);
-  MutexLock latch(ref.Latch());
+  ReaderMutexLock latch(ref.Latch());
   Page page = ref.page();
   if (tid.slot >= page.num_slots()) {
     return std::optional<Value>();
@@ -154,7 +154,7 @@ Result<std::optional<Value>> Heap::FetchColumn(const Snapshot& snap, Tid tid,
 
 Result<std::pair<TupleMeta, Row>> Heap::FetchAny(Tid tid) const {
   INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, tid.block));
-  MutexLock latch(ref.Latch());
+  ReaderMutexLock latch(ref.Latch());
   Page page = ref.page();
   INV_ASSIGN_OR_RETURN(auto tuple, page.GetTuple(tid.slot));
   if (tuple.empty()) {
@@ -195,7 +195,7 @@ bool Heap::Iterator::Next() {
       // readers. Released before returning a row — row_ is a materialized
       // copy, and slot numbering is stable across vacuum's Compact, so the
       // cursor position survives re-acquisition on the next call.
-      MutexLock latch(page_.Latch());
+      ReaderMutexLock latch(page_.Latch());
       Page page(page_.data());
       const uint16_t nslots = page.num_slots();
       while (slot_ < nslots) {
@@ -230,7 +230,7 @@ bool Heap::Iterator::Next() {
 
 Status Heap::Expunge(Tid tid) {
   INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, tid.block));
-  MutexLock latch(ref.Latch());
+  WriterMutexLock latch(ref.Latch());
   Page page = ref.page();
   INV_RETURN_IF_ERROR(page.KillSlot(tid.slot));
   ref.MarkDirty();
@@ -244,7 +244,7 @@ Status Heap::CompactAllPages() {
     // Compact rewrites tuple bytes but preserves slot numbering, so a
     // lock-free reader parked between two pages resumes correctly; the
     // latch makes the byte movement invisible to one parked *on* this page.
-    MutexLock latch(ref.Latch());
+    WriterMutexLock latch(ref.Latch());
     Page page = ref.page();
     page.Compact();
     ref.MarkDirty();

@@ -36,14 +36,14 @@ size_t RoundUpPow2(size_t v) {
 // sole user is itself analysis-exempt with a justifying comment.
 class ScopedLockAll {
  public:
-  explicit ScopedLockAll(std::vector<Mutex*> mus) NO_THREAD_SAFETY_ANALYSIS
+  explicit ScopedLockAll(std::vector<SharedMutex*> mus) NO_THREAD_SAFETY_ANALYSIS
       : mus_(std::move(mus)) {
-    for (Mutex* m : mus_) {
+    for (SharedMutex* m : mus_) {
       m->lock();
     }
   }
   ~ScopedLockAll() NO_THREAD_SAFETY_ANALYSIS {
-    for (Mutex* m : mus_) {
+    for (SharedMutex* m : mus_) {
       m->unlock();
     }
   }
@@ -51,7 +51,7 @@ class ScopedLockAll {
   ScopedLockAll& operator=(const ScopedLockAll&) = delete;
 
  private:
-  std::vector<Mutex*> mus_;
+  std::vector<SharedMutex*> mus_;
 };
 
 }  // namespace
@@ -107,7 +107,7 @@ void PageRef::MarkDirty() {
   pool_->frames_[frame_].dirty.store(true, std::memory_order_release);
 }
 
-Mutex& PageRef::Latch() {
+SharedMutex& PageRef::Latch() {
   INV_CHECK(pool_ != nullptr);
   return pool_->frames_[frame_].latch;
 }
@@ -190,7 +190,7 @@ Result<size_t> BufferPool::EvictOne() {
     }
     {
       Shard& s = ShardFor(f.tag);
-      MutexLock shard_lock(s.mu);
+      WriterMutexLock shard_lock(s.mu);
       if (f.pins.load(std::memory_order_acquire) > 0) {
         continue;  // pinned during the sweep or the write-back
       }
@@ -221,7 +221,7 @@ Status BufferPool::WriteFrame(size_t frame) {
     size_t gi = num_frames_;
     {
       Shard& s = ShardFor(tag);
-      MutexLock shard_lock(s.mu);
+      WriterMutexLock shard_lock(s.mu);
       auto it = s.table.find(tag);
       if (it != s.table.end()) {
         gi = it->second;
@@ -287,9 +287,12 @@ Result<PageRef> BufferPool::Pin(Oid rel, uint32_t block) {
   const Tag tag{rel, block};
   Shard& s = ShardFor(tag);
   {
-    MutexLock shard_lock(s.mu);
-    auto it = s.table.find(tag);
-    if (it != s.table.end()) {
+    // Shared: hits on one shard proceed side by side. The pin taken here
+    // still excludes eviction, which rechecks pins under the exclusive latch.
+    ReaderMutexLock shard_lock(s.mu);
+    const auto& table = s.table;
+    auto it = table.find(tag);
+    if (it != table.end()) {
       Frame& f = frames_[it->second];
       f.pins.fetch_add(1, std::memory_order_acq_rel);
       f.ref.store(true, std::memory_order_release);
@@ -306,7 +309,7 @@ Result<PageRef> BufferPool::Pin(Oid rel, uint32_t block) {
   MutexLock lock(io_mu_);
   {
     // Another thread may have completed the same miss while we waited.
-    MutexLock shard_lock(s.mu);
+    WriterMutexLock shard_lock(s.mu);
     auto it = s.table.find(tag);
     if (it != s.table.end()) {
       Frame& f = frames_[it->second];
@@ -329,7 +332,7 @@ Result<PageRef> BufferPool::Pin(Oid rel, uint32_t block) {
     INV_RETURN_IF_ERROR(page.VerifySelfIdent(rel, block));
   }
   {
-    MutexLock shard_lock(s.mu);
+    WriterMutexLock shard_lock(s.mu);
     f.tag = tag;
     f.valid = true;
     f.dirty.store(false, std::memory_order_release);
@@ -355,7 +358,7 @@ Result<PageRef> BufferPool::Extend(Oid rel, uint32_t* new_block) {
   page.Init(rel, block);
   {
     Shard& s = ShardFor(tag);
-    MutexLock shard_lock(s.mu);
+    WriterMutexLock shard_lock(s.mu);
     f.tag = tag;
     f.valid = true;
     f.dirty.store(true, std::memory_order_release);
@@ -431,7 +434,7 @@ Status BufferPool::FlushAndInvalidate() {
 // variable-length set of capabilities, so the body is exempt; the REQUIRES
 // on io_mu_ is still enforced at call sites, and TSan covers the rest.
 Status BufferPool::InvalidateAllQuiesced() NO_THREAD_SAFETY_ANALYSIS {
-  std::vector<Mutex*> shard_mus;
+  std::vector<SharedMutex*> shard_mus;
   shard_mus.reserve(shards_.size());
   for (auto& shard : shards_) {
     shard_mus.push_back(&shard->mu);
@@ -470,7 +473,7 @@ void BufferPool::DiscardRelation(Oid rel) {
     }
     INV_CHECK(f.pins.load(std::memory_order_acquire) == 0);
     Shard& s = ShardFor(f.tag);
-    MutexLock shard_lock(s.mu);
+    WriterMutexLock shard_lock(s.mu);
     s.table.erase(f.tag);
     f.valid = false;
     f.dirty.store(false, std::memory_order_release);
@@ -481,7 +484,7 @@ void BufferPool::DiscardRelation(Oid rel) {
 void BufferPool::DiscardAll() {
   MutexLock lock(io_mu_);
   for (auto& shard : shards_) {
-    MutexLock shard_lock(shard->mu);
+    WriterMutexLock shard_lock(shard->mu);
     shard->table.clear();
   }
   for (size_t i = 0; i < num_frames_; ++i) {

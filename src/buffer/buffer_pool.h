@@ -75,11 +75,12 @@ class PageRef {
   // The frame's page latch. Snapshot-isolation readers share heap pages with
   // in-place writers (xmax stamping, slot appends, vacuum compaction) with
   // no table lock between them; both sides bracket their access to the page
-  // *bytes* with this latch. Leaf-level: holders must not take pool mutexes,
-  // table locks, or another page latch. Flushers deliberately skip it — a
-  // frame being written back is either unpinned (eviction) or belongs to a
-  // relation whose writer already quiesced (commit force under 2PL).
-  Mutex& Latch();
+  // *bytes* with this latch, readers shared and writers exclusive.
+  // Leaf-level: holders must not take pool mutexes, table locks, or another
+  // page latch. Flushers deliberately skip it — a frame being written back
+  // is either unpinned (eviction) or belongs to a relation whose writer
+  // already quiesced (commit force under 2PL).
+  SharedMutex& Latch();
   bool valid() const { return pool_ != nullptr; }
   void Release();
 
@@ -173,16 +174,16 @@ class BufferPool {
   };
 
   // Frame metadata. `tag`/`valid` change only under io_mu_ *and* the tag's
-  // shard mutex; `pins` is incremented only under the shard mutex (so a
-  // sweep holding that mutex can trust pins == 0) but decremented anywhere;
-  // `dirty` and `ref` are free-running atomics. (`tag`/`valid` carry no
-  // GUARDED_BY: a nested struct cannot name the pool's io_mu_, and their
-  // guard is the *conjunction* of two capabilities, which the analysis
-  // cannot express — the protocol comment above is normative and TSan
-  // still checks it dynamically.) Flushers *claim* the dirty
-  // bit (exchange to false) before reading page data, and restore it if the
-  // device write fails: a MarkDirty racing with the snapshot re-dirties the
-  // frame, so a mid-mutation image is never the last one written and no
+  // shard mutex; `pins` is incremented only under the shard mutex, shared or
+  // exclusive (so a sweep holding it exclusively can trust pins == 0), but
+  // decremented anywhere; `dirty` and `ref` are free-running atomics.
+  // (`tag`/`valid` carry no GUARDED_BY: a nested struct cannot name the
+  // pool's io_mu_, and their guard is the *conjunction* of two capabilities,
+  // which the analysis cannot express — the protocol comment above is
+  // normative and TSan still checks it dynamically.) Flushers *claim* the
+  // dirty bit (exchange to false) before reading page data, and restore it if
+  // the device write fails: a MarkDirty racing with the snapshot re-dirties
+  // the frame, so a mid-mutation image is never the last one written and no
   // modification is ever silently marked clean.
   struct Frame {
     Tag tag;
@@ -195,16 +196,17 @@ class BufferPool {
     // remapping the frame to a different (rel, block) is fine because a
     // latch is only ever held by a pin holder, and remapping requires
     // pins == 0.
-    Mutex latch;
+    SharedMutex latch;
   };
 
-  // One mapping shard: tag -> frame index for tags that hash here. Lock
-  // order: io_mu_ strictly before any shard mu (misses hold io_mu_ while
+  // One mapping shard: tag -> frame index for tags that hash here. The hit
+  // path holds `mu` shared; every change to the mapping holds it exclusive.
+  // Lock order: io_mu_ strictly before any shard mu (misses hold io_mu_ while
   // completing the mapping under the shard mutex); a thread holding a shard
   // mutex must never perform device I/O or take io_mu_ (invfs_lint rule
   // shard-lock-io).
   struct Shard {
-    Mutex mu;
+    SharedMutex mu;
     std::unordered_map<Tag, size_t, TagHash> table GUARDED_BY(mu);
   };
 

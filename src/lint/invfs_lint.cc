@@ -14,8 +14,9 @@
 //                        is unchecked — forbidden.
 //
 //   shard-lock-io        A thread holding a buffer-pool *shard* mutex (a
-//                        MutexLock on an expression ending in `.mu` or
-//                        `->mu`; member mutexes are spelled `mu_`) must not
+//                        MutexLock, ReaderMutexLock or WriterMutexLock on an
+//                        expression ending in `.mu` or `->mu`; member
+//                        mutexes are spelled `mu_`), shared or not, must not
 //                        reach the device layer. Device I/O belongs under
 //                        io_mu_, which orders strictly before every shard
 //                        mutex; I/O under a shard mutex inverts that order
@@ -85,6 +86,10 @@ const std::set<std::string> kForbiddenStdSync = {
 
 const std::set<std::string> kForbiddenIncludes = {
     "mutex", "condition_variable", "shared_mutex"};
+
+// The RAII scoped-lock types of src/util/mutex.h.
+const std::set<std::string> kScopedLocks = {"MutexLock", "ReaderMutexLock",
+                                            "WriterMutexLock"};
 
 // Calls that reach the device layer (or are documented REQUIRES(io_mu_)
 // buffer-pool I/O helpers). Forbidden while a shard mutex is held.
@@ -270,7 +275,7 @@ class Linter {
     std::vector<Token> toks = Scanner(src, &allows).Tokenize();
 
     const std::string base = std::filesystem::path(path).filename().string();
-    // A MutexLock scope live at the current brace depth.
+    // A scoped lock (kScopedLocks) live at the current brace depth.
     struct LockScope {
       int depth;
       bool shard;
@@ -335,7 +340,7 @@ class Linter {
       }
 
       // --- lock-scope tracking ------------------------------------------
-      if (t.text == "MutexLock" && i + 2 < toks.size() &&
+      if (kScopedLocks.count(t.text) != 0 && i + 2 < toks.size() &&
           toks[i + 1].kind == Token::Kind::kIdent && punct(i + 2, "(")) {
         // Capture the constructor argument up to the matching ')'.
         size_t j = i + 3;

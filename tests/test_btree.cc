@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/access/btree.h"
 #include "src/buffer/buffer_pool.h"
@@ -202,6 +205,46 @@ TEST_F(BTreeTest, PersistsThroughPoolFlush) {
   auto tids = (*reopened)->Lookup(EncodeInt4Key(2999));
   ASSERT_TRUE(tids.ok());
   EXPECT_EQ(tids->size(), 1u);
+}
+
+// Lookups hold the tree latch shared, so they run side by side; an insert
+// holds it exclusive. Readers probing keys that exist from the start must
+// find each exactly once while a writer's inserts split leaves and the root.
+TEST_F(BTreeTest, LookupsShareTheTreeWithASplittingWriter) {
+  constexpr int32_t kKeys = 3000;
+  for (int32_t k = 0; k < kKeys; k += 2) {
+    ASSERT_TRUE(tree_->Insert(EncodeInt4Key(k), Tid{static_cast<uint32_t>(k), 0}).ok());
+  }
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(100 + r);
+      int lookups = 0;
+      while (!writer_done.load() || lookups < 500) {
+        const auto k = static_cast<int32_t>(rng.Uniform(kKeys / 2) * 2);
+        auto tids = tree_->Lookup(EncodeInt4Key(k));
+        if (!tids.ok() || tids->size() != 1 ||
+            (*tids)[0] != Tid{static_cast<uint32_t>(k), 0}) {
+          bad.fetch_add(1);
+        }
+        ++lookups;
+      }
+    });
+  }
+  bool inserted = true;
+  for (int32_t k = 1; k < kKeys && inserted; k += 2) {
+    inserted = tree_->Insert(EncodeInt4Key(k), Tid{static_cast<uint32_t>(k), 0}).ok();
+  }
+  writer_done.store(true);
+  for (std::thread& t : readers) {
+    t.join();
+  }
+  ASSERT_TRUE(inserted);
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(*tree_->CountEntries(), static_cast<uint64_t>(kKeys));
+  EXPECT_TRUE(tree_->CheckInvariants().ok());
 }
 
 // Property test: random interleaved inserts/removes vs a reference multimap.

@@ -1,7 +1,9 @@
-// Unit tests: Status/Result, PRNG, CRC32C, byte codecs, LZSS.
+// Unit tests: Status/Result, PRNG, CRC32C, byte codecs, LZSS, SharedMutex.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 
@@ -13,6 +15,7 @@
 #include "src/util/crc32.h"
 #include "src/util/logging.h"
 #include "src/util/lzss.h"
+#include "src/util/mutex.h"
 #include "src/util/random.h"
 #include "src/util/status.h"
 
@@ -344,6 +347,44 @@ TEST(Logging, ConcurrentEmissionCountsExactly) {
   }
   SetLogLevel(saved);
   EXPECT_EQ(infos->Value(), before + kThreads * kPerThread);
+}
+
+// ---------------------------------------------------------------- SharedMutex
+
+// Waits up to a second for `flag`.
+bool EventuallyTrue(const std::atomic<bool>& flag) {
+  for (int i = 0; i < 1000 && !flag.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return flag.load();
+}
+
+TEST(SharedMutex, SharedHoldersOverlap) {
+  SharedMutex mu;
+  std::atomic<bool> reader_in{false};
+  mu.lock_shared();
+  std::thread reader([&] {
+    ReaderMutexLock lock(mu);
+    reader_in.store(true);
+  });
+  EXPECT_TRUE(EventuallyTrue(reader_in));
+  mu.unlock_shared();
+  reader.join();
+}
+
+TEST(SharedMutex, ExclusiveHolderWaitsForSharedOnes) {
+  SharedMutex mu;
+  std::atomic<bool> writer_in{false};
+  mu.lock_shared();
+  std::thread writer([&] {
+    WriterMutexLock lock(mu);
+    writer_in.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(writer_in.load());
+  mu.unlock_shared();
+  writer.join();
+  EXPECT_TRUE(writer_in.load());
 }
 
 }  // namespace
