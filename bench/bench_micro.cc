@@ -7,6 +7,7 @@
 #include "src/buffer/buffer_pool.h"
 #include "src/harness/worlds.h"
 #include "src/obs/span.h"
+#include "src/storage/page.h"
 #include "src/util/lzss.h"
 #include "src/util/random.h"
 
@@ -124,6 +125,26 @@ void BM_ScopedSpan(benchmark::State& state) {
   state.counters["recorded"] = static_cast<double>(ring.TotalRecorded());
 }
 BENCHMARK(BM_ScopedSpan);
+
+// Stamp plus verify of one full 8 KB frame: the CRC32C every device write
+// and every buffer miss pays. Not gated, but a slower checksum kernel shows
+// here before it shows in perfbench.
+void BM_PageChecksum(benchmark::State& state) {
+  std::vector<std::byte> frame(kPageSize);
+  Page page(frame.data());
+  page.Init(/*rel=*/7, /*block=*/3);
+  std::vector<std::byte> tuple(kPageSize / 2, std::byte{0x5A});
+  (void)page.AddTuple(tuple);
+  for (auto s : state) {
+    page.UpdateChecksum();
+    benchmark::DoNotOptimize(page.frame());
+    benchmark::ClobberMemory();
+    Status ok = page.VerifyChecksum();
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 2 * kPageSize);
+}
+BENCHMARK(BM_PageChecksum);
 
 void BM_PostquelParseExecute(benchmark::State& state) {
   WorldOptions options;

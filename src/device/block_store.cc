@@ -14,11 +14,12 @@ namespace {
 // strerror(3) formats into a static buffer shared by all threads; these
 // helpers adapt whichever thread-safe strerror_r the platform provides (the
 // GNU variant returns char*, the XSI variant returns int) via overload
-// selection on the call's result type.
-std::string ErrnoMessage(char* gnu_result, const char* /*buf*/) {
+// selection on the call's result type. Only one overload is used on any given
+// platform, hence [[maybe_unused]].
+[[maybe_unused]] std::string ErrnoMessage(char* gnu_result, const char* /*buf*/) {
   return gnu_result;
 }
-std::string ErrnoMessage(int xsi_result, const char* buf) {
+[[maybe_unused]] std::string ErrnoMessage(int xsi_result, const char* buf) {
   return xsi_result == 0 ? std::string(buf) : std::string("unknown error");
 }
 std::string ErrnoString(int err) {

@@ -201,7 +201,7 @@ void TxnManager::MarkWritten(TxnId txn) {
 }
 
 Snapshot TxnManager::SnapshotFor(TxnId txn) const {
-  return Snapshot{kTimestampNow, txn, log_};
+  return Snapshot{kTimestampNow, txn, log_, nullptr};
 }
 
 Snapshot TxnManager::SnapshotAt(Timestamp t) const {

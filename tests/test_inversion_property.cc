@@ -140,10 +140,10 @@ INSTANTIATE_TEST_SUITE_P(
                       FilePropertyParam{true, true, 4},
                       FilePropertyParam{false, true, 5},
                       FilePropertyParam{true, true, 6}),
-    [](const ::testing::TestParamInfo<FilePropertyParam>& info) {
-      return std::string(info.param.coalesce ? "coalesce" : "direct") +
-             (info.param.compressed ? "_compressed" : "_raw") + "_seed" +
-             std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<FilePropertyParam>& param_info) {
+      const FilePropertyParam& p = param_info.param;
+      return std::string(p.coalesce ? "coalesce" : "direct") +
+             (p.compressed ? "_compressed" : "_raw") + "_seed" + std::to_string(p.seed);
     });
 
 // ---------------------------------------------- history / vacuum interplay

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/inversion/inv_fs.h"
@@ -151,6 +152,39 @@ TEST_F(PageTest, KillSlotAndCompactPreservesSurvivors) {
 TEST_F(PageTest, SlotOutOfRange) {
   EXPECT_FALSE(page_.GetTuple(0).ok());
   EXPECT_FALSE(page_.KillSlot(3).ok());
+}
+
+// Pins the on-disk checksum format: the stamped value of one fixed frame
+// must never change, whichever CRC32C kernel computes it.
+TEST(PageChecksum, GoldenValueAndEveryBitFlipDetected) {
+  std::byte frame[kPageSize] = {};
+  Page page(frame);
+  page.Init(/*rel=*/7, /*block=*/3);
+  const std::string text = "Inversion: a file system on top of POSTGRES";
+  ASSERT_TRUE(page.AddTuple(std::as_bytes(std::span(text))).ok());
+  page.UpdateChecksum();
+  EXPECT_EQ(page.StoredChecksum(), 0xF66BAD2Fu);
+  ASSERT_TRUE(page.VerifyChecksum().ok());
+
+  // Bytes 0-7 and 12-19 flank the checksum field at 8-11.
+  std::vector<uint32_t> offsets;
+  for (uint32_t off = 0; off < 20; ++off) {
+    if (off < 8 || off >= 12) {
+      offsets.push_back(off);
+    }
+  }
+  const auto tuple_start = static_cast<uint32_t>(kPageSize - text.size());
+  for (uint32_t off : {24u, 27u, 1000u, 4095u, 4096u, tuple_start, kPageSize - 1}) {
+    offsets.push_back(off);
+  }
+  for (uint32_t off : offsets) {
+    for (int bit : {0, 7}) {
+      frame[off] ^= std::byte(1u << bit);
+      EXPECT_FALSE(page.VerifyChecksum().ok()) << "byte " << off << " bit " << bit;
+      frame[off] ^= std::byte(1u << bit);
+    }
+  }
+  EXPECT_TRUE(page.VerifyChecksum().ok());
 }
 
 // ---------------------------------------------------------------- Tuple

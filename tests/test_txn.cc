@@ -295,7 +295,9 @@ INSTANTIATE_TEST_SUITE_P(
         VisCase{"historical_after_delete", true, 100, true, true, 200, 200, false},
         VisCase{"historical_uncommitted_insert", false, 0, false, false, 0, 500,
                 false}),
-    [](const ::testing::TestParamInfo<VisCase>& info) { return info.param.name; });
+    [](const ::testing::TestParamInfo<VisCase>& param_info) {
+      return param_info.param.name;
+    });
 
 TEST(Snapshot, OwnWritesVisibleOnlyToSelfAndOnlyNow) {
   MemBlockStore store;

@@ -140,6 +140,60 @@ TEST(Crc32c, SensitiveToEveryByte) {
   }
 }
 
+std::vector<std::byte> RandomBytes(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<std::byte> out(n);
+  for (std::byte& b : out) {
+    b = static_cast<std::byte>(rng.Next());
+  }
+  return out;
+}
+
+// Crc32c may take the SSE4.2 path; it must match the portable table loop at
+// every length (so every 8-byte body and tail split), at every alignment, and
+// when chained the way page checksums chain their spans.
+TEST(Crc32c, MatchesPortableLoopAtEveryLengthAndAlignment) {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) {
+    lengths.push_back(n);
+  }
+  for (size_t n : {4095u, 4096u, 8180u, 8192u}) {
+    lengths.push_back(n);
+  }
+  const std::vector<std::byte> buf = RandomBytes(14, 8192 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n : lengths) {
+      const std::span<const std::byte> data(buf.data() + offset, n);
+      for (uint32_t seed : {0u, 0xFFFFFFFFu, 0x1234ABCDu}) {
+        EXPECT_EQ(Crc32c(data, seed), crc32_internal::PortableCrc32c(data, seed))
+            << "offset " << offset << " length " << n << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(Crc32c, ChainedSpansMatchPortableLoop) {
+  const std::vector<std::byte> buf = RandomBytes(1993, 8192 + 7);
+  Rng rng(8);
+  for (int round = 0; round < 200; ++round) {
+    // Three spans of random length at a random start, chained through seeds.
+    const size_t start = rng.Uniform(8);
+    const size_t a = rng.Uniform(64);
+    const size_t b = rng.Uniform(16);
+    const size_t c = rng.Uniform(8192 - a - b);
+    const std::byte* p = buf.data() + start;
+    uint32_t fast = Crc32c(p, a);
+    uint32_t slow = crc32_internal::PortableCrc32c({p, a});
+    fast = Crc32c(p + a, b, fast);
+    slow = crc32_internal::PortableCrc32c({p + a, b}, slow);
+    fast = Crc32c(p + a + b, c, fast);
+    slow = crc32_internal::PortableCrc32c({p + a + b, c}, slow);
+    ASSERT_EQ(fast, slow) << "round " << round;
+    // Chaining is the same as one pass over the concatenation.
+    EXPECT_EQ(fast, crc32_internal::PortableCrc32c({p, a + b + c}));
+  }
+}
+
 // ---------------------------------------------------------------- bytes
 
 TEST(Bytes, FixedWidthRoundtrip) {
