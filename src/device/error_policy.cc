@@ -29,20 +29,22 @@ bool TripsReadOnly(const Status& s) {
 template <typename Op>
 [[gnu::noinline]] Status ErrorPolicyDevice::RetryTail(Status first, Op&& op) {
   // Retry/backoff stalls land on the request that suffered them: the span
-  // nests under whatever device.* span is open, so --breakdown attributes
-  // fault-layer time instead of mislabeling it as plain device I/O.
+  // nests under the caller's span and holds the retried device.* attempts,
+  // so --breakdown attributes fault-layer time instead of mislabeling it as
+  // plain device I/O.
   ScopedSpan span(&metrics_->spans(), "device.retry");
   Status s = std::move(first);
   SimMicros backoff = policy_.backoff_us;
+  SimMicros waited = 0;
   for (int attempt = 0; attempt < policy_.max_retries && s.IsTransientIo();
        ++attempt) {
     clock_->Advance(backoff);
-    metrics_->trace().Record(TraceEvent::kDeviceRetry,
-                             static_cast<uint64_t>(attempt + 1), backoff);
+    waited += backoff;
     backoff = std::min(backoff * 2, policy_.max_backoff_us);
     retries_->Add();
     s = op();
     span.set_a(static_cast<uint64_t>(attempt + 1));
+    span.set_b(waited);
   }
   return s;
 }
@@ -54,9 +56,9 @@ Status ErrorPolicyDevice::ReadOnlyError() const {
 
 Status ErrorPolicyDevice::TripReadOnly(const Status& cause) {
   if (!read_only_.exchange(true, std::memory_order_acq_rel)) {
+    ScopedSpan span(&metrics_->spans(), "device.read_only_trip",
+                    static_cast<uint64_t>(cause.code()));
     permanent_errors_->Add();
-    metrics_->trace().Record(TraceEvent::kDeviceReadOnlyTrip,
-                             static_cast<uint64_t>(cause.code()));
   }
   return Status::ReadOnlyDevice("device '" + std::string(name()) +
                                 "' tripped read-only: " + cause.ToString());

@@ -322,7 +322,6 @@ Status LoadGen::Setup() {
   sampler_ = &metrics.timeseries();
   lag_gauge_ = metrics.GetGauge("load.lag_us");
   spans_before_ = metrics.spans().TotalDropped();
-  traces_before_ = metrics.trace().TotalDropped();
   samples_before_ = sampler_->SamplesTaken();
 
   INV_ASSIGN_OR_RETURN(auto setup, fs_->NewSession());
@@ -615,7 +614,6 @@ LoadGenReport LoadGen::Report() const {
   r.end_lag_us =
       clock_->Peek() > last_intended_ ? clock_->Peek() - last_intended_ : 0;
   r.span_drops = metrics.spans().TotalDropped() - spans_before_;
-  r.trace_drops = metrics.trace().TotalDropped() - traces_before_;
   r.samples = metrics.timeseries().SamplesTaken() - samples_before_;
   if (rpc_wire_ != nullptr) {
     r.rpc_exchanges = rpc_wire_->total_exchanges();
@@ -713,16 +711,15 @@ std::string LoadGenReport::DumpJson() const {
                 "{\n  \"seed\": %llu, \"clients\": %zu, \"ops\": %llu, "
                 "\"errors\": %llu,\n  \"intended_seconds\": %.6f, "
                 "\"sim_seconds\": %.6f, \"end_lag_us\": %llu,\n"
-                "  \"span_drops\": %llu, \"trace_drops\": %llu, "
-                "\"samples\": %llu,\n  \"rpc_exchanges\": %llu, "
-                "\"rpc_retries\": %llu, \"rpc_faults\": %llu, "
-                "\"rpc_drc_hits\": %llu,\n  \"tenants\": [\n",
+                "  \"span_drops\": %llu, \"samples\": %llu,\n"
+                "  \"rpc_exchanges\": %llu, \"rpc_retries\": %llu, "
+                "\"rpc_faults\": %llu, \"rpc_drc_hits\": %llu,\n"
+                "  \"tenants\": [\n",
                 static_cast<unsigned long long>(seed), clients,
                 static_cast<unsigned long long>(ops),
                 static_cast<unsigned long long>(errors), intended_seconds,
                 sim_seconds, static_cast<unsigned long long>(end_lag_us),
                 static_cast<unsigned long long>(span_drops),
-                static_cast<unsigned long long>(trace_drops),
                 static_cast<unsigned long long>(samples),
                 static_cast<unsigned long long>(rpc_exchanges),
                 static_cast<unsigned long long>(rpc_retries),

@@ -62,6 +62,43 @@ uint64_t NextSpanId() {
   return TakeId(t_span_ids, source);
 }
 
+uint64_t RingHead::Claim() {
+  const uint32_t stripe = ThreadStripe();
+  Cell& c = cells_[stripe];
+  AddToStripe(c.claimed, stripe, 1);
+  uint64_t seq = c.next.load(std::memory_order_relaxed);
+  if (stripe != 0) {
+    // Owned stripe: this thread is the cell's only writer.
+    if (seq == 0) {
+      seq = head_.fetch_add(kBlock, std::memory_order_relaxed) + 1;
+    }
+    // The block's last number empties the cell.
+    c.next.store(seq % kBlock == 0 ? 0 : seq + 1, std::memory_order_relaxed);
+    return seq;
+  }
+  while (seq != 0) {
+    const uint64_t after = seq % kBlock == 0 ? 0 : seq + 1;
+    if (c.next.compare_exchange_weak(seq, after, std::memory_order_relaxed)) {
+      return seq;
+    }
+  }
+  const uint64_t first = head_.fetch_add(kBlock, std::memory_order_relaxed) + 1;
+  // Park the rest of the block for the stripe's next records, unless another
+  // thread on the shared stripe installed a block meanwhile: then the rest
+  // of this one is a gap.
+  uint64_t empty = 0;
+  c.next.compare_exchange_strong(empty, first + 1, std::memory_order_relaxed);
+  return first;
+}
+
+uint64_t RingHead::Sum(std::atomic<uint64_t> Cell::*field) const {
+  uint64_t total = 0;
+  for (const Cell& c : cells_) {
+    total += (c.*field).load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
 }  // namespace obs_internal
 
 namespace {
@@ -85,8 +122,8 @@ void SpanRing::RecordSpan(const SpanRecord& r) {
   }
   const uint64_t seq = head_.Claim();
   Slot& s = slots_[seq & mask_];
-  // Same seqlock protocol as TraceRing::Record: invalidate, payload with
-  // relaxed stores, publish seq last.
+  // Seqlock write (see SpanRing): invalidate, payload with relaxed stores,
+  // publish seq last.
   if (s.seq.load(std::memory_order_relaxed) != 0) {
     CountDrop();  // a published span is about to be overwritten unread
   }
@@ -139,8 +176,10 @@ void SpanRing::CountDrop() {
   head_.CountDrop();
   Counter* c = drop_counter_.load(std::memory_order_acquire);
   if (c == nullptr) {
-    // Resolved on first drop, never at construction (see TraceRing::CountDrop
-    // for the Default()-recursion hazard). Racing resolvers are benign.
+    // First drop of this ring: resolve the shared default-registry counter.
+    // Racing resolvers get the same pointer back (find-or-create), and this
+    // can never run during MetricsRegistry::Default()'s own construction —
+    // no span is recorded to a ring before its registry finishes building.
     c = MetricsRegistry::Default().GetCounter("span.dropped");
     drop_counter_.store(c, std::memory_order_release);
   }

@@ -12,11 +12,15 @@
 // buffer-miss, device-I/O and group-commit-wait spans that explain where its
 // wall time went (`invfs_stats --breakdown`, the `invfs_spans` relation).
 //
-// Cost model mirrors TraceRing: recording is allocation-free and lock-free
-// (seqlock per slot, all fields atomic), so spans are safe on every cold
-// path. The buffer-pool *hit* path deliberately carries no span — at
-// millions of hits per second it would be all the ring ever holds, and the
-// <5% overhead gate in scripts/check.sh exists to keep it that way. Under
+// Point events with no duration of their own (a device tripping read-only,
+// the commit log poisoning) are spans too, opened for the block that handles
+// them, so `invfs_spans` is the one place every engine event lands.
+//
+// Cost model: recording is allocation-free and lock-free (seqlock per slot,
+// all fields atomic; see SpanRing), so spans are safe on every cold path.
+// The buffer-pool *hit* path deliberately carries no span — at millions of
+// hits per second it would be all the ring ever holds, and the <5% overhead
+// gate in scripts/check.sh exists to keep it that way. Under
 // -DINVFS_NO_METRICS every ScopedSpan compiles to nothing.
 //
 // Lint contract (span-raii): SpanRing::RecordSpan and the thread-local
@@ -26,6 +30,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -35,6 +40,8 @@
 #include "src/obs/trace.h"
 
 namespace invfs {
+
+class Counter;
 
 #ifdef INVFS_NO_METRICS
 inline constexpr bool kSpansEnabled = false;
@@ -75,11 +82,52 @@ extern constinit thread_local const char* t_tenant;
 // not ordered across threads.
 uint64_t NextTraceId();
 uint64_t NextSpanId();
+
+// A ring's shared bookkeeping, split per thread stripe (ThreadStripe()) so
+// recording threads write cache lines of their own. Claim hands out
+// sequence numbers, 1-based and unique, in blocks of kBlock per stripe: a
+// record touches the shared head once per block instead of once per record.
+// A thread recording alone claims consecutive blocks and so still walks
+// every slot in order. Numbers are not ordered across threads, and two
+// threads racing on the shared stripe 0 can leave a gap, which the lossy
+// ring tolerates; Recorded() and Dropped() stay exact because each stripe
+// counts for itself.
+class RingHead {
+ public:
+  static constexpr uint64_t kBlock = 16;
+
+  uint64_t Claim();
+  void CountDrop() {
+    const uint32_t stripe = ThreadStripe();
+    AddToStripe(cells_[stripe].dropped, stripe, 1);
+  }
+  uint64_t Recorded() const { return Sum(&Cell::claimed); }
+  uint64_t Dropped() const { return Sum(&Cell::dropped); }
+
+ private:
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> next{0};     // next seq of the stripe's block; 0 = none
+    std::atomic<uint64_t> claimed{0};  // seqs handed out through this cell
+    std::atomic<uint64_t> dropped{0};  // published records overwritten unread
+  };
+  uint64_t Sum(std::atomic<uint64_t> Cell::*field) const;
+
+  std::array<Cell, kThreadStripes> cells_{};
+  std::atomic<uint64_t> head_{0};  // seqs given to blocks so far
+};
 }  // namespace obs_internal
 
-// Lossy bounded ring of finished spans; same seqlock-per-slot protocol as
-// TraceRing. Capacity is fixed at construction (rounded up to a power of
-// two) and configurable per Database via DatabaseOptions.
+// Lossy bounded ring of finished spans. Concurrency protocol (seqlock per
+// slot, all fields atomic so the race is benign under TSan as well as in
+// fact):
+//   writer: claim a sequence number (RingHead), zero the slot's seq
+//           (invalidate), store the payload with relaxed stores, publish seq
+//           last (release);
+//   reader: load seq (acquire), copy the payload, re-load seq — accept the
+//           copy only if seq was nonzero and unchanged.
+// A reader can lose a span to an overwrite but can never observe a
+// half-written one. Capacity is fixed at construction (rounded up to a power
+// of two) and configurable per Database via DatabaseOptions.
 class SpanRing {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
@@ -124,8 +172,9 @@ class SpanRing {
   size_t mask_;
   std::unique_ptr<Slot[]> slots_;
   obs_internal::RingHead head_;
-  // Lazily resolved `span.dropped` cell of the default registry (see
-  // TraceRing::drop_counter_ for why this cannot be done at construction).
+  // `span.dropped` cell of the default registry. Resolved lazily on the
+  // first drop — never in the constructor, which would recurse while the
+  // default registry (whose own ring this may be) is still being built.
   std::atomic<Counter*> drop_counter_{nullptr};
 };
 

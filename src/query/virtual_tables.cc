@@ -14,8 +14,8 @@ namespace {
 
 // Reserved oids well below the catalog's first allocated oid; never stored
 // in pg_class, only used so EvalContext bindings have distinct identities.
+// 91 is retired: an oid is never given to a second relation.
 constexpr Oid kInvfsStatsOid = 90;
-constexpr Oid kInvfsTraceOid = 91;
 constexpr Oid kInvfsSpansOid = 92;
 constexpr Oid kInvfsSloOid = 93;
 constexpr Oid kInvfsTimeseriesOid = 94;
@@ -31,23 +31,6 @@ TableInfo* StatsTableInfo() {
                        {"value", TypeId::kInt8},
                        {"count", TypeId::kInt8},
                        {"sum", TypeId::kInt8}};
-    return t;
-  }();
-  return info;
-}
-
-TableInfo* TraceTableInfo() {
-  static TableInfo* info = [] {
-    auto* t = new TableInfo();
-    t->oid = kInvfsTraceOid;
-    t->name = "invfs_trace";
-    t->schema = Schema{{"seq", TypeId::kInt8},
-                       {"micros", TypeId::kInt8},
-                       {"thread", TypeId::kInt8},
-                       {"event", TypeId::kText},
-                       {"a", TypeId::kInt8},
-                       {"b", TypeId::kInt8},
-                       {"c", TypeId::kInt8}};
     return t;
   }();
   return info;
@@ -145,15 +128,11 @@ void AppendStatsRows(const std::vector<MetricSample>& samples,
 }  // namespace
 
 bool IsVirtualTable(std::string_view name) {
-  return name == "invfs_stats" || name == "invfs_trace" ||
-         name == "invfs_spans" || name == "invfs_slo" ||
-         name == "invfs_timeseries";
+  return name == "invfs_stats" || name == "invfs_spans" ||
+         name == "invfs_slo" || name == "invfs_timeseries";
 }
 
 TableInfo* VirtualTableInfo(std::string_view name) {
-  if (name == "invfs_trace") {
-    return TraceTableInfo();
-  }
   if (name == "invfs_spans") {
     return SpansTableInfo();
   }
@@ -168,18 +147,6 @@ TableInfo* VirtualTableInfo(std::string_view name) {
 
 std::vector<Row> MaterializeVirtualTable(Database* db, std::string_view name) {
   std::vector<Row> rows;
-  if (name == "invfs_trace") {
-    for (const TraceRecord& r : db->metrics().trace().Snapshot()) {
-      rows.push_back(Row{Value::Int8(static_cast<int64_t>(r.seq)),
-                         Value::Int8(static_cast<int64_t>(r.micros)),
-                         Value::Int8(static_cast<int64_t>(r.thread)),
-                         Value::Text(TraceEventName(r.event)),
-                         Value::Int8(static_cast<int64_t>(r.a)),
-                         Value::Int8(static_cast<int64_t>(r.b)),
-                         Value::Int8(static_cast<int64_t>(r.c))});
-    }
-    return rows;
-  }
   if (name == "invfs_spans") {
     for (const SpanRecord& r : db->metrics().spans().Snapshot()) {
       rows.push_back(Row{Value::Int8(static_cast<int64_t>(r.trace_id)),

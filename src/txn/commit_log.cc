@@ -232,8 +232,6 @@ Status CommitLog::WaitPersisted(uint64_t seq) {
             std::chrono::steady_clock::now() - flush_start)
             .count()));
     batch_transitions_->Observe(batch_size);
-    metrics_->trace().Record(TraceEvent::kGroupCommitFlush, batch_size,
-                             blocks.size(), s.ok() ? 1 : 0);
     flush_span.reset();
     mu_.lock();
     persist_batches_->Add();
@@ -248,9 +246,9 @@ Status CommitLog::WaitPersisted(uint64_t seq) {
           std::max(persisted_seq_.load(std::memory_order_relaxed), covers),
           std::memory_order_release);
     } else if (sticky_error_.ok()) {
-      sticky_error_ = s;
-      metrics_->trace().Record(TraceEvent::kLogPoisoned,
+      ScopedSpan poisoned_span(&metrics_->spans(), "log.poisoned",
                                static_cast<uint64_t>(s.code()));
+      sticky_error_ = s;
     }
     flush_in_progress_ = false;
     flush_cv_.NotifyAll();

@@ -68,7 +68,6 @@ Result<TxnId> TxnManager::Begin(TxnMode mode) {
     INV_ASSIGN_OR_RETURN(TxnId xid, BeginReadOnly());
     span.set_a(xid);
     ro_begins_->Add();
-    metrics_->trace().Record(TraceEvent::kTxnBegin, xid);
     return xid;
   }
   // The log allocates the xid and registers it in one step. Concurrent Begin
@@ -86,7 +85,6 @@ Result<TxnId> TxnManager::Begin(TxnMode mode) {
     active_[xid] = ActiveTxn{{}, std::move(pinned), false};
   }
   begins_->Add();
-  metrics_->trace().Record(TraceEvent::kTxnBegin, xid);
   return xid;
 }
 
@@ -106,7 +104,6 @@ Status TxnManager::Commit(TxnId txn) {
                               " dirtied relations");
     }
     commits_->Add();
-    metrics_->trace().Record(TraceEvent::kTxnCommit, txn, 0);
     return Status::Ok();
   }
   std::set<Oid> touched;
@@ -135,7 +132,7 @@ Status TxnManager::Commit(TxnId txn) {
   }
   locks_->ReleaseAll(txn);
   commits_->Add();
-  metrics_->trace().Record(TraceEvent::kTxnCommit, txn, touched.size());
+  span.set_b(touched.size());
   return Status::Ok();
 }
 
@@ -147,7 +144,6 @@ Status TxnManager::Abort(TxnId txn) {
       return Status::TxnAborted("abort of inactive txn " + std::to_string(txn));
     }
     aborts_->Add();
-    metrics_->trace().Record(TraceEvent::kTxnAbort, txn);
     return Status::Ok();
   }
   {
@@ -161,7 +157,6 @@ Status TxnManager::Abort(TxnId txn) {
   INV_RETURN_IF_ERROR(log_->AbortTxn(txn));
   locks_->ReleaseAll(txn);
   aborts_->Add();
-  metrics_->trace().Record(TraceEvent::kTxnAbort, txn);
   return Status::Ok();
 }
 

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string_view>
 #include <thread>
+#include <vector>
 
 #include "src/buffer/buffer_pool.h"
+#include "src/obs/span.h"
 
 namespace invfs {
 namespace {
@@ -239,7 +243,8 @@ TEST_F(BufferPoolTest, DiscardRelationOnlyAffectsThatRelation) {
 
 TEST_F(BufferPoolTest, LruEvictsColdestFrame) {
   CreateRel(1);
-  BufferPool pool(&sw_, 3, &clock_);
+  MetricsRegistry reg;
+  BufferPool pool(&sw_, 3, &clock_, CpuParams{}, /*partitions=*/0, &reg);
   for (int i = 0; i < 3; ++i) {
     uint32_t block = 0;
     auto ref = pool.Extend(1, &block);
@@ -253,6 +258,15 @@ TEST_F(BufferPoolTest, LruEvictsColdestFrame) {
   CreateRel(3);
   uint32_t nb = 0;
   ASSERT_TRUE(pool.Extend(3, &nb).ok());  // evicts block 0
+  // The buffer.evict span names its victim: a = rel, b = block.
+  const std::vector<SpanRecord> spans = reg.spans().Snapshot();
+  auto evict =
+      std::find_if(spans.rbegin(), spans.rend(), [](const SpanRecord& r) {
+        return std::string_view(r.name) == "buffer.evict";
+      });
+  ASSERT_NE(evict, spans.rend());
+  EXPECT_EQ(evict->a, 1u);
+  EXPECT_EQ(evict->b, 0u);
   (void)*pool.Pin(1, 1);                  // still cached
   (void)*pool.Pin(1, 2);                  // still cached
   EXPECT_EQ(pool.misses(), misses_before);

@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/catalog/database.h"
@@ -17,6 +18,7 @@
 #include "src/inversion/inv_fs.h"
 #include "src/net/nfs_gateway.h"
 #include "src/net/rpc.h"
+#include "src/obs/span.h"
 
 namespace invfs {
 namespace {
@@ -270,6 +272,28 @@ class FaultStackTest : public ::testing::Test {
     ASSERT_TRUE(db_->FlushCaches().ok());
   }
 
+  // Spans named `name` in the database's ring, oldest first.
+  std::vector<SpanRecord> SpansNamed(std::string_view name) {
+    std::vector<SpanRecord> out;
+    for (const SpanRecord& r : db_->metrics().spans().Snapshot()) {
+      if (name == r.name) {
+        out.push_back(r);
+      }
+    }
+    return out;
+  }
+
+  // The span with id `id` in the database's ring.
+  SpanRecord SpanById(uint64_t id) {
+    for (const SpanRecord& r : db_->metrics().spans().Snapshot()) {
+      if (r.span_id == id) {
+        return r;
+      }
+    }
+    ADD_FAILURE() << "span " << id << " is not in the ring";
+    return SpanRecord{};
+  }
+
   // Declared before db_ so it outlives the FaultDevices that point at it.
   StorageEnv env_;
   FaultInjector injector_;
@@ -371,6 +395,89 @@ TEST_F(FaultStackTest, TrippedDataDeviceKeepsReadTransactionsWorking) {
 
   // Teardown must not flush the still-dirty pool against the dead device.
   db_->Crash();
+}
+
+// Fault-path events are spans: the device tripping read-only is one
+// device.read_only_trip span carrying the tripping error code. The error
+// policy sits above the instrumentation, so the trip is recorded after the
+// failed device.write.* attempt closes, under the same write-back span.
+TEST_F(FaultStackTest, ReadOnlyTripIsASpanUnderTheFailedWriteBack) {
+  MakeFile("/trip.dat", "stable");
+  ASSERT_TRUE(db_->FlushCaches().ok());
+  ASSERT_TRUE(s_->p_begin().ok());
+  auto fd = s_->p_open("/trip.dat", OpenMode::kWrite);
+  ASSERT_TRUE(fd.ok());
+  const std::string junk = "doomed";
+  ASSERT_TRUE(
+      s_->p_write(*fd, std::as_bytes(std::span(junk.data(), junk.size()))).ok());
+  ASSERT_TRUE(s_->p_close(*fd).ok());
+  injector_.ArmOne({FaultSpec::Kind::kPermanentError, FaultSpec::Op::kWrite, 1});
+  ASSERT_FALSE(db_->FlushCaches().ok());
+  ASSERT_TRUE(s_->p_abort().ok());
+
+  const std::vector<SpanRecord> trips = SpansNamed("device.read_only_trip");
+  ASSERT_EQ(trips.size(), 1u);
+  EXPECT_EQ(trips[0].a, static_cast<uint64_t>(ErrorCode::kIoError));
+  const SpanRecord parent = SpanById(trips[0].parent_id);
+  ASSERT_NE(parent.name, nullptr);
+  EXPECT_STREQ(parent.name, "buffer.write_back");
+  // The failed attempt is the trip's sibling: a device.write.* span under
+  // the same write-back, for the block the write-back covers.
+  int failed_attempts = 0;
+  for (const SpanRecord& r : db_->metrics().spans().Snapshot()) {
+    if (r.parent_id == parent.span_id &&
+        std::string_view(r.name).starts_with("device.write.")) {
+      ++failed_attempts;
+      EXPECT_EQ(r.a, parent.a);
+      EXPECT_EQ(r.b, parent.b);
+      EXPECT_LE(r.start_micros + r.dur_micros, trips[0].start_micros);
+    }
+  }
+  EXPECT_EQ(failed_attempts, 1);
+
+  // Teardown must not flush the still-dirty pool against the dead device.
+  db_->Crash();
+}
+
+// Two transient errors in a row on the commit-log flush: one device.retry
+// span records both retries in a and the summed backoff (100 + 200 µs under
+// the default policy) in b, nested under the log.flush it rescued.
+TEST_F(FaultStackTest, RetrySpanCarriesAttemptsAndSummedBackoff) {
+  MakeFile("/r.dat", "payload");
+  StageTxnWithFlushedData("/r.dat");
+  injector_.Arm({{FaultSpec::Kind::kTransientError, FaultSpec::Op::kWrite, 1},
+                 {FaultSpec::Kind::kTransientError, FaultSpec::Op::kWrite, 2}});
+  ASSERT_TRUE(s_->p_commit().ok());
+  EXPECT_EQ(injector_.faults_fired(), 2u);
+
+  const std::vector<SpanRecord> retries = SpansNamed("device.retry");
+  ASSERT_EQ(retries.size(), 1u);
+  const DeviceErrorPolicy policy;
+  EXPECT_EQ(retries[0].a, 2u);
+  EXPECT_EQ(retries[0].b,
+            static_cast<uint64_t>(policy.backoff_us + 2 * policy.backoff_us));
+  const SpanRecord parent = SpanById(retries[0].parent_id);
+  ASSERT_NE(parent.name, nullptr);
+  EXPECT_STREQ(parent.name, "log.flush");
+}
+
+// A failed group-commit flush poisons the log, recorded as one log.poisoned
+// span carrying the error code that is now sticky on the commit log.
+TEST_F(FaultStackTest, PoisonedLogIsASpan) {
+  MakeFile("/q.dat", "payload");
+  StageTxnWithFlushedData("/q.dat");
+  EXPECT_TRUE(SpansNamed("log.poisoned").empty());
+  injector_.ArmOne({FaultSpec::Kind::kPermanentError, FaultSpec::Op::kWrite, 1});
+  Status commit = s_->p_commit();
+  ASSERT_FALSE(commit.ok());
+  ASSERT_TRUE(db_->commit_log().poisoned());
+
+  const std::vector<SpanRecord> poisoned = SpansNamed("log.poisoned");
+  ASSERT_EQ(poisoned.size(), 1u);
+  // The policy device tripped read-only under the flush, so that is the
+  // error the log keeps.
+  EXPECT_EQ(poisoned[0].a, static_cast<uint64_t>(ErrorCode::kReadOnlyDevice));
+  EXPECT_EQ(SpansNamed("device.read_only_trip").size(), 1u);
 }
 
 }  // namespace

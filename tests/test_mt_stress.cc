@@ -553,10 +553,11 @@ TEST_F(MtStressTest, ReadOnlyRegistryUnderWriterAndVacuum) {
   EXPECT_EQ(db.txns().OldestActiveXmin(), kInvalidTxn);
 }
 
-// 8 threads hammer one registry — striped counters, a shared histogram, and
-// the trace ring — while a snapshotter concurrently reads everything. Totals
-// must be exact (no lost updates) and every concurrent snapshot internally
-// consistent. This is the TSan target for the observability layer.
+// 8 threads hammer one registry — a striped counter and a shared histogram —
+// while a snapshotter concurrently reads everything. Totals must be exact
+// (no lost updates) and every concurrent snapshot internally consistent.
+// This is the TSan target for the metric cells; SpanStorm below is the one
+// for the span ring.
 TEST(MetricsStressTest, ConcurrentIncrementAndSnapshot) {
   constexpr int kThreads = 8;
   constexpr int kItersPerThread = 20000;
@@ -570,26 +571,19 @@ TEST(MetricsStressTest, ConcurrentIncrementAndSnapshot) {
     const uint64_t expected =
         static_cast<uint64_t>(kThreads) * kItersPerThread;
     while (!stop.load(std::memory_order_acquire)) {
-      // Mid-run reads must never see torn or overshooting values, and trace
-      // snapshots must be well-formed mid-write (seqlock re-check).
+      // Mid-run reads must never see torn or overshooting values.
       EXPECT_LE(counter->Value(), expected);
       EXPECT_LE(hist->Count(), expected);
-      for (const TraceRecord& r : reg.trace().Snapshot()) {
-        EXPECT_EQ(r.event, TraceEvent::kLockWait);
-      }
       (void)reg.DumpText();
     }
   });
 
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
+    threads.emplace_back([&] {
       for (int i = 0; i < kItersPerThread; ++i) {
         counter->Add();
         hist->Observe(static_cast<uint64_t>(i));
-        if (i % 16 == 0) {
-          reg.trace().Record(TraceEvent::kLockWait, t, i);
-        }
       }
     });
   }
@@ -602,10 +596,6 @@ TEST(MetricsStressTest, ConcurrentIncrementAndSnapshot) {
   const uint64_t expected = static_cast<uint64_t>(kThreads) * kItersPerThread;
   EXPECT_EQ(counter->Value(), expected);
   EXPECT_EQ(hist->Count(), expected);
-  EXPECT_EQ(reg.trace().TotalRecorded(),
-            static_cast<uint64_t>(kThreads) * (kItersPerThread / 16));
-  auto snap = reg.trace().Snapshot();
-  EXPECT_EQ(snap.size(), TraceRing::kDefaultCapacity);
 }
 
 // 8 threads run nested ScopedSpans (each thread its own trace) while a reader

@@ -1,6 +1,6 @@
 // Unit tests for the observability layer: counter/gauge/histogram semantics
-// (including percentiles), registry snapshots and dumps, the trace and span
-// rings (including wrap-around), ScopedSpan context propagation, and the
+// (including percentiles), registry snapshots and dumps, the span ring
+// (including wrap-around), ScopedSpan context propagation, and the
 // end-to-end span shape of an RPC write.
 
 #include <gtest/gtest.h>
@@ -182,72 +182,6 @@ TEST(MetricsRegistryTest, DumpTextAndJsonContainMetrics) {
   EXPECT_NE(json.find("\"count\": 1"), std::string::npos);
 }
 
-TEST(TraceRingTest, RecordsInOrder) {
-  TraceRing ring;
-  ring.Record(TraceEvent::kTxnBegin, 10);
-  ring.Record(TraceEvent::kTxnCommit, 10, 2);
-  auto snap = ring.Snapshot();
-  ASSERT_EQ(snap.size(), 2u);
-  EXPECT_EQ(snap[0].event, TraceEvent::kTxnBegin);
-  EXPECT_EQ(snap[0].a, 10u);
-  EXPECT_EQ(snap[1].event, TraceEvent::kTxnCommit);
-  EXPECT_EQ(snap[1].b, 2u);
-  EXPECT_LT(snap[0].seq, snap[1].seq);
-  EXPECT_EQ(ring.TotalRecorded(), 2u);
-}
-
-TEST(TraceRingTest, WrapKeepsOnlyTheNewest) {
-  TraceRing ring;
-  const size_t n = TraceRing::kDefaultCapacity + 100;
-  for (size_t i = 0; i < n; ++i) {
-    ring.Record(TraceEvent::kPageMiss, i);
-  }
-  auto snap = ring.Snapshot();
-  EXPECT_EQ(snap.size(), TraceRing::kDefaultCapacity);
-  EXPECT_EQ(ring.TotalRecorded(), n);
-  // The survivors are the newest capacity() records, still in seq order.
-  EXPECT_EQ(snap.front().a, n - TraceRing::kDefaultCapacity);
-  EXPECT_EQ(snap.back().a, n - 1);
-  for (size_t i = 1; i < snap.size(); ++i) {
-    EXPECT_LT(snap[i - 1].seq, snap[i].seq);
-  }
-}
-
-TEST(TraceRingTest, WrapCountsDrops) {
-  TraceRing ring(128);
-  for (size_t i = 0; i < 128; ++i) {
-    ring.Record(TraceEvent::kPageMiss, i);
-  }
-  // Exactly full: nothing has been overwritten yet.
-  EXPECT_EQ(ring.TotalDropped(), 0u);
-  for (size_t i = 0; i < 50; ++i) {
-    ring.Record(TraceEvent::kPageMiss, 128 + i);
-  }
-  EXPECT_EQ(ring.TotalDropped(), 50u);
-  EXPECT_EQ(ring.TotalRecorded(), 178u);
-}
-
-TEST(TraceRingTest, CapacityIsConfigurableAndRoundedToPow2) {
-  TraceRing ring(100);
-  EXPECT_EQ(ring.capacity(), 128u);
-  for (size_t i = 0; i < 200; ++i) {
-    ring.Record(TraceEvent::kPageMiss, i);
-  }
-  auto snap = ring.Snapshot();
-  EXPECT_EQ(snap.size(), 128u);
-  EXPECT_EQ(snap.back().a, 199u);
-}
-
-TEST(TraceEventTest, NamesAreStable) {
-  EXPECT_STREQ(TraceEventName(TraceEvent::kTxnBegin), "txn.begin");
-  EXPECT_STREQ(TraceEventName(TraceEvent::kPageMiss), "page.miss");
-  EXPECT_STREQ(TraceEventName(TraceEvent::kGroupCommitFlush), "log.flush");
-  EXPECT_STREQ(TraceEventName(TraceEvent::kDeviceRetry), "device.retry");
-  EXPECT_STREQ(TraceEventName(TraceEvent::kDeviceReadOnlyTrip),
-               "device.read_only_trip");
-  EXPECT_STREQ(TraceEventName(TraceEvent::kLogPoisoned), "log.poisoned");
-}
-
 TEST(MetricsRegistryTest, DumpsRenderHistogramPercentiles) {
   MetricsRegistry reg;
   Histogram* h = reg.GetHistogram("op.latency_us", "p_read");
@@ -310,6 +244,20 @@ TEST(SpanRingTest, WrapCountsDrops) {
   }
   EXPECT_EQ(ring.TotalDropped(), 10u);
   EXPECT_EQ(ring.TotalRecorded(), 74u);
+}
+
+TEST(SpanRingTest, CapacityIsConfigurableAndRoundedToPow2) {
+  SpanRing ring(100);
+  EXPECT_EQ(ring.capacity(), 128u);
+  SpanRecord r;
+  r.name = "test.span";
+  for (uint64_t i = 0; i < 200; ++i) {
+    r.a = i;
+    ring.RecordSpan(r);
+  }
+  auto snap = ring.Snapshot();
+  EXPECT_EQ(snap.size(), 128u);
+  EXPECT_EQ(snap.back().a, 199u);
 }
 
 TEST(ScopedSpanTest, NestingLinksParentAndRestoresContext) {
@@ -461,6 +409,7 @@ TEST(SpanShapeTest, RpcWriteTreeLinksBufferMissAndCommitFlush) {
   };
   bool saw_miss = false;
   bool saw_flush_wait = false;
+  uint64_t committed_rels = 0;
   for (const SpanRecord& r : snap) {
     if (r.trace_id != rpc_write->trace_id || r.name == nullptr) {
       continue;
@@ -472,27 +421,31 @@ TEST(SpanShapeTest, RpcWriteTreeLinksBufferMissAndCommitFlush) {
     if (name == "log.flush.wait" && is_descendant_of_root(r)) {
       saw_flush_wait = true;
     }
+    if (name == "txn.commit" && is_descendant_of_root(r)) {
+      committed_rels = r.b;
+    }
   }
   EXPECT_TRUE(saw_miss) << "cold-cache RPC write recorded no buffer.miss span";
   EXPECT_TRUE(saw_flush_wait)
       << "auto-committed RPC write recorded no log.flush.wait span";
+  EXPECT_GE(committed_rels, 1u)
+      << "txn.commit must carry the number of relations the write flushed";
 
   // The shape assertions above only hold if nothing was overwritten: a
   // wrapped ring would silently detach children from evicted parents.
   EXPECT_EQ(world.db().metrics().spans().TotalDropped(), 0u)
       << "span ring wrapped mid-test; the tree walked above is incomplete";
-  EXPECT_EQ(world.db().metrics().trace().TotalDropped(), 0u);
 }
 
-// Four threads record span trees and trace events into one registry at once.
-// Rings and ids are handed out in per-thread blocks, so this pins the
-// contracts that must survive that: totals are exact, ids are unique across
-// threads, and every span of one request links to its parent. The rings are
-// sized so nothing wraps, which makes the final snapshot complete.
+// Four threads record span trees into one registry at once. Ring slots and
+// ids are handed out in per-thread blocks, so this pins the contracts that
+// must survive that: totals are exact, ids are unique across threads, and
+// every span of one request links to its parent. The ring is sized so
+// nothing wraps, which makes the final snapshot complete.
 TEST(SpanRingTest, ThreadsKeepTotalsIdsAndParentLinks) {
   constexpr int kThreads = 4;
-  constexpr int kRequests = 500;  // three spans and one trace event each
-  MetricsRegistry reg(/*trace_capacity=*/1 << 13, /*span_capacity=*/1 << 14);
+  constexpr int kRequests = 500;  // three spans each
+  MetricsRegistry reg(/*span_capacity=*/1 << 14);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&reg] {
@@ -503,7 +456,6 @@ TEST(SpanRingTest, ThreadsKeepTotalsIdsAndParentLinks) {
           ScopedSpan leaf(&reg.spans(), "mt.leaf", root.span_id());
           leaf.set_b(child.span_id());
         }
-        reg.trace().Record(TraceEvent::kTxnBegin, root.trace_id());
       }
     });
   }
@@ -513,9 +465,7 @@ TEST(SpanRingTest, ThreadsKeepTotalsIdsAndParentLinks) {
 
   const uint64_t spans = uint64_t{kThreads} * kRequests * 3;
   EXPECT_EQ(reg.spans().TotalRecorded(), spans);
-  EXPECT_EQ(reg.trace().TotalRecorded(), uint64_t{kThreads} * kRequests);
   EXPECT_EQ(reg.spans().TotalDropped(), 0u);
-  EXPECT_EQ(reg.trace().TotalDropped(), 0u);
 
   const std::vector<SpanRecord> snap = reg.spans().Snapshot();
   ASSERT_EQ(snap.size(), spans);
@@ -549,13 +499,6 @@ TEST(SpanRingTest, ThreadsKeepTotalsIdsAndParentLinks) {
   }
   EXPECT_EQ(trace_ids.size(), uint64_t{kThreads} * kRequests)
       << "trace ids repeat across threads";
-
-  std::set<uint64_t> event_seqs;
-  for (const TraceRecord& r : reg.trace().Snapshot()) {
-    event_seqs.insert(r.seq);
-    EXPECT_EQ(trace_ids.count(r.a), 1u);
-  }
-  EXPECT_EQ(event_seqs.size(), uint64_t{kThreads} * kRequests);
 }
 
 // Thread stripes: a live thread owns its stripe (plain stores into its
@@ -565,15 +508,18 @@ TEST(SpanRingTest, ThreadsKeepTotalsIdsAndParentLinks) {
 TEST(ThreadStripeTest, CountsStayExactAcrossReuseAndTheSharedStripe) {
   Counter counter;
   Histogram hist;
-  TraceRing ring(1 << 12);
+  SpanRing ring(1 << 12);
   constexpr int kSequential = 100;  // far more threads than stripes, in turn
   constexpr int kConcurrent = 40;   // more live threads than stripes
   constexpr int kEach = 50;
   auto work = [&] {
+    SpanRecord r;
+    r.name = "test.span";
     for (int i = 0; i < kEach; ++i) {
       counter.Add();
       hist.Observe(static_cast<uint64_t>(i));
-      ring.Record(TraceEvent::kPageMiss, static_cast<uint64_t>(i));
+      r.a = static_cast<uint64_t>(i);
+      ring.RecordSpan(r);
     }
   };
   for (int t = 0; t < kSequential; ++t) {
@@ -610,7 +556,7 @@ TEST(ThreadStripeTest, CountsStayExactAcrossReuseAndTheSharedStripe) {
   EXPECT_EQ(hist.Count(), total);
   EXPECT_EQ(ring.TotalRecorded(), total);
   std::set<uint64_t> seqs;
-  for (const TraceRecord& r : ring.Snapshot()) {
+  for (const SpanRecord& r : ring.Snapshot()) {
     EXPECT_TRUE(seqs.insert(r.seq).second) << "seq " << r.seq << " twice";
   }
   // Every stripe came back: a new thread owns one again.

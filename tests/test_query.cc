@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/query/ast_print.h"
 #include "src/query/eval.h"
 #include "src/query/executor.h"
@@ -415,17 +417,13 @@ TEST_F(ExecutorTest, InvfsStatsExposesStorageCounters) {
             static_cast<int64_t>(db_->buffers().hits()));
 }
 
-TEST_F(ExecutorTest, InvfsTraceShowsRecentTransactions) {
-  // Every Exec() in the fixture began and committed a transaction; the trace
-  // ring must hold matching begin/commit events.
+TEST_F(ExecutorTest, InvfsSpansShowsCommittedTransactions) {
+  // Every Exec() in the fixture began and committed a transaction; each
+  // commit left a txn.commit span carrying its xid in a.
   auto rs = Exec(
-      "retrieve (t.event, t.a) from t in invfs_trace "
-      "where t.event = \"txn.commit\"");
+      "retrieve (sp.a) from sp in invfs_spans "
+      "where sp.name = \"txn.commit\" and sp.a != 0");
   EXPECT_GE(rs.rows.size(), 4u);  // 4 fixture statements at minimum
-  // Joinable against stats like any relation: count via projection size.
-  auto begins = Exec(
-      "retrieve (t.seq) from t in invfs_trace where t.event = \"txn.begin\"");
-  EXPECT_GE(begins.rows.size(), rs.rows.size());
 }
 
 TEST_F(ExecutorTest, VirtualTablesRejectTimeTravel) {
@@ -452,15 +450,26 @@ TEST_F(ExecutorTest, InvfsSpansShowsQueryExecutionSpans) {
   }
 }
 
-TEST_F(ExecutorTest, InvfsSpansJoinsWithInvfsTraceOnXid) {
-  // txn.begin is recorded twice — a span (a = xid) and a trace event
-  // (a = xid) — so the two observability relations join on that attribute
-  // like any ordinary pair of tables.
+TEST_F(ExecutorTest, InvfsSpansSelfJoinsCommitsToBeginsOnXid) {
+  // txn.begin and txn.commit spans both carry the xid in a, so invfs_spans
+  // joins with itself on that attribute like any ordinary relation: every
+  // commit in the ring pairs with the begin of the same transaction.
+  auto commits = Exec(
+      "retrieve (c.span) from c in invfs_spans where c.name = \"txn.commit\"");
+  ASSERT_GE(commits.rows.size(), 4u);  // at least the fixture's transactions
   auto rs = Exec(
-      "retrieve (sp.span, t.seq) from sp in invfs_spans, t in invfs_trace "
-      "where sp.name = \"txn.begin\" and t.event = \"txn.begin\" "
-      "and sp.a = t.a");
-  EXPECT_GE(rs.rows.size(), 4u);  // at least the fixture's transactions
+      "retrieve (c.span, b.span) from c in invfs_spans, b in invfs_spans "
+      "where c.name = \"txn.commit\" and b.name = \"txn.begin\" "
+      "and c.a = b.a");
+  std::set<int64_t> joined;
+  for (const Row& row : rs.rows) {
+    EXPECT_NE(row[0].AsInt8(), row[1].AsInt8());
+    joined.insert(row[0].AsInt8());
+  }
+  for (const Row& row : commits.rows) {
+    EXPECT_EQ(joined.count(row[0].AsInt8()), 1u)
+        << "txn.commit span " << row[0].AsInt8() << " has no txn.begin";
+  }
 }
 
 TEST_F(ExecutorTest, InvfsSloReportsEveryDeclaredTarget) {
