@@ -48,6 +48,82 @@ void BM_BtreeInsertLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_BtreeInsertLookup);
 
+// One warm Int4 leaf of 450 entries, nearly full (an Int4 leaf holds 453):
+// the tree is just its root, so each operation pins the meta page and the
+// leaf and spends the rest scanning or editing the leaf's bytes. Even keys
+// are stored, so an odd key inserts mid-leaf.
+struct WarmLeaf {
+  static constexpr int32_t kEntries = 450;
+  SimClock clock;
+  MemBlockStore store;
+  DeviceSwitch sw;
+  std::unique_ptr<BufferPool> pool;
+  std::unique_ptr<BTree> tree;
+
+  bool Build() {
+    sw.Register(kDeviceMagneticDisk, std::make_unique<MagneticDiskDevice>(
+                                         &store, &clock, DiskParams{}));
+    sw.BindRelation(1, kDeviceMagneticDisk);
+    pool = std::make_unique<BufferPool>(&sw, 8, &clock);
+    if (!sw.Get(kDeviceMagneticDisk)->CreateRelation(1).ok()) {
+      return false;
+    }
+    auto created = BTree::Create(1, pool.get());
+    if (!created.ok()) {
+      return false;
+    }
+    tree = std::move(*created);
+    for (int32_t k = 0; k < kEntries; ++k) {
+      if (!tree->Insert(EncodeInt4Key(2 * k), Tid{static_cast<uint32_t>(k), 0}).ok()) {
+        return false;
+      }
+    }
+    auto count = tree->CountEntries();
+    return count.ok() && *count == kEntries;
+  }
+};
+
+void BM_BtreeLeafLookup(benchmark::State& state) {
+  WarmLeaf leaf;
+  if (!leaf.Build()) {
+    state.SkipWithError("leaf setup failed");
+    return;
+  }
+  std::vector<BtreeKey> probes;
+  Rng rng(7);
+  for (int i = 0; i < 1024; ++i) {
+    probes.push_back(EncodeInt4Key(static_cast<int32_t>(2 * rng.Uniform(WarmLeaf::kEntries))));
+  }
+  size_t i = 0;
+  for (auto s : state) {
+    auto tids = leaf.tree->Lookup(probes[i++ & 1023]);
+    benchmark::DoNotOptimize(tids);
+  }
+}
+BENCHMARK(BM_BtreeLeafLookup);
+
+void BM_BtreeLeafInsertRemove(benchmark::State& state) {
+  WarmLeaf leaf;
+  if (!leaf.Build()) {
+    state.SkipWithError("leaf setup failed");
+    return;
+  }
+  std::vector<BtreeKey> keys;
+  Rng rng(8);
+  for (int i = 0; i < 1024; ++i) {
+    keys.push_back(EncodeInt4Key(static_cast<int32_t>(2 * rng.Uniform(WarmLeaf::kEntries) + 1)));
+  }
+  size_t i = 0;
+  for (auto s : state) {
+    const BtreeKey& key = keys[i++ & 1023];
+    if (!leaf.tree->Insert(key, Tid{0, 1}).ok() || !leaf.tree->Remove(key, Tid{0, 1}).ok()) {
+      state.SkipWithError("insert/remove failed");
+      return;
+    }
+  }
+}
+BENCHMARK(BM_BtreeLeafInsertRemove);
+
 void BM_LzssRoundtrip(benchmark::State& state) {
   std::string text;
   while (text.size() < kInvChunkSize) {

@@ -16,6 +16,7 @@
 #   scripts/check.sh torture    # just the crash-recovery torture sweep (ASan)
 #   scripts/check.sh load       # just the open-loop loadgen SLO smoke
 #   scripts/check.sh net        # the network-fault sweep + faulted rpc load
+#   scripts/check.sh werror     # every target built with -Werror
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -238,6 +239,20 @@ run_net() {
       --profile audit:p99=3000000 --profile archive:p99=6000000
 }
 
+run_werror() {
+  # Warning gate: every target (engine, tools, tests, benches) built with
+  # -Werror on top of the project's warning set. The build is optimized, as
+  # some GCC warnings (-Wfree-nonheap-object among them) only fire after
+  # inlining, so a warning-free tree stays that way.
+  local dir="$ROOT/build-werror"
+  echo "==> [werror] configure (RelWithDebInfo, -Werror)"
+  cmake -B "$dir" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+  echo "==> [werror] build every target"
+  cmake --build "$dir" -j "$JOBS" -- --no-print-directory
+  echo "==> [werror] clean"
+}
+
 case "$LEG" in
   asan) run_sanitized asan address ;;
   tsan) run_sanitized tsan thread ;;
@@ -247,6 +262,7 @@ case "$LEG" in
   torture) run_torture ;;
   load) run_load ;;
   net) run_net ;;
+  werror) run_werror ;;
   all)
     run_sanitized asan address
     run_sanitized tsan thread
@@ -256,9 +272,10 @@ case "$LEG" in
     run_torture
     run_load
     run_net
+    run_werror
     ;;
   *)
-    echo "unknown leg '$LEG' (want asan, tsan, tidy, tsa, metrics, torture, load, net, or all)" >&2
+    echo "unknown leg '$LEG' (want asan, tsan, tidy, tsa, metrics, torture, load, net, werror, or all)" >&2
     exit 2
     ;;
 esac

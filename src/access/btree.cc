@@ -31,32 +31,72 @@ int CompareKeys(std::span<const std::byte> a, std::span<const std::byte> b) {
 // where descent can no longer find them.
 BtreeKey CombineKey(const BtreeKey& key, Tid tid) {
   BtreeKey out = key;
-  out.push_back(std::byte{static_cast<uint8_t>(tid.block >> 24)});
-  out.push_back(std::byte{static_cast<uint8_t>(tid.block >> 16)});
-  out.push_back(std::byte{static_cast<uint8_t>(tid.block >> 8)});
-  out.push_back(std::byte{static_cast<uint8_t>(tid.block)});
-  out.push_back(std::byte{static_cast<uint8_t>(tid.slot >> 8)});
-  out.push_back(std::byte{static_cast<uint8_t>(tid.slot)});
+  const uint64_t suffix = (uint64_t{tid.block} << 16) | tid.slot;
+  for (int shift = 40; shift >= 0; shift -= 8) {
+    out.push_back(std::byte{static_cast<uint8_t>(suffix >> shift)});
+  }
   return out;
-}
-
-std::span<const std::byte> UserPart(const BtreeKey& stored) {
-  return std::span(stored.data(), stored.size() - kTidSuffix);
 }
 
 struct Entry {
   BtreeKey key;
-  // Leaf payload:
-  Tid tid;
-  // Internal payload:
-  uint32_t child = 0;
+  Tid tid;             // leaf payload
+  uint32_t child = 0;  // internal payload
 };
 
-size_t EntryBytes(const Entry& e, bool leaf) {
-  return 2 + e.key.size() + (leaf ? 6 : 4);
-}
+// Bounds-checked walk over a node's packed entries, in key order. The node's
+// `used` must fit the entry area, every entry must end within `used` and
+// carry a stored key long enough for its TID suffix, and the last entry must
+// end exactly at `used`. A node that breaks a rule stops the walk with
+// Corruption rather than letting it read past the frame.
+struct EntryCursor {
+  const std::byte* area;
+  uint32_t used;
+  uint16_t left;     // entries not yet visited
+  uint32_t payload;  // 6 (leaf TID) or 4 (internal child)
+  bool bad = used > kEntryArea;
+  uint32_t begin = 0;  // the current entry's bytes, [begin, end) of the area
+  uint32_t end = 0;
+  uint16_t klen = 0;
 
-// Read/write helpers over a raw node frame.
+  // Steps onto the next entry. False at the end of the node, or at a
+  // malformed entry, which status() then reports.
+  bool Next() {
+    if (bad) {
+      return false;
+    }
+    begin = end;
+    if (left == 0) {
+      bad = end != used;
+      return false;
+    }
+    --left;
+    klen = used - begin < 2 ? 0 : GetU16(area + begin);
+    bad = used - begin < 2 + klen + payload || klen < kTidSuffix;
+    end = begin + 2 + klen + payload;
+    return !bad;
+  }
+  Status status() const {
+    return bad ? Status::Corruption("btree node entries disagree with its used "
+                                    "byte count")
+               : Status::Ok();
+  }
+
+  // The stored key, and the user key it carries (TID suffix stripped).
+  std::span<const std::byte> key() const { return {area + begin + 2, klen}; }
+  std::span<const std::byte> user_key() const {
+    return key().first(klen - kTidSuffix);
+  }
+  Tid tid() const {  // leaves
+    const std::byte* d = area + begin + 2 + klen;
+    return Tid{GetU32(d), GetU16(d + 4)};
+  }
+  uint32_t child() const { return GetU32(area + begin + 2 + klen); }  // internal
+};
+
+// Read/write helpers over a raw node frame. Searches and single-entry edits
+// work on the page bytes in place; only splits and CheckInvariants
+// materialize entries (Decode/Encode).
 struct NodeView {
   std::byte* p;
 
@@ -70,89 +110,100 @@ struct NodeView {
   uint32_t leftmost_child() const { return GetU32(p + kOffLeftChild); }
   void set_leftmost_child(uint32_t b) { PutU32(p + kOffLeftChild, b); }
   uint16_t used() const { return GetU16(p + kOffUsed); }
+  void set_counts(size_t nkeys, size_t used) {
+    PutU16(p + kOffNKeys, static_cast<uint16_t>(nkeys));
+    PutU16(p + kOffUsed, static_cast<uint16_t>(used));
+  }
 
   void InitNode(bool is_leaf) {
     set_type(is_leaf);
     set_right_sibling(BTree::kNoBlock);
-    PutU16(p + kOffNKeys, 0);
     set_leftmost_child(BTree::kNoBlock);
-    PutU16(p + kOffUsed, 0);
+    set_counts(0, 0);
   }
 
-  std::vector<Entry> Decode() const {
-    const bool is_leaf = leaf();
+  EntryCursor Entries() const {
+    return EntryCursor{p + kOffEntries, used(), nkeys(), leaf() ? 6u : 4u};
+  }
+
+  Result<std::vector<Entry>> Decode() const {
     std::vector<Entry> out;
     out.reserve(nkeys());
-    const std::byte* d = p + kOffEntries;
-    for (uint16_t i = 0; i < nkeys(); ++i) {
+    EntryCursor c = Entries();
+    while (c.Next()) {
       Entry e;
-      const uint16_t klen = GetU16(d);
-      d += 2;
-      e.key.assign(d, d + klen);
-      d += klen;
-      if (is_leaf) {
-        e.tid.block = GetU32(d);
-        e.tid.slot = GetU16(d + 4);
-        d += 6;
+      e.key.assign(c.key().begin(), c.key().end());
+      if (leaf()) {
+        e.tid = c.tid();
       } else {
-        e.child = GetU32(d);
-        d += 4;
+        e.child = c.child();
       }
       out.push_back(std::move(e));
     }
+    INV_RETURN_IF_ERROR(c.status());
     return out;
   }
 
-  static size_t TotalBytes(const std::vector<Entry>& entries, bool is_leaf) {
-    size_t total = 0;
+  // Rewrites the node to hold exactly `entries`, which must fit.
+  void Encode(const std::vector<Entry>& entries) {
+    set_counts(0, 0);
     for (const Entry& e : entries) {
-      total += EntryBytes(e, is_leaf);
+      INV_CHECK(InsertAt(used(), e.key, e.tid, e.child));
     }
-    return total;
   }
 
-  // Returns false (and writes nothing) if the entries do not fit.
-  bool Encode(const std::vector<Entry>& entries) {
-    const bool is_leaf = leaf();
-    const size_t total = TotalBytes(entries, is_leaf);
-    if (total > kEntryArea) {
-      return false;
-    }
-    std::byte* d = p + kOffEntries;
-    for (const Entry& e : entries) {
-      PutU16(d, static_cast<uint16_t>(e.key.size()));
-      d += 2;
-      std::memcpy(d, e.key.data(), e.key.size());
-      d += e.key.size();
-      if (is_leaf) {
-        PutU32(d, e.tid.block);
-        PutU16(d + 4, e.tid.slot);
-        d += 6;
-      } else {
-        PutU32(d, e.child);
-        d += 4;
+  // Entry-area offset where `key` belongs: before the first entry that sorts
+  // after it, so an insert lands after any run of equal keys.
+  Result<uint32_t> UpperBound(std::span<const std::byte> key) const {
+    EntryCursor c = Entries();
+    while (c.Next()) {
+      if (CompareKeys(key, c.key()) < 0) {
+        return c.begin;
       }
     }
-    PutU16(p + kOffNKeys, static_cast<uint16_t>(entries.size()));
-    PutU16(p + kOffUsed, static_cast<uint16_t>(total));
+    INV_RETURN_IF_ERROR(c.status());
+    return used();
+  }
+
+  // Inserts an entry at entry-area offset `at` by shifting the tail right.
+  // Returns false (and writes nothing) if the node has no room for it.
+  bool InsertAt(uint32_t at, std::span<const std::byte> key, Tid tid,
+                uint32_t child) {
+    const size_t size = 2 + key.size() + (leaf() ? 6 : 4);
+    if (used() + size > kEntryArea) {
+      return false;
+    }
+    std::byte* d = p + kOffEntries + at;
+    std::memmove(d + size, d, used() - at);
+    PutU16(d, static_cast<uint16_t>(key.size()));
+    std::memcpy(d + 2, key.data(), key.size());
+    d += 2 + key.size();
+    if (leaf()) {
+      PutU32(d, tid.block);
+      PutU16(d + 4, tid.slot);
+    } else {
+      PutU32(d, child);
+    }
+    set_counts(nkeys() + 1, used() + size);
     return true;
   }
 
+  // Removes the entry at entry-area bytes [begin, end) by shifting the tail
+  // left.
+  void EraseAt(uint32_t begin, uint32_t end) {
+    std::byte* area = p + kOffEntries;
+    std::memmove(area + begin, area + end, used() - end);
+    set_counts(nkeys() - 1, used() - (end - begin));
+  }
+
   // In-place descent: child covering `key` (internal nodes only).
-  uint32_t ChildFor(std::span<const std::byte> key) const {
+  Result<uint32_t> ChildFor(std::span<const std::byte> key) const {
     uint32_t child = leftmost_child();
-    const std::byte* d = p + kOffEntries;
-    for (uint16_t i = 0; i < nkeys(); ++i) {
-      const uint16_t klen = GetU16(d);
-      std::span<const std::byte> ekey(d + 2, klen);
-      const uint32_t echild = GetU32(d + 2 + klen);
-      if (CompareKeys(key, ekey) >= 0) {
-        child = echild;
-      } else {
-        break;
-      }
-      d += 2 + klen + 4;
+    EntryCursor c = Entries();
+    while (c.Next() && CompareKeys(key, c.key()) >= 0) {
+      child = c.child();
     }
+    INV_RETURN_IF_ERROR(c.status());
     return child;
   }
 };
@@ -216,81 +267,58 @@ Result<BTree::SplitResult> BTree::InsertRec(uint32_t block, const BtreeKey& key,
                                             Tid tid) {
   INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, block));
   NodeView view{ref.data()};
+  const bool leaf = view.leaf();
 
-  if (view.leaf()) {
-    std::vector<Entry> entries = view.Decode();
-    // Insert after any run of equal keys (stable for duplicate keys).
-    auto pos = std::upper_bound(
-        entries.begin(), entries.end(), key,
-        [](const BtreeKey& k, const Entry& e) { return CompareKeys(k, e.key) < 0; });
-    Entry e;
-    e.key = key;
-    e.tid = tid;
-    entries.insert(pos, std::move(e));
-    if (view.Encode(entries)) {
-      ref.MarkDirty();
+  // A leaf takes the new entry itself; an internal node descends, and takes
+  // the separator of the child's split if there is one.
+  SplitResult child_split;
+  if (!leaf) {
+    INV_ASSIGN_OR_RETURN(uint32_t child, view.ChildFor(key));
+    INV_ASSIGN_OR_RETURN(child_split, InsertRec(child, key, tid));
+    if (!child_split.split) {
       return SplitResult{};
     }
-    // Split: move the upper half to a fresh right sibling.
-    CrashPointRegistry::Hit("btree.split");
-    const size_t m = entries.size() / 2;
-    std::vector<Entry> right_entries(entries.begin() + static_cast<ptrdiff_t>(m),
-                                     entries.end());
-    entries.resize(m);
-    INV_ASSIGN_OR_RETURN(uint32_t right_block, NewNode(/*leaf=*/true));
-    INV_ASSIGN_OR_RETURN(PageRef right_ref, pool_->Pin(rel_, right_block));
-    NodeView right{right_ref.data()};
-    right.set_right_sibling(view.right_sibling());
-    view.set_right_sibling(right_block);
-    INV_CHECK(right.Encode(right_entries));
-    INV_CHECK(view.Encode(entries));
-    right_ref.MarkDirty();
+  }
+  const BtreeKey& new_key = leaf ? key : child_split.separator;
+  INV_ASSIGN_OR_RETURN(uint32_t at, view.UpperBound(new_key));
+  if (view.InsertAt(at, new_key, tid, child_split.right_block)) {
     ref.MarkDirty();
-    SplitResult result;
-    result.split = true;
-    result.separator = right_entries.front().key;
-    result.right_block = right_block;
-    return result;
+    return SplitResult{};
   }
 
-  // Internal node: descend.
-  const uint32_t child = view.ChildFor(key);
-  INV_ASSIGN_OR_RETURN(SplitResult child_split, InsertRec(child, key, tid));
-  if (!child_split.split) {
-    return SplitResult{};
+  // The node is full: materialize its entries with the new one in place.
+  INV_ASSIGN_OR_RETURN(std::vector<Entry> entries, view.Decode());
+  // Insert after any run of equal keys (stable for duplicate keys).
+  auto pos = std::upper_bound(
+      entries.begin(), entries.end(), new_key,
+      [](const BtreeKey& k, const Entry& e) { return CompareKeys(k, e.key) < 0; });
+  entries.insert(pos, Entry{new_key, tid, child_split.right_block});
+
+  // Split: the upper half moves to a fresh right sibling. A leaf copies that
+  // half's first key up as the separator; an internal node moves its middle
+  // key up (the key's child becomes the sibling's leftmost child).
+  if (leaf) {
+    CrashPointRegistry::Hit("btree.split");
   }
-  std::vector<Entry> entries = view.Decode();
-  auto pos = std::upper_bound(entries.begin(), entries.end(), child_split.separator,
-                              [](const BtreeKey& k, const Entry& e) {
-                                return CompareKeys(k, e.key) < 0;
-                              });
-  Entry e;
-  e.key = child_split.separator;
-  e.child = child_split.right_block;
-  entries.insert(pos, std::move(e));
-  if (view.Encode(entries)) {
-    ref.MarkDirty();
-    return SplitResult{};
-  }
-  // Split internal node: the middle key moves up (not copied).
   const size_t m = entries.size() / 2;
   SplitResult result;
   result.split = true;
   result.separator = entries[m].key;
-  INV_ASSIGN_OR_RETURN(uint32_t right_block, NewNode(/*leaf=*/false));
-  INV_ASSIGN_OR_RETURN(PageRef right_ref, pool_->Pin(rel_, right_block));
+  INV_ASSIGN_OR_RETURN(result.right_block, NewNode(leaf));
+  INV_ASSIGN_OR_RETURN(PageRef right_ref, pool_->Pin(rel_, result.right_block));
   NodeView right{right_ref.data()};
-  right.set_leftmost_child(entries[m].child);
+  if (!leaf) {
+    right.set_leftmost_child(entries[m].child);
+  }
   right.set_right_sibling(view.right_sibling());
-  view.set_right_sibling(right_block);
-  std::vector<Entry> right_entries(entries.begin() + static_cast<ptrdiff_t>(m) + 1,
-                                   entries.end());
+  view.set_right_sibling(result.right_block);
+  std::vector<Entry> right_entries(
+      entries.begin() + static_cast<ptrdiff_t>(leaf ? m : m + 1), entries.end());
   entries.resize(m);
-  INV_CHECK(right.Encode(right_entries));
-  INV_CHECK(view.Encode(entries));
+  right.Encode(right_entries);
+  view.Encode(entries);
   right_ref.MarkDirty();
   ref.MarkDirty();
-  result.right_block = right_block;
   return result;
 }
 
@@ -309,12 +337,7 @@ Status BTree::Insert(const BtreeKey& key, Tid tid) {
   INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, new_root));
   NodeView view{ref.data()};
   view.set_leftmost_child(root);
-  Entry e;
-  e.key = split.separator;
-  e.child = split.right_block;
-  std::vector<Entry> entries;
-  entries.push_back(std::move(e));
-  INV_CHECK(view.Encode(entries));
+  INV_CHECK(view.InsertAt(0, split.separator, Tid{}, split.right_block));
   ref.MarkDirty();
   return SetRootBlock(new_root);
 }
@@ -327,22 +350,10 @@ Result<uint32_t> BTree::FindLeaf(uint32_t block, const BtreeKey& key) const {
     if (view.leaf()) {
       return current;
     }
-    current = view.ChildFor(key);
+    INV_ASSIGN_OR_RETURN(current, view.ChildFor(key));
     if (current == kNoBlock) {
       return Status::Corruption("btree internal node with no child");
     }
-  }
-}
-
-Result<uint32_t> BTree::LeftmostLeaf(uint32_t block) const {
-  uint32_t current = block;
-  for (;;) {
-    INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, current));
-    NodeView view{ref.data()};
-    if (view.leaf()) {
-      return current;
-    }
-    current = view.leftmost_child();
   }
 }
 
@@ -350,29 +361,23 @@ Status BTree::Remove(const BtreeKey& key, Tid tid) {
   WriterMutexLock lock(mu_);
   const BtreeKey stored = CombineKey(key, tid);
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
-  INV_ASSIGN_OR_RETURN(uint32_t leaf, FindLeaf(root, stored));
-  uint32_t current = leaf;
+  INV_ASSIGN_OR_RETURN(uint32_t current, FindLeaf(root, stored));
   while (current != kNoBlock) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, current));
     NodeView view{ref.data()};
-    std::vector<Entry> entries = view.Decode();
-    bool past = false;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const int c = CompareKeys(entries[i].key, stored);
-      if (c > 0) {
-        past = true;
-        break;
+    EntryCursor c = view.Entries();
+    while (c.Next()) {
+      const int cmp = CompareKeys(c.key(), stored);
+      if (cmp > 0) {
+        return Status::NotFound("btree entry not found");
       }
-      if (c == 0) {
-        entries.erase(entries.begin() + static_cast<ptrdiff_t>(i));
-        INV_CHECK(view.Encode(entries));
+      if (cmp == 0) {
+        view.EraseAt(c.begin, c.end);
         ref.MarkDirty();
         return Status::Ok();
       }
     }
-    if (past) {
-      break;
-    }
+    INV_RETURN_IF_ERROR(c.status());
     current = view.right_sibling();
   }
   return Status::NotFound("btree entry not found");
@@ -383,30 +388,22 @@ Result<std::vector<Tid>> BTree::Lookup(const BtreeKey& key) const {
   // Position at the first stored key with user part >= key.
   const BtreeKey lower = CombineKey(key, Tid{0, 0});
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
-  INV_ASSIGN_OR_RETURN(uint32_t leaf, FindLeaf(root, lower));
+  INV_ASSIGN_OR_RETURN(uint32_t current, FindLeaf(root, lower));
   std::vector<Tid> out;
-  uint32_t current = leaf;
   while (current != kNoBlock) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, current));
     NodeView view{ref.data()};
-    std::vector<Entry> entries = view.Decode();
-    bool past = false;
-    for (const Entry& e : entries) {
-      if (e.key.size() < kTidSuffix) {
-        return Status::Corruption("stored btree key shorter than TID suffix");
+    EntryCursor c = view.Entries();
+    while (c.Next()) {
+      const int cmp = CompareKeys(c.user_key(), key);
+      if (cmp > 0) {
+        return out;
       }
-      const int c = CompareKeys(UserPart(e.key), key);
-      if (c > 0) {
-        past = true;
-        break;
-      }
-      if (c == 0 && e.key.size() == key.size() + kTidSuffix) {
-        out.push_back(e.tid);
+      if (cmp == 0) {
+        out.push_back(c.tid());
       }
     }
-    if (past) {
-      break;
-    }
+    INV_RETURN_IF_ERROR(c.status());
     current = view.right_sibling();
   }
   return out;
@@ -417,16 +414,15 @@ Status BTree::Iterator::LoadLeaf(uint32_t block, const BtreeKey* lo) {
   pos_ = 0;
   INV_ASSIGN_OR_RETURN(PageRef ref, tree_->pool_->Pin(tree_->rel_, block));
   NodeView view{ref.data()};
-  for (Entry& e : view.Decode()) {
-    if (e.key.size() < kTidSuffix) {
-      return Status::Corruption("stored btree key shorter than TID suffix");
-    }
+  EntryCursor c = view.Entries();
+  while (c.Next()) {
     // Surface the user key (strip the uniquifying TID suffix).
-    BtreeKey user(UserPart(e.key).begin(), UserPart(e.key).end());
+    const std::span<const std::byte> user = c.user_key();
     if (lo == nullptr || CompareKeys(user, *lo) >= 0) {
-      entries_.emplace_back(std::move(user), e.tid);
+      entries_.emplace_back(BtreeKey(user.begin(), user.end()), c.tid());
     }
   }
+  INV_RETURN_IF_ERROR(c.status());
   next_leaf_ = view.right_sibling();
   return Status::Ok();
 }
@@ -446,14 +442,10 @@ Result<BTree::Iterator> BTree::Seek(const BtreeKey& lo) const {
   Iterator it;
   it.tree_ = this;
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
-  uint32_t leaf;
-  if (lo.empty()) {
-    INV_ASSIGN_OR_RETURN(leaf, LeftmostLeaf(root));
-    INV_RETURN_IF_ERROR(it.LoadLeaf(leaf, nullptr));
-  } else {
-    INV_ASSIGN_OR_RETURN(leaf, FindLeaf(root, lo));
-    INV_RETURN_IF_ERROR(it.LoadLeaf(leaf, &lo));
-  }
+  // An empty `lo` sorts before every stored key: descent takes each node's
+  // leftmost child and the leaf keeps all its entries.
+  INV_ASSIGN_OR_RETURN(uint32_t leaf, FindLeaf(root, lo));
+  INV_RETURN_IF_ERROR(it.LoadLeaf(leaf, &lo));
   // Skip empty leaves.
   while (it.entries_.empty() && it.next_leaf_ != kNoBlock) {
     INV_RETURN_IF_ERROR(it.LoadLeaf(it.next_leaf_, nullptr));
@@ -474,10 +466,10 @@ Result<uint64_t> BTree::CountEntries() const {
 Status BTree::CheckInvariants() const {
   ReaderMutexLock lock(mu_);
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
-  // Recursive bound check; collect leaf depth.
+  // Depth-first walk in key order. Every key under a node lies in the
+  // [lower, upper) its parent's separators give it; leaves share one depth.
   int leaf_depth = -1;
-  // (block, depth, lower bound exclusive-or-inclusive simplification: keys
-  // must be >= lower and < upper when bounds present)
+  std::vector<std::pair<uint32_t, uint32_t>> leaves;  // (block, right sibling)
   struct Item {
     uint32_t block;
     int depth;
@@ -490,7 +482,8 @@ Status BTree::CheckInvariants() const {
     stack.pop_back();
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, item.block));
     NodeView view{ref.data()};
-    std::vector<Entry> entries = view.Decode();
+    // Decode walks the bounds-checked cursor, which also checks `used`.
+    INV_ASSIGN_OR_RETURN(std::vector<Entry> entries, view.Decode());
     for (size_t i = 1; i < entries.size(); ++i) {
       if (CompareKeys(entries[i - 1].key, entries[i].key) > 0) {
         return Status::Corruption("btree node keys out of order");
@@ -510,20 +503,26 @@ Status BTree::CheckInvariants() const {
       } else if (leaf_depth != item.depth) {
         return Status::Corruption("btree leaves at unequal depth");
       }
-    } else {
-      if (view.leftmost_child() == kNoBlock) {
-        return Status::Corruption("internal node missing leftmost child");
-      }
-      std::optional<BtreeKey> prev = item.lower;
-      for (size_t i = 0; i <= entries.size(); ++i) {
-        const uint32_t child =
-            i == 0 ? view.leftmost_child() : entries[i - 1].child;
-        std::optional<BtreeKey> lo = i == 0 ? item.lower : std::optional(entries[i - 1].key);
-        std::optional<BtreeKey> hi =
-            i == entries.size() ? item.upper : std::optional(entries[i].key);
-        stack.push_back(Item{child, item.depth + 1, std::move(lo), std::move(hi)});
-      }
-      (void)prev;
+      leaves.emplace_back(item.block, view.right_sibling());
+      continue;
+    }
+    if (view.leftmost_child() == kNoBlock) {
+      return Status::Corruption("internal node missing leftmost child");
+    }
+    // Children go on the stack right to left, so they come off in key order.
+    for (size_t i = entries.size() + 1; i-- > 0;) {
+      const uint32_t child = i == 0 ? view.leftmost_child() : entries[i - 1].child;
+      std::optional<BtreeKey> lo = i == 0 ? item.lower : std::optional(entries[i - 1].key);
+      std::optional<BtreeKey> hi =
+          i == entries.size() ? item.upper : std::optional(entries[i].key);
+      stack.push_back(Item{child, item.depth + 1, std::move(lo), std::move(hi)});
+    }
+  }
+  // The sibling chain threads the leaves in tree order and ends at the last.
+  for (size_t i = 0; i < leaves.size(); ++i) {
+    const uint32_t next = i + 1 < leaves.size() ? leaves[i + 1].first : kNoBlock;
+    if (leaves[i].second != next) {
+      return Status::Corruption("btree leaf sibling chain out of tree order");
     }
   }
   return Status::Ok();

@@ -10,7 +10,8 @@
 // both old and current blocks"). Vacuum rebuilds indices after expunging.
 //
 // Layout: block 0 is a meta page holding the root block number; every other
-// block is a node. Nodes keep entries byte-packed in sorted order.
+// block is a node. Nodes keep entries byte-packed in sorted order. Searches,
+// inserts and removes work on those bytes in place; only a split decodes them.
 
 #pragma once
 
@@ -65,8 +66,8 @@ class BTree {
   // Iterator positioned at the first entry with key >= lo (empty lo: first).
   Result<Iterator> Seek(const BtreeKey& lo) const;
 
-  // Structural validation for tests: sorted nodes, uniform leaf depth,
-  // ordered sibling chain. Returns Corruption on violation.
+  // Structural validation for tests: sorted keys within parent bounds, `used`
+  // matching the entries, one leaf depth, sibling chain in tree order.
   Status CheckInvariants() const;
 
   // Number of entries (full scan; tests and vacuum statistics).
@@ -97,7 +98,6 @@ class BTree {
   // Descend from `block` to the leaf that could contain `key`.
   Result<uint32_t> FindLeaf(uint32_t block, const BtreeKey& key) const
       REQUIRES_SHARED(mu_);
-  Result<uint32_t> LeftmostLeaf(uint32_t block) const REQUIRES_SHARED(mu_);
 
   Oid rel_;
   BufferPool* pool_;

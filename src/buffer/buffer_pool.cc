@@ -161,6 +161,26 @@ Result<uint32_t> BufferPool::NumBlocks(Oid rel) {
   return dev + pending;
 }
 
+void BufferPool::TrackFrame(size_t frame) {
+  Frame& f = frames_[frame];
+  std::vector<size_t>& list = rel_frames_[f.tag.rel];
+  f.rel_pos = list.size();
+  list.push_back(frame);
+}
+
+void BufferPool::UntrackFrame(size_t frame) {
+  const Frame& f = frames_[frame];
+  auto it = rel_frames_.find(f.tag.rel);
+  INV_CHECK(it != rel_frames_.end());
+  std::vector<size_t>& list = it->second;
+  list[f.rel_pos] = list.back();
+  frames_[list.back()].rel_pos = f.rel_pos;
+  list.pop_back();
+  if (list.empty()) {
+    rel_frames_.erase(it);
+  }
+}
+
 Result<size_t> BufferPool::EvictOne() {
   ScopedSpan span(&metrics_->spans(), "buffer.evict");
   // Clock sweep with second chance. Two full revolutions clear every
@@ -200,6 +220,7 @@ Result<size_t> BufferPool::EvictOne() {
       s.table.erase(f.tag);
       f.valid = false;
     }
+    UntrackFrame(i);
     evictions_->Add();
     span.set_a(f.tag.rel);
     span.set_b(f.tag.block);
@@ -337,6 +358,7 @@ Result<PageRef> BufferPool::Pin(Oid rel, uint32_t block) {
     f.ref.store(true, std::memory_order_release);
     s.table[tag] = frame;
   }
+  TrackFrame(frame);
   LocalPinCounter()->fetch_add(1, std::memory_order_relaxed);
   return PageRef(this, frame, f.data.get(), LocalPinCounter());
 }
@@ -363,6 +385,7 @@ Result<PageRef> BufferPool::Extend(Oid rel, uint32_t* new_block) {
     f.ref.store(true, std::memory_order_release);
     s.table[tag] = frame;
   }
+  TrackFrame(frame);
   LocalPinCounter()->fetch_add(1, std::memory_order_relaxed);
   if (new_block != nullptr) {
     *new_block = block;
@@ -384,12 +407,13 @@ Status BufferPool::FlushFrames(std::vector<size_t> frames) {
 
 Status BufferPool::FlushRelation(Oid rel) {
   MutexLock lock(io_mu_);
-  // valid/tag are stable under io_mu_: mapping changes all hold it.
+  // The list is stable under io_mu_: mapping changes all hold it.
   std::vector<size_t> dirty;
-  for (size_t i = 0; i < num_frames_; ++i) {
-    const Frame& f = frames_[i];
-    if (f.valid && f.tag.rel == rel && f.dirty.load(std::memory_order_acquire)) {
-      dirty.push_back(i);
+  if (auto it = rel_frames_.find(rel); it != rel_frames_.end()) {
+    for (size_t i : it->second) {
+      if (frames_[i].dirty.load(std::memory_order_acquire)) {
+        dirty.push_back(i);
+      }
     }
   }
   return FlushFrames(std::move(dirty));
@@ -457,23 +481,24 @@ Status BufferPool::InvalidateAllQuiesced() NO_THREAD_SAFETY_ANALYSIS {
     frames_[i].dirty.store(false, std::memory_order_release);
     frames_[i].ref.store(false, std::memory_order_release);
   }
+  rel_frames_.clear();
   pending_extensions_.clear();
   return Status::Ok();
 }
 
 void BufferPool::DiscardRelation(Oid rel) {
   MutexLock lock(io_mu_);
-  for (size_t i = 0; i < num_frames_; ++i) {
-    Frame& f = frames_[i];
-    if (!f.valid || f.tag.rel != rel) {
-      continue;
+  if (auto it = rel_frames_.find(rel); it != rel_frames_.end()) {
+    for (size_t i : it->second) {
+      Frame& f = frames_[i];
+      INV_CHECK(f.pins.load(std::memory_order_acquire) == 0);
+      Shard& s = ShardFor(f.tag);
+      WriterMutexLock shard_lock(s.mu);
+      s.table.erase(f.tag);
+      f.valid = false;
+      f.dirty.store(false, std::memory_order_release);
     }
-    INV_CHECK(f.pins.load(std::memory_order_acquire) == 0);
-    Shard& s = ShardFor(f.tag);
-    WriterMutexLock shard_lock(s.mu);
-    s.table.erase(f.tag);
-    f.valid = false;
-    f.dirty.store(false, std::memory_order_release);
+    rel_frames_.erase(it);
   }
   pending_extensions_.erase(rel);
 }
@@ -491,6 +516,7 @@ void BufferPool::DiscardAll() {
     f.ref.store(false, std::memory_order_release);
     f.pins.store(0, std::memory_order_release);
   }
+  rel_frames_.clear();
   pending_extensions_.clear();
 }
 

@@ -192,6 +192,8 @@ class BufferPool {
     std::atomic<bool> dirty{false};
     std::atomic<bool> ref{false};
     std::atomic<int> pins{0};
+    // Index of this frame in rel_frames_[tag.rel] while valid (io_mu_).
+    size_t rel_pos = 0;
     // Page latch (see PageRef::Latch). Belongs to the frame, not the page:
     // remapping the frame to a different (rel, block) is fine because a
     // latch is only ever held by a pin holder, and remapping requires
@@ -228,6 +230,9 @@ class BufferPool {
   // Flush the dirty frames among `frames` in ascending (rel, block) order.
   Status FlushFrames(std::vector<size_t> frames) REQUIRES(io_mu_);
   Result<uint32_t> DeviceBlocks(Oid rel) REQUIRES(io_mu_);
+  // Add a frame just mapped to its relation's list; drop one being unmapped.
+  void TrackFrame(size_t frame) REQUIRES(io_mu_);
+  void UntrackFrame(size_t frame) REQUIRES(io_mu_);
   // The invalidation tail of FlushAndInvalidate: recheck quiescence and clear
   // every mapping while holding every shard mutex.
   Status InvalidateAllQuiesced() REQUIRES(io_mu_);
@@ -249,6 +254,10 @@ class BufferPool {
   // rel -> blocks past device size
   std::map<Oid, uint32_t> pending_extensions_ GUARDED_BY(io_mu_);
   size_t hand_ GUARDED_BY(io_mu_) = 0;  // clock-sweep position
+  // rel -> its valid frames, in no order. Every mapping change updates it, so
+  // FlushRelation and DiscardRelation visit only their relation's frames
+  // instead of scanning the pool.
+  std::unordered_map<Oid, std::vector<size_t>> rel_frames_ GUARDED_BY(io_mu_);
 
   // buffer.* metrics. Cached registry pointers: an increment is one striped
   // relaxed fetch_add, so the hit path stays as cheap as the raw atomics the

@@ -496,18 +496,28 @@ void Checker::CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel) 
     const uint32_t right_sib = GetU32(buf.data() + bl::kOffRightSib);
     const uint32_t leftmost = GetU32(buf.data() + bl::kOffLeftChild);
 
+    // The live tree edits nodes in place and trusts `used` to mark the end
+    // of the entry area, so it must fit the area and match the entries.
+    const uint16_t used = GetU16(buf.data() + bl::kOffUsed);
+    if (used > bl::kEntryArea) {
+      Add("btree-node-encoding", index.oid, block,
+          "used " + std::to_string(used) + " exceeds the entry area (" +
+              std::to_string(bl::kEntryArea) + " bytes)");
+      return;
+    }
+
     // Decode entries with bounds checking.
     std::vector<NodeEntry> entries;
     entries.reserve(nkeys);
     const std::byte* d = buf.data() + bl::kOffEntries;
-    const std::byte* end = buf.data() + kPageSize;
+    const std::byte* end = d + used;
     bool encoding_ok = true;
     for (uint16_t i = 0; i < nkeys; ++i) {
       const size_t payload = leaf ? 6 : 4;
       if (static_cast<size_t>(end - d) < 2 ||
           static_cast<size_t>(end - d) < 2 + GetU16(d) + payload) {
         Add("btree-node-encoding", index.oid, block,
-            "entry " + std::to_string(i) + " runs past the node");
+            "entry " + std::to_string(i) + " runs past the node's used bytes");
         encoding_ok = false;
         break;
       }
@@ -525,6 +535,12 @@ void Checker::CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel) 
         d += 4;
       }
       entries.push_back(std::move(e));
+    }
+    if (encoding_ok && d != end) {
+      Add("btree-node-encoding", index.oid, block,
+          "used " + std::to_string(used) + " but the entries occupy " +
+              std::to_string(d - (buf.data() + bl::kOffEntries)) + " bytes");
+      encoding_ok = false;
     }
     if (!encoding_ok) {
       return;

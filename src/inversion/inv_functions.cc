@@ -92,13 +92,18 @@ Status InversionFs::RegisterBuiltinFunctions(TxnId txn) {
     INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));
     INV_ASSIGN_OR_RETURN(std::string path, PathOf(file, ctx.snap));
     const size_t slash = path.rfind('/');
-    return Value::Text(slash == 0 ? "/" : path.substr(0, slash));
+    // Text results go out through a named Result: GCC 12 reports a false
+    // -Wfree-nonheap-object on the moved-from temporary of a direct
+    // `return Value::Text(...)` here and in pathname and keywords.
+    Result<Value> out(Value::Text(slash == 0 ? "/" : path.substr(0, slash)));
+    return out;
   });
   registry_.RegisterNative("pathname", [this](std::span<const Value> args,
                                               EvalContext& ctx) -> Result<Value> {
     INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));
     INV_ASSIGN_OR_RETURN(std::string path, PathOf(file, ctx.snap));
-    return Value::Text(path);
+    Result<Value> out(Value::Text(path));
+    return out;
   });
   // Calendar mapping for the paper's month_of(file) = "April" idiom: the
   // simulated epoch is 1 January; months are 30 simulated days.
@@ -164,7 +169,8 @@ Status InversionFs::RegisterBuiltinFunctions(TxnId txn) {
       }
       joined += w;
     }
-    return Value::Text(joined);
+    Result<Value> out(Value::Text(joined));
+    return out;
   });
 
   // Catalog entries (pg_proc) for each builtin, created once.

@@ -10,7 +10,9 @@
 #include <vector>
 
 #include "src/access/btree.h"
+#include "src/access/btree_layout.h"
 #include "src/buffer/buffer_pool.h"
+#include "src/util/bytes.h"
 #include "src/util/random.h"
 
 namespace invfs {
@@ -245,6 +247,124 @@ TEST_F(BTreeTest, LookupsShareTheTreeWithASplittingWriter) {
   EXPECT_EQ(bad.load(), 0);
   EXPECT_EQ(*tree_->CountEntries(), static_cast<uint64_t>(kKeys));
   EXPECT_TRUE(tree_->CheckInvariants().ok());
+}
+
+// The root leaf is block 1 (block 0 is the meta page) and, because a split
+// moves the upper half right, it stays the leftmost leaf.
+constexpr uint32_t kFirstLeaf = 1;
+
+// An entry that claims more key bytes than its node holds must read as
+// Corruption, not as bytes past the 8 KB frame (the asan leg checks that).
+TEST_F(BTreeTest, CorruptEntryLengthIsCorruption) {
+  for (uint32_t k = 0; k < 10; ++k) {
+    ASSERT_TRUE(tree_->Insert(EncodeInt4Key(static_cast<int32_t>(k)), Tid{k, 0}).ok());
+  }
+  {
+    auto leaf = pool_->Pin(1, kFirstLeaf);
+    ASSERT_TRUE(leaf.ok());
+    PutU16(leaf->data() + btree_layout::kOffEntries, 0xFFFF);  // first klen
+  }
+  auto is_corruption = [](const Status& s) {
+    return s.code() == ErrorCode::kCorruption;
+  };
+  EXPECT_TRUE(is_corruption(tree_->Lookup(EncodeInt4Key(5)).status()));
+  EXPECT_TRUE(is_corruption(tree_->Seek(EncodeInt4Key(5)).status()));
+  EXPECT_TRUE(is_corruption(tree_->Remove(EncodeInt4Key(5), Tid{5, 0})));
+  EXPECT_TRUE(is_corruption(tree_->Insert(EncodeInt4Key(5), Tid{5, 1})));
+  EXPECT_TRUE(is_corruption(tree_->CheckInvariants()));
+}
+
+// A `used` count that disagrees with the entries is caught where a walk
+// reaches the end of the node.
+TEST_F(BTreeTest, UsedCountMismatchIsCorruption) {
+  ASSERT_TRUE(tree_->Insert(EncodeInt4Key(1), Tid{1, 0}).ok());
+  {
+    auto leaf = pool_->Pin(1, kFirstLeaf);
+    ASSERT_TRUE(leaf.ok());
+    std::byte* used = leaf->data() + btree_layout::kOffUsed;
+    PutU16(used, static_cast<uint16_t>(GetU16(used) + 1));
+  }
+  EXPECT_EQ(tree_->Lookup(EncodeInt4Key(2)).status().code(), ErrorCode::kCorruption);
+  EXPECT_EQ(tree_->CheckInvariants().code(), ErrorCode::kCorruption);
+}
+
+// CheckInvariants follows the leaf sibling chain: it must thread the leaves
+// in tree order and end at the last one.
+TEST_F(BTreeTest, CheckInvariantsFollowsTheSiblingChain) {
+  for (int32_t k = 0; k < 2000; ++k) {
+    ASSERT_TRUE(tree_->Insert(EncodeInt4Key(k), Tid{static_cast<uint32_t>(k), 0}).ok());
+  }
+  ASSERT_TRUE(tree_->CheckInvariants().ok());
+  auto leaf = pool_->Pin(1, kFirstLeaf);
+  ASSERT_TRUE(leaf.ok());
+  std::byte* sibling = leaf->data() + btree_layout::kOffRightSib;
+  const uint32_t next = GetU32(sibling);
+  ASSERT_NE(next, BTree::kNoBlock);
+  PutU32(sibling, BTree::kNoBlock);
+  EXPECT_EQ(tree_->CheckInvariants().code(), ErrorCode::kCorruption);
+  PutU32(sibling, next);
+  EXPECT_TRUE(tree_->CheckInvariants().ok());
+}
+
+// Golden node pages: a seeded mix of inserts and removes over long text keys
+// (so internal nodes split too) with duplicate runs longer than a leaf holds,
+// then a digest over every page of the index as flushed to the device. The
+// digest pins the on-disk node bytes: any change to how nodes are searched,
+// edited or split must leave every page byte-identical.
+TEST_F(BTreeTest, GoldenNodePages) {
+  Rng rng(1993);
+  auto text_key = [](uint64_t id) {
+    std::string name = "inversion/chunk-" + std::to_string(id) + "/";
+    name.resize(180 + (id * 37) % 160, static_cast<char>('a' + id % 26));
+    return EncodeTextKey(name);
+  };
+  std::vector<std::pair<BtreeKey, Tid>> live;
+  uint32_t next_block = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t roll = rng.Uniform(10);
+    if (roll < 3 && !live.empty()) {
+      const size_t victim = rng.Uniform(live.size());
+      ASSERT_TRUE(tree_->Remove(live[victim].first, live[victim].second).ok());
+      live[victim] = std::move(live.back());
+      live.pop_back();
+      continue;
+    }
+    // Every 500 steps, a run of 60 equal keys: more than one leaf holds.
+    const int copies = step % 500 == 0 ? 60 : 1;
+    const BtreeKey key = text_key(roll == 9 ? step % 7 : rng.Uniform(400));
+    for (int c = 0; c < copies; ++c) {
+      const Tid tid{next_block++, static_cast<uint16_t>(rng.Uniform(64))};
+      ASSERT_TRUE(tree_->Insert(key, tid).ok());
+      live.emplace_back(key, tid);
+    }
+  }
+  ASSERT_TRUE(tree_->CheckInvariants().ok());
+  ASSERT_EQ(*tree_->CountEntries(), live.size());
+  ASSERT_TRUE(pool_->FlushAll().ok());
+
+  // The root's first child is internal too: the tree is at least three
+  // levels deep, so internal nodes have split.
+  namespace bl = btree_layout;
+  auto nblocks = store_.NumBlocks(1);
+  ASSERT_TRUE(nblocks.ok());
+  std::vector<std::byte> page(kPageSize);
+  auto node_type = [&](uint32_t block) {
+    EXPECT_TRUE(store_.Read(1, block, page).ok());
+    return static_cast<uint8_t>(page[bl::kOffType]);
+  };
+  ASSERT_TRUE(store_.Read(1, 0, page).ok());
+  const uint32_t root = GetU32(page.data() + bl::kOffMetaRoot);
+  ASSERT_EQ(node_type(root), bl::kNodeInternal);
+  ASSERT_EQ(node_type(GetU32(page.data() + bl::kOffLeftChild)), bl::kNodeInternal);
+
+  uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a over every page
+  for (uint32_t b = 0; b < *nblocks; ++b) {
+    ASSERT_TRUE(store_.Read(1, b, page).ok());
+    for (std::byte x : page) {
+      digest = (digest ^ static_cast<uint8_t>(x)) * 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(digest, 0xa2016805eaf2649aULL);
 }
 
 // Property test: random interleaved inserts/removes vs a reference multimap.

@@ -241,6 +241,51 @@ TEST_F(BufferPoolTest, DiscardRelationOnlyAffectsThatRelation) {
   EXPECT_EQ(*store_.NumBlocks(2), 0u);
 }
 
+// FlushRelation and DiscardRelation walk a per-relation frame list that
+// every mapping change keeps current. Interleave two relations through a pool
+// small enough to evict and remap frames, then check each call found exactly
+// its relation's frames.
+TEST_F(BufferPoolTest, PerRelationFrameListFollowsEvictionAndRemap) {
+  CreateRel(1);
+  CreateRel(2);
+  BufferPool pool(&sw_, 4, &clock_);
+  auto write = [&](Oid rel, uint32_t block, uint8_t v) {
+    auto ref = pool.Pin(rel, block);
+    ASSERT_TRUE(ref.ok());
+    ref->data()[100] = std::byte{v};
+    ref->MarkDirty();
+  };
+  for (uint8_t i = 0; i < 10; ++i) {
+    for (Oid rel : {Oid{1}, Oid{2}}) {
+      uint32_t block = 0;
+      ASSERT_TRUE(pool.Extend(rel, &block).ok());
+      write(rel, block, static_cast<uint8_t>(rel * 16 + i));
+    }
+  }
+  ASSERT_TRUE(pool.FlushRelation(1).ok());
+  EXPECT_EQ(*store_.NumBlocks(1), 10u);
+  const uint64_t flushed = pool.write_backs();
+  ASSERT_TRUE(pool.FlushRelation(1).ok());
+  EXPECT_EQ(pool.write_backs(), flushed) << "rel 1 has nothing left to write";
+  pool.DiscardRelation(2);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  EXPECT_EQ(pool.write_backs(), flushed) << "DiscardRelation dropped every rel 2 frame";
+  EXPECT_LT(*store_.NumBlocks(2), 10u);
+
+  // Re-dirty rel 1 through remapped frames; one FlushRelation makes it all
+  // durable.
+  for (uint32_t b = 0; b < 10; ++b) {
+    write(1, b, static_cast<uint8_t>(0x80 + b));
+  }
+  ASSERT_TRUE(pool.FlushRelation(1).ok());
+  pool.DiscardAll();
+  for (uint32_t b = 0; b < 10; ++b) {
+    auto ref = pool.Pin(1, b);
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ(ref->data()[100], std::byte{static_cast<uint8_t>(0x80 + b)}) << b;
+  }
+}
+
 TEST_F(BufferPoolTest, LruEvictsColdestFrame) {
   CreateRel(1);
   MetricsRegistry reg;

@@ -226,6 +226,40 @@ TEST_F(CheckTest, OutOfOrderBtreeKeyDetected) {
   EXPECT_TRUE(report->Has("btree-key-order")) << report->ToString();
 }
 
+// The live tree trusts a node's `used` header to find the end of its entry
+// area, so the checker holds it to the entries: past the area, or off by a
+// single byte from what the entries occupy, is a node-encoding violation.
+TEST_F(CheckTest, BtreeUsedHeaderMismatchDetected) {
+  MakeFile("/u1", "x");
+  MakeFile("/u2", "y");
+  ASSERT_TRUE(db_->FlushCaches().ok());
+  auto naming = db_->catalog().GetTable("naming");
+  ASSERT_TRUE(naming.ok());
+  ASSERT_FALSE((*naming)->indexes.empty());
+  const Oid index = (*naming)->indexes[0]->oid;
+  namespace bl = btree_layout;
+  std::vector<std::byte> meta(kPageSize);
+  ASSERT_TRUE(env_.disk_store->Read(index, 0, meta).ok());
+  const uint32_t root = GetU32(meta.data() + bl::kOffMetaRoot);
+  uint16_t good = 0;
+  MutateAndRestamp(index, root,
+                   [&](std::byte* frame) { good = GetU16(frame + bl::kOffUsed); });
+  for (const uint32_t bad : {uint32_t{bl::kEntryArea} + 1, uint32_t{good} + 1}) {
+    MutateAndRestamp(index, root, [&](std::byte* frame) {
+      PutU16(frame + bl::kOffUsed, static_cast<uint16_t>(bad));
+    });
+    auto report = CheckImage(env_);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->Has("btree-node-encoding")) << "used " << bad << "\n"
+                                                    << report->ToString();
+  }
+  MutateAndRestamp(index, root,
+                   [&](std::byte* frame) { PutU16(frame + bl::kOffUsed, good); });
+  auto report = CheckImage(env_);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->ToString();
+}
+
 TEST_F(CheckTest, OrphanChunkTableDetected) {
   // A chunk table whose file oid no fileatt version references: unreachable
   // storage that a lost delete (or botched vacuum) would leave behind.
