@@ -9,8 +9,8 @@
 //     crash: recovery converts their in-progress entries to aborted and
 //     persists the converted log pages.
 //   * overhead — what the always-on robustness machinery costs when nothing
-//     is armed: a CrashPointRegistry::Hit, and a device write through the
-//     ErrorPolicyDevice / FaultDevice decorators versus the bare device.
+//     is armed: a CrashPointRegistry::Hit, and a device write+read through
+//     the SwitchEntry wrapper versus the bare device.
 //
 // Usage: bench_pr5 [output.json]
 
@@ -21,9 +21,8 @@
 #include <vector>
 
 #include "src/catalog/database.h"
-#include "src/device/error_policy.h"
 #include "src/fault/crash_points.h"
-#include "src/fault/fault_device.h"
+#include "src/fault/switch_entry.h"
 #include "src/inversion/inv_fs.h"
 
 namespace invfs {
@@ -221,26 +220,24 @@ int Main(int argc, char** argv) {
   }
 
   std::fprintf(stderr, "unarmed overhead...\n");
-  // Bare NVRAM device vs the same device under the retry policy, and under
-  // policy + fault decorator with an injector that has nothing armed — the
-  // production stacking when DatabaseOptions::fault_injector is set.
-  // All three stacks wrap the SAME backing store and operate on the same
-  // relation/block: the 8 KB page copies dominate the absolute cost, so
-  // giving each stack its own store would make the comparison hostage to
-  // allocator layout luck rather than decorator cost.
+  // Bare NVRAM device vs the same device in a SwitchEntry with no injector
+  // (the keys' "retry_policy"), and in one with an injector that has nothing
+  // armed (the keys' "policy_plus_unarmed_fault") — the production entry
+  // when DatabaseOptions::fault_injector is set. All three wrap the SAME
+  // backing store and operate on the same relation/block: the 8 KB page
+  // copies dominate the absolute cost, so giving each its own store would
+  // make the comparison hostage to allocator layout luck rather than
+  // wrapper cost.
   MemBlockStore store;
   NvramDevice bare(&store);
 
   SimClock clock;
   MetricsRegistry metrics;
-  ErrorPolicyDevice policy(std::make_unique<NvramDevice>(&store), &clock,
-                           DeviceErrorPolicy{}, &metrics);
+  SwitchEntry policy(std::make_unique<NvramDevice>(&store), &clock, &metrics);
 
   FaultInjector injector;
-  ErrorPolicyDevice policy_fault(
-      std::make_unique<FaultDevice>(std::make_unique<NvramDevice>(&store),
-                                    &injector),
-      &clock, DeviceErrorPolicy{}, &metrics);
+  SwitchEntry policy_fault(std::make_unique<NvramDevice>(&store), &clock,
+                           &metrics, &injector);
 
   const std::vector<double> rt = DeviceRoundTripNs({&bare, &policy, &policy_fault});
   if (rt.size() != 3) {

@@ -1,7 +1,6 @@
 #include "src/catalog/database.h"
 
-#include "src/device/instrumented_device.h"
-#include "src/fault/fault_device.h"
+#include "src/fault/switch_entry.h"
 
 namespace invfs {
 
@@ -11,22 +10,12 @@ Database::Database(StorageEnv* env, DatabaseOptions options)
       metrics_(options_.span_ring_capacity) {
   metrics_.ConfigureTimeseries(options_.timeseries_interval_micros,
                                options_.timeseries_capacity);
-  // Every device goes through the switch stacked as
-  // Policy(Instrumented(Fault(real))): the fault injector (when configured)
-  // sits closest to the store so corruption lands in the raw image, the
-  // instrumentation above it sees every physical attempt including retries,
-  // and the error policy on top retries transients and trips read-only on
-  // permanent write failures. Code needing the concrete device type
-  // downcasts Underlying().
-  auto wrap = [this, &options](std::unique_ptr<DeviceManager> dev)
-      -> std::unique_ptr<DeviceManager> {
-    if (options.fault_injector != nullptr) {
-      dev = std::make_unique<FaultDevice>(std::move(dev), options.fault_injector);
-    }
-    auto instrumented =
-        std::make_unique<InstrumentedDevice>(std::move(dev), clock_, &metrics_);
-    return std::make_unique<ErrorPolicyDevice>(
-        std::move(instrumented), clock_, options.error_policy, &metrics_);
+  // Each switch entry is one SwitchEntry over the concrete device: fault
+  // injection, instrumentation and the retry/read-only policy per attempt.
+  // Code needing the concrete device type downcasts Underlying().
+  auto wrap = [this, &options](std::unique_ptr<DeviceManager> dev) {
+    return std::make_unique<SwitchEntry>(std::move(dev), clock_, &metrics_,
+                                         options.fault_injector);
   };
   devices_.Register(kDeviceMagneticDisk,
                     wrap(std::make_unique<MagneticDiskDevice>(

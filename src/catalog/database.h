@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "src/catalog/catalog.h"
-#include "src/device/error_policy.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/sim/cost_params.h"
@@ -55,14 +54,9 @@ struct DatabaseOptions {
   // move frequently"). Disable to measure what lazy index write-back buys
   // (ablation bench).
   bool write_through_indexes = true;
-  // Transient-error retry and read-only degradation knobs, applied to every
-  // device (the policy decorator is always stacked; with no faults armed its
-  // cost is one relaxed load per I/O — bench_pr5 gates this).
-  DeviceErrorPolicy error_policy{};
-  // Optional fault injection: when set, every device is additionally wrapped
-  // in a FaultDevice sharing this injector (stacking:
-  // Policy(Instrumented(Fault(real))), so retries are visible to the
-  // instrumentation). Caller-owned; must outlive the Database.
+  // Optional fault injection: when set, every device's SwitchEntry consults
+  // this injector on each I/O attempt, retries included. Caller-owned; must
+  // outlive the Database.
   FaultInjector* fault_injector = nullptr;
   // Capacity of the per-registry span ring (rounded up to a power of two).
   // Sizing is a retention/memory tradeoff only; recording cost is

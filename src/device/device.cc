@@ -6,13 +6,24 @@
 
 namespace invfs {
 
+// ------------------------------------------------------------------ ExtentMap
+
+uint64_t ExtentMap::PhysicalAddress(Oid rel, uint32_t block) {
+  auto& ext = extents_[rel];
+  const uint32_t extent_index = block / extent_pages_;
+  while (ext.size() <= extent_index) {
+    ext.push_back(next_free_extent_++ * extent_pages_);
+  }
+  return ext[extent_index] + block % extent_pages_;
+}
+
 // --------------------------------------------------------- MagneticDiskDevice
 
 MagneticDiskDevice::MagneticDiskDevice(BlockStore* store, SimClock* clock,
                                        DiskParams params, uint32_t extent_pages)
     : store_(store),
       model_(std::make_unique<DiskModel>(clock, params)),
-      extent_pages_(extent_pages) {}
+      extents_(extent_pages) {}
 
 MagneticDiskDevice::~MagneticDiskDevice() = default;
 
@@ -21,25 +32,20 @@ DiskModel& MagneticDiskDevice::disk_model() { return *model_; }
 Status MagneticDiskDevice::CreateRelation(Oid rel) {
   INV_RETURN_IF_ERROR(store_->Create(rel));
   MutexLock lock(mu_);
-  extents_.try_emplace(rel);
+  extents_.Add(rel);
   return Status::Ok();
 }
 
 Status MagneticDiskDevice::DropRelation(Oid rel) {
   INV_RETURN_IF_ERROR(store_->Drop(rel));
   MutexLock lock(mu_);
-  extents_.erase(rel);  // extents are leaked on purpose: no free-space reuse
+  extents_.Remove(rel);
   return Status::Ok();
 }
 
 uint64_t MagneticDiskDevice::PhysicalAddress(Oid rel, uint32_t block) {
   MutexLock lock(mu_);
-  auto& ext = extents_[rel];
-  const uint32_t extent_index = block / extent_pages_;
-  while (ext.size() <= extent_index) {
-    ext.push_back(next_free_extent_++ * extent_pages_);
-  }
-  return ext[extent_index] + block % extent_pages_;
+  return extents_.PhysicalAddress(rel, block);
 }
 
 Status MagneticDiskDevice::ReadBlock(Oid rel, uint32_t block, std::span<std::byte> out) {
@@ -60,32 +66,24 @@ JukeboxDevice::JukeboxDevice(BlockStore* store, SimClock* clock, JukeboxParams p
     : store_(store),
       clock_(clock),
       params_(params),
-      cache_disk_(std::make_unique<DiskModel>(clock, cache_disk_params)) {}
+      cache_disk_(std::make_unique<DiskModel>(clock, cache_disk_params)),
+      extents_(params.extent_pages) {}
 
 JukeboxDevice::~JukeboxDevice() = default;
 
 Status JukeboxDevice::CreateRelation(Oid rel) {
   INV_RETURN_IF_ERROR(store_->Create(rel));
   MutexLock lock(mu_);
-  extents_.try_emplace(rel);
+  extents_.Add(rel);
   return Status::Ok();
 }
 
 Status JukeboxDevice::DropRelation(Oid rel) {
   INV_RETURN_IF_ERROR(store_->Drop(rel));
   MutexLock lock(mu_);
-  extents_.erase(rel);
+  extents_.Remove(rel);
   rewrite_counts_.erase(rel);
   return Status::Ok();
-}
-
-uint64_t JukeboxDevice::PhysicalAddress(Oid rel, uint32_t block) {
-  auto& ext = extents_[rel];
-  const uint32_t extent_index = block / params_.extent_pages;
-  while (ext.size() <= extent_index) {
-    ext.push_back(next_free_extent_++ * params_.extent_pages);
-  }
-  return ext[extent_index] + block % params_.extent_pages;
 }
 
 void JukeboxDevice::ChargeOpticalIo(uint64_t phys) {
@@ -132,7 +130,7 @@ bool JukeboxDevice::CacheTouch(const CacheKey& key, bool dirty) {
             ++worm_remaps_;
           }
           ++count;
-          ChargeOpticalIo(PhysicalAddress(victim.rel, victim.block));
+          ChargeOpticalIo(extents_.PhysicalAddress(victim.rel, victim.block));
         }
         cached_.erase(vit);
       }
@@ -148,12 +146,12 @@ Status JukeboxDevice::ReadBlock(Oid rel, uint32_t block, std::span<std::byte> ou
     const CacheKey key{rel, block};
     if (CacheTouch(key, /*dirty=*/false)) {
       ++cache_hits_;
-      cache_disk_->ChargePageIo(PhysicalAddress(rel, block));
+      cache_disk_->ChargePageIo(extents_.PhysicalAddress(rel, block));
     } else {
       ++cache_misses_;
       // Fetch from the platter into the staging cache, then serve.
-      ChargeOpticalIo(PhysicalAddress(rel, block));
-      cache_disk_->ChargePageIo(PhysicalAddress(rel, block));
+      ChargeOpticalIo(extents_.PhysicalAddress(rel, block));
+      cache_disk_->ChargePageIo(extents_.PhysicalAddress(rel, block));
     }
   }
   return store_->Read(rel, block, out);
@@ -171,7 +169,7 @@ Status JukeboxDevice::WriteBlock(Oid rel, uint32_t block,
     }
     // Writes land in the magnetic staging cache; optical cost is paid at
     // destage time (eviction or Sync).
-    cache_disk_->ChargePageIo(PhysicalAddress(rel, block));
+    cache_disk_->ChargePageIo(extents_.PhysicalAddress(rel, block));
   }
   return store_->Write(rel, block, data);
 }
@@ -185,7 +183,7 @@ Status JukeboxDevice::Sync() {
         ++worm_remaps_;
       }
       ++count;
-      ChargeOpticalIo(PhysicalAddress(key.rel, key.block));
+      ChargeOpticalIo(extents_.PhysicalAddress(key.rel, key.block));
       dirty = false;
     }
   }

@@ -20,6 +20,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "src/device/block_store.h"
 #include "src/sim/cost_params.h"
@@ -55,9 +56,9 @@ class DeviceManager {
   // Hook for devices with post-commit work (e.g. jukebox cache destage).
   virtual Status Sync() { return Status::Ok(); }
 
-  // Unwraps instrumentation decorators (InstrumentedDevice). Callers that
-  // need the concrete device type (e.g. JukeboxDevice's cache statistics)
-  // must downcast Underlying(), never the switch entry itself.
+  // Unwraps the switch entry (SwitchEntry) to the concrete device. Callers
+  // that need the concrete device type (e.g. JukeboxDevice's cache
+  // statistics) must downcast Underlying(), never the switch entry itself.
   virtual DeviceManager* Underlying() { return this; }
 };
 
@@ -85,6 +86,28 @@ class NvramDevice final : public DeviceManager {
 
 class DiskModel;
 
+// Logical-to-physical block map shared by the cost-modelled devices: a
+// relation's blocks live in extents of `extent_pages` contiguous physical
+// pages, allocated in logical order from one global cursor. Dropped
+// relations leak their extents on purpose (no free-space reuse). Not
+// thread-safe; the owning device guards it with its own mutex.
+class ExtentMap {
+ public:
+  explicit ExtentMap(uint32_t extent_pages) : extent_pages_(extent_pages) {}
+
+  void Add(Oid rel) { extents_.try_emplace(rel); }
+  void Remove(Oid rel) { extents_.erase(rel); }
+  // Physical address of (rel, block); allocates new extents when `block`
+  // crosses the relation's current allocation.
+  uint64_t PhysicalAddress(Oid rel, uint32_t block);
+
+ private:
+  uint32_t extent_pages_;
+  uint64_t next_free_extent_ = 0;  // global allocation cursor, in extents
+  // Per relation: physical extent bases in logical order.
+  std::unordered_map<Oid, std::vector<uint64_t>> extents_;
+};
+
 // Magnetic disk: cost-modelled seeks/rotation/transfer over a physical block
 // address space. Relations are laid out in extents allocated from a global
 // cursor, which approximates FFS cylinder-group clustering: blocks within an
@@ -107,18 +130,12 @@ class MagneticDiskDevice final : public DeviceManager {
   DiskModel& disk_model();
 
  private:
-  // Physical address of (rel, block); allocates a new extent when `block`
-  // crosses the current allocation.
   uint64_t PhysicalAddress(Oid rel, uint32_t block) EXCLUDES(mu_);
 
   BlockStore* store_;
   std::unique_ptr<DiskModel> model_;
-  uint32_t extent_pages_;
   Mutex mu_;
-  // Global allocation cursor, in extents.
-  uint64_t next_free_extent_ GUARDED_BY(mu_) = 0;
-  // Per relation: physical extent bases in logical order.
-  std::unordered_map<Oid, std::vector<uint64_t>> extents_ GUARDED_BY(mu_);
+  ExtentMap extents_ GUARDED_BY(mu_);
 };
 
 // Sony WORM optical jukebox with a magnetic staging cache.
@@ -175,7 +192,6 @@ class JukeboxDevice final : public DeviceManager {
     }
   };
 
-  uint64_t PhysicalAddress(Oid rel, uint32_t block) REQUIRES(mu_);
   void ChargeOpticalIo(uint64_t phys) REQUIRES(mu_);
   // Touch the staging cache; returns true on hit. On miss inserts and evicts.
   bool CacheTouch(const CacheKey& key, bool dirty) REQUIRES(mu_);
@@ -186,8 +202,7 @@ class JukeboxDevice final : public DeviceManager {
   std::unique_ptr<DiskModel> cache_disk_;  // cost model for the staging cache
   mutable Mutex mu_;
 
-  uint64_t next_free_extent_ GUARDED_BY(mu_) = 0;
-  std::unordered_map<Oid, std::vector<uint64_t>> extents_ GUARDED_BY(mu_);
+  ExtentMap extents_ GUARDED_BY(mu_);
   std::unordered_map<Oid, std::unordered_map<uint32_t, int>> rewrite_counts_
       GUARDED_BY(mu_);
 

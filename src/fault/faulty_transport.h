@@ -3,8 +3,8 @@
 // The network is the one fault domain the device torture stack cannot reach:
 // frames vanish in either direction, arrive twice, arrive cut short, or the
 // connection dies under the client. This decorator injects exactly those
-// failures against a seeded Rng and the shared SimClock, mirroring
-// FaultDevice's spec style (src/fault/fault_device.h): a schedule of 1-based
+// failures against a seeded Rng and the shared SimClock, mirroring the device
+// FaultInjector's spec style (src/fault/switch_entry.h): a schedule of 1-based
 // occurrence counts armed per replay for the torture sweeps, plus a
 // probabilistic rate mode for the load observatory and benchmarks.
 //
@@ -33,7 +33,7 @@
 //     extra latency.
 //
 // Determinism: scheduled faults fire on exact 1-based exchange counts since
-// the last Arm (bootstrap traffic uncounted, FaultDevice-style); rate-mode
+// the last Arm (bootstrap traffic uncounted, as for FaultInjector); rate-mode
 // draws come from the seeded Rng only. Same seed + same schedule + same
 // workload = the same faults at the same sim times.
 

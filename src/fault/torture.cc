@@ -7,7 +7,7 @@
 #include <set>
 
 #include "src/fault/crash_points.h"
-#include "src/fault/fault_device.h"
+#include "src/fault/switch_entry.h"
 #include "src/harness/worlds.h"
 #include "src/load/loadgen.h"
 #include "src/util/random.h"

@@ -209,9 +209,8 @@ Status CommitLog::WaitPersisted(uint64_t seq) {
     Status s = Status::Ok();
     // A transient device hiccup must not poison the log: page writes are
     // idempotent images, so the whole batch is simply retried from the top.
-    // (With the ErrorPolicyDevice stacked below, transients are normally
-    // retried there and never reach this loop; this guards logs opened on a
-    // bare device.)
+    // (A SwitchEntry below normally retries transients itself, so they never
+    // reach this loop; this guards logs opened on a bare device.)
     for (int attempt = 0; attempt < 3; ++attempt) {
       s = Status::Ok();
       for (size_t i = 0; i < blocks.size() && s.ok(); ++i) {

@@ -8,7 +8,7 @@
 
 #include "src/buffer/buffer_pool.h"
 #include "src/check/checker.h"
-#include "src/fault/fault_device.h"
+#include "src/fault/switch_entry.h"
 #include "src/inversion/inv_fs.h"
 
 namespace invfs {

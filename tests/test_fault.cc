@@ -1,6 +1,6 @@
 // Unit and stack tests for the fault-injection layer: crash points, the
-// FaultDevice decorator, the retry/read-only ErrorPolicyDevice, and the
-// graceful-degradation paths they feed (commit-log fail-stop, read-only
+// SwitchEntry device wrapper (fault injection, retry, sticky read-only), and
+// the graceful-degradation paths they feed (commit-log fail-stop, read-only
 // devices surfaced through RPC and the NFS gateway).
 
 #include <gtest/gtest.h>
@@ -12,9 +12,8 @@
 
 #include "src/catalog/database.h"
 #include "src/device/device.h"
-#include "src/device/error_policy.h"
 #include "src/fault/crash_points.h"
-#include "src/fault/fault_device.h"
+#include "src/fault/switch_entry.h"
 #include "src/inversion/inv_fs.h"
 #include "src/net/nfs_gateway.h"
 #include "src/net/rpc.h"
@@ -68,7 +67,7 @@ TEST(CrashPoints, ArmedCallbackFiresExactlyOnceAtNthOccurrence) {
   EXPECT_EQ(fired, 1);
 }
 
-// ---- FaultDevice (device level) ---------------------------------------------
+// ---- SwitchEntry (device level) --------------------------------------------
 
 constexpr Oid kRel = 5000;
 
@@ -76,27 +75,34 @@ std::vector<std::byte> FilledPage(char c) {
   return std::vector<std::byte>(kPageSize, std::byte{static_cast<uint8_t>(c)});
 }
 
-class FaultDeviceTest : public ::testing::Test {
+class SwitchEntryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dev_ = std::make_unique<FaultDevice>(std::make_unique<NvramDevice>(&store_),
-                                         &injector_);
+    dev_ = std::make_unique<SwitchEntry>(std::make_unique<NvramDevice>(&store_),
+                                         &clock_, &metrics_, &injector_);
     ASSERT_TRUE(dev_->CreateRelation(kRel).ok());
+  }
+
+  uint64_t Retries() {
+    return metrics_.GetCounter("device.retries", "nvram")->Value();
   }
 
   MemBlockStore store_;
   FaultInjector injector_;
-  std::unique_ptr<FaultDevice> dev_;
+  SimClock clock_;
+  MetricsRegistry metrics_;
+  std::unique_ptr<SwitchEntry> dev_;
 };
 
-TEST_F(FaultDeviceTest, TransientErrorFiresOnceThenSameWriteSucceeds) {
+TEST_F(SwitchEntryTest, TransientErrorFiresOnceThenSameWriteSucceeds) {
   injector_.ArmOne({FaultSpec::Kind::kTransientError, FaultSpec::Op::kWrite, 1});
   const auto page = FilledPage('A');
-  Status first = dev_->WriteBlock(kRel, 0, page);
-  ASSERT_FALSE(first.ok());
-  EXPECT_TRUE(first.IsTransientIo());
-  // The retry is the next write position: it passes.
+  // The first attempt fails with kTransientIo: it is retried (a permanent
+  // error would not be) and does not trip read-only. The retry is the next
+  // write position, so it passes and the caller sees success.
   EXPECT_TRUE(dev_->WriteBlock(kRel, 0, page).ok());
+  EXPECT_EQ(Retries(), 1u);
+  EXPECT_FALSE(dev_->read_only());
   EXPECT_EQ(injector_.faults_fired(), 1u);
   EXPECT_EQ(injector_.writes_since_arm(), 2u);
 
@@ -105,12 +111,22 @@ TEST_F(FaultDeviceTest, TransientErrorFiresOnceThenSameWriteSucceeds) {
   EXPECT_EQ(std::memcmp(out.data(), page.data(), kPageSize), 0);
 }
 
-TEST_F(FaultDeviceTest, CrashHaltsEveryLaterOperation) {
+TEST_F(SwitchEntryTest, CrashHaltsEveryLaterOperation) {
+  // A second entry on the same injector, like another device of the same
+  // Database.
+  MemBlockStore other_store;
+  SwitchEntry other(std::make_unique<NvramDevice>(&other_store), &clock_,
+                    &metrics_, &injector_);
+  ASSERT_TRUE(other.CreateRelation(kRel).ok());
+  ASSERT_TRUE(other.WriteBlock(kRel, 0, FilledPage('O')).ok());
+
   injector_.ArmOne({FaultSpec::Kind::kCrash, FaultSpec::Op::kWrite, 2});
   ASSERT_TRUE(dev_->WriteBlock(kRel, 0, FilledPage('A')).ok());
   Status crash = dev_->WriteBlock(kRel, 1, FilledPage('B'));
   ASSERT_FALSE(crash.ok());
   EXPECT_TRUE(injector_.crashed());
+  // The halt is a hard I/O error, so the entry it struck trips read-only.
+  EXPECT_TRUE(crash.IsReadOnlyDevice()) << crash.ToString();
   // The halted write never reached the store, and the frozen image refuses
   // all further traffic — exactly a powered-off machine.
   auto nblocks = dev_->Underlying()->NumBlocks(kRel);
@@ -118,10 +134,14 @@ TEST_F(FaultDeviceTest, CrashHaltsEveryLaterOperation) {
   EXPECT_EQ(*nblocks, 1u);
   std::vector<std::byte> out(kPageSize);
   EXPECT_FALSE(dev_->ReadBlock(kRel, 0, out).ok());
-  EXPECT_FALSE(dev_->Sync().ok());
+  // The untripped entry fails every operation too, sync included.
+  EXPECT_FALSE(other.ReadBlock(kRel, 0, out).ok());
+  EXPECT_FALSE(other.Sync().ok());
+  EXPECT_FALSE(other.CreateRelation(kRel + 1).ok());
+  EXPECT_FALSE(other.DropRelation(kRel).ok());
 }
 
-TEST_F(FaultDeviceTest, TornWriteKeepsAProperSectorSubsetAndReportsSuccess) {
+TEST_F(SwitchEntryTest, TornWriteKeepsAProperSectorSubsetAndReportsSuccess) {
   ASSERT_TRUE(dev_->WriteBlock(kRel, 0, FilledPage('B')).ok());
   injector_.ArmOne({FaultSpec::Kind::kTornWrite, FaultSpec::Op::kWrite, 1});
   // The lying disk: the caller sees success, the media holds a mix.
@@ -141,7 +161,7 @@ TEST_F(FaultDeviceTest, TornWriteKeepsAProperSectorSubsetAndReportsSuccess) {
   EXPECT_GT(old_sectors, 0u) << "a torn write must lose something";
 }
 
-TEST_F(FaultDeviceTest, BitFlipPersistsExactlyOneFlippedBit) {
+TEST_F(SwitchEntryTest, BitFlipPersistsExactlyOneFlippedBit) {
   injector_.ArmOne({FaultSpec::Kind::kBitFlip, FaultSpec::Op::kWrite, 1});
   ASSERT_TRUE(dev_->WriteBlock(kRel, 0, FilledPage('\0')).ok());
   std::vector<std::byte> out(kPageSize);
@@ -153,30 +173,7 @@ TEST_F(FaultDeviceTest, BitFlipPersistsExactlyOneFlippedBit) {
   EXPECT_EQ(set_bits, 1);
 }
 
-// ---- ErrorPolicyDevice ------------------------------------------------------
-
-class ErrorPolicyTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dev_ = std::make_unique<ErrorPolicyDevice>(
-        std::make_unique<FaultDevice>(std::make_unique<NvramDevice>(&store_),
-                                      &injector_),
-        &clock_, DeviceErrorPolicy{}, &metrics_);
-    ASSERT_TRUE(dev_->CreateRelation(kRel).ok());
-  }
-
-  uint64_t Retries() {
-    return metrics_.GetCounter("device.retries", "nvram")->Value();
-  }
-
-  MemBlockStore store_;
-  FaultInjector injector_;
-  SimClock clock_;
-  MetricsRegistry metrics_;
-  std::unique_ptr<ErrorPolicyDevice> dev_;
-};
-
-TEST_F(ErrorPolicyTest, TransientWriteRetriedInvisiblyWithBackoff) {
+TEST_F(SwitchEntryTest, TransientWriteRetriedInvisiblyWithBackoff) {
   injector_.ArmOne({FaultSpec::Kind::kTransientError, FaultSpec::Op::kWrite, 1});
   const SimMicros t0 = clock_.Peek();
   EXPECT_TRUE(dev_->WriteBlock(kRel, 0, FilledPage('A')).ok());
@@ -189,7 +186,7 @@ TEST_F(ErrorPolicyTest, TransientWriteRetriedInvisiblyWithBackoff) {
   EXPECT_EQ(static_cast<char>(out[0]), 'A');
 }
 
-TEST_F(ErrorPolicyTest, TransientReadRetriedAndDoesNotTripReadOnly) {
+TEST_F(SwitchEntryTest, TransientReadRetriedAndDoesNotTripReadOnly) {
   ASSERT_TRUE(dev_->WriteBlock(kRel, 0, FilledPage('R')).ok());
   injector_.ArmOne({FaultSpec::Kind::kTransientError, FaultSpec::Op::kRead, 1});
   std::vector<std::byte> out(kPageSize);
@@ -199,7 +196,7 @@ TEST_F(ErrorPolicyTest, TransientReadRetriedAndDoesNotTripReadOnly) {
   EXPECT_FALSE(dev_->read_only());
 }
 
-TEST_F(ErrorPolicyTest, PermanentWriteTripsStickyReadOnlyButReadsKeepFlowing) {
+TEST_F(SwitchEntryTest, PermanentWriteTripsStickyReadOnlyButReadsKeepFlowing) {
   ASSERT_TRUE(dev_->WriteBlock(kRel, 0, FilledPage('K')).ok());
   injector_.ArmOne({FaultSpec::Kind::kPermanentError, FaultSpec::Op::kWrite, 1});
   Status failed = dev_->WriteBlock(kRel, 1, FilledPage('X'));
@@ -294,7 +291,7 @@ class FaultStackTest : public ::testing::Test {
     return SpanRecord{};
   }
 
-  // Declared before db_ so it outlives the FaultDevices that point at it.
+  // Declared before db_ so it outlives the switch entries that point at it.
   StorageEnv env_;
   FaultInjector injector_;
   std::unique_ptr<Database> db_;
@@ -452,13 +449,65 @@ TEST_F(FaultStackTest, RetrySpanCarriesAttemptsAndSummedBackoff) {
 
   const std::vector<SpanRecord> retries = SpansNamed("device.retry");
   ASSERT_EQ(retries.size(), 1u);
-  const DeviceErrorPolicy policy;
   EXPECT_EQ(retries[0].a, 2u);
-  EXPECT_EQ(retries[0].b,
-            static_cast<uint64_t>(policy.backoff_us + 2 * policy.backoff_us));
+  EXPECT_EQ(retries[0].b, static_cast<uint64_t>(SwitchEntry::kBackoffUs +
+                                                2 * SwitchEntry::kBackoffUs));
   const SpanRecord parent = SpanById(retries[0].parent_id);
   ASSERT_NE(parent.name, nullptr);
   EXPECT_STREQ(parent.name, "log.flush");
+}
+
+// Every physical attempt is instrumented. One transient fault on a data-page
+// write-back costs two counted magnetic writes, each with its own
+// device.write.magnetic span; the failed one hangs off the write-back and the
+// retried one off the device.retry span.
+TEST_F(FaultStackTest, RetriedWriteBackCountsAndTracesEveryAttempt) {
+  MakeFile("/w.dat", "stable");
+  ASSERT_TRUE(db_->FlushCaches().ok());
+  // Dirty the file's one data page, and nothing else.
+  auto file = fs_->ResolvePath("/w.dat", db_->SnapshotAt(db_->Now()));
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  auto chunks = db_->catalog().GetTable("inv" + std::to_string(*file));
+  ASSERT_TRUE(chunks.ok()) << chunks.status().ToString();
+  {
+    auto page = db_->buffers().Pin((*chunks)->oid, 0);
+    ASSERT_TRUE(page.ok());
+    page->MarkDirty();
+  }
+
+  Counter* writes = db_->metrics().GetCounter("device.writes", "magnetic");
+  Counter* write_bytes =
+      db_->metrics().GetCounter("device.write_bytes", "magnetic");
+  const uint64_t writes_before = writes->Value();
+  const uint64_t bytes_before = write_bytes->Value();
+  const uint64_t write_backs_before = db_->buffers().write_backs();
+  const size_t attempt_spans_before = SpansNamed("device.write.magnetic").size();
+  injector_.ArmOne({FaultSpec::Kind::kTransientError, FaultSpec::Op::kWrite, 1});
+  ASSERT_TRUE(db_->FlushCaches().ok());
+  EXPECT_EQ(injector_.faults_fired(), 1u);
+
+  // The flush writes back exactly the one data page, in two attempts.
+  ASSERT_EQ(db_->buffers().write_backs() - write_backs_before, 1u);
+  EXPECT_EQ(writes->Value() - writes_before, 2u);
+  EXPECT_EQ(write_bytes->Value() - bytes_before, 2 * kPageSize);
+  const std::vector<SpanRecord> attempts = SpansNamed("device.write.magnetic");
+  ASSERT_EQ(attempts.size() - attempt_spans_before, 2u);
+  const SpanRecord& failed = attempts[attempts.size() - 2];
+  const SpanRecord& retried = attempts.back();
+
+  const std::vector<SpanRecord> retries = SpansNamed("device.retry");
+  ASSERT_EQ(retries.size(), 1u);
+  EXPECT_EQ(retries[0].a, 1u);
+  EXPECT_EQ(retried.parent_id, retries[0].span_id);
+  const SpanRecord write_back = SpanById(retries[0].parent_id);
+  ASSERT_NE(write_back.name, nullptr);
+  EXPECT_STREQ(write_back.name, "buffer.write_back");
+  EXPECT_EQ(failed.parent_id, write_back.span_id);
+  for (const SpanRecord* attempt : {&failed, &retried}) {
+    EXPECT_EQ(attempt->a, write_back.a);
+    EXPECT_EQ(attempt->b, write_back.b);
+  }
+  EXPECT_EQ(write_back.a, (*chunks)->oid);
 }
 
 // A failed group-commit flush poisons the log, recorded as one log.poisoned

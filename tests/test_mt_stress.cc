@@ -15,6 +15,7 @@
 #include <atomic>
 #include <barrier>
 #include <condition_variable>
+#include <cstring>
 #include <mutex>
 #include <string_view>
 #include <thread>
@@ -23,6 +24,7 @@
 #include "src/access/key_codec.h"
 #include "src/buffer/buffer_pool.h"
 #include "src/catalog/database.h"
+#include "src/fault/switch_entry.h"
 #include "src/harness/worlds.h"
 #include "src/load/loadgen.h"
 #include "src/obs/metrics.h"
@@ -751,6 +753,105 @@ TEST(LoadStormTest, ConcurrentNetModelChargesAreExact) {
   EXPECT_EQ(net.total_messages(), total);
   EXPECT_EQ(net.total_bytes(), total * kBytes);
   EXPECT_EQ(clock.Peek(), per_charge * total) << "no lost clock advances";
+}
+
+// Concurrent corruption verdicts each apply their own kind. Threads write
+// distinct blocks through one SwitchEntry while torn-write and bit-flip specs
+// are armed at interleaved positions; every round must leave exactly one
+// sector-mixed page per torn spec and one single-bit page per flip spec.
+TEST(SwitchEntryStressTest, ConcurrentCorruptVerdictsKeepTheirKinds) {
+  constexpr int kThreads = 4;
+  constexpr uint32_t kBlocksPerThread = 16;
+  constexpr uint32_t kBlocks = kThreads * kBlocksPerThread;
+  constexpr int kTorn = 5;
+  constexpr int kFlips = 7;
+  constexpr int kRounds = 20;
+  constexpr Oid kRel = 9000;
+  constexpr size_t kSector = 512;
+  const std::vector<std::byte> old_page(kPageSize, std::byte{0x55});
+  const std::vector<std::byte> new_page(kPageSize, std::byte{0xAA});
+
+  MemBlockStore store;
+  SimClock clock;
+  MetricsRegistry metrics;
+  FaultInjector injector(/*seed=*/17);
+  SwitchEntry dev(std::make_unique<NvramDevice>(&store), &clock, &metrics,
+                  &injector);
+  ASSERT_TRUE(dev.CreateRelation(kRel).ok());
+
+  for (int round = 0; round < kRounds; ++round) {
+    injector.Disarm();
+    for (uint32_t b = 0; b < kBlocks; ++b) {
+      ASSERT_TRUE(dev.WriteBlock(kRel, b, old_page).ok());
+    }
+    // Alternate the kinds over the first write positions (torn ones first
+    // while both remain), so neighbouring verdicts are of different kinds.
+    std::vector<FaultSpec> specs;
+    for (int torn = 0, flips = 0; torn + flips < kTorn + kFlips;) {
+      const bool take_torn =
+          torn < kTorn && (flips == kFlips || (torn + flips) % 2 == 0);
+      specs.push_back({take_torn ? FaultSpec::Kind::kTornWrite
+                                 : FaultSpec::Kind::kBitFlip,
+                       FaultSpec::Op::kWrite,
+                       static_cast<uint64_t>(torn + flips + 1)});
+      (take_torn ? torn : flips) += 1;
+    }
+    const uint64_t fired_before = injector.faults_fired();
+    injector.Arm(specs);
+
+    std::barrier start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (uint32_t i = 0; i < kBlocksPerThread; ++i) {
+          EXPECT_TRUE(dev.WriteBlock(kRel, t * kBlocksPerThread + i, new_page)
+                          .ok());
+        }
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+    EXPECT_EQ(injector.faults_fired() - fired_before,
+              static_cast<uint64_t>(kTorn + kFlips));
+
+    int torn = 0;
+    int flipped = 0;
+    int clean = 0;
+    std::vector<std::byte> out(kPageSize);
+    for (uint32_t b = 0; b < kBlocks; ++b) {
+      ASSERT_TRUE(dev.ReadBlock(kRel, b, out).ok());
+      int flipped_bits = 0;
+      int old_sectors = 0;
+      bool sectors_whole = true;
+      for (size_t off = 0; off < kPageSize; off += kSector) {
+        const bool all_old =
+            std::memcmp(out.data() + off, old_page.data(), kSector) == 0;
+        const bool all_new =
+            std::memcmp(out.data() + off, new_page.data(), kSector) == 0;
+        old_sectors += all_old ? 1 : 0;
+        sectors_whole = sectors_whole && (all_old || all_new);
+      }
+      for (size_t i = 0; i < kPageSize; ++i) {
+        flipped_bits += __builtin_popcount(
+            static_cast<unsigned>(out[i] ^ new_page[i]));
+      }
+      if (flipped_bits == 0) {
+        ++clean;
+      } else if (flipped_bits == 1) {
+        ++flipped;
+      } else {
+        EXPECT_TRUE(sectors_whole) << "block " << b << " round " << round;
+        EXPECT_GT(old_sectors, 0);
+        EXPECT_LT(old_sectors, static_cast<int>(kPageSize / kSector));
+        ++torn;
+      }
+    }
+    EXPECT_EQ(torn, kTorn) << "round " << round;
+    EXPECT_EQ(flipped, kFlips) << "round " << round;
+    EXPECT_EQ(clean, static_cast<int>(kBlocks) - kTorn - kFlips);
+  }
 }
 
 }  // namespace
