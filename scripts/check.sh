@@ -13,7 +13,7 @@
 #   scripts/check.sh tidy       # just clang-tidy
 #   scripts/check.sh tsa        # invfs_lint + clang thread safety analysis
 #   scripts/check.sh metrics    # just the metrics-overhead smoke gate
-#   scripts/check.sh torture    # just the crash-recovery torture sweep (ASan)
+#   scripts/check.sh torture    # just the torture sweeps of every fault domain (ASan)
 #   scripts/check.sh load       # just the open-loop loadgen SLO smoke
 #   scripts/check.sh net        # the network-fault sweep + faulted rpc load
 #   scripts/check.sh werror     # every target built with -Werror
@@ -168,11 +168,13 @@ run_metrics_overhead() {
 }
 
 run_torture() {
-  # Crash-recovery torture sweep under ASan: a fixed seed and scaled-up
-  # workload enumerate ~200 crash schedules (every crash-point occurrence in
-  # the budget plus a device-write sweep); each one snapshots the halted
-  # image, recovers it, runs the structural checker, and verifies the
-  # acked/unacked transaction oracle. Deterministic: a failure reproduces
+  # Torture sweeps under ASan with the debug invariants on: fixed seeds
+  # enumerate ~250 schedules over the three fault domains. Each crash
+  # schedule (a named crash point or the Nth device write) snapshots the
+  # halted image and recovers it; each wire schedule injects one drop,
+  # duplicate, truncation or reset under the retrying RPC client. Every one
+  # then runs the structural checker, the no-orphaned-transactions-or-locks
+  # check and the acked/unacked oracle. Deterministic: a failure reproduces
   # with the printed schedule name.
   local dir="$ROOT/build-asan"
   echo "==> [torture] configure+build invfs_torture (INVFS_SANITIZE=address)"
@@ -181,15 +183,18 @@ run_torture() {
         -DINVFS_SANITIZE=address \
         -DINVFS_DEBUG_INVARIANTS=ON >/dev/null
   cmake --build "$dir" -j "$JOBS" --target invfs_torture -- --no-print-directory
-  echo "==> [torture] main sweep (seed 1337, ~170 schedules)"
+  echo "==> [torture] crash sweep (seed 1337, ~180 schedules)"
   env ASAN_OPTIONS=halt_on_error=1:detect_leaks=1 \
-      "$dir/src/fault/invfs_torture" \
+      "$dir/src/fault/invfs_torture" --domains points,writes \
         --seed 1337 --txns 60 --files 16 --buffers 20 \
         --occurrences 8 --write-schedules 120
   echo "==> [torture] create-heavy sweep (seed 1338, reaches btree.split)"
   env ASAN_OPTIONS=halt_on_error=1:detect_leaks=1 \
-      "$dir/src/fault/invfs_torture" \
-        --seed 1338 --txns 300 --files 400 --occurrences 2 --no-write-sweep
+      "$dir/src/fault/invfs_torture" --domains points \
+        --seed 1338 --txns 300 --files 400 --occurrences 2
+  echo "==> [torture] wire sweep (seed 4242, every wire fault kind)"
+  env ASAN_OPTIONS=halt_on_error=1:detect_leaks=1 \
+      "$dir/src/fault/invfs_torture" --domains wire --seed 4242 --occurrences 12
   echo "==> [torture] clean"
 }
 
@@ -212,12 +217,13 @@ run_load() {
 run_net() {
   # Unreliable-network gate, two halves:
   #
-  #   1. invfs_torture --net-faults — the at-most-once sweep: every wire
+  #   1. invfs_torture --domains wire — the at-most-once sweep: every wire
   #      fault kind (request/response drop, duplicate delivery, response
   #      truncation, connection reset) crossed with occurrence positions over
-  #      a recorded RPC workload. Each schedule must leave acked ops applied
-  #      exactly once, failed ops invisible, and no orphaned locks or
-  #      transactions. Deterministic: a failure replays by its printed name.
+  #      the recorded exchanges of the torture plan. Each schedule must leave
+  #      acked ops applied exactly once, failed ops invisible, and no
+  #      orphaned locks or transactions. Deterministic: a failure replays by
+  #      its printed name.
   #
   #   2. invfs_loadgen --transport rpc --net-drop 0.01 --check — the builtin
   #      four-tenant fleet on the priced wire with 1% frame loss. --check
@@ -231,7 +237,7 @@ run_net() {
   cmake --build "$dir" -j "$JOBS" --target invfs_torture invfs_loadgen \
         -- --no-print-directory
   echo "==> [net] at-most-once sweep (seed 4242)"
-  "$dir/src/fault/invfs_torture" --net-faults --seed 4242
+  "$dir/src/fault/invfs_torture" --domains wire --seed 4242 --occurrences 12
   echo "==> [net] rpc fleet with 1% drop, seed 42, 5 sim seconds, --check"
   "$dir/src/load/invfs_loadgen" --transport rpc --net-drop 0.01 \
       --seconds 5 --seed 42 --check \

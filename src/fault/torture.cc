@@ -1,203 +1,359 @@
 #include "src/fault/torture.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <map>
+#include <functional>
 #include <memory>
 #include <set>
+#include <utility>
 
 #include "src/fault/crash_points.h"
+#include "src/fault/faulty_transport.h"
 #include "src/fault/switch_entry.h"
 #include "src/harness/worlds.h"
 #include "src/load/loadgen.h"
+#include "src/net/rpc.h"
 #include "src/util/random.h"
 
 namespace invfs {
 namespace {
 
-// Expected file-system state: path -> full contents.
-using FileState = std::map<std::string, std::string>;
+// The plan's namespace (the load driver works under /load).
+constexpr char kRoot[] = "/t";
+// Load-driver arrivals pumped between consecutive plan steps.
+constexpr int kLoadStepsPerStep = 2;
 
-struct RunOutcome {
-  FileState acked;          // state covered by acked commits
-  FileState with_inflight;  // acked + the crash-overlapped txn (if any)
-  bool crashed = false;
-  bool indeterminate = false;  // p_commit was in flight when the halt fired
-  bool completed = false;      // workload finished without a halt
-  std::string error;           // unexpected (non-halt) failure
+constexpr NetFaultSpec::Kind kWireKinds[] = {
+    NetFaultSpec::Kind::kDropRequest, NetFaultSpec::Kind::kDropResponse,
+    NetFaultSpec::Kind::kDuplicateRequest,
+    NetFaultSpec::Kind::kTruncateResponse, NetFaultSpec::Kind::kReset,
 };
 
-void ApplyWrite(std::string* content, int64_t offset, const std::string& data) {
-  const auto off = static_cast<size_t>(offset);
-  if (off + data.size() > content->size()) {
-    content->resize(off + data.size());
-  }
-  content->replace(off, data.size(), data);
+bool Selected(const TortureOptions& opt, TortureDomain domain) {
+  return ((opt.domains >> static_cast<unsigned>(domain)) & 1u) != 0;
 }
 
-std::string RandomPayload(Rng& rng, size_t len) {
+std::string FileName(int i) {
+  return std::string(kRoot) + "/f" + std::to_string(i);
+}
+
+// ---- plan ------------------------------------------------------------------
+
+struct Op {
+  enum Kind : uint8_t { kCreate, kAppend, kOverwrite, kRename, kUnlink };
+  Kind kind = kCreate;
+  int file = 0;      // index of the file the op targets
+  int to = 0;        // rename target index
+  uint32_t len = 0;  // payload bytes
+  uint64_t tag = 0;  // payload seed and overwrite-offset selector
+};
+
+struct Step {
+  bool txn = false;  // an explicit transaction, else one autocommit op
+  std::vector<Op> ops;
+};
+
+// Distinct per tag: a duplicated append or a replayed write is content the
+// oracle can see.
+std::string Payload(uint64_t tag, uint32_t len) {
+  Rng rng(tag);
   std::string s(len, '\0');
   for (char& c : s) {
-    c = static_cast<char>('a' + rng.Uniform(26));
+    c = static_cast<char>(rng.Next());
   }
   return s;
 }
 
-std::span<const std::byte> AsBytes(const std::string& s) {
-  return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
-}
-
-// One deterministic workload pass. Identical op sequence for a given seed
-// regardless of faults: the op stream is derived only from `rng` and the
-// mirrored `pending` state, which evolve the same way until the halt.
-void RunWorkload(const TortureOptions& opt, InversionWorld* world,
-                 FaultInjector* injector, RunOutcome* out,
-                 LoadGen* load = nullptr) {
-  InvSession& s = world->session();
+// The plan tracks which file indices exist, so every op is well-formed on an
+// unfaulted run. After an injected failure a later op may find the namespace
+// different and fail; that is legal, and the oracle still judges it.
+std::vector<Step> MakePlan(const TortureOptions& opt) {
   Rng rng(opt.seed * 0x9E3779B9ULL + 17);
-  int next_file = 0;
-  const auto halted = [&] { return injector->crashed(); };
-
-  for (int t = 0; t < opt.transactions; ++t) {
-    // Under-load mode: pump foreign tenant traffic between this session's
-    // transactions (never inside one — the torture transaction's locks are
-    // released here, and every load op is itself transaction-complete, so
-    // the interleaving is deadlock-free by construction). Never pump once
-    // the halt has fired: a commit the halt interrupted died *before*
-    // releasing its table locks (exactly what recovery exists to clean up),
-    // so one more load op against the frozen image would block on them
-    // forever.
-    for (int k = 0; load != nullptr && !halted() && k < opt.load_steps_per_txn;
-         ++k) {
-      if (!load->Step()) {
-        break;
+  std::set<int> exists;
+  const auto pick = [&rng](const std::vector<int>& v) {
+    return v[rng.Uniform(v.size())];
+  };
+  std::vector<Step> plan(static_cast<size_t>(opt.steps));
+  for (Step& step : plan) {
+    step.txn = rng.Uniform(3) != 0;
+    const uint64_t nops = step.txn ? 1 + rng.Uniform(3) : 1;
+    for (uint64_t i = 0; i < nops; ++i) {
+      const std::vector<int> live(exists.begin(), exists.end());
+      std::vector<int> absent;
+      for (int f = 0; f < opt.max_files; ++f) {
+        if (!exists.contains(f)) {
+          absent.push_back(f);
+        }
       }
-    }
-    Status bs = s.p_begin();
-    if (halted()) {
-      // Nothing of this transaction was attempted: recovery must show
-      // exactly the acked state.
-      out->crashed = true;
-      out->with_inflight = out->acked;
-      return;
-    }
-    if (!bs.ok()) {
-      out->error = "p_begin: " + bs.ToString();
-      return;
-    }
-    FileState pending = out->acked;
-    const int nops = 1 + static_cast<int>(rng.Uniform(3));
-    for (int op = 0; op < nops; ++op) {
-      std::vector<std::string> files;
-      files.reserve(pending.size());
-      for (const auto& [path, content] : pending) {
-        files.push_back(path);
-      }
-      Status os = Status::Ok();
+      Op op;
+      op.tag = rng.Next();
       const uint64_t dice = rng.Uniform(100);
-      if (files.empty() ||
-          (files.size() < static_cast<size_t>(opt.max_files) && dice < 35)) {
-        // Create a fresh file with initial content.
-        const std::string path = "/t" + std::to_string(next_file++) + ".dat";
-        const std::string payload =
-            RandomPayload(rng, 1 + rng.Uniform(9000));
-        auto fd = s.p_creat(path);
-        if (fd.ok()) {
-          auto w = s.p_write(*fd, AsBytes(payload));
-          os = w.ok() ? s.p_close(*fd) : w.status();
-        } else {
-          os = fd.status();
-        }
-        if (os.ok()) {
-          pending[path] = payload;
-        }
-      } else if (dice < 50 && files.size() > 1) {
-        const std::string path = files[rng.Uniform(files.size())];
-        os = s.unlink(path);
-        if (os.ok()) {
-          pending.erase(path);
-        }
+      if (live.empty() || (!absent.empty() && dice < 40)) {
+        op.kind = Op::kCreate;
+        op.file = pick(absent);
+        exists.insert(op.file);
+      } else if (dice < 50 && live.size() > 1) {
+        op.kind = Op::kUnlink;
+        op.file = pick(live);
+        exists.erase(op.file);
+      } else if (dice < 58 && !absent.empty()) {
+        op.kind = Op::kRename;
+        op.file = pick(live);
+        op.to = pick(absent);
+        exists.erase(op.file);
+        exists.insert(op.to);
       } else {
-        // Overwrite/extend an existing file at a random offset <= size.
-        const std::string path = files[rng.Uniform(files.size())];
-        std::string& content = pending[path];
-        const int64_t offset =
-            static_cast<int64_t>(rng.Uniform(content.size() + 1));
-        const std::string payload =
-            RandomPayload(rng, 1 + rng.Uniform(6000));
-        auto fd = s.p_open(path, OpenMode::kWrite);
-        if (fd.ok()) {
-          auto sk = s.p_lseek(*fd, offset, Whence::kSet);
-          if (sk.ok()) {
-            auto w = s.p_write(*fd, AsBytes(payload));
-            os = w.ok() ? s.p_close(*fd) : w.status();
-          } else {
-            os = sk.status();
-          }
-        } else {
-          os = fd.status();
-        }
-        if (os.ok()) {
-          ApplyWrite(&content, offset, payload);
-        }
+        op.kind = dice < 78 ? Op::kAppend : Op::kOverwrite;
+        op.file = pick(live);
       }
-      if (halted()) {
-        // The halt fired inside an operation, before any commit record for
-        // this transaction could exist: it must be fully invisible.
-        out->crashed = true;
-        out->with_inflight = out->acked;
-        return;
-      }
-      if (!os.ok()) {
-        out->error = "workload op: " + os.ToString();
-        return;
-      }
+      op.len = 1 + static_cast<uint32_t>(
+                       rng.Uniform(op.kind == Op::kCreate ? 9000 : 6000));
+      step.ops.push_back(op);
     }
-    Status cs = s.p_commit();
-    if (halted()) {
-      // The halt overlapped the commit protocol. Whether the commit record
-      // reached the device decides the outcome; the client never saw an ack,
-      // so recovery may legitimately show either state — but nothing in
-      // between (atomicity).
-      out->crashed = true;
-      out->indeterminate = true;
-      out->with_inflight = pending;
-      return;
-    }
-    if (!cs.ok()) {
-      out->error = "p_commit: " + cs.ToString();
-      return;
-    }
-    out->acked = pending;
   }
-  out->completed = true;
-  out->with_inflight = out->acked;
+  return plan;
 }
 
-// Read the recovered file system's actual state through a fresh session.
-Result<FileState> ReadActualState(InversionFs* fs) {
+// ---- executor --------------------------------------------------------------
+
+// What one replay of the plan left behind.
+struct RunOutcome {
+  FileState acked;   // every acked call applied
+  FileState landed;  // acked + the call or commit in flight at the halt
+  bool halted = false;
+  uint64_t failed_ops = 0;  // ops that failed other than by the halt
+};
+
+// What a call does to the file state if it lands.
+using Effect = std::function<void(FileState&)>;
+
+// Runs the plan through one client: InvSession in process, or
+// RemoteFileClient over the wire, whose p_*, rename and unlink match.
+template <typename Client>
+class Executor {
+ public:
+  Executor(Client* client, const FaultInjector* injector, LoadGen* load)
+      : c_(client), injector_(injector), load_(load) {}
+
+  RunOutcome Run(const std::vector<Step>& plan) {
+    for (const Step& step : plan) {
+      // Foreign tenant traffic runs between steps, never inside one: no
+      // step holds locks here and every load op is transaction-complete, so
+      // the interleaving cannot deadlock. Never once the image halted: a
+      // commit the halt interrupted died holding its locks, and one more load
+      // op would wait on them forever.
+      for (int k = 0; load_ != nullptr && k < kLoadStepsPerStep &&
+                      !Halted() && load_->Step();
+           ++k) {
+      }
+      const bool ok = step.txn ? RunTxn(step.ops) : RunOp(step.ops.front());
+      if (!ok && !Halted()) {
+        ++out_.failed_ops;
+      }
+    }
+    if (!Halted()) {
+      out_.landed = out_.acked;
+    }
+    return std::move(out_);
+  }
+
+ private:
+  // True once the image froze. The first time it notices, it fixes the
+  // state recovery may show besides the acked one: `in_flight` landed.
+  bool Halted(const Effect* in_flight = nullptr) {
+    if (!out_.halted && injector_->crashed()) {
+      out_.halted = true;
+      out_.landed = out_.acked;
+      if (in_flight != nullptr && *in_flight) {
+        (*in_flight)(out_.landed);
+      }
+    }
+    return out_.halted;
+  }
+
+  // Make one call. Its `effect` enters the mirror only once the call is
+  // acked: inside a transaction it joins the commit's effect, outside one the
+  // call commits on its own, so its effect is also what a halt mid-call may
+  // land. A call the halt interrupted failed: its ack was never seen.
+  template <typename Fn>
+  auto Call(Fn&& fn, Effect effect = nullptr) -> decltype(fn()) {
+    if (Halted()) {
+      return Status::IoError("image halted");
+    }
+    auto result = fn();
+    if (Halted(in_txn_ ? nullptr : &effect)) {
+      return Status::IoError("image halted");
+    }
+    if (result.ok() && effect) {
+      if (in_txn_) {
+        txn_effects_.push_back(std::move(effect));
+      } else {
+        effect(out_.acked);
+      }
+    }
+    return result;
+  }
+
+  bool RunTxn(const std::vector<Op>& ops) {
+    if (!Call([&] { return c_->p_begin(); }).ok()) {
+      return false;
+    }
+    in_txn_ = true;
+    const bool ok = std::all_of(ops.begin(), ops.end(),
+                                [this](const Op& op) { return RunOp(op); });
+    in_txn_ = false;
+    // The commit lands every acked call of the transaction, or none.
+    Effect all = [effects = std::exchange(txn_effects_, {})](FileState& s) {
+      for (const Effect& e : effects) {
+        e(s);
+      }
+    };
+    if (ok && Call([&] { return c_->p_commit(); }, std::move(all)).ok()) {
+      return true;
+    }
+    (void)Call([&] { return c_->p_abort(); });
+    return false;
+  }
+
+  bool RunOp(const Op& op) {
+    const std::string path = FileName(op.file);
+    switch (op.kind) {
+      case Op::kRename: {
+        const std::string to = FileName(op.to);
+        return Call([&] { return c_->rename(path, to); },
+                    [path, to](FileState& s) {
+                      if (auto node = s.extract(path)) {
+                        s[to] = std::move(node.mapped());
+                      }
+                    })
+            .ok();
+      }
+      case Op::kUnlink:
+        return Call([&] { return c_->unlink(path); },
+                    [path](FileState& s) { s.erase(path); })
+            .ok();
+      default:
+        return Write(op, path);
+    }
+  }
+
+  // Create, append or overwrite: get a descriptor, seek, write the op's
+  // payload, close. An append lands at the end, an overwrite at the tag's
+  // pick of [0, size]. The mirror places the payload from its own view of the
+  // file, so a client whose view disagrees shows up in the read-back.
+  bool Write(const Op& op, const std::string& path) {
+    auto fd = op.kind == Op::kCreate
+                  ? Call([&] { return c_->p_creat(path); },
+                         [path](FileState& s) { s[path]; })
+                  : Call([&] { return c_->p_open(path, OpenMode::kWrite); });
+    if (!fd.ok()) {
+      return false;
+    }
+    const bool overwrite = op.kind == Op::kOverwrite;
+    const auto place = [overwrite, tag = op.tag](uint64_t size) {
+      return overwrite ? tag % (size + 1) : size;
+    };
+    auto end = Call([&] { return c_->p_lseek(*fd, 0, Whence::kEnd); });
+    Status st = end.status();
+    if (st.ok() && overwrite) {
+      const auto at = static_cast<int64_t>(place(static_cast<uint64_t>(*end)));
+      st = Call([&] { return c_->p_lseek(*fd, at, Whence::kSet); }).status();
+    }
+    const std::string payload = Payload(op.tag, op.len);
+    if (st.ok()) {
+      const auto bytes = std::as_bytes(std::span(payload));
+      st = Call([&] { return c_->p_write(*fd, bytes); },
+                [path, payload, place](FileState& s) {
+                  std::string& content = s[path];
+                  const size_t at = place(content.size());
+                  content.resize(std::max(content.size(), at + payload.size()));
+                  content.replace(at, payload.size(), payload);
+                })
+               .status();
+    }
+    // Close even after a failed write: the descriptor must not outlive the op.
+    const Status close = Call([&] { return c_->p_close(*fd); });
+    return st.ok() && close.ok();
+  }
+
+  Client* c_;
+  const FaultInjector* injector_;
+  LoadGen* load_;
+  bool in_txn_ = false;
+  std::vector<Effect> txn_effects_;  // acked calls of the open transaction
+  RunOutcome out_;
+};
+
+// ---- one replay ------------------------------------------------------------
+
+// One world for one replay; the wire domain adds a retrying client on a
+// faulty wire in front of the world's RPC server. Members are destroyed
+// bottom-up: clients before the world they talk to, the world before its
+// injector.
+struct Rig {
+  explicit Rig(uint64_t seed) : injector(seed) {}
+
+  FaultInjector injector;
+  std::unique_ptr<InversionWorld> world;
+  std::unique_ptr<LoadGen> load;
+  std::unique_ptr<FaultyTransport> wire;
+  std::unique_ptr<RemoteFileClient> client;
+
+  RunOutcome Execute(const std::vector<Step>& plan) {
+    if (client != nullptr) {
+      return Executor<RemoteFileClient>(client.get(), &injector, load.get())
+          .Run(plan);
+    }
+    return Executor<InvSession>(&world->session(), &injector, load.get())
+        .Run(plan);
+  }
+};
+
+Result<std::unique_ptr<Rig>> OpenRig(const TortureOptions& opt, bool wire) {
+  auto rig = std::make_unique<Rig>(opt.seed);
+  WorldOptions wopt;
+  wopt.db.buffers = opt.buffers;
+  wopt.db.fault_injector = &rig->injector;
+  INV_ASSIGN_OR_RETURN(rig->world, InversionWorld::Create(wopt));
+  InversionWorld& w = *rig->world;
+  if (opt.under_load) {
+    LoadGenOptions lopt;
+    lopt.seed = opt.seed;
+    // A horizon far beyond what the sweep pumps, so the driver never runs dry
+    // mid-replay and every replay pops the identical arrival sequence.
+    lopt.seconds = 600.0;
+    rig->load = std::make_unique<LoadGen>(&w.fs(), lopt);
+    INV_RETURN_IF_ERROR(rig->load->Setup());
+  }
+  if (wire) {
+    rig->wire = std::make_unique<FaultyTransport>(
+        &w.transport(), &w.clock(), opt.seed, &w.db().metrics());
+    RpcClientOptions copts;
+    copts.clock = &w.clock();
+    copts.metrics = &w.db().metrics();
+    rig->client = std::make_unique<RemoteFileClient>(rig->wire.get(), copts);
+  }
+  // Like the load driver's setup, the plan's directory is bootstrap traffic:
+  // it exists before anything is armed or counted.
+  INV_RETURN_IF_ERROR(rig->client != nullptr ? rig->client->mkdir(kRoot)
+                                             : w.session().mkdir(kRoot));
+  return rig;
+}
+
+// ---- the verdict -----------------------------------------------------------
+
+// The plan's namespace and bytes, read back through a fresh session.
+Result<FileState> ReadBack(InversionFs* fs) {
   INV_ASSIGN_OR_RETURN(auto session, fs->NewSession());
   FileState actual;
-  INV_ASSIGN_OR_RETURN(auto entries, session->readdir("/"));
+  INV_ASSIGN_OR_RETURN(auto entries, session->readdir(kRoot));
   for (const DirEntry& e : entries) {
-    if (e.is_directory) {
-      continue;
-    }
-    const std::string path = "/" + e.name;
+    const std::string path = std::string(kRoot) + "/" + e.name;
     INV_ASSIGN_OR_RETURN(int fd, session->p_open(path, OpenMode::kRead));
     INV_ASSIGN_OR_RETURN(FileStat st, session->p_fstat(fd));
     std::string content(static_cast<size_t>(st.size), '\0');
-    int64_t got = 0;
-    while (got < st.size) {
-      std::span<std::byte> buf{
-          reinterpret_cast<std::byte*>(content.data()) + got,
-          static_cast<size_t>(st.size - got)};
-      INV_ASSIGN_OR_RETURN(int64_t n, session->p_read(fd, buf));
-      if (n <= 0) {
-        break;
-      }
-      got += n;
-    }
+    INV_ASSIGN_OR_RETURN(
+        int64_t got,
+        session->p_read(fd, std::as_writable_bytes(std::span(content))));
     if (got != st.size) {
       return Status::Corruption(path + ": read " + std::to_string(got) +
                                 " of " + std::to_string(st.size) + " bytes");
@@ -230,180 +386,235 @@ std::string DescribeDiff(const FileState& expect, const FileState& actual) {
   return "";
 }
 
-struct Schedule {
-  std::string name;
-  bool is_point = false;
-  std::string point;
-  uint64_t occurrence = 0;
-  uint64_t write_n = 0;  // for the device-write sweep
-};
-
-WorldOptions TortureWorldOptions(const TortureOptions& opt,
-                                 FaultInjector* injector) {
-  WorldOptions wopt;
-  wopt.db.buffers = opt.buffers;
-  wopt.db.fault_injector = injector;
-  return wopt;
-}
-
-LoadGenOptions TortureLoadOptions(const TortureOptions& opt) {
-  LoadGenOptions lopt;
-  lopt.seed = opt.seed;
-  // A horizon far beyond what the sweep pumps, so the driver never runs dry
-  // mid-schedule and every replay pops the identical arrival sequence.
-  lopt.seconds = 600.0;
-  return lopt;
-}
-
-// Run one schedule end to end; returns "" on pass, else the failure line.
-std::string RunSchedule(const TortureOptions& opt, const Schedule& sched,
-                        TortureReport* report) {
-  FaultInjector injector(opt.seed);
-  auto world_or = InversionWorld::Create(TortureWorldOptions(opt, &injector));
-  if (!world_or.ok()) {
-    return sched.name + ": world setup failed: " +
-           world_or.status().ToString();
-  }
-  std::unique_ptr<InversionWorld> world = std::move(*world_or);
-
-  // The load driver's own setup (directories, file pools, migration rule) is
-  // bootstrap traffic too: run it before arming.
-  std::unique_ptr<LoadGen> load;
-  if (opt.under_load) {
-    load = std::make_unique<LoadGen>(&world->fs(), TortureLoadOptions(opt));
-    if (Status ls = load->Setup(); !ls.ok()) {
-      return sched.name + ": loadgen setup failed: " + ls.ToString();
-    }
-  }
-
-  // Arm *after* setup so bootstrap traffic is not part of the schedule.
-  if (sched.is_point) {
-    CrashPointRegistry::Instance().Arm(sched.point, sched.occurrence,
-                                       [&injector] { injector.Crash(); });
-    injector.Arm({});  // reset the relative op counters
-  } else {
-    FaultSpec spec;
-    spec.kind = FaultSpec::Kind::kCrash;
-    spec.op = FaultSpec::Op::kWrite;
-    spec.at = sched.write_n;
-    injector.ArmOne(spec);
-  }
-
-  RunOutcome out;
-  RunWorkload(opt, world.get(), &injector, &out, load.get());
-  CrashPointRegistry::Instance().Disarm();
-  if (!out.error.empty()) {
-    return sched.name + ": " + out.error;
-  }
-  if (!out.crashed) {
-    ++report->not_reached;
-    return "";
-  }
-  ++report->crashes;
-  if (out.indeterminate) {
-    ++report->indeterminate;
-  }
-
-  // Freeze and snapshot the crash image.
-  world->db().Crash();
-  auto* disk = dynamic_cast<MemBlockStore*>(world->env().disk_store.get());
-  auto* nvram = dynamic_cast<MemBlockStore*>(world->env().nvram_store.get());
-  auto* jukebox = dynamic_cast<MemBlockStore*>(world->env().jukebox_store.get());
-  if (disk == nullptr || nvram == nullptr || jukebox == nullptr) {
-    return sched.name + ": torture requires MemBlockStore-backed worlds";
+// The verdict on one replay: "" when it passed, else what is wrong. A halted
+// image is taken from the torn-down rig and reopened; an image that never
+// halted is flushed and judged live. Either way a fresh mount reads it back.
+// `faulted` says whether the schedule's fault fired: only then may the image
+// hold crash residue.
+std::string Judge(TortureDomain domain, std::unique_ptr<Rig> rig,
+                  const RunOutcome& out, bool faulted) {
+  // A halt fails no op, it stops the replay; only a wire fault fails ops.
+  if (out.failed_ops != 0 && !(domain == TortureDomain::kWire && faulted)) {
+    return std::to_string(out.failed_ops) + " ops failed with no wire fault";
   }
   StorageEnv renv;
-  renv.disk_store = disk->Clone();
-  renv.nvram_store = nvram->Clone();
-  renv.jukebox_store = jukebox->Clone();
-  // Simulated time continues past the crash; without this, new snapshots in
-  // the reopened database would predate already-committed timestamps.
-  renv.clock.Advance(world->env().clock.Peek());
-  load.reset();  // its sessions point into the world being destroyed
-  world.reset();
-
-  // Reopen: recovery is nothing but reading the commit log.
-  auto db_or = Database::Open(&renv);
-  if (!db_or.ok()) {
-    return sched.name + ": recovery failed: " + db_or.status().ToString();
+  std::unique_ptr<Database> recovered;
+  StorageEnv* env = &rig->world->env();
+  Database* db = &rig->world->db();
+  if (out.halted) {
+    // The injector refuses every later device operation, so the stores hold
+    // exactly what a power cut would have left; the frozen world's teardown
+    // cannot touch them.
+    db->Crash();
+    std::swap(renv.disk_store, env->disk_store);
+    std::swap(renv.nvram_store, env->nvram_store);
+    std::swap(renv.jukebox_store, env->jukebox_store);
+    // Simulated time continues past the crash; without this, new snapshots
+    // in the reopened database would predate already-committed timestamps.
+    renv.clock.Advance(env->clock.Peek());
+    rig.reset();
+    // Reopen: recovery is nothing but reading the commit log.
+    auto db_or = Database::Open(&renv);
+    if (!db_or.ok()) {
+      return "recovery failed: " + db_or.status().ToString();
+    }
+    recovered = std::move(*db_or);
+    env = &renv;
+    db = recovered.get();
+  } else if (Status flush = db->FlushCaches(); !flush.ok()) {
+    return "flush failed: " + flush.ToString();
   }
-  std::unique_ptr<Database> db = std::move(*db_or);
 
-  // Structural verification of the recovered image.
-  auto check = CheckImage(renv);
+  auto check = CheckImage(*env);
   if (!check.ok()) {
-    return sched.name + ": invfs_check errored: " + check.status().ToString();
+    return "invfs_check errored: " + check.status().ToString();
   }
-  // Provably-dead crash residue (uncataloged relations, index entries past
-  // the persisted end of their heap) is what a mid-transaction crash
+  // Provably-dead residue (uncataloged relations, index entries past the
+  // persisted end of their heap) is what an interrupted transaction
   // legitimately leaves for vacuum; anything else is a real failure.
-  if (!check->OnlyResidue()) {
-    std::string first;
-    for (const Violation& v : check->violations) {
-      if (!v.residue) {
-        first = v.ToString();
-        break;
-      }
+  for (const Violation& v : check->violations) {
+    if (!v.residue || !faulted) {
+      return "invfs_check found " + std::to_string(check->violations.size()) +
+             " violations; first not allowed: " + v.ToString();
     }
-    return sched.name + ": invfs_check found " +
-           std::to_string(check->violations.size()) +
-           " violations; first non-residue: " + first;
+  }
+  const size_t txns = db->txns().ActiveTxnCount();
+  const size_t locked = db->locks().NumLockedRelations();
+  if (txns != 0 || locked != 0) {
+    return "orphaned state: " + std::to_string(txns) +
+           " transactions still active, " + std::to_string(locked) +
+           " relations still locked";
   }
 
-  // Semantic oracle.
-  InversionFs fs(db.get());
+  InversionFs fs(db);
   if (Status ms = fs.Mount(); !ms.ok()) {
-    return sched.name + ": remount failed: " + ms.ToString();
+    return "mount failed: " + ms.ToString();
   }
-  auto actual_or = ReadActualState(&fs);
-  if (!actual_or.ok()) {
-    return sched.name + ": reading recovered state failed: " +
-           actual_or.status().ToString();
+  auto actual = ReadBack(&fs);
+  if (!actual.ok()) {
+    return "reading back failed: " + actual.status().ToString();
   }
-  const FileState& actual = *actual_or;
-  const std::string diff_acked = DescribeDiff(out.acked, actual);
-  if (diff_acked.empty()) {
-    return "";
-  }
-  if (out.indeterminate) {
-    const std::string diff_inflight = DescribeDiff(out.with_inflight, actual);
-    if (diff_inflight.empty()) {
-      return "";  // the overlapped commit landed in full: also legal
-    }
-    return sched.name + ": oracle failed (matches neither side of the " +
-           "in-flight commit): vs-acked: " + diff_acked +
-           "; vs-committed: " + diff_inflight;
-  }
-  return sched.name + ": oracle failed: " + diff_acked;
+  return JudgeState(domain, out.acked, out.landed, *actual);
 }
 
-// Evenly spread `want` occurrence indices over [1, count].
+// ---- schedules -------------------------------------------------------------
+
+// A count a recording pass made: how often one selector's event happened.
+struct Event {
+  TortureDomain domain;
+  std::string selector;  // crash point, "device.write" or wire fault kind
+  uint64_t count = 0;
+  NetFaultSpec::Kind kind{};  // wire domain only
+};
+
+struct Schedule {
+  std::string name;
+  const Event* event = nullptr;
+  uint64_t at = 0;  // 1-based occurrence of the event to fault
+};
+
+// Every `stride`-th occurrence of [1, count], the stride picked so that
+// min(want, count) or more positions run.
 std::vector<uint64_t> SpreadOccurrences(uint64_t count, uint64_t want) {
-  std::set<uint64_t> picks;
-  if (count == 0 || want == 0) {
-    return {};
+  std::vector<uint64_t> at;
+  if (want == 0) {
+    return at;
   }
-  if (want >= count) {
-    for (uint64_t i = 1; i <= count; ++i) {
-      picks.insert(i);
+  const uint64_t stride = std::max<uint64_t>(1, count / want);
+  for (uint64_t n = 1; n <= count; n += stride) {
+    at.push_back(n);
+  }
+  return at;
+}
+
+// One replay of the plan on a fresh rig, and its verdict: "" on pass, else
+// what is wrong. With `sched` it arms that one fault and adds the replay to
+// the domain stats. Without, it is the recording pass of `domain`'s client
+// path: it adds every event a schedule can land on to `events`, and must fail
+// no op and pass the verdict, or every schedule would fail for reasons
+// unrelated to faults.
+std::string Replay(const TortureOptions& opt, const std::vector<Step>& plan,
+                   TortureDomain domain, const Schedule* sched,
+                   TortureReport* report, std::vector<Event>* events) {
+  const bool wire = domain == TortureDomain::kWire;
+  auto rig_or = OpenRig(opt, wire);
+  if (!rig_or.ok()) {
+    return "setup failed: " + rig_or.status().ToString();
+  }
+  std::unique_ptr<Rig> rig = std::move(*rig_or);
+  FaultInjector& injector = rig->injector;
+  CrashPointRegistry& points = CrashPointRegistry::Instance();
+  // Counts restart here: bootstrap traffic is never scheduled.
+  injector.Arm({});
+  if (wire) {
+    rig->wire->Arm({});
+  }
+  if (sched == nullptr) {
+    points.StartRecording();
+  } else if (domain == TortureDomain::kPoints) {
+    points.Arm(sched->event->selector, sched->at,
+               [&injector] { injector.Crash(); });
+  } else if (domain == TortureDomain::kWrites) {
+    injector.ArmOne({.kind = FaultSpec::Kind::kCrash,
+                     .op = FaultSpec::Op::kWrite,
+                     .at = sched->at});
+  } else {
+    rig->wire->ArmOne({.kind = sched->event->kind, .at = sched->at});
+  }
+  const RunOutcome out = rig->Execute(plan);
+  // Nothing armed may fire while the verdict flushes and reads the image.
+  const std::map<std::string, uint64_t> hits = points.StopRecording();
+  points.Disarm();
+  injector.Disarm();
+  if (wire) {
+    rig->wire->Disarm();
+  }
+  const bool fired =
+      injector.crashed() || (wire && rig->wire->faults_fired() > 0);
+
+  if (sched == nullptr) {
+    if (wire) {
+      const uint64_t n = rig->wire->exchanges_since_arm();
+      report->recorded["wire.exchange"] = n;
+      for (const NetFaultSpec::Kind kind : kWireKinds) {
+        events->push_back({domain, NetFaultKindName(kind), n, kind});
+      }
+    } else {
+      for (const auto& [point, count] : hits) {
+        report->recorded["point:" + point] = count;
+        events->push_back({TortureDomain::kPoints, point, count});
+      }
+      const uint64_t n = injector.writes_since_arm();
+      report->recorded["device.write"] = n;
+      events->push_back({TortureDomain::kWrites, "device.write", n});
+    }
+    if (rig->load != nullptr) {
+      const LoadGenReport lr = rig->load->Report();
+      report->load_ops = lr.ops;
+      if (lr.errors != 0) {
+        return "load traffic saw " + std::to_string(lr.errors) + " errors";
+      }
     }
   } else {
-    for (uint64_t i = 0; i < want; ++i) {
-      picks.insert(1 + i * (count - 1) / (want - 1 == 0 ? 1 : want - 1));
+    TortureReport::DomainStats& stats =
+        report->domains[static_cast<size_t>(domain)];
+    ++(fired ? stats.fired : stats.not_reached);
+    if (out.halted && out.landed != out.acked) {
+      ++stats.in_flight;
+    }
+    report->failed_ops += out.failed_ops;
+    if (wire) {
+      report->retries += rig->client->retries();
     }
   }
-  return {picks.begin(), picks.end()};
+  return Judge(domain, std::move(rig), out, fired);
 }
 
 }  // namespace
 
+const char* TortureDomainName(TortureDomain domain) {
+  static constexpr const char* kNames[] = {"points", "writes", "wire"};
+  return kNames[static_cast<size_t>(domain)];
+}
+
+std::string JudgeState(TortureDomain domain, const FileState& acked,
+                       const FileState& landed, const FileState& actual) {
+  const std::string vs_acked = DescribeDiff(acked, actual);
+  if (vs_acked.empty()) {
+    return "";
+  }
+  if (domain == TortureDomain::kWire || landed == acked) {
+    return "oracle failed: " + vs_acked;
+  }
+  // The client never saw the interrupted call's ack, so recovery may show
+  // it landed in full — but nothing in between.
+  const std::string vs_landed = DescribeDiff(landed, actual);
+  if (vs_landed.empty()) {
+    return "";
+  }
+  return "oracle failed (matches neither side of the in-flight call): "
+         "vs-acked: " + vs_acked + "; vs-landed: " + vs_landed;
+}
+
 std::string TortureReport::Summary() const {
-  std::string s = "torture: " + std::to_string(schedules) + " schedules, " +
-                  std::to_string(crashes) + " crashes (" +
-                  std::to_string(indeterminate) + " in-flight commits, " +
-                  std::to_string(not_reached) + " not reached), " +
-                  std::to_string(recorded_writes) + " recorded writes, " +
-                  std::to_string(failures.size()) + " failures";
+  std::string s;
+  uint64_t total = 0;
+  for (size_t i = 0; i < kNumTortureDomains; ++i) {
+    const DomainStats& d = domains[i];
+    total += d.schedules;
+    if (d.schedules != 0) {
+      s += std::string("torture ") +
+           TortureDomainName(static_cast<TortureDomain>(i)) + ": " +
+           std::to_string(d.schedules) + " schedules, " +
+           std::to_string(d.fired) + " fired (" + std::to_string(d.in_flight) +
+           " in flight), " + std::to_string(d.not_reached) + " not reached\n";
+    }
+  }
+  s += "torture: " + std::to_string(total) + " schedules, " +
+       std::to_string(failed_ops) + " failed ops, " +
+       std::to_string(retries) + " retries, " +
+       std::to_string(failures.size()) + " failures -> " +
+       (ok() ? "PASS" : "FAIL");
   if (load_ops != 0) {
     s += " [under load: " + std::to_string(load_ops) + " tenant ops/pass]";
   }
@@ -414,84 +625,63 @@ std::string TortureReport::Summary() const {
 }
 
 Result<TortureReport> RunTorture(const TortureOptions& opt) {
+  if (opt.steps <= 0 || opt.max_files <= 0 || opt.buffers == 0) {
+    return Status::InvalidArgument(
+        "steps, max_files and buffers must be positive");
+  }
+  const std::vector<Step> plan = MakePlan(opt);
   TortureReport report;
 
-  // ---- recording pass ------------------------------------------------------
-  std::map<std::string, uint64_t> counts;
-  {
-    FaultInjector injector(opt.seed);
-    INV_ASSIGN_OR_RETURN(
-        auto world, InversionWorld::Create(TortureWorldOptions(opt, &injector)));
-    std::unique_ptr<LoadGen> load;
-    if (opt.under_load) {
-      load = std::make_unique<LoadGen>(&world->fs(), TortureLoadOptions(opt));
-      INV_RETURN_IF_ERROR(load->Setup());
+  // ---- recording: one pass per client path the selected domains use -------
+  std::vector<Event> events;
+  const bool in_process = Selected(opt, TortureDomain::kPoints) ||
+                          Selected(opt, TortureDomain::kWrites);
+  for (const TortureDomain path :
+       {TortureDomain::kPoints, TortureDomain::kWire}) {
+    if (path == TortureDomain::kWire ? !Selected(opt, path) : !in_process) {
+      continue;
     }
-    CrashPointRegistry::Instance().StartRecording();
-    injector.Arm({});  // reset relative counters after bootstrap
-    RunOutcome out;
-    RunWorkload(opt, world.get(), &injector, &out, load.get());
-    counts = CrashPointRegistry::Instance().StopRecording();
-    if (!out.completed) {
-      return Status::Internal("baseline torture workload failed: " + out.error);
-    }
-    report.recorded_writes = injector.writes_since_arm();
-    if (load != nullptr) {
-      const LoadGenReport lr = load->Report();
-      report.load_ops = lr.ops;
-      if (lr.errors != 0) {
-        return Status::Internal("baseline load traffic saw " +
-                                std::to_string(lr.errors) + " errors");
-      }
-    }
-    // The baseline image must verify before any fault is armed — otherwise
-    // every schedule would "fail" for reasons unrelated to crashes.
-    INV_ASSIGN_OR_RETURN(auto base_check, world->VerifyImage());
-    if (!base_check.ok()) {
-      return Status::Internal("baseline image has violations: " +
-                              base_check.violations.front().ToString());
-    }
-  }
-  for (const auto& [point, count] : counts) {
-    report.crash_points.push_back(point + " x " + std::to_string(count));
-  }
-
-  // ---- schedule enumeration ------------------------------------------------
-  std::vector<Schedule> schedules;
-  if (opt.run_crash_points) {
-    for (const auto& [point, count] : counts) {
-      for (uint64_t occ : SpreadOccurrences(count, opt.occurrences_per_point)) {
-        Schedule s;
-        s.name = "point:" + point + "#" + std::to_string(occ);
-        s.is_point = true;
-        s.point = point;
-        s.occurrence = occ;
-        schedules.push_back(std::move(s));
-      }
-    }
-  }
-  if (opt.run_write_sweep && report.recorded_writes > 0 &&
-      opt.write_sweep_schedules > 0) {
-    const uint64_t stride =
-        std::max<uint64_t>(1, report.recorded_writes / opt.write_sweep_schedules);
-    for (uint64_t n = 1; n <= report.recorded_writes; n += stride) {
-      Schedule s;
-      s.name = "write#" + std::to_string(n);
-      s.write_n = n;
-      schedules.push_back(std::move(s));
-    }
-  }
-
-  // ---- torture -------------------------------------------------------------
-  for (const Schedule& sched : schedules) {
-    ++report.schedules;
-    const std::string failure = RunSchedule(opt, sched, &report);
-    if (opt.verbose) {
-      std::printf("  %-40s %s\n", sched.name.c_str(),
-                  failure.empty() ? "ok" : failure.c_str());
-    }
+    const std::string failure =
+        Replay(opt, plan, path, /*sched=*/nullptr, &report, &events);
     if (!failure.empty()) {
-      report.failures.push_back(failure);
+      return Status::Internal(std::string(TortureDomainName(path)) +
+                              " recording pass: " + failure);
+    }
+  }
+
+  // ---- enumeration ---------------------------------------------------------
+  std::vector<Schedule> schedules;
+  for (const Event& e : events) {
+    if (!Selected(opt, e.domain)) {
+      continue;
+    }
+    const uint64_t want = e.domain == TortureDomain::kWrites
+                              ? opt.write_schedules
+                              : opt.occurrences;
+    for (const uint64_t at : SpreadOccurrences(e.count, want)) {
+      schedules.push_back({std::string(TortureDomainName(e.domain)) + ":" +
+                               e.selector + "#" + std::to_string(at),
+                           &e, at});
+      ++report.domains[static_cast<size_t>(e.domain)].schedules;
+    }
+  }
+  // A domain that enumerates nothing proves nothing; do not let it pass.
+  for (size_t i = 0; i < kNumTortureDomains; ++i) {
+    const auto domain = static_cast<TortureDomain>(i);
+    if (Selected(opt, domain) && report.domains[i].schedules == 0) {
+      return Status::InvalidArgument(std::string("domain ") +
+                                     TortureDomainName(domain) +
+                                     " enumerated no schedules");
+    }
+  }
+
+  // ---- the schedule loop ---------------------------------------------------
+  for (const Schedule& sched : schedules) {
+    report.schedules.push_back(sched.name);
+    const std::string failure = Replay(opt, plan, sched.event->domain, &sched,
+                                       &report, /*events=*/nullptr);
+    if (!failure.empty()) {
+      report.failures.push_back(sched.name + ": " + failure);
     }
   }
   return report;

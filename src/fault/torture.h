@@ -1,33 +1,45 @@
-// Crash-recovery torture driver.
+// Torture driver: one workload, one schedule loop and one oracle for every
+// fault domain.
 //
-// The paper claims file-system recovery is "essentially instantaneous" and
-// needs no fsck because uncommitted updates are invisible by construction.
-// This driver turns the claim into an enumerated proof obligation:
+// The paper claims recovery needs no fsck, because a transaction nobody was
+// told had committed is invisible by construction; the RPC path promises
+// at-most-once execution across a lossy wire. Both are one contract — the
+// ack is the promise — so one driver enumerates the proof obligations of
+// three fault domains:
 //
-//   1. Recording pass: run a deterministic mixed workload (creates, strided
-//      overwrites, appends, unlinks — all through InvSession transactions)
-//      against a fresh InversionWorld with the CrashPointRegistry counting
-//      how often every named crash point fires, and the FaultInjector
-//      counting device writes.
-//   2. Schedule enumeration: every (crash point, occurrence) pair — with
-//      occurrences spread evenly across the recorded hit count — plus a
-//      sweep of "halt at the Nth device write" schedules stepped to fit the
-//      budget.
-//   3. For each schedule: replay the identical workload in a fresh world,
-//      halt the simulated process image at the scheduled boundary (the
-//      FaultInjector freezes the block stores), snapshot the frozen image,
-//      reopen it (Database::Open *is* recovery), run the offline structural
-//      verifier, and check the semantic oracle: every transaction acked as
-//      committed is fully visible with its exact contents, every
-//      never-acked transaction is fully invisible, and the single
-//      transaction whose commit overlapped the crash is all-or-nothing.
+//   points  halt the process image at the Nth hit of a named crash point
+//           (src/fault/crash_points.h);
+//   writes  halt it before the Nth device write;
+//   wire    inject one wire fault (request drop, response drop, duplicate
+//           delivery, truncated reply, connection reset) at the Nth RPC
+//           exchange under a retrying RemoteFileClient.
+//
+//   1. Plan: a seeded sequence of steps, each one autocommit op or an
+//      explicit transaction of 1-3 ops (create, append, overwrite, rename,
+//      unlink). The crash domains run it through an InvSession, the wire
+//      domain through a RemoteFileClient over a FaultyTransport; one executor
+//      templated over the client serves both.
+//   2. Recording pass: run the plan unfaulted and count every event a fault
+//      can land on — crash-point hits, device writes and wire exchanges.
+//   3. Schedules: one SpreadOccurrences turns each (domain, selector) count
+//      into occurrence positions.
+//   4. For each schedule: replay the plan in a fresh world with that fault
+//      armed. A call's effect enters the acked-state mirror only when the
+//      call is acked. A halted image is taken as it froze and reopened
+//      (Database::Open *is* recovery); a wire fault leaves the live image.
+//      The verdict: invfs_check reports only residue, no transaction is
+//      active and no relation locked, and the namespace and bytes read back
+//      through a fresh session equal the acked state — or, in the crash
+//      domains, the state where the interrupted call or commit landed.
 //
 // All randomness flows from TortureOptions::seed, so a failing schedule
-// replays exactly (same workload, same fault, same image).
+// replays exactly by name.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -35,53 +47,67 @@
 
 namespace invfs {
 
+enum class TortureDomain : uint8_t { kPoints, kWrites, kWire };
+inline constexpr size_t kNumTortureDomains = 3;
+const char* TortureDomainName(TortureDomain domain);
+
 struct TortureOptions {
   uint64_t seed = 0xC0FFEE;
-  // Transactions per workload run (1-3 file operations each).
-  int transactions = 24;
+  // Plan steps per replay: each one autocommit op or an explicit transaction.
+  int steps = 24;
+  // Most files alive at once in the plan's namespace.
   int max_files = 8;
-  // Buffer-pool frames for the torture worlds: small enough that evictions
-  // (and therefore the buffer.eviction crash point) actually fire.
+  // Buffer-pool frames: small enough that evictions (and therefore the
+  // buffer.eviction crash point) actually fire.
   size_t buffers = 48;
-  // Crash-point schedules: at most this many occurrences per point, spread
-  // evenly across the recorded hit count.
-  uint64_t occurrences_per_point = 4;
-  // Device-write sweep: crash before the Nth write, N stepped so at most
-  // this many schedules run.
-  uint64_t write_sweep_schedules = 48;
-  bool run_crash_points = true;
-  bool run_write_sweep = true;
+  // Bit i set = run TortureDomain(i).
+  uint32_t domains = (1u << kNumTortureDomains) - 1;
+  // At most about this many occurrences per crash point and per wire fault
+  // kind, spread across the recorded count.
+  uint64_t occurrences = 4;
+  // The same budget for the single selector of the device-write domain.
+  uint64_t write_schedules = 48;
   // Interleave open-loop multi-tenant load (src/load/loadgen.h, the builtin
-  // profile mix under /load) between torture transactions, in the recording
-  // pass and in every schedule replay alike — so crash/recovery correctness
-  // is proven while mail deliveries, analytics scans, historical audits and
-  // archive migrations share the engine. The oracle still judges only the
-  // torture files in /; the load namespace is exempt (it is not part of the
-  // acked-state contract), but the structural verifier covers the whole
-  // image, load tables included.
+  // mix under /load) between plan steps, in the recording pass and every
+  // replay alike. The oracle judges only the plan's namespace; invfs_check
+  // covers the whole image, load tables included.
   bool under_load = false;
-  // Load-driver arrivals pumped between consecutive torture transactions.
-  int load_steps_per_txn = 2;
-  bool verbose = false;  // one line per schedule to stdout
 };
 
 struct TortureReport {
-  uint64_t schedules = 0;      // schedules enumerated and run
-  uint64_t crashes = 0;        // schedules whose halt actually fired
-  uint64_t not_reached = 0;    // armed point never hit (workload completed)
-  uint64_t indeterminate = 0;  // crash overlapped an in-flight commit
-  uint64_t recorded_writes = 0;   // device writes in the recording pass
-  uint64_t load_ops = 0;          // loadgen arrivals in the recording pass
-  std::vector<std::string> crash_points;  // recorded "point x count" lines
-  std::vector<std::string> failures;      // empty == the sweep passed
+  struct DomainStats {
+    uint64_t schedules = 0;    // schedules enumerated and run
+    uint64_t fired = 0;        // schedules whose fault actually fired
+    uint64_t not_reached = 0;  // armed position never reached
+    uint64_t in_flight = 0;    // halted with a state change in flight
+  };
+  std::array<DomainStats, kNumTortureDomains> domains{};
+  // Events of the recording passes: "point:<name>", "device.write" and
+  // "wire.exchange", each with its count.
+  std::map<std::string, uint64_t> recorded;
+  std::vector<std::string> schedules;  // names, in run order
+  uint64_t failed_ops = 0;  // ops that surfaced an error, all schedules
+  uint64_t retries = 0;     // RPC client retries, all schedules
+  uint64_t load_ops = 0;    // loadgen arrivals per recording pass
+  std::vector<std::string> failures;  // empty == the sweep passed
 
   bool ok() const { return failures.empty(); }
   std::string Summary() const;
 };
 
-// Run the full torture sweep. Non-OK only on environmental errors (the
-// baseline workload itself failing); verification failures land in
-// TortureReport::failures.
+// Run the sweep. Non-OK on environmental errors: a recording pass that
+// fails, or a selected domain that enumerates no schedule. Verification
+// failures land in TortureReport::failures.
 Result<TortureReport> RunTorture(const TortureOptions& options);
+
+// Path -> full contents of every file in the plan's namespace.
+using FileState = std::map<std::string, std::string>;
+
+// The oracle over a read-back state: "" when `actual` is a legal outcome of
+// a replay that acked `acked` and was interrupted with `landed` in flight,
+// else what is wrong. Only the crash domains accept `landed`: a wire fault
+// never interrupts a call, it only fails it.
+std::string JudgeState(TortureDomain domain, const FileState& acked,
+                       const FileState& landed, const FileState& actual);
 
 }  // namespace invfs

@@ -1,116 +1,112 @@
-// invfs_torture: crash-point and device-write crash-schedule torture sweep.
+// invfs_torture: the crash-point, device-write and wire-fault torture sweep.
 //
-// Usage: invfs_torture [--seed N] [--txns N] [--files N] [--buffers N]
-//                      [--occurrences N] [--write-schedules N]
-//                      [--no-points] [--no-write-sweep] [--quick]
-//                      [--under-load] [--net-faults] [--net-schedules N]
-//                      [--verbose]
+// Runs the deterministic sweep of src/fault/torture.h: a recording pass
+// counts every event of the seeded plan, then each schedule replays the plan
+// with one fault armed and checks the image against the commit-ack oracle.
 //
-// --under-load interleaves the open-loop multi-tenant load driver (the
-// builtin mail/analytics/audit/archive mix under /load) between torture
-// transactions in every pass, proving recovery correctness with foreign
-// tenant traffic sharing the engine.
+//   --seed N             the one seed the plan and every fault derive from
+//   --txns N             plan steps (each one autocommit op or an explicit
+//                        transaction of 1-3 ops)
+//   --files N            most files alive at once
+//   --buffers N          buffer-pool frames
+//   --domains LIST       comma-separated subset of points,writes,wire
+//                        (default: all three)
+//   --occurrences N      schedules per crash point and per wire fault kind
+//   --write-schedules N  schedules of the device-write domain
+//   --quick              small sweep: --txns 10 --occurrences 2
+//                        --write-schedules 12
+//   --under-load         interleave the builtin multi-tenant load mix (under
+//                        /load) between plan steps in every pass
 //
-// --net-faults switches to the network fault-domain sweep (see
-// src/fault/net_torture.h): a (fault kind x occurrence position) schedule
-// matrix over the at-most-once RPC stack — request/response drops, duplicate
-// deliveries, truncated replies, and connection resets injected under a
-// retrying client, with the acked-visible / never-acked-invisible oracle and
-// a no-orphaned-locks/transactions quiescence check after every schedule.
-// --seed, --txns (operations), --files, and --verbose carry over;
-// --net-schedules bounds the occurrence positions per fault kind.
-//
-// Runs the deterministic torture sweep (see src/fault/torture.h): a recording
-// pass discovers every crash point the workload exercises, then each
-// (point, occurrence) pair and a sweep of Nth-device-write halts are replayed
-// with the process image frozen at the boundary, the image reopened,
-// recovered, structurally verified, and checked against the commit-ack
-// oracle. Exit status: 0 sweep passed, 1 verification failures, 2 error.
+// Every number must be a whole decimal number; --txns, --files and --buffers
+// must be positive. Exit status: 0 sweep passed, 1 verification failures,
+// 2 bad arguments or harness error (a selected domain that enumerates no
+// schedule is one).
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string_view>
 
-#include "src/fault/net_torture.h"
 #include "src/fault/torture.h"
 
 namespace {
 
-int RunNetMode(const invfs::NetTortureOptions& opt) {
-  auto report = invfs::RunNetTorture(opt);
-  if (!report.ok()) {
-    std::fprintf(stderr, "invfs_torture: %s\n",
-                 report.status().message().c_str());
-    return 2;
+constexpr char kUsage[] =
+    "usage: invfs_torture [--seed N] [--txns N] [--files N] [--buffers N] "
+    "[--domains points,writes,wire] [--occurrences N] [--write-schedules N] "
+    "[--quick] [--under-load]\n";
+
+// All of `text` as a number: "12x", "", "abc" and, for unsigned types, "-1"
+// are refused.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), *out);
+  return ec == std::errc() && ptr == text.data() + text.size();
+}
+
+// A comma-separated list of domain names.
+bool ParseDomains(std::string_view text, uint32_t* out) {
+  *out = 0;
+  for (size_t end = 0; end != std::string_view::npos;) {
+    end = text.find(',');
+    const std::string_view name = text.substr(0, end);
+    size_t i = 0;
+    while (i < invfs::kNumTortureDomains &&
+           name != TortureDomainName(static_cast<invfs::TortureDomain>(i))) {
+      ++i;
+    }
+    if (i == invfs::kNumTortureDomains) {
+      return false;
+    }
+    *out |= 1u << i;
+    text.remove_prefix(end == std::string_view::npos ? text.size() : end + 1);
   }
-  for (const std::string& line : report->failures) {
-    std::printf("net failure: %s\n", line.c_str());
-  }
-  std::printf("%s\n", report->Summary().c_str());
-  return report->ok() ? 0 : 1;
+  return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   invfs::TortureOptions opt;
-  invfs::NetTortureOptions net_opt;
-  bool net_mode = false;
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "invfs_torture: %s needs a value\n", a);
-        std::exit(2);
-      }
-      return argv[++i];
+    const int first = i;
+    const std::string_view a = argv[i];
+    const auto value = [&]() -> std::string_view {
+      return i + 1 < argc ? argv[++i] : "";
     };
-    if (std::strcmp(a, "--seed") == 0) {
-      opt.seed = std::strtoull(next(), nullptr, 0);
-      net_opt.seed = opt.seed;
-    } else if (std::strcmp(a, "--txns") == 0) {
-      opt.transactions = std::atoi(next());
-      net_opt.operations = opt.transactions;
-    } else if (std::strcmp(a, "--files") == 0) {
-      opt.max_files = std::atoi(next());
-      net_opt.max_files = opt.max_files;
-    } else if (std::strcmp(a, "--buffers") == 0) {
-      opt.buffers = static_cast<size_t>(std::atoi(next()));
-    } else if (std::strcmp(a, "--occurrences") == 0) {
-      opt.occurrences_per_point = std::strtoull(next(), nullptr, 0);
-    } else if (std::strcmp(a, "--write-schedules") == 0) {
-      opt.write_sweep_schedules = std::strtoull(next(), nullptr, 0);
-    } else if (std::strcmp(a, "--net-faults") == 0) {
-      net_mode = true;
-    } else if (std::strcmp(a, "--net-schedules") == 0) {
-      net_opt.schedules_per_kind = std::strtoull(next(), nullptr, 0);
-    } else if (std::strcmp(a, "--no-points") == 0) {
-      opt.run_crash_points = false;
-    } else if (std::strcmp(a, "--no-write-sweep") == 0) {
-      opt.run_write_sweep = false;
-    } else if (std::strcmp(a, "--quick") == 0) {
-      opt.transactions = 10;
-      opt.occurrences_per_point = 2;
-      opt.write_sweep_schedules = 12;
-      net_opt.operations = 20;
-      net_opt.schedules_per_kind = 6;
-    } else if (std::strcmp(a, "--under-load") == 0) {
+    bool ok = true;
+    if (a == "--seed") {
+      ok = ParseNumber(value(), &opt.seed);
+    } else if (a == "--txns") {
+      ok = ParseNumber(value(), &opt.steps) && opt.steps > 0;
+    } else if (a == "--files") {
+      ok = ParseNumber(value(), &opt.max_files) && opt.max_files > 0;
+    } else if (a == "--buffers") {
+      ok = ParseNumber(value(), &opt.buffers) && opt.buffers > 0;
+    } else if (a == "--domains") {
+      ok = ParseDomains(value(), &opt.domains);
+    } else if (a == "--occurrences") {
+      ok = ParseNumber(value(), &opt.occurrences);
+    } else if (a == "--write-schedules") {
+      ok = ParseNumber(value(), &opt.write_schedules);
+    } else if (a == "--quick") {
+      opt.steps = 10;
+      opt.occurrences = 2;
+      opt.write_schedules = 12;
+    } else if (a == "--under-load") {
       opt.under_load = true;
-    } else if (std::strcmp(a, "--verbose") == 0) {
-      opt.verbose = true;
-      net_opt.verbose = true;
     } else {
-      std::fprintf(stderr,
-                   "usage: invfs_torture [--seed N] [--txns N] [--files N] "
-                   "[--buffers N] [--occurrences N] [--write-schedules N] "
-                   "[--no-points] [--no-write-sweep] [--quick] [--under-load] "
-                   "[--net-faults] [--net-schedules N] [--verbose]\n");
+      ok = false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "invfs_torture: bad argument:");
+      for (int k = first; k <= i; ++k) {
+        std::fprintf(stderr, " %s", argv[k]);
+      }
+      std::fprintf(stderr, "\n%s", kUsage);
       return 2;
     }
-  }
-
-  if (net_mode) {
-    return RunNetMode(net_opt);
   }
 
   auto report = invfs::RunTorture(opt);
@@ -119,8 +115,9 @@ int main(int argc, char** argv) {
                  report.status().message().c_str());
     return 2;
   }
-  for (const std::string& line : report->crash_points) {
-    std::printf("crash point: %s\n", line.c_str());
+  for (const auto& [event, count] : report->recorded) {
+    std::printf("recorded: %s x %llu\n", event.c_str(),
+                static_cast<unsigned long long>(count));
   }
   std::printf("%s\n", report->Summary().c_str());
   return report->ok() ? 0 : 1;

@@ -44,6 +44,8 @@ class InversionWorld {
   Database& db() { return *db_; }
   InvSession& session() { return *session_; }
   StorageEnv& env() { return env_; }
+  // The priced wire to this world's RPC server, for callers' own clients.
+  Transport& transport() { return *transport_; }
 
   // Flush every dirty page, then run the offline structural verifier over the
   // stable image. Benchmarks and tests use this as a post-condition: the
