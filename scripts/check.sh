@@ -16,7 +16,7 @@
 #   scripts/check.sh torture    # just the torture sweeps of every fault domain (ASan)
 #   scripts/check.sh load       # just the open-loop loadgen SLO smoke
 #   scripts/check.sh net        # the network-fault sweep + faulted rpc load
-#   scripts/check.sh werror     # every target built with -Werror
+#   scripts/check.sh werror     # every target built with -Werror (RelWithDebInfo and Release)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -115,7 +115,9 @@ run_metrics_overhead() {
   # The INVFS_NO_METRICS tree builds every target, not just bench_micro, so
   # the compiled-out flavour of the whole engine, its tools and its tests
   # keeps compiling. Its ctest is not run: suites that assert counter values
-  # fail by design when the counters are compiled out.
+  # fail by design when the counters are compiled out. What runs there is
+  # invfs_bench's mt section, whose registry-derived fields must come out
+  # null, never a 0 that reads like a measurement.
   local budget=${INVFS_METRICS_BUDGET:-5}
   local span_budget=${INVFS_SPAN_BUDGET:-200}
   local reps=${INVFS_METRICS_REPS:-7}
@@ -165,6 +167,21 @@ run_metrics_overhead() {
 
   gate_benchmark BM_BufferHit "$budget"
   gate_benchmark BM_FileWriteRead "$span_budget"
+
+  echo "==> [metrics] invfs_bench mt (INVFS_NO_METRICS): registry-derived fields must be null"
+  local mt_json="$off_dir/invfs_bench_mt.json"
+  "$off_dir/bench/invfs_bench" mt --json "$mt_json" >/dev/null
+  python3 - "$mt_json" <<'PY' || { echo "==> [metrics] FAILED: a compiled-out counter was reported as a number" >&2; exit 1; }
+import json, sys
+mt = json.load(open(sys.argv[1]))["mt"]
+fields = [("group_commit[%d].%s" % (r["threads"], k), r[k]) for r in mt["group_commit"]
+          for k in ("persist_requests", "persist_batches", "device_page_writes",
+                    "writes_per_transition")]
+fields += [("metrics." + k, v) for k, v in mt["metrics"].items()]
+numeric = [name for name, v in fields if v is not None]
+print("==> [metrics] %d registry-derived fields, %d numeric %s" % (len(fields), len(numeric), numeric))
+sys.exit(1 if numeric else 0)
+PY
 }
 
 run_torture() {
@@ -247,15 +264,21 @@ run_net() {
 
 run_werror() {
   # Warning gate: every target (engine, tools, tests, benches) built with
-  # -Werror on top of the project's warning set. The build is optimized, as
-  # some GCC warnings (-Wfree-nonheap-object among them) only fire after
-  # inlining, so a warning-free tree stays that way.
-  local dir="$ROOT/build-werror"
-  echo "==> [werror] configure (RelWithDebInfo, -Werror)"
-  cmake -B "$dir" -S "$ROOT" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS=-Werror >/dev/null
-  echo "==> [werror] build every target"
-  cmake --build "$dir" -j "$JOBS" -- --no-print-directory
+  # -Werror on top of the project's warning set. Both optimized configurations
+  # are built, as some GCC warnings (-Wfree-nonheap-object among them) only
+  # fire after inlining, and the -O2 (RelWithDebInfo) and -O3 (Release)
+  # inliners expose different ones (-Wrestrict in string concatenation only
+  # at -O3), so a warning-free tree stays that way.
+  local type dir
+  for type in RelWithDebInfo Release; do
+    dir="$ROOT/build-werror"
+    [[ $type == Release ]] && dir="$ROOT/build-werror-release"
+    echo "==> [werror] configure ($type, -Werror)"
+    cmake -B "$dir" -S "$ROOT" -DCMAKE_BUILD_TYPE=$type \
+          -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+    echo "==> [werror] build every target ($type)"
+    cmake --build "$dir" -j "$JOBS" -- --no-print-directory
+  done
   echo "==> [werror] clean"
 }
 

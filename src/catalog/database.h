@@ -40,7 +40,7 @@ struct DatabaseOptions {
   size_t buffers = kDefaultBuffers;  // 64 as shipped; Berkeley ran 300
   // Buffer-pool mapping shards. 0 = default (kDefaultPoolPartitions); 1
   // degenerates to a single-lock pool (the POSTGRES 4.0.1 behavior, kept as
-  // the contention baseline for bench_mt_scan).
+  // the contention baseline for `invfs_bench mt`).
   size_t buffer_partitions = 0;
   DiskParams disk{};
   JukeboxParams jukebox{};

@@ -12,7 +12,7 @@
 //
 // Cost when idle: one relaxed atomic load per Hit. The registry is inert
 // unless a torture run arms it, so production paths pay nothing measurable
-// (bench_pr5 gates this).
+// (`invfs_bench overhead` measures this).
 //
 // Catalog of instrumented points (keep in sync with DESIGN.md):
 //   commitlog.pre_flush   before the group-commit leader writes any log page

@@ -105,9 +105,9 @@ class FaultInjector {
   // Unarmed fast path: armed and crashed state share one atomic flags word,
   // so when nothing is scheduled the whole decision is a single acquire load
   // plus a lossy stat bump — neither mu_ nor a locked read-modify-write is
-  // touched on the production-shaped path (bench_pr5 measures the entry's
-  // unarmed overhead). A kCrash verdict subsumes a separate crashed()
-  // pre-check in the block paths.
+  // touched on the production-shaped path (`invfs_bench overhead` measures
+  // the entry's unarmed overhead). A kCrash verdict subsumes a separate
+  // crashed() pre-check in the block paths.
   Verdict OnOp(FaultSpec::Op op) EXCLUDES(mu_) {
     const uint8_t flags = flags_.load(std::memory_order_acquire);
     if (flags == 0) [[likely]] {

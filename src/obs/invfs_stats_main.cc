@@ -2,7 +2,7 @@
 // and dump (or POSTQUEL-query) the resulting metrics registry.
 //
 //   invfs_stats                  text table of every metric
-//   invfs_stats --json           JSON snapshot (same shape bench_pr4 embeds)
+//   invfs_stats --json           JSON snapshot (same shape `invfs_bench mt` embeds)
 //   invfs_stats --spans          recent span records (newest last)
 //   invfs_stats --slowest N      top-N slowest request trees, children indented
 //   invfs_stats --breakdown OP   latency attribution for every span named OP:

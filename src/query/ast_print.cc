@@ -28,8 +28,11 @@ std::string ExprToString(const Expr& expr) {
   switch (expr.kind) {
     case ExprKind::kConst:
       return ValueLiteral(expr.constant);
-    case ExprKind::kParam:
-      return "$" + std::to_string(expr.param_index);
+    case ExprKind::kParam: {
+      std::string out = "$";
+      out += std::to_string(expr.param_index);
+      return out;
+    }
     case ExprKind::kColumnRef:
       return expr.range_var.empty() ? expr.column : expr.range_var + "." + expr.column;
     case ExprKind::kFuncCall: {
@@ -44,9 +47,16 @@ std::string ExprToString(const Expr& expr) {
     }
     case ExprKind::kUnaryOp:
       return "(" + expr.name + " " + ExprToString(*expr.args[0]) + ")";
-    case ExprKind::kBinaryOp:
-      return "(" + ExprToString(*expr.args[0]) + " " + expr.name + " " +
-             ExprToString(*expr.args[1]) + ")";
+    case ExprKind::kBinaryOp: {
+      std::string out = "(";
+      out += ExprToString(*expr.args[0]);
+      out += ' ';
+      out += expr.name;
+      out += ' ';
+      out += ExprToString(*expr.args[1]);
+      out += ')';
+      return out;
+    }
   }
   return "?";
 }

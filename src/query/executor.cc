@@ -74,7 +74,9 @@ std::string ResultSet::ToString() const {
   for (const auto& line : cells) {
     emit_row(line);
   }
-  out += "(" + std::to_string(rows.size()) + " rows)\n";
+  out += '(';
+  out += std::to_string(rows.size());
+  out += " rows)\n";
   return out;
 }
 

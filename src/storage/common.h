@@ -36,7 +36,12 @@ struct Tid {
 
   auto operator<=>(const Tid&) const = default;
   std::string ToString() const {
-    return "(" + std::to_string(block) + "," + std::to_string(slot) + ")";
+    std::string out = "(";
+    out += std::to_string(block);
+    out += ',';
+    out += std::to_string(slot);
+    out += ')';
+    return out;
   }
 };
 

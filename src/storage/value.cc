@@ -181,7 +181,9 @@ std::string Value::ToString() const {
     return std::to_string(*v);
   }
   if (auto* v = std::get_if<TimestampBox>(&rep_)) {
-    return "@" + std::to_string(v->t);
+    std::string out = "@";
+    out += std::to_string(v->t);
+    return out;
   }
   return "?";
 }

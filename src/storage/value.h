@@ -39,14 +39,18 @@ class Value {
  public:
   Value() = default;  // null
   static Value Null() { return Value(); }
-  static Value Bool(bool v) { return Value(Rep(v)); }
-  static Value Int4(int32_t v) { return Value(Rep(v)); }
-  static Value Int8(int64_t v) { return Value(Rep(v)); }
-  static Value Float8(double v) { return Value(Rep(v)); }
-  static Value Text(std::string v) { return Value(Rep(std::move(v))); }
-  static Value Bytes(Blob v) { return Value(Rep(std::move(v))); }
-  static Value MakeOid(Oid v) { return Value(Rep(v)); }
-  static Value MakeTimestamp(Timestamp v) { return Value(Rep(TimestampBox{v})); }
+  static Value Bool(bool v) { return Value(std::in_place_type<bool>, v); }
+  static Value Int4(int32_t v) { return Value(std::in_place_type<int32_t>, v); }
+  static Value Int8(int64_t v) { return Value(std::in_place_type<int64_t>, v); }
+  static Value Float8(double v) { return Value(std::in_place_type<double>, v); }
+  static Value Text(std::string v) {
+    return Value(std::in_place_type<std::string>, std::move(v));
+  }
+  static Value Bytes(Blob v) { return Value(std::in_place_type<Blob>, std::move(v)); }
+  static Value MakeOid(Oid v) { return Value(std::in_place_type<Oid>, v); }
+  static Value MakeTimestamp(Timestamp v) {
+    return Value(std::in_place_type<TimestampBox>, TimestampBox{v});
+  }
 
   bool is_null() const { return std::holds_alternative<std::monostate>(rep_); }
 
@@ -84,7 +88,9 @@ class Value {
   using Rep = std::variant<std::monostate, bool, int32_t, int64_t, double,
                            std::string, Blob, Oid, TimestampBox>;
 
-  explicit Value(Rep rep) : rep_(std::move(rep)) {}
+  // Builds the alternative in place: no temporary Rep to move from.
+  template <typename T>
+  Value(std::in_place_type_t<T> type, T v) : rep_(type, std::move(v)) {}
 
   Rep rep_;
 };

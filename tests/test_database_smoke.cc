@@ -165,9 +165,9 @@ TEST(DatabaseSmoke, IndexLookupFindsRows) {
   auto index = db.catalog().CreateIndex(*txn, *table, {0});
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(
-        db.InsertRow(*txn, *table, {Value::Int4(i), Value::Text("v" + std::to_string(i))})
-            .ok());
+    std::string text = "v";
+    text += std::to_string(i);
+    ASSERT_TRUE(db.InsertRow(*txn, *table, {Value::Int4(i), Value::Text(text)}).ok());
   }
   ASSERT_TRUE(db.Commit(*txn).ok());
 

@@ -140,7 +140,8 @@ TEST_F(GatewayTest, ThePastIsReadOnly) {
   auto fd = gw_->Creat("/ro.txt");
   ASSERT_TRUE(fd.ok());
   ASSERT_TRUE(gw_->Close(*fd).ok());
-  const std::string at = "@" + std::to_string(db_->Now());
+  std::string at = "@";
+  at += std::to_string(db_->Now());
   EXPECT_EQ(gw_->Open("/ro.txt" + at, true).status().code(), ErrorCode::kReadOnly);
   EXPECT_EQ(gw_->Creat("/new.txt" + at).status().code(), ErrorCode::kReadOnly);
   EXPECT_EQ(gw_->Remove("/ro.txt" + at).code(), ErrorCode::kReadOnly);
