@@ -3,52 +3,17 @@
 namespace invfs {
 namespace {
 
-// ------------------------------------------------- Inversion, single process
+// ------------------------------ Inversion, single process and client/server
 
-class LocalInversionApi final : public FileApi {
+// InvSession (single process) and RemoteFileClient (client/server) share the
+// p_* signatures, so one adapter serves both paths.
+template <typename Client>
+class InversionApi final : public FileApi {
  public:
-  explicit LocalInversionApi(InversionWorld* world, InvSession* session,
-                             Database* db)
-      : world_(world), session_(session), db_(db) {
-    (void)world_;
-  }
+  InversionApi(std::string_view name, Client* client, Database* db)
+      : name_(name), client_(client), db_(db) {}
 
-  std::string_view name() const override { return "inversion-single-process"; }
-  Status Begin() override { return session_->p_begin(); }
-  Status Commit() override { return session_->p_commit(); }
-  Result<int> Creat(const std::string& path) override {
-    return session_->p_creat(path);
-  }
-  Result<int> Open(const std::string& path, bool writable) override {
-    return session_->p_open(path, writable ? OpenMode::kWrite : OpenMode::kRead);
-  }
-  Status Close(int fd) override { return session_->p_close(fd); }
-  Result<int64_t> Read(int fd, std::span<std::byte> buf) override {
-    return session_->p_read(fd, buf);
-  }
-  Result<int64_t> Write(int fd, std::span<const std::byte> buf) override {
-    return session_->p_write(fd, buf);
-  }
-  Result<int64_t> Seek(int fd, int64_t offset, Whence whence) override {
-    return session_->p_lseek(fd, offset, whence);
-  }
-  int64_t PreferredPageSize() const override { return kInvChunkSize; }
-  Status FlushCaches() override { return db_->FlushCaches(); }
-
- private:
-  InversionWorld* world_;
-  InvSession* session_;
-  Database* db_;
-};
-
-// --------------------------------------------------- Inversion, client/server
-
-class RemoteInversionApi final : public FileApi {
- public:
-  RemoteInversionApi(RemoteFileClient* client, Database* db)
-      : client_(client), db_(db) {}
-
-  std::string_view name() const override { return "inversion-client-server"; }
+  std::string_view name() const override { return name_; }
   Status Begin() override { return client_->p_begin(); }
   Status Commit() override { return client_->p_commit(); }
   Result<int> Creat(const std::string& path) override {
@@ -71,7 +36,8 @@ class RemoteInversionApi final : public FileApi {
   Status FlushCaches() override { return db_->FlushCaches(); }
 
  private:
-  RemoteFileClient* client_;
+  std::string_view name_;
+  Client* client_;
   Database* db_;
 };
 
@@ -125,10 +91,10 @@ Result<std::unique_ptr<InversionWorld>> InversionWorld::Create(WorldOptions opti
   client_options.metrics = &world->db_->metrics();
   world->client_ =
       std::make_unique<RemoteFileClient>(world->transport_.get(), client_options);
-  world->local_api_ = std::make_unique<LocalInversionApi>(
-      world.get(), world->session_.get(), world->db_.get());
-  world->remote_api_ =
-      std::make_unique<RemoteInversionApi>(world->client_.get(), world->db_.get());
+  world->local_api_ = std::make_unique<InversionApi<InvSession>>(
+      "inversion-single-process", world->session_.get(), world->db_.get());
+  world->remote_api_ = std::make_unique<InversionApi<RemoteFileClient>>(
+      "inversion-client-server", world->client_.get(), world->db_.get());
   return world;
 }
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <tuple>
+#include <type_traits>
 
 #include "src/obs/span.h"
 
@@ -15,8 +18,158 @@ constexpr uint32_t kMaxRpcReadBytes = 64u << 20;
 // two stubs never collide, deterministic per construction order.
 std::atomic<uint64_t> g_next_client_id{1};
 
-// ---- shared value / struct marshalling --------------------------------------
+// The rpc.client.* instruments are null when the stub has no registry.
+void Count(Counter* counter) {
+  if (counter != nullptr) {
+    counter->Add();
+  }
+}
 
+// ---- wire types -------------------------------------------------------------
+//
+// One Put/Get pair per type that crosses the wire, side by side. The client
+// stub Puts its arguments and Gets the reply; the server Gets the session
+// method's parameters and Puts its result. Both pick the pair by the C++
+// type of the value (`int` is an fd, `uint64_t` a timestamp), so a stub and
+// the session method it mirrors, which share one signature, share one
+// encoding. Get reads through ByteReader's sticky error flag: the caller
+// checks r.ok() once, after the last field.
+
+template <typename T>
+T Get(ByteReader& r);
+
+// The reply of a status-only op: no payload.
+struct NoReply {};
+template <>
+NoReply Get<NoReply>(ByteReader& /*r*/) {
+  return {};
+}
+
+void Put(ByteWriter& w, int fd) { w.U32(static_cast<uint32_t>(fd)); }
+template <>
+int Get<int>(ByteReader& r) {
+  return static_cast<int>(r.U32());
+}
+
+void Put(ByteWriter& w, uint32_t v) { w.U32(v); }
+template <>
+uint32_t Get<uint32_t>(ByteReader& r) {
+  return r.U32();
+}
+
+void Put(ByteWriter& w, int64_t v) { w.I64(v); }
+template <>
+int64_t Get<int64_t>(ByteReader& r) {
+  return r.I64();
+}
+
+void Put(ByteWriter& w, uint64_t v) { w.U64(v); }
+template <>
+uint64_t Get<uint64_t>(ByteReader& r) {
+  return r.U64();
+}
+
+void Put(ByteWriter& w, OpenMode mode) {
+  w.U8(mode == OpenMode::kWrite ? 1 : 0);
+}
+template <>
+OpenMode Get<OpenMode>(ByteReader& r) {
+  return r.U8() != 0 ? OpenMode::kWrite : OpenMode::kRead;
+}
+
+void Put(ByteWriter& w, Whence whence) { w.U8(static_cast<uint8_t>(whence)); }
+template <>
+Whence Get<Whence>(ByteReader& r) {
+  return static_cast<Whence>(r.U8());
+}
+
+void Put(ByteWriter& w, std::string_view s) { w.Str(s); }
+template <>
+std::string Get<std::string>(ByteReader& r) {
+  return r.Str();
+}
+
+void Put(ByteWriter& w, std::span<const std::byte> data) { w.Blob(data); }
+template <>
+std::vector<std::byte> Get<std::vector<std::byte>>(ByteReader& r) {
+  return r.Blob();
+}
+
+void Put(ByteWriter& w, const CreatOptions& options) {
+  w.U8(options.device);
+  w.Str(options.owner);
+  w.Str(options.type);
+  w.U8(options.compressed ? 1 : 0);
+  w.U8(options.keep_history ? 1 : 0);
+}
+template <>
+CreatOptions Get<CreatOptions>(ByteReader& r) {
+  CreatOptions options;
+  options.device = r.U8();
+  options.owner = r.Str();
+  options.type = r.Str();
+  options.compressed = r.U8() != 0;
+  options.keep_history = r.U8() != 0;
+  return options;
+}
+
+void Put(ByteWriter& w, const FileStat& st) {
+  w.U32(st.oid);
+  w.Str(st.name);
+  w.Str(st.owner);
+  w.Str(st.type);
+  w.I64(st.size);
+  w.U64(st.ctime);
+  w.U64(st.mtime);
+  w.U64(st.atime);
+  w.U8(st.device);
+  w.U8(st.is_directory ? 1 : 0);
+  w.U8(st.compressed ? 1 : 0);
+}
+template <>
+FileStat Get<FileStat>(ByteReader& r) {
+  FileStat st;
+  st.oid = r.U32();
+  st.name = r.Str();
+  st.owner = r.Str();
+  st.type = r.Str();
+  st.size = r.I64();
+  st.ctime = r.U64();
+  st.mtime = r.U64();
+  st.atime = r.U64();
+  st.device = r.U8();
+  st.is_directory = r.U8() != 0;
+  st.compressed = r.U8() != 0;
+  return st;
+}
+
+void Put(ByteWriter& w, const std::vector<DirEntry>& entries) {
+  w.U32(static_cast<uint32_t>(entries.size()));
+  for (const DirEntry& e : entries) {
+    w.Str(e.name);
+    w.U32(e.oid);
+    w.U8(e.is_directory ? 1 : 0);
+  }
+}
+template <>
+std::vector<DirEntry> Get<std::vector<DirEntry>>(ByteReader& r) {
+  const uint32_t n = r.U32();
+  std::vector<DirEntry> out;
+  // `n` is wire-controlled: bound the reservation by what the payload could
+  // possibly hold (>= 9 bytes per entry) and let the sticky reader error end
+  // the loop, so an oversized count can neither over-allocate nor spin.
+  out.reserve(std::min<size_t>(n, r.remaining() / 9));
+  for (uint32_t i = 0; i < n && r.ok(); ++i) {
+    DirEntry e;
+    e.name = r.Str();
+    e.oid = r.U32();
+    e.is_directory = r.U8() != 0;
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+// A query result's cells, each tagged with its type.
 enum class WireType : uint8_t {
   kNull = 0,
   kBool,
@@ -83,135 +236,197 @@ Value GetValue(ByteReader& r) {
   return Value::Null();
 }
 
-void PutFileStat(ByteWriter& w, const FileStat& st) {
-  w.U32(st.oid);
-  w.Str(st.name);
-  w.Str(st.owner);
-  w.Str(st.type);
-  w.I64(st.size);
-  w.U64(st.ctime);
-  w.U64(st.mtime);
-  w.U64(st.atime);
-  w.U8(st.device);
-  w.U8(st.is_directory ? 1 : 0);
-  w.U8(st.compressed ? 1 : 0);
+void Put(ByteWriter& w, const ResultSet& rs) {
+  w.U32(static_cast<uint32_t>(rs.columns.size()));
+  for (const std::string& c : rs.columns) {
+    w.Str(c);
+  }
+  w.U32(static_cast<uint32_t>(rs.rows.size()));
+  for (const Row& row : rs.rows) {
+    for (const Value& v : row) {
+      PutValue(w, v);
+    }
+  }
+}
+template <>
+ResultSet Get<ResultSet>(ByteReader& r) {
+  ResultSet rs;
+  const uint32_t ncols = r.U32();
+  for (uint32_t i = 0; i < ncols && r.ok(); ++i) {
+    rs.columns.push_back(r.Str());
+  }
+  // Both counts are wire-controlled; the r.ok() guards keep a huge count
+  // from looping billions of times over an exhausted reader.
+  const uint32_t nrows = r.U32();
+  for (uint32_t i = 0; i < nrows && r.ok(); ++i) {
+    Row row;
+    row.reserve(rs.columns.size());
+    for (uint32_t c = 0; c < ncols && r.ok(); ++c) {
+      row.push_back(GetValue(r));
+    }
+    rs.rows.push_back(std::move(row));
+  }
+  return rs;
 }
 
-FileStat GetFileStat(ByteReader& r) {
-  FileStat st;
-  st.oid = r.U32();
-  st.name = r.Str();
-  st.owner = r.Str();
-  st.type = r.Str();
-  st.size = r.I64();
-  st.ctime = r.U64();
-  st.mtime = r.U64();
-  st.atime = r.U64();
-  st.device = r.U8();
-  st.is_directory = r.U8() != 0;
-  st.compressed = r.U8() != 0;
-  return st;
-}
-
-std::vector<std::byte> OkResponse(const ByteWriter& payload) {
-  ByteWriter w;
-  w.U8(1);
-  w.Bytes(payload.data());
-  return std::vector<std::byte>(w.data());
-}
+// ---- server side of each op -------------------------------------------------
 
 std::vector<std::byte> ErrorResponse(const Status& status) {
   ByteWriter w;
   w.U8(0);
   w.U8(static_cast<uint8_t>(status.code()));
   w.Str(status.message());
-  return std::vector<std::byte>(w.data());
+  return w.Take();
+}
+
+// The decoded, owning form of a session-method parameter.
+template <typename P>
+struct Owned {
+  using type = std::decay_t<P>;
+};
+template <>
+struct Owned<std::string_view> {
+  using type = std::string;
+};
+template <>
+struct Owned<std::span<const std::byte>> {
+  using type = std::vector<std::byte>;
+};
+
+// Decodes `method`'s parameters from the request in declaration order, runs
+// it only if every one decoded (a frame cut short inside its args must not
+// touch the session), and puts its ok-value, if it returns one, after the
+// reply's status byte.
+template <typename R, typename... Params>
+Status Invoke(R (InvSession::*method)(Params...), ByteReader& r,
+              ByteWriter& reply, InvSession& session) {
+  // A braced list is evaluated left to right: the args decode in wire order.
+  std::tuple<typename Owned<Params>::type...> args{
+      Get<typename Owned<Params>::type>(r)...};
+  if (!r.ok()) {
+    return Status::InvalidArgument("malformed rpc request");
+  }
+  R result = std::apply(
+      [&](auto&... a) { return (session.*method)(a...); }, args);
+  if constexpr (std::is_same_v<R, Status>) {
+    return result;
+  } else {
+    if (result.ok()) {
+      Put(reply, *result);
+    }
+    return result.status();
+  }
+}
+
+template <auto Method>
+Status Serve(ByteReader& r, ByteWriter& reply, InvSession& session) {
+  return Invoke(Method, r, reply, session);
+}
+
+// p_read's wire args are the fd and a length, and the server owns the buffer.
+Status ServeRead(ByteReader& r, ByteWriter& reply, InvSession& session) {
+  const int fd = Get<int>(r);
+  const uint32_t len = Get<uint32_t>(r);
+  if (!r.ok()) {
+    return Status::InvalidArgument("malformed rpc request");
+  }
+  // Trust boundary: `len` is wire-controlled. Without a cap a single
+  // 9-byte frame could demand a 4 GB allocation before p_read ever runs.
+  if (len > kMaxRpcReadBytes) {
+    return Status::InvalidArgument(
+        "rpc read of " + std::to_string(len) + " bytes exceeds the " +
+        std::to_string(kMaxRpcReadBytes) + "-byte frame limit");
+  }
+  std::vector<std::byte> buf(len);
+  INV_ASSIGN_OR_RETURN(const int64_t n, session.p_read(fd, buf));
+  Put(reply, std::span<const std::byte>(buf.data(), static_cast<size_t>(n)));
+  return Status::Ok();
+}
+
+// ---- the op table -----------------------------------------------------------
+//
+// Each op's one description outside its wire layout. Columns:
+//   label       rpc.requests / rpc.latency_us metric label.
+//   span        root span name, a static literal so dispatch never interns.
+//   read_only   read-only by construction: outside an explicit client
+//               transaction the op runs as a read-only single-op transaction
+//               — pinned snapshot, no data locks, no commit-log record — so a
+//               writer holding exclusive locks never delays it. kOpen and
+//               kQuery are *conditionally* read-only (mode / statement kind
+//               decides inside the session layer) and are conservatively
+//               false.
+//   idempotent  a duplicate delivery may safely re-execute the op (the retry
+//               class). Strictly narrower than read_only: kRead advances the
+//               fd offset and kLseek with Whence::kCur moves it relative to
+//               itself, so replaying either observably changes session state
+//               even though neither takes a data lock. Every other op has its
+//               reply cached in the duplicate-request cache and replayed,
+//               never re-executed, on a retry.
+//   serve       the server side: decode args, run on the session, put reply.
+struct RpcOpInfo {
+  RpcOp op;
+  const char* label;
+  const char* span;
+  bool read_only;
+  bool idempotent;
+  Status (*serve)(ByteReader& r, ByteWriter& reply, InvSession& session);
+};
+
+// Indexed by op byte; row 0 answers for every byte outside the enum.
+constexpr RpcOpInfo kRpcOps[] = {
+    {RpcOp{0}, "unknown", "rpc.unknown", false, false, nullptr},
+    {RpcOp::kBegin, "begin", "rpc.begin", false, false,
+     Serve<&InvSession::p_begin>},
+    {RpcOp::kCommit, "commit", "rpc.commit", false, false,
+     Serve<&InvSession::p_commit>},
+    {RpcOp::kAbort, "abort", "rpc.abort", false, false,
+     Serve<&InvSession::p_abort>},
+    {RpcOp::kCreat, "creat", "rpc.creat", false, false,
+     Serve<&InvSession::p_creat>},
+    {RpcOp::kOpen, "open", "rpc.open", false, false,
+     Serve<&InvSession::p_open>},
+    {RpcOp::kClose, "close", "rpc.close", false, false,
+     Serve<&InvSession::p_close>},
+    {RpcOp::kRead, "read", "rpc.read", true, false, ServeRead},
+    {RpcOp::kWrite, "write", "rpc.write", false, false,
+     Serve<&InvSession::p_write>},
+    {RpcOp::kLseek, "lseek", "rpc.lseek", true, false,
+     Serve<&InvSession::p_lseek>},
+    {RpcOp::kFstat, "fstat", "rpc.fstat", true, true,
+     Serve<&InvSession::p_fstat>},
+    {RpcOp::kMkdir, "mkdir", "rpc.mkdir", false, false,
+     Serve<&InvSession::mkdir>},
+    {RpcOp::kUnlink, "unlink", "rpc.unlink", false, false,
+     Serve<&InvSession::unlink>},
+    {RpcOp::kRename, "rename", "rpc.rename", false, false,
+     Serve<&InvSession::rename>},
+    {RpcOp::kStat, "stat", "rpc.stat", true, true, Serve<&InvSession::stat>},
+    {RpcOp::kReaddir, "readdir", "rpc.readdir", true, true,
+     Serve<&InvSession::readdir>},
+    {RpcOp::kQuery, "query", "rpc.query", false, false,
+     Serve<&InvSession::Query>},
+};
+
+static_assert(std::size(kRpcOps) == static_cast<size_t>(RpcOp::kQuery) + 1);
+static_assert(
+    [] {
+      for (size_t i = 0; i < std::size(kRpcOps); ++i) {
+        if (static_cast<size_t>(kRpcOps[i].op) != i) {
+          return false;
+        }
+      }
+      return true;
+    }(),
+    "kRpcOps rows must be in op-byte order");
+
+const RpcOpInfo& RpcOpInfoOf(RpcOp op) {
+  const auto i = static_cast<size_t>(op);
+  return i < std::size(kRpcOps) ? kRpcOps[i] : kRpcOps[0];
 }
 
 }  // namespace
 
 // -------------------------------------------------------------------- server
-
-namespace {
-
-const char* RpcOpName(RpcOp op) {
-  switch (op) {
-    case RpcOp::kBegin:
-      return "begin";
-    case RpcOp::kCommit:
-      return "commit";
-    case RpcOp::kAbort:
-      return "abort";
-    case RpcOp::kCreat:
-      return "creat";
-    case RpcOp::kOpen:
-      return "open";
-    case RpcOp::kClose:
-      return "close";
-    case RpcOp::kRead:
-      return "read";
-    case RpcOp::kWrite:
-      return "write";
-    case RpcOp::kLseek:
-      return "lseek";
-    case RpcOp::kFstat:
-      return "fstat";
-    case RpcOp::kMkdir:
-      return "mkdir";
-    case RpcOp::kUnlink:
-      return "unlink";
-    case RpcOp::kRename:
-      return "rename";
-    case RpcOp::kStat:
-      return "stat";
-    case RpcOp::kReaddir:
-      return "readdir";
-    case RpcOp::kQuery:
-      return "query";
-  }
-  return "unknown";
-}
-
-// Root-span names: static literals so the dispatch path never interns.
-const char* RpcSpanName(RpcOp op) {
-  switch (op) {
-    case RpcOp::kBegin:
-      return "rpc.begin";
-    case RpcOp::kCommit:
-      return "rpc.commit";
-    case RpcOp::kAbort:
-      return "rpc.abort";
-    case RpcOp::kCreat:
-      return "rpc.creat";
-    case RpcOp::kOpen:
-      return "rpc.open";
-    case RpcOp::kClose:
-      return "rpc.close";
-    case RpcOp::kRead:
-      return "rpc.read";
-    case RpcOp::kWrite:
-      return "rpc.write";
-    case RpcOp::kLseek:
-      return "rpc.lseek";
-    case RpcOp::kFstat:
-      return "rpc.fstat";
-    case RpcOp::kMkdir:
-      return "rpc.mkdir";
-    case RpcOp::kUnlink:
-      return "rpc.unlink";
-    case RpcOp::kRename:
-      return "rpc.rename";
-    case RpcOp::kStat:
-      return "rpc.stat";
-    case RpcOp::kReaddir:
-      return "rpc.readdir";
-    case RpcOp::kQuery:
-      return "rpc.query";
-  }
-  return "rpc.unknown";
-}
-
-}  // namespace
 
 InversionServer::InversionServer(InversionFs* fs, RpcServerOptions options)
     : fs_(fs), options_(options) {
@@ -280,8 +495,9 @@ std::vector<std::byte> InversionServer::Handle(
   ScopedTenantTag tag(BindTenant(tenant));
   // Per-op request counter: one registry map lookup per call, which is noise
   // next to the simulated wire costs this layer exists to charge.
-  metrics_->GetCounter("rpc.requests", RpcOpName(op))->Add();
-  if (IsReadOnlyRpcOp(op)) {
+  const RpcOpInfo& info = RpcOpInfoOf(op);
+  metrics_->GetCounter("rpc.requests", info.label)->Add();
+  if (info.read_only) {
     metrics_->GetCounter("rpc.read_only_requests")->Add();
   }
 
@@ -329,7 +545,7 @@ std::vector<std::byte> InversionServer::Handle(
     if (orphaned) {
       std::vector<std::byte> resp = ErrorResponse(Status::TxnAborted(
           "session reset: open transaction aborted, fds closed"));
-      if (!IsIdempotentRpcOp(op)) {
+      if (!info.idempotent) {
         // The abort notice is this seq's reply of record: a retry of the
         // same seq must replay it, not execute the op on the new session.
         CacheReply(client_id, cs, seq, resp);
@@ -340,7 +556,7 @@ std::vector<std::byte> InversionServer::Handle(
 
   // Duplicate-request cache (Juszczak): a retried or duplicated delivery of
   // a non-idempotent op replays the cached reply instead of re-executing.
-  if (!IsIdempotentRpcOp(op)) {
+  if (!info.idempotent) {
     auto hit = cs.replies.find(seq);
     if (hit != cs.replies.end()) {
       drc_hits_->Add();
@@ -357,7 +573,7 @@ std::vector<std::byte> InversionServer::Handle(
   }
 
   std::vector<std::byte> response = Execute(op, r, cs);
-  if (!IsIdempotentRpcOp(op)) {
+  if (!info.idempotent) {
     CacheReply(client_id, cs, seq, response);
   }
   return respond(std::move(response));
@@ -365,164 +581,20 @@ std::vector<std::byte> InversionServer::Handle(
 
 std::vector<std::byte> InversionServer::Execute(RpcOp op, ByteReader& r,
                                                 ClientState& cs) {
-  InvSession& session = *cs.session;
+  const RpcOpInfo& info = RpcOpInfoOf(op);
   // Root of the request's causal trace: every span the handled op opens
   // below (p_* entry, txn, buffer, device, commit) becomes a descendant.
-  ScopedSpan span(&metrics_->spans(), RpcSpanName(op));
-  ByteWriter payload;
-  Status status = Status::Ok();
-
-  switch (op) {
-    case RpcOp::kBegin:
-      status = session.p_begin();
-      break;
-    case RpcOp::kCommit:
-      status = session.p_commit();
-      break;
-    case RpcOp::kAbort:
-      status = session.p_abort();
-      break;
-    case RpcOp::kCreat: {
-      const std::string path = r.Str();
-      CreatOptions options;
-      options.device = r.U8();
-      options.owner = r.Str();
-      options.type = r.Str();
-      options.compressed = r.U8() != 0;
-      options.keep_history = r.U8() != 0;
-      auto fd = session.p_creat(path, options);
-      status = fd.status();
-      if (fd.ok()) {
-        payload.U32(static_cast<uint32_t>(*fd));
-      }
-      break;
-    }
-    case RpcOp::kOpen: {
-      const std::string path = r.Str();
-      const OpenMode mode = r.U8() != 0 ? OpenMode::kWrite : OpenMode::kRead;
-      const Timestamp as_of = r.U64();
-      auto fd = session.p_open(path, mode, as_of);
-      status = fd.status();
-      if (fd.ok()) {
-        payload.U32(static_cast<uint32_t>(*fd));
-      }
-      break;
-    }
-    case RpcOp::kClose:
-      status = session.p_close(static_cast<int>(r.U32()));
-      break;
-    case RpcOp::kRead: {
-      const int fd = static_cast<int>(r.U32());
-      const uint32_t len = r.U32();
-      // Trust boundary: `len` is wire-controlled. Without a cap a single
-      // 9-byte frame could demand a 4 GB allocation before p_read ever runs.
-      if (len > kMaxRpcReadBytes) {
-        status = Status::InvalidArgument(
-            "rpc read of " + std::to_string(len) + " bytes exceeds the " +
-            std::to_string(kMaxRpcReadBytes) + "-byte frame limit");
-        break;
-      }
-      std::vector<std::byte> buf(len);
-      auto n = session.p_read(fd, buf);
-      status = n.status();
-      if (n.ok()) {
-        payload.Blob(std::span(buf.data(), static_cast<size_t>(*n)));
-      }
-      break;
-    }
-    case RpcOp::kWrite: {
-      const int fd = static_cast<int>(r.U32());
-      std::vector<std::byte> data = r.Blob();
-      auto n = session.p_write(fd, data);
-      status = n.status();
-      if (n.ok()) {
-        payload.I64(*n);
-      }
-      break;
-    }
-    case RpcOp::kLseek: {
-      const int fd = static_cast<int>(r.U32());
-      const int64_t offset = r.I64();
-      const Whence whence = static_cast<Whence>(r.U8());
-      auto pos = session.p_lseek(fd, offset, whence);
-      status = pos.status();
-      if (pos.ok()) {
-        payload.I64(*pos);
-      }
-      break;
-    }
-    case RpcOp::kFstat: {
-      auto st = session.p_fstat(static_cast<int>(r.U32()));
-      status = st.status();
-      if (st.ok()) {
-        PutFileStat(payload, *st);
-      }
-      break;
-    }
-    case RpcOp::kMkdir:
-      status = session.mkdir(r.Str());
-      break;
-    case RpcOp::kUnlink:
-      status = session.unlink(r.Str());
-      break;
-    case RpcOp::kRename: {
-      const std::string from = r.Str();
-      const std::string to = r.Str();
-      status = session.rename(from, to);
-      break;
-    }
-    case RpcOp::kStat: {
-      const std::string path = r.Str();
-      const Timestamp as_of = r.U64();
-      auto st = session.stat(path, as_of);
-      status = st.status();
-      if (st.ok()) {
-        PutFileStat(payload, *st);
-      }
-      break;
-    }
-    case RpcOp::kReaddir: {
-      const std::string path = r.Str();
-      const Timestamp as_of = r.U64();
-      auto entries = session.readdir(path, as_of);
-      status = entries.status();
-      if (entries.ok()) {
-        payload.U32(static_cast<uint32_t>(entries->size()));
-        for (const DirEntry& e : *entries) {
-          payload.Str(e.name);
-          payload.U32(e.oid);
-          payload.U8(e.is_directory ? 1 : 0);
-        }
-      }
-      break;
-    }
-    case RpcOp::kQuery: {
-      auto rs = session.Query(r.Str());
-      status = rs.status();
-      if (rs.ok()) {
-        payload.U32(static_cast<uint32_t>(rs->columns.size()));
-        for (const std::string& c : rs->columns) {
-          payload.Str(c);
-        }
-        payload.U32(static_cast<uint32_t>(rs->rows.size()));
-        for (const Row& row : rs->rows) {
-          for (const Value& v : row) {
-            PutValue(payload, v);
-          }
-        }
-      }
-      break;
-    }
-    default:
-      status = Status::InvalidArgument("unknown rpc op " +
-                                       std::to_string(static_cast<int>(op)));
-  }
-  if (!r.ok()) {
-    status = Status::InvalidArgument("malformed rpc request");
-  }
+  ScopedSpan span(&metrics_->spans(), info.span);
+  ByteWriter reply;
+  reply.U8(1);  // ok; the payload follows
+  const Status status =
+      info.serve != nullptr
+          ? info.serve(r, reply, *cs.session)
+          : Status::InvalidArgument("unknown rpc op " +
+                                    std::to_string(static_cast<int>(op)));
   std::vector<std::byte> response =
-      status.ok() ? OkResponse(payload) : ErrorResponse(status);
-  metrics_->GetHistogram("rpc.latency_us", RpcOpName(op))
+      status.ok() ? reply.Take() : ErrorResponse(status);
+  metrics_->GetHistogram("rpc.latency_us", info.label)
       ->Observe(span.ElapsedMicros());
   return response;
 }
@@ -545,73 +617,10 @@ RemoteFileClient::RemoteFileClient(Transport* transport,
   }
 }
 
-namespace {
-
-// Shape-walk an ok-response payload for `op` without keeping the result.
-// Runs inside the retry loop: a payload cut short mid-field (response
-// truncation past the status byte) must be handled like a lost response —
-// retried under the same seq so the DRC replays the intact reply — not
-// surfaced as a final decode error after an op the server already applied.
-bool ValidResponsePayload(RpcOp op, std::span<const std::byte> payload) {
-  ByteReader r(payload);
-  switch (op) {
-    case RpcOp::kBegin:
-    case RpcOp::kCommit:
-    case RpcOp::kAbort:
-    case RpcOp::kClose:
-    case RpcOp::kMkdir:
-    case RpcOp::kUnlink:
-    case RpcOp::kRename:
-      return true;  // empty payload
-    case RpcOp::kCreat:
-    case RpcOp::kOpen:
-      r.U32();
-      return r.ok();
-    case RpcOp::kRead:
-      r.Blob();
-      return r.ok();
-    case RpcOp::kWrite:
-    case RpcOp::kLseek:
-      r.I64();
-      return r.ok();
-    case RpcOp::kFstat:
-    case RpcOp::kStat:
-      (void)GetFileStat(r);
-      return r.ok();
-    case RpcOp::kReaddir: {
-      const uint32_t n = r.U32();
-      for (uint32_t i = 0; i < n && r.ok(); ++i) {
-        (void)r.Str();
-        r.U32();
-        r.U8();
-      }
-      return r.ok();
-    }
-    case RpcOp::kQuery: {
-      const uint32_t ncols = r.U32();
-      for (uint32_t i = 0; i < ncols && r.ok(); ++i) {
-        (void)r.Str();
-      }
-      const uint32_t nrows = r.U32();
-      for (uint32_t i = 0; i < nrows && r.ok(); ++i) {
-        for (uint32_t c = 0; c < ncols && r.ok(); ++c) {
-          (void)GetValue(r);
-        }
-      }
-      return r.ok();
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-Result<std::vector<std::byte>> RemoteFileClient::Call(RpcOp op,
-                                                      const ByteWriter& args) {
+template <typename Reply, typename... Args>
+Result<Reply> RemoteFileClient::Call(RpcOp op, const Args&... args) {
   const uint64_t seq = ++seq_;
-  if (calls_ != nullptr) {
-    calls_->Add();
-  }
+  Count(calls_);
   const RpcRetryPolicy& rp = options_.retry;
   const int attempts = std::max(1, rp.max_attempts);
   Status last = Status::Ok();
@@ -621,9 +630,7 @@ Result<std::vector<std::byte>> RemoteFileClient::Call(RpcOp op,
       // exchanges cost visible time. The rpc.retry span makes each one
       // attributable: a = op, b = attempt number.
       ++retries_;
-      if (retries_counter_ != nullptr) {
-        retries_counter_->Add();
-      }
+      Count(retries_counter_);
       const int shift = std::min(attempt - 2, 30);
       const SimMicros delay =
           std::min(rp.backoff_cap_us, rp.backoff_base_us << shift);
@@ -644,65 +651,46 @@ Result<std::vector<std::byte>> RemoteFileClient::Call(RpcOp op,
     frame.U64(seq);
     frame.U32(epoch_);
     frame.U8(static_cast<uint8_t>(op));
-    frame.Bytes(args.data());
+    (Put(frame, args), ...);
     auto response = transport_->RoundTrip(frame.data(), rp.timeout_us);
     if (!response.ok()) {
       last = response.status();
       if (last.code() == ErrorCode::kTransientIo) {
-        if (timeouts_ != nullptr) {
-          timeouts_->Add();
-        }
+        Count(timeouts_);
         continue;
       }
       if (last.code() == ErrorCode::kIoError) {
         // Connection reset: the server-side session (fds, any open
         // transaction) is orphaned. Announce a new epoch on the retry so the
         // server aborts it instead of leaking locks.
-        if (resets_ != nullptr) {
-          resets_->Add();
-        }
+        Count(resets_);
         ++epoch_;
         continue;
       }
       return last;  // not a wire failure; surface as-is
     }
-    // Client trust boundary: the response is wire data. A frame too short
-    // for even its status header carries no reply — treat it exactly like a
-    // lost response and retry (the DRC makes that safe).
+    // Client trust boundary: the reply is wire data. A reply cut short
+    // anywhere (status byte, error message or ok-payload) is handled like a
+    // lost reply: retried under the same seq, so the DRC replays an op the
+    // server already applied instead of the client reporting a decode error
+    // for it.
     ByteReader r(*response);
-    const uint8_t ok = r.U8();
-    if (!r.ok()) {
-      if (corrupt_ != nullptr) {
-        corrupt_->Add();
-      }
-      last = Status::TransientIo("truncated rpc response header");
-      continue;
-    }
-    if (ok == 0) {
-      const ErrorCode code = static_cast<ErrorCode>(r.U8());
+    if (r.U8() == 0) {
+      const auto code = static_cast<ErrorCode>(r.U8());
       std::string message = r.Str();
-      if (!r.ok()) {
-        if (corrupt_ != nullptr) {
-          corrupt_->Add();
-        }
-        last = Status::TransientIo("truncated rpc error response");
-        continue;
+      if (r.ok()) {
+        return Status(code, std::move(message));
       }
-      return Status(code, std::move(message));
-    }
-    std::vector<std::byte> payload(response->begin() + 1, response->end());
-    if (!ValidResponsePayload(op, payload)) {
-      if (corrupt_ != nullptr) {
-        corrupt_->Add();
+    } else {
+      Reply reply = Get<Reply>(r);
+      if (r.ok()) {
+        return reply;
       }
-      last = Status::TransientIo("truncated rpc response payload");
-      continue;
     }
-    return payload;
+    Count(corrupt_);
+    last = Status::TransientIo("truncated rpc response");
   }
-  if (exhausted_ != nullptr) {
-    exhausted_->Add();
-  }
+  Count(exhausted_);
   if (last.ok()) {
     return Status::IoError("rpc retries exhausted");
   }
@@ -712,66 +700,36 @@ Result<std::vector<std::byte>> RemoteFileClient::Call(RpcOp op,
 }
 
 Status RemoteFileClient::p_begin() {
-  return Call(RpcOp::kBegin, ByteWriter()).status();
+  return Call<NoReply>(RpcOp::kBegin).status();
 }
 
 Status RemoteFileClient::p_commit() {
-  return Call(RpcOp::kCommit, ByteWriter()).status();
+  return Call<NoReply>(RpcOp::kCommit).status();
 }
 
 Status RemoteFileClient::p_abort() {
-  return Call(RpcOp::kAbort, ByteWriter()).status();
+  return Call<NoReply>(RpcOp::kAbort).status();
 }
 
 Result<int> RemoteFileClient::p_creat(const std::string& path,
                                       const CreatOptions& options) {
-  ByteWriter w;
-  w.Str(path);
-  w.U8(options.device);
-  w.Str(options.owner);
-  w.Str(options.type);
-  w.U8(options.compressed ? 1 : 0);
-  w.U8(options.keep_history ? 1 : 0);
-  INV_ASSIGN_OR_RETURN(auto payload, Call(RpcOp::kCreat, w));
-  ByteReader r(payload);
-  const int fd = static_cast<int>(r.U32());
-  if (!r.ok()) {
-    return Status::Corruption("malformed creat response");
-  }
-  return fd;
+  return Call<int>(RpcOp::kCreat, path, options);
 }
 
 Result<int> RemoteFileClient::p_open(const std::string& path, OpenMode mode,
                                      Timestamp as_of) {
-  ByteWriter w;
-  w.Str(path);
-  w.U8(mode == OpenMode::kWrite ? 1 : 0);
-  w.U64(as_of);
-  INV_ASSIGN_OR_RETURN(auto payload, Call(RpcOp::kOpen, w));
-  ByteReader r(payload);
-  const int fd = static_cast<int>(r.U32());
-  if (!r.ok()) {
-    return Status::Corruption("malformed open response");
-  }
-  return fd;
+  return Call<int>(RpcOp::kOpen, path, mode, as_of);
 }
 
 Status RemoteFileClient::p_close(int fd) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(fd));
-  return Call(RpcOp::kClose, w).status();
+  return Call<NoReply>(RpcOp::kClose, fd).status();
 }
 
 Result<int64_t> RemoteFileClient::p_read(int fd, std::span<std::byte> buf) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(fd));
-  w.U32(static_cast<uint32_t>(buf.size()));
-  INV_ASSIGN_OR_RETURN(auto payload, Call(RpcOp::kRead, w));
-  ByteReader r(payload);
-  std::vector<std::byte> data = r.Blob();
-  if (!r.ok()) {
-    return Status::Corruption("malformed read response");
-  }
+  INV_ASSIGN_OR_RETURN(
+      const auto data,
+      Call<std::vector<std::byte>>(RpcOp::kRead, fd,
+                                   static_cast<uint32_t>(buf.size())));
   if (data.size() > buf.size()) {
     return Status::Internal("server returned more data than requested");
   }
@@ -781,130 +739,43 @@ Result<int64_t> RemoteFileClient::p_read(int fd, std::span<std::byte> buf) {
 
 Result<int64_t> RemoteFileClient::p_write(int fd,
                                           std::span<const std::byte> buf) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(fd));
-  w.Blob(buf);
-  INV_ASSIGN_OR_RETURN(auto payload, Call(RpcOp::kWrite, w));
-  ByteReader r(payload);
-  const int64_t n = r.I64();
-  if (!r.ok()) {
-    return Status::Corruption("malformed write response");
-  }
-  return n;
+  return Call<int64_t>(RpcOp::kWrite, fd, buf);
 }
 
 Result<int64_t> RemoteFileClient::p_lseek(int fd, int64_t offset,
                                           Whence whence) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(fd));
-  w.I64(offset);
-  w.U8(static_cast<uint8_t>(whence));
-  INV_ASSIGN_OR_RETURN(auto payload, Call(RpcOp::kLseek, w));
-  ByteReader r(payload);
-  const int64_t pos = r.I64();
-  if (!r.ok()) {
-    return Status::Corruption("malformed lseek response");
-  }
-  return pos;
+  return Call<int64_t>(RpcOp::kLseek, fd, offset, whence);
 }
 
 Result<FileStat> RemoteFileClient::p_fstat(int fd) {
-  ByteWriter w;
-  w.U32(static_cast<uint32_t>(fd));
-  INV_ASSIGN_OR_RETURN(auto payload, Call(RpcOp::kFstat, w));
-  ByteReader r(payload);
-  FileStat st = GetFileStat(r);
-  if (!r.ok()) {
-    return Status::Corruption("malformed fstat response");
-  }
-  return st;
+  return Call<FileStat>(RpcOp::kFstat, fd);
 }
 
 Status RemoteFileClient::mkdir(const std::string& path) {
-  ByteWriter w;
-  w.Str(path);
-  return Call(RpcOp::kMkdir, w).status();
+  return Call<NoReply>(RpcOp::kMkdir, path).status();
 }
 
 Status RemoteFileClient::unlink(const std::string& path) {
-  ByteWriter w;
-  w.Str(path);
-  return Call(RpcOp::kUnlink, w).status();
+  return Call<NoReply>(RpcOp::kUnlink, path).status();
 }
 
 Status RemoteFileClient::rename(const std::string& from,
                                 const std::string& to) {
-  ByteWriter w;
-  w.Str(from);
-  w.Str(to);
-  return Call(RpcOp::kRename, w).status();
+  return Call<NoReply>(RpcOp::kRename, from, to).status();
 }
 
 Result<FileStat> RemoteFileClient::stat(const std::string& path,
                                         Timestamp as_of) {
-  ByteWriter w;
-  w.Str(path);
-  w.U64(as_of);
-  INV_ASSIGN_OR_RETURN(auto payload, Call(RpcOp::kStat, w));
-  ByteReader r(payload);
-  FileStat st = GetFileStat(r);
-  if (!r.ok()) {
-    return Status::Corruption("malformed stat response");
-  }
-  return st;
+  return Call<FileStat>(RpcOp::kStat, path, as_of);
 }
 
 Result<std::vector<DirEntry>> RemoteFileClient::readdir(
     const std::string& path, Timestamp as_of) {
-  ByteWriter w;
-  w.Str(path);
-  w.U64(as_of);
-  INV_ASSIGN_OR_RETURN(auto payload, Call(RpcOp::kReaddir, w));
-  ByteReader r(payload);
-  const uint32_t n = r.U32();
-  std::vector<DirEntry> out;
-  // `n` is wire-controlled: bound the reservation by what the payload could
-  // possibly hold (>= 9 bytes per entry) and let the sticky reader error end
-  // the loop, so an oversized count can neither over-allocate nor spin.
-  out.reserve(std::min<size_t>(n, r.remaining() / 9));
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    DirEntry e;
-    e.name = r.Str();
-    e.oid = r.U32();
-    e.is_directory = r.U8() != 0;
-    out.push_back(std::move(e));
-  }
-  if (!r.ok()) {
-    return Status::Corruption("malformed readdir response");
-  }
-  return out;
+  return Call<std::vector<DirEntry>>(RpcOp::kReaddir, path, as_of);
 }
 
 Result<ResultSet> RemoteFileClient::Query(const std::string& text) {
-  ByteWriter w;
-  w.Str(text);
-  INV_ASSIGN_OR_RETURN(auto payload, Call(RpcOp::kQuery, w));
-  ByteReader r(payload);
-  ResultSet rs;
-  const uint32_t ncols = r.U32();
-  for (uint32_t i = 0; i < ncols && r.ok(); ++i) {
-    rs.columns.push_back(r.Str());
-  }
-  // Both counts are wire-controlled; the r.ok() guards keep a huge count
-  // from looping billions of times over an exhausted reader.
-  const uint32_t nrows = r.U32();
-  for (uint32_t i = 0; i < nrows && r.ok(); ++i) {
-    Row row;
-    row.reserve(rs.columns.size());
-    for (uint32_t c = 0; c < ncols && r.ok(); ++c) {
-      row.push_back(GetValue(r));
-    }
-    rs.rows.push_back(std::move(row));
-  }
-  if (!r.ok()) {
-    return Status::Corruption("malformed query response");
-  }
-  return rs;
+  return Call<ResultSet>(RpcOp::kQuery, text);
 }
 
 }  // namespace invfs

@@ -24,8 +24,9 @@
 // around dispatch, so spans and op.latency_us rows attribute to the remote
 // tenant rather than the server thread.
 //
-// (client_id, seq, epoch) is the at-most-once substrate (Juszczak's NFS
-// duplicate-request cache, PAPERS.md). client_id names one stub; seq is a
+// (client_id, seq, epoch) is the at-most-once substrate: the duplicate-request
+// cache of C. Juszczak, "Improving the Performance and Correctness of an NFS
+// Server", USENIX Winter 1989. client_id names one stub; seq is a
 // per-stub monotone call number, *reused* by every retry of the same call;
 // epoch is the stub's session generation, bumped when the client observes a
 // connection reset. The server keeps one InvSession + one bounded DRC slice
@@ -33,6 +34,15 @@
 // of re-executing, a frame from a newer epoch tears the old session down
 // (aborting any orphaned transaction rather than leaking its locks), and a
 // frame from an older epoch is rejected as stale.
+//
+// Each op is described once: its metric label, span name, lock and retry
+// classes and server handler are one row of rpc.cc's op table (kRpcOps), and
+// its argument and reply layouts follow from rpc.cc's one Put/Get pair per
+// wire type, picked by the C++ types of the stub's parameters and of the
+// InvSession method it mirrors. The stub decodes the reply inside its retry
+// loop: a reply cut short anywhere is treated like a lost one and retried
+// under the same seq, so the DRC replays an op the server already applied
+// instead of the client reporting a decode error for it.
 
 #pragma once
 
@@ -69,42 +79,6 @@ enum class RpcOp : uint8_t {
   kReaddir,
   kQuery,
 };
-
-// Ops that are read-only by construction: outside an explicit client
-// transaction they run as read-only single-op transactions — pinned
-// snapshot, no data locks, no commit-log record — so a writer holding
-// exclusive locks never delays them. kOpen and kQuery are *conditionally*
-// read-only (mode / statement kind decides inside the session layer) and are
-// conservatively classified false here.
-constexpr bool IsReadOnlyRpcOp(RpcOp op) {
-  switch (op) {
-    case RpcOp::kRead:
-    case RpcOp::kLseek:
-    case RpcOp::kFstat:
-    case RpcOp::kStat:
-    case RpcOp::kReaddir:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Ops a duplicate delivery may safely re-execute — the retry classification.
-// Strictly narrower than IsReadOnlyRpcOp: kRead advances the fd offset and
-// kLseek with Whence::kCur moves it relative to itself, so replaying either
-// observably changes session state even though neither takes a data lock.
-// Everything outside this set gets its reply cached in the server's
-// duplicate-request cache and is replayed, never re-executed, on a retry.
-constexpr bool IsIdempotentRpcOp(RpcOp op) {
-  switch (op) {
-    case RpcOp::kFstat:
-    case RpcOp::kStat:
-    case RpcOp::kReaddir:
-      return true;
-    default:
-      return false;
-  }
-}
 
 // Bidirectional message channel with a cost model. RoundTrip sends a request
 // and returns the response.
@@ -274,11 +248,13 @@ class RemoteFileClient {
   Result<ResultSet> Query(const std::string& text);
 
  private:
-  // Send op + args as one call: stamps the header (tenant, client id, a
-  // fresh seq, the current epoch), round-trips with the retry policy, and
-  // returns the decoded ok-payload. Retries reuse the seq; a reset bumps
-  // epoch_ before the re-send.
-  Result<std::vector<std::byte>> Call(RpcOp op, const ByteWriter& args);
+  // One call: stamps the header (tenant, client id, a fresh seq, the
+  // current epoch), Puts `args`, round-trips with the retry policy, and
+  // decodes the ok-reply with Get<Reply> inside the retry loop (rpc.cc's
+  // Put/Get pairs). Retries reuse the seq; a reset bumps epoch_ before the
+  // re-send.
+  template <typename Reply, typename... Args>
+  Result<Reply> Call(RpcOp op, const Args&... args);
 
   Transport* transport_;
   RpcClientOptions options_;

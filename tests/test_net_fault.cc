@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -178,6 +183,145 @@ TEST_F(NetFaultTest, TruncatedResponseRetriesUnderTheSameSeqToSuccess) {
   EXPECT_GE(CounterValue("rpc.client.corrupt_responses") +
                 CounterValue("rpc.client.timeouts"),
             1u);
+}
+
+// Forwards every exchange to the server; the first reply after Cut(n) comes
+// back cut to its first n bytes. So the op is applied, its reply is mangled
+// in transit, and the retry under the same seq gets the intact reply.
+class CutReplyTransport final : public Transport {
+ public:
+  explicit CutReplyTransport(Transport* inner) : inner_(inner) {}
+
+  void Cut(size_t n) { cut_ = n; }
+  // Intact size of the last reply a Cut applied to.
+  size_t intact_size() const { return intact_size_; }
+
+  Result<std::vector<std::byte>> RoundTrip(std::span<const std::byte> request,
+                                           SimMicros timeout_us) override {
+    auto reply = inner_->RoundTrip(request, timeout_us);
+    if (reply.ok() && cut_.has_value()) {
+      intact_size_ = reply->size();
+      reply->resize(std::min(*cut_, reply->size()));
+      cut_.reset();
+    }
+    return reply;
+  }
+
+ private:
+  Transport* inner_;
+  std::optional<size_t> cut_;
+  size_t intact_size_ = 0;
+};
+
+// Every op with a non-empty reply, its reply cut at every prefix length: the
+// call must succeed with the intact reply's value, the server must have
+// executed the op once (a non-idempotent op's retry is a DRC replay; an
+// idempotent one is re-executed, which is harmless by definition), and the
+// client must count the mangled reply.
+TEST_F(NetFaultTest, EveryTruncatedReplyIsRetriedAndAppliedOnce) {
+  CutReplyTransport cutter(loop_.get());
+  RpcClientOptions copts;
+  copts.clock = &world_->clock();
+  copts.metrics = &world_->db().metrics();
+  struct Case {
+    const char* label;  // rpc.latency_us label: one observation per execution
+    bool idempotent;
+    // Runs the op in `dir`, whose f.txt holds "hello" and is open as `fd`
+    // at offset 0.
+    std::function<void(RemoteFileClient& c, const std::string& dir, int fd)>
+        run;
+  };
+  const Case cases[] = {
+      {"creat", false,
+       [](RemoteFileClient& c, const std::string& dir, int) {
+         EXPECT_TRUE(c.p_creat(dir + "/g.txt").ok());
+       }},
+      {"open", false,
+       [](RemoteFileClient& c, const std::string& dir, int) {
+         EXPECT_TRUE(c.p_open(dir + "/f.txt", OpenMode::kRead).ok());
+       }},
+      {"read", false,
+       [](RemoteFileClient& c, const std::string&, int fd) {
+         std::vector<std::byte> buf(8);
+         auto n = c.p_read(fd, buf);
+         ASSERT_TRUE(n.ok()) << n.status().ToString();
+         EXPECT_EQ(std::string(reinterpret_cast<const char*>(buf.data()),
+                               static_cast<size_t>(*n)),
+                   "hello");
+       }},
+      {"write", false,
+       [](RemoteFileClient& c, const std::string&, int fd) {
+         auto n = c.p_write(fd, AsBytes("abc"));
+         ASSERT_TRUE(n.ok()) << n.status().ToString();
+         EXPECT_EQ(*n, 3);
+         EXPECT_EQ(c.p_fstat(fd)->size, 5);
+       }},
+      {"lseek", false,
+       [](RemoteFileClient& c, const std::string&, int fd) {
+         auto pos = c.p_lseek(fd, 2, Whence::kCur);
+         ASSERT_TRUE(pos.ok()) << pos.status().ToString();
+         EXPECT_EQ(*pos, 2);
+       }},
+      {"fstat", true,
+       [](RemoteFileClient& c, const std::string&, int fd) {
+         auto st = c.p_fstat(fd);
+         ASSERT_TRUE(st.ok()) << st.status().ToString();
+         EXPECT_EQ(st->size, 5);
+       }},
+      {"stat", true,
+       [](RemoteFileClient& c, const std::string& dir, int) {
+         auto st = c.stat(dir + "/f.txt");
+         ASSERT_TRUE(st.ok()) << st.status().ToString();
+         EXPECT_EQ(st->name, "f.txt");
+       }},
+      {"readdir", true,
+       [](RemoteFileClient& c, const std::string& dir, int) {
+         auto entries = c.readdir(dir);
+         ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+         ASSERT_EQ(entries->size(), 1u);
+         EXPECT_EQ((*entries)[0].name, "f.txt");
+       }},
+      {"query", false,
+       [](RemoteFileClient& c, const std::string& dir, int) {
+         auto rs = c.Query("retrieve (n.filename) from n in naming where "
+                           "n.filename = \"" + dir.substr(1) + "\"");
+         ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+         ASSERT_EQ(rs->rows.size(), 1u);
+         EXPECT_EQ(rs->rows[0][0].AsText(), dir.substr(1));
+       }},
+  };
+  int runs = 0;
+  // One run of `k` from a new client in a new directory, its reply cut to
+  // `cut` bytes; returns the intact reply's size.
+  auto run_once = [&](const Case& k, size_t cut) {
+    RemoteFileClient c(&cutter, copts);
+    char dir[16];
+    std::snprintf(dir, sizeof(dir), "/d%04d", runs++);
+    EXPECT_TRUE(c.mkdir(dir).ok());
+    auto fd = c.p_creat(std::string(dir) + "/f.txt");
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    EXPECT_TRUE(c.p_write(*fd, AsBytes("hello")).ok());
+    EXPECT_TRUE(c.p_lseek(*fd, 0, Whence::kSet).ok());
+    const uint64_t corrupt = CounterValue("rpc.client.corrupt_responses");
+    Histogram* executions =
+        world_->db().metrics().GetHistogram("rpc.latency_us", k.label);
+    const uint64_t executed = executions->Count();
+    cutter.Cut(cut);
+    k.run(c, dir, *fd);
+    if (cut < cutter.intact_size()) {
+      EXPECT_EQ(CounterValue("rpc.client.corrupt_responses"), corrupt + 1);
+      EXPECT_EQ(executions->Count() - executed, k.idempotent ? 2u : 1u);
+    }
+    return cutter.intact_size();
+  };
+  for (const Case& k : cases) {
+    const size_t intact = run_once(k, SIZE_MAX);
+    ASSERT_GT(intact, 1u) << k.label << ": reply has a payload";
+    for (size_t cut = 0; cut < intact; ++cut) {
+      SCOPED_TRACE(std::string(k.label) + " cut to " + std::to_string(cut));
+      run_once(k, cut);
+    }
+  }
 }
 
 TEST_F(NetFaultTest, ResetMidTransactionAbortsItAndReleasesEverything) {
