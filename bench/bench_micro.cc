@@ -161,6 +161,53 @@ void BM_FileWriteRead(benchmark::State& state) {
 }
 BENCHMARK(BM_FileWriteRead);
 
+// One warm 8 KB p_read of a committed chunk through a read-only fd (no write
+// buffer): B-tree probe, heap page visit and the one copy into the caller's
+// buffer. Arg 0 reads the current version, arg 1 the first version as of its
+// commit. Not gated; scripts/check.sh metrics prints its median, so a copy
+// that creeps back into the read path shows here before it shows in
+// perfbench.
+void BM_ChunkRead(benchmark::State& state) {
+  auto world = InversionWorld::Create(WorldOptions{});
+  if (!world.ok()) {
+    state.SkipWithError("world setup failed");
+    return;
+  }
+  InvSession& session = (*world)->session();
+  std::vector<std::byte> buf(kInvChunkSize);
+  Timestamp first = kTimestampNow;
+  for (uint8_t version : {uint8_t{1}, uint8_t{2}}) {
+    std::fill(buf.begin(), buf.end(), std::byte{version});
+    auto fd = version == 1 ? session.p_creat("/chunk.dat")
+                           : session.p_open("/chunk.dat", OpenMode::kWrite);
+    if (!fd.ok() || !session.p_write(*fd, buf).ok() || !session.p_close(*fd).ok()) {
+      state.SkipWithError("chunk setup failed");
+      return;
+    }
+    if (version == 1) {
+      first = (*world)->db().Now();
+    }
+  }
+  const Timestamp as_of = state.range(0) == 0 ? kTimestampNow : first;
+  auto fd = session.p_open("/chunk.dat", OpenMode::kRead, as_of);
+  if (!fd.ok()) {
+    state.SkipWithError("open failed");
+    return;
+  }
+  for (auto s : state) {
+    (void)session.p_lseek(*fd, 0, Whence::kSet);
+    auto n = session.p_read(*fd, buf);
+    benchmark::DoNotOptimize(n);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  if (buf[0] != std::byte{static_cast<uint8_t>(state.range(0) == 0 ? 2 : 1)}) {
+    state.SkipWithError("read the wrong version");
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * kInvChunkSize);
+}
+BENCHMARK(BM_ChunkRead)->Arg(0)->Arg(1);
+
 // Tight buffer-pool hit loop: the hottest instrumented path in the engine.
 // scripts/check.sh's metrics leg diffs this against an INVFS_NO_METRICS build
 // to bound the counter/trace overhead on the hit path (~5% budget).

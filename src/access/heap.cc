@@ -1,8 +1,23 @@
 #include "src/access/heap.h"
 
+#include <string>
+
 #include "src/fault/crash_points.h"
 
 namespace invfs {
+namespace {
+
+// GetTupleMeta reads the fixed header unchecked; a live slot shorter than it
+// can only come from a corrupt page.
+Status CheckTupleHeader(std::span<const std::byte> tuple) {
+  if (tuple.size() < kTupleFixedHeader) {
+    return Status::Corruption("tuple of " + std::to_string(tuple.size()) +
+                              " bytes is shorter than the tuple header");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Heap::Heap(Oid rel, const Schema* schema, BufferPool* pool, TxnManager* txns)
     : rel_(rel), schema_(schema), pool_(pool), txns_(txns) {}
@@ -72,6 +87,7 @@ Status Heap::Delete(TxnId txn, Tid tid) {
   if (tuple.empty()) {
     return Status::NotFound("tuple " + tid.ToString() + " is gone");
   }
+  INV_RETURN_IF_ERROR(CheckTupleHeader(tuple));
   TupleMeta meta = GetTupleMeta(tuple);
   if (meta.xmax != kInvalidTxn && meta.xmax != txn) {
     // A previous deleter exists. Only an *aborted* deleter may be overridden.
@@ -93,63 +109,48 @@ Result<Tid> Heap::Replace(TxnId txn, Tid old_tid, const Row& new_row, Oid row_oi
   return Insert(txn, new_row, row_oid);
 }
 
-Result<std::optional<Row>> Heap::Fetch(const Snapshot& snap, Tid tid) const {
+Result<std::optional<PageRef>> Heap::PinForRead(uint32_t block) const {
   // A TID past the persisted end of the heap is a dangling reference from a
   // write-through index whose heap page never reached disk before a crash.
   // Force-at-commit flushes data pages before the commit record, so the
   // entry's writer never committed: the tuple is invisible by construction,
   // not an error. Checked only on the failure path so fetches that resolve
   // stay zero-overhead.
-  auto ref_or = pool_->Pin(rel_, tid.block);
+  auto ref_or = pool_->Pin(rel_, block);
   if (!ref_or.ok()) {
     auto nblocks = pool_->NumBlocks(rel_);
-    if (nblocks.ok() && tid.block >= *nblocks) {
-      return std::optional<Row>();
+    if (nblocks.ok() && block >= *nblocks) {
+      return std::optional<PageRef>();
     }
     return ref_or.status();
   }
-  PageRef ref = std::move(*ref_or);
-  // Page latch: a concurrent writer may be stamping xmax or appending a
-  // slot on this page; readers hold no table lock.
-  ReaderMutexLock latch(ref.Latch());
-  Page page = ref.page();
-  if (tid.slot >= page.num_slots()) {
-    return std::optional<Row>();  // dangling entry; see above
-  }
-  INV_ASSIGN_OR_RETURN(auto tuple, page.GetTuple(tid.slot));
-  if (tuple.empty()) {
-    return std::optional<Row>();
-  }
-  if (!snap.IsVisible(GetTupleMeta(tuple))) {
-    return std::optional<Row>();
-  }
-  INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(*schema_, tuple));
-  return std::optional<Row>(std::move(row));
+  return std::optional<PageRef>(std::move(*ref_or));
 }
 
-Result<std::optional<Value>> Heap::FetchColumn(const Snapshot& snap, Tid tid,
-                                               size_t column) const {
-  // Dangling post-crash index entries are invisible, not errors; see Fetch.
-  auto ref_or = pool_->Pin(rel_, tid.block);
-  if (!ref_or.ok()) {
-    auto nblocks = pool_->NumBlocks(rel_);
-    if (nblocks.ok() && tid.block >= *nblocks) {
-      return std::optional<Value>();
-    }
-    return ref_or.status();
+Result<std::span<const std::byte>> Heap::VisibleTuple(const Page& page, uint16_t slot,
+                                                      const Snapshot& snap) {
+  if (slot >= page.num_slots()) {
+    return std::span<const std::byte>();  // dangling entry; see PinForRead
   }
-  PageRef ref = std::move(*ref_or);
-  ReaderMutexLock latch(ref.Latch());
-  Page page = ref.page();
-  if (tid.slot >= page.num_slots()) {
-    return std::optional<Value>();
+  INV_ASSIGN_OR_RETURN(auto tuple, page.GetTuple(slot));
+  if (tuple.empty()) {
+    return tuple;
   }
-  INV_ASSIGN_OR_RETURN(auto tuple, page.GetTuple(tid.slot));
-  if (tuple.empty() || !snap.IsVisible(GetTupleMeta(tuple))) {
-    return std::optional<Value>();
+  INV_RETURN_IF_ERROR(CheckTupleHeader(tuple));
+  if (!snap.IsVisible(GetTupleMeta(tuple))) {
+    return std::span<const std::byte>();
   }
-  INV_ASSIGN_OR_RETURN(Value v, DecodeColumn(*schema_, tuple, column));
-  return std::optional<Value>(std::move(v));
+  return tuple;
+}
+
+Result<std::optional<Row>> Heap::Fetch(const Snapshot& snap, Tid tid) const {
+  std::optional<Row> row;
+  auto decode = [&](std::span<const std::byte> tuple) -> Status {
+    INV_ASSIGN_OR_RETURN(row, DecodeTuple(*schema_, tuple));
+    return Status::Ok();
+  };
+  INV_RETURN_IF_ERROR(Visit(snap, tid, decode).status());
+  return row;
 }
 
 Result<std::pair<TupleMeta, Row>> Heap::FetchAny(Tid tid) const {
@@ -207,6 +208,10 @@ bool Heap::Iterator::Next() {
         }
         if (tuple->empty()) {
           continue;  // expunged slot
+        }
+        if (Status header = CheckTupleHeader(*tuple); !header.ok()) {
+          status_ = header;
+          return false;
         }
         meta_ = GetTupleMeta(*tuple);
         if (!include_invisible_ && !snap_.IsVisible(meta_)) {

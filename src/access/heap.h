@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <optional>
+#include <span>
 
 #include "src/buffer/buffer_pool.h"
 #include "src/storage/tuple.h"
@@ -48,13 +49,19 @@ class Heap {
   Result<Tid> Replace(TxnId txn, Tid old_tid, const Row& new_row,
                       Oid row_oid = kInvalidOid);
 
-  // Fetch the version at `tid` if visible under `snap`.
+  // Call `fn(tuple)` with the page's own bytes of the version at `tid` if it
+  // is visible under `snap`; returns whether it was, or `fn`'s error. `fn`
+  // runs with the page pinned and latched shared: it must copy out what it
+  // keeps and must not pin, latch, lock or do I/O.
+  template <typename Fn>
+  Result<bool> Visit(const Snapshot& snap, Tid tid, Fn&& fn) const;
+  // Fetch the version at `tid` if visible under `snap`: Visit plus a decode.
   Result<std::optional<Row>> Fetch(const Snapshot& snap, Tid tid) const;
-  // Fetch a single column of the version at `tid` if visible (hot path for
-  // chunk reads: skips decoding the 8 KB data column's siblings... and for
-  // key probes skips the 8 KB column itself).
-  Result<std::optional<Value>> FetchColumn(const Snapshot& snap, Tid tid,
-                                           size_t column) const;
+  // Call `fn(tid, tuple) -> Result<bool>` for each version visible under
+  // `snap`, in TID order, until it returns true or an error. Pins each page
+  // once, as Scan does; `fn` runs under the page latch, with Visit's rules.
+  template <typename Fn>
+  Status VisitEach(const Snapshot& snap, Fn&& fn) const;
   // Raw fetch without visibility check (vacuum, diagnostics).
   Result<std::pair<TupleMeta, Row>> FetchAny(Tid tid) const;
 
@@ -103,6 +110,15 @@ class Heap {
   Status CompactAllPages();
 
  private:
+  // Pin `block` for a read; nullopt when the block lies past the persisted
+  // end of the heap (a dangling TID, see heap.cc).
+  Result<std::optional<PageRef>> PinForRead(uint32_t block) const;
+  // The bytes of `slot` if it holds a version visible under `snap`, else an
+  // empty span (a dead or dangling slot included). Caller holds the latch.
+  static Result<std::span<const std::byte>> VisibleTuple(const Page& page,
+                                                         uint16_t slot,
+                                                         const Snapshot& snap);
+
   Oid rel_;
   const Schema* schema_;
   BufferPool* pool_;
@@ -112,5 +128,43 @@ class Heap {
   // MT stress harness) may race on the hint; it is advisory only.
   mutable std::atomic<uint32_t> hint_block_{0};
 };
+
+template <typename Fn>
+Result<bool> Heap::Visit(const Snapshot& snap, Tid tid, Fn&& fn) const {
+  INV_ASSIGN_OR_RETURN(std::optional<PageRef> ref, PinForRead(tid.block));
+  if (!ref.has_value()) {
+    return false;
+  }
+  // Page latch: a concurrent writer may be stamping xmax or appending a
+  // slot on this page; readers hold no table lock.
+  ReaderMutexLock latch(ref->Latch());
+  INV_ASSIGN_OR_RETURN(auto tuple, VisibleTuple(ref->page(), tid.slot, snap));
+  if (tuple.empty()) {
+    return false;
+  }
+  INV_RETURN_IF_ERROR(fn(tuple));
+  return true;
+}
+
+template <typename Fn>
+Status Heap::VisitEach(const Snapshot& snap, Fn&& fn) const {
+  INV_ASSIGN_OR_RETURN(uint32_t nblocks, pool_->NumBlocks(rel_));
+  for (uint32_t block = 0; block < nblocks; ++block) {
+    INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, block));
+    ReaderMutexLock latch(ref.Latch());
+    const Page page = ref.page();
+    for (uint16_t slot = 0; slot < page.num_slots(); ++slot) {
+      INV_ASSIGN_OR_RETURN(auto tuple, VisibleTuple(page, slot, snap));
+      if (tuple.empty()) {
+        continue;
+      }
+      INV_ASSIGN_OR_RETURN(bool stop, fn(Tid{block, slot}, tuple));
+      if (stop) {
+        return Status::Ok();
+      }
+    }
+  }
+  return Status::Ok();
+}
 
 }  // namespace invfs

@@ -287,9 +287,16 @@ class InvSession {
   Status LoadChunk(Handle& h, TxnId txn, int64_t chunkno);
   Status FlushChunk(Handle& h, TxnId txn);
   Status FlushMetadata(Handle& h, TxnId txn);
-  Result<std::optional<std::pair<Tid, Blob>>> FetchChunk(const Handle& h,
-                                                         int64_t chunkno,
-                                                         const Snapshot& snap);
+  // Find the version of chunk `chunkno` visible under `snap` and call
+  // `fn(tid, bytes) -> Status` once with its raw contents; returns whether
+  // one was found, or the first error. The one chunk lookup: index probe,
+  // index-less scan, then the archive for as-of reads. `bytes` are the heap
+  // page's own, read under its latch, so `fn` copies what it keeps and must
+  // not pin, latch, lock or do I/O. A compressed version's packed bytes are
+  // copied out instead, and `fn` sees them decompressed, after the latch.
+  template <typename Fn>
+  Result<bool> VisitChunk(const Handle& h, int64_t chunkno, const Snapshot& snap,
+                          Fn&& fn);
   // Number of valid bytes chunk `chunkno` holds given file size `size`.
   static int64_t ChunkValidBytes(int64_t size, int64_t chunkno);
 

@@ -1,6 +1,7 @@
 // InvSession: the client-visible file API (Figure 2 of the paper).
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "src/inversion/inv_fs.h"
@@ -334,27 +335,51 @@ int64_t InvSession::ChunkValidBytes(int64_t size, int64_t chunkno) {
   return std::clamp<int64_t>(size - start, 0, kInvChunkSize);
 }
 
-Result<std::optional<std::pair<Tid, Blob>>> InvSession::FetchChunk(
-    const Handle& h, int64_t chunkno, const Snapshot& snap) {
-  // Covers the whole chunk lookup — index descent, heap fetch, decompression
+template <typename Fn>
+Result<bool> InvSession::VisitChunk(const Handle& h, int64_t chunkno,
+                                    const Snapshot& snap, Fn&& fn) {
+  // Covers the whole chunk lookup — index descent, heap visit, decompression
   // — so an entry point's self-time shrinks to offset arithmetic.
   ScopedSpan span(fs_->spans_, "file.fetch_chunk", h.file,
                   static_cast<uint64_t>(chunkno));
-  auto decode = [&](const Row& row, Tid tid)
-      -> Result<std::optional<std::pair<Tid, Blob>>> {
-    // Self-identifying record check (media corruption defense).
-    if (!row[2].is_null() && row[2].AsInt8() != SelfIdent(h.file, chunkno)) {
-      return Status::Corruption("chunk self-identification mismatch in file " +
-                                std::to_string(h.file) + " chunk " +
-                                std::to_string(chunkno));
+  const Schema& schema = h.chunk_table->heap->schema();
+  bool found = false;
+  // A compressed version: its packed bytes and raw length, held for
+  // decompression once the page latch is gone.
+  Tid packed_tid;
+  Blob packed;
+  std::optional<size_t> rawlen;
+  // Runs under the page latch with the bytes of a visible version; true
+  // once it has served this chunk.
+  auto visit = [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
+    std::array<ColumnView, 4> cols;
+    INV_RETURN_IF_ERROR(ViewColumns(schema, tuple, cols));
+    if (cols[0].null || cols[0].Int4() != chunkno) {
+      return false;  // the scans see every chunk's versions
     }
-    const Blob& data = row[1].AsBytes();
-    if (!row[3].is_null()) {
-      INV_ASSIGN_OR_RETURN(
-          Blob raw, LzssDecompress(data, static_cast<size_t>(row[3].AsInt4())));
-      return std::optional(std::make_pair(tid, std::move(raw)));
+    found = true;
+    // Self-identifying record check (media corruption defense), and a
+    // length no chunk can have: the callers' buffers hold one chunk.
+    auto corrupt = [&](const char* what) {
+      return Status::Corruption(std::string(what) + " in file " + std::to_string(h.file) +
+                                " chunk " + std::to_string(chunkno));
+    };
+    if (!cols[2].null && cols[2].Int8() != SelfIdent(h.file, chunkno)) {
+      return corrupt("chunk self-identification mismatch");
     }
-    return std::optional(std::make_pair(tid, data));
+    const size_t len =
+        cols[3].null ? cols[1].bytes.size() : static_cast<size_t>(cols[3].Int4());
+    if (cols[1].null || len > kInvChunkSize) {
+      return corrupt("chunk data missing or longer than a chunk");
+    }
+    if (!cols[3].null) {
+      packed_tid = tid;
+      packed.assign(cols[1].bytes.begin(), cols[1].bytes.end());
+      rawlen = len;
+      return true;
+    }
+    INV_RETURN_IF_ERROR(fn(tid, cols[1].bytes));
+    return true;
   };
 
   if (h.chunk_index != nullptr) {
@@ -368,36 +393,31 @@ Result<std::optional<std::pair<Tid, Blob>>> InvSession::FetchChunk(
     }();
     INV_ASSIGN_OR_RETURN(auto tids, std::move(tids_or));
     for (Tid tid : tids) {
-      INV_ASSIGN_OR_RETURN(auto row, h.chunk_table->heap->Fetch(snap, tid));
-      if (row.has_value()) {
-        return decode(*row, tid);
+      auto visit_tid = [&](std::span<const std::byte> tuple) {
+        return visit(tid, tuple).status();
+      };
+      INV_RETURN_IF_ERROR(h.chunk_table->heap->Visit(snap, tid, visit_tid).status());
+      if (found) {
+        break;
       }
     }
   } else {
     // Ablation path: no chunk index, sequential scan (this is what the paper's
     // B-tree buys).
-    auto it = h.chunk_table->heap->Scan(snap);
-    while (it.Next()) {
-      if (it.row()[0].AsInt4() == chunkno) {
-        return decode(it.row(), it.tid());
-      }
-    }
-    INV_RETURN_IF_ERROR(it.status());
+    INV_RETURN_IF_ERROR(h.chunk_table->heap->VisitEach(snap, visit));
   }
   // Archived chunk versions (vacuumed) for historical reads.
-  if (snap.is_historical() && h.chunk_table->archive_oid != kInvalidOid) {
+  if (!found && snap.is_historical() && h.chunk_table->archive_oid != kInvalidOid) {
     INV_ASSIGN_OR_RETURN(
         TableInfo * archive,
         fs_->db().catalog().GetTableByOid(h.chunk_table->archive_oid));
-    auto it = archive->heap->Scan(snap);
-    while (it.Next()) {
-      if (it.row()[0].AsInt4() == chunkno) {
-        return decode(it.row(), it.tid());
-      }
-    }
-    INV_RETURN_IF_ERROR(it.status());
+    INV_RETURN_IF_ERROR(archive->heap->VisitEach(snap, visit));
   }
-  return std::optional<std::pair<Tid, Blob>>();
+  if (rawlen.has_value()) {
+    INV_ASSIGN_OR_RETURN(Blob raw, LzssDecompress(packed, *rawlen));
+    INV_RETURN_IF_ERROR(fn(packed_tid, std::span<const std::byte>(raw)));
+  }
+  return found;
 }
 
 Status InvSession::LoadChunk(Handle& h, TxnId txn, int64_t chunkno) {
@@ -407,13 +427,12 @@ Status InvSession::LoadChunk(Handle& h, TxnId txn, int64_t chunkno) {
   h.buffer_len = 0;
   h.buffer_dirty = false;
   const Snapshot snap = SnapFor(h, txn);
-  INV_ASSIGN_OR_RETURN(auto chunk, FetchChunk(h, chunkno, snap));
-  if (chunk.has_value()) {
-    const Blob& data = (*chunk).second;
+  auto copy_in = [&](Tid, std::span<const std::byte> data) {
     std::copy(data.begin(), data.end(), h.buffer.begin());
     h.buffer_len = static_cast<int64_t>(data.size());
-  }
-  return Status::Ok();
+    return Status::Ok();
+  };
+  return VisitChunk(h, chunkno, snap, copy_in).status();
 }
 
 Status InvSession::FlushChunk(Handle& h, TxnId txn) {
@@ -445,18 +464,22 @@ Status InvSession::FlushChunk(Handle& h, TxnId txn) {
   // Without the chunk index, probing for an existing record costs a full
   // table scan; skip it when this chunk verifiably never existed. (With the
   // index the probe is cheap and always performed.)
-  std::optional<std::pair<Tid, Blob>> existing;
+  std::optional<Tid> existing;
   const bool may_exist = h.chunk_index != nullptr ||
                          chunkno < h.chunks_at_open ||
                          h.flushed_chunks.contains(chunkno);
   if (may_exist) {
-    INV_ASSIGN_OR_RETURN(existing, FetchChunk(h, chunkno, snap));
+    auto note_tid = [&](Tid tid, std::span<const std::byte>) {
+      existing = tid;
+      return Status::Ok();
+    };
+    INV_RETURN_IF_ERROR(VisitChunk(h, chunkno, snap, note_tid).status());
   }
   if (existing.has_value()) {
     // "the old record is marked as deleted by the current transaction, and
     // the new record is marked as inserted by the current transaction."
     INV_RETURN_IF_ERROR(
-        fs_->db().ReplaceRow(txn, h.chunk_table, (*existing).first, row).status());
+        fs_->db().ReplaceRow(txn, h.chunk_table, *existing, row).status());
   } else {
     INV_RETURN_IF_ERROR(fs_->db().InsertRow(txn, h.chunk_table, row).status());
   }
@@ -502,24 +525,23 @@ Result<int64_t> InvSession::ReadAt(Handle& h, TxnId txn, int64_t offset,
     const int64_t chunkno = pos / kInvChunkSize;
     const int64_t within = pos % kInvChunkSize;
     const int64_t n = std::min<int64_t>(kInvChunkSize - within, want - done);
+    std::byte* dst = out.data() + done;
     if (h.buffered_chunk == chunkno) {
-      std::memcpy(out.data() + done, h.buffer.data() + within, n);
+      std::memcpy(dst, h.buffer.data() + within, n);
     } else {
-      INV_ASSIGN_OR_RETURN(auto chunk, FetchChunk(h, chunkno, snap));
-      if (chunk.has_value()) {
-        const Blob& data = (*chunk).second;
-        const int64_t avail =
-            std::max<int64_t>(0, static_cast<int64_t>(data.size()) - within);
-        const int64_t copy = std::min(n, avail);
-        if (copy > 0) {
-          std::memcpy(out.data() + done, data.data() + within, copy);
+      // The one copy: from the heap page straight into the caller's buffer.
+      // Bytes past the chunk's stored length, or a whole missing chunk (a
+      // hole in a sparse file), read as zeros.
+      int64_t copied = 0;
+      auto copy_out = [&](Tid, std::span<const std::byte> data) {
+        copied = std::clamp<int64_t>(static_cast<int64_t>(data.size()) - within, 0, n);
+        if (copied > 0) {
+          std::memcpy(dst, data.data() + within, copied);
         }
-        if (copy < n) {
-          std::memset(out.data() + done + copy, 0, n - copy);
-        }
-      } else {
-        std::memset(out.data() + done, 0, n);  // hole in a sparse file
-      }
+        return Status::Ok();
+      };
+      INV_RETURN_IF_ERROR(VisitChunk(h, chunkno, snap, copy_out).status());
+      std::memset(dst + copied, 0, n - copied);
     }
     done += n;
   }

@@ -1,6 +1,7 @@
 #include "src/storage/page.h"
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "src/util/bytes.h"
@@ -115,25 +116,43 @@ Result<uint16_t> Page::AddTuple(std::span<const std::byte> tuple) {
 }
 
 Result<std::span<const std::byte>> Page::GetTuple(uint16_t slot) const {
-  if (slot >= num_slots()) {
-    return Status::InvalidArgument("slot out of range");
-  }
-  auto [off, len] = Lp(slot);
-  if (len == 0) {
-    return std::span<const std::byte>();  // dead
-  }
-  return std::span<const std::byte>(p_ + off, len);
+  INV_ASSIGN_OR_RETURN(auto extent, TupleExtent(slot));
+  return std::span<const std::byte>(p_ + extent.first, extent.second);
 }
 
 Result<std::span<std::byte>> Page::GetMutableTuple(uint16_t slot) {
+  INV_ASSIGN_OR_RETURN(auto extent, TupleExtent(slot));
+  return std::span<std::byte>(p_ + extent.first, extent.second);
+}
+
+Result<std::pair<uint16_t, uint16_t>> Page::TupleExtent(uint16_t slot) const {
   if (slot >= num_slots()) {
     return Status::InvalidArgument("slot out of range");
   }
+  // A checksum only proves the frame is what was written. The line pointer
+  // array must itself end at `lower`, inside the frame, and a live tuple must
+  // lie between `lower` and the frame's end; anything else would hand the
+  // caller bytes outside this page.
+  const uint32_t lower = Lower();
+  const uint32_t lp_end =
+      kPageHeaderSize + (static_cast<uint32_t>(slot) + 1) * kLinePointerSize;
+  if (lower > kPageSize || lp_end > lower) {
+    return Status::Corruption("line pointer " + std::to_string(slot) +
+                              " past the line pointer array (lower " +
+                              std::to_string(lower) + ")");
+  }
   auto [off, len] = Lp(slot);
   if (len == 0) {
-    return std::span<std::byte>();
+    return std::make_pair(uint16_t{0}, uint16_t{0});  // dead
   }
-  return std::span<std::byte>(p_ + off, len);
+  if (off < lower || static_cast<uint32_t>(off) + len > kPageSize) {
+    return Status::Corruption("line pointer " + std::to_string(slot) + " -> [" +
+                              std::to_string(off) + "," +
+                              std::to_string(static_cast<uint32_t>(off) + len) +
+                              ") outside the tuple area [" + std::to_string(lower) +
+                              "," + std::to_string(kPageSize) + ")");
+  }
+  return std::make_pair(off, len);
 }
 
 Status Page::KillSlot(uint16_t slot) {

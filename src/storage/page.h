@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "src/sim/cost_params.h"
 #include "src/storage/common.h"
@@ -60,7 +61,8 @@ class Page {
   Result<uint16_t> AddTuple(std::span<const std::byte> tuple);
 
   // Tuple bytes at `slot`; empty span if the slot is dead. InvalidArgument if
-  // the slot is out of range.
+  // the slot is out of range; Corruption if its line pointer reaches outside
+  // the page's tuple area.
   Result<std::span<const std::byte>> GetTuple(uint16_t slot) const;
   Result<std::span<std::byte>> GetMutableTuple(uint16_t slot);
 
@@ -84,6 +86,8 @@ class Page {
   // Line pointer accessors. offset==0 && len==0 -> never used; len==0 with
   // offset!=0 -> dead.
   std::pair<uint16_t, uint16_t> Lp(uint16_t slot) const;
+  // Bounds-checked (offset, length) of a slot's tuple; (0, 0) if dead.
+  Result<std::pair<uint16_t, uint16_t>> TupleExtent(uint16_t slot) const;
   void SetLp(uint16_t slot, uint16_t off, uint16_t len);
 
   std::byte* p_;

@@ -1,7 +1,6 @@
 #include "src/storage/tuple.h"
 
 #include <cstring>
-#include <functional>
 
 #include "src/util/bytes.h"
 
@@ -138,11 +137,9 @@ Result<std::vector<std::byte>> EncodeTuple(const Schema& schema, const Row& row,
 
 namespace {
 
-// Walks the encoded columns; invokes `sink(i, span_of_data)` for non-null
-// columns in order, stopping after `stop_after` (inclusive).
-Status WalkColumns(const Schema& schema, std::span<const std::byte> tuple,
-                   size_t stop_after,
-                   const std::function<void(size_t, const std::byte*, uint32_t)>& sink) {
+// Walks the encoded columns, calling `sink(i, view)` for each in schema order.
+template <typename Sink>
+Status WalkColumns(const Schema& schema, std::span<const std::byte> tuple, Sink&& sink) {
   if (tuple.size() < kTupleFixedHeader) {
     return Status::Corruption("tuple shorter than header");
   }
@@ -161,36 +158,36 @@ Status WalkColumns(const Schema& schema, std::span<const std::byte> tuple,
     const bool is_null =
         (static_cast<uint8_t>(bitmap[i / 8]) >> (i % 8)) & 1;
     if (is_null) {
-      sink(i, nullptr, 0);
+      sink(i, ColumnView{});
+      continue;
+    }
+    const TypeId t = schema.column(i).type;
+    // 64-bit length: a corrupted varlena header of ~4 billion must not wrap
+    // to a small value and sneak past the bounds check. Compare against the
+    // remaining bytes instead of forming d + len, which could itself
+    // overflow past the buffer end (UB).
+    uint64_t header = 0;
+    uint64_t len;
+    if (IsVarlen(t)) {
+      if (static_cast<size_t>(end - d) < 4) {
+        return Status::Corruption("tuple varlena header past end");
+      }
+      header = 4;
+      len = GetU32(d);
     } else {
-      const TypeId t = schema.column(i).type;
-      // 64-bit length: a corrupted varlena header of ~4 billion must not wrap
-      // to a small value and sneak past the bounds check. Compare against the
-      // remaining bytes instead of forming d + len, which could itself
-      // overflow past the buffer end (UB).
-      uint64_t len;
-      if (IsVarlen(t)) {
-        if (static_cast<size_t>(end - d) < 4) {
-          return Status::Corruption("tuple varlena header past end");
-        }
-        len = 4ULL + GetU32(d);
-      } else {
-        len = FixedWidth(t);
-      }
-      if (static_cast<uint64_t>(end - d) < len) {
-        return Status::Corruption("tuple data past end");
-      }
-      sink(i, d, static_cast<uint32_t>(len));
-      d += len;
+      len = FixedWidth(t);
     }
-    if (i == stop_after) {
-      break;
+    if (static_cast<uint64_t>(end - d) < header + len) {
+      return Status::Corruption("tuple data past end");
     }
+    sink(i, ColumnView{false, std::span<const std::byte>(d + header, len)});
+    d += header + len;
   }
   return Status::Ok();
 }
 
-Value DecodeOne(TypeId t, const std::byte* d, uint32_t len) {
+Value DecodeOne(TypeId t, std::span<const std::byte> bytes) {
+  const std::byte* d = bytes.data();
   switch (t) {
     case TypeId::kBool:
       return Value::Bool(static_cast<uint8_t>(*d) != 0);
@@ -208,17 +205,11 @@ Value DecodeOne(TypeId t, const std::byte* d, uint32_t len) {
       std::memcpy(&f, &bits, 8);
       return Value::Float8(f);
     }
-    case TypeId::kText: {
-      const uint32_t n = GetU32(d);
-      return Value::Text(std::string(reinterpret_cast<const char*>(d + 4), n));
-    }
-    case TypeId::kBytea: {
-      const uint32_t n = GetU32(d);
-      Blob b(d + 4, d + 4 + n);
-      return Value::Bytes(std::move(b));
-    }
+    case TypeId::kText:
+      return Value::Text(std::string(reinterpret_cast<const char*>(d), bytes.size()));
+    case TypeId::kBytea:
+      return Value::Bytes(Blob(bytes.begin(), bytes.end()));
   }
-  (void)len;
   return Value::Null();
 }
 
@@ -226,27 +217,20 @@ Value DecodeOne(TypeId t, const std::byte* d, uint32_t len) {
 
 Result<Row> DecodeTuple(const Schema& schema, std::span<const std::byte> tuple) {
   Row row(schema.num_columns());
-  INV_RETURN_IF_ERROR(WalkColumns(
-      schema, tuple, schema.num_columns(),
-      [&](size_t i, const std::byte* d, uint32_t len) {
-        row[i] = d == nullptr ? Value::Null() : DecodeOne(schema.column(i).type, d, len);
-      }));
+  INV_RETURN_IF_ERROR(WalkColumns(schema, tuple, [&](size_t i, ColumnView v) {
+    if (!v.null) {
+      row[i] = DecodeOne(schema.column(i).type, v.bytes);
+    }
+  }));
   return row;
 }
 
-Result<Value> DecodeColumn(const Schema& schema, std::span<const std::byte> tuple,
-                           size_t column) {
-  if (column >= schema.num_columns()) {
-    return Status::InvalidArgument("column index out of range");
+Status ViewColumns(const Schema& schema, std::span<const std::byte> tuple,
+                   std::span<ColumnView> views) {
+  if (views.size() != schema.num_columns()) {
+    return Status::InvalidArgument("column view count != schema arity");
   }
-  Value out;
-  INV_RETURN_IF_ERROR(
-      WalkColumns(schema, tuple, column, [&](size_t i, const std::byte* d, uint32_t len) {
-        if (i == column && d != nullptr) {
-          out = DecodeOne(schema.column(i).type, d, len);
-        }
-      }));
-  return out;
+  return WalkColumns(schema, tuple, [&](size_t i, ColumnView v) { views[i] = v; });
 }
 
 TupleMeta GetTupleMeta(std::span<const std::byte> tuple) {

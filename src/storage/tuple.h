@@ -21,6 +21,7 @@
 
 #include "src/storage/common.h"
 #include "src/storage/value.h"
+#include "src/util/bytes.h"
 #include "src/util/status.h"
 
 namespace invfs {
@@ -40,10 +41,22 @@ Result<std::vector<std::byte>> EncodeTuple(const Schema& schema, const Row& row,
 // Decode all columns of a tuple.
 Result<Row> DecodeTuple(const Schema& schema, std::span<const std::byte> tuple);
 
-// Decode a single column without materializing the rest (used on hot paths:
-// chunk-number probes and B-tree key extraction).
-Result<Value> DecodeColumn(const Schema& schema, std::span<const std::byte> tuple,
-                           size_t column);
+// One column of an encoded tuple, seen in place. `bytes` points into the
+// tuple: a fixed-width value's encoding, or a text/bytea payload without its
+// length word. Valid only while the tuple's bytes are.
+struct ColumnView {
+  bool null = true;
+  std::span<const std::byte> bytes;
+
+  int32_t Int4() const { return static_cast<int32_t>(GetU32(bytes.data())); }
+  int64_t Int8() const { return static_cast<int64_t>(GetU64(bytes.data())); }
+};
+
+// View every column of `tuple` without copying: views[i] for column i.
+// `views` must have one entry per schema column. The hot path for chunk
+// reads, which copy the data column once, straight out of the page.
+Status ViewColumns(const Schema& schema, std::span<const std::byte> tuple,
+                   std::span<ColumnView> views);
 
 // Header accessors (no full decode).
 TupleMeta GetTupleMeta(std::span<const std::byte> tuple);

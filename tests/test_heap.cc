@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/catalog/database.h"
+#include "src/util/bytes.h"
 
 namespace invfs {
 namespace {
@@ -178,15 +179,113 @@ TEST_F(HeapTest, ExpungeAndCompactReclaimPhysically) {
   EXPECT_FALSE(raw.Next());
 }
 
-TEST_F(HeapTest, FetchColumnAvoidsFullDecode) {
-  auto txn = Begin();
-  auto tid = table_->heap->Insert(*txn, {Value::Int4(77), Value::Text("payload")});
+TEST_F(HeapTest, VisitSeesTheVisibleVersionInPlace) {
+  auto t1 = Begin();
+  auto tid = table_->heap->Insert(*t1, {Value::Int4(77), Value::Text("payload")});
   ASSERT_TRUE(tid.ok());
-  auto v = table_->heap->FetchColumn(db_->SnapshotFor(*txn), *tid, 0);
-  ASSERT_TRUE(v.ok());
-  ASSERT_TRUE(v->has_value());
-  EXPECT_EQ((*v)->AsInt4(), 77);
+  std::vector<ColumnView> cols(2);
+  auto seen = table_->heap->Visit(db_->SnapshotFor(*t1), *tid,
+                                  [&](std::span<const std::byte> tuple) {
+                                    return ViewColumns(table_->heap->schema(), tuple, cols);
+                                  });
+  ASSERT_TRUE(seen.ok());
+  EXPECT_TRUE(*seen);
+  EXPECT_EQ(cols[0].Int4(), 77);
+  EXPECT_EQ(cols[1].bytes.size(), 7u);
+
+  // Uncommitted: another transaction's snapshot does not see it, and the
+  // visitor never runs.
+  auto t2 = Begin();
+  bool called = false;
+  auto unseen = table_->heap->Visit(db_->SnapshotFor(*t2), *tid,
+                                    [&](std::span<const std::byte>) {
+                                      called = true;
+                                      return Status::Ok();
+                                    });
+  ASSERT_TRUE(unseen.ok());
+  EXPECT_FALSE(*unseen);
+  EXPECT_FALSE(called);
+
+  // A dangling TID (past the last slot or the last block) is invisible.
+  for (Tid dangling : {Tid{tid->block, 500}, Tid{tid->block + 9, 0}}) {
+    auto gone = table_->heap->Visit(db_->SnapshotFor(*t1), dangling,
+                                    [](std::span<const std::byte>) { return Status::Ok(); });
+    ASSERT_TRUE(gone.ok()) << gone.status().ToString();
+    EXPECT_FALSE(*gone);
+  }
+  // The visitor's error comes back as the result.
+  auto failed = table_->heap->Visit(db_->SnapshotFor(*t1), *tid,
+                                    [](std::span<const std::byte>) {
+                                      return Status::Corruption("visitor says no");
+                                    });
+  EXPECT_EQ(failed.status().code(), ErrorCode::kCorruption);
+  ASSERT_TRUE(db_->Commit(*t1).ok());
+  ASSERT_TRUE(db_->Commit(*t2).ok());
+}
+
+TEST_F(HeapTest, VisitEachStopsWhereTheVisitorSays) {
+  auto txn = Begin();
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(table_->heap->Insert(*txn, {Value::Int4(i), Value::Text("r")}).ok());
+  }
   ASSERT_TRUE(db_->Commit(*txn).ok());
+  auto reader = Begin();
+  std::vector<int32_t> seen;
+  Status st = table_->heap->VisitEach(
+      db_->SnapshotFor(*reader), [&](Tid, std::span<const std::byte> tuple) -> Result<bool> {
+        std::vector<ColumnView> cols(2);
+        INV_RETURN_IF_ERROR(ViewColumns(table_->heap->schema(), tuple, cols));
+        seen.push_back(cols[0].Int4());
+        return cols[0].Int4() == 2;
+      });
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(seen, (std::vector<int32_t>{0, 1, 2}));
+  ASSERT_TRUE(db_->Commit(*reader).ok());
+}
+
+// A crafted line pointer on a buffered heap page: past 8 KB, below the
+// pointer array, or shorter than the tuple header. Every reader reports
+// corruption and none reads outside the frame.
+TEST_F(HeapTest, CorruptLinePointersAreRefused) {
+  auto txn = Begin();
+  auto tid = table_->heap->Insert(*txn, {Value::Int4(5), Value::Text("victim")});
+  ASSERT_TRUE(tid.ok());
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+  auto ref = db_->buffers().Pin(table_->oid, tid->block);
+  ASSERT_TRUE(ref.ok());
+  std::byte* lp = ref->data() + kPageHeaderSize + tid->slot * kLinePointerSize;
+  const uint16_t good_off = GetU16(lp);
+  const uint16_t good_len = GetU16(lp + 2);
+  auto reader = Begin();
+  const Snapshot snap = db_->SnapshotFor(*reader);
+  const std::pair<uint16_t, uint16_t> crafted[] = {
+      {kPageSize - 8, 64}, {kPageHeaderSize, 20}, {good_off, 5}};
+  for (auto [off, len] : crafted) {
+    {
+      WriterMutexLock latch(ref->Latch());
+      PutU16(lp, off);
+      PutU16(lp + 2, len);
+    }
+    auto visit = table_->heap->Visit(snap, *tid, [](std::span<const std::byte>) {
+      ADD_FAILURE() << "visitor ran on a corrupt tuple";
+      return Status::Ok();
+    });
+    EXPECT_EQ(visit.status().code(), ErrorCode::kCorruption) << off << "+" << len;
+    EXPECT_EQ(table_->heap->Fetch(snap, *tid).status().code(), ErrorCode::kCorruption);
+    auto it = table_->heap->Scan(snap);
+    EXPECT_FALSE(it.Next());
+    EXPECT_EQ(it.status().code(), ErrorCode::kCorruption);
+  }
+  {
+    WriterMutexLock latch(ref->Latch());
+    PutU16(lp, good_off);
+    PutU16(lp + 2, good_len);
+  }
+  auto row = table_->heap->Fetch(snap, *tid);
+  ASSERT_TRUE(row.ok());
+  ASSERT_TRUE(row->has_value());
+  EXPECT_EQ((**row)[1].AsText(), "victim");
+  ASSERT_TRUE(db_->Commit(*reader).ok());
 }
 
 }  // namespace

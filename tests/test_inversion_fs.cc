@@ -3,10 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/inversion/inv_fs.h"
+#include "src/util/bytes.h"
+#include "src/util/lzss.h"
 #include "src/util/random.h"
 
 namespace invfs {
@@ -285,6 +291,240 @@ TEST_F(InversionFsTest, FilesOnNvramAndJukeboxDevices) {
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->device, kDeviceJukebox);
 }
+
+// A crafted line pointer in a committed chunk's heap page: p_read reports
+// corruption instead of copying bytes from outside the page into the buffer.
+TEST_F(InversionFsTest, PReadRefusesACorruptChunkLinePointer) {
+  WriteFile("/victim.bin", std::string(3000, 'v'));
+  auto st = s_->stat("/victim.bin");
+  ASSERT_TRUE(st.ok());
+  auto table = db_->catalog().GetTable("inv" + std::to_string(st->oid));
+  ASSERT_TRUE(table.ok());
+  auto ref = db_->buffers().Pin((*table)->oid, 0);
+  ASSERT_TRUE(ref.ok());
+  std::byte* lp = ref->data() + kPageHeaderSize;  // slot 0: the chunk
+  const uint16_t good_off = GetU16(lp);
+  const uint16_t good_len = GetU16(lp + 2);
+  for (auto [off, len] : {std::pair<uint16_t, uint16_t>{kPageSize - 100, 4000},
+                          std::pair<uint16_t, uint16_t>{good_off, 9}}) {
+    {
+      WriterMutexLock latch(ref->Latch());
+      PutU16(lp, off);
+      PutU16(lp + 2, len);
+    }
+    auto fd = s_->p_open("/victim.bin", OpenMode::kRead);
+    ASSERT_TRUE(fd.ok());
+    std::vector<std::byte> buf(kInvChunkSize);
+    EXPECT_EQ(s_->p_read(*fd, buf).status().code(), ErrorCode::kCorruption)
+        << off << "+" << len;
+    ASSERT_TRUE(s_->p_close(*fd).ok());
+  }
+  {
+    WriterMutexLock latch(ref->Latch());
+    PutU16(lp, good_off);
+    PutU16(lp + 2, good_len);
+  }
+  ref->Release();
+  EXPECT_EQ(ReadFile("/victim.bin"), std::string(3000, 'v'));
+}
+
+// The one-copy chunk read (p_read through VisitChunk, straight from the heap
+// page) against a reference assembled with Heap::Fetch, which decodes whole
+// rows: every chunk version visible under the snapshot, from the chunk heap
+// and its archive. Parameter: whether the chunk index is maintained (false
+// reads through the sequential-scan path).
+class ChunkReadTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    auto db = Database::Open(&env_);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::move(*db);
+    InvOptions options;
+    options.maintain_chunk_index = GetParam();
+    fs_ = std::make_unique<InversionFs>(db_.get(), options);
+    ASSERT_TRUE(fs_->Mount().ok());
+    auto session = fs_->NewSession();
+    ASSERT_TRUE(session.ok());
+    s_ = std::move(*session);
+  }
+
+  // Write `data` at `offset` in one transaction; creates the file when
+  // `options` is given. Returns the commit's time.
+  Timestamp Write(const std::string& path, int64_t offset, const std::string& data,
+                  std::optional<CreatOptions> options = std::nullopt) {
+    EXPECT_TRUE(s_->p_begin().ok());
+    auto fd = options.has_value() ? s_->p_creat(path, *options)
+                                  : s_->p_open(path, OpenMode::kWrite);
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    EXPECT_TRUE(s_->p_lseek(*fd, offset, Whence::kSet).ok());
+    EXPECT_TRUE(s_->p_write(*fd, std::as_bytes(std::span(data.data(), data.size()))).ok());
+    EXPECT_TRUE(s_->p_close(*fd).ok());
+    EXPECT_TRUE(s_->p_commit().ok());
+    return db_->Now();
+  }
+
+  // p_read in 3000-byte steps, so copies start at many offsets in a chunk.
+  std::string Read(const std::string& path, Timestamp as_of) {
+    auto fd = s_->p_open(path, OpenMode::kRead, as_of);
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    std::string out;
+    char buf[3000];
+    for (;;) {
+      auto n = s_->p_read(*fd, std::as_writable_bytes(std::span(buf)));
+      EXPECT_TRUE(n.ok()) << n.status().ToString();
+      if (!n.ok() || *n == 0) {
+        break;
+      }
+      out.append(buf, static_cast<size_t>(*n));
+    }
+    EXPECT_TRUE(s_->p_close(*fd).ok());
+    return out;
+  }
+
+  std::string Reference(const std::string& path, Timestamp as_of) {
+    auto st = s_->stat(path, as_of);
+    EXPECT_TRUE(st.ok()) << st.status().ToString();
+    auto txn = db_->Begin(TxnMode::kReadOnly);
+    EXPECT_TRUE(txn.ok());
+    const Snapshot snap =
+        as_of == kTimestampNow ? db_->ReadSnapshot(*txn) : db_->SnapshotAt(as_of);
+    auto table = db_->catalog().GetTable("inv" + std::to_string(st->oid));
+    EXPECT_TRUE(table.ok());
+    std::vector<TableInfo*> tables{*table};
+    if ((*table)->archive_oid != kInvalidOid) {
+      tables.push_back(*db_->catalog().GetTableByOid((*table)->archive_oid));
+    }
+    std::string image(static_cast<size_t>(st->size), '\0');
+    std::set<int32_t> chunks;
+    for (TableInfo* t : tables) {
+      std::vector<Tid> tids;
+      auto all = t->heap->ScanAll();
+      while (all.Next()) {
+        tids.push_back(all.tid());
+      }
+      EXPECT_TRUE(all.status().ok());
+      for (Tid tid : tids) {
+        auto row = t->heap->Fetch(snap, tid);
+        EXPECT_TRUE(row.ok()) << row.status().ToString();
+        if (!row.ok() || !row->has_value()) {
+          continue;
+        }
+        const Row& r = **row;
+        const int32_t chunkno = r[0].AsInt4();
+        EXPECT_TRUE(chunks.insert(chunkno).second) << "two visible versions of " << chunkno;
+        Blob data = r[1].AsBytes();
+        if (!r[3].is_null()) {
+          auto raw = LzssDecompress(data, static_cast<size_t>(r[3].AsInt4()));
+          EXPECT_TRUE(raw.ok());
+          data = *raw;
+        }
+        const int64_t at = static_cast<int64_t>(chunkno) * kInvChunkSize;
+        const int64_t n =
+            std::min<int64_t>(static_cast<int64_t>(data.size()), st->size - at);
+        if (n > 0) {
+          std::memcpy(image.data() + at, data.data(), static_cast<size_t>(n));
+        }
+      }
+    }
+    EXPECT_TRUE(db_->Commit(*txn).ok());
+    return image;
+  }
+
+  // p_read, the Heap::Fetch reference and the expected contents agree.
+  void Check(const std::string& path, Timestamp as_of, const std::string& expected) {
+    SCOPED_TRACE(path + (as_of == kTimestampNow ? " now" : " as of " + std::to_string(as_of)));
+    const std::string read = Read(path, as_of);
+    EXPECT_EQ(read.size(), expected.size());
+    EXPECT_TRUE(read == expected);
+    EXPECT_TRUE(Reference(path, as_of) == read);
+  }
+
+  StorageEnv env_;
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<InversionFs> fs_;
+  std::unique_ptr<InvSession> s_;
+};
+
+TEST_P(ChunkReadTest, ReadsMatchTheHeapFetchReference) {
+  Rng rng(21);
+  auto random_text = [&rng](size_t n) {
+    std::string s(n, ' ');
+    for (auto& c : s) {
+      c = static_cast<char>('a' + rng.Uniform(26));
+    }
+    return s;
+  };
+  auto overlay = [](std::string base, int64_t at, const std::string& data) {
+    if (base.size() < static_cast<size_t>(at) + data.size()) {
+      base.resize(static_cast<size_t>(at) + data.size(), '\0');
+    }
+    base.replace(static_cast<size_t>(at), data.size(), data);
+    return base;
+  };
+  struct Case {
+    std::string path;
+    std::string v1, v2;
+    Timestamp t1 = 0;
+  };
+  std::vector<Case> cases(3);
+
+  // Plain: three full chunks and a short fourth; then a write across the
+  // chunk 0/1 boundary and one past the end, which leaves chunk 3's stored
+  // bytes short of its new extent (read as zeros).
+  cases[0].path = "/plain.bin";
+  cases[0].v1 = random_text(3 * kInvChunkSize + 517);
+  cases[0].t1 = Write(cases[0].path, 0, cases[0].v1, CreatOptions{});
+  const std::string across = random_text(300);
+  const std::string past = random_text(50);
+  Write(cases[0].path, kInvChunkSize - 100, across);
+  Write(cases[0].path, 4 * kInvChunkSize + 10, past);
+  cases[0].v2 = overlay(overlay(cases[0].v1, kInvChunkSize - 100, across),
+                        4 * kInvChunkSize + 10, past);
+
+  // LZSS-compressed chunks, then one chunk rewritten.
+  CreatOptions packed;
+  packed.compressed = true;
+  std::string text;
+  while (text.size() < 3 * kInvChunkSize) {
+    text += "the quick brown fox jumps over the lazy dog ";
+  }
+  cases[1].path = "/packed.txt";
+  cases[1].v1 = text;
+  cases[1].t1 = Write(cases[1].path, 0, text, packed);
+  const std::string patch(2000, 'P');
+  Write(cases[1].path, kInvChunkSize + 1234, patch);
+  cases[1].v2 = overlay(text, kInvChunkSize + 1234, patch);
+
+  // Sparse: holes in chunks 1-4 and a four-byte last chunk.
+  cases[2].path = "/sparse.bin";
+  cases[2].v1 = "head";
+  cases[2].t1 = Write(cases[2].path, 0, "head", CreatOptions{});
+  Write(cases[2].path, 5 * kInvChunkSize + 3, "tail");
+  cases[2].v2 = overlay("head", 5 * kInvChunkSize + 3, "tail");
+
+  for (const Case& c : cases) {
+    Check(c.path, kTimestampNow, c.v2);
+    Check(c.path, c.t1, c.v1);
+  }
+
+  // Vacuum moves the replaced versions to each chunk table's archive, where
+  // only as-of reads find them.
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  auto stats = fs_->Vacuum(*txn);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+  EXPECT_GT(stats->archived, 0u);
+  for (const Case& c : cases) {
+    Check(c.path, kTimestampNow, c.v2);
+    Check(c.path, c.t1, c.v1);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ChunkIndex, ChunkReadTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& param) {
+                           return param.param ? "Indexed" : "Scanned";
+                         });
 
 }  // namespace
 }  // namespace invfs

@@ -26,6 +26,7 @@
 #include "src/catalog/database.h"
 #include "src/fault/switch_entry.h"
 #include "src/harness/worlds.h"
+#include "src/inversion/inv_fs.h"
 #include "src/load/loadgen.h"
 #include "src/obs/metrics.h"
 #include "src/txn/commit_log.h"
@@ -553,6 +554,125 @@ TEST_F(MtStressTest, ReadOnlyRegistryUnderWriterAndVacuum) {
   EXPECT_GT(writer_commits.load(), static_cast<uint64_t>(kRounds) * 3 - 1);
   EXPECT_EQ(db.txns().ActiveTxnCount(), 0u);
   EXPECT_EQ(db.txns().OldestActiveXmin(), kInvalidTxn);
+}
+
+// Readers copy one chunk straight out of its heap page (p_read through
+// InvSession::VisitChunk) while a writer replaces that chunk over and over;
+// each replacement stamps the old version's xmax and appends the new one on
+// the same page, and vacuum compacts that page now and then. Every read must
+// return one whole version, never a mix of two, current readers must see
+// versions in commit order, and an as-of reader must keep seeing the first
+// version (from the archive once vacuum has moved it).
+TEST(ChunkReadRaceTest, ReadersCopyOneWholeVersionWhileAWriterReplacesIt) {
+  constexpr int kVersions = 200;  // version v is 512 bytes of value v
+  constexpr size_t kLen = 512;
+  constexpr int kReaders = 4;
+  StorageEnv env;
+  auto db = Database::Open(&env);
+  ASSERT_TRUE(db.ok());
+  InversionFs fs(db->get());
+  ASSERT_TRUE(fs.Mount().ok());
+  auto write_version = [](InvSession& s, int v, bool create) -> Status {
+    const std::vector<std::byte> data(kLen, std::byte{static_cast<uint8_t>(v)});
+    INV_RETURN_IF_ERROR(s.p_begin());
+    INV_ASSIGN_OR_RETURN(int fd, create ? s.p_creat("/hot.bin")
+                                        : s.p_open("/hot.bin", OpenMode::kWrite));
+    INV_RETURN_IF_ERROR(s.p_write(fd, data).status());
+    INV_RETURN_IF_ERROR(s.p_close(fd));
+    return s.p_commit();
+  };
+  auto writer_session = fs.NewSession();
+  ASSERT_TRUE(writer_session.ok());
+  ASSERT_TRUE(write_version(**writer_session, 1, /*create=*/true).ok());
+  const Timestamp first = (*db)->Now();
+  std::vector<std::unique_ptr<InvSession>> sessions;
+  for (int r = 0; r <= kReaders; ++r) {
+    auto s = fs.NewSession();
+    ASSERT_TRUE(s.ok());
+    sessions.push_back(std::move(*s));
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> reads{0};
+  auto fail = [&](const std::string& what) {
+    if (failures.fetch_add(1) < 5) {
+      ADD_FAILURE() << what;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r <= kReaders; ++r) {
+    // Reader kReaders reads as of the first commit; the others read now.
+    const bool as_of = r == kReaders;
+    readers.emplace_back([&, r, as_of] {
+      InvSession& s = *sessions[r];
+      auto fd = s.p_open("/hot.bin", OpenMode::kRead, as_of ? first : kTimestampNow);
+      if (!fd.ok()) {
+        return fail("open: " + fd.status().ToString());
+      }
+      std::vector<std::byte> buf(kLen);
+      // Odd readers hold a session transaction across several reads: its
+      // pinned snapshot keeps an older version live through vacuum, so
+      // compaction moves more than one live version on the page.
+      const int reads_per_txn = r % 2 == 1 ? 8 : 1;
+      int last = 1;
+      while (!done.load() && failures.load() == 0) {
+        if (reads_per_txn > 1 && !s.p_begin().ok()) {
+          return fail("reader could not begin");
+        }
+        int txn_version = 0;
+        for (int i = 0; i < reads_per_txn; ++i) {
+          auto n = s.p_lseek(*fd, 0, Whence::kSet);
+          auto got = s.p_read(*fd, buf);
+          if (!n.ok() || !got.ok() || *got != static_cast<int64_t>(kLen)) {
+            return fail("read failed: " + got.status().ToString());
+          }
+          const int v = static_cast<int>(buf[0]);
+          for (std::byte b : buf) {
+            if (static_cast<int>(b) != v) {
+              return fail("torn read: version " + std::to_string(v) + " mixed with " +
+                          std::to_string(static_cast<int>(b)));
+            }
+          }
+          if (txn_version != 0 && v != txn_version) {
+            return fail("version " + std::to_string(v) + " after " +
+                        std::to_string(txn_version) + " in one snapshot");
+          }
+          if (as_of ? v != 1 : v < last) {
+            return fail("read version " + std::to_string(v) + " after " +
+                        std::to_string(last));
+          }
+          last = v;
+          txn_version = v;
+          reads.fetch_add(1);
+        }
+        if (reads_per_txn > 1 && !s.p_commit().ok()) {
+          return fail("reader could not commit");
+        }
+      }
+    });
+  }
+  for (int v = 2; v <= kVersions && failures.load() == 0; ++v) {
+    Status st = write_version(**writer_session, v, /*create=*/false);
+    if (st.ok() && v % 4 == 0) {
+      // Vacuum archives the dead versions and compacts the page, moving the
+      // live version's bytes under the readers.
+      auto txn = (*db)->Begin();
+      st = txn.ok() ? fs.Vacuum(*txn).status() : txn.status();
+      if (st.ok()) {
+        st = (*db)->Commit(*txn);
+      }
+    }
+    if (!st.ok()) {
+      fail("writer: " + st.ToString());
+    }
+  }
+  done.store(true);
+  for (auto& th : readers) {
+    th.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(reads.load(), 0u);
 }
 
 // 8 threads hammer one registry — a striped counter and a shared histogram —

@@ -154,6 +154,40 @@ TEST_F(PageTest, SlotOutOfRange) {
   EXPECT_FALSE(page_.KillSlot(3).ok());
 }
 
+// A frame whose checksum verifies can still carry a line pointer that was
+// wrong when written. Neither accessor may hand out bytes outside the frame's
+// tuple area [lower, 8192).
+TEST_F(PageTest, LinePointersOutsideTheTupleAreaAreCorruption) {
+  std::vector<std::byte> t(100, std::byte{0x7E});
+  ASSERT_TRUE(page_.AddTuple(t).ok());
+  ASSERT_TRUE(page_.AddTuple(t).ok());
+  std::byte* lp1 = frame_ + kPageHeaderSize + kLinePointerSize;
+  const uint16_t good_off = GetU16(lp1);
+  auto expect_corrupt = [&](uint16_t off, uint16_t len) {
+    PutU16(lp1, off);
+    PutU16(lp1 + 2, len);
+    EXPECT_EQ(page_.GetTuple(1).status().code(), ErrorCode::kCorruption)
+        << off << "+" << len;
+    EXPECT_EQ(page_.GetMutableTuple(1).status().code(), ErrorCode::kCorruption)
+        << off << "+" << len;
+    EXPECT_TRUE(page_.GetTuple(0).ok());
+  };
+  expect_corrupt(kPageSize - 50, 100);              // runs past 8 KB
+  expect_corrupt(0xFFFF, 0xFFFF);                   // far past it
+  expect_corrupt(kPageHeaderSize, 100);             // inside the header
+  expect_corrupt(kPageHeaderSize + 2 * kLinePointerSize - 1, 8);  // below lower
+  PutU16(lp1, good_off);
+  PutU16(lp1 + 2, 100);
+  ASSERT_TRUE(page_.GetTuple(1).ok());
+
+  // A slot count past the line pointer array would read pointers out of the
+  // tuple bytes, or past the frame.
+  PutU16(frame_ + 2, 5000);
+  EXPECT_EQ(page_.GetTuple(4999).status().code(), ErrorCode::kCorruption);
+  EXPECT_EQ(page_.GetTuple(2).status().code(), ErrorCode::kCorruption);
+  EXPECT_TRUE(page_.GetTuple(1).ok());
+}
+
 // Pins the on-disk checksum format: the stamped value of one fixed frame
 // must never change, whichever CRC32C kernel computes it.
 TEST(PageChecksum, GoldenValueAndEveryBitFlipDetected) {
@@ -263,14 +297,34 @@ TEST(Tuple, MixedNullsRoundtrip) {
   EXPECT_EQ((*decoded)[6].AsOid(), 23114u);
 }
 
-TEST(Tuple, DecodeColumnSkipsSiblings) {
+TEST(Tuple, ViewColumnsSeesEveryColumnInPlace) {
   const Schema schema = WideSchema();
-  auto encoded = EncodeTuple(schema, WideRow(), TupleMeta{});
+  Row row = WideRow();
+  row[3] = Value::Null();
+  auto encoded = EncodeTuple(schema, row, TupleMeta{});
   ASSERT_TRUE(encoded.ok());
-  auto v = DecodeColumn(schema, *encoded, 6);
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v->AsOid(), 23114u);
-  EXPECT_FALSE(DecodeColumn(schema, *encoded, 99).ok());
+  std::vector<ColumnView> views(schema.num_columns());
+  ASSERT_TRUE(ViewColumns(schema, *encoded, views).ok());
+  EXPECT_EQ(views[1].Int4(), -7);
+  EXPECT_EQ(views[2].Int8(), 1ll << 40);
+  EXPECT_TRUE(views[3].null);
+  // Variable-length columns are the payload alone, pointing into the tuple.
+  const std::span<const std::byte> tuple(*encoded);
+  const std::span<const std::byte> text = views[4].bytes;
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(text.data()), text.size()),
+            "hello world");
+  EXPECT_GE(text.data(), tuple.data());
+  EXPECT_LE(text.data() + text.size(), tuple.data() + tuple.size());
+  ASSERT_EQ(views[5].bytes.size(), 2u);
+  EXPECT_EQ(views[5].bytes[0], std::byte{9});
+  EXPECT_EQ(GetU32(views[6].bytes.data()), 23114u);
+
+  std::vector<ColumnView> too_few(3);
+  EXPECT_EQ(ViewColumns(schema, *encoded, too_few).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(ViewColumns(schema, tuple.first(kTupleFixedHeader - 1), views).code(),
+            ErrorCode::kCorruption);
+  EXPECT_EQ(ViewColumns(schema, tuple.first(tuple.size() - 1), views).code(),
+            ErrorCode::kCorruption);
 }
 
 TEST(Tuple, ArityMismatchRejected) {

@@ -157,7 +157,11 @@ TEST(Crc32c, MatchesPortableLoopAtEveryLengthAndAlignment) {
   for (size_t n = 0; n <= 64; ++n) {
     lengths.push_back(n);
   }
-  for (size_t n : {4095u, 4096u, 8180u, 8192u}) {
+  // Lane boundaries of the hardware kernel: three 256-byte lanes (768) and
+  // three 2 KB lanes (6144), one byte either side, and a page's 8180-byte
+  // checksummed tail.
+  for (size_t n : {767u, 768u, 769u, 1536u, 4095u, 4096u, 6143u, 6144u, 6145u, 6912u,
+                   8180u, 8192u}) {
     lengths.push_back(n);
   }
   const std::vector<std::byte> buf = RandomBytes(14, 8192 + 8);
