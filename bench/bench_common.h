@@ -121,6 +121,7 @@ inline std::string MetricText(double v, const char* fmt) {
 Status RunTable3(Json* out);
 Status RunSton93(Json* out);
 Status RunAblation(Json* out);
+Status RunHistory(Json* out);
 Status RunMt(Json* out);
 Status RunRecovery(Json* out);
 Status RunOverhead(Json* out);

@@ -8,8 +8,8 @@
 // nothing is written anywhere. Exit 0 every section ran and passed its
 // gates, 1 a section failed, 2 bad arguments.
 //
-// table3, ston93 and ablation are simulated seconds from the calibrated 1993
-// cost model: deterministic, and checked byte for byte against
+// table3, ston93, ablation and history are simulated seconds from the
+// calibrated 1993 cost model: deterministic, and checked byte for byte against
 // bench/golden_sim.json by ctest. mt, recovery, overhead, fleet and netfault
 // measure wall-clock time on the host as well.
 
@@ -62,9 +62,10 @@ struct Section {
 
 constexpr Section kSections[] = {
     {"table3", RunTable3},     {"ston93", RunSton93},
-    {"ablation", RunAblation}, {"mt", RunMt},
-    {"recovery", RunRecovery}, {"overhead", RunOverhead},
-    {"fleet", RunFleet},       {"netfault", RunNetFault},
+    {"ablation", RunAblation}, {"history", RunHistory},
+    {"mt", RunMt},             {"recovery", RunRecovery},
+    {"overhead", RunOverhead}, {"fleet", RunFleet},
+    {"netfault", RunNetFault},
 };
 constexpr size_t kNumSections = std::size(kSections);
 

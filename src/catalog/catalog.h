@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -72,7 +73,7 @@ struct TableInfo {
   RelKind kind = RelKind::kHeap;
   std::unique_ptr<Heap> heap;
   std::vector<IndexInfo*> indexes;   // owned by Catalog::indexes_
-  Oid archive_oid = kInvalidOid;     // archive relation, if vacuum created one
+  std::atomic<Oid> archive_oid = kInvalidOid;  // vacuum's; read lock-free
 };
 
 struct ProcInfo {

@@ -1,5 +1,7 @@
 #include "src/catalog/database.h"
 
+#include <algorithm>
+
 #include "src/fault/switch_entry.h"
 
 namespace invfs {
@@ -143,6 +145,24 @@ Status Database::LockTable(TxnId txn, const TableInfo* table, LockMode mode) {
     txns_->MarkWritten(txn);
   }
   return s;
+}
+
+Result<std::vector<Tid>> Database::Probe(const IndexInfo& index, const BtreeKey& key,
+                                          KeyMatch match) {
+  // Lock-free readers reach the B-tree with no table lock, and vacuum's index
+  // rebuild replaces the BTree object under exclusive entry.
+  SharedGateLock gate(probe_gate_);
+  if (match == KeyMatch::kExact) {
+    return index.btree->Lookup(key);
+  }
+  std::vector<Tid> tids;
+  INV_ASSIGN_OR_RETURN(BTree::Iterator it, index.btree->Seek(key));
+  while (it.Valid() && it.key().size() >= key.size() &&
+         std::equal(key.begin(), key.end(), it.key().begin())) {
+    tids.push_back(it.tid());
+    INV_RETURN_IF_ERROR(it.Advance());
+  }
+  return tids;
 }
 
 Status Database::FlushCaches() { return buffers_->FlushAndInvalidate(); }

@@ -115,6 +115,28 @@ class Database {
   // swap index structures in place (vacuum rebuild, table migration).
   ReaderGate& probe_gate() { return probe_gate_; }
 
+  // --- versioned lookups -----------------------------------------------------
+
+  // kExact: the index entries equal to the key; kPrefix: those starting
+  // with it (a leading column of a composite key).
+  enum class KeyMatch { kExact, kPrefix };
+
+  // The one "index, then archive" read. Calls `fn(tid, tuple) -> Result<bool>`
+  // on each version of `table` visible under `snap` among the TIDs `index`
+  // holds under `key` (every heap version when `index` is null), then, for an
+  // as-of snapshot, on each visible version in the table's archive. Stops
+  // once `fn` returns true; returns whether it did. The probe gate is held
+  // for the index probe only, never across `fn`, which runs under the page
+  // latch with Heap::Visit's rules (so no nested lookup) and must check the
+  // key itself: the archive and index-less passes offer every version.
+  template <typename Fn>
+  Result<bool> VisitVersions(const TableInfo* table, const IndexInfo* index,
+                             const BtreeKey& key, KeyMatch match,
+                             const Snapshot& snap, Fn&& fn);
+  // The TIDs `index` holds under `key`, read inside the probe gate.
+  Result<std::vector<Tid>> Probe(const IndexInfo& index, const BtreeKey& key,
+                                 KeyMatch match);
+
   // --- administration -------------------------------------------------------
 
   // Flush all dirty pages and drop every cached page ("all caches were
@@ -162,5 +184,34 @@ class Database {
   ReaderGate probe_gate_;
   bool crashed_ = false;
 };
+
+template <typename Fn>
+Result<bool> Database::VisitVersions(const TableInfo* table, const IndexInfo* index,
+                                     const BtreeKey& key, KeyMatch match,
+                                     const Snapshot& snap, Fn&& fn) {
+  bool stopped = false;
+  auto visit = [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(stopped, fn(tid, tuple));
+    return stopped;
+  };
+  if (index == nullptr) {
+    INV_RETURN_IF_ERROR(table->heap->VisitEach(snap, visit));
+  } else {
+    INV_ASSIGN_OR_RETURN(const std::vector<Tid> tids, Probe(*index, key, match));
+    for (size_t i = 0; i < tids.size() && !stopped; ++i) {
+      INV_RETURN_IF_ERROR(table->heap->Visit(snap, tids[i], [&](auto tuple) {
+        return visit(tids[i], tuple).status();
+      }).status());
+    }
+  }
+  const Oid archive =
+      stopped || !snap.is_historical() ? kInvalidOid : table->archive_oid.load();
+  if (archive == kInvalidOid) {
+    return stopped;
+  }
+  INV_ASSIGN_OR_RETURN(TableInfo * archive_table, catalog_->GetTableByOid(archive));
+  INV_RETURN_IF_ERROR(archive_table->heap->VisitEach(snap, visit));
+  return stopped;
+}
 
 }  // namespace invfs

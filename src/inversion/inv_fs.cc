@@ -1,11 +1,11 @@
 #include "src/inversion/inv_fs.h"
 
 #include <algorithm>
+#include <map>
 
 #include "src/obs/span.h"
 #include "src/obs/tenant.h"
 #include "src/query/parser.h"
-#include "src/util/lzss.h"
 
 namespace invfs {
 namespace {
@@ -129,19 +129,8 @@ Status InversionFs::Mount() {
       root_oid_ = (*root).second[2].AsOid();
     } else {
       root_oid_ = db_->catalog().AllocateOid();
-      const Timestamp now = db_->Now();
-      INV_RETURN_IF_ERROR(db_->InsertRow(txn, naming_,
-                                         {Value::Text("/"), Value::MakeOid(kInvalidOid),
-                                          Value::MakeOid(root_oid_)})
-                              .status());
-      INV_RETURN_IF_ERROR(
-          db_->InsertRow(txn, fileatt_,
-                         {Value::MakeOid(root_oid_), Value::Text("root"),
-                          Value::MakeOid(dir_type_oid_), Value::Int8(0),
-                          Value::MakeTimestamp(now), Value::MakeTimestamp(now),
-                          Value::MakeTimestamp(now), Value::Int4(kDeviceMagneticDisk),
-                          Value::Int4(0)})
-              .status());
+      INV_RETURN_IF_ERROR(InsertEntry(txn, kInvalidOid, "/", root_oid_, "root",
+                                      dir_type_oid_, kDeviceMagneticDisk, 0));
     }
     INV_RETURN_IF_ERROR(RegisterBuiltinFunctions(txn));
     return Status::Ok();
@@ -163,56 +152,71 @@ Result<std::unique_ptr<InvSession>> InversionFs::NewSession() {
   return std::make_unique<InvSession>(this);
 }
 
+Status InversionFs::InsertEntry(TxnId txn, Oid parent, const std::string& name, Oid oid,
+                                const std::string& owner, Oid type, DeviceId device,
+                                int32_t flags) {
+  const Timestamp now = db_->Now();
+  INV_RETURN_IF_ERROR(
+      db_->InsertRow(txn, naming_,
+                     {Value::Text(name), Value::MakeOid(parent), Value::MakeOid(oid)})
+          .status());
+  return db_
+      ->InsertRow(txn, fileatt_,
+                  {Value::MakeOid(oid), Value::Text(owner), Value::MakeOid(type),
+                   Value::Int8(0), Value::MakeTimestamp(now), Value::MakeTimestamp(now),
+                   Value::MakeTimestamp(now), Value::Int4(static_cast<int32_t>(device)),
+                   Value::Int4(flags)})
+      .status();
+}
+
 // ------------------------------------------------------------------ lookups
+
+namespace {
+
+// The first version of a `table` row that `wanted` accepts among those `snap`
+// sees under `key` on `index`, archive included (Database::VisitVersions).
+// The row is decoded under the page latch; callers look further only after.
+template <typename Wanted>
+Result<std::optional<std::pair<Tid, Row>>> FirstRow(Database& db, const TableInfo* table,
+                                                    const IndexInfo* index,
+                                                    const BtreeKey& key,
+                                                    const Snapshot& snap, Wanted wanted) {
+  std::optional<std::pair<Tid, Row>> found;
+  auto visit = [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(table->schema, tuple));
+    if (!wanted(row)) {
+      return false;
+    }
+    found.emplace(tid, std::move(row));
+    return true;
+  };
+  INV_RETURN_IF_ERROR(
+      db.VisitVersions(table, index, key, Database::KeyMatch::kExact, snap, visit)
+          .status());
+  return found;
+}
+
+}  // namespace
 
 Result<std::optional<std::pair<Tid, Row>>> InversionFs::NamingLookup(
     Oid parent, const std::string& name, const Snapshot& snap) {
   std::vector<Value> key_vals{Value::MakeOid(parent), Value::Text(name)};
   INV_ASSIGN_OR_RETURN(BtreeKey key, EncodeKey(key_vals));
-  INV_ASSIGN_OR_RETURN(auto tids, naming_by_parent_name_->btree->Lookup(key));
-  for (Tid tid : tids) {
-    INV_ASSIGN_OR_RETURN(auto row, naming_->heap->Fetch(snap, tid));
-    if (row.has_value()) {
-      return std::optional(std::make_pair(tid, std::move(*row)));
-    }
-  }
-  // Historical snapshots may need the archive (vacuumed namespace entries).
-  if (snap.is_historical() && naming_->archive_oid != kInvalidOid) {
-    INV_ASSIGN_OR_RETURN(TableInfo * archive,
-                         db_->catalog().GetTableByOid(naming_->archive_oid));
-    auto it = archive->heap->Scan(snap);
-    while (it.Next()) {
-      if (it.row()[1].AsOid() == parent && it.row()[0].AsText() == name) {
-        return std::optional(std::make_pair(it.tid(), it.row()));
-      }
-    }
-    INV_RETURN_IF_ERROR(it.status());
-  }
-  return std::optional<std::pair<Tid, Row>>();
+  return FirstRow(*db_, naming_, naming_by_parent_name_, key, snap, [&](const Row& row) {
+    return row[1].AsOid() == parent && row[0].AsText() == name;
+  });
+}
+
+Result<std::optional<std::pair<Tid, Row>>> InversionFs::NamingOf(Oid file,
+                                                                  const Snapshot& snap) {
+  return FirstRow(*db_, naming_, naming_by_file_, EncodeOidKey(file), snap,
+                  [&](const Row& row) { return row[2].AsOid() == file; });
 }
 
 Result<std::optional<std::pair<Tid, Row>>> InversionFs::FileattLookup(
     Oid file, const Snapshot& snap) {
-  INV_ASSIGN_OR_RETURN(auto tids,
-                       fileatt_by_file_->btree->Lookup(EncodeOidKey(file)));
-  for (Tid tid : tids) {
-    INV_ASSIGN_OR_RETURN(auto row, fileatt_->heap->Fetch(snap, tid));
-    if (row.has_value()) {
-      return std::optional(std::make_pair(tid, std::move(*row)));
-    }
-  }
-  if (snap.is_historical() && fileatt_->archive_oid != kInvalidOid) {
-    INV_ASSIGN_OR_RETURN(TableInfo * archive,
-                         db_->catalog().GetTableByOid(fileatt_->archive_oid));
-    auto it = archive->heap->Scan(snap);
-    while (it.Next()) {
-      if (it.row()[0].AsOid() == file) {
-        return std::optional(std::make_pair(it.tid(), it.row()));
-      }
-    }
-    INV_RETURN_IF_ERROR(it.status());
-  }
-  return std::optional<std::pair<Tid, Row>>();
+  return FirstRow(*db_, fileatt_, fileatt_by_file_, EncodeOidKey(file), snap,
+                  [&](const Row& row) { return row[kFaFile].AsOid() == file; });
 }
 
 Result<Oid> InversionFs::ResolvePath(const std::string& path, const Snapshot& snap) {
@@ -249,13 +253,9 @@ Result<FileStat> InversionFs::StatOid(Oid file, const Snapshot& snap) {
   st.is_directory = type_oid == dir_type_oid_;
   st.compressed = (row[kFaFlags].AsInt4() & kInvFlagCompressed) != 0;
   // Name via the naming table (root keeps its "/").
-  INV_ASSIGN_OR_RETURN(auto tids, naming_by_file_->btree->Lookup(EncodeOidKey(file)));
-  for (Tid tid : tids) {
-    INV_ASSIGN_OR_RETURN(auto row2, naming_->heap->Fetch(snap, tid));
-    if (row2.has_value()) {
-      st.name = (*row2)[0].AsText();
-      break;
-    }
+  INV_ASSIGN_OR_RETURN(auto naming, NamingOf(file, snap));
+  if (naming.has_value()) {
+    st.name = (*naming).second[0].AsText();
   }
   return st;
 }
@@ -274,21 +274,12 @@ Result<std::string> InversionFs::PathOf(Oid file, const Snapshot& snap) {
       return Status::Corruption("namespace cycle resolving oid " +
                                 std::to_string(file));
     }
-    INV_ASSIGN_OR_RETURN(auto tids,
-                         naming_by_file_->btree->Lookup(EncodeOidKey(current)));
-    bool found = false;
-    for (Tid tid : tids) {
-      INV_ASSIGN_OR_RETURN(auto row, naming_->heap->Fetch(snap, tid));
-      if (row.has_value()) {
-        parts.push_back((*row)[0].AsText());
-        current = (*row)[1].AsOid();
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
+    INV_ASSIGN_OR_RETURN(auto naming, NamingOf(current, snap));
+    if (!naming.has_value()) {
       return Status::NotFound("orphaned file oid " + std::to_string(current));
     }
+    parts.push_back((*naming).second[0].AsText());
+    current = (*naming).second[1].AsOid();
   }
   std::string path;
   for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
@@ -300,88 +291,29 @@ Result<std::string> InversionFs::PathOf(Oid file, const Snapshot& snap) {
 
 Result<std::vector<DirEntry>> InversionFs::ListDirectory(Oid dir,
                                                          const Snapshot& snap) {
+  // Names first, attributes after the visit: its visitor must not nest a
+  // lookup. Keyed by name, which sorts the listing and keeps one entry for a
+  // version met twice, in the heap and in the archive, while vacuum moves it.
+  std::map<std::string, Oid> names;
+  auto collect = [&](Tid, std::span<const std::byte> tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(naming_->schema, tuple));
+    if (row[1].AsOid() == dir) {
+      names.emplace(row[0].AsText(), row[2].AsOid());
+    }
+    return false;
+  };
+  INV_RETURN_IF_ERROR(db_->VisitVersions(naming_, naming_by_parent_name_,
+                                         EncodeOidKey(dir), Database::KeyMatch::kPrefix,
+                                         snap, collect)
+                          .status());
   std::vector<DirEntry> out;
-  const BtreeKey prefix = EncodeOidKey(dir);
-  INV_ASSIGN_OR_RETURN(auto it, naming_by_parent_name_->btree->Seek(prefix));
-  while (it.Valid()) {
-    const BtreeKey& key = it.key();
-    if (key.size() < prefix.size() ||
-        !std::equal(prefix.begin(), prefix.end(), key.begin())) {
-      break;
+  for (const auto& [name, oid] : names) {
+    DirEntry entry{name, oid};
+    if (auto st = StatOid(oid, snap); st.ok()) {
+      entry.is_directory = st->is_directory;
     }
-    INV_ASSIGN_OR_RETURN(auto row, naming_->heap->Fetch(snap, it.tid()));
-    if (row.has_value()) {
-      DirEntry entry;
-      entry.name = (*row)[0].AsText();
-      entry.oid = (*row)[2].AsOid();
-      if (auto st = StatOid(entry.oid, snap); st.ok()) {
-        entry.is_directory = st->is_directory;
-      }
-      out.push_back(std::move(entry));
-    }
-    INV_RETURN_IF_ERROR(it.Advance());
+    out.push_back(std::move(entry));
   }
-  // Historical listings may include vacuumed-away entries in the archive.
-  if (snap.is_historical() && naming_->archive_oid != kInvalidOid) {
-    INV_ASSIGN_OR_RETURN(TableInfo * archive,
-                         db_->catalog().GetTableByOid(naming_->archive_oid));
-    auto scan = archive->heap->Scan(snap);
-    while (scan.Next()) {
-      if (scan.row()[1].AsOid() == dir) {
-        DirEntry entry;
-        entry.name = scan.row()[0].AsText();
-        entry.oid = scan.row()[2].AsOid();
-        if (auto st = StatOid(entry.oid, snap); st.ok()) {
-          entry.is_directory = st->is_directory;
-        }
-        out.push_back(std::move(entry));
-      }
-    }
-    INV_RETURN_IF_ERROR(scan.status());
-  }
-  std::sort(out.begin(), out.end(),
-            [](const DirEntry& a, const DirEntry& b) { return a.name < b.name; });
-  return out;
-}
-
-Result<std::vector<std::byte>> InversionFs::ReadWholeFile(Oid file,
-                                                          const Snapshot& snap) {
-  INV_ASSIGN_OR_RETURN(auto att, FileattLookup(file, snap));
-  if (!att.has_value()) {
-    return Status::NotFound("file oid " + std::to_string(file));
-  }
-  const int64_t size = (*att).second[kFaSize].AsInt8();
-  const bool compressed =
-      ((*att).second[kFaFlags].AsInt4() & kInvFlagCompressed) != 0;
-  auto table_or = db_->catalog().GetTable(ChunkTableName(file));
-  if (!table_or.ok()) {
-    // Directories (and other non-file objects) have no data table; content
-    // functions applied to them see empty contents. Real POSTGRES would have
-    // rejected the call via type checking before it got here.
-    return std::vector<std::byte>{};
-  }
-  TableInfo* table = *table_or;
-  std::vector<std::byte> out(static_cast<size_t>(size));
-  // A single ordered index scan beats per-chunk probes for whole-file reads.
-  auto scan = table->heap->Scan(snap);
-  while (scan.Next()) {
-    const Row& row = scan.row();
-    const int64_t chunkno = row[0].AsInt4();
-    const Blob& data = row[1].AsBytes();
-    const int64_t at = chunkno * static_cast<int64_t>(kInvChunkSize);
-    if (at >= size) {
-      continue;
-    }
-    Blob raw;
-    const Blob* src = &data;
-    if (compressed && !row[3].is_null()) {
-      INV_ASSIGN_OR_RETURN(raw, LzssDecompress(data, static_cast<size_t>(row[3].AsInt4())));
-      src = &raw;
-    }
-    const int64_t n = std::min<int64_t>(static_cast<int64_t>(src->size()), size - at);
-    std::copy_n(src->begin(), n, out.begin() + at);
-  }
-  INV_RETURN_IF_ERROR(scan.status());
   return out;
 }
 

@@ -158,6 +158,9 @@ class InversionFs {
 
   Status RegisterBuiltinFunctions(TxnId txn);
   Status RegisterMigrationAction();
+  // Insert the naming and fileatt rows of a new, empty namespace entry.
+  Status InsertEntry(TxnId txn, Oid parent, const std::string& name, Oid oid,
+                     const std::string& owner, Oid type, DeviceId device, int32_t flags);
 
   // Find the (tid, row) of the fileatt tuple for `file` under `snap`.
   Result<std::optional<std::pair<Tid, Row>>> FileattLookup(Oid file,
@@ -166,9 +169,23 @@ class InversionFs {
   Result<std::optional<std::pair<Tid, Row>>> NamingLookup(Oid parent,
                                                           const std::string& name,
                                                           const Snapshot& snap);
+  // Find the (tid, row) of the naming tuple that names `file` under `snap`.
+  Result<std::optional<std::pair<Tid, Row>>> NamingOf(Oid file, const Snapshot& snap);
   Result<std::vector<DirEntry>> ListDirectory(Oid dir, const Snapshot& snap);
 
   static std::string ChunkTableName(Oid file) { return "inv" + std::to_string(file); }
+
+  // Calls `fn(tid, chunkno, bytes) -> Status` on the checked raw contents of
+  // each version of `file`'s chunks visible under `snap` (archive included,
+  // see Database::VisitVersions): chunk `*chunkno`'s, through `index` when
+  // there is one, or every chunk's in one pass. Returns whether chunk
+  // `*chunkno` was found. `fn` runs under the page latch (copy out; no pin,
+  // latch, lock or I/O), except for compressed chunks, which it sees
+  // unpacked after it.
+  template <typename Fn>
+  Result<bool> VisitChunks(Oid file, const TableInfo* table, const IndexInfo* index,
+                           std::optional<int64_t> chunkno, const Snapshot& snap,
+                           Fn&& fn);
 
   Database* db_;
   InvOptions options_;
@@ -245,8 +262,7 @@ class InvSession {
     TableInfo* chunk_table = nullptr;
     IndexInfo* chunk_index = nullptr;  // null when index maintenance disabled
     bool writable = false;
-    bool historical = false;
-    Timestamp as_of = kTimestampNow;
+    Timestamp as_of = kTimestampNow;  // historical (read-only) unless now
     bool compressed = false;
     int64_t offset = 0;
     int64_t size = 0;
@@ -274,7 +290,8 @@ class InvSession {
   auto WithTxn(Fn&& body, TxnMode mode = TxnMode::kReadWrite)
       -> decltype(body(TxnId{}));
 
-  Snapshot SnapFor(const Handle& h, TxnId txn) const;
+  // The snapshot reads as of `as_of` (kTimestampNow: `txn`'s) run under.
+  Snapshot SnapFor(Timestamp as_of, TxnId txn) const;
   Result<Handle*> GetHandle(int fd);
   // Forget buffered writes / pending metadata (abort paths).
   void DiscardVolatile();
@@ -287,19 +304,12 @@ class InvSession {
   Status LoadChunk(Handle& h, TxnId txn, int64_t chunkno);
   Status FlushChunk(Handle& h, TxnId txn);
   Status FlushMetadata(Handle& h, TxnId txn);
-  // Find the version of chunk `chunkno` visible under `snap` and call
-  // `fn(tid, bytes) -> Status` once with its raw contents; returns whether
-  // one was found, or the first error. The one chunk lookup: index probe,
-  // index-less scan, then the archive for as-of reads. `bytes` are the heap
-  // page's own, read under its latch, so `fn` copies what it keeps and must
-  // not pin, latch, lock or do I/O. A compressed version's packed bytes are
-  // copied out instead, and `fn` sees them decompressed, after the latch.
-  template <typename Fn>
-  Result<bool> VisitChunk(const Handle& h, int64_t chunkno, const Snapshot& snap,
-                          Fn&& fn);
   // Number of valid bytes chunk `chunkno` holds given file size `size`.
   static int64_t ChunkValidBytes(int64_t size, int64_t chunkno);
 
+  // The parent directory and name of a new entry at `path`, once the
+  // namespace tables are locked and the name is free.
+  Result<std::pair<Oid, std::string>> PrepareEntry(TxnId txn, const std::string& path);
   Status CloseInternal(int fd, TxnId txn);
   Status FlushAllHandles(TxnId txn);
 

@@ -54,31 +54,16 @@ Status InversionFs::RegisterBuiltinFunctions(TxnId txn) {
     return (*att).second[column];
   };
 
-  registry_.RegisterNative("owner", [=, this](std::span<const Value> args,
-                                              EvalContext& ctx) -> Result<Value> {
-    INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));
-    return att_value(file, ctx.snap, kFaOwner);
-  });
-  registry_.RegisterNative("size", [=, this](std::span<const Value> args,
-                                             EvalContext& ctx) -> Result<Value> {
-    INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));
-    return att_value(file, ctx.snap, kFaSize);
-  });
-  registry_.RegisterNative("mtime", [=, this](std::span<const Value> args,
-                                              EvalContext& ctx) -> Result<Value> {
-    INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));
-    return att_value(file, ctx.snap, kFaMtime);
-  });
-  registry_.RegisterNative("ctime", [=, this](std::span<const Value> args,
-                                              EvalContext& ctx) -> Result<Value> {
-    INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));
-    return att_value(file, ctx.snap, kFaCtime);
-  });
-  registry_.RegisterNative("atime", [=, this](std::span<const Value> args,
-                                              EvalContext& ctx) -> Result<Value> {
-    INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));
-    return att_value(file, ctx.snap, kFaAtime);
-  });
+  // The fileatt columns read as they are.
+  for (const auto& [name, column] :
+       {std::pair{"owner", kFaOwner}, {"size", kFaSize}, {"mtime", kFaMtime},
+        {"ctime", kFaCtime}, {"atime", kFaAtime}}) {
+    registry_.RegisterNative(name, [=](std::span<const Value> args,
+                                       EvalContext& ctx) -> Result<Value> {
+      INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));
+      return att_value(file, ctx.snap, column);
+    });
+  }
   registry_.RegisterNative("filetype", [=, this](std::span<const Value> args,
                                                  EvalContext& ctx) -> Result<Value> {
     INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));

@@ -1,8 +1,10 @@
-// InvSession: the client-visible file API (Figure 2 of the paper).
+// InvSession: the client-visible file API (Figure 2 of the paper), and the
+// chunk reads it shares with the file functions.
 
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <tuple>
 
 #include "src/inversion/inv_fs.h"
 #include "src/obs/span.h"
@@ -55,9 +57,9 @@ InvSession::~InvSession() {
   }
 }
 
-Snapshot InvSession::SnapFor(const Handle& h, TxnId txn) const {
-  if (h.historical) {
-    return fs_->db().SnapshotAt(h.as_of);
+Snapshot InvSession::SnapFor(Timestamp as_of, TxnId txn) const {
+  if (as_of != kTimestampNow) {
+    return fs_->db().SnapshotAt(as_of);
   }
   // Pinned begin-time snapshot until the transaction writes; reads take no
   // data locks under it, so writers never block this handle's reads.
@@ -123,7 +125,7 @@ Status InvSession::p_abort() {
   // Sizes seen through open fds may reflect aborted writes; refresh them.
   const Snapshot snap{kTimestampNow, kInvalidTxn, &fs_->db().txns().log(), nullptr};
   for (auto& [fd, h] : fds_) {
-    if (!h.historical) {
+    if (h.as_of == kTimestampNow) {
       if (auto att = fs_->FileattLookup(h.file, snap); att.ok() && att->has_value()) {
         h.size = (*att)->second[InversionFs::kFaSize].AsInt8();
       }
@@ -145,19 +147,7 @@ Status InvSession::FlushAllHandles(TxnId txn) {
 Result<int> InvSession::p_creat(const std::string& path, CreatOptions options) {
   ScopedSpan span(fs_->spans_, "p_creat");
   auto result = WithTxn([&](TxnId txn) -> Result<int> {
-    const Snapshot snap = fs_->db().SnapshotFor(txn);
-    INV_ASSIGN_OR_RETURN(auto split, SplitParentPath(path));
-    INV_ASSIGN_OR_RETURN(Oid parent, fs_->ResolvePath(split.first, snap));
-    INV_ASSIGN_OR_RETURN(FileStat parent_stat, fs_->StatOid(parent, snap));
-    if (!parent_stat.is_directory) {
-      return Status::InvalidArgument(split.first + " is not a directory");
-    }
-    INV_RETURN_IF_ERROR(fs_->db().LockTable(txn, fs_->naming_, LockMode::kExclusive));
-    INV_RETURN_IF_ERROR(fs_->db().LockTable(txn, fs_->fileatt_, LockMode::kExclusive));
-    INV_ASSIGN_OR_RETURN(auto existing, fs_->NamingLookup(parent, split.second, snap));
-    if (existing.has_value()) {
-      return Status::AlreadyExists(path);
-    }
+    INV_ASSIGN_OR_RETURN(auto entry, PrepareEntry(txn, path));
     INV_ASSIGN_OR_RETURN(TypeInfo * type, fs_->db().catalog().GetType(options.type));
     if (!fs_->db().devices().Has(options.device)) {
       return Status::InvalidArgument("no device " + std::to_string(options.device));
@@ -180,7 +170,6 @@ Result<int> InvSession::p_creat(const std::string& path, CreatOptions options) {
                            fs_->db().catalog().CreateIndex(txn, chunk_table, {0}));
     }
 
-    const Timestamp now = fs_->db().Now();
     int32_t flags = 0;
     if (options.compressed) {
       flags |= kInvFlagCompressed;
@@ -188,22 +177,8 @@ Result<int> InvSession::p_creat(const std::string& path, CreatOptions options) {
     if (!options.keep_history) {
       flags |= kInvFlagNoHistory;
     }
-    INV_RETURN_IF_ERROR(
-        fs_->db()
-            .InsertRow(txn, fs_->naming_,
-                       {Value::Text(split.second), Value::MakeOid(parent),
-                        Value::MakeOid(oid)})
-            .status());
-    INV_RETURN_IF_ERROR(
-        fs_->db()
-            .InsertRow(txn, fs_->fileatt_,
-                       {Value::MakeOid(oid), Value::Text(options.owner),
-                        Value::MakeOid(type->oid), Value::Int8(0),
-                        Value::MakeTimestamp(now), Value::MakeTimestamp(now),
-                        Value::MakeTimestamp(now),
-                        Value::Int4(static_cast<int32_t>(options.device)),
-                        Value::Int4(flags)})
-            .status());
+    INV_RETURN_IF_ERROR(fs_->InsertEntry(txn, entry.first, entry.second, oid,
+                                         options.owner, type->oid, options.device, flags));
 
     Handle h;
     h.file = oid;
@@ -226,13 +201,11 @@ Result<int> InvSession::p_open(const std::string& path, OpenMode mode,
                                Timestamp as_of) {
   ScopedSpan span(fs_->spans_, "p_open");
   auto result = WithTxn([&](TxnId txn) -> Result<int> {
-    const bool historical = as_of != kTimestampNow;
-    if (historical && mode == OpenMode::kWrite) {
+    if (as_of != kTimestampNow && mode == OpenMode::kWrite) {
       // "Historical files may not be opened for writing."
       return Status::ReadOnly("cannot open historical state for writing: " + path);
     }
-    const Snapshot snap =
-        historical ? fs_->db().SnapshotAt(as_of) : fs_->db().ReadSnapshot(txn);
+    const Snapshot snap = SnapFor(as_of, txn);
     INV_ASSIGN_OR_RETURN(Oid oid, fs_->ResolvePath(path, snap));
     INV_ASSIGN_OR_RETURN(auto att, fs_->FileattLookup(oid, snap));
     if (!att.has_value()) {
@@ -255,7 +228,6 @@ Result<int> InvSession::p_open(const std::string& path, OpenMode mode,
     h.chunk_index =
         (*chunk_table)->indexes.empty() ? nullptr : (*chunk_table)->indexes[0];
     h.writable = mode == OpenMode::kWrite;
-    h.historical = historical;
     h.as_of = as_of;
     h.compressed = (att_row[InversionFs::kFaFlags].AsInt4() & kInvFlagCompressed) != 0;
     h.size = att_row[InversionFs::kFaSize].AsInt8();
@@ -318,7 +290,7 @@ Result<FileStat> InvSession::p_fstat(int fd) {
   INV_ASSIGN_OR_RETURN(Handle * h, GetHandle(fd));
   return WithTxn(
       [&](TxnId txn) -> Result<FileStat> {
-        INV_ASSIGN_OR_RETURN(FileStat st, fs_->StatOid(h->file, SnapFor(*h, txn)));
+        INV_ASSIGN_OR_RETURN(FileStat st, fs_->StatOid(h->file, SnapFor(h->as_of, txn)));
         if (h->meta_dirty) {
           st.size = h->size;  // uncommitted writes are visible to their author
           st.mtime = h->pending_mtime;
@@ -336,88 +308,90 @@ int64_t InvSession::ChunkValidBytes(int64_t size, int64_t chunkno) {
 }
 
 template <typename Fn>
-Result<bool> InvSession::VisitChunk(const Handle& h, int64_t chunkno,
-                                    const Snapshot& snap, Fn&& fn) {
+Result<bool> InversionFs::VisitChunks(Oid file, const TableInfo* table,
+                                      const IndexInfo* index,
+                                      std::optional<int64_t> chunkno,
+                                      const Snapshot& snap, Fn&& fn) {
   // Covers the whole chunk lookup — index descent, heap visit, decompression
-  // — so an entry point's self-time shrinks to offset arithmetic.
-  ScopedSpan span(fs_->spans_, "file.fetch_chunk", h.file,
-                  static_cast<uint64_t>(chunkno));
-  const Schema& schema = h.chunk_table->heap->schema();
-  bool found = false;
-  // A compressed version: its packed bytes and raw length, held for
+  // — so an entry point's self-time shrinks to offset arithmetic. A
+  // whole-file pass (the file functions) records none.
+  ScopedSpan span(chunkno.has_value() ? spans_ : nullptr, "file.fetch_chunk", file,
+                  static_cast<uint64_t>(chunkno.value_or(0)));
+  // Compressed versions (tid, chunkno, raw length, packed bytes), held for
   // decompression once the page latch is gone.
-  Tid packed_tid;
-  Blob packed;
-  std::optional<size_t> rawlen;
+  std::vector<std::tuple<Tid, int64_t, size_t, Blob>> packed;
   // Runs under the page latch with the bytes of a visible version; true
-  // once it has served this chunk.
+  // once it has served the one chunk asked for.
   auto visit = [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
     std::array<ColumnView, 4> cols;
-    INV_RETURN_IF_ERROR(ViewColumns(schema, tuple, cols));
-    if (cols[0].null || cols[0].Int4() != chunkno) {
-      return false;  // the scans see every chunk's versions
+    INV_RETURN_IF_ERROR(ViewColumns(table->schema, tuple, cols));
+    const int64_t no = cols[0].null ? -1 : cols[0].Int4();
+    if (chunkno.has_value() && no != *chunkno) {
+      return false;  // the scans offer every chunk's versions
     }
-    found = true;
     // Self-identifying record check (media corruption defense), and a
     // length no chunk can have: the callers' buffers hold one chunk.
     auto corrupt = [&](const char* what) {
-      return Status::Corruption(std::string(what) + " in file " + std::to_string(h.file) +
-                                " chunk " + std::to_string(chunkno));
+      return Status::Corruption(std::string(what) + " in file " + std::to_string(file) +
+                                " chunk " + std::to_string(no));
     };
-    if (!cols[2].null && cols[2].Int8() != SelfIdent(h.file, chunkno)) {
+    if (!cols[2].null && cols[2].Int8() != SelfIdent(file, no)) {
       return corrupt("chunk self-identification mismatch");
     }
     const size_t len =
         cols[3].null ? cols[1].bytes.size() : static_cast<size_t>(cols[3].Int4());
-    if (cols[1].null || len > kInvChunkSize) {
-      return corrupt("chunk data missing or longer than a chunk");
+    if (cols[0].null || cols[1].null || len > kInvChunkSize) {
+      return corrupt("chunk number or data missing, or data longer than a chunk");
     }
     if (!cols[3].null) {
-      packed_tid = tid;
-      packed.assign(cols[1].bytes.begin(), cols[1].bytes.end());
-      rawlen = len;
-      return true;
+      packed.emplace_back(tid, no, len, Blob(cols[1].bytes.begin(), cols[1].bytes.end()));
+    } else {
+      INV_RETURN_IF_ERROR(fn(tid, no, cols[1].bytes));
     }
-    INV_RETURN_IF_ERROR(fn(tid, cols[1].bytes));
-    return true;
+    return chunkno.has_value();
   };
-
-  if (h.chunk_index != nullptr) {
-    Result<std::vector<Tid>> tids_or = [&] {
-      // Probe gate: lock-free readers reach this B-tree with no table lock,
-      // so vacuum's index rebuild swaps the btree object under exclusive
-      // entry; the shared entry spans exactly one probe.
-      SharedGateLock gate(fs_->db().probe_gate());
-      return h.chunk_index->btree->Lookup(
-          EncodeInt4Key(static_cast<int32_t>(chunkno)));
-    }();
-    INV_ASSIGN_OR_RETURN(auto tids, std::move(tids_or));
-    for (Tid tid : tids) {
-      auto visit_tid = [&](std::span<const std::byte> tuple) {
-        return visit(tid, tuple).status();
-      };
-      INV_RETURN_IF_ERROR(h.chunk_table->heap->Visit(snap, tid, visit_tid).status());
-      if (found) {
-        break;
-      }
-    }
-  } else {
-    // Ablation path: no chunk index, sequential scan (this is what the paper's
-    // B-tree buys).
-    INV_RETURN_IF_ERROR(h.chunk_table->heap->VisitEach(snap, visit));
-  }
-  // Archived chunk versions (vacuumed) for historical reads.
-  if (!found && snap.is_historical() && h.chunk_table->archive_oid != kInvalidOid) {
-    INV_ASSIGN_OR_RETURN(
-        TableInfo * archive,
-        fs_->db().catalog().GetTableByOid(h.chunk_table->archive_oid));
-    INV_RETURN_IF_ERROR(archive->heap->VisitEach(snap, visit));
-  }
-  if (rawlen.has_value()) {
-    INV_ASSIGN_OR_RETURN(Blob raw, LzssDecompress(packed, *rawlen));
-    INV_RETURN_IF_ERROR(fn(packed_tid, std::span<const std::byte>(raw)));
+  // Without a chunk index (the ablation) a chunk lookup scans the heap: this
+  // is what the paper's B-tree buys.
+  const BtreeKey key =
+      chunkno.has_value() ? EncodeInt4Key(static_cast<int32_t>(*chunkno)) : BtreeKey{};
+  INV_ASSIGN_OR_RETURN(
+      const bool found,
+      db_->VisitVersions(table, index, key, Database::KeyMatch::kExact, snap, visit));
+  for (const auto& [tid, no, rawlen, bytes] : packed) {
+    INV_ASSIGN_OR_RETURN(Blob raw, LzssDecompress(bytes, rawlen));
+    INV_RETURN_IF_ERROR(fn(tid, no, std::span<const std::byte>(raw)));
   }
   return found;
+}
+
+Result<std::vector<std::byte>> InversionFs::ReadWholeFile(Oid file,
+                                                          const Snapshot& snap) {
+  INV_ASSIGN_OR_RETURN(auto att, FileattLookup(file, snap));
+  if (!att.has_value()) {
+    return Status::NotFound("file oid " + std::to_string(file));
+  }
+  const int64_t size = (*att).second[kFaSize].AsInt8();
+  auto table = db_->catalog().GetTable(ChunkTableName(file));
+  if (!table.ok()) {
+    // Directories (and other non-file objects) have no data table; content
+    // functions applied to them see empty contents. Real POSTGRES would have
+    // rejected the call via type checking before it got here.
+    return std::vector<std::byte>{};
+  }
+  std::vector<std::byte> out(static_cast<size_t>(size));
+  auto place = [&](Tid, int64_t chunkno, std::span<const std::byte> data) {
+    const int64_t at = chunkno * static_cast<int64_t>(kInvChunkSize);
+    if (at < size) {
+      std::copy_n(data.begin(), std::min(static_cast<int64_t>(data.size()), size - at),
+                  out.begin() + at);
+    }
+    return Status::Ok();
+  };
+  // One pass over every chunk version, not a probe per chunk: the
+  // index-less configuration stays linear.
+  INV_RETURN_IF_ERROR(
+      VisitChunks(file, *table, nullptr, std::nullopt, snap, place).status());
+  return out;
 }
 
 Status InvSession::LoadChunk(Handle& h, TxnId txn, int64_t chunkno) {
@@ -426,13 +400,14 @@ Status InvSession::LoadChunk(Handle& h, TxnId txn, int64_t chunkno) {
   h.buffered_chunk = chunkno;
   h.buffer_len = 0;
   h.buffer_dirty = false;
-  const Snapshot snap = SnapFor(h, txn);
-  auto copy_in = [&](Tid, std::span<const std::byte> data) {
+  const Snapshot snap = SnapFor(h.as_of, txn);
+  auto copy_in = [&](Tid, int64_t, std::span<const std::byte> data) {
     std::copy(data.begin(), data.end(), h.buffer.begin());
     h.buffer_len = static_cast<int64_t>(data.size());
     return Status::Ok();
   };
-  return VisitChunk(h, chunkno, snap, copy_in).status();
+  return fs_->VisitChunks(h.file, h.chunk_table, h.chunk_index, chunkno, snap, copy_in)
+      .status();
 }
 
 Status InvSession::FlushChunk(Handle& h, TxnId txn) {
@@ -469,11 +444,13 @@ Status InvSession::FlushChunk(Handle& h, TxnId txn) {
                          chunkno < h.chunks_at_open ||
                          h.flushed_chunks.contains(chunkno);
   if (may_exist) {
-    auto note_tid = [&](Tid tid, std::span<const std::byte>) {
+    auto note_tid = [&](Tid tid, int64_t, std::span<const std::byte>) {
       existing = tid;
       return Status::Ok();
     };
-    INV_RETURN_IF_ERROR(VisitChunk(h, chunkno, snap, note_tid).status());
+    INV_RETURN_IF_ERROR(
+        fs_->VisitChunks(h.file, h.chunk_table, h.chunk_index, chunkno, snap, note_tid)
+            .status());
   }
   if (existing.has_value()) {
     // "the old record is marked as deleted by the current transaction, and
@@ -519,7 +496,7 @@ Result<int64_t> InvSession::ReadAt(Handle& h, TxnId txn, int64_t offset,
   const int64_t want =
       std::min<int64_t>(static_cast<int64_t>(out.size()), h.size - offset);
   int64_t done = 0;
-  const Snapshot snap = SnapFor(h, txn);
+  const Snapshot snap = SnapFor(h.as_of, txn);
   while (done < want) {
     const int64_t pos = offset + done;
     const int64_t chunkno = pos / kInvChunkSize;
@@ -533,14 +510,16 @@ Result<int64_t> InvSession::ReadAt(Handle& h, TxnId txn, int64_t offset,
       // Bytes past the chunk's stored length, or a whole missing chunk (a
       // hole in a sparse file), read as zeros.
       int64_t copied = 0;
-      auto copy_out = [&](Tid, std::span<const std::byte> data) {
+      auto copy_out = [&](Tid, int64_t, std::span<const std::byte> data) {
         copied = std::clamp<int64_t>(static_cast<int64_t>(data.size()) - within, 0, n);
         if (copied > 0) {
           std::memcpy(dst, data.data() + within, copied);
         }
         return Status::Ok();
       };
-      INV_RETURN_IF_ERROR(VisitChunk(h, chunkno, snap, copy_out).status());
+      INV_RETURN_IF_ERROR(
+          fs_->VisitChunks(h.file, h.chunk_table, h.chunk_index, chunkno, snap, copy_out)
+              .status());
       std::memset(dst + copied, 0, n - copied);
     }
     done += n;
@@ -555,7 +534,7 @@ Result<int64_t> InvSession::ReadAt(Handle& h, TxnId txn, int64_t offset,
 
 Result<int64_t> InvSession::WriteAt(Handle& h, TxnId txn, int64_t offset,
                                     std::span<const std::byte> in) {
-  if (h.historical || !h.writable) {
+  if (!h.writable) {  // historical handles never are
     return Status::ReadOnly("file descriptor is not writable");
   }
   if (offset + static_cast<int64_t>(in.size()) > kInvMaxFileSize) {
@@ -649,38 +628,31 @@ Result<int64_t> InvSession::p_write(int fd, std::span<const std::byte> buf) {
 
 // ----------------------------------------------------------------- namespace
 
+Result<std::pair<Oid, std::string>> InvSession::PrepareEntry(TxnId txn,
+                                                             const std::string& path) {
+  const Snapshot snap = fs_->db().SnapshotFor(txn);
+  INV_ASSIGN_OR_RETURN(auto split, SplitParentPath(path));
+  INV_ASSIGN_OR_RETURN(Oid parent, fs_->ResolvePath(split.first, snap));
+  INV_ASSIGN_OR_RETURN(FileStat parent_stat, fs_->StatOid(parent, snap));
+  if (!parent_stat.is_directory) {
+    return Status::InvalidArgument(split.first + " is not a directory");
+  }
+  INV_RETURN_IF_ERROR(fs_->db().LockTable(txn, fs_->naming_, LockMode::kExclusive));
+  INV_RETURN_IF_ERROR(fs_->db().LockTable(txn, fs_->fileatt_, LockMode::kExclusive));
+  INV_ASSIGN_OR_RETURN(auto existing, fs_->NamingLookup(parent, split.second, snap));
+  if (existing.has_value()) {
+    return Status::AlreadyExists(path);
+  }
+  return std::make_pair(parent, std::move(split.second));
+}
+
 Status InvSession::mkdir(const std::string& path) {
   ScopedSpan span(fs_->spans_, "mkdir");
   return WithTxn([&](TxnId txn) -> Status {
-    const Snapshot snap = fs_->db().SnapshotFor(txn);
-    INV_ASSIGN_OR_RETURN(auto split, SplitParentPath(path));
-    INV_ASSIGN_OR_RETURN(Oid parent, fs_->ResolvePath(split.first, snap));
-    INV_ASSIGN_OR_RETURN(FileStat parent_stat, fs_->StatOid(parent, snap));
-    if (!parent_stat.is_directory) {
-      return Status::InvalidArgument(split.first + " is not a directory");
-    }
-    INV_RETURN_IF_ERROR(fs_->db().LockTable(txn, fs_->naming_, LockMode::kExclusive));
-    INV_RETURN_IF_ERROR(fs_->db().LockTable(txn, fs_->fileatt_, LockMode::kExclusive));
-    INV_ASSIGN_OR_RETURN(auto existing, fs_->NamingLookup(parent, split.second, snap));
-    if (existing.has_value()) {
-      return Status::AlreadyExists(path);
-    }
+    INV_ASSIGN_OR_RETURN(auto entry, PrepareEntry(txn, path));
     const Oid oid = fs_->db().catalog().AllocateOid();
-    const Timestamp now = fs_->db().Now();
-    INV_RETURN_IF_ERROR(
-        fs_->db()
-            .InsertRow(txn, fs_->naming_,
-                       {Value::Text(split.second), Value::MakeOid(parent),
-                        Value::MakeOid(oid)})
-            .status());
-    return fs_->db()
-        .InsertRow(txn, fs_->fileatt_,
-                   {Value::MakeOid(oid), Value::Text("root"),
-                    Value::MakeOid(fs_->dir_type_oid_), Value::Int8(0),
-                    Value::MakeTimestamp(now), Value::MakeTimestamp(now),
-                    Value::MakeTimestamp(now), Value::Int4(kDeviceMagneticDisk),
-                    Value::Int4(0)})
-        .status();
+    return fs_->InsertEntry(txn, entry.first, entry.second, oid, "root",
+                            fs_->dir_type_oid_, kDeviceMagneticDisk, 0);
   });
 }
 
@@ -745,12 +717,7 @@ Status InvSession::rename(const std::string& from, const std::string& to) {
 Result<FileStat> InvSession::stat(const std::string& path, Timestamp as_of) {
   ScopedSpan span(fs_->spans_, "stat");
   return WithTxn(
-      [&](TxnId txn) -> Result<FileStat> {
-        const Snapshot snap = as_of != kTimestampNow
-                                  ? fs_->db().SnapshotAt(as_of)
-                                  : fs_->db().ReadSnapshot(txn);
-        return fs_->StatPath(path, snap);
-      },
+      [&](TxnId txn) { return fs_->StatPath(path, SnapFor(as_of, txn)); },
       TxnMode::kReadOnly);
 }
 
@@ -759,9 +726,7 @@ Result<std::vector<DirEntry>> InvSession::readdir(const std::string& path,
   ScopedSpan span(fs_->spans_, "readdir");
   return WithTxn(
       [&](TxnId txn) -> Result<std::vector<DirEntry>> {
-        const Snapshot snap = as_of != kTimestampNow
-                                  ? fs_->db().SnapshotAt(as_of)
-                                  : fs_->db().ReadSnapshot(txn);
+        const Snapshot snap = SnapFor(as_of, txn);
         INV_ASSIGN_OR_RETURN(Oid dir, fs_->ResolvePath(path, snap));
         INV_ASSIGN_OR_RETURN(FileStat st, fs_->StatOid(dir, snap));
         if (!st.is_directory) {

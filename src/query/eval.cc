@@ -1,35 +1,60 @@
 #include "src/query/eval.h"
 
+#include <optional>
+#include <utility>
+
 #include "src/catalog/database.h"
 #include "src/query/parser.h"
 
 namespace invfs {
 namespace {
 
-Result<Value> EvalColumnRef(const Expr& expr, EvalContext& ctx) {
+// The binding a column reference reads, and the column's index in it.
+Result<std::pair<const EvalContext::Binding*, size_t>> ResolveColumn(
+    const Expr& expr, const EvalContext& ctx) {
   if (!expr.range_var.empty()) {
     auto it = ctx.bindings.find(expr.range_var);
     if (it == ctx.bindings.end()) {
       return Status::NotFound("unknown range variable '" + expr.range_var + "'");
     }
     INV_ASSIGN_OR_RETURN(size_t idx, it->second.table->schema.ColumnIndex(expr.column));
-    return (*it->second.row)[idx];
+    return std::make_pair(&it->second, idx);
   }
   // Unqualified: the column must be unique across current bindings.
-  const Value* found = nullptr;
+  std::optional<std::pair<const EvalContext::Binding*, size_t>> found;
   for (const auto& [var, binding] : ctx.bindings) {
     auto idx = binding.table->schema.ColumnIndex(expr.column);
     if (idx.ok()) {
-      if (found != nullptr) {
+      if (found.has_value()) {
         return Status::InvalidArgument("ambiguous column '" + expr.column + "'");
       }
-      found = &(*binding.row)[*idx];
+      found.emplace(&binding, *idx);
     }
   }
-  if (found == nullptr) {
+  if (!found.has_value()) {
     return Status::NotFound("no column '" + expr.column + "' in scope");
   }
   return *found;
+}
+
+Result<Value> EvalColumnRef(const Expr& expr, EvalContext& ctx) {
+  INV_ASSIGN_OR_RETURN(auto column, ResolveColumn(expr, ctx));
+  return (*column.first->row)[column.second];
+}
+
+// The snapshot a native function runs under: that of the first range variable
+// its arguments read (so `linecount(n.file)` over `naming[t]` reads the file
+// as of t), else the statement's.
+const Snapshot& CallSnapshot(const Expr& expr, const EvalContext& ctx) {
+  for (const ExprPtr& a : expr.args) {
+    if (a->kind == ExprKind::kColumnRef) {
+      auto column = ResolveColumn(*a, ctx);
+      if (column.ok() && column->first->snap != nullptr) {
+        return *column->first->snap;
+      }
+    }
+  }
+  return ctx.snap;
 }
 
 Result<Value> EvalCall(const Expr& expr, EvalContext& ctx) {
@@ -41,6 +66,7 @@ Result<Value> EvalCall(const Expr& expr, EvalContext& ctx) {
   }
   // Resolution order: pg_proc (catalog-registered, possibly POSTQUEL-language)
   // first, then raw registry builtins.
+  const NativeFn* fn = nullptr;
   if (ctx.db != nullptr) {
     auto proc = ctx.db->catalog().GetFunction(expr.name);
     if (proc.ok()) {
@@ -60,15 +86,20 @@ Result<Value> EvalCall(const Expr& expr, EvalContext& ctx) {
       // Native: dispatch through the registry under the pg_proc src symbol
       // (usually the same as the function name).
       const std::string& symbol = (*proc)->src.empty() ? (*proc)->name : (*proc)->src;
-      INV_ASSIGN_OR_RETURN(const NativeFn* fn, ctx.registry->Get(symbol));
-      return (*fn)(args, ctx);
+      INV_ASSIGN_OR_RETURN(fn, ctx.registry->Get(symbol));
     }
   }
-  if (ctx.registry != nullptr && ctx.registry->Has(expr.name)) {
-    INV_ASSIGN_OR_RETURN(const NativeFn* fn, ctx.registry->Get(expr.name));
-    return (*fn)(args, ctx);
+  if (fn == nullptr) {
+    if (ctx.registry == nullptr || !ctx.registry->Has(expr.name)) {
+      return Status::NotFound("unknown function '" + expr.name + "'");
+    }
+    INV_ASSIGN_OR_RETURN(fn, ctx.registry->Get(expr.name));
   }
-  return Status::NotFound("unknown function '" + expr.name + "'");
+  Snapshot snap = CallSnapshot(expr, ctx);
+  std::swap(ctx.snap, snap);
+  Result<Value> out = (*fn)(args, ctx);
+  std::swap(ctx.snap, snap);
+  return out;
 }
 
 Result<Value> Arith(const std::string& op, const Value& l, const Value& r) {

@@ -351,7 +351,7 @@ Result<ResultSet> Executor::ExecRetrieve(const Statement& stmt, TxnId txn) {
     BoundRange& r = ranges[level];
     auto emit = [&](Row row) -> Status {
       r.current = std::move(row);
-      ctx.bindings[r.decl.var] = EvalContext::Binding{r.table, &r.current};
+      ctx.bindings[r.decl.var] = EvalContext::Binding{r.table, &r.current, &r.snap};
       for (const Expr* c : level_filters[level]) {
         INV_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*c, ctx));
         if (!pass) {
@@ -374,13 +374,8 @@ Result<ResultSet> Executor::ExecRetrieve(const Statement& stmt, TxnId txn) {
           r.table->schema.column(paths[level].key_column).type;
       INV_ASSIGN_OR_RETURN(Value coerced, CoerceValue(key_val, col_type));
       INV_ASSIGN_OR_RETURN(BtreeKey key, EncodeKey(std::span(&coerced, 1)));
-      Result<std::vector<Tid>> tids_or = [&] {
-        // Lock-free probe: the gate excludes vacuum's index rebuild (which
-        // replaces the btree object) for the duration of one lookup.
-        SharedGateLock gate(db_->probe_gate());
-        return paths[level].index->btree->Lookup(key);
-      }();
-      INV_ASSIGN_OR_RETURN(auto tids, std::move(tids_or));
+      INV_ASSIGN_OR_RETURN(
+          auto tids, db_->Probe(*paths[level].index, key, Database::KeyMatch::kExact));
       for (Tid tid : tids) {
         INV_ASSIGN_OR_RETURN(auto row, r.table->heap->Fetch(r.snap, tid));
         if (row.has_value()) {

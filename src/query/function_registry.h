@@ -37,6 +37,8 @@ struct EvalContext {
   struct Binding {
     const TableInfo* table = nullptr;
     const Row* row = nullptr;
+    // The snapshot `row` was read under (a range's `[t]`); null: `snap`.
+    const Snapshot* snap = nullptr;
   };
   // Range-variable bindings for the current joined tuple.
   std::map<std::string, Binding, std::less<>> bindings;

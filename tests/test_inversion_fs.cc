@@ -328,6 +328,118 @@ TEST_F(InversionFsTest, PReadRefusesACorruptChunkLinePointer) {
   EXPECT_EQ(ReadFile("/victim.bin"), std::string(3000, 'v'));
 }
 
+// A chunk whose selfid no longer names its (file, chunkno): p_read and the
+// whole-file read behind the file functions both refuse it.
+TEST_F(InversionFsTest, ReadsRefuseAChunkWithAForeignSelfId) {
+  WriteFile("/victim.txt", "one\ntwo\nthree\n");
+  auto st = s_->stat("/victim.txt");
+  ASSERT_TRUE(st.ok());
+  auto table = db_->catalog().GetTable("inv" + std::to_string(st->oid));
+  ASSERT_TRUE(table.ok());
+  auto ref = db_->buffers().Pin((*table)->oid, 0);
+  ASSERT_TRUE(ref.ok());
+  const std::byte* lp = ref->data() + kPageHeaderSize;  // slot 0: the chunk
+  // selfid is the tuple's last column: rawlen is null and takes no bytes.
+  std::byte* selfid = ref->data() + GetU16(lp) + GetU16(lp + 2) - 8;
+  auto flip = [&] {
+    WriterMutexLock latch(ref->Latch());
+    selfid[0] ^= std::byte{0xFF};
+  };
+  const std::string linecount =
+      "retrieve (linecount(n.file)) from n in naming where n.filename = \"victim.txt\"";
+  flip();
+  auto fd = s_->p_open("/victim.txt", OpenMode::kRead);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::byte> buf(64);
+  EXPECT_EQ(s_->p_read(*fd, buf).status().code(), ErrorCode::kCorruption);
+  ASSERT_TRUE(s_->p_close(*fd).ok());
+  EXPECT_EQ(s_->Query(linecount).status().code(), ErrorCode::kCorruption);
+  flip();
+  ref->Release();
+  auto rs = s_->Query(linecount);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs->rows.size(), 1u);
+  EXPECT_EQ(rs->rows[0][0].AsInt4(), 3);
+}
+
+// The time travel of the next two tests: /f.txt holds two lines as of the
+// returned time, then four, and is renamed to /new.txt.
+class RenamedFileHistoryTest : public InversionFsTest {
+ protected:
+  Timestamp TwoLinesThenFourRenamed() {
+    WriteFile("/f.txt", "a\nb\n");
+    const Timestamp t1 = db_->Now();
+    EXPECT_TRUE(s_->p_begin().ok());
+    auto fd = s_->p_open("/f.txt", OpenMode::kWrite);
+    EXPECT_TRUE(fd.ok());
+    const std::string four = "a\nb\nc\nd\n";
+    EXPECT_TRUE(s_->p_write(*fd, std::as_bytes(std::span(four.data(), four.size()))).ok());
+    EXPECT_TRUE(s_->p_close(*fd).ok());
+    EXPECT_TRUE(s_->rename("/f.txt", "/new.txt").ok());
+    EXPECT_TRUE(s_->p_commit().ok());
+    return t1;
+  }
+
+  // Moves every replaced version (naming, fileatt and chunks) to the archives.
+  void Vacuum() {
+    auto txn = db_->Begin();
+    ASSERT_TRUE(txn.ok());
+    auto stats = fs_->Vacuum(*txn);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_GT(stats->archived, 0u);
+    ASSERT_TRUE(db_->Commit(*txn).ok());
+  }
+};
+
+TEST_F(RenamedFileHistoryTest, HistoricalStatAndReaddirKeepTheOldName) {
+  const Timestamp t1 = TwoLinesThenFourRenamed();
+  for (bool vacuumed : {false, true}) {
+    SCOPED_TRACE(vacuumed ? "after vacuum" : "before vacuum");
+    if (vacuumed) {
+      Vacuum();
+    }
+    auto st = s_->stat("/f.txt", t1);
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    EXPECT_EQ(st->name, "f.txt");
+    EXPECT_EQ(st->size, 4);
+    auto entries = s_->readdir("/", t1);
+    ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+    ASSERT_EQ(entries->size(), 1u);
+    EXPECT_EQ((*entries)[0].name, "f.txt");
+    EXPECT_EQ(ReadFile("/f.txt", t1), "a\nb\n");
+    EXPECT_EQ(s_->stat("/new.txt")->name, "new.txt");
+  }
+}
+
+// A file function reads its argument's file under the snapshot of the range
+// variable the argument comes from, so `naming[t1]` sees the file as of t1.
+TEST_F(RenamedFileHistoryTest, FileFunctionsReadUnderTheRangesTimeBracket) {
+  const Timestamp t1 = TwoLinesThenFourRenamed();
+  const std::string query =
+      "retrieve (linecount(n.file), size(n.file), pathname(n.file)) from n in naming[" +
+      std::to_string(t1) + "] where n.filename = \"f.txt\"";
+  for (bool vacuumed : {false, true}) {
+    SCOPED_TRACE(vacuumed ? "after vacuum" : "before vacuum");
+    if (vacuumed) {
+      Vacuum();
+    }
+    auto rs = s_->Query(query);
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+    ASSERT_EQ(rs->rows.size(), 1u);
+    EXPECT_EQ(rs->rows[0][0].AsInt4(), 2);
+    EXPECT_EQ(rs->rows[0][1].AsInt8(), 4);
+    EXPECT_EQ(rs->rows[0][2].AsText(), "/f.txt");
+  }
+  // Without a bracket the same functions read the current file.
+  auto now = s_->Query(
+      "retrieve (linecount(n.file), pathname(n.file)) from n in naming "
+      "where n.filename = \"new.txt\"");
+  ASSERT_TRUE(now.ok()) << now.status().ToString();
+  ASSERT_EQ(now->rows.size(), 1u);
+  EXPECT_EQ(now->rows[0][0].AsInt4(), 4);
+  EXPECT_EQ(now->rows[0][1].AsText(), "/new.txt");
+}
+
 // The one-copy chunk read (p_read through VisitChunk, straight from the heap
 // page) against a reference assembled with Heap::Fetch, which decodes whole
 // rows: every chunk version visible under the snapshot, from the chunk heap

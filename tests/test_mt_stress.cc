@@ -675,6 +675,134 @@ TEST(ChunkReadRaceTest, ReadersCopyOneWholeVersionWhileAWriterReplacesIt) {
   EXPECT_GT(reads.load(), 0u);
 }
 
+// Namespace lookups (stat, readdir and a read-mode p_open, each in its own
+// read-only transaction) run with no table lock while a writer renames every
+// entry of a directory and vacuum rebuilds the naming and fileatt indexes
+// under them. Each lookup must see exactly one name per file, current or as
+// of before the first rename, and a rebuild must never free a B-tree a
+// lookup is still inside: every probe enters the probe gate (the TSan
+// target).
+TEST(NamespaceLookupRaceTest, StatReaddirAndOpenWhileVacuumRebuildsIndexes) {
+  constexpr int kFiles = 4;
+  constexpr int kRounds = 6;
+  constexpr int kReaders = 3;
+  StorageEnv env;
+  auto db = Database::Open(&env);
+  ASSERT_TRUE(db.ok());
+  InversionFs fs(db->get());
+  ASSERT_TRUE(fs.Mount().ok());
+  auto writer_session = fs.NewSession();
+  ASSERT_TRUE(writer_session.ok());
+  InvSession& w = **writer_session;
+  auto name = [](char prefix, int f) { return prefix + std::to_string(f); };
+  ASSERT_TRUE(w.mkdir("/d").ok());
+  ASSERT_TRUE(w.p_begin().ok());
+  for (int f = 0; f < kFiles; ++f) {
+    auto fd = w.p_creat("/d/" + name('a', f));
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(w.p_close(*fd).ok());
+  }
+  ASSERT_TRUE(w.p_commit().ok());
+  const Timestamp first = (*db)->Now();
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> lookups{0};
+  auto fail = [&](const std::string& what) {
+    if (failures.fetch_add(1) < 5) {
+      ADD_FAILURE() << what;
+    }
+  };
+  // One name per file: the listing holds aF or bF for each F (only aF as of
+  // `first`).
+  auto check_listing = [&](const Result<std::vector<DirEntry>>& entries, bool as_of) {
+    if (!entries.ok() || entries->size() != static_cast<size_t>(kFiles)) {
+      return fail(std::string(as_of ? "as-of " : "") + "readdir: " +
+                  (entries.ok() ? std::to_string(entries->size()) + " entries"
+                                : entries.status().ToString()));
+    }
+    std::vector<bool> seen(kFiles);
+    for (const DirEntry& e : *entries) {
+      const int f = e.name[1] - '0';
+      if ((e.name[0] != 'a' && (as_of || e.name[0] != 'b')) || seen[f]) {
+        return fail("readdir listed " + e.name);
+      }
+      seen[f] = true;
+    }
+  };
+  std::vector<std::unique_ptr<InvSession>> sessions;
+  for (int r = 0; r < kReaders; ++r) {
+    auto s = fs.NewSession();
+    ASSERT_TRUE(s.ok());
+    sessions.push_back(std::move(*s));
+  }
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      InvSession& s = *sessions[r];
+      do {
+        for (int f = 0; f < kFiles; ++f) {
+          for (char prefix : {'a', 'b'}) {
+            const std::string path = "/d/" + name(prefix, f);
+            auto st = s.stat(path);
+            if (st.ok() ? st->name != name(prefix, f) : !st.status().IsNotFound()) {
+              return fail("stat " + path + ": " +
+                          (st.ok() ? "named " + st->name : st.status().ToString()));
+            }
+            auto fd = s.p_open(path, OpenMode::kRead);
+            if (fd.ok() ? !s.p_close(*fd).ok() : !fd.status().IsNotFound()) {
+              return fail("p_open " + path + ": " + fd.status().ToString());
+            }
+          }
+          auto then = s.stat("/d/" + name('a', f), first);
+          if (!then.ok() || then->name != name('a', f)) {
+            return fail("as-of stat " + name('a', f) + ": " +
+                        (then.ok() ? "named '" + then->name + "'"
+                                   : then.status().ToString()));
+          }
+        }
+        check_listing(s.readdir("/d"), /*as_of=*/false);
+        check_listing(s.readdir("/d", first), /*as_of=*/true);
+        lookups.fetch_add(1);
+      } while (!done.load() && failures.load() == 0);
+    });
+  }
+  // Waits for a reader pass that begins after this call: each reader has at
+  // most one pass under way, so the (kReaders + 1)th pass to end is one.
+  auto await_fresh_pass = [&] {
+    const uint64_t target = lookups.load() + kReaders + 1;
+    while (lookups.load() < target && failures.load() == 0) {
+      std::this_thread::yield();
+    }
+  };
+  for (int round = 1; round <= kRounds && failures.load() == 0; ++round) {
+    const char from = round % 2 == 1 ? 'a' : 'b';
+    const char to = round % 2 == 1 ? 'b' : 'a';
+    Status st = w.p_begin();
+    for (int f = 0; f < kFiles && st.ok(); ++f) {
+      st = w.rename("/d/" + name(from, f), "/d/" + name(to, f));
+    }
+    st = st.ok() ? w.p_commit() : st;
+    if (st.ok()) {
+      auto txn = (*db)->Begin();
+      st = txn.ok() ? fs.Vacuum(*txn).status() : txn.status();
+      if (st.ok()) {
+        st = (*db)->Commit(*txn);
+      }
+    }
+    if (!st.ok()) {
+      fail("writer: " + st.ToString());
+    }
+    await_fresh_pass();
+  }
+  done.store(true);
+  for (auto& th : readers) {
+    th.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(lookups.load(), 0u);
+}
+
 // 8 threads hammer one registry — a striped counter and a shared histogram —
 // while a snapshotter concurrently reads everything. Totals must be exact
 // (no lost updates) and every concurrent snapshot internally consistent.
