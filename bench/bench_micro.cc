@@ -236,9 +236,11 @@ void BM_BufferHit(benchmark::State& state) {
 }
 BENCHMARK(BM_BufferHit);
 
-// Raw cost of one span begin/end pair (two TLS reads/writes, a clock read,
-// ten relaxed stores). Not gated — the gated numbers are BM_BufferHit and
-// BM_FileWriteRead — but useful for sizing new instrumentation points.
+// Raw cost of one span begin/end pair: two trace-clock reads (one rdtsc each
+// on an invariant-TSC host), the TLS context save and restore, two id
+// draws and the ring slot's ten relaxed payload stores. Not gated — the gated
+// numbers are BM_BufferHit and BM_FileWriteRead — but scripts/check.sh
+// metrics prints its median, and it sizes new instrumentation points.
 void BM_ScopedSpan(benchmark::State& state) {
   SpanRing ring;
   for (auto s : state) {

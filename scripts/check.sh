@@ -102,13 +102,14 @@ run_metrics_overhead() {
   #   path carries only striped counters — never a span; a span leaking into
   #   it trips this gate immediately.
   #
-  #   BM_FileWriteRead (INVFS_SPAN_BUDGET, default 200%): the span-heaviest
+  #   BM_FileWriteRead (INVFS_SPAN_BUDGET, default 100%): the span-heaviest
   #   request path (p_write/p_read entry spans + latency histograms). Its
-  #   bare fast path is ~200ns of buffered-chunk memcpy, while one span
-  #   costs ~100ns (two steady_clock reads bound it from below), so a 5%
-  #   budget is structurally impossible for *any* per-request timing; the
-  #   generous budget instead catches regressions — instrumentation sneaking
-  #   into a per-page or per-byte loop blows far past it.
+  #   bare fast path is ~250ns of buffered-chunk memcpy, while one span
+  #   costs ~65ns (two TSC reads, TLS context and ten relaxed ring stores;
+  #   BM_ScopedSpan, printed below), so a 5% budget is structurally
+  #   impossible for *any* per-request timing; the budget instead catches
+  #   regressions — instrumentation sneaking into a per-page or per-byte
+  #   loop blows far past it.
   #
   # Median of several repetitions keeps machine noise from tripping either.
   #
@@ -119,7 +120,7 @@ run_metrics_overhead() {
   # invfs_bench's mt section, whose registry-derived fields must come out
   # null, never a 0 that reads like a measurement.
   local budget=${INVFS_METRICS_BUDGET:-5}
-  local span_budget=${INVFS_SPAN_BUDGET:-200}
+  local span_budget=${INVFS_SPAN_BUDGET:-100}
   local reps=${INVFS_METRICS_REPS:-7}
   local on_dir="$ROOT/build-metrics-on" off_dir="$ROOT/build-metrics-off"
   echo "==> [metrics] configure+build bench_micro (instrumented) and every target (INVFS_NO_METRICS)"
@@ -168,12 +169,13 @@ run_metrics_overhead() {
   gate_benchmark BM_BufferHit "$budget"
   gate_benchmark BM_FileWriteRead "$span_budget"
 
-  # Printed, not gated: the warm chunk read (current and as-of). A copy that
-  # creeps back into the read path raises it before perfbench notices.
-  local arg
-  for arg in 0 1; do
-    echo "==> [metrics] BM_ChunkRead/$arg median cpu_time (instrumented, not gated):" \
-         "$(median_cpu_time "$on_dir" "BM_ChunkRead/$arg")ns"
+  # Printed, not gated: the warm chunk read (current and as-of) and one span
+  # begin/end. A copy that creeps back into the read path raises the first
+  # before perfbench notices; the second is the unit cost every span adds.
+  local bench
+  for bench in BM_ChunkRead/0 BM_ChunkRead/1 BM_ScopedSpan; do
+    echo "==> [metrics] $bench median cpu_time (instrumented, not gated):" \
+         "$(median_cpu_time "$on_dir" "$bench")ns"
   done
 
   echo "==> [metrics] invfs_bench mt (INVFS_NO_METRICS): registry-derived fields must be null"

@@ -61,12 +61,10 @@ InversionFs::InversionFs(Database* db, InvOptions options)
   executor_ = std::make_unique<Executor>(db_, &registry_, std::move(hooks));
   MetricsRegistry& metrics = db_->metrics();
   spans_ = &metrics.spans();
-  lat_open_ = metrics.GetHistogram("op.latency_us", "p_open");
-  lat_creat_ = metrics.GetHistogram("op.latency_us", "p_creat");
-  lat_read_ = metrics.GetHistogram("op.latency_us", "p_read");
-  lat_write_ = metrics.GetHistogram("op.latency_us", "p_write");
-  lat_commit_ = metrics.GetHistogram("op.latency_us", "p_commit");
-  lat_query_ = metrics.GetHistogram("op.latency_us", "query");
+  for (size_t i = 0; i < kTenantOpCount; ++i) {
+    op_latency_[i] =
+        metrics.GetHistogram("op.latency_us", TenantOpLabel(static_cast<TenantOp>(i)));
+  }
 }
 
 InversionFs::~InversionFs() = default;
@@ -321,40 +319,38 @@ Result<std::vector<DirEntry>> InversionFs::ListDirectory(Oid dir,
 
 Result<ResultSet> InversionFs::Query(std::string_view text, InvSession* session) {
   ScopedSpan span(spans_, "query");
-  if (session != nullptr && session->in_txn()) {
-    auto result = executor_->ExecuteQuery(text, session->txn());
-    const uint64_t us = span.ElapsedMicros();
-    lat_query_->Observe(us);
-    if (TenantBinding* t = CurrentTenant()) {
-      t->ObserveOp(TenantOp::kQuery, us);
-      if (!result.ok()) {
-        t->CountError(TenantOp::kQuery);
-      }
+  auto result = [&]() -> Result<ResultSet> {
+    if (session != nullptr && session->in_txn()) {
+      return executor_->ExecuteQuery(text, session->txn());
     }
-    return result;
-  }
-  // Parse first so a pure retrieve's single-statement transaction can be
-  // read-only: it then runs against a pinned snapshot, takes no data locks,
-  // and writes nothing to the commit log.
-  INV_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(text));
-  const TxnMode mode = stmt.kind == StmtKind::kRetrieve ? TxnMode::kReadOnly
-                                                        : TxnMode::kReadWrite;
-  INV_ASSIGN_OR_RETURN(TxnId txn, db_->Begin(mode));
-  auto result = executor_->Execute(stmt, txn);
-  if (result.ok()) {
+    // Parse first so a pure retrieve's single-statement transaction can be
+    // read-only: it then runs against a pinned snapshot, takes no data
+    // locks, and writes nothing to the commit log.
+    INV_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(text));
+    const TxnMode mode = stmt.kind == StmtKind::kRetrieve ? TxnMode::kReadOnly
+                                                          : TxnMode::kReadWrite;
+    INV_ASSIGN_OR_RETURN(TxnId txn, db_->Begin(mode));
+    auto executed = executor_->Execute(stmt, txn);
+    if (!executed.ok()) {
+      (void)db_->Abort(txn);
+      return executed;
+    }
     INV_RETURN_IF_ERROR(db_->Commit(txn));
-  } else {
-    (void)db_->Abort(txn);
-  }
-  const uint64_t us = span.ElapsedMicros();
-  lat_query_->Observe(us);
+    return executed;
+  }();
+  FinishOp(span, TenantOp::kQuery, result.ok());
+  return result;
+}
+
+void InversionFs::FinishOp(ScopedSpan& span, TenantOp op, bool ok) {
+  const uint64_t us = span.Finish();
+  op_latency_[static_cast<size_t>(op)]->Observe(us);
   if (TenantBinding* t = CurrentTenant()) {
-    t->ObserveOp(TenantOp::kQuery, us);
-    if (!result.ok()) {
-      t->CountError(TenantOp::kQuery);
+    t->ObserveOp(op, us);
+    if (!ok) {
+      t->CountError(op);
     }
   }
-  return result;
 }
 
 Result<int> InversionFs::ApplyMigrationRules(TxnId txn) {

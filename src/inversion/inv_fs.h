@@ -25,6 +25,7 @@
 
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "src/catalog/database.h"
+#include "src/obs/tenant.h"
 #include "src/query/executor.h"
 #include "src/query/function_registry.h"
 #include "src/rules/rules.h"
@@ -203,16 +205,17 @@ class InversionFs {
   Oid dir_type_oid_ = kInvalidOid;
   Oid file_type_oid_ = kInvalidOid;
 
+  // Ends an entry point's span and books its duration into
+  // op.latency_us{<op>} and the calling thread's tenant instruments. Entry
+  // points call it on every outcome, failures included, so the SLO error
+  // ratio sees every request.
+  void FinishOp(ScopedSpan& span, TenantOp op, bool ok);
+
   // Request-tracing plumbing, cached at construction so the p_* entry points
   // never touch the registry maps: the database's span ring plus one
   // op.latency_us histogram per op class the SLO module evaluates.
   SpanRing* spans_ = nullptr;
-  Histogram* lat_open_ = nullptr;
-  Histogram* lat_creat_ = nullptr;
-  Histogram* lat_read_ = nullptr;
-  Histogram* lat_write_ = nullptr;
-  Histogram* lat_commit_ = nullptr;
-  Histogram* lat_query_ = nullptr;
+  std::array<Histogram*, kTenantOpCount> op_latency_{};
 };
 
 // One client of the file system: at most one open transaction, a table of

@@ -14,19 +14,6 @@
 namespace invfs {
 namespace {
 
-// Double-book an entry-point observation into the calling thread's tenant
-// instruments (no-op when untagged). The base op.latency_us histogram keeps
-// the all-tenants aggregate; this adds the "<op>@<tenant>" split the SLO
-// evaluator expands into per-tenant rows.
-void ObserveTenant(TenantOp op, uint64_t micros, bool ok) {
-  if (TenantBinding* t = CurrentTenant()) {
-    t->ObserveOp(op, micros);
-    if (!ok) {
-      t->CountError(op);
-    }
-  }
-}
-
 Result<std::pair<std::string, std::string>> SplitParentPath(const std::string& path) {
   if (path.empty() || path[0] != '/') {
     return Status::InvalidArgument("path must be absolute: '" + path + "'");
@@ -96,20 +83,20 @@ Status InvSession::p_begin() {
 
 Status InvSession::p_commit() {
   ScopedSpan span(fs_->spans_, "p_commit");
-  if (txn_ == kInvalidTxn) {
-    return Status::InvalidArgument("no transaction active");
-  }
-  Status flush = FlushAllHandles(txn_);
-  if (!flush.ok()) {
-    (void)p_abort();
-    return flush;
-  }
-  const TxnId txn = txn_;
-  txn_ = kInvalidTxn;
-  Status status = fs_->db().Commit(txn);
-  const uint64_t us = span.ElapsedMicros();
-  fs_->lat_commit_->Observe(us);
-  ObserveTenant(TenantOp::kCommit, us, status.ok());
+  const Status status = [&] {
+    if (txn_ == kInvalidTxn) {
+      return Status::InvalidArgument("no transaction active");
+    }
+    Status flush = FlushAllHandles(txn_);
+    if (!flush.ok()) {
+      (void)p_abort();
+      return flush;
+    }
+    const TxnId txn = txn_;
+    txn_ = kInvalidTxn;
+    return fs_->db().Commit(txn);
+  }();
+  fs_->FinishOp(span, TenantOp::kCommit, status.ok());
   return status;
 }
 
@@ -191,9 +178,7 @@ Result<int> InvSession::p_creat(const std::string& path, CreatOptions options) {
     fds_[fd] = std::move(h);
     return fd;
   });
-  const uint64_t us = span.ElapsedMicros();
-  fs_->lat_creat_->Observe(us);
-  ObserveTenant(TenantOp::kCreat, us, result.ok());
+  fs_->FinishOp(span, TenantOp::kCreat, result.ok());
   return result;
 }
 
@@ -245,9 +230,7 @@ Result<int> InvSession::p_open(const std::string& path, OpenMode mode,
   // session has none) can be read-only, which keeps historical and plain
   // read opens off the lock manager and the commit log entirely.
   mode == OpenMode::kWrite ? TxnMode::kReadWrite : TxnMode::kReadOnly);
-  const uint64_t us = span.ElapsedMicros();
-  fs_->lat_open_->Observe(us);
-  ObserveTenant(TenantOp::kOpen, us, result.ok());
+  fs_->FinishOp(span, TenantOp::kOpen, result.ok());
   return result;
 }
 
@@ -585,20 +568,20 @@ Result<int64_t> InvSession::WriteAt(Handle& h, TxnId txn, int64_t offset,
 
 Result<int64_t> InvSession::p_read(int fd, std::span<std::byte> buf) {
   ScopedSpan span(fs_->spans_, "p_read");
-  INV_ASSIGN_OR_RETURN(Handle * h, GetHandle(fd));
-  // No table lock: reads run against the transaction's pinned snapshot
-  // (SnapFor), so a writer's uncommitted chunk versions are invisible and a
-  // writer's exclusive lock never blocks this read.
-  auto result = WithTxn(
-      [&](TxnId txn) -> Result<int64_t> {
-        INV_ASSIGN_OR_RETURN(int64_t n, ReadAt(*h, txn, h->offset, buf));
-        h->offset += n;
-        return n;
-      },
-      TxnMode::kReadOnly);
-  const uint64_t us = span.ElapsedMicros();
-  fs_->lat_read_->Observe(us);
-  ObserveTenant(TenantOp::kRead, us, result.ok());
+  auto result = [&]() -> Result<int64_t> {
+    INV_ASSIGN_OR_RETURN(Handle * h, GetHandle(fd));
+    // No table lock: reads run against the transaction's pinned snapshot
+    // (SnapFor), so a writer's uncommitted chunk versions are invisible and
+    // a writer's exclusive lock never blocks this read.
+    return WithTxn(
+        [&](TxnId txn) -> Result<int64_t> {
+          INV_ASSIGN_OR_RETURN(int64_t n, ReadAt(*h, txn, h->offset, buf));
+          h->offset += n;
+          return n;
+        },
+        TxnMode::kReadOnly);
+  }();
+  fs_->FinishOp(span, TenantOp::kRead, result.ok());
   if (result.ok()) {
     if (TenantBinding* t = CurrentTenant()) {
       t->AddBytesRead(static_cast<uint64_t>(*result));
@@ -609,15 +592,15 @@ Result<int64_t> InvSession::p_read(int fd, std::span<std::byte> buf) {
 
 Result<int64_t> InvSession::p_write(int fd, std::span<const std::byte> buf) {
   ScopedSpan span(fs_->spans_, "p_write");
-  INV_ASSIGN_OR_RETURN(Handle * h, GetHandle(fd));
-  auto result = WithTxn([&](TxnId txn) -> Result<int64_t> {
-    INV_ASSIGN_OR_RETURN(int64_t n, WriteAt(*h, txn, h->offset, buf));
-    h->offset += n;
-    return n;
-  });
-  const uint64_t us = span.ElapsedMicros();
-  fs_->lat_write_->Observe(us);
-  ObserveTenant(TenantOp::kWrite, us, result.ok());
+  auto result = [&]() -> Result<int64_t> {
+    INV_ASSIGN_OR_RETURN(Handle * h, GetHandle(fd));
+    return WithTxn([&](TxnId txn) -> Result<int64_t> {
+      INV_ASSIGN_OR_RETURN(int64_t n, WriteAt(*h, txn, h->offset, buf));
+      h->offset += n;
+      return n;
+    });
+  }();
+  fs_->FinishOp(span, TenantOp::kWrite, result.ok());
   if (result.ok()) {
     if (TenantBinding* t = CurrentTenant()) {
       t->AddBytesWritten(static_cast<uint64_t>(*result));

@@ -48,10 +48,35 @@ InvNfsGateway::InvNfsGateway(InversionFs* fs) : fs_(fs) {
   write_bytes_ = metrics_->GetCounter("nfs.write_bytes");
 }
 
-void InvNfsGateway::CountOp(const char* op, bool read_only) {
-  metrics_->GetCounter("nfs.requests", op)->Add();
-  if (read_only) {
-    metrics_->GetCounter("nfs.read_only_requests")->Add();
+namespace {
+
+// Each gateway op's nfs.requests label and whether it is read-only, in
+// InvNfsGateway::Op order.
+struct NfsOpInfo {
+  const char* label;
+  bool read_only;
+};
+
+constexpr NfsOpInfo kNfsOps[] = {
+    {"creat", false},  {"open", false},  {"close", false},  {"read", true},
+    {"write", false},  {"seek", true},   {"getattr", true}, {"mkdir", false},
+    {"remove", false}, {"rename", false}, {"readdir", true},
+};
+
+}  // namespace
+
+void InvNfsGateway::CountOp(Op op) {
+  static_assert(std::size(kNfsOps) == static_cast<size_t>(Op::kCount));
+  const size_t i = static_cast<size_t>(op);
+  if (requests_[i] == nullptr) {
+    requests_[i] = metrics_->GetCounter("nfs.requests", kNfsOps[i].label);
+  }
+  requests_[i]->Add();
+  if (kNfsOps[i].read_only) {
+    if (read_only_requests_ == nullptr) {
+      read_only_requests_ = metrics_->GetCounter("nfs.read_only_requests");
+    }
+    read_only_requests_->Add();
   }
 }
 
@@ -76,7 +101,7 @@ Result<std::pair<std::string, Timestamp>> InvNfsGateway::ParseTimePath(
 }
 
 Result<int> InvNfsGateway::Creat(const std::string& path) {
-  CountOp("creat");
+  CountOp(Op::kCreat);
   ScopedSpan span(&metrics_->spans(), "nfs.creat");
   INV_ASSIGN_OR_RETURN(auto parsed, ParseTimePath(path));
   if (parsed.second != kTimestampNow) {
@@ -86,7 +111,7 @@ Result<int> InvNfsGateway::Creat(const std::string& path) {
 }
 
 Result<int> InvNfsGateway::Open(const std::string& path, bool writable) {
-  CountOp("open");
+  CountOp(Op::kOpen);
   ScopedSpan span(&metrics_->spans(), "nfs.open");
   INV_ASSIGN_OR_RETURN(auto parsed, ParseTimePath(path));
   if (parsed.second != kTimestampNow && writable) {
@@ -98,13 +123,13 @@ Result<int> InvNfsGateway::Open(const std::string& path, bool writable) {
 }
 
 Status InvNfsGateway::Close(int fd) {
-  CountOp("close");
+  CountOp(Op::kClose);
   ScopedSpan span(&metrics_->spans(), "nfs.close");
   return session_->p_close(fd);
 }
 
 Result<int64_t> InvNfsGateway::Read(int fd, std::span<std::byte> buf) {
-  CountOp("read", /*read_only=*/true);
+  CountOp(Op::kRead);
   ScopedSpan span(&metrics_->spans(), "nfs.read");
   auto n = session_->p_read(fd, buf);
   if (n.ok() && *n > 0) {
@@ -116,7 +141,7 @@ Result<int64_t> InvNfsGateway::Read(int fd, std::span<std::byte> buf) {
 Result<int64_t> InvNfsGateway::Write(int fd, std::span<const std::byte> buf) {
   // Stateless-NFS semantics: the session has no open transaction, so the
   // write commits (and is forced durable) before returning.
-  CountOp("write");
+  CountOp(Op::kWrite);
   ScopedSpan span(&metrics_->spans(), "nfs.write");
   auto n = session_->p_write(fd, buf);
   if (n.ok() && *n > 0) {
@@ -126,20 +151,20 @@ Result<int64_t> InvNfsGateway::Write(int fd, std::span<const std::byte> buf) {
 }
 
 Result<int64_t> InvNfsGateway::Seek(int fd, int64_t offset, Whence whence) {
-  CountOp("seek", /*read_only=*/true);
+  CountOp(Op::kSeek);
   ScopedSpan span(&metrics_->spans(), "nfs.seek");
   return session_->p_lseek(fd, offset, whence);
 }
 
 Result<FileStat> InvNfsGateway::GetAttr(const std::string& path) {
-  CountOp("getattr", /*read_only=*/true);
+  CountOp(Op::kGetAttr);
   ScopedSpan span(&metrics_->spans(), "nfs.getattr");
   INV_ASSIGN_OR_RETURN(auto parsed, ParseTimePath(path));
   return session_->stat(parsed.first, parsed.second);
 }
 
 Status InvNfsGateway::Mkdir(const std::string& path) {
-  CountOp("mkdir");
+  CountOp(Op::kMkdir);
   ScopedSpan span(&metrics_->spans(), "nfs.mkdir");
   INV_ASSIGN_OR_RETURN(auto parsed, ParseTimePath(path));
   if (parsed.second != kTimestampNow) {
@@ -149,7 +174,7 @@ Status InvNfsGateway::Mkdir(const std::string& path) {
 }
 
 Status InvNfsGateway::Remove(const std::string& path) {
-  CountOp("remove");
+  CountOp(Op::kRemove);
   ScopedSpan span(&metrics_->spans(), "nfs.remove");
   INV_ASSIGN_OR_RETURN(auto parsed, ParseTimePath(path));
   if (parsed.second != kTimestampNow) {
@@ -159,7 +184,7 @@ Status InvNfsGateway::Remove(const std::string& path) {
 }
 
 Status InvNfsGateway::Rename(const std::string& from, const std::string& to) {
-  CountOp("rename");
+  CountOp(Op::kRename);
   ScopedSpan span(&metrics_->spans(), "nfs.rename");
   INV_ASSIGN_OR_RETURN(auto pf, ParseTimePath(from));
   INV_ASSIGN_OR_RETURN(auto pt, ParseTimePath(to));
@@ -170,7 +195,7 @@ Status InvNfsGateway::Rename(const std::string& from, const std::string& to) {
 }
 
 Result<std::vector<DirEntry>> InvNfsGateway::Readdir(const std::string& path) {
-  CountOp("readdir", /*read_only=*/true);
+  CountOp(Op::kReaddir);
   ScopedSpan span(&metrics_->spans(), "nfs.readdir");
   INV_ASSIGN_OR_RETURN(auto parsed, ParseTimePath(path));
   return session_->readdir(parsed.first, parsed.second);

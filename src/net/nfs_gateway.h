@@ -22,6 +22,7 @@
 
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <string>
@@ -62,12 +63,27 @@ class InvNfsGateway {
       const std::string& path);
 
  private:
-  // Count one nfs.requests{<op>} (cached cold-path lookup per op).
-  // `read_only` additionally counts nfs.read_only_requests: such ops run as
-  // read-only single-op transactions (pinned snapshot, no data locks) when
-  // the gateway session has no transaction open — which, NFS being
-  // stateless, is always.
-  void CountOp(const char* op, bool read_only = false);
+  enum class Op : size_t {
+    kCreat,
+    kOpen,
+    kClose,
+    kRead,
+    kWrite,
+    kSeek,
+    kGetAttr,
+    kMkdir,
+    kRemove,
+    kRename,
+    kReaddir,
+    kCount,
+  };
+
+  // Count one nfs.requests{<op>}. Read-only ops additionally count
+  // nfs.read_only_requests: they run as read-only single-op transactions
+  // (pinned snapshot, no data locks) when the gateway session has no
+  // transaction open — which, NFS being stateless, is always. Each counter
+  // is resolved on its first use, so a request costs no registry lookup.
+  void CountOp(Op op);
 
   InversionFs* fs_;
   std::unique_ptr<InvSession> session_;
@@ -75,6 +91,8 @@ class InvNfsGateway {
   MetricsRegistry* metrics_;
   Counter* read_bytes_;
   Counter* write_bytes_;
+  std::array<Counter*, static_cast<size_t>(Op::kCount)> requests_{};
+  Counter* read_only_requests_ = nullptr;
 };
 
 }  // namespace invfs

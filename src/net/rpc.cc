@@ -493,12 +493,11 @@ std::vector<std::byte> InversionServer::Handle(
   // whole server-side request tree — and every op.latency_us observation the
   // session makes — attributes to the remote tenant.
   ScopedTenantTag tag(BindTenant(tenant));
-  // Per-op request counter: one registry map lookup per call, which is noise
-  // next to the simulated wire costs this layer exists to charge.
   const RpcOpInfo& info = RpcOpInfoOf(op);
-  metrics_->GetCounter("rpc.requests", info.label)->Add();
-  if (info.read_only) {
-    metrics_->GetCounter("rpc.read_only_requests")->Add();
+  const OpInstruments& instruments = InstrumentsFor(op);
+  instruments.requests->Add();
+  if (instruments.read_only_requests != nullptr) {
+    instruments.read_only_requests->Add();
   }
 
   auto it = clients_.find(client_id);
@@ -594,9 +593,24 @@ std::vector<std::byte> InversionServer::Execute(RpcOp op, ByteReader& r,
                                     std::to_string(static_cast<int>(op)));
   std::vector<std::byte> response =
       status.ok() ? reply.Take() : ErrorResponse(status);
-  metrics_->GetHistogram("rpc.latency_us", info.label)
-      ->Observe(span.ElapsedMicros());
+  Histogram*& latency = InstrumentsFor(op).latency;
+  if (latency == nullptr) {
+    latency = metrics_->GetHistogram("rpc.latency_us", info.label);
+  }
+  latency->Observe(span.Finish());
   return response;
+}
+
+InversionServer::OpInstruments& InversionServer::InstrumentsFor(RpcOp op) {
+  const RpcOpInfo& info = RpcOpInfoOf(op);
+  OpInstruments& m = ops_[static_cast<size_t>(info.op)];
+  if (m.requests == nullptr) {
+    m.requests = metrics_->GetCounter("rpc.requests", info.label);
+    if (info.read_only) {
+      m.read_only_requests = metrics_->GetCounter("rpc.read_only_requests");
+    }
+  }
+  return m;
 }
 
 // -------------------------------------------------------------------- client

@@ -46,6 +46,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -155,6 +156,19 @@ class InversionServer {
   // session; returns the encoded response.
   std::vector<std::byte> Execute(RpcOp op, ByteReader& r, ClientState& cs);
 
+  // rpc.requests{<op>}, rpc.latency_us{<op>} and, for read-only ops,
+  // rpc.read_only_requests: resolved per op-table row on its first use, so
+  // a request costs no registry lookup and the registry lists only
+  // instruments that have seen one.
+  struct OpInstruments {
+    Counter* requests = nullptr;
+    Counter* read_only_requests = nullptr;
+    Histogram* latency = nullptr;
+  };
+  // The row serving `op` (row 0 for bytes outside the enum), its counters
+  // resolved.
+  OpInstruments& InstrumentsFor(RpcOp op);
+
   InversionFs* fs_;
   RpcServerOptions options_;
   // rpc.* metrics (in the served database's registry).
@@ -166,6 +180,7 @@ class InversionServer {
   Counter* drc_lost_;
   Counter* epoch_bumps_;
   Counter* stale_epochs_;
+  std::array<OpInstruments, static_cast<size_t>(RpcOp::kQuery) + 1> ops_{};
   std::map<std::string, std::unique_ptr<TenantBinding>> tenants_;
   std::map<uint64_t, ClientState> clients_;
   std::deque<std::pair<uint64_t, uint64_t>> drc_fifo_;  // (client, seq)

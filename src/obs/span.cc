@@ -186,7 +186,7 @@ void SpanRing::CountDrop() {
   c->Add();
 }
 
-void ScopedSpan::End() {
+uint64_t ScopedSpan::End() {
   obs_internal::t_trace_id = parent_trace_;
   obs_internal::t_span_id = parent_span_;
   SpanRecord r;
@@ -197,10 +197,11 @@ void ScopedSpan::End() {
   r.tenant = tenant_;
   r.thread = ThreadTag();
   r.start_micros = start_;
-  r.dur_micros = TraceNowMicros() - start_;
+  r.dur_micros = TraceMicrosBetween(start_, TraceNowMicros());
   r.a = a_;
   r.b = b_;
   ring_->RecordSpan(r);
+  return r.dur_micros;
 }
 
 }  // namespace invfs

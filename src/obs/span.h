@@ -179,11 +179,13 @@ class SpanRing {
 };
 
 // RAII span: construction opens the span and makes it the thread's current
-// span (allocating a fresh trace id when none is active); destruction
-// records it and restores the parent context. Scopes must nest — a
-// ScopedSpan is neither copyable nor movable, so the usual block scoping
-// guarantees it. A null ring makes the span a no-op (components without a
-// registry stay span-free instead of branching at every call site).
+// span (allocating a fresh trace id when none is active); destruction, or
+// an earlier Finish, records it and restores the parent context. Scopes
+// must nest — a ScopedSpan is neither copyable nor movable, so the usual
+// block scoping guarantees it, and Finish belongs after every span opened
+// inside it has ended. A null ring makes the span a no-op (components
+// without a registry stay span-free instead of branching at every call
+// site).
 class ScopedSpan {
  public:
   explicit ScopedSpan(SpanRing* ring, const char* name, uint64_t a = 0,
@@ -239,21 +241,27 @@ class ScopedSpan {
     }
   }
 
-  // Wall microseconds since construction (0 when inactive/compiled out) —
-  // lets entry points feed the same measurement into op.latency_us.
-  uint64_t ElapsedMicros() const {
+  // Ends the span now — records it and restores the parent context — and
+  // returns its dur_micros (0 when inactive or compiled out), so a caller
+  // feeds its latency histogram the span's own measurement for one clock
+  // read. The destructor then does nothing; a second Finish returns 0.
+  uint64_t Finish() {
     if constexpr (kSpansEnabled) {
-      return ring_ != nullptr ? TraceNowMicros() - start_ : 0;
-    } else {
-      return 0;
+      if (ring_ != nullptr) {
+        const uint64_t dur = End();
+        ring_ = nullptr;
+        return dur;
+      }
     }
+    return 0;
   }
 
   uint64_t trace_id() const { return trace_id_; }
   uint64_t span_id() const { return span_id_; }
 
  private:
-  void End();  // record + restore parent context (span.cc)
+  // Record + restore parent context; returns the duration (span.cc).
+  uint64_t End();
 
   SpanRing* ring_ = nullptr;
   const char* name_ = nullptr;

@@ -3,6 +3,10 @@
 #include <bit>
 #include <chrono>
 
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
 #include "src/util/mutex.h"
 
 namespace invfs {
@@ -67,14 +71,96 @@ uint32_t AssignThreadStripe() {
   return stripe;
 }
 
-}  // namespace obs_internal
+constinit std::atomic<uint64_t> g_tsc_mult{0};
+constinit std::atomic<uint64_t> g_tsc_base{0};
 
-uint64_t TraceNowMicros() {
-  using Clock = std::chrono::steady_clock;
-  static const Clock::time_point start = Clock::now();
+namespace {
+
+using SteadyClock = std::chrono::steady_clock;
+
+#if defined(__x86_64__)
+bool HasInvariantTsc() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_max(0x80000000u, nullptr) < 0x80000007u ||
+      __get_cpuid(0x80000007u, &eax, &ebx, &ecx, &edx) == 0) {
+    return false;
+  }
+  return (edx & (1u << 8)) != 0;
+}
+
+// One (TSC, steady_clock) reading: the TSC value is the midpoint of two
+// rdtscs that bracket the steady_clock read, and of three tries the
+// tightest bracket wins, so a preemption between the reads cannot skew the
+// calibration.
+struct ClockPair {
+  uint64_t tsc = 0;
+  SteadyClock::time_point steady;
+};
+
+ClockPair ReadClockPair() {
+  ClockPair best;
+  uint64_t best_width = ~uint64_t{0};
+  for (int i = 0; i < 3; ++i) {
+    const uint64_t before = __builtin_ia32_rdtsc();
+    const SteadyClock::time_point steady = SteadyClock::now();
+    const uint64_t after = __builtin_ia32_rdtsc();
+    if (after >= before && after - before < best_width) {
+      best_width = after - before;
+      best = {before + (after - before) / 2, steady};
+    }
+  }
+  return best;
+}
+
+// Spins for 1 ms comparing the TSC against steady_clock and publishes the
+// ratio. Leaves g_tsc_mult at 0 (steady_clock) without an invariant TSC or
+// when the measured rate is implausible (under 1 MHz, or not advancing).
+void CalibrateTsc() {
+  if (!HasInvariantTsc()) {
+    return;
+  }
+  constexpr std::chrono::microseconds kWindow{1000};
+  const ClockPair start = ReadClockPair();
+  ClockPair end = start;
+  while (end.steady - start.steady < kWindow) {
+    end = ReadClockPair();
+  }
+  const auto ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end.steady - start.steady)
+          .count());
+  const uint64_t ticks = end.tsc > start.tsc ? end.tsc - start.tsc : 0;
+  if (ticks * 1000 < ns) {
+    return;
+  }
+  // µs per tick = ns / (1000 * ticks), in 2^-kTscShift fixed point.
+  const auto mult = static_cast<uint64_t>(
+      (static_cast<unsigned __int128>(ns) << kTscShift) / (uint64_t{1000} * ticks));
+  g_tsc_base.store(start.tsc, std::memory_order_relaxed);
+  g_tsc_mult.store(mult, std::memory_order_release);
+}
+#endif
+
+}  // namespace
+
+uint64_t SteadyNowMicros() {
+  static const SteadyClock::time_point start = SteadyClock::now();
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start)
+      std::chrono::duration_cast<std::chrono::microseconds>(SteadyClock::now() -
+                                                            start)
           .count());
 }
+
+uint64_t TraceNowMicrosSlow() {
+#if defined(__x86_64__)
+  static const bool calibrated = (CalibrateTsc(), true);
+  (void)calibrated;
+  if (const uint64_t mult = g_tsc_mult.load(std::memory_order_acquire); mult != 0) {
+    return TscToMicros(__builtin_ia32_rdtsc(), mult);
+  }
+#endif
+  return SteadyNowMicros();
+}
+
+}  // namespace obs_internal
 
 }  // namespace invfs

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstring>
-#include <optional>
 
 #include "src/fault/crash_points.h"
 #include "src/obs/span.h"
@@ -199,13 +197,12 @@ Status CommitLog::WaitPersisted(uint64_t seq) {
       images.push_back(BuildPageImage(b));
     }
     mu_.unlock();
-    // The leader's device-write scope; ends before mu_ is retaken so the span
-    // measures I/O, not lock handoff.
-    std::optional<ScopedSpan> flush_span;
-    flush_span.emplace(&metrics_->spans(), "log.flush", batch_size,
-                       blocks.size());
+    // The leader's device-write scope; finishes before mu_ is retaken so the
+    // span, and the log.flush_us observation that is its duration, measure
+    // I/O, not lock handoff.
+    ScopedSpan flush_span(&metrics_->spans(), "log.flush", batch_size,
+                          blocks.size());
     CrashPointRegistry::Hit("commitlog.pre_flush");
-    const auto flush_start = std::chrono::steady_clock::now();
     Status s = Status::Ok();
     // A transient device hiccup must not poison the log: page writes are
     // idempotent images, so the whole batch is simply retried from the top.
@@ -226,12 +223,8 @@ Status CommitLog::WaitPersisted(uint64_t seq) {
     if (s.ok()) {
       CrashPointRegistry::Hit("commitlog.post_flush");
     }
-    flush_us_->Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - flush_start)
-            .count()));
+    flush_us_->Observe(flush_span.Finish());
     batch_transitions_->Observe(batch_size);
-    flush_span.reset();
     mu_.lock();
     persist_batches_->Add();
     if (s.ok()) {

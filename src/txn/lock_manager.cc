@@ -1,6 +1,5 @@
 #include "src/txn/lock_manager.h"
 
-#include <chrono>
 #include <optional>
 
 #include "src/buffer/buffer_pool.h"
@@ -160,10 +159,9 @@ Status LockManager::Acquire(TxnId txn, Oid rel, LockMode mode) {
   }
   acquisitions_->Add();
   bool inversion_reported = false;
-  bool waited = false;
-  std::chrono::steady_clock::time_point wait_start;
-  // Opened lazily on the first block; ends when Acquire returns (grant or
-  // deadlock), which trails the last wakeup by only a map insert.
+  // Opened lazily on the first block; ends at the grant, whose lock.wait_us
+  // observation is the span's own duration, or when Acquire returns on a
+  // deadlock.
   std::optional<ScopedSpan> wait_span;
   // Note: the RelLock node must be re-fetched after every wait. A pure waiter
   // (no hold of its own on `rel`) sleeps while ReleaseAll may erase the node
@@ -188,9 +186,7 @@ Status LockManager::Acquire(TxnId txn, Oid rel, LockMode mode) {
                       DumpWaitsForLocked());
       inversion_reported = true;
     }
-    if (!waited) {
-      waited = true;
-      wait_start = std::chrono::steady_clock::now();
+    if (!wait_span.has_value()) {
       waits_->Add();
       wait_span.emplace(&metrics_->spans(), "lock.wait", txn, rel);
     }
@@ -198,11 +194,8 @@ Status LockManager::Acquire(TxnId txn, Oid rel, LockMode mode) {
     cv_.Wait(mu_);
     waiting_on_.erase(txn);
   }
-  if (waited) {
-    wait_us_->Observe(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - wait_start)
-            .count()));
+  if (wait_span.has_value()) {
+    wait_us_->Observe(wait_span->Finish());
   }
   locks_[rel].holders[txn] = mode;  // grants and upgrades
   if (debug_invariants_) {

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <barrier>
+#include <chrono>
+#include <functional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -18,6 +20,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/slo.h"
 #include "src/obs/span.h"
+#include "src/obs/tenant.h"
 #include "src/obs/trace.h"
 
 namespace invfs {
@@ -325,6 +328,70 @@ TEST(ScopedSpanTest, NullRingIsInertAndKeepsContextClean) {
   EXPECT_EQ(snap[0].parent_id, 0u);
 }
 
+// The trace clock and the steady_clock fallback it uses where the TSC is not
+// usable: both must be monotonic per thread and tick in real microseconds.
+using ClockFn = uint64_t (*)();
+constexpr std::pair<const char*, ClockFn> kTraceClocks[] = {
+    {"TraceNowMicros", &TraceNowMicros},
+    {"SteadyNowMicros", &obs_internal::SteadyNowMicros},
+};
+
+TEST(TraceClockTest, ReadingsAreMonotonicPerThread) {
+  for (const auto& [name, clock] : kTraceClocks) {
+    std::vector<std::thread> threads;
+    std::atomic<int> backwards{0};
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, clock] {
+        uint64_t last = clock();
+        for (int i = 0; i < 20000; ++i) {
+          const uint64_t now = clock();
+          if (now < last) {
+            backwards.fetch_add(1);
+          }
+          last = now;
+        }
+      });
+    }
+    for (auto& th : threads) {
+      th.join();
+    }
+    EXPECT_EQ(backwards.load(), 0) << name << " went backwards";
+  }
+}
+
+TEST(TraceClockTest, AgreesWithSteadyClockOverASleep) {
+  for (const auto& [name, clock] : kTraceClocks) {
+    const auto steady_start = std::chrono::steady_clock::now();
+    const uint64_t start = clock();
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    const uint64_t end = clock();
+    const auto steady_us = static_cast<double>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - steady_start)
+            .count());
+    // 0.5% of the interval, plus a microsecond each for the two truncations.
+    EXPECT_NEAR(static_cast<double>(end - start), steady_us, steady_us * 0.005 + 2)
+        << name;
+  }
+}
+
+TEST(TraceClockTest, DurationsSaturateAtZero) {
+  EXPECT_EQ(TraceMicrosBetween(10, 15), 5u);
+  EXPECT_EQ(TraceMicrosBetween(15, 15), 0u);
+  EXPECT_EQ(TraceMicrosBetween(15, 10), 0u);
+  SpanRing ring;
+  uint64_t finished = 0;
+  {
+    ScopedSpan span(&ring, "clock.span");
+    finished = span.Finish();
+    EXPECT_EQ(span.Finish(), 0u) << "a second Finish records nothing";
+  }
+  const auto snap = ring.Snapshot();
+  ASSERT_EQ(snap.size(), 1u) << "Finish records the span once, not again at scope end";
+  EXPECT_EQ(snap[0].dur_micros, finished);
+  EXPECT_LT(snap[0].dur_micros, uint64_t{1} << 32);
+}
+
 TEST(SpanNameInternTest, ReturnsStablePointerPerName) {
   const char* a = InternSpanName("device.read.disk0");
   const char* b = InternSpanName("device.read.disk0");
@@ -437,6 +504,123 @@ TEST(SpanShapeTest, RpcWriteTreeLinksBufferMissAndCommitFlush) {
       << "span ring wrapped mid-test; the tree walked above is incomplete";
 }
 
+// Each latency histogram below takes its observations from a span's
+// Finish(), so over a run that recorded every span (nothing dropped) the
+// histogram's count and sum equal the count and summed dur_micros of its
+// spans: p_read, the commit log flush behind a commit, a lock wait that
+// really blocked, and the RPC server's root span.
+TEST(LatencyHistogramTest, ObservationsAreTheirSpansDurations) {
+  auto world_or = InversionWorld::Create();
+  ASSERT_TRUE(world_or.ok());
+  InversionWorld& world = **world_or;
+  MetricsRegistry& metrics = world.db().metrics();
+  InvSession& a = world.session();
+
+  std::vector<std::byte> data(8192, std::byte{0x5});
+  ASSERT_TRUE(a.p_begin().ok());
+  auto fd = a.p_creat("/timed.dat");
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(a.p_write(*fd, data).ok());
+  ASSERT_TRUE(a.p_close(*fd).ok());
+  ASSERT_TRUE(a.p_commit().ok());
+  fd = a.p_open("/timed.dat", OpenMode::kRead);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(a.p_read(*fd, data).ok());
+  ASSERT_TRUE(a.p_close(*fd).ok());
+
+  InversionServer server(&world.fs());
+  NetModel net(&world.clock(), NetParams{});
+  LoopbackTransport transport(&server, &net);
+  RemoteFileClient client(&transport);
+  auto rfd = client.p_open("/timed.dat", OpenMode::kRead);
+  ASSERT_TRUE(rfd.ok());
+  ASSERT_TRUE(client.p_read(*rfd, data).ok());
+  ASSERT_TRUE(client.p_close(*rfd).ok());
+
+  // Session b blocks on a's exclusive lock until a commits.
+  ASSERT_TRUE(a.p_begin().ok());
+  fd = a.p_open("/timed.dat", OpenMode::kWrite);
+  ASSERT_TRUE(fd.ok());
+  auto b = world.fs().NewSession();
+  ASSERT_TRUE(b.ok());
+  Counter* waits = metrics.GetCounter("lock.waits");
+  const uint64_t waits_before = waits->Value();
+  std::thread blocked([&] {
+    EXPECT_TRUE((*b)->p_begin().ok());
+    auto bfd = (*b)->p_open("/timed.dat", OpenMode::kWrite);
+    EXPECT_TRUE(bfd.ok());
+    EXPECT_TRUE((*b)->p_close(*bfd).ok());
+    EXPECT_TRUE((*b)->p_commit().ok());
+  });
+  while (waits->Value() == waits_before) {
+    std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(a.p_close(*fd).ok());
+  ASSERT_TRUE(a.p_commit().ok());
+  blocked.join();
+
+  ASSERT_EQ(metrics.spans().TotalDropped(), 0u);
+  const auto snap = metrics.spans().Snapshot();
+  struct Case {
+    const char* span;
+    Histogram* histogram;
+  };
+  const Case cases[] = {
+      {"p_read", metrics.GetHistogram("op.latency_us", "p_read")},
+      {"log.flush", metrics.GetHistogram("log.flush_us")},
+      {"lock.wait", metrics.GetHistogram("lock.wait_us")},
+      {"rpc.read", metrics.GetHistogram("rpc.latency_us", "read")},
+  };
+  for (const Case& c : cases) {
+    uint64_t count = 0;
+    uint64_t sum = 0;
+    for (const SpanRecord& r : snap) {
+      if (std::string_view(r.name) == c.span) {
+        ++count;
+        sum += r.dur_micros;
+      }
+    }
+    EXPECT_GE(count, 1u) << c.span;
+    EXPECT_EQ(c.histogram->Count(), count) << c.span;
+    EXPECT_EQ(c.histogram->Sum(), sum) << c.span;
+  }
+  EXPECT_GE(metrics.GetHistogram("lock.wait_us")->Sum(), 1000u)
+      << "the blocked open waited ~5 ms";
+}
+
+// An entry point times and counts every outcome: a request that fails
+// before reaching the engine still lands in op.latency_us and in the
+// calling tenant's error count, so the SLO error ratio sees it.
+TEST(LatencyHistogramTest, FailedRequestsAreTimedAndCounted) {
+  auto world_or = InversionWorld::Create();
+  ASSERT_TRUE(world_or.ok());
+  InversionWorld& world = **world_or;
+  MetricsRegistry& metrics = world.db().metrics();
+  InvSession& session = world.session();
+  TenantBinding tenant(&metrics, "failing");
+  ScopedTenantTag tag(&tenant);
+
+  struct Case {
+    const char* op;
+    std::function<bool()> fails;
+  };
+  std::vector<std::byte> buf(16);
+  const Case cases[] = {
+      {"p_read", [&] { return !session.p_read(/*fd=*/4242, buf).ok(); }},
+      {"p_commit", [&] { return !session.p_commit().ok(); }},
+      {"query", [&] { return !session.Query("retrieve (((").ok(); }},
+  };
+  for (const Case& c : cases) {
+    Histogram* latency = metrics.GetHistogram("op.latency_us", c.op);
+    const uint64_t observed = latency->Count();
+    const uint64_t errors = tenant.errors()->Value();
+    EXPECT_TRUE(c.fails()) << c.op;
+    EXPECT_EQ(latency->Count(), observed + 1) << c.op;
+    EXPECT_EQ(tenant.errors()->Value(), errors + 1) << c.op;
+  }
+}
+
 // Four threads record span trees into one registry at once. Ring slots and
 // ids are handed out in per-thread blocks, so this pins the contracts that
 // must survive that: totals are exact, ids are unique across threads, and
@@ -446,6 +630,7 @@ TEST(SpanRingTest, ThreadsKeepTotalsIdsAndParentLinks) {
   constexpr int kThreads = 4;
   constexpr int kRequests = 500;  // three spans each
   MetricsRegistry reg(/*span_capacity=*/1 << 14);
+  const auto wall_start = std::chrono::steady_clock::now();
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&reg] {
@@ -462,6 +647,10 @@ TEST(SpanRingTest, ThreadsKeepTotalsIdsAndParentLinks) {
   for (auto& th : threads) {
     th.join();
   }
+  const auto wall_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - wall_start)
+          .count());
 
   const uint64_t spans = uint64_t{kThreads} * kRequests * 3;
   EXPECT_EQ(reg.spans().TotalRecorded(), spans);
@@ -476,6 +665,9 @@ TEST(SpanRingTest, ThreadsKeepTotalsIdsAndParentLinks) {
     span_ids.insert(r.span_id);
     seqs.insert(r.seq);
     by_id[r.span_id] = &r;
+    // A span whose end read a trailing core's clock saturates at 0; it
+    // never wraps to ~2^64.
+    EXPECT_LE(r.dur_micros, wall_us + 1) << r.name;
   }
   EXPECT_EQ(span_ids.size(), spans) << "span ids repeat across threads";
   EXPECT_EQ(seqs.size(), spans) << "ring sequence numbers repeat";
