@@ -131,15 +131,27 @@ run_metrics_overhead() {
   cmake --build "$on_dir" -j "$JOBS" --target bench_micro -- --no-print-directory
   cmake --build "$off_dir" -j "$JOBS" -- --no-print-directory
 
-  median_cpu_time() {
-    # $1 = build dir, $2 = benchmark name. CSV rows:
-    # name,iterations,real_time,cpu_time,... — pick the *_median aggregate
-    # row's cpu_time.
-    "$1/bench/bench_micro" --benchmark_filter="^$2\$" \
+  median_fields() {
+    # $1 = build dir, $2 = benchmark name, then CSV column names (cpu_time,
+    # or a counter such as allocs). Prints those columns of the *_median
+    # aggregate row, space-separated, from one run.
+    local dir=$1 bench=$2
+    shift 2
+    "$dir/bench/bench_micro" --benchmark_filter="^$bench\$" \
         --benchmark_repetitions="$reps" --benchmark_report_aggregates_only=true \
         --benchmark_format=csv 2>/dev/null |
-      awk -F, -v row="\"$2_median\"" '$1 == row { print $4 }'
+      awk -F, -v row="\"${bench}_median\"" -v want="$*" '
+        NR == 1 {
+          for (i = 1; i <= NF; i++) { gsub(/"/, "", $i); col[$i] = i }
+          n = split(want, names, " ")
+        }
+        $1 == row {
+          out = ""
+          for (j = 1; j <= n; j++) out = out (j > 1 ? " " : "") $(col[names[j]])
+          print out
+        }'
   }
+  median_cpu_time() { median_fields "$1" "$2" cpu_time; }
 
   gate_benchmark() {
     # Alternate the two binaries over several passes and keep each one's best
@@ -169,14 +181,18 @@ run_metrics_overhead() {
   gate_benchmark BM_BufferHit "$budget"
   gate_benchmark BM_FileWriteRead "$span_budget"
 
-  # Printed, not gated: the warm chunk read (current and as-of) and one span
-  # begin/end. A copy that creeps back into the read path raises the first
-  # before perfbench notices; the second is the unit cost every span adds.
-  local bench
-  for bench in BM_ChunkRead/0 BM_ChunkRead/1 BM_ScopedSpan; do
-    echo "==> [metrics] $bench median cpu_time (instrumented, not gated):" \
-         "$(median_cpu_time "$on_dir" "$bench")ns"
+  # Printed, not gated: the warm chunk read (current and as-of) with its heap
+  # allocations per read, and one span begin/end. A copy or an allocation
+  # that creeps back into the read path shows in the first before perfbench
+  # notices; the second is the unit cost every span adds.
+  local bench fields
+  for bench in BM_ChunkRead/0 BM_ChunkRead/1; do
+    fields=$(median_fields "$on_dir" "$bench" cpu_time allocs)
+    echo "==> [metrics] $bench median (instrumented, not gated):" \
+         "cpu_time ${fields% *}ns, allocations per read ${fields#* }"
   done
+  echo "==> [metrics] BM_ScopedSpan median cpu_time (instrumented, not gated):" \
+       "$(median_cpu_time "$on_dir" BM_ScopedSpan)ns"
 
   echo "==> [metrics] invfs_bench mt (INVFS_NO_METRICS): registry-derived fields must be null"
   local mt_json="$off_dir/invfs_bench_mt.json"

@@ -30,11 +30,12 @@ int CompareKeys(std::span<const std::byte> a, std::span<const std::byte> b) {
 // the middle of an equal-key run would strand entries left of the separator
 // where descent can no longer find them.
 BtreeKey CombineKey(const BtreeKey& key, Tid tid) {
-  BtreeKey out = key;
-  const uint64_t suffix = (uint64_t{tid.block} << 16) | tid.slot;
-  for (int shift = 40; shift >= 0; shift -= 8) {
-    out.push_back(std::byte{static_cast<uint8_t>(suffix >> shift)});
-  }
+  BtreeKey out;
+  out.reserve(key.size() + kTidSuffix);
+  out.append(key);
+  std::byte* suffix = out.grow(kTidSuffix);
+  PutBe32(suffix, tid.block);
+  PutBe16(suffix + 4, tid.slot);
   return out;
 }
 
@@ -132,7 +133,7 @@ struct NodeView {
     EntryCursor c = Entries();
     while (c.Next()) {
       Entry e;
-      e.key.assign(c.key().begin(), c.key().end());
+      e.key = BtreeKey(c.key());
       if (leaf()) {
         e.tid = c.tid();
       } else {
@@ -383,13 +384,13 @@ Status BTree::Remove(const BtreeKey& key, Tid tid) {
   return Status::NotFound("btree entry not found");
 }
 
-Result<std::vector<Tid>> BTree::Lookup(const BtreeKey& key) const {
+Result<TidList> BTree::Lookup(const BtreeKey& key) const {
   ReaderMutexLock lock(mu_);
   // Position at the first stored key with user part >= key.
   const BtreeKey lower = CombineKey(key, Tid{0, 0});
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
   INV_ASSIGN_OR_RETURN(uint32_t current, FindLeaf(root, lower));
-  std::vector<Tid> out;
+  TidList out;
   while (current != kNoBlock) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, current));
     NodeView view{ref.data()};
@@ -409,29 +410,45 @@ Result<std::vector<Tid>> BTree::Lookup(const BtreeKey& key) const {
   return out;
 }
 
+std::span<const std::byte> BTree::Iterator::key() const {
+  const uint16_t klen = GetU16(leaf_.data() + pos_);
+  return {leaf_.data() + pos_ + 2, klen - kTidSuffix};
+}
+
+Tid BTree::Iterator::tid() const {
+  const std::byte* d = leaf_.data() + pos_ + 2 + GetU16(leaf_.data() + pos_);
+  return Tid{GetU32(d), GetU16(d + 4)};
+}
+
 Status BTree::Iterator::LoadLeaf(uint32_t block, const BtreeKey* lo) {
-  entries_.clear();
+  leaf_.clear();
   pos_ = 0;
   INV_ASSIGN_OR_RETURN(PageRef ref, tree_->pool_->Pin(tree_->rel_, block));
   NodeView view{ref.data()};
+  if (!view.leaf()) {
+    return Status::Corruption("btree sibling chain reaches an internal node");
+  }
+  // The whole node is validated before any of it is copied: key() and
+  // Advance() then walk the copy unchecked.
   EntryCursor c = view.Entries();
+  uint32_t first = view.used();  // the first entry in range, once seen
   while (c.Next()) {
-    // Surface the user key (strip the uniquifying TID suffix).
-    const std::span<const std::byte> user = c.user_key();
-    if (lo == nullptr || CompareKeys(user, *lo) >= 0) {
-      entries_.emplace_back(BtreeKey(user.begin(), user.end()), c.tid());
+    if (c.begin < first && (lo == nullptr || CompareKeys(c.user_key(), *lo) >= 0)) {
+      first = c.begin;
     }
   }
   INV_RETURN_IF_ERROR(c.status());
+  const std::byte* area = ref.data() + kOffEntries;
+  leaf_.assign(area + first, area + view.used());
   next_leaf_ = view.right_sibling();
   return Status::Ok();
 }
 
 Status BTree::Iterator::Advance() {
-  if (pos_ < entries_.size()) {
-    ++pos_;
+  if (pos_ < leaf_.size()) {
+    pos_ += 2 + GetU16(leaf_.data() + pos_) + 6;  // key length, key, TID
   }
-  while (pos_ >= entries_.size() && next_leaf_ != kNoBlock) {
+  while (pos_ >= leaf_.size() && next_leaf_ != kNoBlock) {
     INV_RETURN_IF_ERROR(LoadLeaf(next_leaf_, nullptr));
   }
   return Status::Ok();
@@ -447,7 +464,7 @@ Result<BTree::Iterator> BTree::Seek(const BtreeKey& lo) const {
   INV_ASSIGN_OR_RETURN(uint32_t leaf, FindLeaf(root, lo));
   INV_RETURN_IF_ERROR(it.LoadLeaf(leaf, &lo));
   // Skip empty leaves.
-  while (it.entries_.empty() && it.next_leaf_ != kNoBlock) {
+  while (it.leaf_.empty() && it.next_leaf_ != kNoBlock) {
     INV_RETURN_IF_ERROR(it.LoadLeaf(it.next_leaf_, nullptr));
   }
   return it;

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/access/key_codec.h"
@@ -25,6 +26,11 @@
 #include "src/util/status.h"
 
 namespace invfs {
+
+// The TIDs a lookup finds: one per indexed version of the key. Up to eight
+// stay inline, so a probe of a key with a handful of versions allocates
+// nothing.
+using TidList = InlineVector<Tid, 8>;
 
 class BTree {
  public:
@@ -43,22 +49,27 @@ class BTree {
   Status Remove(const BtreeKey& key, Tid tid);
 
   // Point lookup: all TIDs whose key equals `key` (multiple versions).
-  Result<std::vector<Tid>> Lookup(const BtreeKey& key) const;
+  Result<TidList> Lookup(const BtreeKey& key) const;
 
   // Range iteration over keys in [lo, +inf), caller stops when done.
   class Iterator {
    public:
-    bool Valid() const { return pos_ < entries_.size(); }
-    const BtreeKey& key() const { return entries_[pos_].first; }
-    Tid tid() const { return entries_[pos_].second; }
+    bool Valid() const { return pos_ < leaf_.size(); }
+    // The current entry's user key (its stored key without the TID suffix),
+    // valid until the next Advance.
+    std::span<const std::byte> key() const;
+    Tid tid() const;
     // Moves to the next entry in key order; loads sibling leaves on demand.
     Status Advance();
 
    private:
     friend class BTree;
     const BTree* tree_ = nullptr;
-    std::vector<std::pair<BtreeKey, Tid>> entries_;  // current leaf, copied
-    size_t pos_ = 0;
+    // The current leaf's entry bytes from the first entry in range on, copied
+    // and validated, so neither the leaf's pin nor the tree latch is held
+    // between calls.
+    std::vector<std::byte> leaf_;
+    size_t pos_ = 0;  // offset of the current entry in leaf_
     uint32_t next_leaf_ = kNoBlock;
     Status LoadLeaf(uint32_t block, const BtreeKey* lo);
   };

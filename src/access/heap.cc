@@ -27,13 +27,21 @@ Result<Tid> Heap::Insert(TxnId txn, const Row& row, Oid row_oid) {
 }
 
 Result<Tid> Heap::InsertRaw(TxnId txn, const Row& row, const TupleMeta& meta) {
-  INV_ASSIGN_OR_RETURN(auto encoded, EncodeTuple(*schema_, row, meta));
-  if (encoded.size() + kLinePointerSize > kPageSize - kPageHeaderSize) {
+  INV_ASSIGN_OR_RETURN(const uint32_t size, EncodedTupleSize(*schema_, row));
+  if (size + kLinePointerSize > kPageSize - kPageHeaderSize) {
     return Status::InvalidArgument("tuple does not fit on one page (" +
-                                   std::to_string(encoded.size()) + " bytes)");
+                                   std::to_string(size) + " bytes)");
   }
   txns_->NoteTouched(txn, rel_);
   CrashPointRegistry::Hit("heap.insert");
+  // Encodes the row straight into a fresh slot of `page`, whose exclusive
+  // latch the caller holds.
+  auto place = [&](Page page) -> Result<uint16_t> {
+    std::span<std::byte> bytes;
+    INV_ASSIGN_OR_RETURN(const uint16_t slot, page.ReserveTuple(size, &bytes));
+    EncodeTupleInto(*schema_, row, meta, bytes);
+    return slot;
+  };
 
   INV_ASSIGN_OR_RETURN(uint32_t nblocks, pool_->NumBlocks(rel_));
   // Try the hint block (normally the last block), then extend.
@@ -47,8 +55,7 @@ Result<Tid> Heap::InsertRaw(TxnId txn, const Row& row, const TupleMeta& meta) {
       {
         // Page latch: lock-free snapshot readers may be decoding this page.
         WriterMutexLock latch(ref.Latch());
-        Page page = ref.page();
-        auto added = page.AddTuple(encoded);
+        auto added = place(ref.page());
         if (added.ok()) {
           slot = *added;
           ref.MarkDirty();
@@ -68,8 +75,7 @@ Result<Tid> Heap::InsertRaw(TxnId txn, const Row& row, const TupleMeta& meta) {
   uint16_t slot = 0;
   {
     WriterMutexLock latch(ref.Latch());
-    Page page = ref.page();
-    INV_ASSIGN_OR_RETURN(slot, page.AddTuple(encoded));
+    INV_ASSIGN_OR_RETURN(slot, place(ref.page()));
     ref.MarkDirty();
   }
   hint_block_.store(new_block, std::memory_order_relaxed);

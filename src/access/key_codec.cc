@@ -2,22 +2,29 @@
 
 #include <cstring>
 
+#include "src/util/bytes.h"
+
 namespace invfs {
 namespace {
 
-void AppendBe32(uint32_t v, BtreeKey* out) {
-  out->push_back(std::byte{static_cast<uint8_t>(v >> 24)});
-  out->push_back(std::byte{static_cast<uint8_t>(v >> 16)});
-  out->push_back(std::byte{static_cast<uint8_t>(v >> 8)});
-  out->push_back(std::byte{static_cast<uint8_t>(v)});
-}
+void AppendBe32(uint32_t v, BtreeKey* out) { PutBe32(out->grow(4), v); }
 
-void AppendBe64(uint64_t v, BtreeKey* out) {
-  AppendBe32(static_cast<uint32_t>(v >> 32), out);
-  AppendBe32(static_cast<uint32_t>(v), out);
+void AppendBe64(uint64_t v, BtreeKey* out) { PutBe64(out->grow(8), v); }
+
+void AppendText(std::string_view s, BtreeKey* out) {
+  out->append(std::as_bytes(std::span(s)));
+  out->push_back(std::byte{0});
 }
 
 }  // namespace
+
+Status AppendTextKeyPart(std::string_view s, BtreeKey* out) {
+  if (s.find('\0') != std::string_view::npos) {
+    return Status::InvalidArgument("text key contains NUL");
+  }
+  AppendText(s, out);
+  return Status::Ok();
+}
 
 Status AppendKeyPart(const Value& v, BtreeKey* out) {
   if (v.is_null()) {
@@ -53,14 +60,7 @@ Status AppendKeyPart(const Value& v, BtreeKey* out) {
     return Status::Ok();
   }
   if (v.HasType(TypeId::kText)) {
-    const std::string& s = v.AsText();
-    if (s.find('\0') != std::string::npos) {
-      return Status::InvalidArgument("text key contains NUL");
-    }
-    const auto* p = reinterpret_cast<const std::byte*>(s.data());
-    out->insert(out->end(), p, p + s.size());
-    out->push_back(std::byte{0});
-    return Status::Ok();
+    return AppendTextKeyPart(v.AsText(), out);
   }
   return Status::InvalidArgument("type not indexable: " + v.ToString());
 }
@@ -69,6 +69,14 @@ Result<BtreeKey> EncodeKey(std::span<const Value> values) {
   BtreeKey out;
   for (const Value& v : values) {
     INV_RETURN_IF_ERROR(AppendKeyPart(v, &out));
+  }
+  return out;
+}
+
+Result<BtreeKey> EncodeKey(const Row& row, std::span<const size_t> columns) {
+  BtreeKey out;
+  for (size_t c : columns) {
+    INV_RETURN_IF_ERROR(AppendKeyPart(row[c], &out));
   }
   return out;
 }
@@ -87,9 +95,7 @@ BtreeKey EncodeOidKey(Oid v) {
 
 BtreeKey EncodeTextKey(std::string_view s) {
   BtreeKey out;
-  const auto* p = reinterpret_cast<const std::byte*>(s.data());
-  out.insert(out.end(), p, p + s.size());
-  out.push_back(std::byte{0});
+  AppendText(s, &out);
   return out;
 }
 

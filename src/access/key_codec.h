@@ -14,20 +14,29 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
+#include <string_view>
 
 #include "src/storage/value.h"
+#include "src/util/inline_vector.h"
 #include "src/util/status.h"
 
 namespace invfs {
 
-using BtreeKey = std::vector<std::byte>;
+// An encoded key. Up to 56 bytes live inside the 64-byte object: every
+// integer, oid and timestamp key, and a (parent oid, name) naming key for
+// names up to 45 bytes, with the B-tree's 6-byte TID suffix (btree.cc) on
+// top. Longer keys, from long file names, move to the heap.
+using BtreeKey = InlineVector<std::byte, 56>;
 
 // Encode one value, appending to `out`.
 Status AppendKeyPart(const Value& v, BtreeKey* out);
+// Encode a text value (NUL-free) straight from its bytes, appending to `out`.
+Status AppendTextKeyPart(std::string_view s, BtreeKey* out);
 
 // Encode a composite key.
 Result<BtreeKey> EncodeKey(std::span<const Value> values);
+// Encode the key an index over `columns` holds for `row`.
+Result<BtreeKey> EncodeKey(const Row& row, std::span<const size_t> columns);
 
 // Convenience single-column encoders used on hot paths.
 BtreeKey EncodeInt4Key(int32_t v);

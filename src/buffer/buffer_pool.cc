@@ -1,6 +1,7 @@
 #include "src/buffer/buffer_pool.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "src/fault/crash_points.h"
 #include "src/obs/span.h"
@@ -9,17 +10,65 @@ namespace invfs {
 
 namespace {
 
-// Pins held by the current thread, across all pools. Maintained so the lock
+// Pins held by each thread, across all pools. Maintained so the lock
 // manager can assert (under debug invariants) that no thread blocks on a
 // table lock while holding page latches — the latch-vs-lock inversion that
-// starves eviction. The counter is heap-allocated and shared into every
-// PageRef the thread creates: a pin released on another thread debits the
-// *pinning* thread's counter (it no longer holds the pin), and the counter
-// outlives the thread if refs migrate past its exit.
-std::shared_ptr<std::atomic<int>>& LocalPinCounter() {
-  thread_local std::shared_ptr<std::atomic<int>> counter =
-      std::make_shared<std::atomic<int>>(0);
-  return counter;
+// starves eviction. Every PageRef points at the counter of the thread that
+// pinned it: a pin released on another thread debits the *pinning* thread's
+// counter (it no longer holds the pin). Counters are never freed, so one
+// stays valid if refs migrate past its thread's exit; a thread that exits
+// with no pin outstanding hands its counter back for the next thread.
+class PinCounters {
+ public:
+  // The one registry, reachable for the whole process (threads may exit
+  // during static destruction).
+  static PinCounters& Get() {
+    static PinCounters* registry = new PinCounters;
+    return *registry;
+  }
+
+  std::atomic<int>* Acquire() {
+    MutexLock lock(mu_);
+    if (free_.empty()) {
+      return &all_.emplace_back().pins;
+    }
+    std::atomic<int>* counter = free_.back();
+    free_.pop_back();
+    return counter;
+  }
+
+  // At zero no PageRef points at `counter` any more, so it can be reused.
+  void Retire(std::atomic<int>* counter) {
+    if (counter->load(std::memory_order_acquire) == 0) {
+      MutexLock lock(mu_);
+      free_.push_back(counter);
+    }
+  }
+
+ private:
+  // A cache line per counter: each is written on every pin and release its
+  // thread makes, so two threads' counters must not share one.
+  struct alignas(64) Counter {
+    std::atomic<int> pins{0};
+  };
+
+  Mutex mu_;
+  std::deque<Counter> all_ GUARDED_BY(mu_);  // stable addresses
+  std::vector<std::atomic<int>*> free_ GUARDED_BY(mu_);
+};
+
+struct ThreadPinCounter {
+  ThreadPinCounter() = default;
+  ThreadPinCounter(const ThreadPinCounter&) = delete;
+  ThreadPinCounter& operator=(const ThreadPinCounter&) = delete;
+  ~ThreadPinCounter() { PinCounters::Get().Retire(counter); }
+
+  std::atomic<int>* const counter = PinCounters::Get().Acquire();
+};
+
+std::atomic<int>* LocalPinCounter() {
+  thread_local ThreadPinCounter local;
+  return local.counter;
 }
 
 size_t RoundUpPow2(size_t v) {
@@ -63,8 +112,10 @@ int BufferPool::ThreadPinCount() {
 // -------------------------------------------------------------------- PageRef
 
 PageRef::PageRef(BufferPool* pool, size_t frame, std::byte* data,
-                 std::shared_ptr<std::atomic<int>> pinner)
-    : pool_(pool), frame_(frame), data_(data), pinner_(std::move(pinner)) {}
+                 std::atomic<int>* pinner)
+    : pool_(pool), frame_(frame), data_(data), pinner_(pinner) {
+  pinner_->fetch_add(1, std::memory_order_relaxed);
+}
 
 PageRef::~PageRef() { Release(); }
 
@@ -72,9 +123,10 @@ PageRef::PageRef(PageRef&& other) noexcept
     : pool_(other.pool_),
       frame_(other.frame_),
       data_(other.data_),
-      pinner_(std::move(other.pinner_)) {
+      pinner_(other.pinner_) {
   other.pool_ = nullptr;
   other.data_ = nullptr;
+  other.pinner_ = nullptr;
 }
 
 PageRef& PageRef::operator=(PageRef&& other) noexcept {
@@ -83,9 +135,10 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
     pool_ = other.pool_;
     frame_ = other.frame_;
     data_ = other.data_;
-    pinner_ = std::move(other.pinner_);
+    pinner_ = other.pinner_;
     other.pool_ = nullptr;
     other.data_ = nullptr;
+    other.pinner_ = nullptr;
   }
   return *this;
 }
@@ -93,10 +146,8 @@ PageRef& PageRef::operator=(PageRef&& other) noexcept {
 void PageRef::Release() {
   if (pool_ != nullptr) {
     pool_->Unpin(frame_);
-    if (pinner_) {
-      pinner_->fetch_sub(1, std::memory_order_relaxed);
-      pinner_.reset();
-    }
+    pinner_->fetch_sub(1, std::memory_order_relaxed);
+    pinner_ = nullptr;
     pool_ = nullptr;
     data_ = nullptr;
   }
@@ -315,9 +366,12 @@ Result<PageRef> BufferPool::Pin(Oid rel, uint32_t block) {
     if (it != table.end()) {
       Frame& f = frames_[it->second];
       f.pins.fetch_add(1, std::memory_order_acq_rel);
-      f.ref.store(true, std::memory_order_release);
+      // Most hits find the bit already set: skip the store and its cache
+      // line write.
+      if (!f.ref.load(std::memory_order_relaxed)) {
+        f.ref.store(true, std::memory_order_release);
+      }
       hits_->Add();
-      LocalPinCounter()->fetch_add(1, std::memory_order_relaxed);
       return PageRef(this, it->second, f.data.get(), LocalPinCounter());
     }
   }
@@ -333,7 +387,6 @@ Result<PageRef> BufferPool::Pin(Oid rel, uint32_t block) {
       Frame& f = frames_[it->second];
       f.pins.fetch_add(1, std::memory_order_acq_rel);
       f.ref.store(true, std::memory_order_release);
-      LocalPinCounter()->fetch_add(1, std::memory_order_relaxed);
       return PageRef(this, it->second, f.data.get(), LocalPinCounter());
     }
   }
@@ -359,7 +412,6 @@ Result<PageRef> BufferPool::Pin(Oid rel, uint32_t block) {
     s.table[tag] = frame;
   }
   TrackFrame(frame);
-  LocalPinCounter()->fetch_add(1, std::memory_order_relaxed);
   return PageRef(this, frame, f.data.get(), LocalPinCounter());
 }
 
@@ -386,7 +438,6 @@ Result<PageRef> BufferPool::Extend(Oid rel, uint32_t* new_block) {
     s.table[tag] = frame;
   }
   TrackFrame(frame);
-  LocalPinCounter()->fetch_add(1, std::memory_order_relaxed);
   if (new_block != nullptr) {
     *new_block = block;
   }

@@ -58,8 +58,7 @@ class BufferPool;
 class PageRef {
  public:
   PageRef() = default;
-  PageRef(BufferPool* pool, size_t frame, std::byte* data,
-          std::shared_ptr<std::atomic<int>> pinner);
+  PageRef(BufferPool* pool, size_t frame, std::byte* data, std::atomic<int>* pinner);
   ~PageRef();
   PageRef(PageRef&& other) noexcept;
   PageRef& operator=(PageRef&& other) noexcept;
@@ -89,9 +88,10 @@ class PageRef {
   size_t frame_ = 0;
   std::byte* data_ = nullptr;
   // Per-thread pin counter of the thread that took the pin (for the lock
-  // manager's latch-vs-lock inversion check). Shared ownership keeps the
-  // counter alive even if the pinning thread exits before the release.
-  std::shared_ptr<std::atomic<int>> pinner_;
+  // manager's latch-vs-lock inversion check). Counters live as long as the
+  // process, so one stays valid even if the pinning thread exits before the
+  // release.
+  std::atomic<int>* pinner_ = nullptr;
 };
 
 class BufferPool {

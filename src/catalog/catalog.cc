@@ -369,11 +369,7 @@ Result<IndexInfo*> Catalog::CreateIndex(TxnId txn, TableInfo* table,
   const Snapshot snap = txns_->SnapshotFor(txn);
   auto it = table->heap->Scan(snap);
   while (it.Next()) {
-    std::vector<Value> key_vals;
-    for (size_t c : key_columns) {
-      key_vals.push_back(it.row()[c]);
-    }
-    INV_ASSIGN_OR_RETURN(BtreeKey key, EncodeKey(key_vals));
+    INV_ASSIGN_OR_RETURN(const BtreeKey key, EncodeKey(it.row(), key_columns));
     INV_RETURN_IF_ERROR(info->btree->Insert(key, it.tid()));
   }
   INV_RETURN_IF_ERROR(it.status());

@@ -98,12 +98,7 @@ Result<Tid> Database::InsertRow(TxnId txn, TableInfo* table, const Row& row,
                                 Oid row_oid) {
   INV_ASSIGN_OR_RETURN(Tid tid, table->heap->Insert(txn, row, row_oid));
   for (IndexInfo* idx : table->indexes) {
-    std::vector<Value> key_vals;
-    key_vals.reserve(idx->key_columns.size());
-    for (size_t c : idx->key_columns) {
-      key_vals.push_back(row[c]);
-    }
-    INV_ASSIGN_OR_RETURN(BtreeKey key, EncodeKey(key_vals));
+    INV_ASSIGN_OR_RETURN(const BtreeKey key, EncodeKey(row, idx->key_columns));
     INV_RETURN_IF_ERROR(idx->btree->Insert(key, tid));
     txns_->NoteTouched(txn, idx->oid);
     if (options_.write_through_indexes) {
@@ -147,15 +142,15 @@ Status Database::LockTable(TxnId txn, const TableInfo* table, LockMode mode) {
   return s;
 }
 
-Result<std::vector<Tid>> Database::Probe(const IndexInfo& index, const BtreeKey& key,
-                                          KeyMatch match) {
+Result<TidList> Database::Probe(const IndexInfo& index, const BtreeKey& key,
+                                KeyMatch match) {
   // Lock-free readers reach the B-tree with no table lock, and vacuum's index
   // rebuild replaces the BTree object under exclusive entry.
   SharedGateLock gate(probe_gate_);
   if (match == KeyMatch::kExact) {
     return index.btree->Lookup(key);
   }
-  std::vector<Tid> tids;
+  TidList tids;
   INV_ASSIGN_OR_RETURN(BTree::Iterator it, index.btree->Seek(key));
   while (it.Valid() && it.key().size() >= key.size() &&
          std::equal(key.begin(), key.end(), it.key().begin())) {

@@ -134,8 +134,7 @@ class Database {
                              const BtreeKey& key, KeyMatch match,
                              const Snapshot& snap, Fn&& fn);
   // The TIDs `index` holds under `key`, read inside the probe gate.
-  Result<std::vector<Tid>> Probe(const IndexInfo& index, const BtreeKey& key,
-                                 KeyMatch match);
+  Result<TidList> Probe(const IndexInfo& index, const BtreeKey& key, KeyMatch match);
 
   // --- administration -------------------------------------------------------
 
@@ -197,7 +196,7 @@ Result<bool> Database::VisitVersions(const TableInfo* table, const IndexInfo* in
   if (index == nullptr) {
     INV_RETURN_IF_ERROR(table->heap->VisitEach(snap, visit));
   } else {
-    INV_ASSIGN_OR_RETURN(const std::vector<Tid> tids, Probe(*index, key, match));
+    INV_ASSIGN_OR_RETURN(const TidList tids, Probe(*index, key, match));
     for (size_t i = 0; i < tids.size() && !stopped; ++i) {
       INV_RETURN_IF_ERROR(table->heap->Visit(snap, tids[i], [&](auto tuple) {
         return visit(tids[i], tuple).status();

@@ -198,8 +198,8 @@ Result<std::optional<std::pair<Tid, Row>>> FirstRow(Database& db, const TableInf
 
 Result<std::optional<std::pair<Tid, Row>>> InversionFs::NamingLookup(
     Oid parent, const std::string& name, const Snapshot& snap) {
-  std::vector<Value> key_vals{Value::MakeOid(parent), Value::Text(name)};
-  INV_ASSIGN_OR_RETURN(BtreeKey key, EncodeKey(key_vals));
+  BtreeKey key = EncodeOidKey(parent);
+  INV_RETURN_IF_ERROR(AppendTextKeyPart(name, &key));
   return FirstRow(*db_, naming_, naming_by_parent_name_, key, snap, [&](const Row& row) {
     return row[1].AsOid() == parent && row[0].AsText() == name;
   });

@@ -98,7 +98,13 @@ uint32_t Page::FreeSpace() const {
 }
 
 Result<uint16_t> Page::AddTuple(std::span<const std::byte> tuple) {
-  const uint32_t need = static_cast<uint32_t>(tuple.size());
+  std::span<std::byte> bytes;
+  INV_ASSIGN_OR_RETURN(const uint16_t slot, ReserveTuple(tuple.size(), &bytes));
+  std::memcpy(bytes.data(), tuple.data(), tuple.size());
+  return slot;
+}
+
+Result<uint16_t> Page::ReserveTuple(size_t need, std::span<std::byte>* bytes) {
   if (need == 0 || need > kPageSize) {
     return Status::InvalidArgument("tuple size out of range");
   }
@@ -107,7 +113,7 @@ Result<uint16_t> Page::AddTuple(std::span<const std::byte> tuple) {
   }
   const uint16_t slot = num_slots();
   const uint16_t new_upper = static_cast<uint16_t>(Upper() - need);
-  std::memcpy(p_ + new_upper, tuple.data(), need);
+  *bytes = {p_ + new_upper, need};
   SetLp(slot, new_upper, static_cast<uint16_t>(need));
   SetUpper(new_upper);
   SetLower(static_cast<uint16_t>(Lower() + kLinePointerSize));

@@ -59,6 +59,9 @@ class Page {
 
   // Append a tuple; returns its slot, or ResourceExhausted if it cannot fit.
   Result<uint16_t> AddTuple(std::span<const std::byte> tuple);
+  // Append a slot of `size` bytes for the caller to fill in place (*bytes),
+  // as AddTuple does with a copy.
+  Result<uint16_t> ReserveTuple(size_t size, std::span<std::byte>* bytes);
 
   // Tuple bytes at `slot`; empty span if the slot is dead. InvalidArgument if
   // the slot is out of range; Corruption if its line pointer reaches outside

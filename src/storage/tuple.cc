@@ -70,6 +70,12 @@ Result<std::vector<std::byte>> EncodeTuple(const Schema& schema, const Row& row,
                                            const TupleMeta& meta) {
   INV_ASSIGN_OR_RETURN(uint32_t size, EncodedTupleSize(schema, row));
   std::vector<std::byte> out(size);
+  EncodeTupleInto(schema, row, meta, out);
+  return out;
+}
+
+void EncodeTupleInto(const Schema& schema, const Row& row, const TupleMeta& meta,
+                     std::span<std::byte> out) {
   std::byte* p = out.data();
   PutU32(p, meta.oid);
   PutU32(p + 4, meta.xmin);
@@ -132,7 +138,6 @@ Result<std::vector<std::byte>> EncodeTuple(const Schema& schema, const Row& row,
     }
   }
   INV_CHECK(d == out.data() + out.size());
-  return out;
 }
 
 namespace {

@@ -37,6 +37,10 @@ struct TupleMeta {
 // Serialize a row. `row` must match `schema` (same arity, compatible types).
 Result<std::vector<std::byte>> EncodeTuple(const Schema& schema, const Row& row,
                                            const TupleMeta& meta);
+// Serialize a row in place: `out` is exactly EncodedTupleSize(schema, row)
+// bytes, which also checked `row` against `schema`. Writes every byte.
+void EncodeTupleInto(const Schema& schema, const Row& row, const TupleMeta& meta,
+                     std::span<std::byte> out);
 
 // Decode all columns of a tuple.
 Result<Row> DecodeTuple(const Schema& schema, std::span<const std::byte> tuple);

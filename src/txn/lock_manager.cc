@@ -170,6 +170,9 @@ Status LockManager::Acquire(TxnId txn, Oid rel, LockMode mode) {
   // appear granted but vanish from the table.
   while (!Compatible(locks_[rel], txn, mode)) {
     if (WouldDeadlock(txn, rel)) {
+      if (wait_span.has_value()) {
+        wait_us_->Observe(wait_span->Finish());
+      }
       return Status::Deadlock("txn " + std::to_string(txn) + " would deadlock on rel " +
                               std::to_string(rel));
     }

@@ -78,11 +78,14 @@ Result<TxnId> TxnManager::Begin(TxnMode mode) {
   span.set_a(xid);
   // Capture after BeginTxn so our own xid is inside the captured horizon
   // (it lands in xip, which is harmless: a snapshot's self-check precedes
-  // the frozen-view check).
-  auto pinned = log_->CaptureState();
+  // the frozen-view check). Capture under mu_, as BeginReadOnly does under
+  // its stripe lock: OldestActiveXmin scans active_ under mu_, so vacuum
+  // sees either this pin or a capture taken after its scan. A capture taken
+  // before the pin was visible could miss a commit that landed in between,
+  // and vacuum then reclaimed the version this snapshot still saw.
   {
     MutexLock lock(mu_);
-    active_[xid] = ActiveTxn{{}, std::move(pinned), false};
+    active_[xid] = ActiveTxn{{}, log_->CaptureState(), false};
   }
   begins_->Add();
   return xid;

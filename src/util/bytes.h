@@ -1,8 +1,10 @@
 // Byte-level encode/decode helpers. All on-page and on-wire integers are
-// little-endian, encoded explicitly so the format is architecture-independent.
+// little-endian, encoded explicitly so the format is architecture-independent,
+// except inside B-tree keys, which are big-endian so that they sort by memcmp.
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -35,6 +37,28 @@ inline uint32_t GetU32(const std::byte* p) {
 inline uint64_t GetU64(const std::byte* p) {
   return static_cast<uint64_t>(GetU32(p)) |
          (static_cast<uint64_t>(GetU32(p + 4)) << 32);
+}
+
+// Big-endian stores for order-preserving encodings (B-tree keys), where the
+// memcmp order of the bytes must be the numeric order of the value. One
+// store each.
+inline void PutBe16(std::byte* p, uint16_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap16(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+inline void PutBe32(std::byte* p, uint32_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
+}
+inline void PutBe64(std::byte* p, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof(v));
 }
 
 // Appending writer used by the RPC marshalling layer and tuple encoder.

@@ -105,12 +105,7 @@ Status VacuumCleaner::RebuildIndex(TableInfo* table, IndexInfo* index) {
   INV_ASSIGN_OR_RETURN(index->btree, BTree::Create(index->oid, db_->buffers_ptr()));
   auto it = table->heap->ScanAll();
   while (it.Next()) {
-    std::vector<Value> key_vals;
-    key_vals.reserve(index->key_columns.size());
-    for (size_t c : index->key_columns) {
-      key_vals.push_back(it.row()[c]);
-    }
-    INV_ASSIGN_OR_RETURN(BtreeKey key, EncodeKey(key_vals));
+    INV_ASSIGN_OR_RETURN(const BtreeKey key, EncodeKey(it.row(), index->key_columns));
     INV_RETURN_IF_ERROR(index->btree->Insert(key, it.tid()));
   }
   return it.status();

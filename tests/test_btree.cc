@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <set>
@@ -76,6 +77,88 @@ TEST(KeyCodec, CompositeOrderMajorToMinor) {
 
 TEST(KeyCodec, NullsNotIndexable) {
   EXPECT_FALSE(EncodeKey(std::vector<Value>{Value::Null()}).ok());
+}
+
+// The encoding as a growing std::vector<std::byte>, byte by byte: the key
+// representation before keys were held inline. BtreeKey must match it for
+// keys that stay inline and keys that move to the heap.
+std::vector<std::byte> ReferenceKey(const std::vector<Value>& values) {
+  std::vector<std::byte> out;
+  auto be = [&](uint64_t v, int bytes) {
+    for (int shift = 8 * (bytes - 1); shift >= 0; shift -= 8) {
+      out.push_back(std::byte{static_cast<uint8_t>(v >> shift)});
+    }
+  };
+  for (const Value& v : values) {
+    if (v.HasType(TypeId::kInt4)) {
+      be(static_cast<uint32_t>(v.AsInt4()) ^ 0x80000000u, 4);
+    } else if (v.HasType(TypeId::kOid)) {
+      be(v.AsOid(), 4);
+    } else if (v.HasType(TypeId::kInt8)) {
+      be(static_cast<uint64_t>(v.AsInt8()) ^ 0x8000000000000000ull, 8);
+    } else {
+      for (char c : v.AsText()) {
+        out.push_back(static_cast<std::byte>(c));
+      }
+      out.push_back(std::byte{0});
+    }
+  }
+  return out;
+}
+
+std::span<const std::byte> Bytes(const BtreeKey& k) { return {k.data(), k.size()}; }
+
+TEST(KeyCodec, InlineAndHeapKeysMatchTheVectorEncoding) {
+  const std::string long_name(230, 'n');  // a naming key far past the inline bytes
+  const std::vector<std::vector<Value>> keys = {
+      {Value::Int4(-7)},
+      {Value::Int4(7)},
+      {Value::Int8(-5'000'000'000)},
+      {Value::MakeOid(42), Value::Text("passwd")},
+      {Value::MakeOid(42), Value::Text(std::string(45, 'x'))},  // fills the inline bytes
+      {Value::MakeOid(42), Value::Text(std::string(52, 'x'))},  // one byte past
+      {Value::MakeOid(42), Value::Text(long_name)},
+      {Value::MakeOid(42), Value::Text(long_name + "a")},
+      {Value::MakeOid(43), Value::Text("a")},
+  };
+  std::vector<BtreeKey> encoded;
+  for (const auto& values : keys) {
+    auto key = EncodeKey(values);
+    ASSERT_TRUE(key.ok());
+    const std::vector<std::byte> want = ReferenceKey(values);
+    EXPECT_TRUE(std::ranges::equal(Bytes(*key), want));
+    EXPECT_EQ(key->on_heap(), want.size() > BtreeKey::kInlineCapacity);
+    encoded.push_back(std::move(*key));
+  }
+  // Same order as the vectors, which compare bytewise like the B-tree.
+  for (size_t i = 0; i < keys.size(); ++i) {
+    for (size_t j = 0; j < keys.size(); ++j) {
+      EXPECT_EQ(encoded[i] < encoded[j], ReferenceKey(keys[i]) < ReferenceKey(keys[j]))
+          << i << " vs " << j;
+      EXPECT_EQ(encoded[i] == encoded[j], i == j) << i << " vs " << j;
+    }
+  }
+  // Copies and moves keep the bytes, inline and on the heap alike.
+  for (const BtreeKey& key : encoded) {
+    BtreeKey copy = key;
+    EXPECT_EQ(copy, key);
+    BtreeKey moved = std::move(copy);
+    EXPECT_EQ(moved, key);
+    EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move): moved-from is empty
+    copy = moved;
+    moved = BtreeKey(Bytes(encoded[0]));
+    EXPECT_EQ(copy, key);
+    EXPECT_EQ(moved, encoded[0]);
+  }
+  // The encoders that build from a held value agree with EncodeKey.
+  BtreeKey naming = EncodeOidKey(42);
+  ASSERT_TRUE(AppendTextKeyPart(long_name, &naming).ok());
+  EXPECT_EQ(naming, encoded[6]);
+  EXPECT_EQ(EncodeInt4Key(-7), encoded[0]);
+  EXPECT_FALSE(AppendTextKeyPart(std::string("a\0b", 3), &naming).ok());
+  const Row row{Value::Text(long_name), Value::MakeOid(42), Value::Int4(1)};
+  const std::vector<size_t> columns{1, 0};
+  EXPECT_EQ(*EncodeKey(row, columns), encoded[6]);
 }
 
 // ---------------------------------------------------------------- B-tree
@@ -163,7 +246,7 @@ TEST_F(BTreeTest, SequentialInsertOrderedScan) {
   ASSERT_TRUE(it.ok());
   int32_t expected = 0;
   while (it->Valid()) {
-    EXPECT_EQ(it->key(), EncodeInt4Key(expected));
+    EXPECT_EQ(BtreeKey(it->key()), EncodeInt4Key(expected));
     ++expected;
     ASSERT_TRUE(it->Advance().ok());
   }
@@ -177,7 +260,7 @@ TEST_F(BTreeTest, SeekPositionsAtLowerBound) {
   auto it = tree_->Seek(EncodeInt4Key(35));
   ASSERT_TRUE(it.ok());
   ASSERT_TRUE(it->Valid());
-  EXPECT_EQ(it->key(), EncodeInt4Key(40));
+  EXPECT_EQ(BtreeKey(it->key()), EncodeInt4Key(40));
 }
 
 TEST_F(BTreeTest, TextKeysWork) {
@@ -191,8 +274,57 @@ TEST_F(BTreeTest, TextKeysWork) {
   EXPECT_EQ((*tids)[0].slot, 2);
 }
 
+// Keys past the inline bytes round-trip through the tree: stored with their
+// TID suffix, found by Lookup, and surfaced whole by the iterator.
+TEST_F(BTreeTest, HeapKeysRoundTrip) {
+  std::vector<BtreeKey> keys;
+  for (int i = 0; i < 40; ++i) {
+    BtreeKey key = EncodeOidKey(7);
+    ASSERT_TRUE(AppendTextKeyPart(std::string(200 + i, static_cast<char>('a' + i % 26)),
+                                  &key).ok());
+    ASSERT_TRUE(key.on_heap());
+    ASSERT_TRUE(tree_->Insert(key, Tid{static_cast<uint32_t>(i), 1}).ok());
+    ASSERT_TRUE(tree_->Insert(key, Tid{static_cast<uint32_t>(i), 2}).ok());
+    keys.push_back(std::move(key));
+  }
+  ASSERT_TRUE(tree_->CheckInvariants().ok());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    auto tids = tree_->Lookup(keys[i]);
+    ASSERT_TRUE(tids.ok());
+    ASSERT_EQ(tids->size(), 2u);
+    EXPECT_EQ((*tids)[0], (Tid{static_cast<uint32_t>(i), 1}));
+    EXPECT_EQ((*tids)[1], (Tid{static_cast<uint32_t>(i), 2}));
+  }
+  std::vector<BtreeKey> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  auto it = tree_->Seek(EncodeOidKey(7));
+  ASSERT_TRUE(it.ok());
+  for (const BtreeKey& want : sorted) {
+    for (int copy = 0; copy < 2; ++copy) {
+      ASSERT_TRUE(it->Valid());
+      EXPECT_EQ(BtreeKey(it->key()), want);
+      ASSERT_TRUE(it->Advance().ok());
+    }
+  }
+  EXPECT_FALSE(it->Valid());
+}
+
+// A key with more versions than a TidList keeps inline returns them all.
+TEST_F(BTreeTest, LookupPastTheInlineVersions) {
+  for (uint16_t s = 0; s < 3 * TidList::kInlineCapacity; ++s) {
+    ASSERT_TRUE(tree_->Insert(EncodeInt4Key(3), Tid{9, s}).ok());
+  }
+  auto tids = tree_->Lookup(EncodeInt4Key(3));
+  ASSERT_TRUE(tids.ok());
+  ASSERT_EQ(tids->size(), 3 * TidList::kInlineCapacity);
+  EXPECT_TRUE(tids->on_heap());
+  for (uint16_t s = 0; s < tids->size(); ++s) {
+    EXPECT_EQ((*tids)[s], (Tid{9, s}));
+  }
+}
+
 TEST_F(BTreeTest, OversizedKeyRejected) {
-  BtreeKey huge(4000, std::byte{1});
+  const BtreeKey huge(std::vector<std::byte>(4000, std::byte{1}));
   EXPECT_FALSE(tree_->Insert(huge, Tid{0, 0}).ok());
 }
 

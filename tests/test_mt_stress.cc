@@ -452,7 +452,7 @@ TEST_F(MtStressTest, ReadOnlyRegistryUnderWriterAndVacuum) {
   auto read_all = [&](const Snapshot& snap, std::vector<int>* out) {
     out->clear();
     for (int k = 0; k < kKeys; ++k) {
-      Result<std::vector<Tid>> found = [&] {
+      Result<TidList> found = [&] {
         SharedGateLock gate(db.probe_gate());
         return index->btree->Lookup(EncodeInt4Key(k));
       }();

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <barrier>
 #include <chrono>
 #include <functional>
@@ -22,6 +23,7 @@
 #include "src/obs/span.h"
 #include "src/obs/tenant.h"
 #include "src/obs/trace.h"
+#include "src/txn/lock_manager.h"
 
 namespace invfs {
 namespace {
@@ -587,6 +589,52 @@ TEST(LatencyHistogramTest, ObservationsAreTheirSpansDurations) {
   }
   EXPECT_GE(metrics.GetHistogram("lock.wait_us")->Sum(), 1000u)
       << "the blocked open waited ~5 ms";
+}
+
+// A wait that ends in a deadlock abort is observed like one that ends in a
+// grant: every `lock.wait` span has its lock.wait_us observation. Txn 1
+// waits behind txn 3 for rel 300 and txn 2 behind txn 1 for rel 100; txn 2,
+// from a second thread, then shares rel 300 with txn 3 (a new shared holder
+// queues behind no one). When txn 3 leaves, rel 300 is held by txn 2, which
+// waits for txn 1: whichever of the two waiters wakes first finds the cycle
+// and gives up after its wait.
+TEST(LatencyHistogramTest, WaitsEndingInDeadlockAreObserved) {
+  MetricsRegistry metrics;
+  LockManager lm(&metrics);
+  Counter* waits = metrics.GetCounter("lock.waits");
+  Histogram* wait_us = metrics.GetHistogram("lock.wait_us");
+  ASSERT_TRUE(lm.Acquire(3, 300, LockMode::kShared).ok());
+  ASSERT_TRUE(lm.Acquire(1, 100, LockMode::kExclusive).ok());
+  auto block_until_waits = [&](uint64_t n) {
+    while (waits->Value() < n) {
+      std::this_thread::yield();
+    }
+  };
+  // A deadlock victim releases everything, as Database::LockTable's abort
+  // does, so the survivor's wait ends in a grant.
+  std::atomic<int> deadlocks{0};
+  auto acquire = [&](TxnId txn, Oid rel) {
+    Status s = lm.Acquire(txn, rel, LockMode::kExclusive);
+    if (s.IsDeadlock()) {
+      ++deadlocks;
+      lm.ReleaseAll(txn);
+    } else {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  };
+  std::thread t1(acquire, 1, 300);
+  block_until_waits(1);
+  std::thread t2(acquire, 2, 100);
+  block_until_waits(2);
+  ASSERT_TRUE(lm.Acquire(2, 300, LockMode::kShared).ok());
+  lm.ReleaseAll(3);
+  t1.join();
+  t2.join();
+  lm.ReleaseAll(1);
+  lm.ReleaseAll(2);
+  EXPECT_EQ(deadlocks.load(), 1);
+  EXPECT_EQ(waits->Value(), 2u);
+  EXPECT_EQ(wait_us->Count(), waits->Value());
 }
 
 // An entry point times and counts every outcome: a request that fails
