@@ -51,8 +51,9 @@ BENCHMARK(BM_BtreeInsertLookup);
 
 // One warm Int4 leaf of 450 entries, nearly full (an Int4 leaf holds 453):
 // the tree is just its root, so each operation pins the meta page and the
-// leaf and spends the rest scanning or editing the leaf's bytes. Even keys
-// are stored, so an odd key inserts mid-leaf.
+// leaf and spends the rest searching or editing the leaf's bytes. Even keys
+// are stored, so an odd key inserts mid-leaf. The benchmark's argument is the
+// tree's key width: 0 walks the leaf's entries, 4 bisects it as an array.
 struct WarmLeaf {
   static constexpr int32_t kEntries = 450;
   SimClock clock;
@@ -61,7 +62,7 @@ struct WarmLeaf {
   std::unique_ptr<BufferPool> pool;
   std::unique_ptr<BTree> tree;
 
-  bool Build() {
+  bool Build(size_t key_width) {
     sw.Register(kDeviceMagneticDisk, std::make_unique<MagneticDiskDevice>(
                                          &store, &clock, DiskParams{}));
     sw.BindRelation(1, kDeviceMagneticDisk);
@@ -69,7 +70,7 @@ struct WarmLeaf {
     if (!sw.Get(kDeviceMagneticDisk)->CreateRelation(1).ok()) {
       return false;
     }
-    auto created = BTree::Create(1, pool.get());
+    auto created = BTree::Create(1, pool.get(), key_width);
     if (!created.ok()) {
       return false;
     }
@@ -86,7 +87,7 @@ struct WarmLeaf {
 
 void BM_BtreeLeafLookup(benchmark::State& state) {
   WarmLeaf leaf;
-  if (!leaf.Build()) {
+  if (!leaf.Build(static_cast<size_t>(state.range(0)))) {
     state.SkipWithError("leaf setup failed");
     return;
   }
@@ -101,11 +102,11 @@ void BM_BtreeLeafLookup(benchmark::State& state) {
     benchmark::DoNotOptimize(tids);
   }
 }
-BENCHMARK(BM_BtreeLeafLookup);
+BENCHMARK(BM_BtreeLeafLookup)->Arg(0)->Arg(4);
 
 void BM_BtreeLeafInsertRemove(benchmark::State& state) {
   WarmLeaf leaf;
-  if (!leaf.Build()) {
+  if (!leaf.Build(static_cast<size_t>(state.range(0)))) {
     state.SkipWithError("leaf setup failed");
     return;
   }
@@ -123,7 +124,7 @@ void BM_BtreeLeafInsertRemove(benchmark::State& state) {
     }
   }
 }
-BENCHMARK(BM_BtreeLeafInsertRemove);
+BENCHMARK(BM_BtreeLeafInsertRemove)->Arg(0)->Arg(4);
 
 void BM_LzssRoundtrip(benchmark::State& state) {
   std::string text;

@@ -193,6 +193,13 @@ run_metrics_overhead() {
   done
   echo "==> [metrics] BM_ScopedSpan median cpu_time (instrumented, not gated):" \
        "$(median_cpu_time "$on_dir" BM_ScopedSpan)ns"
+  # Printed, not gated: one warm Int4 leaf searched and edited as a
+  # variable-width node (/0, walked) and as a fixed-width array (/4, bisected).
+  for bench in BM_BtreeLeafLookup/0 BM_BtreeLeafLookup/4 \
+               BM_BtreeLeafInsertRemove/0 BM_BtreeLeafInsertRemove/4; do
+    echo "==> [metrics] $bench median cpu_time (instrumented, not gated):" \
+         "$(median_cpu_time "$on_dir" "$bench")ns"
+  done
 
   echo "==> [metrics] invfs_bench mt (INVFS_NO_METRICS): registry-derived fields must be null"
   local mt_json="$off_dir/invfs_bench_mt.json"

@@ -1,6 +1,5 @@
 #include "src/access/btree.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/access/btree_layout.h"
@@ -14,15 +13,6 @@ namespace {
 // Node and meta-page byte layout lives in btree_layout.h, shared with the
 // offline verifier.
 using namespace btree_layout;  // NOLINT(google-build-using-namespace)
-
-int CompareKeys(std::span<const std::byte> a, std::span<const std::byte> b) {
-  const size_t n = std::min(a.size(), b.size());
-  const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
-  if (c != 0) {
-    return c;
-  }
-  return a.size() < b.size() ? -1 : (a.size() == b.size() ? 0 : 1);
-}
 
 // Stored node keys are the user key with the TID appended (big-endian, so
 // memcmp order is preserved). This makes every stored key unique, which keeps
@@ -45,19 +35,34 @@ struct Entry {
   uint32_t child = 0;  // internal payload
 };
 
-// Bounds-checked walk over a node's packed entries, in key order. The node's
-// `used` must fit the entry area, every entry must end within `used` and
-// carry a stored key long enough for its TID suffix, and the last entry must
-// end exactly at `used`. A node that breaks a rule stops the walk with
-// Corruption rather than letting it read past the frame.
+// Where a search lands in a node: the entry's index and entry-area offset
+// (nkeys and `used` past the last entry), and the offset of the entry before
+// it, whose child an internal node descends to (unset at index 0).
+struct Slot {
+  uint16_t index = 0;
+  uint32_t offset = 0;
+  uint32_t prev = 0;
+};
+
+// Bound's two searches: the first entry that sorts at or after the key, or
+// the first that sorts after it.
+enum class BoundKind { kLower, kUpper };
+
+// Bounds-checked walk over a node's packed entries, in key order, from a
+// slot on. The node's `used` must fit the entry area, every entry must end
+// within `used` and carry a stored key long enough for its TID suffix (on a
+// fixed-width tree, exactly the tree's stored key length), and the last
+// entry must end exactly at `used`. A node that breaks a rule stops the walk
+// with Corruption rather than letting it read past the frame.
 struct EntryCursor {
   const std::byte* area;
   uint32_t used;
-  uint16_t left;     // entries not yet visited
-  uint32_t payload;  // 6 (leaf TID) or 4 (internal child)
+  uint16_t left;        // entries not yet visited
+  uint32_t payload;     // 6 (leaf TID) or 4 (internal child)
+  uint32_t fixed_klen;  // every stored key's length, or 0 when they vary
+  uint32_t end;         // the current entry's bytes are [begin, end) of the area
   bool bad = used > kEntryArea;
-  uint32_t begin = 0;  // the current entry's bytes, [begin, end) of the area
-  uint32_t end = 0;
+  uint32_t begin = 0;
   uint16_t klen = 0;
 
   // Steps onto the next entry. False at the end of the node, or at a
@@ -73,7 +78,8 @@ struct EntryCursor {
     }
     --left;
     klen = used - begin < 2 ? 0 : GetU16(area + begin);
-    bad = used - begin < 2 + klen + payload || klen < kTidSuffix;
+    bad = used - begin < 2 + klen + payload || klen < kTidSuffix ||
+          (fixed_klen != 0 && klen != fixed_klen);
     end = begin + 2 + klen + payload;
     return !bad;
   }
@@ -100,6 +106,7 @@ struct EntryCursor {
 // materialize entries (Decode/Encode).
 struct NodeView {
   std::byte* p;
+  size_t key_width;  // the tree's; 0 when its keys vary
 
   bool leaf() const { return static_cast<uint8_t>(p[kOffType]) == kNodeLeaf; }
   void set_type(bool is_leaf) {
@@ -123,9 +130,17 @@ struct NodeView {
     set_counts(0, 0);
   }
 
-  EntryCursor Entries() const {
-    return EntryCursor{p + kOffEntries, used(), nkeys(), leaf() ? 6u : 4u};
+  uint32_t payload() const { return leaf() ? 6 : 4; }
+  uint32_t fixed_klen() const {
+    return key_width == 0 ? 0 : static_cast<uint32_t>(key_width + kTidSuffix);
   }
+
+  EntryCursor EntriesFrom(Slot at) const {
+    return EntryCursor{p + kOffEntries, used(),
+                       static_cast<uint16_t>(nkeys() - at.index), payload(),
+                       fixed_klen(), at.offset};
+  }
+  EntryCursor Entries() const { return EntriesFrom(Slot{}); }
 
   Result<std::vector<Entry>> Decode() const {
     std::vector<Entry> out;
@@ -153,17 +168,56 @@ struct NodeView {
     }
   }
 
-  // Entry-area offset where `key` belongs: before the first entry that sorts
-  // after it, so an insert lands after any run of equal keys.
-  Result<uint32_t> UpperBound(std::span<const std::byte> key) const {
-    EntryCursor c = Entries();
-    while (c.Next()) {
-      if (CompareKeys(key, c.key()) < 0) {
-        return c.begin;
+  // The one positioned search over a node's stored keys: the first entry
+  // that sorts at or after `key` (kLower) or after it (kUpper), or the end of
+  // the node. On a fixed-width tree the node is an array and is bisected:
+  // an O(1) check that `used` fits the entry area and is exactly nkeys
+  // entries, and a key-length check at every probe, keep each probe inside
+  // `used`. A variable-width node is walked from its first entry.
+  Result<Slot> Bound(std::span<const std::byte> key, BoundKind kind) const {
+    auto at_or_past = [&](std::span<const std::byte> stored) {
+      const int c = CompareKeys(stored, key);
+      return kind == BoundKind::kLower ? c >= 0 : c > 0;
+    };
+    if (key_width == 0) {
+      Slot s;
+      EntryCursor c = Entries();
+      while (c.Next()) {
+        if (at_or_past(c.key())) {
+          s.offset = c.begin;
+          return s;
+        }
+        s.prev = c.begin;
+        ++s.index;
+      }
+      INV_RETURN_IF_ERROR(c.status());
+      s.offset = used();
+      return s;
+    }
+    const uint32_t klen = fixed_klen();
+    const uint32_t stride = 2 + klen + payload();
+    const uint32_t n = nkeys();
+    if (used() > kEntryArea || used() != n * stride) {
+      return Status::Corruption("btree node used byte count is not a whole number "
+                                "of its fixed-width entries");
+    }
+    const std::byte* area = p + kOffEntries;
+    uint32_t lo = 0;
+    uint32_t hi = n;
+    while (lo < hi) {
+      const uint32_t mid = (lo + hi) / 2;
+      const std::byte* e = area + mid * stride;
+      if (GetU16(e) != klen) {
+        return Status::Corruption("btree entry key length disagrees with the "
+                                  "tree's key width");
+      }
+      if (at_or_past({e + 2, klen})) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
       }
     }
-    INV_RETURN_IF_ERROR(c.status());
-    return used();
+    return Slot{static_cast<uint16_t>(lo), lo * stride, lo == 0 ? 0 : (lo - 1) * stride};
   }
 
   // Inserts an entry at entry-area offset `at` by shifting the tail right.
@@ -197,22 +251,23 @@ struct NodeView {
     set_counts(nkeys() - 1, used() - (end - begin));
   }
 
-  // In-place descent: child covering `key` (internal nodes only).
+  // In-place descent: child covering `key` (internal nodes only), the child
+  // of the last entry that sorts at or before it.
   Result<uint32_t> ChildFor(std::span<const std::byte> key) const {
-    uint32_t child = leftmost_child();
-    EntryCursor c = Entries();
-    while (c.Next() && CompareKeys(key, c.key()) >= 0) {
-      child = c.child();
+    INV_ASSIGN_OR_RETURN(const Slot s, Bound(key, BoundKind::kUpper));
+    if (s.index == 0) {
+      return leftmost_child();
     }
-    INV_RETURN_IF_ERROR(c.status());
-    return child;
+    const std::byte* e = p + kOffEntries + s.prev;  // validated by Bound
+    return GetU32(e + 2 + GetU16(e));
   }
 };
 
 }  // namespace
 
-Result<std::unique_ptr<BTree>> BTree::Create(Oid rel, BufferPool* pool) {
-  auto tree = std::unique_ptr<BTree>(new BTree(rel, pool));
+Result<std::unique_ptr<BTree>> BTree::Create(Oid rel, BufferPool* pool,
+                                             size_t key_width) {
+  auto tree = std::unique_ptr<BTree>(new BTree(rel, pool, key_width));
   uint32_t meta_block = 0;
   INV_ASSIGN_OR_RETURN(PageRef meta, pool->Extend(rel, &meta_block));
   if (meta_block != 0) {
@@ -220,7 +275,7 @@ Result<std::unique_ptr<BTree>> BTree::Create(Oid rel, BufferPool* pool) {
   }
   uint32_t root_block = 0;
   INV_ASSIGN_OR_RETURN(PageRef root, pool->Extend(rel, &root_block));
-  NodeView view{root.data()};
+  NodeView view{root.data(), key_width};
   view.InitNode(/*is_leaf=*/true);
   root.MarkDirty();
   PutU32(meta.data() + kOffMetaMagic, kBtreeMetaMagic);
@@ -229,8 +284,9 @@ Result<std::unique_ptr<BTree>> BTree::Create(Oid rel, BufferPool* pool) {
   return tree;
 }
 
-Result<std::unique_ptr<BTree>> BTree::Open(Oid rel, BufferPool* pool) {
-  auto tree = std::unique_ptr<BTree>(new BTree(rel, pool));
+Result<std::unique_ptr<BTree>> BTree::Open(Oid rel, BufferPool* pool,
+                                           size_t key_width) {
+  auto tree = std::unique_ptr<BTree>(new BTree(rel, pool, key_width));
   // Single-threaded open, but RootBlock carries REQUIRES_SHARED(mu_) and a
   // static member gets no constructor exemption from the analysis.
   ReaderMutexLock lock(tree->mu_);
@@ -258,16 +314,16 @@ Status BTree::SetRootBlock(uint32_t root) {
 Result<uint32_t> BTree::NewNode(bool leaf) {
   uint32_t block = 0;
   INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Extend(rel_, &block));
-  NodeView view{ref.data()};
+  NodeView view{ref.data(), key_width_};
   view.InitNode(leaf);
   ref.MarkDirty();
   return block;
 }
 
-Result<BTree::SplitResult> BTree::InsertRec(uint32_t block, const BtreeKey& key,
-                                            Tid tid) {
+Status BTree::InsertRec(uint32_t block, const BtreeKey& key, Tid tid,
+                        SplitResult* result) {
   INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, block));
-  NodeView view{ref.data()};
+  NodeView view{ref.data(), key_width_};
   const bool leaf = view.leaf();
 
   // A leaf takes the new entry itself; an internal node descends, and takes
@@ -275,25 +331,22 @@ Result<BTree::SplitResult> BTree::InsertRec(uint32_t block, const BtreeKey& key,
   SplitResult child_split;
   if (!leaf) {
     INV_ASSIGN_OR_RETURN(uint32_t child, view.ChildFor(key));
-    INV_ASSIGN_OR_RETURN(child_split, InsertRec(child, key, tid));
+    INV_RETURN_IF_ERROR(InsertRec(child, key, tid, &child_split));
     if (!child_split.split) {
-      return SplitResult{};
+      return Status::Ok();
     }
   }
   const BtreeKey& new_key = leaf ? key : child_split.separator;
-  INV_ASSIGN_OR_RETURN(uint32_t at, view.UpperBound(new_key));
-  if (view.InsertAt(at, new_key, tid, child_split.right_block)) {
+  // After any run of equal keys (stable for duplicate keys).
+  INV_ASSIGN_OR_RETURN(const Slot at, view.Bound(new_key, BoundKind::kUpper));
+  if (view.InsertAt(at.offset, new_key, tid, child_split.right_block)) {
     ref.MarkDirty();
-    return SplitResult{};
+    return Status::Ok();
   }
 
   // The node is full: materialize its entries with the new one in place.
   INV_ASSIGN_OR_RETURN(std::vector<Entry> entries, view.Decode());
-  // Insert after any run of equal keys (stable for duplicate keys).
-  auto pos = std::upper_bound(
-      entries.begin(), entries.end(), new_key,
-      [](const BtreeKey& k, const Entry& e) { return CompareKeys(k, e.key) < 0; });
-  entries.insert(pos, Entry{new_key, tid, child_split.right_block});
+  entries.insert(entries.begin() + at.index, Entry{new_key, tid, child_split.right_block});
 
   // Split: the upper half moves to a fresh right sibling. A leaf copies that
   // half's first key up as the separator; an internal node moves its middle
@@ -302,17 +355,16 @@ Result<BTree::SplitResult> BTree::InsertRec(uint32_t block, const BtreeKey& key,
     CrashPointRegistry::Hit("btree.split");
   }
   const size_t m = entries.size() / 2;
-  SplitResult result;
-  result.split = true;
-  result.separator = entries[m].key;
-  INV_ASSIGN_OR_RETURN(result.right_block, NewNode(leaf));
-  INV_ASSIGN_OR_RETURN(PageRef right_ref, pool_->Pin(rel_, result.right_block));
-  NodeView right{right_ref.data()};
+  result->split = true;
+  result->separator = entries[m].key;
+  INV_ASSIGN_OR_RETURN(result->right_block, NewNode(leaf));
+  INV_ASSIGN_OR_RETURN(PageRef right_ref, pool_->Pin(rel_, result->right_block));
+  NodeView right{right_ref.data(), key_width_};
   if (!leaf) {
     right.set_leftmost_child(entries[m].child);
   }
   right.set_right_sibling(view.right_sibling());
-  view.set_right_sibling(result.right_block);
+  view.set_right_sibling(result->right_block);
   std::vector<Entry> right_entries(
       entries.begin() + static_cast<ptrdiff_t>(leaf ? m : m + 1), entries.end());
   entries.resize(m);
@@ -320,23 +372,29 @@ Result<BTree::SplitResult> BTree::InsertRec(uint32_t block, const BtreeKey& key,
   view.Encode(entries);
   right_ref.MarkDirty();
   ref.MarkDirty();
-  return result;
+  return Status::Ok();
 }
 
 Status BTree::Insert(const BtreeKey& key, Tid tid) {
   if (key.size() > kEntryArea / 4) {
     return Status::InvalidArgument("btree key too large");
   }
+  if (key_width_ != 0 && key.size() != key_width_) {
+    return Status::InvalidArgument("btree key of " + std::to_string(key.size()) +
+                                   " bytes in a tree of " + std::to_string(key_width_) +
+                                   "-byte keys");
+  }
   WriterMutexLock lock(mu_);
   const BtreeKey stored = CombineKey(key, tid);
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
-  INV_ASSIGN_OR_RETURN(SplitResult split, InsertRec(root, stored, tid));
+  SplitResult split;
+  INV_RETURN_IF_ERROR(InsertRec(root, stored, tid, &split));
   if (!split.split) {
     return Status::Ok();
   }
   INV_ASSIGN_OR_RETURN(uint32_t new_root, NewNode(/*leaf=*/false));
   INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, new_root));
-  NodeView view{ref.data()};
+  NodeView view{ref.data(), key_width_};
   view.set_leftmost_child(root);
   INV_CHECK(view.InsertAt(0, split.separator, Tid{}, split.right_block));
   ref.MarkDirty();
@@ -347,7 +405,7 @@ Result<uint32_t> BTree::FindLeaf(uint32_t block, const BtreeKey& key) const {
   uint32_t current = block;
   for (;;) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, current));
-    NodeView view{ref.data()};
+    NodeView view{ref.data(), key_width_};
     if (view.leaf()) {
       return current;
     }
@@ -365,18 +423,16 @@ Status BTree::Remove(const BtreeKey& key, Tid tid) {
   INV_ASSIGN_OR_RETURN(uint32_t current, FindLeaf(root, stored));
   while (current != kNoBlock) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, current));
-    NodeView view{ref.data()};
-    EntryCursor c = view.Entries();
-    while (c.Next()) {
-      const int cmp = CompareKeys(c.key(), stored);
-      if (cmp > 0) {
+    NodeView view{ref.data(), key_width_};
+    INV_ASSIGN_OR_RETURN(const Slot at, view.Bound(stored, BoundKind::kLower));
+    EntryCursor c = view.EntriesFrom(at);
+    if (c.Next()) {
+      if (CompareKeys(c.key(), stored) != 0) {
         return Status::NotFound("btree entry not found");
       }
-      if (cmp == 0) {
-        view.EraseAt(c.begin, c.end);
-        ref.MarkDirty();
-        return Status::Ok();
-      }
+      view.EraseAt(c.begin, c.end);
+      ref.MarkDirty();
+      return Status::Ok();
     }
     INV_RETURN_IF_ERROR(c.status());
     current = view.right_sibling();
@@ -393,8 +449,10 @@ Result<TidList> BTree::Lookup(const BtreeKey& key) const {
   TidList out;
   while (current != kNoBlock) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, current));
-    NodeView view{ref.data()};
-    EntryCursor c = view.Entries();
+    NodeView view{ref.data(), key_width_};
+    // Every entry before the bound holds a smaller user key.
+    INV_ASSIGN_OR_RETURN(const Slot at, view.Bound(lower, BoundKind::kLower));
+    EntryCursor c = view.EntriesFrom(at);
     while (c.Next()) {
       const int cmp = CompareKeys(c.user_key(), key);
       if (cmp > 0) {
@@ -424,22 +482,24 @@ Status BTree::Iterator::LoadLeaf(uint32_t block, const BtreeKey* lo) {
   leaf_.clear();
   pos_ = 0;
   INV_ASSIGN_OR_RETURN(PageRef ref, tree_->pool_->Pin(tree_->rel_, block));
-  NodeView view{ref.data()};
+  NodeView view{ref.data(), tree_->key_width_};
   if (!view.leaf()) {
     return Status::Corruption("btree sibling chain reaches an internal node");
   }
-  // The whole node is validated before any of it is copied: key() and
-  // Advance() then walk the copy unchecked.
-  EntryCursor c = view.Entries();
-  uint32_t first = view.used();  // the first entry in range, once seen
+  // The first entry in range: its stored key sorts at or after lo, as its
+  // user key does for any lo no longer than the keys. Every entry from it on
+  // is validated before any is copied: key() and Advance() then walk the
+  // copy unchecked.
+  Slot first;
+  if (lo != nullptr) {
+    INV_ASSIGN_OR_RETURN(first, view.Bound(*lo, BoundKind::kLower));
+  }
+  EntryCursor c = view.EntriesFrom(first);
   while (c.Next()) {
-    if (c.begin < first && (lo == nullptr || CompareKeys(c.user_key(), *lo) >= 0)) {
-      first = c.begin;
-    }
   }
   INV_RETURN_IF_ERROR(c.status());
   const std::byte* area = ref.data() + kOffEntries;
-  leaf_.assign(area + first, area + view.used());
+  leaf_.assign(area + first.offset, area + view.used());
   next_leaf_ = view.right_sibling();
   return Status::Ok();
 }
@@ -498,7 +558,7 @@ Status BTree::CheckInvariants() const {
     Item item = std::move(stack.back());
     stack.pop_back();
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, item.block));
-    NodeView view{ref.data()};
+    NodeView view{ref.data(), key_width_};
     // Decode walks the bounds-checked cursor, which also checks `used`.
     INV_ASSIGN_OR_RETURN(std::vector<Entry> entries, view.Decode());
     for (size_t i = 1; i < entries.size(); ++i) {

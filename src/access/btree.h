@@ -10,8 +10,17 @@
 // both old and current blocks"). Vacuum rebuilds indices after expunging.
 //
 // Layout: block 0 is a meta page holding the root block number; every other
-// block is a node. Nodes keep entries byte-packed in sorted order. Searches,
-// inserts and removes work on those bytes in place; only a split decodes them.
+// block is a node. Nodes keep entries byte-packed in sorted order, each a u16
+// key length, the stored key (the user key with its TID appended) and the
+// payload (btree_layout.h). Searches, inserts and removes work on those bytes
+// in place; only a split decodes them.
+//
+// When every key of the index has one length (no text column: the chunk
+// index, fileatt(oid), naming(oid)), the tree is told that width, derived
+// from the schema and never stored. Every entry of a node is then the same
+// size, so the node is an array: entry i starts at i * stride and a search
+// bisects it. A variable-width tree (naming(parent, name)) walks its entries
+// from the first. Both read and write the same page bytes.
 
 #pragma once
 
@@ -35,14 +44,20 @@ using TidList = InlineVector<Tid, 8>;
 class BTree {
  public:
   // Create a fresh index in relation `rel` (already created on its device).
-  static Result<std::unique_ptr<BTree>> Create(Oid rel, BufferPool* pool);
-  // Open an existing index.
-  static Result<std::unique_ptr<BTree>> Open(Oid rel, BufferPool* pool);
+  // `key_width` is the length of every key (FixedKeyWidth), or 0 when the
+  // keys vary.
+  static Result<std::unique_ptr<BTree>> Create(Oid rel, BufferPool* pool,
+                                               size_t key_width);
+  // Open an existing index, with the key width it was created with.
+  static Result<std::unique_ptr<BTree>> Open(Oid rel, BufferPool* pool,
+                                             size_t key_width);
 
   Oid rel() const { return rel_; }
+  size_t key_width() const { return key_width_; }
 
   // Insert (key, tid). Duplicate keys are allowed; the (key, tid) pair should
-  // be unique (the heap never produces the same TID twice).
+  // be unique (the heap never produces the same TID twice). A fixed-width
+  // tree refuses a key of another length.
   Status Insert(const BtreeKey& key, Tid tid);
 
   // Remove the entry matching (key, tid) exactly. NotFound if absent.
@@ -78,7 +93,8 @@ class BTree {
   Result<Iterator> Seek(const BtreeKey& lo) const;
 
   // Structural validation for tests: sorted keys within parent bounds, `used`
-  // matching the entries, one leaf depth, sibling chain in tree order.
+  // matching the entries (each of the tree's width, if it has one), one leaf
+  // depth, sibling chain in tree order.
   Status CheckInvariants() const;
 
   // Number of entries (full scan; tests and vacuum statistics).
@@ -87,7 +103,8 @@ class BTree {
   static constexpr uint32_t kNoBlock = 0xFFFFFFFF;
 
  private:
-  BTree(Oid rel, BufferPool* pool) : rel_(rel), pool_(pool) {}
+  BTree(Oid rel, BufferPool* pool, size_t key_width)
+      : rel_(rel), pool_(pool), key_width_(key_width) {}
 
   struct SplitResult {
     bool split = false;
@@ -104,7 +121,9 @@ class BTree {
   Status SetRootBlock(uint32_t root) REQUIRES(mu_);
   Result<uint32_t> NewNode(bool leaf) REQUIRES(mu_);
 
-  Result<SplitResult> InsertRec(uint32_t block, const BtreeKey& key, Tid tid)
+  // Inserts into the subtree at `block`. If the node splits, `*result` gets
+  // the separator and the new right sibling for the parent to take.
+  Status InsertRec(uint32_t block, const BtreeKey& key, Tid tid, SplitResult* result)
       REQUIRES(mu_);
   // Descend from `block` to the leaf that could contain `key`.
   Result<uint32_t> FindLeaf(uint32_t block, const BtreeKey& key) const
@@ -112,6 +131,7 @@ class BTree {
 
   Oid rel_;
   BufferPool* pool_;
+  const size_t key_width_;  // 0: keys vary in length
   mutable SharedMutex mu_;
 };
 

@@ -99,4 +99,28 @@ BtreeKey EncodeTextKey(std::string_view s) {
   return out;
 }
 
+size_t FixedKeyWidth(const Schema& schema, std::span<const size_t> key_columns) {
+  size_t width = 0;
+  for (size_t c : key_columns) {
+    switch (schema.column(c).type) {
+      case TypeId::kBool:
+        width += 1;
+        break;
+      case TypeId::kInt4:
+      case TypeId::kOid:
+        width += 4;
+        break;
+      case TypeId::kInt8:
+      case TypeId::kFloat8:
+      case TypeId::kTimestamp:
+        width += 8;
+        break;
+      case TypeId::kText:
+      case TypeId::kBytea:
+        return 0;
+    }
+  }
+  return width;
+}
+
 }  // namespace invfs

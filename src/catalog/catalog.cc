@@ -258,7 +258,9 @@ Status Catalog::Load() {
       info->oid = index_oid;
       info->table = table_oid;
       info->key_columns = DecodeKeyColumns(r[2].AsText());
-      INV_ASSIGN_OR_RETURN(info->btree, BTree::Open(index_oid, pool_));
+      INV_ASSIGN_OR_RETURN(info->btree,
+                           BTree::Open(index_oid, pool_,
+                                       FixedKeyWidth(tit->second->schema, info->key_columns)));
       tit->second->indexes.push_back(info.get());
       max_oid = std::max(max_oid, index_oid);
       indexes_[index_oid] = std::move(info);
@@ -348,7 +350,8 @@ Result<IndexInfo*> Catalog::CreateIndex(TxnId txn, TableInfo* table,
   info->oid = oid;
   info->table = table->oid;
   info->key_columns = key_columns;
-  INV_ASSIGN_OR_RETURN(info->btree, BTree::Create(oid, pool_));
+  INV_ASSIGN_OR_RETURN(info->btree,
+                       BTree::Create(oid, pool_, FixedKeyWidth(table->schema, key_columns)));
   // BTree::Create just dirtied the meta and root pages through the buffer
   // pool. If this txn commits without a single index insert (an empty file's
   // chunk index, say), nothing else puts the relation in the commit's flush

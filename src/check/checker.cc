@@ -1,7 +1,6 @@
 #include "src/check/checker.h"
 
 #include <algorithm>
-#include <cstring>
 #include <optional>
 #include <set>
 #include <string_view>
@@ -36,15 +35,6 @@ Oid ParseChunkTableName(const std::string& name) {
     oid = oid * 10 + static_cast<Oid>(name[i] - '0');
   }
   return oid;
-}
-
-int CompareKeys(std::span<const std::byte> a, std::span<const std::byte> b) {
-  const size_t n = std::min(a.size(), b.size());
-  const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
-  if (c != 0) {
-    return c;
-  }
-  return a.size() < b.size() ? -1 : (a.size() == b.size() ? 0 : 1);
 }
 
 std::string KeyOf(const Row& row, const std::vector<size_t>& key_columns) {

@@ -39,9 +39,9 @@ inline uint64_t GetU64(const std::byte* p) {
          (static_cast<uint64_t>(GetU32(p + 4)) << 32);
 }
 
-// Big-endian stores for order-preserving encodings (B-tree keys), where the
-// memcmp order of the bytes must be the numeric order of the value. One
-// store each.
+// Big-endian stores and loads for order-preserving encodings (B-tree keys),
+// where the memcmp order of the bytes must be the numeric order of the value.
+// One store or load each.
 inline void PutBe16(std::byte* p, uint16_t v) {
   if constexpr (std::endian::native == std::endian::little) {
     v = __builtin_bswap16(v);
@@ -59,6 +59,22 @@ inline void PutBe64(std::byte* p, uint64_t v) {
     v = __builtin_bswap64(v);
   }
   std::memcpy(p, &v, sizeof(v));
+}
+inline uint32_t GetBe32(const std::byte* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+inline uint64_t GetBe64(const std::byte* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
 }
 
 // Appending writer used by the RPC marshalling layer and tuple encoder.

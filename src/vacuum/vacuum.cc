@@ -102,7 +102,9 @@ Status VacuumCleaner::RebuildIndex(TableInfo* table, IndexInfo* index) {
   db_->buffers().DiscardRelation(index->oid);
   INV_RETURN_IF_ERROR(mgr->DropRelation(index->oid));
   INV_RETURN_IF_ERROR(mgr->CreateRelation(index->oid));
-  INV_ASSIGN_OR_RETURN(index->btree, BTree::Create(index->oid, db_->buffers_ptr()));
+  INV_ASSIGN_OR_RETURN(index->btree,
+                       BTree::Create(index->oid, db_->buffers_ptr(),
+                                     FixedKeyWidth(table->schema, index->key_columns)));
   auto it = table->heap->ScanAll();
   while (it.Next()) {
     INV_ASSIGN_OR_RETURN(const BtreeKey key, EncodeKey(it.row(), index->key_columns));

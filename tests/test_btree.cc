@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <map>
 #include <set>
 #include <thread>
@@ -77,6 +78,93 @@ TEST(KeyCodec, CompositeOrderMajorToMinor) {
 
 TEST(KeyCodec, NullsNotIndexable) {
   EXPECT_FALSE(EncodeKey(std::vector<Value>{Value::Null()}).ok());
+}
+
+// The width of every key an index over a schema's columns holds: per type,
+// summed over the columns, 0 once any column is text.
+TEST(KeyCodec, FixedKeyWidthPerType) {
+  const struct {
+    TypeId type;
+    Value sample;
+    size_t width;
+  } cases[] = {
+      {TypeId::kBool, Value::Bool(true), 1},
+      {TypeId::kInt4, Value::Int4(-3), 4},
+      {TypeId::kOid, Value::MakeOid(7), 4},
+      {TypeId::kInt8, Value::Int8(-3), 8},
+      {TypeId::kFloat8, Value::Float8(2.5), 8},
+      {TypeId::kTimestamp, Value::MakeTimestamp(99), 8},
+      {TypeId::kText, Value::Text("a"), 0},
+  };
+  const std::vector<size_t> first{0};
+  for (const auto& c : cases) {
+    EXPECT_EQ(FixedKeyWidth(Schema{{"c", c.type}}, first), c.width) << TypeName(c.type);
+    if (c.width != 0) {
+      EXPECT_EQ(EncodeKey(std::vector<Value>{c.sample})->size(), c.width)
+          << TypeName(c.type);
+    }
+  }
+  EXPECT_EQ(FixedKeyWidth(Schema{{"c", TypeId::kBytea}}, first), 0u);
+  const Schema mixed{
+      {"a", TypeId::kOid}, {"b", TypeId::kText}, {"c", TypeId::kInt8}, {"d", TypeId::kBool}};
+  EXPECT_EQ(FixedKeyWidth(mixed, std::vector<size_t>{0, 2, 3}), 13u);
+  EXPECT_EQ(FixedKeyWidth(mixed, std::vector<size_t>{2, 0}), 12u);
+  EXPECT_EQ(FixedKeyWidth(mixed, std::vector<size_t>{0, 1}), 0u);
+  EXPECT_EQ(FixedKeyWidth(mixed, std::vector<size_t>{1, 0}), 0u);
+}
+
+int MemcmpOrder(std::span<const std::byte> a, std::span<const std::byte> b) {
+  const size_t n = std::min(a.size(), b.size());
+  const int c = n == 0 ? 0 : std::memcmp(a.data(), b.data(), n);
+  if (c != 0) {
+    return c;
+  }
+  return a.size() < b.size() ? -1 : (a.size() == b.size() ? 0 : 1);
+}
+
+// CompareKeys, eight bytes per step, orders keys as memcmp with the shorter
+// prefix first: random strings of 0-80 bytes over all byte values, against
+// independent strings, their own prefixes and extensions, and copies that
+// differ in one byte at any position of a word or of the tail.
+TEST(KeyCodec, CompareKeysMatchesMemcmpOrder) {
+  Rng rng(2025);
+  auto sign = [](int c) { return (c > 0) - (c < 0); };
+  auto random_bytes = [&](size_t n) {
+    std::vector<std::byte> out(n);
+    for (std::byte& b : out) {
+      b = std::byte{static_cast<uint8_t>(rng.Uniform(256))};
+    }
+    return out;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const std::vector<std::byte> a = random_bytes(rng.Uniform(81));
+    std::vector<std::byte> b;
+    switch (rng.Uniform(5)) {
+      case 0:
+        b = random_bytes(rng.Uniform(81));
+        break;
+      case 1:
+        b.assign(a.begin(), a.begin() + static_cast<ptrdiff_t>(rng.Uniform(a.size() + 1)));
+        break;
+      case 2:
+        b = a;
+        if (!b.empty()) {
+          b[rng.Uniform(b.size())] = std::byte{static_cast<uint8_t>(rng.Uniform(256))};
+        }
+        break;
+      case 3: {
+        b = a;
+        const std::vector<std::byte> more = random_bytes(rng.Uniform(10));
+        b.insert(b.end(), more.begin(), more.end());
+        break;
+      }
+      default:
+        b = a;
+        break;
+    }
+    EXPECT_EQ(sign(CompareKeys(a, b)), sign(MemcmpOrder(a, b))) << i;
+    EXPECT_EQ(sign(CompareKeys(b, a)), sign(MemcmpOrder(b, a))) << i;
+  }
 }
 
 // The encoding as a growing std::vector<std::byte>, byte by byte: the key
@@ -163,6 +251,8 @@ TEST(KeyCodec, InlineAndHeapKeysMatchTheVectorEncoding) {
 
 // ---------------------------------------------------------------- B-tree
 
+bool IsCorruption(const Status& s) { return s.code() == ErrorCode::kCorruption; }
+
 class BTreeTest : public ::testing::Test {
  protected:
   BTreeTest() {
@@ -170,7 +260,7 @@ class BTreeTest : public ::testing::Test {
     pool_ = std::make_unique<BufferPool>(&sw_, 64, &clock_);
     sw_.BindRelation(1, kDeviceMagneticDisk);
     EXPECT_TRUE(sw_.Get(kDeviceMagneticDisk)->CreateRelation(1).ok());
-    auto tree = BTree::Create(1, pool_.get());
+    auto tree = BTree::Create(1, pool_.get(), /*key_width=*/0);
     EXPECT_TRUE(tree.ok());
     tree_ = std::move(*tree);
   }
@@ -333,7 +423,7 @@ TEST_F(BTreeTest, PersistsThroughPoolFlush) {
     ASSERT_TRUE(tree_->Insert(EncodeInt4Key(k), Tid{static_cast<uint32_t>(k), 0}).ok());
   }
   ASSERT_TRUE(pool_->FlushAndInvalidate().ok());
-  auto reopened = BTree::Open(1, pool_.get());
+  auto reopened = BTree::Open(1, pool_.get(), /*key_width=*/0);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(*(*reopened)->CountEntries(), 3000u);
   auto tids = (*reopened)->Lookup(EncodeInt4Key(2999));
@@ -396,14 +486,11 @@ TEST_F(BTreeTest, CorruptEntryLengthIsCorruption) {
     ASSERT_TRUE(leaf.ok());
     PutU16(leaf->data() + btree_layout::kOffEntries, 0xFFFF);  // first klen
   }
-  auto is_corruption = [](const Status& s) {
-    return s.code() == ErrorCode::kCorruption;
-  };
-  EXPECT_TRUE(is_corruption(tree_->Lookup(EncodeInt4Key(5)).status()));
-  EXPECT_TRUE(is_corruption(tree_->Seek(EncodeInt4Key(5)).status()));
-  EXPECT_TRUE(is_corruption(tree_->Remove(EncodeInt4Key(5), Tid{5, 0})));
-  EXPECT_TRUE(is_corruption(tree_->Insert(EncodeInt4Key(5), Tid{5, 1})));
-  EXPECT_TRUE(is_corruption(tree_->CheckInvariants()));
+  EXPECT_TRUE(IsCorruption(tree_->Lookup(EncodeInt4Key(5)).status()));
+  EXPECT_TRUE(IsCorruption(tree_->Seek(EncodeInt4Key(5)).status()));
+  EXPECT_TRUE(IsCorruption(tree_->Remove(EncodeInt4Key(5), Tid{5, 0})));
+  EXPECT_TRUE(IsCorruption(tree_->Insert(EncodeInt4Key(5), Tid{5, 1})));
+  EXPECT_TRUE(IsCorruption(tree_->CheckInvariants()));
 }
 
 // A `used` count that disagrees with the entries is caught where a walk
@@ -499,19 +586,307 @@ TEST_F(BTreeTest, GoldenNodePages) {
   EXPECT_EQ(digest, 0xa2016805eaf2649aULL);
 }
 
+// One B-tree of the given key width in relation 1 of its own store and pool.
+struct TreeHarness {
+  explicit TreeHarness(size_t key_width, size_t pool_pages = 64) {
+    sw.Register(kDeviceMagneticDisk, std::make_unique<NvramDevice>(&store));
+    pool = std::make_unique<BufferPool>(&sw, pool_pages, &clock);
+    sw.BindRelation(1, kDeviceMagneticDisk);
+    EXPECT_TRUE(sw.Get(kDeviceMagneticDisk)->CreateRelation(1).ok());
+    auto created = BTree::Create(1, pool.get(), key_width);
+    EXPECT_TRUE(created.ok());
+    tree = std::move(*created);
+  }
+
+  // Inserts int4 keys 0..n-1, key k with TID (k, 0).
+  bool InsertInt4Keys(uint32_t n) {
+    for (uint32_t k = 0; k < n; ++k) {
+      if (!tree->Insert(EncodeInt4Key(static_cast<int32_t>(k)), Tid{k, 0}).ok()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // Levels from the root down to the leaves.
+  int Depth() const {
+    auto meta = pool->Pin(1, 0);
+    EXPECT_TRUE(meta.ok());
+    uint32_t block = GetU32(meta->data() + btree_layout::kOffMetaRoot);
+    for (int depth = 1;; ++depth) {
+      auto node = pool->Pin(1, block);
+      EXPECT_TRUE(node.ok());
+      if (static_cast<uint8_t>(node->data()[btree_layout::kOffType]) ==
+          btree_layout::kNodeLeaf) {
+        return depth;
+      }
+      block = GetU32(node->data() + btree_layout::kOffLeftChild);
+    }
+  }
+
+  SimClock clock;
+  MemBlockStore store;
+  DeviceSwitch sw;
+  std::unique_ptr<BufferPool> pool;
+  std::unique_ptr<BTree> tree;
+};
+
+// One seeded sequence of inserts and removes fed to a fixed-width tree, whose
+// nodes are arrays searched by bisection, and to a width-0 tree, whose nodes
+// are walked. The sequence has runs of equal keys longer than a leaf holds
+// and grows the trees to at least three levels. Lookups and seeks must agree
+// with each other and with a std::multimap, and every page of the two trees
+// must be byte-identical: the search changes, the node format does not.
+class BTreeDifferential : public ::testing::TestWithParam<TypeId> {};
+
+TEST_P(BTreeDifferential, ArrayAndWalkedNodesAgreeByteForByte) {
+  const TypeId type = GetParam();
+  const size_t width = FixedKeyWidth(Schema{{"k", type}}, std::vector<size_t>{0});
+  ASSERT_GT(width, 0u);
+  TreeHarness array(width, 1024);
+  TreeHarness walked(0, 1024);
+  constexpr int64_t kDistinct = 30000;
+  auto encode = [type](int64_t v) {
+    const Value value = type == TypeId::kInt4  ? Value::Int4(static_cast<int32_t>(v))
+                        : type == TypeId::kOid ? Value::MakeOid(static_cast<Oid>(v + kDistinct))
+                                               : Value::Int8(v * 1'000'000'007LL);
+    return *EncodeKey(std::vector<Value>{value});
+  };
+
+  // Every entry's TID is larger than the last one's, so the trees' order of
+  // equal keys (by TID) is the multimap's (by insertion).
+  Rng rng(static_cast<uint64_t>(type) * 7919);
+  std::multimap<BtreeKey, Tid> reference;
+  std::vector<std::pair<BtreeKey, Tid>> live;
+  uint32_t next_block = 0;
+  for (int step = 0; step < 20000 || step % 1000 != 0 || array.Depth() < 3; ++step) {
+    ASSERT_LT(step, 400000) << "the trees never reached three levels";
+    if (rng.Uniform(5) == 0 && !live.empty()) {
+      const size_t victim = rng.Uniform(live.size());
+      const auto [key, tid] = live[victim];
+      ASSERT_TRUE(array.tree->Remove(key, tid).ok());
+      ASSERT_TRUE(walked.tree->Remove(key, tid).ok());
+      auto range = reference.equal_range(key);
+      auto it = std::find_if(range.first, range.second,
+                             [&](const auto& e) { return e.second == tid; });
+      ASSERT_NE(it, range.second);
+      reference.erase(it);
+      live[victim] = live.back();
+      live.pop_back();
+      continue;
+    }
+    // Every 2000 steps, a run of 600 equal keys: more than a leaf holds.
+    const int copies = step % 2000 == 0 ? 600 : 1;
+    const BtreeKey key = encode(static_cast<int64_t>(rng.Uniform(kDistinct)) - kDistinct / 2);
+    for (int c = 0; c < copies; ++c) {
+      const Tid tid{next_block++, static_cast<uint16_t>(rng.Uniform(64))};
+      ASSERT_TRUE(array.tree->Insert(key, tid).ok());
+      ASSERT_TRUE(walked.tree->Insert(key, tid).ok());
+      reference.emplace(key, tid);
+      live.emplace_back(key, tid);
+    }
+  }
+  ASSERT_TRUE(array.tree->CheckInvariants().ok());
+  ASSERT_TRUE(walked.tree->CheckInvariants().ok());
+
+  // Lookups: every key of the domain, present or not, and keys past both ends.
+  for (int64_t v = -kDistinct / 2 - 2; v < kDistinct / 2 + 2; ++v) {
+    const BtreeKey key = encode(v);
+    auto got = array.tree->Lookup(key);
+    auto want = walked.tree->Lookup(key);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(std::equal(got->begin(), got->end(), want->begin(), want->end())) << v;
+    auto range = reference.equal_range(key);
+    ASSERT_EQ(got->size(), static_cast<size_t>(std::distance(range.first, range.second)));
+    size_t i = 0;
+    for (auto it = range.first; it != range.second; ++it) {
+      ASSERT_EQ((*got)[i++], it->second) << v;
+    }
+  }
+
+  // Seeks: from an empty key over everything, and from sampled keys over the
+  // next entries, across leaf boundaries.
+  auto seek_matches = [&](const BtreeKey& lo, size_t limit) {
+    auto a = array.tree->Seek(lo);
+    auto w = walked.tree->Seek(lo);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(w.ok());
+    size_t n = 0;
+    for (auto it = reference.lower_bound(lo); it != reference.end() && n < limit; ++it, ++n) {
+      ASSERT_TRUE(a->Valid());
+      ASSERT_TRUE(w->Valid());
+      ASSERT_EQ(BtreeKey(a->key()), it->first);
+      ASSERT_EQ(BtreeKey(w->key()), it->first);
+      ASSERT_EQ(a->tid(), it->second);
+      ASSERT_EQ(w->tid(), it->second);
+      ASSERT_TRUE(a->Advance().ok());
+      ASSERT_TRUE(w->Advance().ok());
+    }
+    if (n < limit) {
+      EXPECT_FALSE(a->Valid());
+      EXPECT_FALSE(w->Valid());
+    }
+  };
+  seek_matches(BtreeKey{}, SIZE_MAX);
+  for (int i = 0; i < 200; ++i) {
+    seek_matches(encode(static_cast<int64_t>(rng.Uniform(kDistinct + 4)) - kDistinct / 2 - 2),
+                 1000);
+  }
+
+  ASSERT_TRUE(array.pool->FlushAll().ok());
+  ASSERT_TRUE(walked.pool->FlushAll().ok());
+  auto blocks = array.store.NumBlocks(1);
+  ASSERT_TRUE(blocks.ok());
+  ASSERT_EQ(*blocks, *walked.store.NumBlocks(1));
+  std::vector<std::byte> a_page(kPageSize);
+  std::vector<std::byte> w_page(kPageSize);
+  for (uint32_t b = 0; b < *blocks; ++b) {
+    ASSERT_TRUE(array.store.Read(1, b, a_page).ok());
+    ASSERT_TRUE(walked.store.Read(1, b, w_page).ok());
+    ASSERT_EQ(a_page, w_page) << "block " << b;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyTypes, BTreeDifferential,
+                         ::testing::Values(TypeId::kInt4, TypeId::kOid, TypeId::kInt8),
+                         [](const auto& param) { return std::string(TypeName(param.param)); });
+
+constexpr uint32_t kArrayLeaf = 1;        // the root leaf of a one-node tree
+constexpr uint32_t kInt4LeafStride = 18;  // u16 length, 4 + 6 key bytes, TID
+
+// A width-4 tree's only node holds ten int4 keys. An array node whose `used`
+// is not nkeys whole entries, or is whole entries past the entry area, or
+// whose middle entry (the one every bisection of its ten entries probes
+// first) carries another key length, reads as Corruption on every path that
+// searches it, never as bytes past `used` or past the page (the asan leg
+// checks that).
+TEST(BTreeArrayNodes, CraftedNodesAreCorruption) {
+  namespace bl = btree_layout;
+  enum Flaw {
+    kUsedPlusOne,
+    kExtraKey,
+    kPastTheEntryArea,
+    kMiddleKeyLength,
+    kMiddleKeyLengthHuge,
+  };
+  for (Flaw flaw :
+       {kUsedPlusOne, kExtraKey, kPastTheEntryArea, kMiddleKeyLength, kMiddleKeyLengthHuge}) {
+    SCOPED_TRACE(flaw);
+    TreeHarness h(4);
+    ASSERT_TRUE(h.InsertInt4Keys(10));
+    {
+      auto leaf = h.pool->Pin(1, kArrayLeaf);
+      ASSERT_TRUE(leaf.ok());
+      std::byte* p = leaf->data();
+      ASSERT_EQ(GetU16(p + bl::kOffUsed), 10 * kInt4LeafStride);
+      std::byte* middle = p + bl::kOffEntries + 5 * kInt4LeafStride;
+      switch (flaw) {
+        case kUsedPlusOne:
+          PutU16(p + bl::kOffUsed, 10 * kInt4LeafStride + 1);
+          break;
+        case kExtraKey:
+          PutU16(p + bl::kOffNKeys, 11);
+          break;
+        case kPastTheEntryArea:
+          PutU16(p + bl::kOffNKeys, 1000);
+          PutU16(p + bl::kOffUsed, 1000 * kInt4LeafStride);
+          break;
+        case kMiddleKeyLength:
+          PutU16(middle, 4 + bl::kTidSuffix + 1);
+          break;
+        case kMiddleKeyLengthHuge:
+          PutU16(middle, 0xFFFF);
+          break;
+      }
+    }
+    EXPECT_TRUE(IsCorruption(h.tree->Lookup(EncodeInt4Key(5)).status()));
+    EXPECT_TRUE(IsCorruption(h.tree->Lookup(EncodeInt4Key(0)).status()));
+    EXPECT_TRUE(IsCorruption(h.tree->Seek(EncodeInt4Key(5)).status()));
+    EXPECT_TRUE(IsCorruption(h.tree->Remove(EncodeInt4Key(5), Tid{5, 0})));
+    EXPECT_TRUE(IsCorruption(h.tree->Insert(EncodeInt4Key(5), Tid{5, 1})));
+    EXPECT_TRUE(IsCorruption(h.tree->CheckInvariants()));
+  }
+}
+
+// A wrong key length anywhere in an array node is either probed (Corruption)
+// or off the search's path (the right answer); it never sends a probe past
+// the node's entries.
+TEST(BTreeArrayNodes, AnyBadKeyLengthIsCorruptionOrUnread) {
+  namespace bl = btree_layout;
+  for (uint32_t victim = 0; victim < 10; ++victim) {
+    for (uint16_t bad_len : {uint16_t{0}, uint16_t{9}, uint16_t{11}, uint16_t{0xFFFF}}) {
+      SCOPED_TRACE(::testing::Message() << "entry " << victim << " length " << bad_len);
+      TreeHarness h(4);
+      ASSERT_TRUE(h.InsertInt4Keys(10));
+      {
+        auto leaf = h.pool->Pin(1, kArrayLeaf);
+        ASSERT_TRUE(leaf.ok());
+        PutU16(leaf->data() + bl::kOffEntries + victim * kInt4LeafStride, bad_len);
+      }
+      for (int32_t k = -1; k <= 10; ++k) {
+        auto tids = h.tree->Lookup(EncodeInt4Key(k));
+        if (!tids.ok()) {
+          EXPECT_TRUE(IsCorruption(tids.status())) << k;
+          continue;
+        }
+        EXPECT_NE(k, static_cast<int32_t>(victim)) << "the bad entry was returned";
+        EXPECT_EQ(tids->size(), k >= 0 && k < 10 ? 1u : 0u) << k;
+      }
+      EXPECT_TRUE(IsCorruption(h.tree->CheckInvariants()));
+    }
+  }
+}
+
+// The width is the reader's, not the page's: a width-0 tree of int8 keys
+// reads as the same tree opened with width 8, and as Corruption with width 4.
+TEST(BTreeArrayNodes, TreeOpenedWithAnotherWidthIsCorruption) {
+  TreeHarness h(0);
+  for (int64_t k = 0; k < 2000; ++k) {
+    const BtreeKey key = *EncodeKey(std::vector<Value>{Value::Int8(k)});
+    ASSERT_TRUE(h.tree->Insert(key, Tid{static_cast<uint32_t>(k), 0}).ok());
+  }
+  const BtreeKey probe = *EncodeKey(std::vector<Value>{Value::Int8(1234)});
+  auto as_eight = BTree::Open(1, h.pool.get(), 8);
+  ASSERT_TRUE(as_eight.ok());
+  EXPECT_TRUE((*as_eight)->CheckInvariants().ok());
+  EXPECT_EQ(*(*as_eight)->CountEntries(), 2000u);
+  auto tids = (*as_eight)->Lookup(probe);
+  ASSERT_TRUE(tids.ok());
+  ASSERT_EQ(tids->size(), 1u);
+  EXPECT_EQ((*tids)[0], (Tid{1234, 0}));
+
+  auto as_four = BTree::Open(1, h.pool.get(), 4);
+  ASSERT_TRUE(as_four.ok());
+  EXPECT_TRUE(IsCorruption((*as_four)->CheckInvariants()));
+  EXPECT_TRUE(IsCorruption((*as_four)->Lookup(probe).status()));
+}
+
+// A fixed-width tree refuses a key of any other length, so its nodes stay
+// arrays. Rows never get here: they are type-checked before any index insert.
+TEST(BTreeArrayNodes, WrongWidthInsertRefused) {
+  TreeHarness h(4);
+  ASSERT_TRUE(h.tree->Insert(EncodeInt4Key(1), Tid{1, 0}).ok());
+  const BtreeKey wrong[] = {
+      BtreeKey{},
+      *EncodeKey(std::vector<Value>{Value::Int8(1)}),
+      EncodeTextKey("ab"),
+      EncodeTextKey("abcd"),
+  };
+  for (const BtreeKey& key : wrong) {
+    EXPECT_EQ(h.tree->Insert(key, Tid{2, 0}).code(), ErrorCode::kInvalidArgument)
+        << key.size();
+  }
+  EXPECT_EQ(*h.tree->CountEntries(), 1u);
+  EXPECT_TRUE(h.tree->CheckInvariants().ok());
+}
+
 // Property test: random interleaved inserts/removes vs a reference multimap.
 class BTreeProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BTreeProperty, MatchesReferenceModel) {
-  SimClock clock;
-  MemBlockStore store;
-  DeviceSwitch sw;
-  sw.Register(kDeviceMagneticDisk, std::make_unique<NvramDevice>(&store));
-  BufferPool pool(&sw, 64, &clock);
-  sw.BindRelation(1, kDeviceMagneticDisk);
-  ASSERT_TRUE(sw.Get(kDeviceMagneticDisk)->CreateRelation(1).ok());
-  auto tree = BTree::Create(1, &pool);
-  ASSERT_TRUE(tree.ok());
+  TreeHarness h(/*key_width=*/0);
+  BTree* tree = h.tree.get();
 
   Rng rng(GetParam());
   std::multimap<int32_t, Tid> reference;
@@ -520,24 +895,24 @@ TEST_P(BTreeProperty, MatchesReferenceModel) {
     const int32_t key = static_cast<int32_t>(rng.Uniform(200));
     if (rng.Uniform(3) != 0 || reference.empty()) {
       Tid tid{static_cast<uint32_t>(step), next_slot++};
-      ASSERT_TRUE((*tree)->Insert(EncodeInt4Key(key), tid).ok());
+      ASSERT_TRUE(tree->Insert(EncodeInt4Key(key), tid).ok());
       reference.emplace(key, tid);
     } else {
       auto range = reference.equal_range(key);
       if (range.first != range.second) {
         Tid victim = range.first->second;
-        ASSERT_TRUE((*tree)->Remove(EncodeInt4Key(key), victim).ok());
+        ASSERT_TRUE(tree->Remove(EncodeInt4Key(key), victim).ok());
         reference.erase(range.first);
       }
     }
     if (step % 500 == 0) {
-      ASSERT_TRUE((*tree)->CheckInvariants().ok()) << "step " << step;
+      ASSERT_TRUE(tree->CheckInvariants().ok()) << "step " << step;
     }
   }
-  ASSERT_TRUE((*tree)->CheckInvariants().ok());
-  EXPECT_EQ(*(*tree)->CountEntries(), reference.size());
+  ASSERT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_EQ(*tree->CountEntries(), reference.size());
   for (int32_t key = 0; key < 200; ++key) {
-    auto tids = (*tree)->Lookup(EncodeInt4Key(key));
+    auto tids = tree->Lookup(EncodeInt4Key(key));
     ASSERT_TRUE(tids.ok());
     std::multiset<uint64_t> got, want;
     for (Tid t : *tids) {

@@ -276,6 +276,45 @@ TEST_F(InversionFsTest, CrashRecoveryPreservesCommittedFiles) {
   EXPECT_TRUE(s_->stat("/inflight.txt").status().IsNotFound());
 }
 
+// Every index but naming(parent, name) has keys of one width, taken from its
+// table's schema when the index is created and again when the catalog is
+// loaded after a restart.
+TEST_F(InversionFsTest, IndexKeyWidthsComeFromTheSchema) {
+  WriteFile("/widths.txt", "chunked");
+  auto widths = [&] {
+    std::vector<std::pair<std::vector<size_t>, size_t>> out;
+    auto st = s_->stat("/widths.txt");
+    EXPECT_TRUE(st.ok());
+    auto chunks = db_->catalog().GetTable("inv" + std::to_string(st->oid));
+    EXPECT_TRUE(chunks.ok());
+    for (const TableInfo* table : {fs_->naming(), fs_->fileatt(), *chunks}) {
+      for (const IndexInfo* index : table->indexes) {
+        out.emplace_back(index->key_columns, index->btree->key_width());
+      }
+    }
+    return out;
+  };
+  using Widths = std::vector<std::pair<std::vector<size_t>, size_t>>;
+  // naming (parent, name), naming (file), fileatt (file), inv<oid> (chunkno).
+  const Widths want{{{1, 0}, 0}, {{2}, 4}, {{0}, 4}, {{0}, 4}};
+  EXPECT_EQ(widths(), want);
+
+  ASSERT_TRUE(db_->FlushCaches().ok());
+  s_.reset();
+  fs_.reset();
+  db_.reset();
+  auto db = Database::Open(&env_);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  db_ = std::move(*db);
+  fs_ = std::make_unique<InversionFs>(db_.get());
+  ASSERT_TRUE(fs_->Mount().ok());
+  auto session = fs_->NewSession();
+  ASSERT_TRUE(session.ok());
+  s_ = std::move(*session);
+  EXPECT_EQ(widths(), want);
+  EXPECT_EQ(ReadFile("/widths.txt"), "chunked");
+}
+
 TEST_F(InversionFsTest, FilesOnNvramAndJukeboxDevices) {
   CreatOptions nvram;
   nvram.device = kDeviceNvram;

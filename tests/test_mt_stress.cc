@@ -595,6 +595,7 @@ TEST(ChunkReadRaceTest, ReadersCopyOneWholeVersionWhileAWriterReplacesIt) {
   std::atomic<bool> done{false};
   std::atomic<int> failures{0};
   std::atomic<uint64_t> reads{0};
+  std::atomic<int> readers_started{0};  // readers that finished a first read
   auto fail = [&](const std::string& what) {
     if (failures.fetch_add(1) < 5) {
       ADD_FAILURE() << what;
@@ -616,6 +617,7 @@ TEST(ChunkReadRaceTest, ReadersCopyOneWholeVersionWhileAWriterReplacesIt) {
       // compaction moves more than one live version on the page.
       const int reads_per_txn = r % 2 == 1 ? 8 : 1;
       int last = 1;
+      bool started = false;
       while (!done.load() && failures.load() == 0) {
         if (reads_per_txn > 1 && !s.p_begin().ok()) {
           return fail("reader could not begin");
@@ -645,12 +647,21 @@ TEST(ChunkReadRaceTest, ReadersCopyOneWholeVersionWhileAWriterReplacesIt) {
           last = v;
           txn_version = v;
           reads.fetch_add(1);
+          if (!started) {
+            started = true;
+            readers_started.fetch_add(1);
+          }
         }
         if (reads_per_txn > 1 && !s.p_commit().ok()) {
           return fail("reader could not commit");
         }
       }
     });
+  }
+  // Every reader reads version 1 at least once before the writer replaces
+  // it, so no reader can finish without having read.
+  while (readers_started.load() <= kReaders && failures.load() == 0) {
+    std::this_thread::yield();
   }
   for (int v = 2; v <= kVersions && failures.load() == 0; ++v) {
     Status st = write_version(**writer_session, v, /*create=*/false);

@@ -497,19 +497,31 @@ TEST(LockManager, DeadlockDetected) {
   LockManager lm;
   ASSERT_TRUE(lm.Acquire(1, 100, LockMode::kExclusive).ok());
   ASSERT_TRUE(lm.Acquire(2, 200, LockMode::kExclusive).ok());
-  std::thread t1([&] {
-    // Txn 1 waits for 200 (held by 2).
-    Status s = lm.Acquire(1, 200, LockMode::kExclusive);
-    // Once txn 2's attempt deadlocks and it releases, this can be granted.
-    EXPECT_TRUE(s.ok());
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // A deadlock victim releases everything, as Database::LockTable's abort
+  // does, so whichever txn loses, the other is granted and nothing hangs.
+  std::atomic<TxnId> victim{0};
+  auto acquire = [&](TxnId txn, Oid rel) {
+    Status s = lm.Acquire(txn, rel, LockMode::kExclusive);
+    if (s.IsDeadlock()) {
+      victim = txn;
+      lm.ReleaseAll(txn);
+    } else {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  };
+  // Txn 1 waits for 200 (held by 2). The wait is registered under the lock
+  // manager's mutex before it sleeps, so once it shows, txn 1 is blocked.
+  std::thread t1(acquire, 1, 200);
+  while (lm.DumpWaitsFor().empty()) {
+    std::this_thread::yield();
+  }
   // Txn 2 requesting 100 closes the cycle: must be told, not blocked forever.
-  Status s = lm.Acquire(2, 100, LockMode::kExclusive);
-  EXPECT_TRUE(s.IsDeadlock());
-  lm.ReleaseAll(2);
+  acquire(2, 100);
   t1.join();
+  EXPECT_EQ(victim.load(), 2u);
+  EXPECT_TRUE(lm.Holds(1, 200, LockMode::kExclusive));
   lm.ReleaseAll(1);
+  lm.ReleaseAll(2);
   EXPECT_EQ(lm.NumLockedRelations(), 0u);
 }
 
