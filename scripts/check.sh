@@ -233,7 +233,7 @@ run_torture() {
         -DINVFS_SANITIZE=address \
         -DINVFS_DEBUG_INVARIANTS=ON >/dev/null
   cmake --build "$dir" -j "$JOBS" --target invfs_torture -- --no-print-directory
-  echo "==> [torture] crash sweep (seed 1337, ~180 schedules)"
+  echo "==> [torture] crash sweep (seed 1337, ~170 schedules, vacuum ops included)"
   env ASAN_OPTIONS=halt_on_error=1:detect_leaks=1 \
       "$dir/src/fault/invfs_torture" --domains points,writes \
         --seed 1337 --txns 60 --files 16 --buffers 20 \

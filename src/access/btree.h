@@ -7,7 +7,8 @@
 // and visibility is resolved at the heap — so a historical snapshot can use
 // the same index ("the appropriate historical version of a file is
 // constructed using an index on all of the file's available data, including
-// both old and current blocks"). Vacuum rebuilds indices after expunging.
+// both old and current blocks"). Vacuum removes an entry in place once it
+// has expunged the version the entry names.
 //
 // Layout: block 0 is a meta page holding the root block number; every other
 // block is a node. Nodes keep entries byte-packed in sorted order, each a u16

@@ -1,5 +1,6 @@
 #include "src/access/heap.h"
 
+#include <algorithm>
 #include <string>
 
 #include "src/fault/crash_points.h"
@@ -239,24 +240,19 @@ bool Heap::Iterator::Next() {
   return false;
 }
 
-Status Heap::Expunge(Tid tid) {
-  INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, tid.block));
-  WriterMutexLock latch(ref.Latch());
-  Page page = ref.page();
-  INV_RETURN_IF_ERROR(page.KillSlot(tid.slot));
-  ref.MarkDirty();
-  return Status::Ok();
-}
-
-Status Heap::CompactAllPages() {
-  INV_ASSIGN_OR_RETURN(uint32_t nblocks, pool_->NumBlocks(rel_));
-  for (uint32_t b = 0; b < nblocks; ++b) {
-    INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, b));
+Status Heap::Expunge(std::vector<Tid> dead) {
+  std::sort(dead.begin(), dead.end());
+  for (auto at = dead.begin(); at != dead.end();) {
+    INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, at->block));
     // Compact rewrites tuple bytes but preserves slot numbering, so a
     // lock-free reader parked between two pages resumes correctly; the
     // latch makes the byte movement invisible to one parked *on* this page.
     WriterMutexLock latch(ref.Latch());
     Page page = ref.page();
+    const uint32_t block = at->block;
+    for (; at != dead.end() && at->block == block; ++at) {
+      INV_RETURN_IF_ERROR(page.KillSlot(at->slot));
+    }
     page.Compact();
     ref.MarkDirty();
   }

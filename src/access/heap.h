@@ -12,6 +12,7 @@
 #include <atomic>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "src/buffer/buffer_pool.h"
 #include "src/storage/tuple.h"
@@ -104,10 +105,9 @@ class Heap {
                     true);
   }
 
-  // Physically remove a dead slot (vacuum only; ordinary deletes never do this).
-  Status Expunge(Tid tid);
-  // Compact every page in place (after Expunge passes).
-  Status CompactAllPages();
+  // Physically remove the versions at `dead` and compact each page that held
+  // one, keeping slot numbers (vacuum only; ordinary deletes never do this).
+  Status Expunge(std::vector<Tid> dead);
 
  private:
   // Pin `block` for a read; nullopt when the block lies past the persisted

@@ -1,6 +1,7 @@
 #include "src/catalog/catalog.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace invfs {
 
@@ -438,82 +439,188 @@ Status Catalog::DropTable(TxnId txn, const std::string& name) {
   return Status::Ok();
 }
 
-void Catalog::OnCommit(TxnId txn) {
-  MutexLock lock(mu_);
-  created_by_txn_.erase(txn);
-  auto dit = dropped_by_txn_.find(txn);
-  if (dit != dropped_by_txn_.end()) {
-    for (Oid oid : dit->second) {
-      auto tit = tables_.find(oid);
-      if (tit == tables_.end()) {
-        continue;
-      }
-      TableInfo* info = tit->second.get();
-      std::vector<Oid> victims{oid};
-      for (IndexInfo* idx : info->indexes) {
-        victims.push_back(idx->oid);
-      }
-      if (info->archive_oid != kInvalidOid) {
-        victims.push_back(info->archive_oid);
-      }
-      for (Oid v : victims) {
-        pool_->DiscardRelation(v);
-        if (auto mgr = devices_->ManagerFor(v); mgr.ok()) {
-          (void)(*mgr)->DropRelation(v);
-        }
-        devices_->UnbindRelation(v);
-        indexes_.erase(v);
-        auto vt = tables_.find(v);
-        if (vt != tables_.end()) {
-          table_names_.erase(vt->second->name);
-          tables_.erase(vt);
-        }
-      }
-    }
-    dropped_by_txn_.erase(dit);
+namespace {
+
+// Expunges `dead` from `table`'s heap, then walks each index once and keeps
+// an entry only if its TID names a surviving version whose key equals the
+// entry's and it does not repeat the entry before it. That drops the
+// expunged versions' entries, and the ones a crash stranded past the heap's
+// persisted end or on a slot a later insert took. Compact keeps slot numbers
+// and a dead slot keeps its line pointer, so no kept entry changes meaning.
+Status ReclaimVersions(const TableInfo& table, std::vector<Tid> dead) {
+  if (dead.empty()) {
+    return Status::Ok();
   }
+  INV_RETURN_IF_ERROR(table.heap->Expunge(std::move(dead)));
+  if (table.indexes.empty()) {
+    return Status::Ok();
+  }
+  // Every surviving version's TID, in scan (TID) order, and its key in each
+  // index.
+  std::vector<Tid> tids;
+  std::vector<std::vector<BtreeKey>> keys(table.indexes.size());
+  auto it = table.heap->ScanAll();
+  while (it.Next()) {
+    tids.push_back(it.tid());
+    for (size_t i = 0; i < table.indexes.size(); ++i) {
+      INV_ASSIGN_OR_RETURN(BtreeKey key,
+                           EncodeKey(it.row(), table.indexes[i]->key_columns));
+      keys[i].push_back(std::move(key));
+    }
+  }
+  INV_RETURN_IF_ERROR(it.status());
+  for (size_t i = 0; i < table.indexes.size(); ++i) {
+    BTree& tree = *table.indexes[i]->btree;
+    std::optional<std::pair<BtreeKey, Tid>> prev;
+    // The iterator walks a copy of each leaf, so removing as it goes is safe.
+    INV_ASSIGN_OR_RETURN(BTree::Iterator e, tree.Seek(BtreeKey{}));
+    while (e.Valid()) {
+      std::pair<BtreeKey, Tid> entry(BtreeKey(e.key()), e.tid());
+      const auto& [key, tid] = entry;
+      const auto at = std::lower_bound(tids.begin(), tids.end(), tid);
+      if (at == tids.end() || *at != tid || keys[i][at - tids.begin()] != key ||
+          entry == prev) {
+        INV_RETURN_IF_ERROR(tree.Remove(key, tid));
+      }
+      prev = std::move(entry);
+      INV_RETURN_IF_ERROR(e.Advance());
+    }
+  }
+  return Status::Ok();
 }
 
-void Catalog::OnAbort(TxnId txn) {
+bool Contains(const std::vector<Oid>& oids, Oid oid) {
+  return std::find(oids.begin(), oids.end(), oid) != oids.end();
+}
+
+}  // namespace
+
+void Catalog::ReclaimAtEnd(TxnId txn, Reclaim reclaim) {
   MutexLock lock(mu_);
-  // Undo drops: restore the name mappings.
-  auto dit = dropped_by_txn_.find(txn);
-  if (dit != dropped_by_txn_.end()) {
-    for (Oid oid : dit->second) {
-      auto tit = tables_.find(oid);
-      if (tit != tables_.end()) {
-        table_names_[tit->second->name] = oid;
-      }
+  vacuumed_by_txn_[txn].push_back(std::move(reclaim));
+}
+
+Status Catalog::OnCommit(TxnId txn) {
+  std::vector<Reclaim> vacuumed;
+  {
+    MutexLock lock(mu_);
+    created_by_txn_.erase(txn);
+    if (auto vit = vacuumed_by_txn_.find(txn); vit != vacuumed_by_txn_.end()) {
+      vacuumed = std::move(vit->second);
+      vacuumed_by_txn_.erase(vit);
     }
-    dropped_by_txn_.erase(dit);
-  }
-  // Undo creates: physically remove; the catalog rows die with the txn.
-  auto cit = created_by_txn_.find(txn);
-  if (cit != created_by_txn_.end()) {
-    for (Oid oid : cit->second) {
-      pool_->DiscardRelation(oid);
-      if (auto mgr = devices_->ManagerFor(oid); mgr.ok()) {
-        (void)(*mgr)->DropRelation(oid);
-      }
-      devices_->UnbindRelation(oid);
-      auto iit = indexes_.find(oid);
-      if (iit != indexes_.end()) {
-        auto tit = tables_.find(iit->second->table);
-        if (tit != tables_.end()) {
-          auto& vec = tit->second->indexes;
-          vec.erase(std::remove(vec.begin(), vec.end(), iit->second.get()), vec.end());
+    auto dit = dropped_by_txn_.find(txn);
+    if (dit != dropped_by_txn_.end()) {
+      // A table dropped whole has nothing left to reclaim, and is freed below.
+      std::erase_if(vacuumed, [&](const Reclaim& r) {
+        return Contains(dit->second, r.table->oid);
+      });
+      for (Oid oid : dit->second) {
+        auto tit = tables_.find(oid);
+        if (tit == tables_.end()) {
+          continue;
         }
-        indexes_.erase(iit);
-        continue;
+        TableInfo* info = tit->second.get();
+        std::vector<Oid> victims{oid};
+        for (IndexInfo* idx : info->indexes) {
+          victims.push_back(idx->oid);
+        }
+        if (info->archive_oid != kInvalidOid) {
+          victims.push_back(info->archive_oid);
+        }
+        for (Oid v : victims) {
+          pool_->DiscardRelation(v);
+          if (auto mgr = devices_->ManagerFor(v); mgr.ok()) {
+            (void)(*mgr)->DropRelation(v);
+          }
+          devices_->UnbindRelation(v);
+          indexes_.erase(v);
+          auto vt = tables_.find(v);
+          if (vt != tables_.end()) {
+            table_names_.erase(vt->second->name);
+            tables_.erase(vt);
+          }
+        }
       }
-      auto tit = tables_.find(oid);
-      if (tit != tables_.end()) {
-        table_names_.erase(tit->second->name);
-        tables_.erase(tit);
-      }
+      dropped_by_txn_.erase(dit);
     }
-    created_by_txn_.erase(cit);
   }
+  // Page I/O outside mu_. The tables stay put: `txn` still holds their
+  // exclusive locks.
+  for (Reclaim& r : vacuumed) {
+    INV_RETURN_IF_ERROR(ReclaimVersions(*r.table, std::move(r.dead)));
+  }
+  return Status::Ok();
+}
+
+Status Catalog::OnAbort(TxnId txn) {
+  std::vector<Reclaim> vacuumed;
+  {
+    MutexLock lock(mu_);
+    if (auto vit = vacuumed_by_txn_.find(txn); vit != vacuumed_by_txn_.end()) {
+      vacuumed = std::move(vit->second);
+      vacuumed_by_txn_.erase(vit);
+    }
+    // Undo drops: restore the name mappings.
+    auto dit = dropped_by_txn_.find(txn);
+    if (dit != dropped_by_txn_.end()) {
+      for (Oid oid : dit->second) {
+        auto tit = tables_.find(oid);
+        if (tit != tables_.end()) {
+          table_names_[tit->second->name] = oid;
+        }
+      }
+      dropped_by_txn_.erase(dit);
+    }
+    // Undo creates: physically remove; the catalog rows die with the txn.
+    auto cit = created_by_txn_.find(txn);
+    if (cit != created_by_txn_.end()) {
+      // Copies in an archive `txn` created go with the archive.
+      std::erase_if(vacuumed, [&](const Reclaim& r) {
+        return r.archive != nullptr && Contains(cit->second, r.archive->oid);
+      });
+      for (Oid oid : cit->second) {
+        pool_->DiscardRelation(oid);
+        if (auto mgr = devices_->ManagerFor(oid); mgr.ok()) {
+          (void)(*mgr)->DropRelation(oid);
+        }
+        devices_->UnbindRelation(oid);
+        auto iit = indexes_.find(oid);
+        if (iit != indexes_.end()) {
+          auto tit = tables_.find(iit->second->table);
+          if (tit != tables_.end()) {
+            auto& vec = tit->second->indexes;
+            vec.erase(std::remove(vec.begin(), vec.end(), iit->second.get()), vec.end());
+          }
+          indexes_.erase(iit);
+          continue;
+        }
+        auto tit = tables_.find(oid);
+        if (tit != tables_.end()) {
+          const TableInfo& info = *tit->second;
+          if (info.kind == RelKind::kArchive) {
+            // An aborted vacuum's archive "a,<name>": its base table has
+            // none again.
+            auto base = table_names_.find(info.name.substr(2));
+            if (base != table_names_.end()) {
+              tables_.at(base->second)->archive_oid = kInvalidOid;
+            }
+          }
+          table_names_.erase(info.name);
+          tables_.erase(tit);
+        }
+      }
+      created_by_txn_.erase(cit);
+    }
+  }
+  // Versions with their original xmin/xmax stay visible in an archive;
+  // these copies' versions are still in their heaps.
+  for (Reclaim& r : vacuumed) {
+    if (!r.archived.empty()) {
+      INV_RETURN_IF_ERROR(r.archive->heap->Expunge(std::move(r.archived)));
+    }
+  }
+  return Status::Ok();
 }
 
 Result<Oid> Catalog::DefineType(TxnId txn, const std::string& name) {

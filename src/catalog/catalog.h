@@ -114,8 +114,21 @@ class Catalog {
   Result<Oid> DefineFunction(TxnId txn, const std::string& name, TypeId rettype,
                              int32_t nargs, ProcLang lang, const std::string& src);
 
-  // Create an archive relation for `table` (vacuum). Named "a,<name>".
+  // Create an archive relation for `table` (vacuum). Named "a,<name>". If
+  // `txn` aborts, the relation is dropped and `table` has no archive again.
   Result<TableInfo*> CreateArchive(TxnId txn, TableInfo* table);
+
+  // What a transaction's vacuum of `table` leaves to the transaction's end:
+  // the versions to expunge from `table` once it commits, and the copies made
+  // in `archive`, expunged again if it aborts.
+  struct Reclaim {
+    TableInfo* table = nullptr;
+    TableInfo* archive = nullptr;
+    std::vector<Tid> dead;
+    std::vector<Tid> archived;
+  };
+  // Vacuum: add `reclaim` to what `txn` reclaims (see OnCommit and OnAbort).
+  void ReclaimAtEnd(TxnId txn, Reclaim reclaim);
 
   // Rebind a table to a new device, moving its pages (file migration).
   // The caller must hold an exclusive table lock on `table`: the move
@@ -137,10 +150,19 @@ class Catalog {
 
   Oid AllocateOid();
 
-  // Abort hook: undo cache effects of DDL performed by `txn`.
-  void OnAbort(TxnId txn);
-  // Commit hook: physically destroy relations dropped by `txn`.
-  void OnCommit(TxnId txn);
+  // Abort hook: undo cache effects of DDL performed by `txn`, and expunge
+  // the copies its vacuums made in archives it did not create. Runs before
+  // `txn` releases its locks, so no other vacuum meets those copies.
+  Status OnAbort(TxnId txn);
+  // Commit hook, the one step of physical reclaim: destroy the relations
+  // `txn` dropped, then expunge the versions it vacuumed and walk each index
+  // of their tables once, dropping every entry whose TID names no surviving
+  // version with the entry's key and every repeat of the entry before it.
+  // Runs after the commit record is durable, so no page that lost a version
+  // can reach disk before the archive holding it is committed, and before
+  // `txn` releases its locks, so no writer sees a table half reclaimed.
+  // Returns the first reclaim error; the commit stands regardless.
+  Status OnCommit(TxnId txn);
 
   Heap* pg_class() { return pg_class_->heap.get(); }
   Heap* pg_attribute() { return pg_attribute_->heap.get(); }
@@ -173,6 +195,7 @@ class Catalog {
   std::map<std::string, TypeInfo> types_ GUARDED_BY(mu_);
   std::map<TxnId, std::vector<Oid>> created_by_txn_ GUARDED_BY(mu_);
   std::map<TxnId, std::vector<Oid>> dropped_by_txn_ GUARDED_BY(mu_);
+  std::map<TxnId, std::vector<Reclaim>> vacuumed_by_txn_ GUARDED_BY(mu_);
 
   TableInfo* pg_class_ = nullptr;
   TableInfo* pg_attribute_ = nullptr;

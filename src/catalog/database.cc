@@ -77,21 +77,28 @@ bool Database::read_only() const { return log_ != nullptr && log_->poisoned(); }
 
 Status Database::Commit(TxnId txn) {
   INV_RETURN_IF_ERROR(txns_->Commit(txn));
-  // A read-only transaction that commits created and dropped nothing: DDL
-  // writes catalog rows, and TxnManager refuses to commit a read-only
-  // transaction that wrote. Skipping the no-op keeps the catalog mutex off
-  // the read path. (Abort keeps the call, so DDL a caller wrongly ran under
-  // a read-only xid is still undone.)
-  if (!IsReadOnlyTxn(txn)) {
-    catalog_->OnCommit(txn);
+  // A read-only transaction that commits created, dropped and vacuumed
+  // nothing, and holds no locks: DDL writes catalog rows, and TxnManager
+  // refuses to commit a read-only transaction that wrote. Skipping the no-op
+  // keeps the catalog mutex off the read path. (Abort keeps the call, so DDL
+  // a caller wrongly ran under a read-only xid is still undone.)
+  if (IsReadOnlyTxn(txn)) {
+    return Status::Ok();
   }
-  return Status::Ok();
+  // The commit record is durable; reclaim, then let other writers in.
+  const Status reclaimed = catalog_->OnCommit(txn);
+  locks_.ReleaseAll(txn);
+  return reclaimed;
 }
 
 Status Database::Abort(TxnId txn) {
   INV_RETURN_IF_ERROR(txns_->Abort(txn));
-  catalog_->OnAbort(txn);
-  return Status::Ok();
+  // Undo, then let other writers in.
+  const Status undone = catalog_->OnAbort(txn);
+  if (!IsReadOnlyTxn(txn)) {
+    locks_.ReleaseAll(txn);
+  }
+  return undone;
 }
 
 Result<Tid> Database::InsertRow(TxnId txn, TableInfo* table, const Row& row,
@@ -110,7 +117,7 @@ Result<Tid> Database::InsertRow(TxnId txn, TableInfo* table, const Row& row,
 
 Status Database::DeleteRow(TxnId txn, TableInfo* table, Tid tid) {
   // Index entries are intentionally retained: old versions must stay
-  // reachable for time travel; vacuum rebuilds indices after expunging.
+  // reachable for time travel; vacuum drops them once it expunges a version.
   return table->heap->Delete(txn, tid);
 }
 
@@ -144,9 +151,8 @@ Status Database::LockTable(TxnId txn, const TableInfo* table, LockMode mode) {
 
 Result<TidList> Database::Probe(const IndexInfo& index, const BtreeKey& key,
                                 KeyMatch match) {
-  // Lock-free readers reach the B-tree with no table lock, and vacuum's index
-  // rebuild replaces the BTree object under exclusive entry.
-  SharedGateLock gate(probe_gate_);
+  // Lock-free readers reach the B-tree with no table lock. Nothing replaces
+  // the BTree object, and vacuum removes entries in place under its latch.
   if (match == KeyMatch::kExact) {
     return index.btree->Lookup(key);
   }

@@ -20,7 +20,6 @@
 #include "src/obs/slo.h"
 #include "src/sim/cost_params.h"
 #include "src/sim/sim_clock.h"
-#include "src/txn/reader_gate.h"
 #include "src/txn/txn_manager.h"
 
 namespace invfs {
@@ -88,7 +87,12 @@ class Database {
   // Read-only begins are accepted even on a poisoned (fail-stop read-only)
   // database: they touch neither the commit log nor the lock manager.
   Result<TxnId> Begin(TxnMode mode = TxnMode::kReadWrite);
+  // Makes `txn` durable, reclaims what it dropped or vacuumed
+  // (Catalog::OnCommit), then releases its locks. A reclaim error is
+  // returned, but the commit stands.
   Status Commit(TxnId txn);
+  // Aborts `txn`, undoes its DDL and vacuum copies (Catalog::OnAbort), then
+  // releases its locks. An undo error is returned, but the abort stands.
   Status Abort(TxnId txn);
   Snapshot SnapshotFor(TxnId txn) const { return txns_->SnapshotFor(txn); }
   Snapshot SnapshotAt(Timestamp t) const { return txns_->SnapshotAt(t); }
@@ -111,10 +115,6 @@ class Database {
   // the transaction written (its reads switch to live snapshots).
   Status LockTable(TxnId txn, const TableInfo* table, LockMode mode);
 
-  // Gate between lock-free index probes and the maintenance operations that
-  // swap index structures in place (vacuum rebuild, table migration).
-  ReaderGate& probe_gate() { return probe_gate_; }
-
   // --- versioned lookups -----------------------------------------------------
 
   // kExact: the index entries equal to the key; kPrefix: those starting
@@ -125,15 +125,16 @@ class Database {
   // on each version of `table` visible under `snap` among the TIDs `index`
   // holds under `key` (every heap version when `index` is null), then, for an
   // as-of snapshot, on each visible version in the table's archive. Stops
-  // once `fn` returns true; returns whether it did. The probe gate is held
-  // for the index probe only, never across `fn`, which runs under the page
+  // once `fn` returns true; returns whether it did. `fn` runs under the page
   // latch with Heap::Visit's rules (so no nested lookup) and must check the
-  // key itself: the archive and index-less passes offer every version.
+  // key itself: the archive and index-less passes offer every version. A
+  // version a vacuum is moving may be met twice, in the heap and in the
+  // archive; callers stop at the first match or keep one per key.
   template <typename Fn>
   Result<bool> VisitVersions(const TableInfo* table, const IndexInfo* index,
                              const BtreeKey& key, KeyMatch match,
                              const Snapshot& snap, Fn&& fn);
-  // The TIDs `index` holds under `key`, read inside the probe gate.
+  // The TIDs `index` holds under `key`.
   Result<TidList> Probe(const IndexInfo& index, const BtreeKey& key, KeyMatch match);
 
   // --- administration -------------------------------------------------------
@@ -180,7 +181,6 @@ class Database {
   std::unique_ptr<CommitLog> log_;
   std::unique_ptr<TxnManager> txns_;
   std::unique_ptr<Catalog> catalog_;
-  ReaderGate probe_gate_;
   bool crashed_ = false;
 };
 

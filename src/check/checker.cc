@@ -599,8 +599,10 @@ void Checker::CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel) 
           // Otherwise the TID points past the persisted end of its heap.
           // Force-at-commit flushes heap pages before the commit record, so
           // the entry's writer never committed: this is a dead entry a crash
-          // legitimately strands in a write-through index, gone at the next
-          // rebuild.
+          // legitimately strands in a write-through index. The next vacuum
+          // of the heap that reclaims a version drops it: its index walk
+          // keeps only entries naming a surviving version with the entry's
+          // key.
           report_.violations.back().residue = !fallout;
         }
       }
@@ -781,10 +783,15 @@ Result<CheckReport> Checker::Run() {
       std::vector<HeapTuple> tuples;
       WalkHeap(store, oid, schema, &tuples);
       ++report_.relations_checked;
-      if (info.name == "fileatt") {
-        CheckCurrentUnique(oid, tuples, {0});  // file
+      if (info.name == "fileatt" || info.name == "a,fileatt") {
+        // Vacuum moves superseded fileatt rows to the archive, where they
+        // still name their chunk tables.
+        if (info.name == "fileatt") {
+          CheckCurrentUnique(oid, tuples, {0});  // file
+        }
         fileatt_schema = schema;
-        fileatt_rows = std::move(tuples);
+        fileatt_rows.insert(fileatt_rows.end(), std::make_move_iterator(tuples.begin()),
+                            std::make_move_iterator(tuples.end()));
         continue;
       }
       if (info.name == "naming") {
@@ -840,9 +847,9 @@ Result<CheckReport> Checker::Run() {
   }
 
   // --- orphan chunk tables -------------------------------------------------
-  // Any version of a fileatt row (current, superseded, or uncommitted) keeps
-  // a chunk table referenced; a chunk table no version ever named is an
-  // orphan.
+  // Any version of a fileatt row (current, superseded, archived or
+  // uncommitted) keeps a chunk table referenced; a chunk table no version
+  // ever named is an orphan.
   std::set<Oid> known_files;
   if (fileatt_schema) {
     auto file_col = fileatt_schema->ColumnIndex("file");

@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 #include "src/fault/crash_points.h"
@@ -39,7 +40,7 @@ std::string FileName(int i) {
 // ---- plan ------------------------------------------------------------------
 
 struct Op {
-  enum Kind : uint8_t { kCreate, kAppend, kOverwrite, kRename, kUnlink };
+  enum Kind : uint8_t { kCreate, kAppend, kOverwrite, kRename, kUnlink, kVacuum };
   Kind kind = kCreate;
   int file = 0;      // index of the file the op targets
   int to = 0;        // rename target index
@@ -101,9 +102,11 @@ std::vector<Step> MakePlan(const TortureOptions& opt) {
         op.to = pick(absent);
         exists.erase(op.file);
         exists.insert(op.to);
-      } else {
+      } else if (dice < 92) {
         op.kind = dice < 78 ? Op::kAppend : Op::kOverwrite;
         op.file = pick(live);
+      } else {
+        op.kind = Op::kVacuum;
       }
       op.len = 1 + static_cast<uint32_t>(
                        rng.Uniform(op.kind == Op::kCreate ? 9000 : 6000));
@@ -120,7 +123,11 @@ struct RunOutcome {
   FileState acked;   // every acked call applied
   FileState landed;  // acked + the call or commit in flight at the halt
   bool halted = false;
+  bool halted_in_vacuum = false;
   uint64_t failed_ops = 0;  // ops that failed other than by the halt
+  // The time just before each vacuum op began, and the acked state then:
+  // an as-of read at that time must show it, whatever the vacuum did.
+  std::vector<std::pair<Timestamp, FileState>> before_vacuum;
 };
 
 // What a call does to the file state if it lands.
@@ -131,8 +138,10 @@ using Effect = std::function<void(FileState&)>;
 template <typename Client>
 class Executor {
  public:
-  Executor(Client* client, const FaultInjector* injector, LoadGen* load)
-      : c_(client), injector_(injector), load_(load) {}
+  // `fs` serves the in-process client's vacuum ops.
+  Executor(Client* client, const FaultInjector* injector, LoadGen* load,
+           InversionFs* fs)
+      : c_(client), injector_(injector), load_(load), fs_(fs) {}
 
   RunOutcome Run(const std::vector<Step>& plan) {
     for (const Step& step : plan) {
@@ -162,6 +171,7 @@ class Executor {
   bool Halted(const Effect* in_flight = nullptr) {
     if (!out_.halted && injector_->crashed()) {
       out_.halted = true;
+      out_.halted_in_vacuum = in_vacuum_;
       out_.landed = out_.acked;
       if (in_flight != nullptr && *in_flight) {
         (*in_flight)(out_.landed);
@@ -231,8 +241,36 @@ class Executor {
         return Call([&] { return c_->unlink(path); },
                     [path](FileState& s) { s.erase(path); })
             .ok();
+      case Op::kVacuum:
+        return Vacuum();
       default:
         return Write(op, path);
+    }
+  }
+
+  // Vacuum every table, in the open transaction or in one of its own. It
+  // changes no file, so it has no effect to land. The wire client has no
+  // vacuum call: there the op does nothing.
+  bool Vacuum() {
+    if constexpr (!std::is_same_v<Client, InvSession>) {
+      return true;
+    } else {
+      if (Halted()) {
+        return false;
+      }
+      out_.before_vacuum.emplace_back(fs_->db().Now(), out_.acked);
+      in_vacuum_ = true;
+      const bool own = !c_->in_txn();
+      bool ok = !own || Call([&] { return c_->p_begin(); }).ok();
+      ok = ok && Call([&] { return fs_->Vacuum(c_->txn()).status(); }).ok();
+      if (own && c_->in_txn()) {
+        ok = ok && Call([&] { return c_->p_commit(); }).ok();
+        if (!ok) {
+          (void)Call([&] { return c_->p_abort(); });
+        }
+      }
+      in_vacuum_ = false;
+      return ok;
     }
   }
 
@@ -278,7 +316,9 @@ class Executor {
   Client* c_;
   const FaultInjector* injector_;
   LoadGen* load_;
+  InversionFs* fs_;
   bool in_txn_ = false;
+  bool in_vacuum_ = false;
   std::vector<Effect> txn_effects_;  // acked calls of the open transaction
   RunOutcome out_;
 };
@@ -300,10 +340,11 @@ struct Rig {
 
   RunOutcome Execute(const std::vector<Step>& plan) {
     if (client != nullptr) {
-      return Executor<RemoteFileClient>(client.get(), &injector, load.get())
+      return Executor<RemoteFileClient>(client.get(), &injector, load.get(), nullptr)
           .Run(plan);
     }
-    return Executor<InvSession>(&world->session(), &injector, load.get())
+    return Executor<InvSession>(&world->session(), &injector, load.get(),
+                                &world->fs())
         .Run(plan);
   }
 };
@@ -341,14 +382,15 @@ Result<std::unique_ptr<Rig>> OpenRig(const TortureOptions& opt, bool wire) {
 
 // ---- the verdict -----------------------------------------------------------
 
-// The plan's namespace and bytes, read back through a fresh session.
-Result<FileState> ReadBack(InversionFs* fs) {
+// The plan's namespace and bytes as of `as_of`, read back through a fresh
+// session.
+Result<FileState> ReadBack(InversionFs* fs, Timestamp as_of = kTimestampNow) {
   INV_ASSIGN_OR_RETURN(auto session, fs->NewSession());
   FileState actual;
-  INV_ASSIGN_OR_RETURN(auto entries, session->readdir(kRoot));
+  INV_ASSIGN_OR_RETURN(auto entries, session->readdir(kRoot, as_of));
   for (const DirEntry& e : entries) {
     const std::string path = std::string(kRoot) + "/" + e.name;
-    INV_ASSIGN_OR_RETURN(int fd, session->p_open(path, OpenMode::kRead));
+    INV_ASSIGN_OR_RETURN(int fd, session->p_open(path, OpenMode::kRead, as_of));
     INV_ASSIGN_OR_RETURN(FileStat st, session->p_fstat(fd));
     std::string content(static_cast<size_t>(st.size), '\0');
     INV_ASSIGN_OR_RETURN(
@@ -454,6 +496,18 @@ std::string Judge(TortureDomain domain, std::unique_ptr<Rig> rig,
   if (!actual.ok()) {
     return "reading back failed: " + actual.status().ToString();
   }
+  // Vacuum moves history to the archive; none of it may be lost.
+  for (size_t i = 0; i < out.before_vacuum.size(); ++i) {
+    const auto& [at, expect] = out.before_vacuum[i];
+    const std::string which = "as of before vacuum " + std::to_string(i + 1);
+    auto old = ReadBack(&fs, at);
+    if (!old.ok()) {
+      return "reading back " + which + " failed: " + old.status().ToString();
+    }
+    if (std::string diff = DescribeDiff(expect, *old); !diff.empty()) {
+      return "oracle failed " + which + ": " + diff;
+    }
+  }
   return JudgeState(domain, out.acked, out.landed, *actual);
 }
 
@@ -548,6 +602,9 @@ std::string Replay(const TortureOptions& opt, const std::vector<Step>& plan,
       report->recorded["device.write"] = n;
       events->push_back({TortureDomain::kWrites, "device.write", n});
     }
+    if (!wire) {
+      report->vacuums = out.before_vacuum.size();
+    }
     if (rig->load != nullptr) {
       const LoadGenReport lr = rig->load->Report();
       report->load_ops = lr.ops;
@@ -561,6 +618,9 @@ std::string Replay(const TortureOptions& opt, const std::vector<Step>& plan,
     ++(fired ? stats.fired : stats.not_reached);
     if (out.halted && out.landed != out.acked) {
       ++stats.in_flight;
+    }
+    if (out.halted_in_vacuum) {
+      ++stats.in_vacuum;
     }
     report->failed_ops += out.failed_ops;
     if (wire) {
@@ -607,10 +667,12 @@ std::string TortureReport::Summary() const {
            TortureDomainName(static_cast<TortureDomain>(i)) + ": " +
            std::to_string(d.schedules) + " schedules, " +
            std::to_string(d.fired) + " fired (" + std::to_string(d.in_flight) +
-           " in flight), " + std::to_string(d.not_reached) + " not reached\n";
+           " in flight, " + std::to_string(d.in_vacuum) + " in vacuum), " +
+           std::to_string(d.not_reached) + " not reached\n";
     }
   }
   s += "torture: " + std::to_string(total) + " schedules, " +
+       std::to_string(vacuums) + " vacuum ops/pass, " +
        std::to_string(failed_ops) + " failed ops, " +
        std::to_string(retries) + " retries, " +
        std::to_string(failures.size()) + " failures -> " +

@@ -16,9 +16,10 @@
 //
 //   1. Plan: a seeded sequence of steps, each one autocommit op or an
 //      explicit transaction of 1-3 ops (create, append, overwrite, rename,
-//      unlink). The crash domains run it through an InvSession, the wire
-//      domain through a RemoteFileClient over a FaultyTransport; one executor
-//      templated over the client serves both.
+//      unlink, vacuum). The crash domains run it through an InvSession, the
+//      wire domain through a RemoteFileClient over a FaultyTransport; one
+//      executor templated over the client serves both. The wire client has
+//      no vacuum call, so the wire domain skips vacuum ops.
 //   2. Recording pass: run the plan unfaulted and count every event a fault
 //      can land on — crash-point hits, device writes and wire exchanges.
 //   3. Schedules: one SpreadOccurrences turns each (domain, selector) count
@@ -30,7 +31,9 @@
 //      The verdict: invfs_check reports only residue, no transaction is
 //      active and no relation locked, and the namespace and bytes read back
 //      through a fresh session equal the acked state — or, in the crash
-//      domains, the state where the interrupted call or commit landed.
+//      domains, the state where the interrupted call or commit landed. Read
+//      as of the time before each vacuum op, acked or interrupted, they
+//      equal the acked state of that time: vacuum loses no version.
 //
 // All randomness flows from TortureOptions::seed, so a failing schedule
 // replays exactly by name.
@@ -80,6 +83,7 @@ struct TortureReport {
     uint64_t fired = 0;        // schedules whose fault actually fired
     uint64_t not_reached = 0;  // armed position never reached
     uint64_t in_flight = 0;    // halted with a state change in flight
+    uint64_t in_vacuum = 0;    // halted inside a vacuum op
   };
   std::array<DomainStats, kNumTortureDomains> domains{};
   // Events of the recording passes: "point:<name>", "device.write" and
@@ -89,6 +93,7 @@ struct TortureReport {
   uint64_t failed_ops = 0;  // ops that surfaced an error, all schedules
   uint64_t retries = 0;     // RPC client retries, all schedules
   uint64_t load_ops = 0;    // loadgen arrivals per recording pass
+  uint64_t vacuums = 0;     // vacuum ops per in-process recording pass
   std::vector<std::string> failures;  // empty == the sweep passed
 
   bool ok() const { return failures.empty(); }

@@ -1,6 +1,7 @@
 #include "src/query/executor.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "src/obs/span.h"
@@ -386,21 +387,39 @@ Result<ResultSet> Executor::ExecRetrieve(const Statement& stmt, TxnId txn) {
       return Status::Ok();
     }
 
-    auto scan_heap = [&](Heap* heap) -> Status {
-      auto it = heap->Scan(r.snap);
-      while (it.Next()) {
-        tuples_scanned_->Add();
-        INV_RETURN_IF_ERROR(emit(it.row()));
+    // A historical scan reads the heap, then the archive. A version a vacuum
+    // was cut short moving sits in both (DESIGN.md, "Crash-safe vacuum"), so
+    // each archive version stands in for at most one deleted heap version
+    // with its xmin, xmax and row, and only the unmatched ones are emitted.
+    const Oid archive_oid =
+        r.snap.is_historical() ? r.table->archive_oid.load() : kInvalidOid;
+    std::multimap<std::pair<TxnId, TxnId>, Row> deleted;
+    auto it = r.table->heap->Scan(r.snap);
+    while (it.Next()) {
+      tuples_scanned_->Add();
+      if (archive_oid != kInvalidOid && it.meta().xmax != kInvalidTxn) {
+        deleted.emplace(std::pair(it.meta().xmin, it.meta().xmax), it.row());
       }
-      return it.status();
-    };
-    INV_RETURN_IF_ERROR(scan_heap(r.table->heap.get()));
-    if (r.snap.is_historical() && r.table->archive_oid != kInvalidOid) {
-      INV_ASSIGN_OR_RETURN(TableInfo * archive,
-                           db_->catalog().GetTableByOid(r.table->archive_oid));
-      INV_RETURN_IF_ERROR(scan_heap(archive->heap.get()));
+      INV_RETURN_IF_ERROR(emit(it.row()));
     }
-    return Status::Ok();
+    INV_RETURN_IF_ERROR(it.status());
+    if (archive_oid == kInvalidOid) {
+      return Status::Ok();
+    }
+    INV_ASSIGN_OR_RETURN(TableInfo * archive, db_->catalog().GetTableByOid(archive_oid));
+    auto at = archive->heap->Scan(r.snap);
+    while (at.Next()) {
+      tuples_scanned_->Add();
+      auto [first, last] = deleted.equal_range({at.meta().xmin, at.meta().xmax});
+      auto same =
+          std::find_if(first, last, [&](const auto& d) { return d.second == at.row(); });
+      if (same != last) {
+        deleted.erase(same);
+        continue;
+      }
+      INV_RETURN_IF_ERROR(emit(at.row()));
+    }
+    return at.status();
   };
   INV_RETURN_IF_ERROR(recurse(0));
   return result;

@@ -74,7 +74,7 @@ class Page {
 
   // Reclaim space of dead slots. Slot numbers of surviving tuples are
   // preserved (dead line pointers remain, pointing nowhere) so that TIDs held
-  // by indices stay valid until the index is rebuilt.
+  // by indices stay valid until vacuum removes their entries.
   void Compact();
 
   // Raw frame access for checksumming and device I/O.

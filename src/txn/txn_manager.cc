@@ -133,7 +133,6 @@ Status TxnManager::Commit(TxnId txn) {
     }
     INV_RETURN_IF_ERROR(log_->CommitTxn(txn, clock_->Now()));
   }
-  locks_->ReleaseAll(txn);
   commits_->Add();
   span.set_b(touched.size());
   return Status::Ok();
@@ -158,7 +157,6 @@ Status TxnManager::Abort(TxnId txn) {
   // Nothing to undo: tuples stamped with this xid are invisible to every
   // snapshot because the xid never commits. (Space is reclaimed by vacuum.)
   INV_RETURN_IF_ERROR(log_->AbortTxn(txn));
-  locks_->ReleaseAll(txn);
   aborts_->Add();
   return Status::Ok();
 }

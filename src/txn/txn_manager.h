@@ -7,7 +7,9 @@
 //   2. persist the commit-log entry with the commit timestamp.
 // The commit-log write is the commit point: a crash before it leaves every
 // tuple stamped with this xid invisible forever; a crash after it finds all
-// the data already on stable storage.
+// the data already on stable storage. Commit and Abort keep the transaction's
+// locks: the caller reclaims what a commit freed (Catalog::OnCommit) or undoes
+// what an abort left (Catalog::OnAbort), then releases them (Database).
 //
 // Transactions begin in one of two modes:
 //   * kReadWrite — a real xid from the commit log, strict 2PL on every

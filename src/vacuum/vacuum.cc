@@ -1,5 +1,7 @@
 #include "src/vacuum/vacuum.h"
 
+#include <map>
+
 namespace invfs {
 
 Result<VacuumStats> VacuumCleaner::VacuumTable(TxnId txn, TableInfo* table,
@@ -14,63 +16,97 @@ Result<VacuumStats> VacuumCleaner::VacuumTable(TxnId txn, TableInfo* table,
   const TxnId horizon = db_->txns().OldestActiveXmin();
   VacuumStats stats;
 
-  TableInfo* archive = nullptr;
+  Catalog::Reclaim reclaim;
+  reclaim.table = table;
   if (keep_history) {
-    INV_ASSIGN_OR_RETURN(archive, db_->catalog().CreateArchive(txn, table));
+    INV_ASSIGN_OR_RETURN(reclaim.archive, db_->catalog().CreateArchive(txn, table));
   }
 
-  // Pass 1: classify every physical version.
-  struct Doomed {
-    Tid tid;
-    bool archive;
-  };
-  std::vector<Doomed> doomed;
-  {
-    auto it = table->heap->ScanAll();
-    while (it.Next()) {
-      ++stats.scanned;
-      const TupleMeta& meta = it.meta();
-      const TxnStatus xmin_status = db_->txns().log().StatusOf(meta.xmin);
-      if (xmin_status == TxnStatus::kAborted) {
-        // Never visible to anyone: physically discard.
-        doomed.push_back({it.tid(), false});
+  // Classify every physical version. Expunging them waits for the commit
+  // (Catalog::OnCommit), so a second vacuum of `table` in this transaction
+  // finds them again, and the first one's copies in the archive.
+  std::vector<Obsolete> obsolete;
+  auto it = table->heap->ScanAll();
+  while (it.Next()) {
+    ++stats.scanned;
+    const TupleMeta& meta = it.meta();
+    const TxnStatus xmin_status = db_->txns().log().StatusOf(meta.xmin);
+    if (xmin_status == TxnStatus::kAborted) {
+      // Never visible to anyone: physically discard.
+      reclaim.dead.push_back(it.tid());
+      ++stats.discarded;
+      continue;
+    }
+    if (xmin_status == TxnStatus::kInProgress) {
+      ++stats.live;  // someone is mid-insert; leave alone
+      continue;
+    }
+    if (now_snap.IsDeadForever(meta) &&
+        (horizon == kInvalidTxn || meta.xmax < horizon)) {
+      if (keep_history) {
+        obsolete.push_back({it.tid(), meta, it.row()[0]});
+        ++stats.archived;
+      } else {
         ++stats.discarded;
-        continue;
       }
-      if (xmin_status == TxnStatus::kInProgress) {
-        ++stats.live;  // someone is mid-insert; leave alone
-        continue;
-      }
-      if (now_snap.IsDeadForever(meta) &&
-          (horizon == kInvalidTxn || meta.xmax < horizon)) {
-        if (keep_history) {
-          INV_RETURN_IF_ERROR(
-              archive->heap->InsertRaw(txn, it.row(), meta).status());
-          ++stats.archived;
-        } else {
-          ++stats.discarded;
-        }
-        doomed.push_back({it.tid(), keep_history});
-        continue;
-      }
-      ++stats.live;
+      reclaim.dead.push_back(it.tid());
+      continue;
     }
-    INV_RETURN_IF_ERROR(it.status());
+    ++stats.live;
   }
-
-  // Pass 2: expunge and compact.
-  for (const Doomed& d : doomed) {
-    INV_RETURN_IF_ERROR(table->heap->Expunge(d.tid));
-  }
-  if (!doomed.empty()) {
-    INV_RETURN_IF_ERROR(table->heap->CompactAllPages());
-    db_->txns().NoteTouched(txn, table->oid);
-    // TIDs changed meaning (slots died): rebuild every index.
-    for (IndexInfo* idx : table->indexes) {
-      INV_RETURN_IF_ERROR(RebuildIndex(table, idx));
+  INV_RETURN_IF_ERROR(it.status());
+  if (!obsolete.empty()) {
+    if (Status st = Archive(txn, *table->heap, obsolete, &reclaim); !st.ok()) {
+      // Reclaim nothing, but expunge the copies made so far on abort.
+      reclaim.dead.clear();
+      db_->catalog().ReclaimAtEnd(txn, std::move(reclaim));
+      return st;
     }
+  }
+  if (!reclaim.dead.empty()) {
+    db_->catalog().ReclaimAtEnd(txn, std::move(reclaim));
   }
   return stats;
+}
+
+Status VacuumCleaner::Archive(TxnId txn, const Heap& heap,
+                              const std::vector<Obsolete>& obsolete,
+                              Catalog::Reclaim* reclaim) {
+  Heap& archive = *reclaim->archive->heap;
+  // Each version the archive holds stands for at most one obsolete version
+  // with its xmin, xmax and row. The first column sifts the candidates
+  // before a row is fetched: versions stamped alike (every chunk one
+  // overwrite replaced) differ in it.
+  std::multimap<std::pair<TxnId, TxnId>, size_t> unmatched;
+  for (size_t i = 0; i < obsolete.size(); ++i) {
+    unmatched.emplace(std::pair(obsolete[i].meta.xmin, obsolete[i].meta.xmax), i);
+  }
+  std::vector<bool> held(obsolete.size());
+  auto it = archive.ScanAll();
+  while (it.Next()) {
+    auto [first, last] = unmatched.equal_range({it.meta().xmin, it.meta().xmax});
+    for (auto at = first; at != last; ++at) {
+      if (!(obsolete[at->second].first == it.row()[0])) {
+        continue;
+      }
+      INV_ASSIGN_OR_RETURN(auto version, heap.FetchAny(obsolete[at->second].tid));
+      if (version.second == it.row()) {
+        held[at->second] = true;
+        unmatched.erase(at);
+        break;
+      }
+    }
+  }
+  INV_RETURN_IF_ERROR(it.status());
+  for (size_t i = 0; i < obsolete.size(); ++i) {
+    if (held[i]) {
+      continue;
+    }
+    INV_ASSIGN_OR_RETURN(auto version, heap.FetchAny(obsolete[i].tid));
+    INV_ASSIGN_OR_RETURN(Tid copy, archive.InsertRaw(txn, version.second, version.first));
+    reclaim->archived.push_back(copy);
+  }
+  return Status::Ok();
 }
 
 Result<VacuumStats> VacuumCleaner::VacuumAll(TxnId txn, bool keep_history) {
@@ -86,31 +122,6 @@ Result<VacuumStats> VacuumCleaner::VacuumAll(TxnId txn, bool keep_history) {
     total.live += s.live;
   }
   return total;
-}
-
-Status VacuumCleaner::RebuildIndex(TableInfo* table, IndexInfo* index) {
-  // Recreate the index relation from scratch on its device, then reinsert an
-  // entry for every surviving heap version.
-  //
-  // Exclusive gate entry: lock-free readers probe index->btree with no table
-  // lock, and this function both replaces the BTree object wholesale and
-  // leaves the index incomplete until reinsertion finishes. Taken after the
-  // caller's exclusive table lock (gate is always innermost), and shared
-  // holders never block while inside, so this cannot deadlock.
-  ExclusiveGateLock gate(db_->probe_gate());
-  INV_ASSIGN_OR_RETURN(DeviceManager * mgr, db_->devices().ManagerFor(index->oid));
-  db_->buffers().DiscardRelation(index->oid);
-  INV_RETURN_IF_ERROR(mgr->DropRelation(index->oid));
-  INV_RETURN_IF_ERROR(mgr->CreateRelation(index->oid));
-  INV_ASSIGN_OR_RETURN(index->btree,
-                       BTree::Create(index->oid, db_->buffers_ptr(),
-                                     FixedKeyWidth(table->schema, index->key_columns)));
-  auto it = table->heap->ScanAll();
-  while (it.Next()) {
-    INV_ASSIGN_OR_RETURN(const BtreeKey key, EncodeKey(it.row(), index->key_columns));
-    INV_RETURN_IF_ERROR(index->btree->Insert(key, it.tid()));
-  }
-  return it.status();
 }
 
 }  // namespace invfs

@@ -13,7 +13,15 @@
 // ("POSTGRES can be instructed not to save old versions") the history is
 // discarded. Versions written by aborted transactions are always discarded.
 //
-// After expunging, pages are compacted and every index is rebuilt.
+// Vacuum's transaction only classifies versions and writes the archive.
+// The physical reclaim runs at its commit (Catalog::OnCommit), once the
+// commit record, and with it the archive, is durable: the dead versions are
+// expunged, their pages compacted in place, and each index walked once to
+// drop the entries that name no surviving version. No index is rebuilt, so
+// lock-free readers probe the same B-tree throughout. An aborted vacuum
+// leaves the heap as it was and takes its archive copies back out; neither
+// it nor one a crash interrupts loses a version. A crash can leave a version
+// in both heap and archive; the next vacuum does not copy it again.
 
 #pragma once
 
@@ -32,20 +40,31 @@ class VacuumCleaner {
  public:
   explicit VacuumCleaner(Database* db) : db_(db) {}
 
-  // Vacuum one table inside the caller's transaction (takes an X lock).
-  // `keep_history` false discards obsolete versions instead of archiving.
+  // Vacuum one table inside the caller's transaction (takes an X lock); the
+  // table is reclaimed when that transaction commits. `keep_history` false
+  // discards obsolete versions instead of archiving.
   Result<VacuumStats> VacuumTable(TxnId txn, TableInfo* table,
                                   bool keep_history = true);
 
   // Vacuum every user heap (not catalogs, not archives, not indices).
   Result<VacuumStats> VacuumAll(TxnId txn, bool keep_history = true);
 
-  // Rebuild `index` from the current physical contents of `table` (every
-  // surviving version, visible or not — the index covers history still in
-  // the heap).
-  Status RebuildIndex(TableInfo* table, IndexInfo* index);
-
  private:
+  // A heap version to archive, with its header and first column.
+  struct Obsolete {
+    Tid tid;
+    TupleMeta meta;
+    Value first;
+  };
+
+  // Copies the `obsolete` versions of `heap` into `reclaim`'s archive, noting
+  // each copy's TID, but for those the archive holds already: a vacuum that
+  // a crash cut short, before its commit or before its reclaim reached the
+  // disk, leaves its copies there and the versions in the heap, as does an
+  // earlier vacuum of the table in the same transaction.
+  Status Archive(TxnId txn, const Heap& heap, const std::vector<Obsolete>& obsolete,
+                 Catalog::Reclaim* reclaim);
+
   Database* db_;
 };
 

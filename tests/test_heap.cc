@@ -212,8 +212,7 @@ TEST_F(HeapTest, ExpungeAndCompactReclaimPhysically) {
   auto tid = table_->heap->Insert(*t1, {Value::Int4(1), Value::Text("bye")});
   ASSERT_TRUE(tid.ok());
   ASSERT_TRUE(db_->Commit(*t1).ok());
-  ASSERT_TRUE(table_->heap->Expunge(*tid).ok());
-  ASSERT_TRUE(table_->heap->CompactAllPages().ok());
+  ASSERT_TRUE(table_->heap->Expunge({*tid}).ok());
   EXPECT_TRUE(table_->heap->FetchAny(*tid).status().IsNotFound());
   auto raw = table_->heap->ScanAll();
   EXPECT_FALSE(raw.Next());

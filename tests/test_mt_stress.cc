@@ -370,7 +370,7 @@ TEST_F(MtStressTest, ConcurrentTransactionsThroughDatabase) {
 // The read-only registry under real parallelism: reader threads run
 // read-only transactions (begin, ReadSnapshot, index probes, commit) while a
 // writer replaces rows under 2PL and vacuum discards dead versions and
-// rebuilds the index. Each round every reader holds one transaction open
+// removes their index entries in place. Each round every reader holds one transaction open
 // across writer commits and checks that
 //   * its pinned answers never change: the rows it reads and XidVisible for
 //     every xid around its capture are the same before and after;
@@ -452,10 +452,7 @@ TEST_F(MtStressTest, ReadOnlyRegistryUnderWriterAndVacuum) {
   auto read_all = [&](const Snapshot& snap, std::vector<int>* out) {
     out->clear();
     for (int k = 0; k < kKeys; ++k) {
-      Result<TidList> found = [&] {
-        SharedGateLock gate(db.probe_gate());
-        return index->btree->Lookup(EncodeInt4Key(k));
-      }();
+      Result<TidList> found = index->btree->Lookup(EncodeInt4Key(k));
       if (!found.ok()) {
         return false;
       }
@@ -688,12 +685,12 @@ TEST(ChunkReadRaceTest, ReadersCopyOneWholeVersionWhileAWriterReplacesIt) {
 
 // Namespace lookups (stat, readdir and a read-mode p_open, each in its own
 // read-only transaction) run with no table lock while a writer renames every
-// entry of a directory and vacuum rebuilds the naming and fileatt indexes
+// entry of a directory and vacuum reclaims the naming and fileatt tables
 // under them. Each lookup must see exactly one name per file, current or as
-// of before the first rename, and a rebuild must never free a B-tree a
-// lookup is still inside: every probe enters the probe gate (the TSan
-// target).
-TEST(NamespaceLookupRaceTest, StatReaddirAndOpenWhileVacuumRebuildsIndexes) {
+// of before the first rename, and vacuum's in-place index removals must
+// never disturb a lookup inside the same B-tree: they meet only under the
+// tree's latch (the TSan target).
+TEST(NamespaceLookupRaceTest, StatReaddirAndOpenWhileVacuumRepairsIndexes) {
   constexpr int kFiles = 4;
   constexpr int kRounds = 6;
   constexpr int kReaders = 3;

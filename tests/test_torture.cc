@@ -1,7 +1,8 @@
 // Fast smoke over the torture driver: small but real sweeps of every fault
 // domain (crash points and device-write halts with recovery, wire faults
-// under a retrying client; checker, quiescence and the acked-state oracle)
-// must pass under ctest, and the oracle must reject every wrong read-back.
+// under a retrying client; checker, quiescence and the acked-state oracle,
+// as-of reads around every vacuum included) must pass under ctest, and the
+// oracle must reject every wrong read-back.
 // The full-size sweeps run in scripts/check.sh.
 
 #include <gtest/gtest.h>
@@ -49,6 +50,28 @@ TEST(Torture, SmallSweepPassesAndActuallyCrashes) {
       }
     }
   }
+}
+
+// A plan long enough to vacuum, halted before every one of its device writes
+// in turn: some halts land inside a vacuum, before or after its commit, and
+// each image must recover with every version, as of before each vacuum too.
+TEST(Torture, HaltBeforeEveryWriteOfAPlanThatVacuums) {
+  TortureOptions options;
+  options.seed = 7;
+  options.max_files = 4;
+  options.buffers = 24;
+  options.write_schedules = ~uint64_t{0};  // every write
+  options.domains = Bit(TortureDomain::kWrites);
+  auto report = RunTorture(options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  for (const std::string& f : report->failures) {
+    ADD_FAILURE() << f;
+  }
+  const TortureReport::DomainStats& writes =
+      report->domains[static_cast<size_t>(TortureDomain::kWrites)];
+  EXPECT_EQ(writes.schedules, report->recorded["device.write"]);
+  EXPECT_GT(report->vacuums, 0u) << "the plan must vacuum";
+  EXPECT_GT(writes.in_vacuum, 0u) << "no halt landed inside a vacuum";
 }
 
 TEST(Torture, DeterministicAcrossRuns) {

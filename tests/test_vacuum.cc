@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/query/executor.h"
 #include "src/vacuum/vacuum.h"
 
 namespace invfs {
@@ -56,10 +59,86 @@ class VacuumTest : public ::testing::Test {
     return count;
   }
 
+  // Commits `v` as the next version of the k=1 row; returns the time after.
+  Timestamp WriteVersion(const std::string& v) {
+    auto txn = db_->Begin();
+    const Row row{Value::Int4(1), Value::Text(v)};
+    auto written = current_.has_value() ? db_->ReplaceRow(*txn, table_, *current_, row)
+                                        : db_->InsertRow(*txn, table_, row);
+    EXPECT_TRUE(written.ok()) << written.status().ToString();
+    current_ = *written;
+    EXPECT_TRUE(db_->Commit(*txn).ok());
+    return db_->Now();
+  }
+
+  // Vacuums "t" in a transaction of its own, committed or aborted.
+  void VacuumAnd(bool commit) {
+    auto txn = db_->Begin();
+    ASSERT_TRUE(vacuum_->VacuumTable(*txn, table_, true).ok());
+    ASSERT_TRUE(commit ? db_->Commit(*txn).ok() : db_->Abort(*txn).ok());
+  }
+
+  // Reopens the database from its stores, after a flush or a crash.
+  void Reopen(bool crash) {
+    if (crash) {
+      db_->Crash();
+    } else {
+      ASSERT_TRUE(db_->FlushCaches().ok());
+    }
+    db_.reset();
+    auto db = Database::Open(&env_);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    db_ = std::move(*db);
+    vacuum_ = std::make_unique<VacuumCleaner>(db_.get());
+    auto table = db_->catalog().GetTable("t");
+    ASSERT_TRUE(table.ok());
+    table_ = *table;
+  }
+
+  // `retrieve (x.v) from x in t[as_of]`: heap, then archive.
+  std::vector<std::string> RetrieveAsOf(Timestamp as_of) {
+    Executor exec(db_.get(), &registry_);
+    std::string query = "retrieve (x.v) from x in t[";
+    query += std::to_string(as_of);
+    query += "]";
+    auto txn = db_->Begin();
+    auto rs = exec.ExecuteQuery(query, *txn);
+    EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+    EXPECT_TRUE(db_->Commit(*txn).ok());
+    std::vector<std::string> values;
+    for (const Row& row : rs.ok() ? rs->rows : std::vector<Row>{}) {
+      values.push_back(row[0].AsText());
+    }
+    return values;
+  }
+
+  // The as-of retrieve at each `committed[i]` returns the one version
+  // "v<i+1>" written then.
+  void ExpectOneVersionEach(const std::vector<Timestamp>& committed) {
+    static const std::vector<std::string> kValues = {"v1", "v2", "v3", "v4"};
+    for (size_t i = 0; i < committed.size(); ++i) {
+      EXPECT_EQ(RetrieveAsOf(committed[i]), std::vector<std::string>{kValues[i]});
+    }
+  }
+
+  // Every version the archive physically holds.
+  size_t ArchiveSize() {
+    auto archive = db_->catalog().GetTableByOid(table_->archive_oid);
+    EXPECT_TRUE(archive.ok());
+    size_t n = 0;
+    auto it = (*archive)->heap->ScanAll();
+    while (it.Next()) {
+      ++n;
+    }
+    return n;
+  }
+
   StorageEnv env_;
   std::unique_ptr<Database> db_;
   std::unique_ptr<VacuumCleaner> vacuum_;
   TableInfo* table_ = nullptr;
+  FunctionRegistry registry_;
+  std::optional<Tid> current_;
 };
 
 TEST_F(VacuumTest, ArchivesDeadVersions) {
@@ -108,6 +187,123 @@ TEST_F(VacuumTest, HistoricalReadsSurviveVacuumViaArchive) {
     EXPECT_EQ(it.row()[1].AsText(), "old");
   }
   EXPECT_EQ(found, 1);
+}
+
+TEST_F(VacuumTest, AbortedVacuumKeepsEveryVersion) {
+  const std::vector<std::string> values = {"v1", "v2", "v3"};
+  std::vector<Timestamp> committed;
+  for (const std::string& v : values) {
+    committed.push_back(WriteVersion(v));
+  }
+  auto vt = db_->Begin();
+  auto stats = vacuum_->VacuumTable(*vt, table_, true);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->archived, 2u);
+  ASSERT_TRUE(db_->Abort(*vt).ok());
+  EXPECT_EQ(table_->archive_oid, kInvalidOid) << "the aborted archive is gone";
+
+  // Every version as of its commit, through the index and any archive, as
+  // the file system's lookups read them.
+  auto expect_every_version = [&] {
+    for (size_t i = 0; i < committed.size(); ++i) {
+      std::string value;
+      auto found = db_->VisitVersions(
+          table_, table_->indexes[0], EncodeInt4Key(1), Database::KeyMatch::kExact,
+          db_->SnapshotAt(committed[i]),
+          [&](Tid, std::span<const std::byte> tuple) -> Result<bool> {
+            INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(table_->schema, tuple));
+            value = row[1].AsText();
+            return true;
+          });
+      ASSERT_TRUE(found.ok()) << found.status().ToString();
+      EXPECT_TRUE(*found);
+      EXPECT_EQ(value, values[i]);
+    }
+  };
+  expect_every_version();
+  Reopen(/*crash=*/false);
+  expect_every_version();
+}
+
+// An aborted vacuum into an archive that already exists takes its copies
+// back out: an as-of retrieve, which reads the heap and then the archive,
+// finds each version once, live and after a reopen.
+TEST_F(VacuumTest, AbortedVacuumIntoAnExistingArchiveLeavesOneCopy) {
+  std::vector<Timestamp> committed;
+  for (const char* v : {"v1", "v2", "v3"}) {
+    committed.push_back(WriteVersion(v));
+  }
+  VacuumAnd(/*commit=*/true);
+  ASSERT_EQ(ArchiveSize(), 2u);
+  committed.push_back(WriteVersion("v4"));
+  VacuumAnd(/*commit=*/false);
+  EXPECT_EQ(ArchiveSize(), 2u);
+  ExpectOneVersionEach(committed);
+  Reopen(/*crash=*/false);
+  ExpectOneVersionEach(committed);
+}
+
+// A crash after a vacuum's commit, before its reclaim reaches the disk,
+// leaves the archived versions in the heap too. Each is retrieved once, and
+// the next vacuum does not copy them into the archive again.
+TEST_F(VacuumTest, CrashBeforeTheReclaimReachesDiskLeavesOneCopy) {
+  std::vector<Timestamp> committed;
+  for (const char* v : {"v1", "v2", "v3"}) {
+    committed.push_back(WriteVersion(v));
+  }
+  ASSERT_TRUE(db_->FlushCaches().ok());
+  VacuumAnd(/*commit=*/true);
+  Reopen(/*crash=*/true);
+  ASSERT_EQ(ArchiveSize(), 2u);
+  size_t in_heap = 0;
+  auto it = table_->heap->ScanAll();
+  while (it.Next()) {
+    ++in_heap;
+  }
+  ASSERT_EQ(in_heap, 3u) << "the reclaim reached the disk before the crash";
+  ExpectOneVersionEach(committed);
+
+  auto vt = db_->Begin();
+  auto stats = vacuum_->VacuumTable(*vt, table_, true);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->archived, 2u);
+  ASSERT_TRUE(db_->Commit(*vt).ok());
+  EXPECT_EQ(ArchiveSize(), 2u) << "the stranded versions were copied again";
+  ExpectOneVersionEach(committed);
+}
+
+// Two vacuums of one table in one transaction: the second finds the first
+// one's copies in the archive and makes none, so the archive holds each
+// version once.
+TEST_F(VacuumTest, SecondVacuumInOneTransactionCopiesNothingAgain) {
+  std::vector<Timestamp> committed;
+  for (const char* v : {"v1", "v2", "v3"}) {
+    committed.push_back(WriteVersion(v));
+  }
+  auto vt = db_->Begin();
+  auto first = vacuum_->VacuumTable(*vt, table_, true);
+  auto second = vacuum_->VacuumTable(*vt, table_, true);
+  ASSERT_TRUE(first.ok() && second.ok());
+  EXPECT_EQ(first->archived, 2u);
+  EXPECT_EQ(second->archived, 2u);
+  EXPECT_EQ(ArchiveSize(), 2u);
+  ASSERT_TRUE(db_->Commit(*vt).ok());
+  EXPECT_EQ(ArchiveSize(), 2u);
+  EXPECT_EQ(*table_->indexes[0]->btree->CountEntries(), 1u);
+  ExpectOneVersionEach(committed);
+}
+
+// A table vacuumed and then dropped in one transaction is dropped whole at
+// commit; nothing is left to reclaim.
+TEST_F(VacuumTest, VacuumThenDropInOneTransaction) {
+  WriteVersion("v1");
+  WriteVersion("v2");
+  auto txn = db_->Begin();
+  ASSERT_TRUE(vacuum_->VacuumTable(*txn, table_, true).ok());
+  ASSERT_TRUE(db_->catalog().DropTable(*txn, "t").ok());
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+  EXPECT_FALSE(db_->catalog().GetTable("t").ok());
+  EXPECT_FALSE(db_->catalog().GetTable("a,t").ok());
 }
 
 TEST_F(VacuumTest, NoHistoryModeDiscards) {
