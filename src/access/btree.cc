@@ -1,6 +1,7 @@
 #include "src/access/btree.h"
 
 #include <cstring>
+#include <optional>
 
 #include "src/access/btree_layout.h"
 #include "src/fault/crash_points.h"
@@ -10,9 +11,21 @@
 namespace invfs {
 namespace {
 
-// Node and meta-page byte layout lives in btree_layout.h, shared with the
-// offline verifier.
+// Node and meta-page byte layout lives in btree_layout.h; this file is its
+// only reader outside tests.
 using namespace btree_layout;  // NOLINT(google-build-using-namespace)
+
+constexpr size_t kTidSuffix = BTree::kTidSuffix;
+
+// Every internal node holds at least one key: a new root is born with one;
+// three entries of the largest key (kEntryArea / 4) fit a node, so a split
+// takes four or more entries and leaves each half at least one; and removes
+// never touch internal nodes. So an internal node has at least two
+// children, and a node d levels above the leaves stands over at least 2^d
+// leaves, each a block of its own. A relation has fewer than 2^32 blocks,
+// so no legal descent takes more than kMaxDepth steps; one that does is
+// walking a node cycle.
+constexpr int kMaxDepth = 31;
 
 // Stored node keys are the user key with the TID appended (big-endian, so
 // memcmp order is preserved). This makes every stored key unique, which keeps
@@ -102,8 +115,8 @@ struct EntryCursor {
 };
 
 // Read/write helpers over a raw node frame. Searches and single-entry edits
-// work on the page bytes in place; only splits and CheckInvariants
-// materialize entries (Decode/Encode).
+// work on the page bytes in place; only splits and WalkBtree materialize
+// entries (Decode/Encode).
 struct NodeView {
   std::byte* p;
   size_t key_width;  // the tree's; 0 when its keys vary
@@ -320,7 +333,7 @@ Result<uint32_t> BTree::NewNode(bool leaf) {
   return block;
 }
 
-Status BTree::InsertRec(uint32_t block, const BtreeKey& key, Tid tid,
+Status BTree::InsertRec(uint32_t block, int depth, const BtreeKey& key, Tid tid,
                         SplitResult* result) {
   INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, block));
   NodeView view{ref.data(), key_width_};
@@ -330,8 +343,11 @@ Status BTree::InsertRec(uint32_t block, const BtreeKey& key, Tid tid,
   // the separator of the child's split if there is one.
   SplitResult child_split;
   if (!leaf) {
+    if (depth == kMaxDepth) {
+      return Status::Corruption("btree descent deeper than any legal tree");
+    }
     INV_ASSIGN_OR_RETURN(uint32_t child, view.ChildFor(key));
-    INV_RETURN_IF_ERROR(InsertRec(child, key, tid, &child_split));
+    INV_RETURN_IF_ERROR(InsertRec(child, depth + 1, key, tid, &child_split));
     if (!child_split.split) {
       return Status::Ok();
     }
@@ -388,7 +404,7 @@ Status BTree::Insert(const BtreeKey& key, Tid tid) {
   const BtreeKey stored = CombineKey(key, tid);
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
   SplitResult split;
-  INV_RETURN_IF_ERROR(InsertRec(root, stored, tid, &split));
+  INV_RETURN_IF_ERROR(InsertRec(root, 0, stored, tid, &split));
   if (!split.split) {
     return Status::Ok();
   }
@@ -403,11 +419,14 @@ Status BTree::Insert(const BtreeKey& key, Tid tid) {
 
 Result<uint32_t> BTree::FindLeaf(uint32_t block, const BtreeKey& key) const {
   uint32_t current = block;
-  for (;;) {
+  for (int depth = 0;; ++depth) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, current));
     NodeView view{ref.data(), key_width_};
     if (view.leaf()) {
       return current;
+    }
+    if (depth == kMaxDepth) {
+      return Status::Corruption("btree descent deeper than any legal tree");
     }
     INV_ASSIGN_OR_RETURN(current, view.ChildFor(key));
     if (current == kNoBlock) {
@@ -542,67 +561,146 @@ Result<uint64_t> BTree::CountEntries() const {
 
 Status BTree::CheckInvariants() const {
   ReaderMutexLock lock(mu_);
-  INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
-  // Depth-first walk in key order. Every key under a node lies in the
-  // [lower, upper) its parent's separators give it; leaves share one depth.
-  int leaf_depth = -1;
-  std::vector<std::pair<uint32_t, uint32_t>> leaves;  // (block, right sibling)
+  INV_ASSIGN_OR_RETURN(const uint32_t nblocks, pool_->NumBlocks(rel_));
+  Status first;  // the first pin error or violation
+  auto fail = [&](Status s) {
+    if (first.ok()) {
+      first = std::move(s);
+    }
+    return false;
+  };
+  auto pages = [&](uint32_t block, const std::function<void(std::span<const std::byte>)>& use) {
+    auto ref = pool_->Pin(rel_, block);
+    if (!ref.ok()) {
+      return fail(ref.status());
+    }
+    use({ref->data(), kPageSize});
+    return true;
+  };
+  auto violation = [&](std::string_view invariant, uint32_t block, std::string detail) {
+    return fail(Status::Corruption(std::string(invariant) + " at block " +
+                                   std::to_string(block) + ": " + detail));
+  };
+  WalkBtree(nblocks, key_width_, pages, {violation, nullptr});
+  return first;
+}
+
+void WalkBtree(uint32_t nblocks, size_t key_width, const BtreePageSource& pages,
+               const BtreeWalkVisitor& visitor) {
+  bool stopped = false;
+  auto report = [&](std::string_view invariant, uint32_t block, std::string detail) {
+    stopped = stopped || !visitor.violation(invariant, block, std::move(detail));
+  };
+  if (nblocks == 0) {
+    report("btree-meta", 0, "index has no meta page");
+    return;
+  }
+  uint32_t root = 0;
+  pages(0, [&](std::span<const std::byte> meta) {
+    const uint32_t magic = GetU32(meta.data() + kOffMetaMagic);
+    root = GetU32(meta.data() + kOffMetaRoot);
+    if (magic != kBtreeMetaMagic || root == 0 || root >= nblocks) {
+      report("btree-meta", 0,
+             "magic " + std::to_string(magic) + ", root block " + std::to_string(root) +
+                 " of " + std::to_string(nblocks));
+      root = 0;
+    }
+  });
+  // Depth-first in key order. Every key under a node lies in the
+  // [lower, upper) its parent's separators give it.
   struct Item {
     uint32_t block;
     int depth;
     std::optional<BtreeKey> lower;
     std::optional<BtreeKey> upper;
   };
-  std::vector<Item> stack{{root, 0, std::nullopt, std::nullopt}};
-  while (!stack.empty()) {
-    Item item = std::move(stack.back());
+  std::vector<Item> stack;
+  if (root != 0) {
+    stack.push_back(Item{root, 0, std::nullopt, std::nullopt});
+  }
+  std::vector<bool> reached(nblocks);
+  std::vector<std::pair<uint32_t, uint32_t>> leaves;  // (block, right sibling)
+  int leaf_depth = -1;
+  while (!stack.empty() && !stopped) {
+    const Item item = std::move(stack.back());
     stack.pop_back();
-    INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, item.block));
-    NodeView view{ref.data(), key_width_};
-    // Decode walks the bounds-checked cursor, which also checks `used`.
-    INV_ASSIGN_OR_RETURN(std::vector<Entry> entries, view.Decode());
-    for (size_t i = 1; i < entries.size(); ++i) {
-      if (CompareKeys(entries[i - 1].key, entries[i].key) > 0) {
-        return Status::Corruption("btree node keys out of order");
-      }
-    }
-    for (const Entry& e : entries) {
-      if (item.lower && CompareKeys(e.key, *item.lower) < 0) {
-        return Status::Corruption("btree key below lower bound");
-      }
-      if (item.upper && CompareKeys(e.key, *item.upper) >= 0) {
-        return Status::Corruption("btree key above upper bound");
-      }
-    }
-    if (view.leaf()) {
-      if (leaf_depth == -1) {
-        leaf_depth = item.depth;
-      } else if (leaf_depth != item.depth) {
-        return Status::Corruption("btree leaves at unequal depth");
-      }
-      leaves.emplace_back(item.block, view.right_sibling());
+    const uint32_t block = item.block;
+    if (block >= nblocks) {
+      report("btree-child-range", block,
+             "child past the index's " + std::to_string(nblocks) + " blocks");
       continue;
     }
-    if (view.leftmost_child() == kNoBlock) {
-      return Status::Corruption("internal node missing leftmost child");
+    if (reached[block]) {
+      report("btree-cycle", block, "node reached twice");
+      continue;
     }
-    // Children go on the stack right to left, so they come off in key order.
-    for (size_t i = entries.size() + 1; i-- > 0;) {
-      const uint32_t child = i == 0 ? view.leftmost_child() : entries[i - 1].child;
-      std::optional<BtreeKey> lo = i == 0 ? item.lower : std::optional(entries[i - 1].key);
-      std::optional<BtreeKey> hi =
-          i == entries.size() ? item.upper : std::optional(entries[i].key);
-      stack.push_back(Item{child, item.depth + 1, std::move(lo), std::move(hi)});
-    }
+    reached[block] = true;
+    pages(block, [&](std::span<const std::byte> frame) {
+      const auto type = static_cast<uint8_t>(frame[kOffType]);
+      if (type != kNodeLeaf && type != kNodeInternal) {
+        report("btree-node-type", block, "node type byte " + std::to_string(type));
+        return;
+      }
+      // Read only. Decode copies the entries out through the cursor every
+      // search trusts, so a node it refuses is one the engine refuses.
+      const NodeView view{const_cast<std::byte*>(frame.data()), key_width};
+      auto entries = view.Decode();
+      if (!entries.ok()) {
+        report("btree-node-encoding", block,
+               entries.status().message() + " (nkeys " + std::to_string(view.nkeys()) +
+                   ", used " + std::to_string(view.used()) + ")");
+        return;
+      }
+      const size_t n = entries->size();
+      for (size_t i = 0; i < n; ++i) {
+        const BtreeKey& key = (*entries)[i].key;
+        if (i > 0 && CompareKeys((*entries)[i - 1].key, key) >= 0) {
+          report("btree-key-order", block,
+                 "entry " + std::to_string(i) + " not above its predecessor");
+        }
+        if ((item.lower && CompareKeys(key, *item.lower) < 0) ||
+            (item.upper && CompareKeys(key, *item.upper) >= 0)) {
+          report("btree-key-bounds", block,
+                 "entry " + std::to_string(i) + " outside its parent's separators");
+        }
+      }
+      if (view.leaf()) {
+        if (leaf_depth == -1) {
+          leaf_depth = item.depth;
+        } else if (leaf_depth != item.depth) {
+          report("btree-depth", block,
+                 "leaf at depth " + std::to_string(item.depth) + ", expected " +
+                     std::to_string(leaf_depth));
+        }
+        leaves.emplace_back(block, view.right_sibling());
+        for (size_t i = 0; i < n && visitor.leaf_entry && !stopped; ++i) {
+          visitor.leaf_entry(block, i, (*entries)[i].key, (*entries)[i].tid);
+        }
+        return;
+      }
+      if (n == 0) {
+        report("btree-node-encoding", block, "internal node with no keys");
+        return;
+      }
+      // Children go on the stack right to left, so they come off in key
+      // order: child i covers [separator i - 1, separator i).
+      for (size_t i = n + 1; i-- > 0;) {
+        stack.push_back(
+            Item{i == 0 ? view.leftmost_child() : (*entries)[i - 1].child, item.depth + 1,
+                 i == 0 ? item.lower : std::optional((*entries)[i - 1].key),
+                 i == n ? item.upper : std::optional((*entries)[i].key)});
+      }
+    });
   }
   // The sibling chain threads the leaves in tree order and ends at the last.
   for (size_t i = 0; i < leaves.size(); ++i) {
-    const uint32_t next = i + 1 < leaves.size() ? leaves[i + 1].first : kNoBlock;
+    const uint32_t next = i + 1 < leaves.size() ? leaves[i + 1].first : BTree::kNoBlock;
     if (leaves[i].second != next) {
-      return Status::Corruption("btree leaf sibling chain out of tree order");
+      report("btree-sibling", leaves[i].first,
+             "right sibling is " + std::to_string(leaves[i].second) + ", expected " +
+                 std::to_string(next));
     }
   }
-  return Status::Ok();
 }
 
 }  // namespace invfs

@@ -13,8 +13,11 @@
 // Layout: block 0 is a meta page holding the root block number; every other
 // block is a node. Nodes keep entries byte-packed in sorted order, each a u16
 // key length, the stored key (the user key with its TID appended) and the
-// payload (btree_layout.h). Searches, inserts and removes work on those bytes
-// in place; only a split decodes them.
+// payload (btree_layout.h, read only by btree.cc and tests). Searches,
+// inserts and removes work on those bytes in place; only a split decodes
+// them. WalkBtree below is the one structural check of a tree's pages:
+// CheckInvariants runs it over the buffer pool and invfs_check over a raw
+// block store.
 //
 // When every key of the index has one length (no text column: the chunk
 // index, fileatt(oid), naming(oid)), the tree is told that width, derived
@@ -25,8 +28,11 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/access/key_codec.h"
@@ -93,15 +99,16 @@ class BTree {
   // Iterator positioned at the first entry with key >= lo (empty lo: first).
   Result<Iterator> Seek(const BtreeKey& lo) const;
 
-  // Structural validation for tests: sorted keys within parent bounds, `used`
-  // matching the entries (each of the tree's width, if it has one), one leaf
-  // depth, sibling chain in tree order.
+  // Structural validation for tests: WalkBtree over the buffer pool, as
+  // Corruption naming the first violation it finds.
   Status CheckInvariants() const;
 
   // Number of entries (full scan; tests and vacuum statistics).
   Result<uint64_t> CountEntries() const;
 
   static constexpr uint32_t kNoBlock = 0xFFFFFFFF;
+  // Stored keys end in the entry's TID, block then slot, big-endian.
+  static constexpr size_t kTidSuffix = 6;
 
  private:
   BTree(Oid rel, BufferPool* pool, size_t key_width)
@@ -122,10 +129,11 @@ class BTree {
   Status SetRootBlock(uint32_t root) REQUIRES(mu_);
   Result<uint32_t> NewNode(bool leaf) REQUIRES(mu_);
 
-  // Inserts into the subtree at `block`. If the node splits, `*result` gets
-  // the separator and the new right sibling for the parent to take.
-  Status InsertRec(uint32_t block, const BtreeKey& key, Tid tid, SplitResult* result)
-      REQUIRES(mu_);
+  // Inserts into the subtree at `block`, `depth` levels below the root. If
+  // the node splits, `*result` gets the separator and the new right sibling
+  // for the parent to take.
+  Status InsertRec(uint32_t block, int depth, const BtreeKey& key, Tid tid,
+                   SplitResult* result) REQUIRES(mu_);
   // Descend from `block` to the leaf that could contain `key`.
   Result<uint32_t> FindLeaf(uint32_t block, const BtreeKey& key) const
       REQUIRES_SHARED(mu_);
@@ -135,5 +143,32 @@ class BTree {
   const size_t key_width_;  // 0: keys vary in length
   mutable SharedMutex mu_;
 };
+
+// Hands `use` the kPageSize bytes of `block` while they are valid, or
+// returns false without calling it when the block cannot be read, having
+// recorded why.
+using BtreePageSource = std::function<bool(
+    uint32_t block, const std::function<void(std::span<const std::byte>)>& use)>;
+
+// `violation` gets each broken invariant, under its invfs_check name; false
+// ends the walk. `leaf_entry`, if set, gets each entry of every leaf that
+// decodes: its stored key (at least kTidSuffix bytes) and payload TID.
+struct BtreeWalkVisitor {
+  std::function<bool(std::string_view invariant, uint32_t block, std::string detail)>
+      violation;
+  std::function<void(uint32_t block, size_t index, std::span<const std::byte> key, Tid tid)>
+      leaf_entry;
+};
+
+// The one structural check of a B-tree of `nblocks` blocks whose keys are
+// `key_width` bytes (0: they vary). From the meta page (btree-meta) it reads
+// each reachable node once (btree-child-range, btree-cycle), in key order.
+// Each node needs a known type (btree-node-type) and entries that the cursor
+// every search uses accepts, keys if it is internal (btree-node-encoding),
+// and keys that rise strictly (btree-key-order) within its parent's
+// separators (btree-key-bounds). Leaves share one depth (btree-depth) and
+// the sibling chain threads them in key order (btree-sibling).
+void WalkBtree(uint32_t nblocks, size_t key_width, const BtreePageSource& pages,
+               const BtreeWalkVisitor& visitor);
 
 }  // namespace invfs

@@ -1,7 +1,6 @@
-// On-page layout of B-tree nodes, shared between the live access method
-// (btree.cc) and the offline structural verifier (src/check). Keep in sync
-// with BTree's node reader/writer; invfs_check depends on these constants to
-// walk an image without going through the buffer pool.
+// On-page layout of B-tree nodes and the meta page. Only btree.cc, which
+// reads and writes nodes (and checks them for invfs_check through
+// WalkBtree), and tests that craft damaged nodes include it.
 
 #pragma once
 
@@ -28,11 +27,8 @@ inline constexpr uint32_t kOffMetaMagic = 24;  // u32
 inline constexpr uint32_t kOffMetaRoot = 28;   // u32
 inline constexpr uint32_t kBtreeMetaMagic = 0xB7EEB7EE;
 
-// Stored node keys are the user key with the TID appended (big-endian, so
-// memcmp order is preserved); see btree.cc for why.
-inline constexpr size_t kTidSuffix = 6;
-
-// Entry encoding per node: u16 key length, key bytes, then the payload —
-// leaves carry u32 heap block + u16 slot (6 bytes), internal nodes u32 child.
+// Entry encoding per node: u16 key length, key bytes (ending in the
+// BTree::kTidSuffix-byte TID), then the payload — leaves carry u32 heap
+// block + u16 slot (6 bytes), internal nodes u32 child.
 
 }  // namespace invfs::btree_layout

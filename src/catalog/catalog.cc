@@ -1,6 +1,7 @@
 #include "src/catalog/catalog.h"
 
 #include <algorithm>
+#include <charconv>
 #include <optional>
 
 namespace invfs {
@@ -35,6 +36,24 @@ Schema PgIndexSchema() {
                 {"indkeys", TypeId::kText}};
 }
 
+std::optional<std::vector<size_t>> DecodeKeyColumns(std::string_view text,
+                                                     size_t num_columns) {
+  std::vector<size_t> out;
+  const char* end = text.data() + text.size();
+  for (const char* p = text.data();; ++p) {
+    size_t c = 0;
+    auto [next, ec] = std::from_chars(p, end, c);
+    if (ec != std::errc() || c >= num_columns || (next != end && *next != ',')) {
+      return std::nullopt;
+    }
+    out.push_back(c);
+    if (next == end) {
+      return out;
+    }
+    p = next;
+  }
+}
+
 namespace {
 
 std::string EncodeKeyColumns(const std::vector<size_t>& cols) {
@@ -44,20 +63,6 @@ std::string EncodeKeyColumns(const std::vector<size_t>& cols) {
       out += ',';
     }
     out += std::to_string(c);
-  }
-  return out;
-}
-
-std::vector<size_t> DecodeKeyColumns(const std::string& s) {
-  std::vector<size_t> out;
-  size_t pos = 0;
-  while (pos < s.size()) {
-    size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) {
-      comma = s.size();
-    }
-    out.push_back(static_cast<size_t>(std::stoul(s.substr(pos, comma - pos))));
-    pos = comma + 1;
   }
   return out;
 }
@@ -258,7 +263,12 @@ Status Catalog::Load() {
       auto info = std::make_unique<IndexInfo>();
       info->oid = index_oid;
       info->table = table_oid;
-      info->key_columns = DecodeKeyColumns(r[2].AsText());
+      auto key_columns = DecodeKeyColumns(r[2].AsText(), tit->second->schema.num_columns());
+      if (!key_columns) {
+        return Status::Corruption("pg_index row of index " + std::to_string(index_oid) +
+                                  " lists no valid key columns");
+      }
+      info->key_columns = std::move(*key_columns);
       INV_ASSIGN_OR_RETURN(info->btree,
                            BTree::Open(index_oid, pool_,
                                        FixedKeyWidth(tit->second->schema, info->key_columns)));

@@ -16,7 +16,9 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/access/btree.h"
@@ -51,6 +53,13 @@ Schema PgAttributeSchema();
 Schema PgTypeSchema();
 Schema PgProcSchema();
 Schema PgIndexSchema();
+
+// The key columns a pg_index row's `indkeys` text lists ("0,2"), or nullopt
+// unless it is a non-empty comma-separated list of column numbers below
+// `num_columns`. The index's key width is FixedKeyWidth of these over its
+// heap's schema.
+std::optional<std::vector<size_t>> DecodeKeyColumns(std::string_view text,
+                                                     size_t num_columns);
 
 // Function language, per pg_proc.
 enum class ProcLang : int32_t {

@@ -1,12 +1,12 @@
 #include "src/check/checker.h"
 
 #include <algorithm>
+#include <functional>
 #include <optional>
 #include <set>
 #include <string_view>
 
 #include "src/access/btree.h"
-#include "src/access/btree_layout.h"
 #include "src/catalog/catalog.h"
 #include "src/storage/page.h"
 #include "src/storage/tuple.h"
@@ -248,6 +248,26 @@ void Checker::CheckTupleMeta(Oid rel, const HeapTuple& t) {
   }
 }
 
+bool Checker::ReadPage(BlockStore* store, Oid rel, uint32_t b, std::vector<std::byte>& buf) {
+  if (Status s = store->Read(rel, b, buf); !s.ok()) {
+    Add("page-unreadable", rel, b, s.message());
+    return false;
+  }
+  ++report_.pages_checked;
+  const Page page(buf.data());
+  if (!page.IsInitialized()) {
+    Add("page-magic", rel, b, "bad page magic");
+    return false;
+  }
+  if (Status s = page.VerifyChecksum(); !s.ok()) {
+    Add("page-checksum", rel, b, s.message());
+  }
+  if (Status s = page.VerifySelfIdent(rel, b); !s.ok()) {
+    Add("page-self-ident", rel, b, s.message());
+  }
+  return true;
+}
+
 void Checker::WalkHeap(BlockStore* store, Oid rel, const Schema& schema,
                        std::vector<HeapTuple>* out) {
   auto nblocks = store->NumBlocks(rel);
@@ -259,62 +279,38 @@ void Checker::WalkHeap(BlockStore* store, Oid rel, const Schema& schema,
   slots.assign(*nblocks, 0);
   std::vector<std::byte> buf(kPageSize);
   for (uint32_t b = 0; b < *nblocks; ++b) {
-    if (Status s = store->Read(rel, b, buf); !s.ok()) {
-      Add("page-unreadable", rel, b, s.message());
+    if (!ReadPage(store, rel, b, buf)) {
       continue;
     }
-    ++report_.pages_checked;
     const Page page(buf.data());
-    if (!page.IsInitialized()) {
-      Add("page-magic", rel, b, "bad page magic");
-      continue;
-    }
-    if (Status s = page.VerifyChecksum(); !s.ok()) {
-      Add("page-checksum", rel, b, s.message());
-    }
-    if (Status s = page.VerifySelfIdent(rel, b); !s.ok()) {
-      Add("page-self-ident", rel, b, s.message());
-    }
-    const uint16_t nslots = page.num_slots();
-    const uint16_t lower = GetU16(buf.data() + 4);
-    const uint16_t upper = GetU16(buf.data() + 6);
-    if (lower != kPageHeaderSize + nslots * kLinePointerSize || lower > upper ||
-        upper > kPageSize) {
-      Add("page-geometry", rel, b,
-          "nslots " + std::to_string(nslots) + ", lower " + std::to_string(lower) +
-              ", upper " + std::to_string(upper));
+    if (Status s = page.VerifyGeometry(); !s.ok()) {
+      Add("page-geometry", rel, b, s.message());
       continue;  // line pointers cannot be trusted
     }
+    const uint16_t nslots = page.num_slots();
     slots[b] = nslots;
-    // Live line pointers: in bounds and non-overlapping.
-    std::vector<std::pair<uint16_t, uint16_t>> live;
+    // Live tuples: inside the tuple area (GetTuple's rule) and non-overlapping.
+    std::vector<std::pair<size_t, size_t>> live;  // (offset, length)
     for (uint16_t s = 0; s < nslots; ++s) {
-      const std::byte* lp = buf.data() + kPageHeaderSize +
-                            static_cast<uint32_t>(s) * kLinePointerSize;
-      const uint16_t off = GetU16(lp);
-      const uint16_t len = GetU16(lp + 2);
-      if (len == 0) {
-        continue;  // dead (or compacted-away) slot
-      }
-      if (off < upper || static_cast<uint32_t>(off) + len > kPageSize) {
-        Add("line-pointer-bounds", rel, b,
-            "slot " + std::to_string(s) + " -> [" + std::to_string(off) + "," +
-                std::to_string(off + len) + ") outside tuple area [" +
-                std::to_string(upper) + "," + std::to_string(kPageSize) + ")");
+      auto tuple = page.GetTuple(s);
+      if (!tuple.ok()) {
+        Add("line-pointer-bounds", rel, b, tuple.status().message());
         continue;
       }
-      live.emplace_back(off, len);
+      if (tuple->empty()) {
+        continue;  // dead (or compacted-away) slot
+      }
+      live.emplace_back(static_cast<size_t>(tuple->data() - buf.data()), tuple->size());
       ++report_.tuples_checked;
       HeapTuple t;
       t.tid = Tid{b, s};
-      const std::span<const std::byte> tuple(buf.data() + off, len);
-      if (len < kTupleFixedHeader) {
+      if (tuple->size() < kTupleFixedHeader) {
         Add("tuple-decode", rel, b,
             "slot " + std::to_string(s) + " shorter than the tuple header");
         continue;
       }
-      t.meta = GetTupleMeta(tuple);
-      auto row = DecodeTuple(schema, tuple);
+      t.meta = GetTupleMeta(*tuple);
+      auto row = DecodeTuple(schema, *tuple);
       if (!row.ok()) {
         Add("tuple-decode", rel, b,
             "slot " + std::to_string(s) + ": " + row.status().message());
@@ -393,256 +389,70 @@ void Checker::CheckChunkTable(const RelInfo& rel, Oid file,
   }
 }
 
-void Checker::CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel) {
-  namespace bl = btree_layout;
-  auto nblocks_or = store->NumBlocks(index.oid);
-  if (!nblocks_or.ok()) {
-    Add("relation-missing", index.oid, ~0u, nblocks_or.status().message());
+void Checker::CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel,
+                         size_t key_width) {
+  auto nblocks = store->NumBlocks(index.oid);
+  if (!nblocks.ok()) {
+    Add("relation-missing", index.oid, ~0u, nblocks.status().message());
     return;
   }
-  const uint32_t nblocks = *nblocks_or;
-  if (nblocks < 2) {
-    Add("btree-meta", index.oid, 0,
-        "index has " + std::to_string(nblocks) + " block(s), need meta + root");
-    return;
-  }
-  std::vector<std::byte> buf(kPageSize);
-
-  // Page-level checks shared by meta and nodes.
-  auto read_page = [&](uint32_t b) -> bool {
-    if (Status s = store->Read(index.oid, b, buf); !s.ok()) {
-      Add("page-unreadable", index.oid, b, s.message());
-      return false;
-    }
-    ++report_.pages_checked;
-    const Page page(buf.data());
-    if (!page.IsInitialized()) {
-      Add("page-magic", index.oid, b, "bad page magic");
-      return false;
-    }
-    if (Status s = page.VerifyChecksum(); !s.ok()) {
-      Add("page-checksum", index.oid, b, s.message());
-    }
-    if (Status s = page.VerifySelfIdent(index.oid, b); !s.ok()) {
-      Add("page-self-ident", index.oid, b, s.message());
-    }
-    return true;
-  };
-
-  if (!read_page(0)) {
-    return;
-  }
-  if (GetU32(buf.data() + bl::kOffMetaMagic) != bl::kBtreeMetaMagic) {
-    Add("btree-meta", index.oid, 0, "meta page magic mismatch");
-    return;
-  }
-  const uint32_t root = GetU32(buf.data() + bl::kOffMetaRoot);
-  if (root == 0 || root >= nblocks) {
-    Add("btree-meta", index.oid, 0,
-        "root block " + std::to_string(root) + " out of range");
-    return;
-  }
-
-  struct NodeEntry {
-    std::vector<std::byte> key;
-    Tid tid;
-    uint32_t child = 0;
-  };
-  using Key = std::vector<std::byte>;
-  std::vector<uint32_t> visited(nblocks, 0);
-  std::vector<std::pair<uint32_t, uint32_t>> leaves;  // (block, right sibling)
-  std::optional<uint32_t> leaf_depth;
   const std::vector<uint16_t>* heap_slots = nullptr;
   if (auto it = heap_slots_.find(heap_rel); it != heap_slots_.end()) {
     heap_slots = &it->second;
   }
 
-  // Recursive structural walk with key bounds: every key in the subtree under
-  // (block) must lie in [lo, hi).
-  auto walk = [&](auto&& self, uint32_t block, uint32_t depth,
-                  const std::optional<Key>& lo,
-                  const std::optional<Key>& hi) -> void {
-    if (block >= nblocks) {
-      Add("btree-child-range", index.oid, block,
-          "child block out of range (index has " + std::to_string(nblocks) +
-              " blocks)");
-      return;
+  // The engine's structural walk reads each reachable block once, through
+  // the page-level checks.
+  std::vector<bool> reached(*nblocks);
+  std::vector<std::byte> buf(kPageSize);
+  auto pages = [&](uint32_t b, const std::function<void(std::span<const std::byte>)>& use) {
+    reached[b] = true;
+    if (!ReadPage(store, index.oid, b, buf)) {
+      return false;
     }
-    if (++visited[block] > 1) {
-      Add("btree-cycle", index.oid, block, "node reached twice");
-      return;
+    use(buf);
+    return true;
+  };
+  auto violation = [&](std::string_view invariant, uint32_t block, std::string detail) {
+    Add(std::string(invariant), index.oid, block, std::move(detail));
+    return true;
+  };
+  // What the tree cannot know: its keys' TID suffixes against their
+  // payloads, and the payloads against the heap.
+  auto leaf_entry = [&](uint32_t block, size_t i, std::span<const std::byte> key, Tid tid) {
+    ++report_.index_entries_checked;
+    const std::byte* suffix = key.data() + key.size() - BTree::kTidSuffix;
+    const Tid key_tid{GetBe32(suffix), GetBe16(suffix + 4)};
+    if (key_tid != tid) {
+      Add("btree-tid-suffix", index.oid, block,
+          "entry " + std::to_string(i) + " key suffix " + key_tid.ToString() +
+              " != payload TID " + tid.ToString());
     }
-    if (!read_page(block)) {
-      return;
-    }
-    const uint8_t type = static_cast<uint8_t>(buf[bl::kOffType]);
-    if (type != bl::kNodeLeaf && type != bl::kNodeInternal) {
-      Add("btree-node-type", index.oid, block,
-          "node type byte " + std::to_string(type));
-      return;
-    }
-    const bool leaf = type == bl::kNodeLeaf;
-    const uint16_t nkeys = GetU16(buf.data() + bl::kOffNKeys);
-    const uint32_t right_sib = GetU32(buf.data() + bl::kOffRightSib);
-    const uint32_t leftmost = GetU32(buf.data() + bl::kOffLeftChild);
-
-    // The live tree edits nodes in place and trusts `used` to mark the end
-    // of the entry area, so it must fit the area and match the entries.
-    const uint16_t used = GetU16(buf.data() + bl::kOffUsed);
-    if (used > bl::kEntryArea) {
-      Add("btree-node-encoding", index.oid, block,
-          "used " + std::to_string(used) + " exceeds the entry area (" +
-              std::to_string(bl::kEntryArea) + " bytes)");
-      return;
-    }
-
-    // Decode entries with bounds checking.
-    std::vector<NodeEntry> entries;
-    entries.reserve(nkeys);
-    const std::byte* d = buf.data() + bl::kOffEntries;
-    const std::byte* end = d + used;
-    bool encoding_ok = true;
-    for (uint16_t i = 0; i < nkeys; ++i) {
-      const size_t payload = leaf ? 6 : 4;
-      if (static_cast<size_t>(end - d) < 2 ||
-          static_cast<size_t>(end - d) < 2 + GetU16(d) + payload) {
-        Add("btree-node-encoding", index.oid, block,
-            "entry " + std::to_string(i) + " runs past the node's used bytes");
-        encoding_ok = false;
-        break;
-      }
-      const uint16_t klen = GetU16(d);
-      d += 2;
-      NodeEntry e;
-      e.key.assign(d, d + klen);
-      d += klen;
-      if (leaf) {
-        e.tid.block = GetU32(d);
-        e.tid.slot = GetU16(d + 4);
-        d += 6;
-      } else {
-        e.child = GetU32(d);
-        d += 4;
-      }
-      entries.push_back(std::move(e));
-    }
-    if (encoding_ok && d != end) {
-      Add("btree-node-encoding", index.oid, block,
-          "used " + std::to_string(used) + " but the entries occupy " +
-              std::to_string(d - (buf.data() + bl::kOffEntries)) + " bytes");
-      encoding_ok = false;
-    }
-    if (!encoding_ok) {
-      return;
-    }
-
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const Key& k = entries[i].key;
-      if (i > 0 && CompareKeys(entries[i - 1].key, k) >= 0) {
-        Add("btree-key-order", index.oid, block,
-            "entry " + std::to_string(i) + " not strictly greater than its "
-            "predecessor");
-      }
-      if (lo && CompareKeys(k, *lo) < 0) {
-        Add("btree-key-bounds", index.oid, block,
-            "entry " + std::to_string(i) + " below the parent separator");
-      }
-      if (hi && CompareKeys(k, *hi) >= 0) {
-        Add("btree-key-bounds", index.oid, block,
-            "entry " + std::to_string(i) + " not below the next parent "
-            "separator");
-      }
-    }
-
-    if (leaf) {
-      if (!leaf_depth) {
-        leaf_depth = depth;
-      } else if (*leaf_depth != depth) {
-        Add("btree-depth", index.oid, block,
-            "leaf at depth " + std::to_string(depth) + ", expected " +
-                std::to_string(*leaf_depth));
-      }
-      leaves.emplace_back(block, right_sib);
-      for (size_t i = 0; i < entries.size(); ++i) {
-        ++report_.index_entries_checked;
-        const NodeEntry& e = entries[i];
-        // The stored key ends in the big-endian TID (see CombineKey); it must
-        // agree with the payload TID.
-        if (e.key.size() < bl::kTidSuffix) {
-          Add("btree-tid-suffix", index.oid, block,
-              "entry " + std::to_string(i) + " key shorter than the TID suffix");
-          continue;
-        }
-        const std::byte* s = e.key.data() + e.key.size() - bl::kTidSuffix;
-        const uint32_t kblock = (static_cast<uint32_t>(s[0]) << 24) |
-                                (static_cast<uint32_t>(s[1]) << 16) |
-                                (static_cast<uint32_t>(s[2]) << 8) |
-                                static_cast<uint32_t>(s[3]);
-        const uint16_t kslot = static_cast<uint16_t>(
-            (static_cast<uint16_t>(s[4]) << 8) | static_cast<uint16_t>(s[5]));
-        if (kblock != e.tid.block || kslot != e.tid.slot) {
-          Add("btree-tid-suffix", index.oid, block,
-              "entry " + std::to_string(i) + " key suffix " +
-                  Tid{kblock, kslot}.ToString() + " != payload TID " +
-                  e.tid.ToString());
-        }
-        if (heap_slots != nullptr &&
-            (e.tid.block >= heap_slots->size() ||
-             e.tid.slot >= (*heap_slots)[e.tid.block])) {
-          // A TID into a quarantined heap page is fallout: the page's slot
-          // count is unknowable, so the entry may well be fine.
-          const bool fallout = Quarantined(heap_rel, e.tid.block);
-          Add("btree-tid-range", index.oid, block,
-              "entry " + std::to_string(i) + " points at " + e.tid.ToString() +
-                  ", outside heap rel " + std::to_string(heap_rel),
-              fallout);
-          // Otherwise the TID points past the persisted end of its heap.
-          // Force-at-commit flushes heap pages before the commit record, so
-          // the entry's writer never committed: this is a dead entry a crash
-          // legitimately strands in a write-through index. The next vacuum
-          // of the heap that reclaims a version drops it: its index walk
-          // keeps only entries naming a surviving version with the entry's
-          // key.
-          report_.violations.back().residue = !fallout;
-        }
-      }
-      return;
-    }
-
-    // Internal node: child i covers [previous separator, entries[i].key).
-    if (entries.empty()) {
-      Add("btree-node-encoding", index.oid, block, "internal node with no keys");
-      return;
-    }
-    // Keys and child pointers were copied out above; `buf` is reused freely by
-    // the recursive calls.
-    self(self, leftmost, depth + 1, lo,
-         std::optional<Key>(entries.front().key));
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const std::optional<Key> child_hi =
-          i + 1 < entries.size() ? std::optional<Key>(entries[i + 1].key) : hi;
-      self(self, entries[i].child, depth + 1,
-           std::optional<Key>(entries[i].key), child_hi);
+    if (heap_slots != nullptr &&
+        (tid.block >= heap_slots->size() || tid.slot >= (*heap_slots)[tid.block])) {
+      // A TID into a quarantined heap page is fallout: the page's slot
+      // count is unknowable, so the entry may well be fine.
+      const bool fallout = Quarantined(heap_rel, tid.block);
+      Add("btree-tid-range", index.oid, block,
+          "entry " + std::to_string(i) + " points at " + tid.ToString() +
+              ", outside heap rel " + std::to_string(heap_rel),
+          fallout);
+      // Otherwise the TID points past the persisted end of its heap.
+      // Force-at-commit flushes heap pages before the commit record, so the
+      // entry's writer never committed: this is a dead entry a crash
+      // legitimately strands in a write-through index. The next vacuum of
+      // the heap that reclaims a version drops it: its index walk keeps
+      // only entries naming a surviving version with the entry's key.
+      report_.violations.back().residue = !fallout;
     }
   };
-  walk(walk, root, 0, std::nullopt, std::nullopt);
+  WalkBtree(*nblocks, key_width, pages, {violation, leaf_entry});
 
-  // Leaves were collected in key order; the sibling chain must thread them in
-  // exactly that order and terminate.
-  for (size_t i = 0; i < leaves.size(); ++i) {
-    const uint32_t expect =
-        i + 1 < leaves.size() ? leaves[i + 1].first : BTree::kNoBlock;
-    if (leaves[i].second != expect) {
-      Add("btree-sibling", index.oid, leaves[i].first,
-          "right sibling is " + std::to_string(leaves[i].second) +
-              ", expected " + std::to_string(expect));
-    }
-  }
-
-  // Every block of the index relation must be reachable exactly once (block 0
-  // is the meta page).
-  for (uint32_t b = 1; b < nblocks; ++b) {
-    if (visited[b] == 0) {
+  // Every block must be reachable from the root (block 0 is the meta page);
+  // the walk reads each at most once. Without a root, reachability is moot.
+  const bool rooted = std::count(reached.begin(), reached.end(), true) > 1;
+  for (uint32_t b = 1; b < *nblocks && rooted; ++b) {
+    if (!reached[b]) {
       Add("btree-unreachable", index.oid, b, "node not reachable from the root");
     }
   }
@@ -733,6 +543,7 @@ Result<CheckReport> Checker::Run() {
   }
 
   // --- every cataloged relation -------------------------------------------
+  std::map<Oid, Schema> schemas;  // user heaps', for their indexes' key width
   std::vector<HeapTuple> fileatt_rows;
   std::optional<Schema> fileatt_schema;
   std::vector<std::pair<RelInfo, Oid>> chunk_tables;  // (rel, file oid)
@@ -779,7 +590,7 @@ Result<CheckReport> Checker::Run() {
       if (!schema_ok) {
         continue;
       }
-      const Schema schema{cols};
+      const Schema& schema = schemas.emplace(oid, Schema{cols}).first->second;
       std::vector<HeapTuple> tuples;
       WalkHeap(store, oid, schema, &tuples);
       ++report_.relations_checked;
@@ -836,7 +647,19 @@ Result<CheckReport> Checker::Run() {
     if (store == nullptr || !store->Exists(index_oid)) {
       continue;  // already reported above
     }
-    CheckBtree(store, iit->second, heap_oid);
+    // The key width, as Catalog::Load derives it; 0 (all but the width
+    // checked) when the heap's schema is unknown, which is reported already.
+    size_t key_width = 0;
+    if (auto sit = schemas.find(heap_oid); sit != schemas.end()) {
+      auto key_columns = DecodeKeyColumns(
+          t.row[2].is_null() ? "" : t.row[2].AsText(), sit->second.num_columns());
+      if (!key_columns) {
+        Add("index-ref", kPgIndexOid, t.tid.block,
+            "pg_index row at " + t.tid.ToString() + " lists bad key columns");
+      }
+      key_width = key_columns ? FixedKeyWidth(sit->second, *key_columns) : 0;
+    }
+    CheckBtree(store, iit->second, heap_oid, key_width);
     ++report_.relations_checked;
   }
   for (const auto& [oid, info] : rels) {

@@ -2,16 +2,20 @@
 //
 // Walks the raw block stores of a quiescent database — no buffer pool, no
 // transactions — and verifies the invariants the no-overwrite storage design
-// promises:
+// promises. It decodes pages only through the engine's own readers (Page for
+// slotted geometry and line pointers, WalkBtree for B-tree nodes), so it
+// refuses exactly what the engine refuses:
 //   * page integrity: magic, CRC32C checksum, self-identification, slotted
 //     geometry, line-pointer bounds, non-overlapping tuples;
 //   * tuple well-formedness: every live tuple decodes under its relation's
 //     schema, MVCC headers reference known transactions, commit timestamps
 //     are ordered along version chains, and each logical key has at most one
 //     current version;
-//   * B-tree structure: meta page, node encoding, strict key order, parent
-//     separator bounds, uniform leaf depth, sibling chain, and leaf TIDs that
-//     point inside their heap;
+//   * B-tree structure (WalkBtree, at the key width the index's columns
+//     give): meta page, node encoding, strict key order, parent separator
+//     bounds, no cycles, uniform leaf depth, sibling chain, every node
+//     reachable; and leaf TIDs that match their key's suffix and point
+//     inside their heap;
 //   * catalog referential integrity: pg_attribute rows reference live
 //     relations, pg_index rows pair index and heap relations, every cataloged
 //     relation physically exists on its bound device (and vice versa);
@@ -137,6 +141,9 @@ class Checker {
   bool IsCurrent(const TupleMeta& meta) const;
 
   void LoadCommitLog();
+  // Reads block `b` of `rel` into `buf` and runs the page-level checks; false
+  // when it is not a readable page at all.
+  bool ReadPage(BlockStore* store, Oid rel, uint32_t b, std::vector<std::byte>& buf);
   // Walk every page of a heap relation, running page-level checks; decoded
   // tuples (every version) are appended to `out`.
   void WalkHeap(BlockStore* store, Oid rel, const Schema& schema,
@@ -147,7 +154,10 @@ class Checker {
                           const std::vector<size_t>& key_columns);
   void CheckChunkTable(const RelInfo& rel, Oid file,
                        const std::vector<HeapTuple>& tuples, const Schema& schema);
-  void CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel);
+  // WalkBtree over the index's blocks as stored, with the page-level checks,
+  // the TID cross-checks, unreachable blocks and quarantine added.
+  void CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel,
+                  size_t key_width);
 
   BlockStore* disk_;
   BlockStore* nvram_;

@@ -18,7 +18,8 @@
 // Use when checking an image recovered from a crash.
 //
 // Exit 0 when every violation is tolerated by an enabled class (trivially so
-// when clean), 1 when violations remain, 2 on usage or I/O error.
+// when clean), 1 when violations remain, 2 on usage (an unknown option, or
+// no or too many directories) or I/O error.
 
 #include <cstdio>
 #include <cstring>
@@ -44,18 +45,19 @@ invfs::BlockStore* OpenStore(
 int main(int argc, char** argv) {
   bool tolerate_quarantined = false;
   bool tolerate_residue = false;
-  while (argc > 1) {
+  bool unknown_option = false;
+  while (argc > 1 && std::strncmp(argv[1], "--", 2) == 0 && !unknown_option) {
     if (std::strcmp(argv[1], "--tolerate-quarantined") == 0) {
       tolerate_quarantined = true;
     } else if (std::strcmp(argv[1], "--tolerate-residue") == 0) {
       tolerate_residue = true;
     } else {
-      break;
+      unknown_option = true;
     }
     --argc;
     ++argv;
   }
-  if (argc < 2 || argc > 4) {
+  if (unknown_option || argc < 2 || argc > 4) {
     std::fprintf(stderr,
                  "usage: invfs_check [--tolerate-quarantined] "
                  "[--tolerate-residue] <disk-dir> [nvram-dir] [jukebox-dir]\n");

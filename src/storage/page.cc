@@ -1,5 +1,6 @@
 #include "src/storage/page.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -73,6 +74,17 @@ Status Page::VerifyChecksum() const {
   return Status::Ok();
 }
 
+Status Page::VerifyGeometry() const {
+  const uint32_t lower = Lower();
+  const uint32_t upper = Upper();
+  if (lower != kPageHeaderSize + num_slots() * kLinePointerSize || lower > upper ||
+      upper > kPageSize) {
+    return Status::Corruption("nslots " + std::to_string(num_slots()) + ", lower " +
+                              std::to_string(lower) + ", upper " + std::to_string(upper));
+  }
+  return Status::Ok();
+}
+
 uint16_t Page::num_slots() const { return GetU16(p_ + kOffNslots); }
 uint16_t Page::Lower() const { return GetU16(p_ + kOffLower); }
 uint16_t Page::Upper() const { return GetU16(p_ + kOffUpper); }
@@ -137,8 +149,9 @@ Result<std::pair<uint16_t, uint16_t>> Page::TupleExtent(uint16_t slot) const {
   }
   // A checksum only proves the frame is what was written. The line pointer
   // array must itself end at `lower`, inside the frame, and a live tuple must
-  // lie between `lower` and the frame's end; anything else would hand the
-  // caller bytes outside this page.
+  // lie in the tuple data, from `upper` (and never below `lower`) to the
+  // frame's end; anything else would hand the caller bytes outside this
+  // page's tuples.
   const uint32_t lower = Lower();
   const uint32_t lp_end =
       kPageHeaderSize + (static_cast<uint32_t>(slot) + 1) * kLinePointerSize;
@@ -151,11 +164,12 @@ Result<std::pair<uint16_t, uint16_t>> Page::TupleExtent(uint16_t slot) const {
   if (len == 0) {
     return std::make_pair(uint16_t{0}, uint16_t{0});  // dead
   }
-  if (off < lower || static_cast<uint32_t>(off) + len > kPageSize) {
+  const uint32_t floor = std::max<uint32_t>(lower, Upper());
+  if (off < floor || static_cast<uint32_t>(off) + len > kPageSize) {
     return Status::Corruption("line pointer " + std::to_string(slot) + " -> [" +
                               std::to_string(off) + "," +
                               std::to_string(static_cast<uint32_t>(off) + len) +
-                              ") outside the tuple area [" + std::to_string(lower) +
+                              ") outside the tuple area [" + std::to_string(floor) +
                               "," + std::to_string(kPageSize) + ")");
   }
   return std::make_pair(off, len);

@@ -53,6 +53,11 @@ class Page {
   Status VerifyChecksum() const;
   uint32_t StoredChecksum() const;
 
+  // The slotted geometry: `lower` ends the line pointer array of
+  // num_slots() slots, and `upper`, where the tuple data begins, lies
+  // between `lower` and the frame's end. Corruption otherwise.
+  Status VerifyGeometry() const;
+
   uint16_t num_slots() const;
   // Free bytes available for one more tuple (including its line pointer).
   uint32_t FreeSpace() const;
@@ -65,7 +70,7 @@ class Page {
 
   // Tuple bytes at `slot`; empty span if the slot is dead. InvalidArgument if
   // the slot is out of range; Corruption if its line pointer reaches outside
-  // the page's tuple area.
+  // the page's tuple area, [max(lower, upper), kPageSize).
   Result<std::span<const std::byte>> GetTuple(uint16_t slot) const;
   Result<std::span<std::byte>> GetMutableTuple(uint16_t slot);
 

@@ -60,6 +60,14 @@ inline void PutBe64(std::byte* p, uint64_t v) {
   }
   std::memcpy(p, &v, sizeof(v));
 }
+inline uint16_t GetBe16(const std::byte* p) {
+  uint16_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::little) {
+    v = __builtin_bswap16(v);
+  }
+  return v;
+}
 inline uint32_t GetBe32(const std::byte* p) {
   uint32_t v;
   std::memcpy(&v, p, sizeof(v));

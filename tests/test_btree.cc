@@ -755,6 +755,45 @@ INSTANTIATE_TEST_SUITE_P(KeyTypes, BTreeDifferential,
 constexpr uint32_t kArrayLeaf = 1;        // the root leaf of a one-node tree
 constexpr uint32_t kInt4LeafStride = 18;  // u16 length, 4 + 6 key bytes, TID
 
+// A node cycle reads as Corruption on every path, never as a descent that
+// does not end: an empty internal node that is its own leftmost child, and
+// a root entry whose child is the root.
+TEST(BTreeArrayNodes, NodeCycleIsCorruption) {
+  namespace bl = btree_layout;
+  for (const bool self_loop : {true, false}) {
+    SCOPED_TRACE(self_loop ? "empty internal node" : "keyed child is the root");
+    TreeHarness h(4);
+    ASSERT_TRUE(h.InsertInt4Keys(self_loop ? 10 : 2000));
+    ASSERT_TRUE(h.tree->CheckInvariants().ok());
+    uint32_t root = 0;
+    {
+      auto meta = h.pool->Pin(1, 0);
+      ASSERT_TRUE(meta.ok());
+      root = GetU32(meta->data() + bl::kOffMetaRoot);
+      auto node = h.pool->Pin(1, root);
+      ASSERT_TRUE(node.ok());
+      std::byte* p = node->data();
+      if (self_loop) {
+        p[bl::kOffType] = std::byte{bl::kNodeInternal};
+        PutU16(p + bl::kOffNKeys, 0);
+        PutU16(p + bl::kOffUsed, 0);
+        PutU32(p + bl::kOffLeftChild, root);
+      } else {
+        ASSERT_EQ(static_cast<uint8_t>(p[bl::kOffType]), bl::kNodeInternal);
+        constexpr uint32_t kInt4InternalStride = 2 + 4 + BTree::kTidSuffix + 4;
+        const uint16_t last = GetU16(p + bl::kOffNKeys) - 1;
+        PutU32(p + bl::kOffEntries + last * kInt4InternalStride + kInt4InternalStride - 4,
+               root);
+      }
+    }
+    EXPECT_TRUE(IsCorruption(h.tree->Lookup(EncodeInt4Key(1999)).status()));
+    EXPECT_TRUE(IsCorruption(h.tree->Seek(EncodeInt4Key(1999)).status()));
+    EXPECT_TRUE(IsCorruption(h.tree->Insert(EncodeInt4Key(1999), Tid{1, 1})));
+    EXPECT_TRUE(IsCorruption(h.tree->Remove(EncodeInt4Key(1999), Tid{1999, 0})));
+    EXPECT_TRUE(IsCorruption(h.tree->CheckInvariants()));
+  }
+}
+
 // A width-4 tree's only node holds ten int4 keys. An array node whose `used`
 // is not nkeys whole entries, or is whole entries past the entry area, or
 // whose middle entry (the one every bisection of its ten entries probes
@@ -793,7 +832,7 @@ TEST(BTreeArrayNodes, CraftedNodesAreCorruption) {
           PutU16(p + bl::kOffUsed, 1000 * kInt4LeafStride);
           break;
         case kMiddleKeyLength:
-          PutU16(middle, 4 + bl::kTidSuffix + 1);
+          PutU16(middle, 4 + BTree::kTidSuffix + 1);
           break;
         case kMiddleKeyLengthHuge:
           PutU16(middle, 0xFFFF);

@@ -3,20 +3,43 @@
 // invariant it breaks.
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <cstring>
+#include <filesystem>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "src/access/btree.h"
 #include "src/access/btree_layout.h"
+#include "src/buffer/buffer_pool.h"
 #include "src/check/checker.h"
+#include "src/device/device.h"
 #include "src/inversion/inv_fs.h"
 #include "src/storage/page.h"
 #include "src/util/bytes.h"
 
 namespace invfs {
 namespace {
+
+namespace bl = btree_layout;
+
+// Widens the first key of a leaf by one zero byte before its TID suffix and
+// grows `used` to match: the keys stay in order and the suffix still names
+// the payload, but on a fixed-width tree the key is one byte too wide.
+void WidenFirstKey(std::byte* frame) {
+  std::byte* area = frame + bl::kOffEntries;
+  const uint16_t klen = GetU16(area);
+  const uint16_t used = GetU16(frame + bl::kOffUsed);
+  std::byte* at = area + 2 + klen - BTree::kTidSuffix;
+  std::memmove(at + 1, at, static_cast<size_t>(area + used - at));
+  *at = std::byte{0};
+  PutU16(area, static_cast<uint16_t>(klen + 1));
+  PutU16(frame + bl::kOffUsed, static_cast<uint16_t>(used + 1));
+}
 
 class CheckTest : public ::testing::Test {
  protected:
@@ -192,7 +215,6 @@ TEST_F(CheckTest, OutOfOrderBtreeKeyDetected) {
   auto nblocks = env_.disk_store->NumBlocks(index);
   ASSERT_TRUE(nblocks.ok());
 
-  namespace bl = btree_layout;
   bool swapped = false;
   for (uint32_t b = 1; b < *nblocks && !swapped; ++b) {
     MutateAndRestamp(index, b, [&](std::byte* frame) {
@@ -209,7 +231,7 @@ TEST_F(CheckTest, OutOfOrderBtreeKeyDetected) {
       std::byte* e1 = e0 + 2 + k0len + 6;
       const uint16_t k1len = GetU16(e1);
       std::byte* k1 = e1 + 2;
-      const size_t common = std::min(k0len, k1len) - bl::kTidSuffix;
+      const size_t common = std::min(k0len, k1len) - BTree::kTidSuffix;
       for (size_t p = 0; p < common; ++p) {
         if (k0[p] != k1[p]) {
           std::swap(k0[p], k1[p]);
@@ -237,7 +259,6 @@ TEST_F(CheckTest, BtreeUsedHeaderMismatchDetected) {
   ASSERT_TRUE(naming.ok());
   ASSERT_FALSE((*naming)->indexes.empty());
   const Oid index = (*naming)->indexes[0]->oid;
-  namespace bl = btree_layout;
   std::vector<std::byte> meta(kPageSize);
   ASSERT_TRUE(env_.disk_store->Read(index, 0, meta).ok());
   const uint32_t root = GetU32(meta.data() + bl::kOffMetaRoot);
@@ -322,6 +343,222 @@ TEST_F(CheckTest, ChunkSelfIdentMismatchDetected) {
     }
   }
   EXPECT_TRUE(hit) << "no byte in the tuple tail tripped the selfid check";
+}
+
+// invfs_check and BTree::CheckInvariants run one structural walk of a
+// B-tree. Each crafted node below is fed to both, the engine through a fresh
+// buffer pool over the image; both must reject it, invfs_check under the
+// named invariant. The image holds a table with a text index at least three
+// levels deep (1000-byte keys) and an int4 index whose 200 entries fill one
+// fixed-width leaf.
+class VerifiersAgreeTest : public CheckTest {
+ protected:
+  void SetUp() override {
+    CheckTest::SetUp();
+    auto txn = db_->Begin();
+    ASSERT_TRUE(txn.ok());
+    auto table = db_->catalog().CreateTable(
+        *txn, "t", Schema{{"k", TypeId::kText}, {"n", TypeId::kInt4}}, kDeviceMagneticDisk);
+    ASSERT_TRUE(table.ok());
+    auto text = db_->catalog().CreateIndex(*txn, *table, {0});
+    auto int4 = db_->catalog().CreateIndex(*txn, *table, {1});
+    ASSERT_TRUE(text.ok());
+    ASSERT_TRUE(int4.ok());
+    text_ = (*text)->oid;
+    int4_ = (*int4)->oid;
+    for (int i = 0; i < 200; ++i) {
+      std::string key = std::to_string(1000 + i);
+      key.resize(1000, 'k');
+      ASSERT_TRUE(db_->InsertRow(*txn, *table, {Value::Text(key), Value::Int4(i)}).ok());
+    }
+    ASSERT_TRUE(db_->Commit(*txn).ok());
+    ASSERT_TRUE(db_->FlushCaches().ok());
+  }
+
+  std::vector<std::byte> Block(Oid rel, uint32_t block) {
+    std::vector<std::byte> buf(kPageSize);
+    EXPECT_TRUE(env_.disk_store->Read(rel, block, buf).ok());
+    return buf;
+  }
+  uint32_t Root(Oid index) { return GetU32(Block(index, 0).data() + bl::kOffMetaRoot); }
+  uint32_t LeftmostChild(Oid index, uint32_t block) {
+    return GetU32(Block(index, block).data() + bl::kOffLeftChild);
+  }
+  uint8_t Type(Oid index, uint32_t block) {
+    return static_cast<uint8_t>(Block(index, block)[bl::kOffType]);
+  }
+
+  // CheckInvariants over the stored image.
+  Status EngineCheck(Oid index) {
+    SimClock clock;
+    DeviceSwitch devices;
+    devices.Register(kDeviceMagneticDisk,
+                     std::make_unique<NvramDevice>(env_.disk_store.get()));
+    devices.BindRelation(index, kDeviceMagneticDisk);
+    BufferPool pool(&devices, 16, &clock);
+    auto tree = BTree::Open(index, &pool, index == int4_ ? 4 : 0);
+    return tree.ok() ? (*tree)->CheckInvariants() : tree.status();
+  }
+
+  Oid text_ = kInvalidOid;
+  Oid int4_ = kInvalidOid;
+};
+
+TEST_F(VerifiersAgreeTest, EveryCraftedNodeIsRejectedByBoth) {
+  const uint32_t text_root = Root(text_);
+  const uint32_t text_inner = LeftmostChild(text_, text_root);
+  const uint32_t text_leaf = LeftmostChild(text_, text_inner);
+  ASSERT_EQ(Type(text_, text_root), bl::kNodeInternal);
+  ASSERT_EQ(Type(text_, text_inner), bl::kNodeInternal);
+  ASSERT_EQ(Type(text_, text_leaf), bl::kNodeLeaf);
+  const uint32_t int4_root = Root(int4_);
+  ASSERT_EQ(Type(int4_, int4_root), bl::kNodeLeaf);
+  ASSERT_EQ(GetU16(Block(int4_, int4_root).data() + bl::kOffNKeys), 200);
+  constexpr uint32_t kStride = 2 + 4 + BTree::kTidSuffix + 6;  // int4 leaf entry
+  // Entry 100 is the first one a bisection of 200 entries probes.
+  constexpr uint32_t kProbed = bl::kOffEntries + 100 * kStride;
+
+  struct Case {
+    const char* name;
+    Oid index;
+    uint32_t block;
+    const char* invariant;
+    std::function<void(std::byte*)> damage;
+  };
+  const Case cases[] = {
+      {"keys out of order", text_, text_leaf, "btree-key-order",
+       [](std::byte* p) {
+         // Swap the first differing byte of the first two keys.
+         std::byte* k0 = p + bl::kOffEntries + 2;
+         std::byte* k1 = k0 + GetU16(k0 - 2) + 6 + 2;  // past key 0, its TID, key 1's length
+         size_t i = 0;
+         while (k0[i] == k1[i]) {
+           ++i;
+         }
+         std::swap(k0[i], k1[i]);
+       }},
+      {"used past the entry area", text_, text_root, "btree-node-encoding",
+       [](std::byte* p) { PutU16(p + bl::kOffUsed, bl::kEntryArea + 1); }},
+      {"used one byte long", text_, text_root, "btree-node-encoding",
+       [](std::byte* p) { PutU16(p + bl::kOffUsed, GetU16(p + bl::kOffUsed) + 1); }},
+      {"fixed width: used one byte long", int4_, int4_root, "btree-node-encoding",
+       [](std::byte* p) { PutU16(p + bl::kOffUsed, GetU16(p + bl::kOffUsed) + 1); }},
+      {"fixed width: one key too many", int4_, int4_root, "btree-node-encoding",
+       [](std::byte* p) { PutU16(p + bl::kOffNKeys, 201); }},
+      {"fixed width: probed key one byte long", int4_, int4_root, "btree-node-encoding",
+       [](std::byte* p) { PutU16(p + kProbed, 4 + BTree::kTidSuffix + 1); }},
+      {"fixed width: probed key length 0xFFFF", int4_, int4_root, "btree-node-encoding",
+       [](std::byte* p) { PutU16(p + kProbed, 0xFFFF); }},
+      {"fixed width: first key widened", int4_, int4_root, "btree-node-encoding",
+       WidenFirstKey},
+      {"duplicate key", int4_, int4_root, "btree-key-order",
+       [](std::byte* p) {
+         std::memcpy(p + bl::kOffEntries + kStride, p + bl::kOffEntries, kStride);
+       }},
+      {"empty internal node is its own child", int4_, int4_root, "btree-node-encoding",
+       [int4_root](std::byte* p) {
+         p[bl::kOffType] = std::byte{bl::kNodeInternal};
+         PutU16(p + bl::kOffNKeys, 0);
+         PutU16(p + bl::kOffUsed, 0);
+         PutU32(p + bl::kOffLeftChild, int4_root);
+       }},
+      {"keyed child is the root", text_, text_root, "btree-cycle",
+       [text_root](std::byte* p) {
+         std::byte* e = p + bl::kOffEntries;
+         for (uint16_t i = 1; i < GetU16(p + bl::kOffNKeys); ++i) {
+           e += 2 + GetU16(e) + 4;
+         }
+         PutU32(e + 2 + GetU16(e), text_root);
+       }},
+      {"sibling chain cut", text_, text_leaf, "btree-sibling",
+       [](std::byte* p) { PutU32(p + bl::kOffRightSib, BTree::kNoBlock); }},
+      {"leaf at the wrong depth", text_, text_root, "btree-depth",
+       [text_leaf](std::byte* p) { PutU32(p + bl::kOffLeftChild, text_leaf); }},
+  };
+
+  auto clean = CheckImage(env_);
+  ASSERT_TRUE(clean.ok());
+  ASSERT_TRUE(clean->ok()) << clean->ToString();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_TRUE(EngineCheck(c.index).ok());
+    const std::vector<std::byte> saved = Block(c.index, c.block);
+    MutateAndRestamp(c.index, c.block, c.damage);
+    auto report = CheckImage(env_);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->Has(c.invariant)) << report->ToString();
+    EXPECT_EQ(EngineCheck(c.index).code(), ErrorCode::kCorruption);
+    ASSERT_TRUE(env_.disk_store->Write(c.index, c.block, saved).ok());
+  }
+  auto restored = CheckImage(env_);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_TRUE(restored->ok()) << restored->ToString();
+}
+
+// The invfs_check binary over a FileBlockStore image: exit 0 on a clean
+// image, 1 on a re-stamped widened key, 0 with --tolerate-quarantined on a
+// flipped byte, 2 on a bad argument.
+TEST(InvfsCheckCli, ExitCodes) {
+  std::string dir = (std::filesystem::temp_directory_path() / "invfs_check_XXXXXX").string();
+  ASSERT_NE(mkdtemp(dir.data()), nullptr);
+  Oid chunks = kInvalidOid;
+  Oid index = kInvalidOid;
+  {
+    StorageEnv env;
+    auto store = FileBlockStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    env.disk_store = std::move(*store);
+    auto db = Database::Open(&env);
+    ASSERT_TRUE(db.ok());
+    InversionFs fs(db->get());
+    ASSERT_TRUE(fs.Mount().ok());
+    auto s = fs.NewSession();
+    ASSERT_TRUE(s.ok());
+    ASSERT_TRUE((*s)->p_begin().ok());
+    auto fd = (*s)->p_creat("/f");
+    ASSERT_TRUE(fd.ok());
+    const std::string data(3000, 'f');
+    ASSERT_TRUE((*s)->p_write(*fd, std::as_bytes(std::span(data))).ok());
+    ASSERT_TRUE((*s)->p_close(*fd).ok());
+    ASSERT_TRUE((*s)->p_commit().ok());
+    const Snapshot snap{kTimestampNow, kInvalidTxn, &(*db)->txns().log(), nullptr};
+    auto file = fs.ResolvePath("/f", snap);
+    ASSERT_TRUE(file.ok());
+    auto table = (*db)->catalog().GetTable("inv" + std::to_string(*file));
+    ASSERT_TRUE(table.ok());
+    chunks = (*table)->oid;
+    index = (*table)->indexes.at(0)->oid;
+    ASSERT_TRUE((*db)->FlushCaches().ok());
+  }
+  auto store = FileBlockStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  auto run = [&](const std::string& args) {
+    const std::string cmd = std::string(INVFS_CHECK_BIN) + " " + args + " >/dev/null 2>&1";
+    const int rc = std::system(cmd.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  };
+  std::vector<std::byte> saved(kPageSize);
+  ASSERT_TRUE((*store)->Read(index, 1, saved).ok());  // the chunk index's one leaf
+  EXPECT_EQ(run(dir), 0);
+
+  std::vector<std::byte> page = saved;
+  WidenFirstKey(page.data());
+  Page(page.data()).UpdateChecksum();
+  ASSERT_TRUE((*store)->Write(index, 1, page).ok());
+  EXPECT_EQ(run(dir), 1);
+  EXPECT_EQ(run("--tolerate-quarantined " + dir), 1);
+  ASSERT_TRUE((*store)->Write(index, 1, saved).ok());
+
+  ASSERT_TRUE((*store)->Read(chunks, 0, page).ok());
+  page[kPageSize - 50] ^= std::byte{0xFF};  // no re-stamp: a checksum failure
+  ASSERT_TRUE((*store)->Write(chunks, 0, page).ok());
+  EXPECT_EQ(run(dir), 1);
+  EXPECT_EQ(run("--tolerate-quarantined " + dir), 0);
+
+  EXPECT_EQ(run("--tolerate-everything " + dir), 2);
+  EXPECT_EQ(run(""), 2);
+  EXPECT_EQ(run(dir + " " + dir + " " + dir + " " + dir), 2);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -176,6 +176,7 @@ TEST_F(PageTest, LinePointersOutsideTheTupleAreaAreCorruption) {
   expect_corrupt(0xFFFF, 0xFFFF);                   // far past it
   expect_corrupt(kPageHeaderSize, 100);             // inside the header
   expect_corrupt(kPageHeaderSize + 2 * kLinePointerSize - 1, 8);  // below lower
+  expect_corrupt(kPageSize / 2, 100);  // in the free gap [lower, upper)
   PutU16(lp1, good_off);
   PutU16(lp1 + 2, 100);
   ASSERT_TRUE(page_.GetTuple(1).ok());
@@ -186,6 +187,23 @@ TEST_F(PageTest, LinePointersOutsideTheTupleAreaAreCorruption) {
   EXPECT_EQ(page_.GetTuple(4999).status().code(), ErrorCode::kCorruption);
   EXPECT_EQ(page_.GetTuple(2).status().code(), ErrorCode::kCorruption);
   EXPECT_TRUE(page_.GetTuple(1).ok());
+}
+
+// VerifyGeometry holds `lower` to the slot count and `upper` between it and
+// the frame's end.
+TEST_F(PageTest, GeometryIsVerified) {
+  ASSERT_TRUE(page_.AddTuple(std::vector<std::byte>(100, std::byte{1})).ok());
+  EXPECT_TRUE(page_.VerifyGeometry().ok());
+  PutU16(frame_ + 2, 2);  // nslots past the line pointer array
+  EXPECT_EQ(page_.VerifyGeometry().code(), ErrorCode::kCorruption);
+  PutU16(frame_ + 2, 1);
+  const uint16_t upper = GetU16(frame_ + 6);
+  for (const uint16_t bad : {uint16_t{kPageHeaderSize}, uint16_t{kPageSize + 1}}) {
+    PutU16(frame_ + 6, bad);  // below `lower`, past the frame
+    EXPECT_EQ(page_.VerifyGeometry().code(), ErrorCode::kCorruption) << bad;
+  }
+  PutU16(frame_ + 6, upper);
+  EXPECT_TRUE(page_.VerifyGeometry().ok());
 }
 
 // Pins the on-disk checksum format: the stamped value of one fixed frame
