@@ -170,11 +170,12 @@ Result<Json> ReaderVsWriterRow(int nreaders, bool with_writer) {
       }
       const bool saw_lock_before = lock_held.load(std::memory_order_acquire);
       int rows = 0;
-      auto it = table->heap->Scan(db.ReadSnapshot(*txn));
-      while (it.Next()) {
-        ++rows;
-      }
-      if (rows != 64 || !db.Commit(*txn).ok()) {
+      const Status read =
+          table->heap->VisitEach(db.ReadSnapshot(*txn), [&](Tid, auto) -> Result<bool> {
+            ++rows;
+            return false;
+          });
+      if (!read.ok() || rows != 64 || !db.Commit(*txn).ok()) {
         return false;
       }
       // The lock was held across the whole scan only if it was held both

@@ -27,6 +27,21 @@ constexpr size_t kTidSuffix = BTree::kTidSuffix;
 // walking a node cycle.
 constexpr int kMaxDepth = 31;
 
+// Counts one hop of a walk along right siblings. A legal chain visits each
+// block at most once, so a walk of more hops than the relation has blocks is
+// walking a sibling cycle. `*limit` is read at the first hop, so a walk that
+// stays in its leaf reads nothing more. A walk that reaches it reads it
+// again before failing: a reader with no table lock may see the tree grow.
+Status CountHop(BufferPool* pool, Oid rel, uint32_t* hops, uint32_t* limit) {
+  if (*hops == 0 || *hops >= *limit) {
+    INV_ASSIGN_OR_RETURN(*limit, pool->NumBlocks(rel));
+  }
+  if (++*hops > *limit) {
+    return Status::Corruption("btree sibling chain longer than the relation: a cycle");
+  }
+  return Status::Ok();
+}
+
 // Stored node keys are the user key with the TID appended (big-endian, so
 // memcmp order is preserved). This makes every stored key unique, which keeps
 // duplicate user keys contiguous across leaf splits — without it, a split in
@@ -440,6 +455,8 @@ Status BTree::Remove(const BtreeKey& key, Tid tid) {
   const BtreeKey stored = CombineKey(key, tid);
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
   INV_ASSIGN_OR_RETURN(uint32_t current, FindLeaf(root, stored));
+  uint32_t hops = 0;
+  uint32_t limit = 0;
   while (current != kNoBlock) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, current));
     NodeView view{ref.data(), key_width_};
@@ -455,6 +472,9 @@ Status BTree::Remove(const BtreeKey& key, Tid tid) {
     }
     INV_RETURN_IF_ERROR(c.status());
     current = view.right_sibling();
+    if (current != kNoBlock) {
+      INV_RETURN_IF_ERROR(CountHop(pool_, rel_, &hops, &limit));
+    }
   }
   return Status::NotFound("btree entry not found");
 }
@@ -466,6 +486,8 @@ Result<TidList> BTree::Lookup(const BtreeKey& key) const {
   INV_ASSIGN_OR_RETURN(uint32_t root, RootBlock());
   INV_ASSIGN_OR_RETURN(uint32_t current, FindLeaf(root, lower));
   TidList out;
+  uint32_t hops = 0;
+  uint32_t limit = 0;
   while (current != kNoBlock) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, current));
     NodeView view{ref.data(), key_width_};
@@ -483,6 +505,9 @@ Result<TidList> BTree::Lookup(const BtreeKey& key) const {
     }
     INV_RETURN_IF_ERROR(c.status());
     current = view.right_sibling();
+    if (current != kNoBlock) {
+      INV_RETURN_IF_ERROR(CountHop(pool_, rel_, &hops, &limit));
+    }
   }
   return out;
 }
@@ -528,9 +553,14 @@ Status BTree::Iterator::Advance() {
     pos_ += 2 + GetU16(leaf_.data() + pos_) + 6;  // key length, key, TID
   }
   while (pos_ >= leaf_.size() && next_leaf_ != kNoBlock) {
-    INV_RETURN_IF_ERROR(LoadLeaf(next_leaf_, nullptr));
+    INV_RETURN_IF_ERROR(NextLeaf());
   }
   return Status::Ok();
+}
+
+Status BTree::Iterator::NextLeaf() {
+  INV_RETURN_IF_ERROR(CountHop(tree_->pool_, tree_->rel_, &hops_, &hop_limit_));
+  return LoadLeaf(next_leaf_, nullptr);
 }
 
 Result<BTree::Iterator> BTree::Seek(const BtreeKey& lo) const {
@@ -544,7 +574,7 @@ Result<BTree::Iterator> BTree::Seek(const BtreeKey& lo) const {
   INV_RETURN_IF_ERROR(it.LoadLeaf(leaf, &lo));
   // Skip empty leaves.
   while (it.leaf_.empty() && it.next_leaf_ != kNoBlock) {
-    INV_RETURN_IF_ERROR(it.LoadLeaf(it.next_leaf_, nullptr));
+    INV_RETURN_IF_ERROR(it.NextLeaf());
   }
   return it;
 }

@@ -93,7 +93,11 @@ class BTree {
     std::vector<std::byte> leaf_;
     size_t pos_ = 0;  // offset of the current entry in leaf_
     uint32_t next_leaf_ = kNoBlock;
+    // Sibling hops taken, and the bound on them (see CountHop in btree.cc).
+    uint32_t hops_ = 0;
+    uint32_t hop_limit_ = 0;
     Status LoadLeaf(uint32_t block, const BtreeKey* lo);
+    Status NextLeaf();  // loads next_leaf_, counting the hop
   };
 
   // Iterator positioned at the first entry with key >= lo (empty lo: first).

@@ -6,19 +6,6 @@
 #include "src/fault/crash_points.h"
 
 namespace invfs {
-namespace {
-
-// GetTupleMeta reads the fixed header unchecked; a live slot shorter than it
-// can only come from a corrupt page.
-Status CheckTupleHeader(std::span<const std::byte> tuple) {
-  if (tuple.size() < kTupleFixedHeader) {
-    return Status::Corruption("tuple of " + std::to_string(tuple.size()) +
-                              " bytes is shorter than the tuple header");
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Heap::Heap(Oid rel, const Schema* schema, BufferPool* pool, TxnManager* txns)
     : rel_(rel), schema_(schema), pool_(pool), txns_(txns) {}
@@ -134,20 +121,13 @@ Result<std::optional<PageRef>> Heap::PinForRead(uint32_t block) const {
   return std::optional<PageRef>(std::move(*ref_or));
 }
 
-Result<std::span<const std::byte>> Heap::VisibleTuple(const Page& page, uint16_t slot,
-                                                      const Snapshot& snap) {
-  if (slot >= page.num_slots()) {
-    return std::span<const std::byte>();  // dangling entry; see PinForRead
+Status Heap::CheckTupleHeader(std::span<const std::byte> tuple) {
+  // GetTupleMeta reads the fixed header unchecked.
+  if (tuple.size() < kTupleFixedHeader) {
+    return Status::Corruption("tuple of " + std::to_string(tuple.size()) +
+                              " bytes is shorter than the tuple header");
   }
-  INV_ASSIGN_OR_RETURN(auto tuple, page.GetTuple(slot));
-  if (tuple.empty()) {
-    return tuple;
-  }
-  INV_RETURN_IF_ERROR(CheckTupleHeader(tuple));
-  if (!snap.IsVisible(GetTupleMeta(tuple))) {
-    return std::span<const std::byte>();
-  }
-  return tuple;
+  return Status::Ok();
 }
 
 Result<std::optional<Row>> Heap::Fetch(const Snapshot& snap, Tid tid) const {
@@ -160,93 +140,13 @@ Result<std::optional<Row>> Heap::Fetch(const Snapshot& snap, Tid tid) const {
   return row;
 }
 
-Result<std::pair<TupleMeta, Row>> Heap::FetchAny(Tid tid) const {
-  INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, tid.block));
-  ReaderMutexLock latch(ref.Latch());
-  Page page = ref.page();
-  INV_ASSIGN_OR_RETURN(auto tuple, page.GetTuple(tid.slot));
-  if (tuple.empty()) {
-    return Status::NotFound("tuple " + tid.ToString() + " is gone");
-  }
-  INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(*schema_, tuple));
-  return std::make_pair(GetTupleMeta(tuple), std::move(row));
-}
-
-bool Heap::Iterator::Next() {
-  if (!status_.ok()) {
-    return false;
-  }
-  if (!began_) {
-    began_ = true;
-    auto nb = heap_->pool_->NumBlocks(heap_->rel_);
-    if (!nb.ok()) {
-      status_ = nb.status();
-      return false;
-    }
-    nblocks_ = *nb;
-    block_ = 0;
-    slot_ = 0;
-  }
-  while (block_ < nblocks_) {
-    if (!page_.valid()) {
-      auto ref = heap_->pool_->Pin(heap_->rel_, block_);
-      if (!ref.ok()) {
-        status_ = ref.status();
-        return false;
-      }
-      page_ = std::move(*ref);
-      slot_ = 0;
-    }
-    {
-      // Page latch for the slot walk: concurrent in-place writers (xmax
-      // stamps, appends, vacuum compaction) share this page with lock-free
-      // readers. Released before returning a row — row_ is a materialized
-      // copy, and slot numbering is stable across vacuum's Compact, so the
-      // cursor position survives re-acquisition on the next call.
-      ReaderMutexLock latch(page_.Latch());
-      Page page(page_.data());
-      const uint16_t nslots = page.num_slots();
-      while (slot_ < nslots) {
-        const uint16_t s = slot_++;
-        auto tuple = page.GetTuple(s);
-        if (!tuple.ok()) {
-          status_ = tuple.status();
-          return false;
-        }
-        if (tuple->empty()) {
-          continue;  // expunged slot
-        }
-        if (Status header = CheckTupleHeader(*tuple); !header.ok()) {
-          status_ = header;
-          return false;
-        }
-        meta_ = GetTupleMeta(*tuple);
-        if (!include_invisible_ && !snap_.IsVisible(meta_)) {
-          continue;
-        }
-        auto row = DecodeTuple(*heap_->schema_, *tuple);
-        if (!row.ok()) {
-          status_ = row.status();
-          return false;
-        }
-        row_ = std::move(*row);
-        tid_ = Tid{block_, s};
-        return true;
-      }
-    }
-    page_.Release();
-    ++block_;
-  }
-  return false;
-}
-
 Status Heap::Expunge(std::vector<Tid> dead) {
   std::sort(dead.begin(), dead.end());
   for (auto at = dead.begin(); at != dead.end();) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, at->block));
-    // Compact rewrites tuple bytes but preserves slot numbering, so a
-    // lock-free reader parked between two pages resumes correctly; the
-    // latch makes the byte movement invisible to one parked *on* this page.
+    // Compact rewrites tuple bytes but keeps slot numbers, so every TID an
+    // index holds keeps its meaning; the latch hides the byte movement from
+    // lock-free readers, who visit a page only under it.
     WriterMutexLock latch(ref.Latch());
     Page page = ref.page();
     const uint32_t block = at->block;

@@ -50,60 +50,36 @@ class Heap {
   Result<Tid> Replace(TxnId txn, Tid old_tid, const Row& new_row,
                       Oid row_oid = kInvalidOid);
 
-  // Call `fn(tuple)` with the page's own bytes of the version at `tid` if it
-  // is visible under `snap`; returns whether it was, or `fn`'s error. `fn`
-  // runs with the page pinned and latched shared: it must copy out what it
-  // keeps and must not pin, latch, lock or do I/O.
+  // Every heap read is one of these. Call `fn(tuple)` with the page's own
+  // bytes of the version at `tid` if it is visible under `snap`; returns
+  // whether it was, or `fn`'s error. `fn` runs with the page pinned and
+  // latched shared: it must copy out what it keeps and must not pin, latch,
+  // lock or do I/O.
   template <typename Fn>
-  Result<bool> Visit(const Snapshot& snap, Tid tid, Fn&& fn) const;
+  Result<bool> Visit(const Snapshot& snap, Tid tid, Fn&& fn) const {
+    return VisitIf([&snap](const TupleMeta& m) { return snap.IsVisible(m); }, tid, fn);
+  }
   // Fetch the version at `tid` if visible under `snap`: Visit plus a decode.
   Result<std::optional<Row>> Fetch(const Snapshot& snap, Tid tid) const;
   // Call `fn(tid, tuple) -> Result<bool>` for each version visible under
   // `snap`, in TID order, until it returns true or an error. Pins each page
-  // once, as Scan does; `fn` runs under the page latch, with Visit's rules.
+  // once; `fn` runs under the page latch, with Visit's rules.
   template <typename Fn>
-  Status VisitEach(const Snapshot& snap, Fn&& fn) const;
-  // Raw fetch without visibility check (vacuum, diagnostics).
-  Result<std::pair<TupleMeta, Row>> FetchAny(Tid tid) const;
+  Status VisitEach(const Snapshot& snap, Fn&& fn) const {
+    return VisitEachIf([&snap](const TupleMeta& m) { return snap.IsVisible(m); }, fn);
+  }
+  // Visit and VisitEach over every stored version, visible or not: vacuum
+  // and the reclaim after it.
+  template <typename Fn>
+  Result<bool> VisitStored(Tid tid, Fn&& fn) const {
+    return VisitIf([](const TupleMeta&) { return true; }, tid, fn);
+  }
+  template <typename Fn>
+  Status VisitEachStored(Fn&& fn) const {
+    return VisitEachIf([](const TupleMeta&) { return true; }, fn);
+  }
 
   Result<uint32_t> NumBlocks() const { return pool_->NumBlocks(rel_); }
-
-  // Sequential scan returning only versions visible under the snapshot.
-  class Iterator {
-   public:
-    // Advances to the next visible tuple; false at end of relation.
-    bool Next();
-    const Row& row() const { return row_; }
-    Tid tid() const { return tid_; }
-    const TupleMeta& meta() const { return meta_; }
-    // Non-OK if iteration stopped due to an error rather than end-of-heap.
-    Status status() const { return status_; }
-
-   private:
-    friend class Heap;
-    Iterator(const Heap* heap, Snapshot snap, bool include_invisible)
-        : heap_(heap), snap_(snap), include_invisible_(include_invisible) {}
-
-    const Heap* heap_;
-    Snapshot snap_;
-    bool include_invisible_;
-    uint32_t block_ = 0;
-    uint16_t slot_ = 0;
-    bool began_ = false;
-    uint32_t nblocks_ = 0;
-    PageRef page_;
-    Row row_;
-    Tid tid_;
-    TupleMeta meta_;
-    Status status_;
-  };
-
-  Iterator Scan(const Snapshot& snap) const { return Iterator(this, snap, false); }
-  // Scan every version regardless of visibility (vacuum).
-  Iterator ScanAll() const {
-    return Iterator(this, Snapshot{kTimestampNow, kInvalidTxn, nullptr, nullptr},
-                    true);
-  }
 
   // Physically remove the versions at `dead` and compact each page that held
   // one, keeping slot numbers (vacuum only; ordinary deletes never do this).
@@ -113,11 +89,19 @@ class Heap {
   // Pin `block` for a read; nullopt when the block lies past the persisted
   // end of the heap (a dangling TID, see heap.cc).
   Result<std::optional<PageRef>> PinForRead(uint32_t block) const;
-  // The bytes of `slot` if it holds a version visible under `snap`, else an
-  // empty span (a dead or dangling slot included). Caller holds the latch.
-  static Result<std::span<const std::byte>> VisibleTuple(const Page& page,
-                                                         uint16_t slot,
-                                                         const Snapshot& snap);
+  // The one slot rule: the bytes of `slot` if it holds a whole version that
+  // `visible` accepts, else an empty span (a dead or dangling slot
+  // included). Caller holds the latch.
+  template <typename Visible>
+  static Result<std::span<const std::byte>> VisibleTuple(const Page& page, uint16_t slot,
+                                                         Visible visible);
+  // A live slot shorter than the tuple header can only come from a corrupt
+  // page.
+  static Status CheckTupleHeader(std::span<const std::byte> tuple);
+  template <typename Visible, typename Fn>
+  Result<bool> VisitIf(Visible visible, Tid tid, Fn& fn) const;
+  template <typename Visible, typename Fn>
+  Status VisitEachIf(Visible visible, Fn& fn) const;
 
   Oid rel_;
   const Schema* schema_;
@@ -129,8 +113,25 @@ class Heap {
   mutable std::atomic<uint32_t> hint_block_{0};
 };
 
-template <typename Fn>
-Result<bool> Heap::Visit(const Snapshot& snap, Tid tid, Fn&& fn) const {
+template <typename Visible>
+Result<std::span<const std::byte>> Heap::VisibleTuple(const Page& page, uint16_t slot,
+                                                      Visible visible) {
+  if (slot >= page.num_slots()) {
+    return std::span<const std::byte>();  // dangling entry; see PinForRead
+  }
+  INV_ASSIGN_OR_RETURN(auto tuple, page.GetTuple(slot));
+  if (tuple.empty()) {
+    return tuple;
+  }
+  INV_RETURN_IF_ERROR(CheckTupleHeader(tuple));
+  if (!visible(GetTupleMeta(tuple))) {
+    return std::span<const std::byte>();
+  }
+  return tuple;
+}
+
+template <typename Visible, typename Fn>
+Result<bool> Heap::VisitIf(Visible visible, Tid tid, Fn& fn) const {
   INV_ASSIGN_OR_RETURN(std::optional<PageRef> ref, PinForRead(tid.block));
   if (!ref.has_value()) {
     return false;
@@ -138,7 +139,7 @@ Result<bool> Heap::Visit(const Snapshot& snap, Tid tid, Fn&& fn) const {
   // Page latch: a concurrent writer may be stamping xmax or appending a
   // slot on this page; readers hold no table lock.
   ReaderMutexLock latch(ref->Latch());
-  INV_ASSIGN_OR_RETURN(auto tuple, VisibleTuple(ref->page(), tid.slot, snap));
+  INV_ASSIGN_OR_RETURN(auto tuple, VisibleTuple(ref->page(), tid.slot, visible));
   if (tuple.empty()) {
     return false;
   }
@@ -146,15 +147,15 @@ Result<bool> Heap::Visit(const Snapshot& snap, Tid tid, Fn&& fn) const {
   return true;
 }
 
-template <typename Fn>
-Status Heap::VisitEach(const Snapshot& snap, Fn&& fn) const {
+template <typename Visible, typename Fn>
+Status Heap::VisitEachIf(Visible visible, Fn& fn) const {
   INV_ASSIGN_OR_RETURN(uint32_t nblocks, pool_->NumBlocks(rel_));
   for (uint32_t block = 0; block < nblocks; ++block) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, block));
     ReaderMutexLock latch(ref.Latch());
     const Page page = ref.page();
     for (uint16_t slot = 0; slot < page.num_slots(); ++slot) {
-      INV_ASSIGN_OR_RETURN(auto tuple, VisibleTuple(page, slot, snap));
+      INV_ASSIGN_OR_RETURN(auto tuple, VisibleTuple(page, slot, visible));
       if (tuple.empty()) {
         continue;
       }

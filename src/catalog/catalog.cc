@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <optional>
+#include <tuple>
 
 namespace invfs {
 
@@ -67,6 +68,10 @@ std::string EncodeKeyColumns(const std::vector<size_t>& cols) {
   return out;
 }
 
+bool Contains(const std::vector<Oid>& oids, Oid oid) {
+  return std::find(oids.begin(), oids.end(), oid) != oids.end();
+}
+
 // Built-in type names registered in pg_type at bootstrap; user file types are
 // appended after these.
 constexpr TypeId kBuiltinTypes[] = {TypeId::kBool, TypeId::kInt4,  TypeId::kInt8,
@@ -86,6 +91,14 @@ Status Catalog::PhysicallyCreate(Oid oid, DeviceId device) {
   INV_RETURN_IF_ERROR(mgr->CreateRelation(oid));
   devices_->BindRelation(oid, device);
   return Status::Ok();
+}
+
+void Catalog::DestroyStorage(Oid oid) {
+  pool_->DiscardRelation(oid);
+  if (auto mgr = devices_->ManagerFor(oid); mgr.ok()) {
+    (void)(*mgr)->DropRelation(oid);
+  }
+  devices_->UnbindRelation(oid);
 }
 
 Result<TableInfo*> Catalog::MakeCachedTable(Oid oid, const std::string& name,
@@ -119,38 +132,33 @@ Status Catalog::InsertTableRows(TxnId txn, const TableInfo& info) {
   return Status::Ok();
 }
 
+Result<std::array<TableInfo*, 5>> Catalog::CacheCatalogs() {
+  const std::tuple<Oid, const char*, Schema, TableInfo**> catalogs[] = {
+      {kPgClassOid, "pg_class", PgClassSchema(), &pg_class_},
+      {kPgAttributeOid, "pg_attribute", PgAttributeSchema(), &pg_attribute_},
+      {kPgTypeOid, "pg_type", PgTypeSchema(), &pg_type_},
+      {kPgProcOid, "pg_proc", PgProcSchema(), &pg_proc_},
+      {kPgIndexOid, "pg_index", PgIndexSchema(), &pg_index_},
+  };
+  for (const auto& [oid, name, schema, member] : catalogs) {
+    INV_ASSIGN_OR_RETURN(*member, MakeCachedTable(oid, name, schema, kDeviceMagneticDisk,
+                                                  RelKind::kHeap));
+  }
+  return std::array{pg_class_, pg_attribute_, pg_type_, pg_proc_, pg_index_};
+}
+
 Status Catalog::Bootstrap() {
   MutexLock lock(mu_);
   // 1. Physically create the five catalog relations on the default device.
-  struct Boot {
-    Oid oid;
-    const char* name;
-    Schema schema;
-  };
-  const Boot boots[] = {
-      {kPgClassOid, "pg_class", PgClassSchema()},
-      {kPgAttributeOid, "pg_attribute", PgAttributeSchema()},
-      {kPgTypeOid, "pg_type", PgTypeSchema()},
-      {kPgProcOid, "pg_proc", PgProcSchema()},
-      {kPgIndexOid, "pg_index", PgIndexSchema()},
-  };
-  for (const Boot& b : boots) {
-    INV_RETURN_IF_ERROR(PhysicallyCreate(b.oid, kDeviceMagneticDisk));
-    INV_ASSIGN_OR_RETURN(TableInfo * info,
-                         MakeCachedTable(b.oid, b.name, b.schema,
-                                         kDeviceMagneticDisk, RelKind::kHeap));
-    (void)info;
+  INV_ASSIGN_OR_RETURN(const auto catalogs, CacheCatalogs());
+  for (const TableInfo* c : catalogs) {
+    INV_RETURN_IF_ERROR(PhysicallyCreate(c->oid, kDeviceMagneticDisk));
   }
-  pg_class_ = tables_[kPgClassOid].get();
-  pg_attribute_ = tables_[kPgAttributeOid].get();
-  pg_type_ = tables_[kPgTypeOid].get();
-  pg_proc_ = tables_[kPgProcOid].get();
-  pg_index_ = tables_[kPgIndexOid].get();
 
   // 2. Describe the catalogs in themselves, stamped by the always-committed
   //    bootstrap transaction.
-  for (const Boot& b : boots) {
-    INV_RETURN_IF_ERROR(InsertTableRows(kBootstrapTxn, *tables_[b.oid]));
+  for (const TableInfo* c : catalogs) {
+    INV_RETURN_IF_ERROR(InsertTableRows(kBootstrapTxn, *c));
   }
 
   // 3. Seed built-in types.
@@ -169,62 +177,28 @@ Status Catalog::Load() {
   MutexLock lock(mu_);
   // Catalog relations have fixed oids and schemas: construct them directly,
   // then read everything else out of them.
-  const std::pair<Oid, Schema> fixed[] = {
-      {kPgClassOid, PgClassSchema()},
-      {kPgAttributeOid, PgAttributeSchema()},
-      {kPgTypeOid, PgTypeSchema()},
-      {kPgProcOid, PgProcSchema()},
-      {kPgIndexOid, PgIndexSchema()},
-  };
-  for (const auto& [oid, schema] : fixed) {
-    devices_->BindRelation(oid, kDeviceMagneticDisk);
+  INV_ASSIGN_OR_RETURN(const auto catalogs, CacheCatalogs());
+  for (const TableInfo* c : catalogs) {
+    devices_->BindRelation(c->oid, kDeviceMagneticDisk);
   }
   const Snapshot snap{kTimestampNow, kInvalidTxn, &txns_->log(), nullptr};
 
-  // Bootstrap TableInfos for catalogs (names refined from pg_class rows).
-  INV_ASSIGN_OR_RETURN(pg_class_, MakeCachedTable(kPgClassOid, "pg_class",
-                                                  PgClassSchema(),
-                                                  kDeviceMagneticDisk, RelKind::kHeap));
-  INV_ASSIGN_OR_RETURN(
-      pg_attribute_, MakeCachedTable(kPgAttributeOid, "pg_attribute",
-                                     PgAttributeSchema(), kDeviceMagneticDisk,
-                                     RelKind::kHeap));
-  INV_ASSIGN_OR_RETURN(pg_type_,
-                       MakeCachedTable(kPgTypeOid, "pg_type", PgTypeSchema(),
-                                       kDeviceMagneticDisk, RelKind::kHeap));
-  INV_ASSIGN_OR_RETURN(pg_proc_,
-                       MakeCachedTable(kPgProcOid, "pg_proc", PgProcSchema(),
-                                       kDeviceMagneticDisk, RelKind::kHeap));
-  INV_ASSIGN_OR_RETURN(pg_index_,
-                       MakeCachedTable(kPgIndexOid, "pg_index", PgIndexSchema(),
-                                       kDeviceMagneticDisk, RelKind::kHeap));
-
   // Collect attribute rows grouped by relation.
   std::map<Oid, std::vector<std::pair<int32_t, Column>>> atts;
-  {
-    auto it = pg_attribute_->heap->Scan(snap);
-    while (it.Next()) {
-      const Row& r = it.row();
-      atts[r[0].AsOid()].push_back(
-          {r[3].AsInt4(), Column{r[1].AsText(), static_cast<TypeId>(r[2].AsInt4())}});
-    }
-    INV_RETURN_IF_ERROR(it.status());
-  }
+  INV_RETURN_IF_ERROR(pg_attribute_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(const Row r, DecodeTuple(pg_attribute_->schema, tuple));
+    atts[r[0].AsOid()].push_back(
+        {r[3].AsInt4(), Column{r[1].AsText(), static_cast<TypeId>(r[2].AsInt4())}});
+    return false;
+  }));
 
   Oid max_oid = kFirstUserOid - 1;
-  struct PendingIndex {
-    Oid index_oid;
-    Oid table_oid;
-  };
-  std::vector<std::pair<Oid, Row>> class_rows;
-  {
-    auto it = pg_class_->heap->Scan(snap);
-    while (it.Next()) {
-      class_rows.emplace_back(it.meta().oid, it.row());
-    }
-    INV_RETURN_IF_ERROR(it.status());
-  }
-  for (const auto& [row_oid, row] : class_rows) {
+  std::vector<Row> class_rows;
+  INV_RETURN_IF_ERROR(pg_class_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(class_rows.emplace_back(), DecodeTuple(pg_class_->schema, tuple));
+    return false;
+  }));
+  for (const Row& row : class_rows) {
     const std::string name = row[0].AsText();
     const Oid oid = row[1].AsOid();
     const DeviceId device = static_cast<DeviceId>(row[2].AsInt4());
@@ -249,34 +223,34 @@ Status Catalog::Load() {
         MakeCachedTable(oid, name, Schema(std::move(cols)), device, kind).status());
   }
 
-  // Indexes.
-  {
-    auto it = pg_index_->heap->Scan(snap);
-    while (it.Next()) {
-      const Row& r = it.row();
-      const Oid index_oid = r[0].AsOid();
-      const Oid table_oid = r[1].AsOid();
-      auto tit = tables_.find(table_oid);
-      if (tit == tables_.end()) {
-        continue;
-      }
-      auto info = std::make_unique<IndexInfo>();
-      info->oid = index_oid;
-      info->table = table_oid;
-      auto key_columns = DecodeKeyColumns(r[2].AsText(), tit->second->schema.num_columns());
-      if (!key_columns) {
-        return Status::Corruption("pg_index row of index " + std::to_string(index_oid) +
-                                  " lists no valid key columns");
-      }
-      info->key_columns = std::move(*key_columns);
-      INV_ASSIGN_OR_RETURN(info->btree,
-                           BTree::Open(index_oid, pool_,
-                                       FixedKeyWidth(tit->second->schema, info->key_columns)));
-      tit->second->indexes.push_back(info.get());
-      max_oid = std::max(max_oid, index_oid);
-      indexes_[index_oid] = std::move(info);
+  // Indexes. BTree::Open pins the meta page: open each after the visit.
+  std::vector<Row> index_rows;
+  INV_RETURN_IF_ERROR(pg_index_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(index_rows.emplace_back(), DecodeTuple(pg_index_->schema, tuple));
+    return false;
+  }));
+  for (const Row& r : index_rows) {
+    const Oid index_oid = r[0].AsOid();
+    const Oid table_oid = r[1].AsOid();
+    auto tit = tables_.find(table_oid);
+    if (tit == tables_.end()) {
+      continue;
     }
-    INV_RETURN_IF_ERROR(it.status());
+    auto info = std::make_unique<IndexInfo>();
+    info->oid = index_oid;
+    info->table = table_oid;
+    auto key_columns = DecodeKeyColumns(r[2].AsText(), tit->second->schema.num_columns());
+    if (!key_columns) {
+      return Status::Corruption("pg_index row of index " + std::to_string(index_oid) +
+                                " lists no valid key columns");
+    }
+    info->key_columns = std::move(*key_columns);
+    INV_ASSIGN_OR_RETURN(info->btree,
+                         BTree::Open(index_oid, pool_,
+                                     FixedKeyWidth(tit->second->schema, info->key_columns)));
+    tit->second->indexes.push_back(info.get());
+    max_oid = std::max(max_oid, index_oid);
+    indexes_[index_oid] = std::move(info);
   }
 
   // Archive links: archives are named "a,<base name>".
@@ -290,31 +264,25 @@ Status Catalog::Load() {
   }
 
   // Types and procs.
-  {
-    auto it = pg_type_->heap->Scan(snap);
-    while (it.Next()) {
-      const Row& r = it.row();
-      types_[r[0].AsText()] = TypeInfo{r[1].AsOid(), r[0].AsText()};
-      max_oid = std::max(max_oid, r[1].AsOid());
-    }
-    INV_RETURN_IF_ERROR(it.status());
-  }
-  {
-    auto it = pg_proc_->heap->Scan(snap);
-    while (it.Next()) {
-      const Row& r = it.row();
-      ProcInfo p;
-      p.name = r[0].AsText();
-      p.oid = r[1].AsOid();
-      p.rettype = static_cast<TypeId>(r[2].AsInt4());
-      p.nargs = r[3].AsInt4();
-      p.lang = static_cast<ProcLang>(r[4].AsInt4());
-      p.src = r[5].AsText();
-      max_oid = std::max(max_oid, p.oid);
-      procs_[p.name] = std::move(p);
-    }
-    INV_RETURN_IF_ERROR(it.status());
-  }
+  INV_RETURN_IF_ERROR(pg_type_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(const Row r, DecodeTuple(pg_type_->schema, tuple));
+    types_[r[0].AsText()] = TypeInfo{r[1].AsOid(), r[0].AsText()};
+    max_oid = std::max(max_oid, r[1].AsOid());
+    return false;
+  }));
+  INV_RETURN_IF_ERROR(pg_proc_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(const Row r, DecodeTuple(pg_proc_->schema, tuple));
+    ProcInfo p;
+    p.name = r[0].AsText();
+    p.oid = r[1].AsOid();
+    p.rettype = static_cast<TypeId>(r[2].AsInt4());
+    p.nargs = r[3].AsInt4();
+    p.lang = static_cast<ProcLang>(r[4].AsInt4());
+    p.src = r[5].AsText();
+    max_oid = std::max(max_oid, p.oid);
+    procs_[p.name] = std::move(p);
+    return false;
+  }));
 
   next_oid_ = max_oid + 1;
   return Status::Ok();
@@ -380,13 +348,17 @@ Result<IndexInfo*> Catalog::CreateIndex(TxnId txn, TableInfo* table,
   INV_RETURN_IF_ERROR(pg_index_->heap->Insert(txn, index_row).status());
 
   // Populate from existing visible rows.
-  const Snapshot snap = txns_->SnapshotFor(txn);
-  auto it = table->heap->Scan(snap);
-  while (it.Next()) {
-    INV_ASSIGN_OR_RETURN(const BtreeKey key, EncodeKey(it.row(), key_columns));
-    INV_RETURN_IF_ERROR(info->btree->Insert(key, it.tid()));
+  std::vector<std::pair<BtreeKey, Tid>> entries;
+  INV_RETURN_IF_ERROR(table->heap->VisitEach(
+      txns_->SnapshotFor(txn), [&](Tid tid, auto tuple) -> Result<bool> {
+        INV_ASSIGN_OR_RETURN(const Row row, DecodeTuple(table->schema, tuple));
+        INV_ASSIGN_OR_RETURN(entries.emplace_back().first, EncodeKey(row, key_columns));
+        entries.back().second = tid;
+        return false;
+      }));
+  for (const auto& [key, tid] : entries) {
+    INV_RETURN_IF_ERROR(info->btree->Insert(key, tid));
   }
-  INV_RETURN_IF_ERROR(it.status());
 
   IndexInfo* ptr = info.get();
   table->indexes.push_back(ptr);
@@ -412,32 +384,20 @@ Status Catalog::DropTable(TxnId txn, const std::string& name) {
   if (info->archive_oid != kInvalidOid) {
     doomed.push_back(info->archive_oid);
   }
-  {
-    auto it = pg_class_->heap->Scan(snap);
-    while (it.Next()) {
-      if (std::find(doomed.begin(), doomed.end(), it.row()[1].AsOid()) != doomed.end()) {
-        INV_RETURN_IF_ERROR(pg_class_->heap->Delete(txn, it.tid()));
+  // Each catalog with the column that names a relation.
+  for (const auto& [catalog, column] :
+       {std::pair(pg_class_, 1), std::pair(pg_attribute_, 0), std::pair(pg_index_, 0)}) {
+    std::vector<Tid> rows;
+    INV_RETURN_IF_ERROR(catalog->heap->VisitEach(snap, [&](Tid tid, auto tuple) -> Result<bool> {
+      INV_ASSIGN_OR_RETURN(const Row row, DecodeTuple(catalog->schema, tuple));
+      if (Contains(doomed, row[column].AsOid())) {
+        rows.push_back(tid);
       }
+      return false;
+    }));
+    for (Tid tid : rows) {
+      INV_RETURN_IF_ERROR(catalog->heap->Delete(txn, tid));
     }
-    INV_RETURN_IF_ERROR(it.status());
-  }
-  {
-    auto it = pg_attribute_->heap->Scan(snap);
-    while (it.Next()) {
-      if (std::find(doomed.begin(), doomed.end(), it.row()[0].AsOid()) != doomed.end()) {
-        INV_RETURN_IF_ERROR(pg_attribute_->heap->Delete(txn, it.tid()));
-      }
-    }
-    INV_RETURN_IF_ERROR(it.status());
-  }
-  {
-    auto it = pg_index_->heap->Scan(snap);
-    while (it.Next()) {
-      if (std::find(doomed.begin(), doomed.end(), it.row()[0].AsOid()) != doomed.end()) {
-        INV_RETURN_IF_ERROR(pg_index_->heap->Delete(txn, it.tid()));
-      }
-    }
-    INV_RETURN_IF_ERROR(it.status());
   }
 
   // Physical destruction happens when the txn commits (OnCommit); until then
@@ -469,16 +429,15 @@ Status ReclaimVersions(const TableInfo& table, std::vector<Tid> dead) {
   // index.
   std::vector<Tid> tids;
   std::vector<std::vector<BtreeKey>> keys(table.indexes.size());
-  auto it = table.heap->ScanAll();
-  while (it.Next()) {
-    tids.push_back(it.tid());
+  INV_RETURN_IF_ERROR(table.heap->VisitEachStored([&](Tid tid, auto tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(const Row row, DecodeTuple(table.schema, tuple));
+    tids.push_back(tid);
     for (size_t i = 0; i < table.indexes.size(); ++i) {
-      INV_ASSIGN_OR_RETURN(BtreeKey key,
-                           EncodeKey(it.row(), table.indexes[i]->key_columns));
-      keys[i].push_back(std::move(key));
+      INV_ASSIGN_OR_RETURN(keys[i].emplace_back(),
+                           EncodeKey(row, table.indexes[i]->key_columns));
     }
-  }
-  INV_RETURN_IF_ERROR(it.status());
+    return false;
+  }));
   for (size_t i = 0; i < table.indexes.size(); ++i) {
     BTree& tree = *table.indexes[i]->btree;
     std::optional<std::pair<BtreeKey, Tid>> prev;
@@ -497,10 +456,6 @@ Status ReclaimVersions(const TableInfo& table, std::vector<Tid> dead) {
     }
   }
   return Status::Ok();
-}
-
-bool Contains(const std::vector<Oid>& oids, Oid oid) {
-  return std::find(oids.begin(), oids.end(), oid) != oids.end();
 }
 
 }  // namespace
@@ -539,11 +494,7 @@ Status Catalog::OnCommit(TxnId txn) {
           victims.push_back(info->archive_oid);
         }
         for (Oid v : victims) {
-          pool_->DiscardRelation(v);
-          if (auto mgr = devices_->ManagerFor(v); mgr.ok()) {
-            (void)(*mgr)->DropRelation(v);
-          }
-          devices_->UnbindRelation(v);
+          DestroyStorage(v);
           indexes_.erase(v);
           auto vt = tables_.find(v);
           if (vt != tables_.end()) {
@@ -590,11 +541,7 @@ Status Catalog::OnAbort(TxnId txn) {
         return r.archive != nullptr && Contains(cit->second, r.archive->oid);
       });
       for (Oid oid : cit->second) {
-        pool_->DiscardRelation(oid);
-        if (auto mgr = devices_->ManagerFor(oid); mgr.ok()) {
-          (void)(*mgr)->DropRelation(oid);
-        }
-        devices_->UnbindRelation(oid);
+        DestroyStorage(oid);
         auto iit = indexes_.find(oid);
         if (iit != indexes_.end()) {
           auto tit = tables_.find(iit->second->table);
@@ -711,8 +658,9 @@ Status Catalog::MigrateTable(TxnId txn, TableInfo* table, DeviceId new_device) {
     // Cached frames are deliberately kept: after the flush above they are
     // clean and byte-identical to the copy just written, so they remain a
     // valid cache for the destination device. Dropping them instead would
-    // require pins == 0, which lock-free snapshot readers (who may keep a
-    // scan parked on a pinned page with no table lock) cannot guarantee.
+    // require pins == 0, which lock-free snapshot readers cannot guarantee:
+    // no reader parks a pin between calls any more, but a Visit or VisitEach
+    // under way holds one and takes no table lock.
     // The caller's exclusive table lock keeps writers from re-dirtying
     // frames between the flush and the rebind.
     INV_RETURN_IF_ERROR(src->DropRelation(oid));
@@ -721,18 +669,16 @@ Status Catalog::MigrateTable(TxnId txn, TableInfo* table, DeviceId new_device) {
   table->device = new_device;
 
   // Update the pg_class rows' reldevice.
-  const Snapshot snap = txns_->SnapshotFor(txn);
-  auto it = pg_class_->heap->Scan(snap);
   std::vector<std::pair<Tid, Row>> updates;
-  while (it.Next()) {
-    if (std::find(victims.begin(), victims.end(), it.row()[1].AsOid()) !=
-        victims.end()) {
-      Row updated = it.row();
-      updated[2] = Value::Int4(static_cast<int32_t>(new_device));
-      updates.emplace_back(it.tid(), std::move(updated));
-    }
-  }
-  INV_RETURN_IF_ERROR(it.status());
+  INV_RETURN_IF_ERROR(pg_class_->heap->VisitEach(
+      txns_->SnapshotFor(txn), [&](Tid tid, auto tuple) -> Result<bool> {
+        INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(pg_class_->schema, tuple));
+        if (Contains(victims, row[1].AsOid())) {
+          row[2] = Value::Int4(static_cast<int32_t>(new_device));
+          updates.emplace_back(tid, std::move(row));
+        }
+        return false;
+      }));
   for (auto& [tid, row] : updates) {
     INV_RETURN_IF_ERROR(pg_class_->heap->Replace(txn, tid, row, row[1].AsOid()).status());
   }
@@ -763,19 +709,26 @@ Result<TableInfo*> Catalog::GetTableAt(const std::string& name, const Snapshot& 
   }
   // Resolve through pg_class as of the snapshot: renamed/dropped/recreated
   // tables resolve to whatever oid held the name then.
-  Heap* pg_class_heap;
+  TableInfo* pg_class;
   {
     MutexLock lock(mu_);
-    pg_class_heap = pg_class_->heap.get();
+    pg_class = pg_class_;
   }
-  auto it = pg_class_heap->Scan(snap);
-  while (it.Next()) {
-    if (it.row()[0].AsText() == name) {
-      return GetTableByOid(it.row()[1].AsOid());
+  // The first row naming the table; GetTableByOid takes mu_, so after the
+  // visit.
+  Oid oid = kInvalidOid;
+  INV_RETURN_IF_ERROR(pg_class->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(const Row row, DecodeTuple(pg_class->schema, tuple));
+    if (row[0].AsText() != name) {
+      return false;
     }
+    oid = row[1].AsOid();
+    return true;
+  }));
+  if (oid == kInvalidOid) {
+    return Status::NotFound("table " + name + " did not exist at that time");
   }
-  INV_RETURN_IF_ERROR(it.status());
-  return Status::NotFound("table " + name + " did not exist at that time");
+  return GetTableByOid(oid);
 }
 
 Result<ProcInfo*> Catalog::GetFunction(const std::string& name) {

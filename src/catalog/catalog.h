@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -189,6 +190,11 @@ class Catalog {
   Result<TableInfo*> MakeCachedTable(Oid oid, const std::string& name, Schema schema,
                                      DeviceId device, RelKind kind) REQUIRES(mu_);
   Status PhysicallyCreate(Oid oid, DeviceId device) REQUIRES(mu_);
+  // Frees `oid`'s cached pages, its device relation and its binding.
+  void DestroyStorage(Oid oid) REQUIRES(mu_);
+  // Caches the five catalogs (fixed oids and schemas, on the default device),
+  // as Bootstrap creates them and Load reads them.
+  Result<std::array<TableInfo*, 5>> CacheCatalogs() REQUIRES(mu_);
   void NoteCreated(TxnId txn, Oid oid) REQUIRES(mu_);
 
   DeviceSwitch* devices_;

@@ -10,8 +10,6 @@ Database::Database(StorageEnv* env, DatabaseOptions options)
     : options_(options),
       clock_(&env->clock),
       metrics_(options_.span_ring_capacity) {
-  metrics_.ConfigureTimeseries(options_.timeseries_interval_micros,
-                               options_.timeseries_capacity);
   // Each switch entry is one SwitchEntry over the concrete device: fault
   // injection, instrumentation and the retry/read-only policy per attempt.
   // Code needing the concrete device type downcasts Underlying().
@@ -19,23 +17,15 @@ Database::Database(StorageEnv* env, DatabaseOptions options)
     return std::make_unique<SwitchEntry>(std::move(dev), clock_, &metrics_,
                                          options.fault_injector);
   };
-  devices_.Register(kDeviceMagneticDisk,
-                    wrap(std::make_unique<MagneticDiskDevice>(
-                        env->disk_store.get(), clock_, options.disk,
-                        options.disk_extent_pages)));
-  if (options.enable_nvram) {
-    devices_.Register(kDeviceNvram,
-                      wrap(std::make_unique<NvramDevice>(env->nvram_store.get())));
-  }
-  if (options.enable_jukebox) {
-    devices_.Register(kDeviceJukebox,
-                      wrap(std::make_unique<JukeboxDevice>(env->jukebox_store.get(),
-                                                           clock_, options.jukebox,
-                                                           options.disk)));
-  }
-  buffers_ = std::make_unique<BufferPool>(&devices_, options.buffers, clock_,
-                                          options.cpu, options.buffer_partitions,
-                                          &metrics_);
+  devices_.Register(kDeviceMagneticDisk, wrap(std::make_unique<MagneticDiskDevice>(
+                                             env->disk_store.get(), clock_, options.disk)));
+  devices_.Register(kDeviceNvram,
+                    wrap(std::make_unique<NvramDevice>(env->nvram_store.get())));
+  devices_.Register(kDeviceJukebox,
+                    wrap(std::make_unique<JukeboxDevice>(env->jukebox_store.get(), clock_,
+                                                         options.jukebox, options.disk)));
+  buffers_ = std::make_unique<BufferPool>(&devices_, options.buffers, clock_, options.cpu,
+                                          /*partitions=*/0, &metrics_);
 }
 
 Result<std::unique_ptr<Database>> Database::Open(StorageEnv* env,
@@ -108,9 +98,11 @@ Result<Tid> Database::InsertRow(TxnId txn, TableInfo* table, const Row& row,
     INV_ASSIGN_OR_RETURN(const BtreeKey key, EncodeKey(row, idx->key_columns));
     INV_RETURN_IF_ERROR(idx->btree->Insert(key, tid));
     txns_->NoteTouched(txn, idx->oid);
-    if (options_.write_through_indexes) {
-      INV_RETURN_IF_ERROR(buffers_->FlushRelation(idx->oid));
-    }
+    // POSTGRES 4.0.1 forced modified index pages out eagerly; the paper
+    // blames exactly this for file-creation throughput ("Btree writes are
+    // interleaved with data file writes, penalizing Inversion by forcing the
+    // disk head to move frequently").
+    INV_RETURN_IF_ERROR(buffers_->FlushRelation(idx->oid));
   }
   return tid;
 }

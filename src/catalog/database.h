@@ -37,22 +37,9 @@ struct StorageEnv {
 
 struct DatabaseOptions {
   size_t buffers = kDefaultBuffers;  // 64 as shipped; Berkeley ran 300
-  // Buffer-pool mapping shards. 0 = default (kDefaultPoolPartitions); 1
-  // degenerates to a single-lock pool (the POSTGRES 4.0.1 behavior, kept as
-  // the contention baseline for `invfs_bench mt`).
-  size_t buffer_partitions = 0;
   DiskParams disk{};
   JukeboxParams jukebox{};
   CpuParams cpu{};
-  uint32_t disk_extent_pages = 64;  // FFS-like clustering granularity
-  bool enable_nvram = true;
-  bool enable_jukebox = true;
-  // POSTGRES 4.0.1 forced modified index pages out eagerly; the paper blames
-  // exactly this for file-creation throughput ("Btree writes are interleaved
-  // with data file writes, penalizing Inversion by forcing the disk head to
-  // move frequently"). Disable to measure what lazy index write-back buys
-  // (ablation bench).
-  bool write_through_indexes = true;
   // Optional fault injection: when set, every device's SwitchEntry consults
   // this injector on each I/O attempt, retries included. Caller-owned; must
   // outlive the Database.
@@ -64,12 +51,6 @@ struct DatabaseOptions {
   // Declared latency objectives, evaluated against the op.latency_us
   // histograms (invfs_stats --slo, the invfs_slo relation).
   std::vector<SloTarget> slo_targets = DefaultSloTargets();
-  // Time-series sampler knobs: minimum sim micros between samples, and how
-  // many points (one per metric per sample) the ring retains. Applied at
-  // Open; the sampler only runs when something calls
-  // metrics().timeseries().Tick() — it has no thread of its own.
-  uint64_t timeseries_interval_micros = 100'000;
-  size_t timeseries_capacity = 4096;
 };
 
 class Database {

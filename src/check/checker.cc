@@ -15,7 +15,6 @@
 namespace invfs {
 namespace {
 
-constexpr uint32_t kStatusAborted = static_cast<uint32_t>(TxnStatus::kAborted);
 
 bool ValidTypeId(int32_t v) {
   return v >= static_cast<int32_t>(TypeId::kBool) &&
@@ -186,36 +185,24 @@ void Checker::LoadCommitLog() {
     Add("commit-log-missing", kCommitLogRelOid, ~0u, nblocks.status().message());
     return;
   }
-  constexpr uint32_t kEntrySize = 16;
-  constexpr uint32_t kEntriesPerPage = kPageSize / kEntrySize;
   std::vector<std::byte> buf(kPageSize);
   for (uint32_t b = 0; b < *nblocks; ++b) {
     if (Status s = disk_->Read(kCommitLogRelOid, b, buf); !s.ok()) {
       Add("commit-log-unreadable", kCommitLogRelOid, b, s.message());
       continue;
     }
+    const CommitLog::DecodedPage page = CommitLog::DecodePage(b, buf);
     if (b == 0) {
-      // Entry 0 (xid 0 is invalid) carries the xid horizon, not a status.
-      log_.horizon = GetU64(buf.data() + 8);
+      log_.horizon = page.horizon;
     }
-    for (uint32_t i = b == 0 ? 1 : 0; i < kEntriesPerPage; ++i) {
-      const std::byte* p = buf.data() + i * kEntrySize;
-      const TxnId xid = b * kEntriesPerPage + i;
-      LogView::Entry e;
-      e.status = GetU32(p);
-      e.commit_ts = GetU64(p + 8);
-      if (e.status > kStatusAborted) {
-        Add("commit-log-status", kCommitLogRelOid, b,
-            "xid " + std::to_string(xid) + " has invalid status " +
-                std::to_string(e.status));
-        continue;
+    for (const Status& s : page.invalid) {
+      Add("commit-log-status", kCommitLogRelOid, b, s.message());
+    }
+    for (const CommitLog::DecodedPage::Entry& e : page.used) {
+      if (log_.entries.size() <= e.xid) {
+        log_.entries.resize(e.xid + 1);
       }
-      if (e.status != static_cast<uint32_t>(TxnStatus::kUnused)) {
-        if (log_.entries.size() <= xid) {
-          log_.entries.resize(xid + 1);
-        }
-        log_.entries[xid] = e;
-      }
+      log_.entries[e.xid] = LogView::Entry{static_cast<uint32_t>(e.status), e.commit_ts};
     }
   }
 }

@@ -362,15 +362,12 @@ Result<VacuumStats> InversionFs::Vacuum(TxnId txn, bool keep_history) {
   // Vacuum every file's chunk table, honoring its no-history flag.
   const Snapshot snap = db_->SnapshotFor(txn);
   std::vector<std::pair<Oid, bool>> files;
-  {
-    auto it = fileatt_->heap->Scan(snap);
-    while (it.Next()) {
-      const bool no_history =
-          (it.row()[kFaFlags].AsInt4() & kInvFlagNoHistory) != 0;
-      files.emplace_back(it.row()[kFaFile].AsOid(), !no_history);
-    }
-    INV_RETURN_IF_ERROR(it.status());
-  }
+  INV_RETURN_IF_ERROR(fileatt_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(const Row row, DecodeTuple(fileatt_->schema, tuple));
+    const bool no_history = (row[kFaFlags].AsInt4() & kInvFlagNoHistory) != 0;
+    files.emplace_back(row[kFaFile].AsOid(), !no_history);
+    return false;
+  }));
   for (const auto& [oid, keep] : files) {
     auto table = db_->catalog().GetTable(ChunkTableName(oid));
     if (!table.ok()) {
@@ -378,18 +375,12 @@ Result<VacuumStats> InversionFs::Vacuum(TxnId txn, bool keep_history) {
     }
     INV_ASSIGN_OR_RETURN(VacuumStats s,
                          vacuum_->VacuumTable(txn, *table, keep_history && keep));
-    total.scanned += s.scanned;
-    total.archived += s.archived;
-    total.discarded += s.discarded;
-    total.live += s.live;
+    total += s;
   }
   for (TableInfo* table : {naming_, fileatt_}) {
     INV_ASSIGN_OR_RETURN(VacuumStats s,
                          vacuum_->VacuumTable(txn, table, keep_history));
-    total.scanned += s.scanned;
-    total.archived += s.archived;
-    total.discarded += s.discarded;
-    total.live += s.live;
+    total += s;
   }
   return total;
 }

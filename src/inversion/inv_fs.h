@@ -94,7 +94,6 @@ struct DirEntry {
 struct InvOptions {
   bool coalesce_writes = true;      // paper: sequential small writes coalesce
   bool maintain_chunk_index = true; // ablation: B-tree on chunk number
-  bool update_atime = false;        // atime writes turn reads into writes
 };
 
 class InvSession;

@@ -462,9 +462,6 @@ Status InvSession::FlushMetadata(Handle& h, TxnId txn) {
   Row updated = (*att).second;
   updated[InversionFs::kFaSize] = Value::Int8(h.size);
   updated[InversionFs::kFaMtime] = Value::MakeTimestamp(h.pending_mtime);
-  if (fs_->options_.update_atime) {
-    updated[InversionFs::kFaAtime] = Value::MakeTimestamp(fs_->db().Now());
-  }
   INV_RETURN_IF_ERROR(
       fs_->db().ReplaceRow(txn, fs_->fileatt_, (*att).first, updated).status());
   h.meta_dirty = false;

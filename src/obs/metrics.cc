@@ -219,16 +219,6 @@ TimeSeriesSampler& MetricsRegistry::timeseries() {
   return *timeseries_;
 }
 
-void MetricsRegistry::ConfigureTimeseries(uint64_t interval_micros,
-                                          size_t capacity) {
-  MutexLock lock(mu_);
-  if (timeseries_ != nullptr && timeseries_->SamplesTaken() > 0) {
-    return;  // window semantics are frozen once points exist
-  }
-  timeseries_ =
-      std::make_unique<TimeSeriesSampler>(this, interval_micros, capacity);
-}
-
 MetricsRegistry& MetricsRegistry::Default() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;

@@ -230,13 +230,8 @@ class MetricsRegistry {
   const SpanRing& spans() const { return spans_; }
 
   // The registry's time-series sampler (src/obs/timeseries.h), created
-  // lazily with defaults on first use. Call ConfigureTimeseries before the
-  // first timeseries() to override interval/capacity — reconfiguring after
-  // points exist would silently change window semantics, so a sampler that
-  // has already sampled is left alone.
+  // lazily on first use.
   TimeSeriesSampler& timeseries() EXCLUDES(mu_);
-  void ConfigureTimeseries(uint64_t interval_micros, size_t capacity)
-      EXCLUDES(mu_);
 
   // All registered metrics, sorted by (name, label).
   std::vector<MetricSample> Snapshot() const EXCLUDES(mu_);

@@ -24,7 +24,7 @@ void TimeSeriesSampler::SampleLocked(uint64_t now_micros) {
   // Schedule relative to *now*, not the previous due time: a pump that went
   // quiet for ten intervals should produce one catch-up sample, not ten
   // back-to-back empties.
-  next_due_ = now_micros + interval_micros_;
+  next_due_ = now_micros + kIntervalMicros;
   for (const MetricSample& m : registry_->Snapshot()) {
     TimeSeriesPoint pt;
     pt.sample = sample;
@@ -62,7 +62,7 @@ void TimeSeriesSampler::SampleLocked(uint64_t now_micros) {
     last_[key] = m;
     ring_.push_back(std::move(pt));
   }
-  while (ring_.size() > capacity_) {
+  while (ring_.size() > kCapacity) {
     ring_.pop_front();
   }
 }

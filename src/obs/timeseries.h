@@ -20,7 +20,7 @@
 // take the sampler mutex and a registry snapshot; they are nowhere near any
 // hot path.
 //
-// The ring holds the newest kDefaultCapacity points (a sample emits one
+// The ring holds the newest kCapacity points (a sample emits one
 // point per metric), exposed as the `invfs_timeseries` virtual relation and
 // `invfs_stats --timeseries`.
 
@@ -54,20 +54,15 @@ struct TimeSeriesPoint {
 
 class TimeSeriesSampler {
  public:
-  static constexpr uint64_t kDefaultIntervalMicros = 100'000;  // 100 sim ms
-  static constexpr size_t kDefaultCapacity = 4096;             // points
+  static constexpr uint64_t kIntervalMicros = 100'000;  // 100 sim ms
+  static constexpr size_t kCapacity = 4096;             // points
 
-  explicit TimeSeriesSampler(MetricsRegistry* registry,
-                             uint64_t interval_micros = kDefaultIntervalMicros,
-                             size_t capacity = kDefaultCapacity)
-      : registry_(registry),
-        interval_micros_(interval_micros < 1 ? 1 : interval_micros),
-        capacity_(capacity < 1 ? 1 : capacity) {}
+  explicit TimeSeriesSampler(MetricsRegistry* registry) : registry_(registry) {}
 
   TimeSeriesSampler(const TimeSeriesSampler&) = delete;
   TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
 
-  uint64_t interval_micros() const { return interval_micros_; }
+  uint64_t interval_micros() const { return kIntervalMicros; }
 
   // Capture a sample if at least one interval has elapsed since the last
   // one (the first tick always samples, establishing the baseline window).
@@ -81,9 +76,7 @@ class TimeSeriesSampler {
   std::vector<TimeSeriesPoint> Snapshot() const EXCLUDES(mu_);
 
   // Samples captured over the sampler's lifetime (points may have been
-  // evicted; this keeps counting). Lock-free: the registry reads it while
-  // holding its own mutex, and Sample holds ours while snapshotting the
-  // registry — taking mu_ here would order the two locks both ways.
+  // evicted; this keeps counting). Lock-free.
   uint64_t SamplesTaken() const {
     return samples_.load(std::memory_order_relaxed);
   }
@@ -97,8 +90,6 @@ class TimeSeriesSampler {
 
   mutable Mutex mu_;
   MetricsRegistry* registry_;
-  uint64_t interval_micros_;
-  size_t capacity_;
   std::atomic<uint64_t> samples_{0};  // written under mu_, read lock-free
   uint64_t next_due_ GUARDED_BY(mu_) = 0;
   // Previous cumulative snapshot per (name, label): the subtrahend for

@@ -44,6 +44,46 @@ struct BoundRange {
   std::vector<Row> vrows;
 };
 
+// A version a statement read: its TID, header and row.
+struct Version {
+  Tid tid;
+  TupleMeta meta;
+  Row row;
+};
+
+// Every version of `table` visible under `snap`, decoded. A heap visitor runs
+// under the page latch, so predicates, writes and nested ranges, each of
+// which may pin pages, run on these copies after the visit.
+Result<std::vector<Version>> VisibleVersions(const TableInfo& table, const Snapshot& snap) {
+  std::vector<Version> out;
+  INV_RETURN_IF_ERROR(table.heap->VisitEach(snap, [&](Tid tid, auto tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(table.schema, tuple));
+    out.push_back(Version{tid, GetTupleMeta(tuple), std::move(row)});
+    return false;
+  }));
+  return out;
+}
+
+// The versions of `table` visible to ctx.snap that pass `where` (every one
+// without it), bound as range variable `var`. All are read before any is
+// acted on, so a statement never sees its own writes (Halloween protection).
+Result<std::vector<Version>> Matches(TableInfo* table, const std::string& var,
+                                     const Expr* where, EvalContext& ctx) {
+  INV_ASSIGN_OR_RETURN(std::vector<Version> versions, VisibleVersions(*table, ctx.snap));
+  std::vector<Version> out;
+  for (Version& v : versions) {
+    ctx.bindings[var] = EvalContext::Binding{table, &v.row};
+    bool pass = true;
+    if (where != nullptr) {
+      INV_ASSIGN_OR_RETURN(pass, EvalPredicate(*where, ctx));
+    }
+    if (pass) {
+      out.push_back(std::move(v));
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string ResultSet::ToString() const {
@@ -394,32 +434,31 @@ Result<ResultSet> Executor::ExecRetrieve(const Statement& stmt, TxnId txn) {
     const Oid archive_oid =
         r.snap.is_historical() ? r.table->archive_oid.load() : kInvalidOid;
     std::multimap<std::pair<TxnId, TxnId>, Row> deleted;
-    auto it = r.table->heap->Scan(r.snap);
-    while (it.Next()) {
-      tuples_scanned_->Add();
-      if (archive_oid != kInvalidOid && it.meta().xmax != kInvalidTxn) {
-        deleted.emplace(std::pair(it.meta().xmin, it.meta().xmax), it.row());
+    INV_ASSIGN_OR_RETURN(std::vector<Version> versions, VisibleVersions(*r.table, r.snap));
+    tuples_scanned_->Add(versions.size());
+    for (Version& v : versions) {
+      if (archive_oid != kInvalidOid && v.meta.xmax != kInvalidTxn) {
+        deleted.emplace(std::pair(v.meta.xmin, v.meta.xmax), v.row);
       }
-      INV_RETURN_IF_ERROR(emit(it.row()));
+      INV_RETURN_IF_ERROR(emit(std::move(v.row)));
     }
-    INV_RETURN_IF_ERROR(it.status());
     if (archive_oid == kInvalidOid) {
       return Status::Ok();
     }
     INV_ASSIGN_OR_RETURN(TableInfo * archive, db_->catalog().GetTableByOid(archive_oid));
-    auto at = archive->heap->Scan(r.snap);
-    while (at.Next()) {
-      tuples_scanned_->Add();
-      auto [first, last] = deleted.equal_range({at.meta().xmin, at.meta().xmax});
+    INV_ASSIGN_OR_RETURN(versions, VisibleVersions(*archive, r.snap));
+    tuples_scanned_->Add(versions.size());
+    for (Version& v : versions) {
+      auto [first, last] = deleted.equal_range({v.meta.xmin, v.meta.xmax});
       auto same =
-          std::find_if(first, last, [&](const auto& d) { return d.second == at.row(); });
+          std::find_if(first, last, [&](const auto& d) { return d.second == v.row; });
       if (same != last) {
         deleted.erase(same);
         continue;
       }
-      INV_RETURN_IF_ERROR(emit(at.row()));
+      INV_RETURN_IF_ERROR(emit(std::move(v.row)));
     }
-    return at.status();
+    return Status::Ok();
   };
   INV_RETURN_IF_ERROR(recurse(0));
   return result;
@@ -452,30 +491,9 @@ Result<ResultSet> Executor::ExecReplace(const Statement& stmt, TxnId txn) {
   ctx.snap = db_->SnapshotFor(txn);
   ctx.registry = registry_;
 
-  // Materialize matches first (Halloween protection: the scan must not see
-  // its own replacements).
-  struct Match {
-    Tid tid;
-    Row row;
-    Oid row_oid;
-  };
-  std::vector<Match> matches;
-  {
-    auto it = table->heap->Scan(ctx.snap);
-    while (it.Next()) {
-      Row current = it.row();
-      ctx.bindings[stmt.table] = EvalContext::Binding{table, &current};
-      bool pass = true;
-      if (stmt.where) {
-        INV_ASSIGN_OR_RETURN(pass, EvalPredicate(*stmt.where, ctx));
-      }
-      if (pass) {
-        matches.push_back(Match{it.tid(), std::move(current), it.meta().oid});
-      }
-    }
-    INV_RETURN_IF_ERROR(it.status());
-  }
-  for (Match& m : matches) {
+  INV_ASSIGN_OR_RETURN(std::vector<Version> matches,
+                       Matches(table, stmt.table, stmt.where.get(), ctx));
+  for (Version& m : matches) {
     Row updated = m.row;
     ctx.bindings[stmt.table] = EvalContext::Binding{table, &m.row};
     for (const SetItem& set : stmt.sets) {
@@ -484,7 +502,7 @@ Result<ResultSet> Executor::ExecReplace(const Statement& stmt, TxnId txn) {
       INV_ASSIGN_OR_RETURN(updated[idx],
                            CoerceValue(v, table->schema.column(idx).type));
     }
-    INV_RETURN_IF_ERROR(db_->ReplaceRow(txn, table, m.tid, updated, m.row_oid).status());
+    INV_RETURN_IF_ERROR(db_->ReplaceRow(txn, table, m.tid, updated, m.meta.oid).status());
   }
   ResultSet rs;
   rs.columns = {"replaced"};
@@ -500,24 +518,10 @@ Result<ResultSet> Executor::ExecDelete(const Statement& stmt, TxnId txn) {
   ctx.txn = txn;
   ctx.snap = db_->SnapshotFor(txn);
   ctx.registry = registry_;
-  std::vector<Tid> doomed;
-  {
-    auto it = table->heap->Scan(ctx.snap);
-    while (it.Next()) {
-      Row current = it.row();
-      ctx.bindings[stmt.table] = EvalContext::Binding{table, &current};
-      bool pass = true;
-      if (stmt.where) {
-        INV_ASSIGN_OR_RETURN(pass, EvalPredicate(*stmt.where, ctx));
-      }
-      if (pass) {
-        doomed.push_back(it.tid());
-      }
-    }
-    INV_RETURN_IF_ERROR(it.status());
-  }
-  for (Tid tid : doomed) {
-    INV_RETURN_IF_ERROR(db_->DeleteRow(txn, table, tid));
+  INV_ASSIGN_OR_RETURN(std::vector<Version> doomed,
+                       Matches(table, stmt.table, stmt.where.get(), ctx));
+  for (const Version& v : doomed) {
+    INV_RETURN_IF_ERROR(db_->DeleteRow(txn, table, v.tid));
   }
   ResultSet rs;
   rs.columns = {"deleted"};

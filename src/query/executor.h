@@ -6,6 +6,8 @@
 // an equality on a single-column B-tree index whose other side is computable
 // from already-bound range variables; otherwise it sequential-scans.
 // Historical range variables (time-travel brackets) scan heap + archive.
+// A sequential scan reads the range's visible rows (Heap::VisitEach) before
+// its filters run, so a query holds one relation's rows per join level.
 
 #pragma once
 

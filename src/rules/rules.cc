@@ -35,9 +35,8 @@ Status RuleEngine::Load() {
     return Status::Ok();  // no rules defined yet
   }
   const Snapshot snap{kTimestampNow, kInvalidTxn, &db_->txns().log(), nullptr};
-  auto it = (*table)->heap->Scan(snap);
-  while (it.Next()) {
-    const Row& r = it.row();
+  return (*table)->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(const Row r, DecodeTuple((*table)->schema, tuple));
     Rule rule;
     rule.name = r[0].AsText();
     rule.table = r[1].AsText();
@@ -46,8 +45,8 @@ Status RuleEngine::Load() {
     rule.target_device = static_cast<DeviceId>(r[4].AsInt4());
     INV_ASSIGN_OR_RETURN(rule.predicate, ParseExpression(rule.predicate_src));
     rules_.push_back(std::move(rule));
-  }
-  return it.status();
+    return false;
+  });
 }
 
 Status RuleEngine::DefineMigrationRule(TxnId txn, const std::string& name,
@@ -97,14 +96,18 @@ Status RuleEngine::DropRule(TxnId txn, const std::string& name) {
     return Status::NotFound("rule " + name);
   }
   INV_ASSIGN_OR_RETURN(TableInfo * rule_table, RuleTable(txn));
-  const Snapshot snap = db_->SnapshotFor(txn);
-  auto scan = rule_table->heap->Scan(snap);
-  while (scan.Next()) {
-    if (scan.row()[0].AsText() == name) {
-      INV_RETURN_IF_ERROR(db_->DeleteRow(txn, rule_table, scan.tid()));
-    }
+  std::vector<Tid> doomed;
+  INV_RETURN_IF_ERROR(rule_table->heap->VisitEach(
+      db_->SnapshotFor(txn), [&](Tid tid, auto tuple) -> Result<bool> {
+        INV_ASSIGN_OR_RETURN(const Row row, DecodeTuple(rule_table->schema, tuple));
+        if (row[0].AsText() == name) {
+          doomed.push_back(tid);
+        }
+        return false;
+      }));
+  for (Tid tid : doomed) {
+    INV_RETURN_IF_ERROR(db_->DeleteRow(txn, rule_table, tid));
   }
-  INV_RETURN_IF_ERROR(scan.status());
   rules_.erase(it);
   return Status::Ok();
 }
@@ -125,19 +128,23 @@ Result<int> RuleEngine::ApplyRules(TxnId txn) {
     ctx.snap = db_->ReadSnapshot(txn);
     ctx.registry = registry_;
 
-    // Materialize matches before firing actions (actions may update the
-    // table being scanned, e.g. fileatt's device column).
+    // Materialize the rows before evaluating the predicate (it may call file
+    // functions that pin pages, which a visitor under the page latch must
+    // not) and before firing actions (they may update the table read, e.g.
+    // fileatt's device column).
+    std::vector<Row> rows;
+    INV_RETURN_IF_ERROR((*table)->heap->VisitEach(ctx.snap, [&](Tid, auto tuple) -> Result<bool> {
+      INV_ASSIGN_OR_RETURN(rows.emplace_back(), DecodeTuple((*table)->schema, tuple));
+      return false;
+    }));
     std::vector<Row> matches;
-    auto it = (*table)->heap->Scan(ctx.snap);
-    while (it.Next()) {
-      Row current = it.row();
-      ctx.bindings[rule.table] = EvalContext::Binding{*table, &current};
+    for (Row& row : rows) {
+      ctx.bindings[rule.table] = EvalContext::Binding{*table, &row};
       INV_ASSIGN_OR_RETURN(bool pass, EvalPredicate(*rule.predicate, ctx));
       if (pass) {
-        matches.push_back(std::move(current));
+        matches.push_back(std::move(row));
       }
     }
-    INV_RETURN_IF_ERROR(it.status());
 
     for (const Row& row : matches) {
       if (rule.action == "migrate" && migrate_) {

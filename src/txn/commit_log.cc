@@ -84,25 +84,22 @@ Status CommitLog::LoadFromDevice() {
   std::set<uint32_t> converted_blocks;
   for (uint32_t b = 0; b < nblocks; ++b) {
     INV_RETURN_IF_ERROR(device_->ReadBlock(kCommitLogRelOid, b, buf));
-    if (b == 0) {
-      // Entry 0 (xid 0 is invalid) holds the persisted xid horizon in its
-      // timestamp field.
-      xid_horizon_ = GetU64(buf.data() + 8);
+    DecodedPage page = DecodePage(b, buf);
+    if (!page.invalid.empty()) {
+      return page.invalid.front();
     }
-    for (uint32_t i = b == 0 ? 1 : 0; i < kEntriesPerPage; ++i) {
-      const std::byte* p = buf.data() + i * kEntrySize;
-      TxnStatus status = static_cast<TxnStatus>(GetU32(p));
-      const TxnId xid = b * kEntriesPerPage + i;
-      if (status != TxnStatus::kUnused) {
-        GrowTo(xid + 1);
-        // Crash recovery: an in-progress entry means the writer died before
-        // commit. It never happened.
-        if (status == TxnStatus::kInProgress) {
-          status = TxnStatus::kAborted;
-          converted_blocks.insert(b);
-        }
-        EntryAt(xid).Set(status, GetU64(p + 8), 0);
+    if (b == 0) {
+      xid_horizon_ = page.horizon;
+    }
+    for (DecodedPage::Entry& e : page.used) {
+      GrowTo(e.xid + 1);
+      // Crash recovery: an in-progress entry means the writer died before
+      // commit. It never happened.
+      if (e.status == TxnStatus::kInProgress) {
+        e.status = TxnStatus::kAborted;
+        converted_blocks.insert(b);
       }
+      EntryAt(e.xid).Set(e.status, e.commit_ts, 0);
     }
   }
   // Every xid at or below the horizon may have been handed out without a
@@ -128,6 +125,27 @@ Status CommitLog::LoadFromDevice() {
     INV_RETURN_IF_ERROR(WriteLogBlock(b, BuildPageImage(b)));
   }
   return Status::Ok();
+}
+
+CommitLog::DecodedPage CommitLog::DecodePage(uint32_t block,
+                                             std::span<const std::byte> page) {
+  DecodedPage out;
+  if (block == 0) {
+    out.horizon = GetU64(page.data() + 8);
+  }
+  for (uint32_t i = block == 0 ? 1 : 0; i < kEntriesPerPage; ++i) {
+    const std::byte* p = page.data() + i * kEntrySize;
+    const uint32_t status = GetU32(p);
+    const TxnId xid = block * kEntriesPerPage + i;
+    if (status > static_cast<uint32_t>(TxnStatus::kAborted)) {
+      out.invalid.push_back(Status::Corruption("commit log: xid " + std::to_string(xid) +
+                                               " has invalid status " +
+                                               std::to_string(status)));
+    } else if (status != static_cast<uint32_t>(TxnStatus::kUnused)) {
+      out.used.push_back({xid, static_cast<TxnStatus>(status), GetU64(p + 8)});
+    }
+  }
+  return out;
 }
 
 std::vector<std::byte> CommitLog::BuildPageImage(uint32_t block) const {

@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "src/device/device.h"
@@ -158,6 +159,23 @@ class CommitLog {
   uint64_t device_page_writes() const { return device_page_writes_->Value(); }
   // Begins whose xid the persisted horizon already covered (no device wait).
   uint64_t horizon_hits() const { return horizon_hits_->Value(); }
+
+  // A stored log page, decoded. Each entry is 16 bytes: the status word,
+  // four reserved bytes and the commit timestamp. Entry 0 of block 0 (xid 0
+  // is invalid) carries the persisted xid horizon instead.
+  struct DecodedPage {
+    struct Entry {
+      TxnId xid;
+      TxnStatus status;
+      Timestamp commit_ts;
+    };
+    uint64_t horizon = 0;          // block 0 only
+    std::vector<Entry> used;       // the entries not kUnused
+    std::vector<Status> invalid;   // Corruption naming each xid whose status
+                                   // word is above kAborted
+  };
+  // The one decoder of a stored log page, shared by Open and invfs_check.
+  static DecodedPage DecodePage(uint32_t block, std::span<const std::byte> page);
 
  private:
   CommitLog(DeviceManager* device, MetricsRegistry* metrics);

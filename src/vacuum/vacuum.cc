@@ -1,5 +1,6 @@
 #include "src/vacuum/vacuum.h"
 
+#include <algorithm>
 #include <map>
 
 namespace invfs {
@@ -26,35 +27,35 @@ Result<VacuumStats> VacuumCleaner::VacuumTable(TxnId txn, TableInfo* table,
   // (Catalog::OnCommit), so a second vacuum of `table` in this transaction
   // finds them again, and the first one's copies in the archive.
   std::vector<Obsolete> obsolete;
-  auto it = table->heap->ScanAll();
-  while (it.Next()) {
+  INV_RETURN_IF_ERROR(table->heap->VisitEachStored([&](Tid tid, auto tuple) -> Result<bool> {
     ++stats.scanned;
-    const TupleMeta& meta = it.meta();
+    const TupleMeta meta = GetTupleMeta(tuple);
     const TxnStatus xmin_status = db_->txns().log().StatusOf(meta.xmin);
     if (xmin_status == TxnStatus::kAborted) {
       // Never visible to anyone: physically discard.
-      reclaim.dead.push_back(it.tid());
+      reclaim.dead.push_back(tid);
       ++stats.discarded;
-      continue;
+      return false;
     }
     if (xmin_status == TxnStatus::kInProgress) {
       ++stats.live;  // someone is mid-insert; leave alone
-      continue;
+      return false;
     }
     if (now_snap.IsDeadForever(meta) &&
         (horizon == kInvalidTxn || meta.xmax < horizon)) {
       if (keep_history) {
-        obsolete.push_back({it.tid(), meta, it.row()[0]});
+        INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(table->schema, tuple));
+        obsolete.push_back({tid, meta, std::move(row[0])});
         ++stats.archived;
       } else {
         ++stats.discarded;
       }
-      reclaim.dead.push_back(it.tid());
-      continue;
+      reclaim.dead.push_back(tid);
+      return false;
     }
     ++stats.live;
-  }
-  INV_RETURN_IF_ERROR(it.status());
+    return false;
+  }));
   if (!obsolete.empty()) {
     if (Status st = Archive(txn, *table->heap, obsolete, &reclaim); !st.ok()) {
       // Reclaim nothing, but expunge the copies made so far on abort.
@@ -81,29 +82,55 @@ Status VacuumCleaner::Archive(TxnId txn, const Heap& heap,
   for (size_t i = 0; i < obsolete.size(); ++i) {
     unmatched.emplace(std::pair(obsolete[i].meta.xmin, obsolete[i].meta.xmax), i);
   }
+  // The archive versions that may hold a candidate. The heap rows they are
+  // compared with are read after the visit, which holds a page latch.
+  std::vector<std::pair<TupleMeta, Row>> copies;
+  INV_RETURN_IF_ERROR(archive.VisitEachStored([&](Tid, auto tuple) -> Result<bool> {
+    const TupleMeta meta = GetTupleMeta(tuple);
+    auto [first, last] = unmatched.equal_range({meta.xmin, meta.xmax});
+    if (first == last) {
+      return false;
+    }
+    INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(archive.schema(), tuple));
+    if (std::any_of(first, last,
+                    [&](const auto& c) { return obsolete[c.second].first == row[0]; })) {
+      copies.emplace_back(meta, std::move(row));
+    }
+    return false;
+  }));
+  // The row at `tid`: classification saw it, and the table lock keeps it.
+  auto stored_row = [&heap](Tid tid) -> Result<Row> {
+    Row row;
+    INV_ASSIGN_OR_RETURN(const bool found, heap.VisitStored(tid, [&](auto tuple) -> Status {
+      INV_ASSIGN_OR_RETURN(row, DecodeTuple(heap.schema(), tuple));
+      return Status::Ok();
+    }));
+    if (!found) {
+      return Status::NotFound("tuple " + tid.ToString() + " is gone");
+    }
+    return row;
+  };
   std::vector<bool> held(obsolete.size());
-  auto it = archive.ScanAll();
-  while (it.Next()) {
-    auto [first, last] = unmatched.equal_range({it.meta().xmin, it.meta().xmax});
+  for (const auto& [meta, row] : copies) {
+    auto [first, last] = unmatched.equal_range({meta.xmin, meta.xmax});
     for (auto at = first; at != last; ++at) {
-      if (!(obsolete[at->second].first == it.row()[0])) {
+      if (!(obsolete[at->second].first == row[0])) {
         continue;
       }
-      INV_ASSIGN_OR_RETURN(auto version, heap.FetchAny(obsolete[at->second].tid));
-      if (version.second == it.row()) {
+      INV_ASSIGN_OR_RETURN(const Row version, stored_row(obsolete[at->second].tid));
+      if (version == row) {
         held[at->second] = true;
         unmatched.erase(at);
         break;
       }
     }
   }
-  INV_RETURN_IF_ERROR(it.status());
   for (size_t i = 0; i < obsolete.size(); ++i) {
     if (held[i]) {
       continue;
     }
-    INV_ASSIGN_OR_RETURN(auto version, heap.FetchAny(obsolete[i].tid));
-    INV_ASSIGN_OR_RETURN(Tid copy, archive.InsertRaw(txn, version.second, version.first));
+    INV_ASSIGN_OR_RETURN(const Row version, stored_row(obsolete[i].tid));
+    INV_ASSIGN_OR_RETURN(Tid copy, archive.InsertRaw(txn, version, obsolete[i].meta));
     reclaim->archived.push_back(copy);
   }
   return Status::Ok();
@@ -116,10 +143,7 @@ Result<VacuumStats> VacuumCleaner::VacuumAll(TxnId txn, bool keep_history) {
       continue;
     }
     INV_ASSIGN_OR_RETURN(VacuumStats s, VacuumTable(txn, table, keep_history));
-    total.scanned += s.scanned;
-    total.archived += s.archived;
-    total.discarded += s.discarded;
-    total.live += s.live;
+    total += s;
   }
   return total;
 }

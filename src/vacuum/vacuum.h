@@ -34,6 +34,14 @@ struct VacuumStats {
   uint64_t archived = 0;   // dead versions moved to the archive
   uint64_t discarded = 0;  // aborted-insert versions physically dropped
   uint64_t live = 0;
+
+  VacuumStats& operator+=(const VacuumStats& other) {
+    scanned += other.scanned;
+    archived += other.archived;
+    discarded += other.discarded;
+    live += other.live;
+    return *this;
+  }
 };
 
 class VacuumCleaner {

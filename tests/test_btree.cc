@@ -9,6 +9,7 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/access/btree.h"
@@ -791,6 +792,49 @@ TEST(BTreeArrayNodes, NodeCycleIsCorruption) {
     EXPECT_TRUE(IsCorruption(h.tree->Insert(EncodeInt4Key(1999), Tid{1, 1})));
     EXPECT_TRUE(IsCorruption(h.tree->Remove(EncodeInt4Key(1999), Tid{1999, 0})));
     EXPECT_TRUE(IsCorruption(h.tree->CheckInvariants()));
+  }
+}
+
+// A leaf whose right sibling is itself, or the leaf before it: every walk
+// along the chain (Lookup past the last key, Remove of an absent entry, Seek
+// then Advance) stops with Corruption within as many hops as the relation
+// has blocks, never walks the cycle for ever.
+TEST(BTreeArrayNodes, SiblingCycleIsCorruption) {
+  namespace bl = btree_layout;
+  for (const bool self_loop : {true, false}) {
+    SCOPED_TRACE(self_loop ? "self-looping leaf" : "two-leaf cycle");
+    TreeHarness h(4);
+    ASSERT_TRUE(h.InsertInt4Keys(self_loop ? 10 : 2000));
+    auto read_u32 = [&](uint32_t block, size_t offset) {
+      auto ref = h.pool->Pin(1, block);
+      EXPECT_TRUE(ref.ok());
+      return GetU32(ref->data() + offset);
+    };
+    // The last two leaves of the chain, from the leftmost.
+    uint32_t last = read_u32(0, bl::kOffMetaRoot);
+    for (int level = h.Depth(); level > 1; --level) {
+      last = read_u32(last, bl::kOffLeftChild);
+    }
+    uint32_t prev = last;
+    for (uint32_t next; (next = read_u32(last, bl::kOffRightSib)) != BTree::kNoBlock;) {
+      prev = std::exchange(last, next);
+    }
+    ASSERT_EQ(self_loop, prev == last);
+    {
+      auto ref = h.pool->Pin(1, last);
+      ASSERT_TRUE(ref.ok());
+      PutU32(ref->data() + bl::kOffRightSib, prev);
+    }
+    EXPECT_TRUE(IsCorruption(h.tree->Lookup(EncodeInt4Key(5000)).status()));
+    EXPECT_TRUE(IsCorruption(h.tree->Remove(EncodeInt4Key(5000), Tid{5000, 0})));
+    auto it = h.tree->Seek(EncodeInt4Key(5000));
+    Status walk = it.status();
+    // A cap far past any legal walk of this tree, so a regression fails
+    // rather than hangs.
+    for (int step = 0; walk.ok() && it->Valid() && step < 1'000'000; ++step) {
+      walk = it->Advance();
+    }
+    EXPECT_TRUE(IsCorruption(walk)) << walk.ToString();
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/catalog/database.h"
+#include "tests/heap_rows.h"
 
 namespace invfs {
 namespace {
@@ -33,11 +34,12 @@ TEST(Catalog, CreateTableVisibleInPgClass) {
 
   auto reader = (*db)->Begin();
   bool found = false;
-  auto it = (*db)->catalog().pg_class()->Scan((*db)->SnapshotFor(*reader));
-  while (it.Next()) {
-    if (it.row()[0].AsText() == "files") {
+  auto rows = HeapRows(*(*db)->catalog().pg_class(), (*db)->SnapshotFor(*reader));
+  ASSERT_TRUE(rows.ok());
+  for (const HeapRow& r : *rows) {
+    if (r.row[0].AsText() == "files") {
       found = true;
-      EXPECT_EQ(it.row()[1].AsOid(), (*table)->oid);
+      EXPECT_EQ(r.row[1].AsOid(), (*table)->oid);
     }
   }
   EXPECT_TRUE(found);
@@ -185,12 +187,9 @@ TEST(Catalog, MigrateTableMovesDataBetweenDevices) {
 
   EXPECT_EQ(*(*db)->devices().DeviceFor((*table)->oid), kDeviceNvram);
   auto reader = (*db)->Begin();
-  int count = 0;
-  auto it = (*table)->heap->Scan((*db)->SnapshotFor(*reader));
-  while (it.Next()) {
-    ++count;
-  }
-  EXPECT_EQ(count, 40);
+  auto rows = HeapRows(*(*table)->heap, (*db)->SnapshotFor(*reader));
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 40u);
   ASSERT_TRUE((*db)->Commit(*reader).ok());
 }
 

@@ -154,6 +154,43 @@ TEST_F(CheckTest, CrashedInFlightTransactionLeavesCleanImage) {
   EXPECT_TRUE(after.ok()) << after.ToString();
 }
 
+// One crafted commit-log page, with a status word above kAborted: the
+// engine's decoder and the checker's are one, so Database::Open refuses the
+// log as Corruption and invfs_check reports commit-log-status, each naming
+// the xid.
+TEST(CommitLogPage, InvalidStatusIsRefusedByEngineAndChecker) {
+  StorageEnv env;
+  TxnId xid = kInvalidTxn;
+  {
+    auto db = Database::Open(&env);
+    ASSERT_TRUE(db.ok());
+    auto txn = (*db)->Begin();
+    ASSERT_TRUE(txn.ok());
+    xid = *txn;
+    ASSERT_TRUE((*db)->Commit(xid).ok());
+    ASSERT_TRUE((*db)->FlushCaches().ok());
+  }
+  constexpr size_t kLogEntrySize = 16;
+  ASSERT_LT(xid, kPageSize / kLogEntrySize);
+  std::vector<std::byte> page(kPageSize);
+  ASSERT_TRUE(env.disk_store->Read(kCommitLogRelOid, 0, page).ok());
+  ASSERT_NE(GetU32(page.data() + xid * kLogEntrySize),
+            static_cast<uint32_t>(TxnStatus::kUnused));
+  PutU32(page.data() + xid * kLogEntrySize, 7);
+  ASSERT_TRUE(env.disk_store->Write(kCommitLogRelOid, 0, page).ok());
+  const std::string named = "xid " + std::to_string(xid) + " has invalid status 7";
+
+  auto report = CheckImage(env);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->Has("commit-log-status")) << report->ToString();
+  EXPECT_NE(report->ToString().find(named), std::string::npos) << report->ToString();
+
+  auto reopened = Database::Open(&env);
+  EXPECT_EQ(reopened.status().code(), ErrorCode::kCorruption);
+  EXPECT_NE(reopened.status().message().find(named), std::string::npos)
+      << reopened.status().ToString();
+}
+
 TEST_F(CheckTest, FlippedByteYieldsChecksumViolation) {
   MakeFile("/victim.txt", std::string(2000, 'v'));
   ASSERT_TRUE(db_->FlushCaches().ok());

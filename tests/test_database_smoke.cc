@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "src/catalog/database.h"
+#include "tests/heap_rows.h"
 
 namespace invfs {
 namespace {
@@ -46,13 +47,9 @@ TEST(DatabaseSmoke, CreateInsertScanCommit) {
   auto txn2 = db.Begin();
   ASSERT_TRUE(txn2.ok());
   Snapshot snap = db.SnapshotFor(*txn2);
-  int count = 0;
-  auto it = (*table)->heap->Scan(snap);
-  while (it.Next()) {
-    ++count;
-  }
-  ASSERT_TRUE(it.status().ok());
-  EXPECT_EQ(count, 100);
+  auto rows = HeapRows(*(*table)->heap, snap);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 100u);
   ASSERT_TRUE(db.Commit(*txn2).ok());
 }
 
@@ -72,8 +69,9 @@ TEST(DatabaseSmoke, AbortHidesRows) {
   ASSERT_TRUE(db.Abort(*txn).ok());
 
   auto reader = db.Begin();
-  auto it = (*table)->heap->Scan(db.SnapshotFor(*reader));
-  EXPECT_FALSE(it.Next());
+  auto rows = HeapRows(*(*table)->heap, db.SnapshotFor(*reader));
+  ASSERT_TRUE(rows.ok());
+  EXPECT_TRUE(rows->empty());
   ASSERT_TRUE(db.Commit(*reader).ok());
 }
 
@@ -100,17 +98,19 @@ TEST(DatabaseSmoke, TimeTravelSeesOldVersions) {
 
   // Current snapshot sees "new".
   auto reader = db.Begin();
-  auto now_it = (*table)->heap->Scan(db.SnapshotFor(*reader));
-  ASSERT_TRUE(now_it.Next());
-  EXPECT_EQ(now_it.row()[1].AsText(), "new");
-  EXPECT_FALSE(now_it.Next());
+  auto now_rows = HeapRows(*(*table)->heap, db.SnapshotFor(*reader));
+  ASSERT_TRUE(now_rows.ok());
+  ASSERT_FALSE(now_rows->empty());
+  EXPECT_EQ(now_rows->front().row[1].AsText(), "new");
+  EXPECT_EQ(now_rows->size(), 1u);
   ASSERT_TRUE(db.Commit(*reader).ok());
 
   // Historical snapshot sees "old".
-  auto old_it = (*table)->heap->Scan(db.SnapshotAt(before_update));
-  ASSERT_TRUE(old_it.Next());
-  EXPECT_EQ(old_it.row()[1].AsText(), "old");
-  EXPECT_FALSE(old_it.Next());
+  auto old_rows = HeapRows(*(*table)->heap, db.SnapshotAt(before_update));
+  ASSERT_TRUE(old_rows.ok());
+  ASSERT_FALSE(old_rows->empty());
+  EXPECT_EQ(old_rows->front().row[1].AsText(), "old");
+  EXPECT_EQ(old_rows->size(), 1u);
 }
 
 TEST(DatabaseSmoke, CrashRecoveryRollsBackInFlight) {
@@ -145,10 +145,11 @@ TEST(DatabaseSmoke, CrashRecoveryRollsBackInFlight) {
     auto table = db.catalog().GetTableByOid(table_oid);
     ASSERT_TRUE(table.ok());
     auto reader = db.Begin();
-    auto it = (*table)->heap->Scan(db.SnapshotFor(*reader));
-    ASSERT_TRUE(it.Next());
-    EXPECT_EQ(it.row()[1].AsText(), "durable");
-    EXPECT_FALSE(it.Next()) << "uncommitted tuple visible after crash";
+    auto rows = HeapRows(*(*table)->heap, db.SnapshotFor(*reader));
+    ASSERT_TRUE(rows.ok());
+    ASSERT_FALSE(rows->empty());
+    EXPECT_EQ(rows->front().row[1].AsText(), "durable");
+    EXPECT_EQ(rows->size(), 1u) << "uncommitted tuple visible after crash";
     ASSERT_TRUE(db.Commit(*reader).ok());
   }
 }

@@ -5,6 +5,7 @@
 #include "src/catalog/database.h"
 #include "src/storage/page.h"
 #include "src/util/bytes.h"
+#include "tests/heap_rows.h"
 
 namespace invfs {
 namespace {
@@ -63,10 +64,17 @@ TEST_F(HeapTest, DeleteMarksNotRemoves) {
   EXPECT_FALSE(row->has_value());
   ASSERT_TRUE(db_->Commit(*t3).ok());
   // ...but physically still there with its original contents (no-overwrite).
-  auto any = table_->heap->FetchAny(*tid);
+  std::optional<Row> stored;
+  TupleMeta meta;
+  auto any = table_->heap->VisitStored(*tid, [&](std::span<const std::byte> tuple) -> Status {
+    meta = GetTupleMeta(tuple);
+    INV_ASSIGN_OR_RETURN(stored, DecodeTuple(table_->schema, tuple));
+    return Status::Ok();
+  });
   ASSERT_TRUE(any.ok());
-  EXPECT_EQ(any->second[1].AsText(), "doomed");
-  EXPECT_NE(any->first.xmax, kInvalidTxn);
+  ASSERT_TRUE(*any);
+  EXPECT_EQ((*stored)[1].AsText(), "doomed");
+  EXPECT_NE(meta.xmax, kInvalidTxn);
 }
 
 TEST_F(HeapTest, ReplaceKeepsOldVersionForHistory) {
@@ -114,32 +122,42 @@ TEST_F(HeapTest, ScanSkipsInvisibleVersions) {
   ASSERT_TRUE(db_->Commit(*t1).ok());
   // Delete the even rows.
   auto t2 = Begin();
-  auto it = table_->heap->Scan(db_->SnapshotFor(*t2));
-  std::vector<Tid> evens;
-  while (it.Next()) {
-    if (it.row()[0].AsInt4() % 2 == 0) {
-      evens.push_back(it.tid());
+  auto rows = HeapRows(*table_->heap, db_->SnapshotFor(*t2));
+  ASSERT_TRUE(rows.ok());
+  for (const HeapRow& r : *rows) {
+    if (r.row[0].AsInt4() % 2 == 0) {
+      ASSERT_TRUE(table_->heap->Delete(*t2, r.tid).ok());
     }
   }
-  for (Tid tid : evens) {
-    ASSERT_TRUE(table_->heap->Delete(*t2, tid).ok());
-  }
   ASSERT_TRUE(db_->Commit(*t2).ok());
+  // One insert aborted, one still in progress.
+  auto aborted = Begin();
+  ASSERT_TRUE(table_->heap->Insert(*aborted, {Value::Int4(100), Value::Text("x")}).ok());
+  ASSERT_TRUE(db_->Abort(*aborted).ok());
+  auto open = Begin();
+  ASSERT_TRUE(table_->heap->Insert(*open, {Value::Int4(101), Value::Text("y")}).ok());
 
   auto t3 = Begin();
-  int visible = 0, all = 0;
-  auto vis = table_->heap->Scan(db_->SnapshotFor(*t3));
-  while (vis.Next()) {
-    ++visible;
-    EXPECT_EQ(vis.row()[0].AsInt4() % 2, 1);
+  auto vis = HeapRows(*table_->heap, db_->SnapshotFor(*t3));
+  ASSERT_TRUE(vis.ok());
+  for (const HeapRow& r : *vis) {
+    EXPECT_EQ(r.row[0].AsInt4() % 2, 1);
   }
-  auto raw = table_->heap->ScanAll();
-  while (raw.Next()) {
-    ++all;
+  auto raw = HeapRows(*table_->heap);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_EQ(vis->size(), 10u);
+  EXPECT_EQ(raw->size(), 22u) << "no-overwrite: all versions physically present";
+  int deleted = 0, by_aborted = 0, by_open = 0;
+  for (const HeapRow& r : *raw) {
+    deleted += r.meta.xmax == *t2;
+    by_aborted += r.meta.xmin == *aborted;
+    by_open += r.meta.xmin == *open;
   }
-  EXPECT_EQ(visible, 10);
-  EXPECT_EQ(all, 20) << "no-overwrite: all versions physically present";
+  EXPECT_EQ(deleted, 10);
+  EXPECT_EQ(by_aborted, 1);
+  EXPECT_EQ(by_open, 1);
   ASSERT_TRUE(db_->Commit(*t3).ok());
+  ASSERT_TRUE(db_->Commit(*open).ok());
 }
 
 TEST_F(HeapTest, MultiPageHeapScansCompletely) {
@@ -151,12 +169,9 @@ TEST_F(HeapTest, MultiPageHeapScansCompletely) {
   ASSERT_TRUE(db_->Commit(*txn).ok());
   EXPECT_GT(*table_->heap->NumBlocks(), 5u);
   auto reader = Begin();
-  int count = 0;
-  auto it = table_->heap->Scan(db_->SnapshotFor(*reader));
-  while (it.Next()) {
-    ++count;
-  }
-  EXPECT_EQ(count, 50);
+  auto rows = HeapRows(*table_->heap, db_->SnapshotFor(*reader));
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 50u);
   ASSERT_TRUE(db_->Commit(*reader).ok());
 }
 
@@ -213,9 +228,15 @@ TEST_F(HeapTest, ExpungeAndCompactReclaimPhysically) {
   ASSERT_TRUE(tid.ok());
   ASSERT_TRUE(db_->Commit(*t1).ok());
   ASSERT_TRUE(table_->heap->Expunge({*tid}).ok());
-  EXPECT_TRUE(table_->heap->FetchAny(*tid).status().IsNotFound());
-  auto raw = table_->heap->ScanAll();
-  EXPECT_FALSE(raw.Next());
+  auto seen = table_->heap->VisitStored(*tid, [](std::span<const std::byte>) {
+    ADD_FAILURE() << "visitor ran on an expunged version";
+    return Status::Ok();
+  });
+  ASSERT_TRUE(seen.ok());
+  EXPECT_FALSE(*seen);
+  auto raw = HeapRows(*table_->heap);
+  ASSERT_TRUE(raw.ok());
+  EXPECT_TRUE(raw->empty());
 }
 
 TEST_F(HeapTest, VisitSeesTheVisibleVersionInPlace) {
@@ -311,9 +332,18 @@ TEST_F(HeapTest, CorruptLinePointersAreRefused) {
     });
     EXPECT_EQ(visit.status().code(), ErrorCode::kCorruption) << off << "+" << len;
     EXPECT_EQ(table_->heap->Fetch(snap, *tid).status().code(), ErrorCode::kCorruption);
-    auto it = table_->heap->Scan(snap);
-    EXPECT_FALSE(it.Next());
-    EXPECT_EQ(it.status().code(), ErrorCode::kCorruption);
+    auto each = [](Tid, std::span<const std::byte>) -> Result<bool> {
+      ADD_FAILURE() << "visitor ran on a corrupt tuple";
+      return false;
+    };
+    EXPECT_EQ(table_->heap->VisitEach(snap, each).code(), ErrorCode::kCorruption);
+    // The every-version readers apply the same slot rule.
+    auto stored = table_->heap->VisitStored(*tid, [](std::span<const std::byte>) {
+      ADD_FAILURE() << "visitor ran on a corrupt tuple";
+      return Status::Ok();
+    });
+    EXPECT_EQ(stored.status().code(), ErrorCode::kCorruption);
+    EXPECT_EQ(table_->heap->VisitEachStored(each).code(), ErrorCode::kCorruption);
   }
   {
     WriterMutexLock latch(ref->Latch());

@@ -14,6 +14,7 @@
 #include "src/util/bytes.h"
 #include "src/util/lzss.h"
 #include "src/util/random.h"
+#include "tests/heap_rows.h"
 
 namespace invfs {
 namespace {
@@ -548,14 +549,13 @@ class ChunkReadTest : public ::testing::TestWithParam<bool> {
     std::string image(static_cast<size_t>(st->size), '\0');
     std::set<int32_t> chunks;
     for (TableInfo* t : tables) {
-      std::vector<Tid> tids;
-      auto all = t->heap->ScanAll();
-      while (all.Next()) {
-        tids.push_back(all.tid());
+      auto all = HeapRows(*t->heap);
+      EXPECT_TRUE(all.ok());
+      if (!all.ok()) {
+        continue;
       }
-      EXPECT_TRUE(all.status().ok());
-      for (Tid tid : tids) {
-        auto row = t->heap->Fetch(snap, tid);
+      for (const HeapRow& stored : *all) {
+        auto row = t->heap->Fetch(snap, stored.tid);
         EXPECT_TRUE(row.ok()) << row.status().ToString();
         if (!row.ok() || !row->has_value()) {
           continue;

@@ -32,6 +32,7 @@
 #include "src/txn/commit_log.h"
 #include "src/util/random.h"
 #include "src/vacuum/vacuum.h"
+#include "tests/heap_rows.h"
 
 namespace invfs {
 namespace {
@@ -347,12 +348,8 @@ TEST_F(MtStressTest, ConcurrentTransactionsThroughDatabase) {
           failures.fetch_add(1);
           continue;
         }
-        int count = 0;
-        auto it = (*table)->heap->Scan(db.SnapshotFor(*txn));
-        while (it.Next()) {
-          ++count;
-        }
-        if (!it.status().ok() || count != 200) {
+        auto rows = HeapRows(*(*table)->heap, db.SnapshotFor(*txn));
+        if (!rows.ok() || rows->size() != 200) {
           failures.fetch_add(1);
         }
         if (!db.Commit(*txn).ok()) {

@@ -9,6 +9,7 @@
 #include "src/query/executor.h"
 #include "src/query/lexer.h"
 #include "src/query/parser.h"
+#include "tests/heap_rows.h"
 
 namespace invfs {
 namespace {
@@ -355,12 +356,9 @@ TEST_F(ExecutorTest, UncommittedDmlInvisibleToOthers) {
   Snapshot outsider{kTimestampNow, kInvalidTxn, &db_->txns().log(), nullptr};
   auto table = db_->catalog().GetTable("emp");
   ASSERT_TRUE(table.ok());
-  int count = 0;
-  auto it = (*table)->heap->Scan(outsider);
-  while (it.Next()) {
-    ++count;
-  }
-  EXPECT_EQ(count, 3);
+  auto rows = HeapRows(*(*table)->heap, outsider);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), 3u);
   ASSERT_TRUE(db_->Commit(*writer).ok());
 }
 

@@ -22,6 +22,7 @@
 #include "src/inversion/inv_fs.h"
 #include "src/obs/span.h"
 #include "src/vacuum/vacuum.h"
+#include "tests/heap_rows.h"
 
 namespace invfs {
 namespace {
@@ -60,21 +61,19 @@ class SiAnomalyTest : public ::testing::Test {
 
   // Sum of `bal` over all rows visible to `snap`.
   int SumBalances(const Snapshot& snap) {
+    auto rows = HeapRows(*acct_->heap, snap);
+    EXPECT_TRUE(rows.ok());
     int sum = 0;
-    auto it = acct_->heap->Scan(snap);
-    while (it.Next()) {
-      sum += it.row()[1].AsInt4();
+    for (const HeapRow& r : rows.ok() ? *rows : std::vector<HeapRow>{}) {
+      sum += r.row[1].AsInt4();
     }
     return sum;
   }
 
   int CountRows(TableInfo* table, const Snapshot& snap) {
-    int n = 0;
-    auto it = table->heap->Scan(snap);
-    while (it.Next()) {
-      ++n;
-    }
-    return n;
+    auto rows = HeapRows(*table->heap, snap);
+    EXPECT_TRUE(rows.ok());
+    return rows.ok() ? static_cast<int>(rows->size()) : 0;
   }
 
   void WriteFile(InvSession* s, const std::string& path, const std::string& data) {
@@ -172,14 +171,13 @@ TEST_F(SiAnomalyTest, ReadSkewPrevented) {
   auto after = db_->Begin(TxnMode::kReadOnly);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(SumBalances(db_->ReadSnapshot(*after)), 200);
-  auto it = acct_->heap->Scan(db_->ReadSnapshot(*after));
-  int seen = 0;
-  while (it.Next()) {
-    ++seen;
-    const int id = it.row()[0].AsInt4();
-    EXPECT_EQ(it.row()[1].AsInt4(), id == 1 ? 50 : 150);
+  auto rows = HeapRows(*acct_->heap, db_->ReadSnapshot(*after));
+  ASSERT_TRUE(rows.ok());
+  for (const HeapRow& r : *rows) {
+    const int id = r.row[0].AsInt4();
+    EXPECT_EQ(r.row[1].AsInt4(), id == 1 ? 50 : 150);
   }
-  EXPECT_EQ(seen, 2);
+  EXPECT_EQ(rows->size(), 2u);
   ASSERT_TRUE(db_->Commit(*after).ok());
 }
 
@@ -244,11 +242,11 @@ TEST_F(SiAnomalyTest, LostUpdatePreventedBy2plWriters) {
         // After the first write-intent the transaction reads live.
         Tid cur = {};
         int bal = -1;
-        auto it = acct_->heap->Scan(db_->ReadSnapshot(*txn));
-        while (it.Next()) {
-          if (it.row()[0].AsInt4() == 1) {
-            cur = it.tid();
-            bal = it.row()[1].AsInt4();
+        auto rows = HeapRows(*acct_->heap, db_->ReadSnapshot(*txn));
+        for (const HeapRow& r : rows.ok() ? *rows : std::vector<HeapRow>{}) {
+          if (r.row[0].AsInt4() == 1) {
+            cur = r.tid;
+            bal = r.row[1].AsInt4();
           }
         }
         if (bal < 0 ||
@@ -268,11 +266,12 @@ TEST_F(SiAnomalyTest, LostUpdatePreventedBy2plWriters) {
 
   auto check = db_->Begin(TxnMode::kReadOnly);
   ASSERT_TRUE(check.ok());
-  auto it = acct_->heap->Scan(db_->ReadSnapshot(*check));
+  auto rows = HeapRows(*acct_->heap, db_->ReadSnapshot(*check));
+  ASSERT_TRUE(rows.ok());
   int bal = -1;
-  while (it.Next()) {
-    if (it.row()[0].AsInt4() == 1) {
-      bal = it.row()[1].AsInt4();
+  for (const HeapRow& r : *rows) {
+    if (r.row[0].AsInt4() == 1) {
+      bal = r.row[1].AsInt4();
     }
   }
   EXPECT_EQ(bal, 100 + kThreads * kIncrementsEach) << "an increment was lost";

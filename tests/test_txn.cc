@@ -11,6 +11,7 @@
 #include "src/util/bytes.h"
 #include "src/txn/lock_manager.h"
 #include "src/txn/snapshot.h"
+#include "tests/heap_rows.h"
 
 namespace invfs {
 namespace {
@@ -564,13 +565,9 @@ TEST(TxnConcurrency, TwoWritersSerializeOnTable) {
   b.join();
 
   auto reader = db.Begin();
-  int count = 0;
-  auto it = (*table)->heap->Scan(db.SnapshotFor(*reader));
-  while (it.Next()) {
-    ++count;
-  }
-  ASSERT_TRUE(it.status().ok());
-  EXPECT_EQ(count, 2 * kPerWriter);
+  auto rows = HeapRows(*(*table)->heap, db.SnapshotFor(*reader));
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->size(), size_t{2 * kPerWriter});
   ASSERT_TRUE(db.Commit(*reader).ok());
 }
 

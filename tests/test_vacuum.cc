@@ -6,6 +6,7 @@
 
 #include "src/query/executor.h"
 #include "src/vacuum/vacuum.h"
+#include "tests/heap_rows.h"
 
 namespace invfs {
 namespace {
@@ -37,26 +38,20 @@ class VacuumTest : public ::testing::Test {
     }
     ASSERT_TRUE(db_->Commit(*t1).ok());
     auto t2 = db_->Begin();
-    std::vector<Tid> victims;
-    auto it = table_->heap->Scan(db_->SnapshotFor(*t2));
-    while (it.Next()) {
-      if (it.row()[0].AsInt4() % 2 == 0) {
-        victims.push_back(it.tid());
+    auto rows = HeapRows(*table_->heap, db_->SnapshotFor(*t2));
+    ASSERT_TRUE(rows.ok());
+    for (const HeapRow& r : *rows) {
+      if (r.row[0].AsInt4() % 2 == 0) {
+        ASSERT_TRUE(db_->DeleteRow(*t2, table_, r.tid).ok());
       }
-    }
-    for (Tid tid : victims) {
-      ASSERT_TRUE(db_->DeleteRow(*t2, table_, tid).ok());
     }
     ASSERT_TRUE(db_->Commit(*t2).ok());
   }
 
   int CountVisible(const Snapshot& snap, Heap* heap) {
-    int count = 0;
-    auto it = heap->Scan(snap);
-    while (it.Next()) {
-      ++count;
-    }
-    return count;
+    auto rows = HeapRows(*heap, snap);
+    EXPECT_TRUE(rows.ok());
+    return rows.ok() ? static_cast<int>(rows->size()) : 0;
   }
 
   // Commits `v` as the next version of the k=1 row; returns the time after.
@@ -125,12 +120,9 @@ class VacuumTest : public ::testing::Test {
   size_t ArchiveSize() {
     auto archive = db_->catalog().GetTableByOid(table_->archive_oid);
     EXPECT_TRUE(archive.ok());
-    size_t n = 0;
-    auto it = (*archive)->heap->ScanAll();
-    while (it.Next()) {
-      ++n;
-    }
-    return n;
+    auto rows = HeapRows(*(*archive)->heap);
+    EXPECT_TRUE(rows.ok());
+    return rows.ok() ? rows->size() : 0;
   }
 
   StorageEnv env_;
@@ -152,12 +144,9 @@ TEST_F(VacuumTest, ArchivesDeadVersions) {
   EXPECT_EQ(stats->live, 10u);
   EXPECT_NE(table_->archive_oid, kInvalidOid);
   // Heap now physically holds only survivors.
-  int physical = 0;
-  auto it = table_->heap->ScanAll();
-  while (it.Next()) {
-    ++physical;
-  }
-  EXPECT_EQ(physical, 10);
+  auto physical = HeapRows(*table_->heap);
+  ASSERT_TRUE(physical.ok());
+  EXPECT_EQ(physical->size(), 10u);
 }
 
 TEST_F(VacuumTest, HistoricalReadsSurviveVacuumViaArchive) {
@@ -180,13 +169,12 @@ TEST_F(VacuumTest, HistoricalReadsSurviveVacuumViaArchive) {
   // ...but the archive union still shows it (as the executor would).
   auto archive = db_->catalog().GetTableByOid(table_->archive_oid);
   ASSERT_TRUE(archive.ok());
-  int found = 0;
-  auto it = (*archive)->heap->Scan(db_->SnapshotAt(before));
-  while (it.Next()) {
-    ++found;
-    EXPECT_EQ(it.row()[1].AsText(), "old");
+  auto found = HeapRows(*(*archive)->heap, db_->SnapshotAt(before));
+  ASSERT_TRUE(found.ok());
+  for (const HeapRow& r : *found) {
+    EXPECT_EQ(r.row[1].AsText(), "old");
   }
-  EXPECT_EQ(found, 1);
+  EXPECT_EQ(found->size(), 1u);
 }
 
 TEST_F(VacuumTest, AbortedVacuumKeepsEveryVersion) {
@@ -255,12 +243,9 @@ TEST_F(VacuumTest, CrashBeforeTheReclaimReachesDiskLeavesOneCopy) {
   VacuumAnd(/*commit=*/true);
   Reopen(/*crash=*/true);
   ASSERT_EQ(ArchiveSize(), 2u);
-  size_t in_heap = 0;
-  auto it = table_->heap->ScanAll();
-  while (it.Next()) {
-    ++in_heap;
-  }
-  ASSERT_EQ(in_heap, 3u) << "the reclaim reached the disk before the crash";
+  auto in_heap = HeapRows(*table_->heap);
+  ASSERT_TRUE(in_heap.ok());
+  ASSERT_EQ(in_heap->size(), 3u) << "the reclaim reached the disk before the crash";
   ExpectOneVersionEach(committed);
 
   auto vt = db_->Begin();

@@ -14,6 +14,7 @@
 #include "src/fault/switch_entry.h"
 #include "src/harness/worlds.h"
 #include "src/vacuum/vacuum.h"
+#include "tests/heap_rows.h"
 
 namespace invfs {
 namespace {
@@ -245,12 +246,9 @@ void VacuumAndExpectClean(StorageEnv& env, Database& db, uint64_t versions) {
   for (const Violation& v : after->violations) {
     ADD_FAILURE() << v.ToString();
   }
-  uint64_t scanned = 0;
-  auto it = (*table)->heap->ScanAll();
-  while (it.Next()) {
-    ++scanned;
-  }
-  EXPECT_EQ(scanned, versions);
+  auto stored = HeapRows(*(*table)->heap);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ(stored->size(), versions);
   EXPECT_EQ(*(*table)->indexes.front()->btree->CountEntries(), versions);
 }
 
