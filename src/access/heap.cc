@@ -11,23 +11,31 @@ Heap::Heap(Oid rel, const Schema* schema, BufferPool* pool, TxnManager* txns)
     : rel_(rel), schema_(schema), pool_(pool), txns_(txns) {}
 
 Result<Tid> Heap::Insert(TxnId txn, const Row& row, Oid row_oid) {
-  return InsertRaw(txn, row, TupleMeta{row_oid, txn, kInvalidTxn});
+  INV_ASSIGN_OR_RETURN(const uint32_t size, EncodedTupleSize(*schema_, row));
+  return Place(txn, size, [&](std::span<std::byte> bytes) {
+    EncodeTupleInto(*schema_, row, TupleMeta{row_oid, txn, kInvalidTxn}, bytes);
+  });
 }
 
-Result<Tid> Heap::InsertRaw(TxnId txn, const Row& row, const TupleMeta& meta) {
-  INV_ASSIGN_OR_RETURN(const uint32_t size, EncodedTupleSize(*schema_, row));
+Result<Tid> Heap::InsertStored(TxnId txn, std::span<const std::byte> tuple) {
+  return Place(txn, static_cast<uint32_t>(tuple.size()), [&](std::span<std::byte> bytes) {
+    std::copy(tuple.begin(), tuple.end(), bytes.begin());
+  });
+}
+
+template <typename Write>
+Result<Tid> Heap::Place(TxnId txn, uint32_t size, Write write) {
   if (size + kLinePointerSize > kPageSize - kPageHeaderSize) {
     return Status::InvalidArgument("tuple does not fit on one page (" +
                                    std::to_string(size) + " bytes)");
   }
   txns_->NoteTouched(txn, rel_);
   CrashPointRegistry::Hit("heap.insert");
-  // Encodes the row straight into a fresh slot of `page`, whose exclusive
-  // latch the caller holds.
+  // Fills a fresh slot of `page`, whose exclusive latch the caller holds.
   auto place = [&](Page page) -> Result<uint16_t> {
     std::span<std::byte> bytes;
     INV_ASSIGN_OR_RETURN(const uint16_t slot, page.ReserveTuple(size, &bytes));
-    EncodeTupleInto(*schema_, row, meta, bytes);
+    write(bytes);
     return slot;
   };
 
@@ -130,16 +138,6 @@ Status Heap::CheckTupleHeader(std::span<const std::byte> tuple) {
   return Status::Ok();
 }
 
-Result<std::optional<Row>> Heap::Fetch(const Snapshot& snap, Tid tid) const {
-  std::optional<Row> row;
-  auto decode = [&](std::span<const std::byte> tuple) -> Status {
-    INV_ASSIGN_OR_RETURN(row, DecodeTuple(*schema_, tuple));
-    return Status::Ok();
-  };
-  INV_RETURN_IF_ERROR(Visit(snap, tid, decode).status());
-  return row;
-}
-
 Status Heap::Expunge(std::vector<Tid> dead) {
   std::sort(dead.begin(), dead.end());
   for (auto at = dead.begin(); at != dead.end();) {
@@ -155,6 +153,46 @@ Status Heap::Expunge(std::vector<Tid> dead) {
     }
     page.Compact();
     ref.MarkDirty();
+  }
+  return Status::Ok();
+}
+
+bool ArchivePairing::CopyOut(Tid tid, std::span<const std::byte> tuple) {
+  auto by_stamps = [](const Noted& a, const Noted& b) {
+    return std::pair(a.xmin, a.xmax) < std::pair(b.xmin, b.xmax);
+  };
+  if (!sorted_) {
+    std::sort(notes_.begin(), notes_.end(), by_stamps);
+    sorted_ = true;
+  }
+  const TupleMeta meta = GetTupleMeta(tuple);
+  if (!std::binary_search(notes_.begin(), notes_.end(), Noted{tid, meta.xmin, meta.xmax},
+                          by_stamps)) {
+    return false;
+  }
+  copies_.push_back(Copy{tid, std::vector<std::byte>(tuple.begin(), tuple.end())});
+  return true;
+}
+
+Status ArchivePairing::Pair(const Heap& heap) {
+  for (Noted* noted = notes_.begin(); noted != notes_.end() && !copies_.empty(); ++noted) {
+    auto stamped_alike = [&](const Copy& copy) {
+      const TupleMeta meta = GetTupleMeta(copy.bytes);
+      return meta.xmin == noted->xmin && meta.xmax == noted->xmax;
+    };
+    if (std::none_of(copies_.begin(), copies_.end(), stamped_alike)) {
+      continue;
+    }
+    auto match = [&](std::span<const std::byte> tuple) {
+      for (Copy& copy : copies_) {
+        if (!copy.paired && std::ranges::equal(copy.bytes, tuple)) {
+          copy.paired = noted->paired = true;
+          break;
+        }
+      }
+      return Status::Ok();
+    };
+    INV_RETURN_IF_ERROR(heap.VisitStored(noted->tid, match).status());
   }
   return Status::Ok();
 }

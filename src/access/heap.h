@@ -18,6 +18,7 @@
 #include "src/storage/tuple.h"
 #include "src/txn/snapshot.h"
 #include "src/txn/txn_manager.h"
+#include "src/util/inline_vector.h"
 #include "src/util/status.h"
 
 namespace invfs {
@@ -35,11 +36,10 @@ class Heap {
   // oid (catalogs use it; 0 elsewhere).
   Result<Tid> Insert(TxnId txn, const Row& row, Oid row_oid = kInvalidOid);
 
-  // Append a tuple with a caller-supplied MVCC header, preserving its
-  // original xmin/xmax. Used by vacuum to move versions into the archive
-  // without disturbing their visibility. `txn` is only used to note the
-  // touched relation for the commit force policy.
-  Result<Tid> InsertRaw(TxnId txn, const Row& row, const TupleMeta& meta);
+  // Append a copy of the stored version `tuple`, header and all, so it keeps
+  // its original xmin/xmax: vacuum moves versions into the archive with it.
+  // `txn` only notes the touched relation for the commit force policy.
+  Result<Tid> InsertStored(TxnId txn, std::span<const std::byte> tuple);
 
   // Mark the version at `tid` deleted by `txn` (sets xmax in place — the one
   // in-place mutation the no-overwrite scheme performs). Fails with
@@ -59,8 +59,6 @@ class Heap {
   Result<bool> Visit(const Snapshot& snap, Tid tid, Fn&& fn) const {
     return VisitIf([&snap](const TupleMeta& m) { return snap.IsVisible(m); }, tid, fn);
   }
-  // Fetch the version at `tid` if visible under `snap`: Visit plus a decode.
-  Result<std::optional<Row>> Fetch(const Snapshot& snap, Tid tid) const;
   // Call `fn(tid, tuple) -> Result<bool>` for each version visible under
   // `snap`, in TID order, until it returns true or an error. Pins each page
   // once; `fn` runs under the page latch, with Visit's rules.
@@ -86,6 +84,10 @@ class Heap {
   Status Expunge(std::vector<Tid> dead);
 
  private:
+  // Reserves a fresh slot of `size` bytes and calls `write(bytes)` to fill
+  // it under the page's exclusive latch.
+  template <typename Write>
+  Result<Tid> Place(TxnId txn, uint32_t size, Write write);
   // Pin `block` for a read; nullopt when the block lies past the persisted
   // end of the heap (a dangling TID, see heap.cc).
   Result<std::optional<PageRef>> PinForRead(uint32_t block) const;
@@ -111,6 +113,56 @@ class Heap {
   // concurrent inserters (distinct transactions under table locks, or the
   // MT stress harness) may race on the hint; it is advisory only.
   mutable std::atomic<uint32_t> hint_block_{0};
+};
+
+// The "moved twice" rule. Vacuum copies a dead version's stored bytes into
+// the archive and expunges it from the heap only after its commit, so an
+// abort or a crash in between, or a second vacuum in one transaction, leaves
+// the version in both. A reader of both must meet it once, and a vacuum must
+// not copy it again. The rule is byte identity, in three steps: Note the
+// heap versions that may have a copy; hand each archive version to CopyOut,
+// under the archive page's latch, which keeps those stamped like a note;
+// then Pair, after that visit, matches each copy with at most one noted
+// version of equal stored bytes. No heap page is pinned under an archive
+// latch.
+class ArchivePairing {
+ public:
+  struct Noted {
+    Tid tid;
+    TxnId xmin = kInvalidTxn;
+    TxnId xmax = kInvalidTxn;
+    bool paired = false;
+  };
+  struct Copy {
+    Tid tid;  // in the archive
+    std::vector<std::byte> bytes;
+    bool paired = false;
+  };
+
+  // Notes the heap version `tuple` at `tid` if it may have a copy: only a
+  // deleted version can.
+  void Note(Tid tid, std::span<const std::byte> tuple) {
+    if (const TupleMeta meta = GetTupleMeta(tuple); meta.xmax != kInvalidTxn) {
+      notes_.push_back(Noted{tid, meta.xmin, meta.xmax});
+      sorted_ = false;
+    }
+  }
+  // Keeps a copy of the archive version `tuple` at `tid` if a note shares
+  // its xmin and xmax; returns whether it did.
+  bool CopyOut(Tid tid, std::span<const std::byte> tuple);
+  // Pairs each copy with at most one noted version whose bytes in `heap`
+  // equal it; a noted version gone from the heap pairs with nothing.
+  Status Pair(const Heap& heap);
+
+  // The notes, in xmin, xmax order once CopyOut ran.
+  std::span<const Noted> notes() const { return notes_; }
+  std::span<const Copy> copies() const { return copies_; }
+
+ private:
+  // An index probe notes a few versions: inline, they allocate nothing.
+  InlineVector<Noted, 8> notes_;
+  std::vector<Copy> copies_;
+  bool sorted_ = true;
 };
 
 template <typename Visible>

@@ -57,6 +57,19 @@ std::optional<std::vector<size_t>> DecodeKeyColumns(std::string_view text,
 
 namespace {
 
+// A row of one of the five catalogs. The engine writes no null into them; a
+// row that has one is corruption, not a value to read.
+Result<Row> DecodeCatalogRow(const TableInfo& catalog, std::span<const std::byte> tuple) {
+  INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(catalog.schema, tuple));
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (row[i].is_null()) {
+      return Status::Corruption(catalog.name + " row has a null " +
+                                catalog.schema.column(i).name);
+    }
+  }
+  return row;
+}
+
 std::string EncodeKeyColumns(const std::vector<size_t>& cols) {
   std::string out;
   for (size_t c : cols) {
@@ -186,7 +199,7 @@ Status Catalog::Load() {
   // Collect attribute rows grouped by relation.
   std::map<Oid, std::vector<std::pair<int32_t, Column>>> atts;
   INV_RETURN_IF_ERROR(pg_attribute_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(const Row r, DecodeTuple(pg_attribute_->schema, tuple));
+    INV_ASSIGN_OR_RETURN(const Row r, DecodeCatalogRow(*pg_attribute_, tuple));
     atts[r[0].AsOid()].push_back(
         {r[3].AsInt4(), Column{r[1].AsText(), static_cast<TypeId>(r[2].AsInt4())}});
     return false;
@@ -195,7 +208,7 @@ Status Catalog::Load() {
   Oid max_oid = kFirstUserOid - 1;
   std::vector<Row> class_rows;
   INV_RETURN_IF_ERROR(pg_class_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(class_rows.emplace_back(), DecodeTuple(pg_class_->schema, tuple));
+    INV_ASSIGN_OR_RETURN(class_rows.emplace_back(), DecodeCatalogRow(*pg_class_, tuple));
     return false;
   }));
   for (const Row& row : class_rows) {
@@ -226,7 +239,7 @@ Status Catalog::Load() {
   // Indexes. BTree::Open pins the meta page: open each after the visit.
   std::vector<Row> index_rows;
   INV_RETURN_IF_ERROR(pg_index_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(index_rows.emplace_back(), DecodeTuple(pg_index_->schema, tuple));
+    INV_ASSIGN_OR_RETURN(index_rows.emplace_back(), DecodeCatalogRow(*pg_index_, tuple));
     return false;
   }));
   for (const Row& r : index_rows) {
@@ -265,13 +278,13 @@ Status Catalog::Load() {
 
   // Types and procs.
   INV_RETURN_IF_ERROR(pg_type_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(const Row r, DecodeTuple(pg_type_->schema, tuple));
+    INV_ASSIGN_OR_RETURN(const Row r, DecodeCatalogRow(*pg_type_, tuple));
     types_[r[0].AsText()] = TypeInfo{r[1].AsOid(), r[0].AsText()};
     max_oid = std::max(max_oid, r[1].AsOid());
     return false;
   }));
   INV_RETURN_IF_ERROR(pg_proc_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(const Row r, DecodeTuple(pg_proc_->schema, tuple));
+    INV_ASSIGN_OR_RETURN(const Row r, DecodeCatalogRow(*pg_proc_, tuple));
     ProcInfo p;
     p.name = r[0].AsText();
     p.oid = r[1].AsOid();
@@ -347,15 +360,15 @@ Result<IndexInfo*> Catalog::CreateIndex(TxnId txn, TableInfo* table,
                 Value::Text(EncodeKeyColumns(key_columns))};
   INV_RETURN_IF_ERROR(pg_index_->heap->Insert(txn, index_row).status());
 
-  // Populate from existing visible rows.
+  // Populate from every stored version, as writes keep it: the index serves
+  // as-of reads too, and vacuum drops the entries of versions it reclaims.
   std::vector<std::pair<BtreeKey, Tid>> entries;
-  INV_RETURN_IF_ERROR(table->heap->VisitEach(
-      txns_->SnapshotFor(txn), [&](Tid tid, auto tuple) -> Result<bool> {
-        INV_ASSIGN_OR_RETURN(const Row row, DecodeTuple(table->schema, tuple));
-        INV_ASSIGN_OR_RETURN(entries.emplace_back().first, EncodeKey(row, key_columns));
-        entries.back().second = tid;
-        return false;
-      }));
+  INV_RETURN_IF_ERROR(table->heap->VisitEachStored([&](Tid tid, auto tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(const Row row, DecodeTuple(table->schema, tuple));
+    INV_ASSIGN_OR_RETURN(entries.emplace_back().first, EncodeKey(row, key_columns));
+    entries.back().second = tid;
+    return false;
+  }));
   for (const auto& [key, tid] : entries) {
     INV_RETURN_IF_ERROR(info->btree->Insert(key, tid));
   }
@@ -389,7 +402,7 @@ Status Catalog::DropTable(TxnId txn, const std::string& name) {
        {std::pair(pg_class_, 1), std::pair(pg_attribute_, 0), std::pair(pg_index_, 0)}) {
     std::vector<Tid> rows;
     INV_RETURN_IF_ERROR(catalog->heap->VisitEach(snap, [&](Tid tid, auto tuple) -> Result<bool> {
-      INV_ASSIGN_OR_RETURN(const Row row, DecodeTuple(catalog->schema, tuple));
+      INV_ASSIGN_OR_RETURN(const Row row, DecodeCatalogRow(*catalog, tuple));
       if (Contains(doomed, row[column].AsOid())) {
         rows.push_back(tid);
       }
@@ -672,7 +685,7 @@ Status Catalog::MigrateTable(TxnId txn, TableInfo* table, DeviceId new_device) {
   std::vector<std::pair<Tid, Row>> updates;
   INV_RETURN_IF_ERROR(pg_class_->heap->VisitEach(
       txns_->SnapshotFor(txn), [&](Tid tid, auto tuple) -> Result<bool> {
-        INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(pg_class_->schema, tuple));
+        INV_ASSIGN_OR_RETURN(Row row, DecodeCatalogRow(*pg_class_, tuple));
         if (Contains(victims, row[1].AsOid())) {
           row[2] = Value::Int4(static_cast<int32_t>(new_device));
           updates.emplace_back(tid, std::move(row));
@@ -718,7 +731,7 @@ Result<TableInfo*> Catalog::GetTableAt(const std::string& name, const Snapshot& 
   // visit.
   Oid oid = kInvalidOid;
   INV_RETURN_IF_ERROR(pg_class->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(const Row row, DecodeTuple(pg_class->schema, tuple));
+    INV_ASSIGN_OR_RETURN(const Row row, DecodeCatalogRow(*pg_class, tuple));
     if (row[0].AsText() != name) {
       return false;
     }

@@ -109,14 +109,15 @@ class Database {
   // once `fn` returns true; returns whether it did. `fn` runs under the page
   // latch with Heap::Visit's rules (so no nested lookup) and must check the
   // key itself: the archive and index-less passes offer every version. A
-  // version a vacuum is moving may be met twice, in the heap and in the
-  // archive; callers stop at the first match or keep one per key.
+  // version that a cut-short vacuum left in both heap and archive is offered
+  // once (ArchivePairing): its archive copy is offered only if no version
+  // the heap pass offered has its bytes, and then after the archive visit.
+  // Only a vacuum's reclaim that runs between the two passes can make a
+  // version be offered twice (DESIGN.md, "Versioned lookups").
   template <typename Fn>
   Result<bool> VisitVersions(const TableInfo* table, const IndexInfo* index,
                              const BtreeKey& key, KeyMatch match,
                              const Snapshot& snap, Fn&& fn);
-  // The TIDs `index` holds under `key`.
-  Result<TidList> Probe(const IndexInfo& index, const BtreeKey& key, KeyMatch match);
 
   // --- administration -------------------------------------------------------
 
@@ -152,6 +153,15 @@ class Database {
  private:
   Database(StorageEnv* env, DatabaseOptions options);
 
+  // VisitVersions' heap pass: the TIDs `index` holds under `key`, or every
+  // heap version with no index. Returns whether `fn` stopped it.
+  template <typename Fn>
+  Result<bool> VisitHeap(const TableInfo* table, const IndexInfo* index,
+                         const BtreeKey& key, KeyMatch match, const Snapshot& snap,
+                         Fn& fn);
+  // The TIDs `index` holds under `key`.
+  Result<TidList> Probe(const IndexInfo& index, const BtreeKey& key, KeyMatch match);
+
   DatabaseOptions options_;
   SimClock* clock_;
   // Declared before every component that registers metrics into it.
@@ -169,6 +179,51 @@ template <typename Fn>
 Result<bool> Database::VisitVersions(const TableInfo* table, const IndexInfo* index,
                                      const BtreeKey& key, KeyMatch match,
                                      const Snapshot& snap, Fn&& fn) {
+  if (!snap.is_historical()) {
+    return VisitHeap(table, index, key, match, snap, fn);
+  }
+  // The versions offered from the heap that a vacuum may have copied into
+  // the archive already.
+  ArchivePairing moved;
+  auto note = [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
+    moved.Note(tid, tuple);
+    return fn(tid, tuple);
+  };
+  INV_ASSIGN_OR_RETURN(bool stopped, VisitHeap(table, index, key, match, snap, note));
+  // Loaded after the heap pass: a vacuum that commits in between has its
+  // copies in the archive by then.
+  const Oid archive = stopped ? kInvalidOid : table->archive_oid.load();
+  if (archive == kInvalidOid) {
+    return stopped;
+  }
+  INV_ASSIGN_OR_RETURN(TableInfo * archive_table, catalog_->GetTableByOid(archive));
+  auto visit = [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(stopped, fn(tid, tuple));
+    return stopped;
+  };
+  INV_RETURN_IF_ERROR(archive_table->heap->VisitEach(
+      snap, [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
+        if (moved.CopyOut(tid, tuple)) {
+          return false;
+        }
+        return visit(tid, tuple);
+      }));
+  if (!stopped) {
+    INV_RETURN_IF_ERROR(moved.Pair(*table->heap));
+  }
+  for (size_t i = 0; i < moved.copies().size() && !stopped; ++i) {
+    const ArchivePairing::Copy& copy = moved.copies()[i];
+    if (!copy.paired) {
+      INV_RETURN_IF_ERROR(visit(copy.tid, copy.bytes).status());
+    }
+  }
+  return stopped;
+}
+
+template <typename Fn>
+Result<bool> Database::VisitHeap(const TableInfo* table, const IndexInfo* index,
+                                 const BtreeKey& key, KeyMatch match, const Snapshot& snap,
+                                 Fn& fn) {
   bool stopped = false;
   auto visit = [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
     INV_ASSIGN_OR_RETURN(stopped, fn(tid, tuple));
@@ -176,21 +231,14 @@ Result<bool> Database::VisitVersions(const TableInfo* table, const IndexInfo* in
   };
   if (index == nullptr) {
     INV_RETURN_IF_ERROR(table->heap->VisitEach(snap, visit));
-  } else {
-    INV_ASSIGN_OR_RETURN(const TidList tids, Probe(*index, key, match));
-    for (size_t i = 0; i < tids.size() && !stopped; ++i) {
-      INV_RETURN_IF_ERROR(table->heap->Visit(snap, tids[i], [&](auto tuple) {
-        return visit(tids[i], tuple).status();
-      }).status());
-    }
-  }
-  const Oid archive =
-      stopped || !snap.is_historical() ? kInvalidOid : table->archive_oid.load();
-  if (archive == kInvalidOid) {
     return stopped;
   }
-  INV_ASSIGN_OR_RETURN(TableInfo * archive_table, catalog_->GetTableByOid(archive));
-  INV_RETURN_IF_ERROR(archive_table->heap->VisitEach(snap, visit));
+  INV_ASSIGN_OR_RETURN(const TidList tids, Probe(*index, key, match));
+  for (size_t i = 0; i < tids.size() && !stopped; ++i) {
+    INV_RETURN_IF_ERROR(table->heap->Visit(snap, tids[i], [&](auto tuple) {
+      return visit(tids[i], tuple).status();
+    }).status());
+  }
   return stopped;
 }
 

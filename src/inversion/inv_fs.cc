@@ -44,7 +44,64 @@ Result<std::vector<std::string>> SplitPath(const std::string& path) {
   return parts;
 }
 
+Oid ViewOid(const ColumnView& v) { return static_cast<Oid>(v.Int4()); }
+
+// Corruption unless every column in `cols`, a row of `relation` that names
+// file `cols[file_column]`, is set.
+Status CheckNoNulls(std::span<const ColumnView> cols, const char* relation,
+                    Schema (*schema)(), size_t file_column) {
+  for (size_t i = 0; i < cols.size(); ++i) {
+    if (cols[i].null) {
+      const std::string file =
+          cols[file_column].null ? "null" : std::to_string(ViewOid(cols[file_column]));
+      return Status::Corruption(std::string(relation) + " row of file oid " + file +
+                                " has a null " + schema().column(i).name);
+    }
+  }
+  return Status::Ok();
+}
+
+std::string ViewText(const ColumnView& v) {
+  return std::string(reinterpret_cast<const char*>(v.bytes.data()), v.bytes.size());
+}
+
+// Key tests on a column view that may be null.
+bool IsOid(const ColumnView& v, Oid oid) { return !v.null && ViewOid(v) == oid; }
+bool IsText(const ColumnView& v, std::string_view text) {
+  return !v.null && std::ranges::equal(v.bytes, std::as_bytes(std::span(text)));
+}
+
 }  // namespace
+
+Result<NamingEntry> NamingEntry::Decode(const Views& cols) {
+  INV_RETURN_IF_ERROR(CheckNoNulls(cols, "naming", NamingSchema, kFile));
+  return NamingEntry{ViewText(cols[kFilename]), ViewOid(cols[kParent]), ViewOid(cols[kFile])};
+}
+
+Row NamingEntry::ToRow() const {
+  return {Value::Text(filename), Value::MakeOid(parent), Value::MakeOid(file)};
+}
+
+Result<FileAtt> FileAtt::Decode(const Views& cols) {
+  INV_RETURN_IF_ERROR(CheckNoNulls(cols, "fileatt", FileattSchema, kFile));
+  return FileAtt{ViewOid(cols[kFile]),
+                 ViewText(cols[kOwner]),
+                 ViewOid(cols[kType]),
+                 cols[kSize].Int8(),
+                 static_cast<Timestamp>(cols[kCtime].Int8()),
+                 static_cast<Timestamp>(cols[kMtime].Int8()),
+                 static_cast<Timestamp>(cols[kAtime].Int8()),
+                 static_cast<DeviceId>(cols[kDevice].Int4()),
+                 cols[kFlags].Int4()};
+}
+
+Row FileAtt::ToRow() const {
+  return {Value::MakeOid(file),        Value::Text(owner),
+          Value::MakeOid(type),        Value::Int8(size),
+          Value::MakeTimestamp(ctime), Value::MakeTimestamp(mtime),
+          Value::MakeTimestamp(atime), Value::Int4(static_cast<int32_t>(device)),
+          Value::Int4(flags)};
+}
 
 InversionFs::InversionFs(Database* db, InvOptions options)
     : db_(db), options_(options) {
@@ -124,7 +181,7 @@ Status InversionFs::Mount() {
     const Snapshot snap = db_->SnapshotFor(txn);
     INV_ASSIGN_OR_RETURN(auto root, NamingLookup(kInvalidOid, "/", snap));
     if (root.has_value()) {
-      root_oid_ = (*root).second[2].AsOid();
+      root_oid_ = root->second.file;
     } else {
       root_oid_ = db_->catalog().AllocateOid();
       INV_RETURN_IF_ERROR(InsertEntry(txn, kInvalidOid, "/", root_oid_, "root",
@@ -155,15 +212,10 @@ Status InversionFs::InsertEntry(TxnId txn, Oid parent, const std::string& name, 
                                 int32_t flags) {
   const Timestamp now = db_->Now();
   INV_RETURN_IF_ERROR(
-      db_->InsertRow(txn, naming_,
-                     {Value::Text(name), Value::MakeOid(parent), Value::MakeOid(oid)})
-          .status());
+      db_->InsertRow(txn, naming_, NamingEntry{name, parent, oid}.ToRow()).status());
   return db_
       ->InsertRow(txn, fileatt_,
-                  {Value::MakeOid(oid), Value::Text(owner), Value::MakeOid(type),
-                   Value::Int8(0), Value::MakeTimestamp(now), Value::MakeTimestamp(now),
-                   Value::MakeTimestamp(now), Value::Int4(static_cast<int32_t>(device)),
-                   Value::Int4(flags)})
+                  FileAtt{oid, owner, type, 0, now, now, now, device, flags}.ToRow())
       .status();
 }
 
@@ -171,21 +223,23 @@ Status InversionFs::InsertEntry(TxnId txn, Oid parent, const std::string& name, 
 
 namespace {
 
-// The first version of a `table` row that `wanted` accepts among those `snap`
-// sees under `key` on `index`, archive included (Database::VisitVersions).
-// The row is decoded under the page latch; callers look further only after.
-template <typename Wanted>
-Result<std::optional<std::pair<Tid, Row>>> FirstRow(Database& db, const TableInfo* table,
-                                                    const IndexInfo* index,
-                                                    const BtreeKey& key,
-                                                    const Snapshot& snap, Wanted wanted) {
-  std::optional<std::pair<Tid, Row>> found;
+// The first version of a `table` row whose column views `wanted` accepts
+// among those `snap` sees under `key` on `index`, archive included
+// (Database::VisitVersions), decoded as an `Entry` under the page latch.
+template <typename Entry, typename Wanted>
+Result<std::optional<std::pair<Tid, Entry>>> FirstRow(Database& db, const TableInfo* table,
+                                                      const IndexInfo* index,
+                                                      const BtreeKey& key,
+                                                      const Snapshot& snap, Wanted wanted) {
+  std::optional<std::pair<Tid, Entry>> found;
   auto visit = [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(table->schema, tuple));
-    if (!wanted(row)) {
+    typename Entry::Views cols;
+    INV_RETURN_IF_ERROR(ViewColumns(table->schema, tuple, cols));
+    if (!wanted(cols)) {
       return false;
     }
-    found.emplace(tid, std::move(row));
+    INV_ASSIGN_OR_RETURN(Entry entry, Entry::Decode(cols));
+    found.emplace(tid, std::move(entry));
     return true;
   };
   INV_RETURN_IF_ERROR(
@@ -196,25 +250,29 @@ Result<std::optional<std::pair<Tid, Row>>> FirstRow(Database& db, const TableInf
 
 }  // namespace
 
-Result<std::optional<std::pair<Tid, Row>>> InversionFs::NamingLookup(
+Result<std::optional<std::pair<Tid, NamingEntry>>> InversionFs::NamingLookup(
     Oid parent, const std::string& name, const Snapshot& snap) {
   BtreeKey key = EncodeOidKey(parent);
   INV_RETURN_IF_ERROR(AppendTextKeyPart(name, &key));
-  return FirstRow(*db_, naming_, naming_by_parent_name_, key, snap, [&](const Row& row) {
-    return row[1].AsOid() == parent && row[0].AsText() == name;
-  });
+  return FirstRow<NamingEntry>(*db_, naming_, naming_by_parent_name_, key, snap,
+                               [&](const NamingEntry::Views& cols) {
+                                 return IsOid(cols[NamingEntry::kParent], parent) &&
+                                        IsText(cols[NamingEntry::kFilename], name);
+                               });
 }
 
-Result<std::optional<std::pair<Tid, Row>>> InversionFs::NamingOf(Oid file,
-                                                                  const Snapshot& snap) {
-  return FirstRow(*db_, naming_, naming_by_file_, EncodeOidKey(file), snap,
-                  [&](const Row& row) { return row[2].AsOid() == file; });
-}
-
-Result<std::optional<std::pair<Tid, Row>>> InversionFs::FileattLookup(
+Result<std::optional<std::pair<Tid, NamingEntry>>> InversionFs::NamingOf(
     Oid file, const Snapshot& snap) {
-  return FirstRow(*db_, fileatt_, fileatt_by_file_, EncodeOidKey(file), snap,
-                  [&](const Row& row) { return row[kFaFile].AsOid() == file; });
+  return FirstRow<NamingEntry>(
+      *db_, naming_, naming_by_file_, EncodeOidKey(file), snap,
+      [&](const NamingEntry::Views& cols) { return IsOid(cols[NamingEntry::kFile], file); });
+}
+
+Result<std::optional<std::pair<Tid, FileAtt>>> InversionFs::FileattLookup(
+    Oid file, const Snapshot& snap) {
+  return FirstRow<FileAtt>(
+      *db_, fileatt_, fileatt_by_file_, EncodeOidKey(file), snap,
+      [&](const FileAtt::Views& cols) { return IsOid(cols[FileAtt::kFile], file); });
 }
 
 Result<Oid> InversionFs::ResolvePath(const std::string& path, const Snapshot& snap) {
@@ -225,7 +283,7 @@ Result<Oid> InversionFs::ResolvePath(const std::string& path, const Snapshot& sn
     if (!entry.has_value()) {
       return Status::NotFound("no such file: " + path);
     }
-    current = (*entry).second[2].AsOid();
+    current = entry->second.file;
   }
   return current;
 }
@@ -235,25 +293,24 @@ Result<FileStat> InversionFs::StatOid(Oid file, const Snapshot& snap) {
   if (!att.has_value()) {
     return Status::NotFound("no attributes for file oid " + std::to_string(file));
   }
-  const Row& row = (*att).second;
+  const FileAtt& a = att->second;
   FileStat st;
   st.oid = file;
-  st.owner = row[kFaOwner].AsText();
-  const Oid type_oid = row[kFaType].AsOid();
-  if (auto type = db_->catalog().GetTypeByOid(type_oid); type.ok()) {
+  st.owner = a.owner;
+  if (auto type = db_->catalog().GetTypeByOid(a.type); type.ok()) {
     st.type = (*type)->name;
   }
-  st.size = row[kFaSize].AsInt8();
-  st.ctime = row[kFaCtime].AsTimestamp();
-  st.mtime = row[kFaMtime].AsTimestamp();
-  st.atime = row[kFaAtime].AsTimestamp();
-  st.device = static_cast<DeviceId>(row[kFaDevice].AsInt4());
-  st.is_directory = type_oid == dir_type_oid_;
-  st.compressed = (row[kFaFlags].AsInt4() & kInvFlagCompressed) != 0;
+  st.size = a.size;
+  st.ctime = a.ctime;
+  st.mtime = a.mtime;
+  st.atime = a.atime;
+  st.device = a.device;
+  st.is_directory = a.type == dir_type_oid_;
+  st.compressed = (a.flags & kInvFlagCompressed) != 0;
   // Name via the naming table (root keeps its "/").
   INV_ASSIGN_OR_RETURN(auto naming, NamingOf(file, snap));
   if (naming.has_value()) {
-    st.name = (*naming).second[0].AsText();
+    st.name = naming->second.filename;
   }
   return st;
 }
@@ -276,8 +333,8 @@ Result<std::string> InversionFs::PathOf(Oid file, const Snapshot& snap) {
     if (!naming.has_value()) {
       return Status::NotFound("orphaned file oid " + std::to_string(current));
     }
-    parts.push_back((*naming).second[0].AsText());
-    current = (*naming).second[1].AsOid();
+    parts.push_back(naming->second.filename);
+    current = naming->second.parent;
   }
   std::string path;
   for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
@@ -290,13 +347,14 @@ Result<std::string> InversionFs::PathOf(Oid file, const Snapshot& snap) {
 Result<std::vector<DirEntry>> InversionFs::ListDirectory(Oid dir,
                                                          const Snapshot& snap) {
   // Names first, attributes after the visit: its visitor must not nest a
-  // lookup. Keyed by name, which sorts the listing and keeps one entry for a
-  // version met twice, in the heap and in the archive, while vacuum moves it.
+  // lookup. The map sorts the listing by name.
   std::map<std::string, Oid> names;
   auto collect = [&](Tid, std::span<const std::byte> tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(naming_->schema, tuple));
-    if (row[1].AsOid() == dir) {
-      names.emplace(row[0].AsText(), row[2].AsOid());
+    NamingEntry::Views cols;
+    INV_RETURN_IF_ERROR(ViewColumns(naming_->schema, tuple, cols));
+    if (IsOid(cols[NamingEntry::kParent], dir)) {
+      INV_ASSIGN_OR_RETURN(NamingEntry entry, NamingEntry::Decode(cols));
+      names.emplace(std::move(entry.filename), entry.file);
     }
     return false;
   };
@@ -307,8 +365,11 @@ Result<std::vector<DirEntry>> InversionFs::ListDirectory(Oid dir,
   std::vector<DirEntry> out;
   for (const auto& [name, oid] : names) {
     DirEntry entry{name, oid};
+    // An entry without attributes lists as a plain file; a corrupt one fails.
     if (auto st = StatOid(oid, snap); st.ok()) {
       entry.is_directory = st->is_directory;
+    } else if (!st.status().IsNotFound()) {
+      return st.status();
     }
     out.push_back(std::move(entry));
   }
@@ -362,12 +423,14 @@ Result<VacuumStats> InversionFs::Vacuum(TxnId txn, bool keep_history) {
   // Vacuum every file's chunk table, honoring its no-history flag.
   const Snapshot snap = db_->SnapshotFor(txn);
   std::vector<std::pair<Oid, bool>> files;
-  INV_RETURN_IF_ERROR(fileatt_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(const Row row, DecodeTuple(fileatt_->schema, tuple));
-    const bool no_history = (row[kFaFlags].AsInt4() & kInvFlagNoHistory) != 0;
-    files.emplace_back(row[kFaFile].AsOid(), !no_history);
+  auto collect = [&](Tid, std::span<const std::byte> tuple) -> Result<bool> {
+    FileAtt::Views cols;
+    INV_RETURN_IF_ERROR(ViewColumns(fileatt_->schema, tuple, cols));
+    INV_ASSIGN_OR_RETURN(const FileAtt att, FileAtt::Decode(cols));
+    files.emplace_back(att.file, (att.flags & kInvFlagNoHistory) == 0);
     return false;
-  }));
+  };
+  INV_RETURN_IF_ERROR(fileatt_->heap->VisitEach(snap, collect));
   for (const auto& [oid, keep] : files) {
     auto table = db_->catalog().GetTable(ChunkTableName(oid));
     if (!table.ok()) {
@@ -391,8 +454,14 @@ Status InversionFs::RegisterMigrationAction() {
     if (table != fileatt_) {
       return Status::InvalidArgument("migration rules must range over fileatt");
     }
-    const Oid file = row[kFaFile].AsOid();
-    if (static_cast<DeviceId>(row[kFaDevice].AsInt4()) == device) {
+    // The rule's row names the file; its attributes are read as every
+    // lookup reads them.
+    if (row[FileAtt::kFile].is_null()) {
+      return Status::Corruption("fileatt row with a null file");
+    }
+    const Oid file = row[FileAtt::kFile].AsOid();
+    INV_ASSIGN_OR_RETURN(auto moving, FileattLookup(file, db_->SnapshotFor(txn)));
+    if (moving.has_value() && moving->second.device == device) {
       return false;  // already there
     }
     auto chunk_table = db_->catalog().GetTable(ChunkTableName(file));
@@ -408,11 +477,11 @@ Status InversionFs::RegisterMigrationAction() {
     const Snapshot snap = db_->SnapshotFor(txn);
     INV_ASSIGN_OR_RETURN(auto att, FileattLookup(file, snap));
     if (att.has_value()) {
-      Row updated = (*att).second;
-      updated[kFaDevice] = Value::Int4(static_cast<int32_t>(device));
+      FileAtt updated = att->second;
+      updated.device = device;
       INV_RETURN_IF_ERROR(db_->LockTable(txn, fileatt_, LockMode::kExclusive));
       INV_RETURN_IF_ERROR(
-          db_->ReplaceRow(txn, fileatt_, (*att).first, updated).status());
+          db_->ReplaceRow(txn, fileatt_, att->first, updated.ToRow()).status());
     }
     return true;
   });

@@ -62,6 +62,52 @@ inline constexpr int64_t kInvMaxFileSize = 17'600'000'000'000;
 inline constexpr int32_t kInvFlagCompressed = 1 << 0;
 inline constexpr int32_t kInvFlagNoHistory = 1 << 1;
 
+// A naming row: one directory entry. Decoded in one place, Decode, from the
+// tuple's column views (ViewColumns), with no Row in between. A null column
+// (one a POSTQUEL append left unset) is Corruption naming the file oid: the
+// file system needs every column.
+struct NamingEntry {
+  enum Column : size_t { kFilename = 0, kParent, kFile, kColumns };
+  using Views = std::array<ColumnView, kColumns>;
+
+  std::string filename;
+  Oid parent = kInvalidOid;
+  Oid file = kInvalidOid;
+
+  static Result<NamingEntry> Decode(const Views& cols);
+  Row ToRow() const;
+};
+
+// A fileatt row: one file's attributes, decoded as NamingEntry is.
+struct FileAtt {
+  enum Column : size_t {
+    kFile = 0,
+    kOwner,
+    kType,
+    kSize,
+    kCtime,
+    kMtime,
+    kAtime,
+    kDevice,
+    kFlags,
+    kColumns,
+  };
+  using Views = std::array<ColumnView, kColumns>;
+
+  Oid file = kInvalidOid;
+  std::string owner;
+  Oid type = kInvalidOid;
+  int64_t size = 0;
+  Timestamp ctime = 0;
+  Timestamp mtime = 0;
+  Timestamp atime = 0;
+  DeviceId device = kDeviceMagneticDisk;
+  int32_t flags = 0;
+
+  static Result<FileAtt> Decode(const Views& cols);
+  Row ToRow() const;
+};
+
 struct CreatOptions {
   DeviceId device = kDeviceMagneticDisk;  // "the mode flag to p_open and
                                           // p_creat encodes the device"
@@ -141,19 +187,6 @@ class InversionFs {
   TableInfo* fileatt() { return fileatt_; }
   Oid root_oid() const { return root_oid_; }
 
-  // fileatt column order (kept in one place).
-  enum FileattCol : size_t {
-    kFaFile = 0,
-    kFaOwner,
-    kFaType,
-    kFaSize,
-    kFaCtime,
-    kFaMtime,
-    kFaAtime,
-    kFaDevice,
-    kFaFlags,
-  };
-
  private:
   friend class InvSession;
 
@@ -163,15 +196,15 @@ class InversionFs {
   Status InsertEntry(TxnId txn, Oid parent, const std::string& name, Oid oid,
                      const std::string& owner, Oid type, DeviceId device, int32_t flags);
 
-  // Find the (tid, row) of the fileatt tuple for `file` under `snap`.
-  Result<std::optional<std::pair<Tid, Row>>> FileattLookup(Oid file,
-                                                           const Snapshot& snap);
-  // Find the (tid, row) of the naming tuple for (parent, name) under `snap`.
-  Result<std::optional<std::pair<Tid, Row>>> NamingLookup(Oid parent,
-                                                          const std::string& name,
-                                                          const Snapshot& snap);
-  // Find the (tid, row) of the naming tuple that names `file` under `snap`.
-  Result<std::optional<std::pair<Tid, Row>>> NamingOf(Oid file, const Snapshot& snap);
+  // Find the TID and attributes of the fileatt tuple for `file` under `snap`.
+  Result<std::optional<std::pair<Tid, FileAtt>>> FileattLookup(Oid file,
+                                                               const Snapshot& snap);
+  // Find the TID and entry of the naming tuple for (parent, name) under `snap`.
+  Result<std::optional<std::pair<Tid, NamingEntry>>> NamingLookup(
+      Oid parent, const std::string& name, const Snapshot& snap);
+  // Find the TID and entry of the naming tuple that names `file` under `snap`.
+  Result<std::optional<std::pair<Tid, NamingEntry>>> NamingOf(Oid file,
+                                                              const Snapshot& snap);
   Result<std::vector<DirEntry>> ListDirectory(Oid dir, const Snapshot& snap);
 
   static std::string ChunkTableName(Oid file) { return "inv" + std::to_string(file); }

@@ -45,31 +45,34 @@ constexpr const char* kMonthNames[] = {"January",   "February", "March",    "Apr
 }  // namespace
 
 Status InversionFs::RegisterBuiltinFunctions(TxnId txn) {
-  auto att_value = [this](Oid file, const Snapshot& snap,
-                          size_t column) -> Result<Value> {
+  auto att_of = [this](Oid file, const Snapshot& snap) -> Result<FileAtt> {
     INV_ASSIGN_OR_RETURN(auto att, FileattLookup(file, snap));
     if (!att.has_value()) {
       return Status::NotFound("file oid " + std::to_string(file));
     }
-    return (*att).second[column];
+    return std::move(att->second);
   };
 
   // The fileatt columns read as they are.
-  for (const auto& [name, column] :
-       {std::pair{"owner", kFaOwner}, {"size", kFaSize}, {"mtime", kFaMtime},
-        {"ctime", kFaCtime}, {"atime", kFaAtime}}) {
+  using Get = Value (*)(const FileAtt&);
+  for (const auto& [name, get] :
+       {std::pair<const char*, Get>{"owner", [](const FileAtt& a) { return Value::Text(a.owner); }},
+        {"size", [](const FileAtt& a) { return Value::Int8(a.size); }},
+        {"mtime", [](const FileAtt& a) { return Value::MakeTimestamp(a.mtime); }},
+        {"ctime", [](const FileAtt& a) { return Value::MakeTimestamp(a.ctime); }},
+        {"atime", [](const FileAtt& a) { return Value::MakeTimestamp(a.atime); }}}) {
     registry_.RegisterNative(name, [=](std::span<const Value> args,
                                        EvalContext& ctx) -> Result<Value> {
       INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));
-      return att_value(file, ctx.snap, column);
+      INV_ASSIGN_OR_RETURN(const FileAtt att, att_of(file, ctx.snap));
+      return get(att);
     });
   }
   registry_.RegisterNative("filetype", [=, this](std::span<const Value> args,
                                                  EvalContext& ctx) -> Result<Value> {
     INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));
-    INV_ASSIGN_OR_RETURN(Value type_oid, att_value(file, ctx.snap, kFaType));
-    INV_ASSIGN_OR_RETURN(TypeInfo * info,
-                         db_->catalog().GetTypeByOid(type_oid.AsOid()));
+    INV_ASSIGN_OR_RETURN(const FileAtt att, att_of(file, ctx.snap));
+    INV_ASSIGN_OR_RETURN(TypeInfo * info, db_->catalog().GetTypeByOid(att.type));
     return Value::Text(info->name);
   });
   registry_.RegisterNative("dir", [this](std::span<const Value> args,
@@ -95,9 +98,9 @@ Status InversionFs::RegisterBuiltinFunctions(TxnId txn) {
   registry_.RegisterNative("month_of", [=, this](std::span<const Value> args,
                                                  EvalContext& ctx) -> Result<Value> {
     INV_ASSIGN_OR_RETURN(Oid file, ArgFileOid(args));
-    INV_ASSIGN_OR_RETURN(Value mtime, att_value(file, ctx.snap, kFaMtime));
+    INV_ASSIGN_OR_RETURN(const FileAtt att, att_of(file, ctx.snap));
     constexpr uint64_t kMonthMicros = 30ull * 24 * 3600 * 1'000'000;
-    const uint64_t month = (mtime.AsTimestamp() / kMonthMicros) % 12;
+    const uint64_t month = (att.mtime / kMonthMicros) % 12;
     return Value::Text(kMonthNames[month]);
   });
 

@@ -114,7 +114,7 @@ Status InvSession::p_abort() {
   for (auto& [fd, h] : fds_) {
     if (h.as_of == kTimestampNow) {
       if (auto att = fs_->FileattLookup(h.file, snap); att.ok() && att->has_value()) {
-        h.size = (*att)->second[InversionFs::kFaSize].AsInt8();
+        h.size = (*att)->second.size;
       }
     }
   }
@@ -196,8 +196,8 @@ Result<int> InvSession::p_open(const std::string& path, OpenMode mode,
     if (!att.has_value()) {
       return Status::NotFound("no attributes for " + path);
     }
-    const Row& att_row = (*att).second;
-    if (att_row[InversionFs::kFaType].AsOid() == fs_->dir_type_oid_) {
+    const FileAtt& a = att->second;
+    if (a.type == fs_->dir_type_oid_) {
       return Status::InvalidArgument(path + " is a directory");
     }
     // Chunk tables survive unlink (that is what makes undelete-via-time-travel
@@ -214,8 +214,8 @@ Result<int> InvSession::p_open(const std::string& path, OpenMode mode,
         (*chunk_table)->indexes.empty() ? nullptr : (*chunk_table)->indexes[0];
     h.writable = mode == OpenMode::kWrite;
     h.as_of = as_of;
-    h.compressed = (att_row[InversionFs::kFaFlags].AsInt4() & kInvFlagCompressed) != 0;
-    h.size = att_row[InversionFs::kFaSize].AsInt8();
+    h.compressed = (a.flags & kInvFlagCompressed) != 0;
+    h.size = a.size;
     h.chunks_at_open = (h.size + kInvChunkSize - 1) / kInvChunkSize;
     h.buffer.resize(kInvChunkSize);
     if (h.writable) {
@@ -353,7 +353,7 @@ Result<std::vector<std::byte>> InversionFs::ReadWholeFile(Oid file,
   if (!att.has_value()) {
     return Status::NotFound("file oid " + std::to_string(file));
   }
-  const int64_t size = (*att).second[kFaSize].AsInt8();
+  const int64_t size = att->second.size;
   auto table = db_->catalog().GetTable(ChunkTableName(file));
   if (!table.ok()) {
     // Directories (and other non-file objects) have no data table; content
@@ -459,11 +459,11 @@ Status InvSession::FlushMetadata(Handle& h, TxnId txn) {
   if (!att.has_value()) {
     return Status::NotFound("fileatt row vanished for oid " + std::to_string(h.file));
   }
-  Row updated = (*att).second;
-  updated[InversionFs::kFaSize] = Value::Int8(h.size);
-  updated[InversionFs::kFaMtime] = Value::MakeTimestamp(h.pending_mtime);
+  FileAtt updated = att->second;
+  updated.size = h.size;
+  updated.mtime = h.pending_mtime;
   INV_RETURN_IF_ERROR(
-      fs_->db().ReplaceRow(txn, fs_->fileatt_, (*att).first, updated).status());
+      fs_->db().ReplaceRow(txn, fs_->fileatt_, att->first, updated.ToRow()).status());
   h.meta_dirty = false;
   return Status::Ok();
 }
@@ -648,7 +648,7 @@ Status InvSession::unlink(const std::string& path) {
     if (!entry.has_value()) {
       return Status::NotFound(path);
     }
-    const Oid oid = (*entry).second[2].AsOid();
+    const Oid oid = entry->second.file;
     INV_ASSIGN_OR_RETURN(FileStat st, fs_->StatOid(oid, snap));
     if (st.is_directory) {
       INV_ASSIGN_OR_RETURN(auto entries, fs_->ListDirectory(oid, snap));
@@ -687,10 +687,10 @@ Status InvSession::rename(const std::string& from, const std::string& to) {
     if (clash.has_value()) {
       return Status::AlreadyExists(to);
     }
-    Row updated = (*entry).second;
-    updated[0] = Value::Text(to_split.second);
-    updated[1] = Value::MakeOid(to_parent);
-    return fs_->db().ReplaceRow(txn, fs_->naming_, (*entry).first, updated).status();
+    NamingEntry updated = entry->second;
+    updated.filename = to_split.second;
+    updated.parent = to_parent;
+    return fs_->db().ReplaceRow(txn, fs_->naming_, entry->first, updated.ToRow()).status();
   });
 }
 

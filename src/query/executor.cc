@@ -1,7 +1,6 @@
 #include "src/query/executor.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 
 #include "src/obs/span.h"
@@ -44,34 +43,53 @@ struct BoundRange {
   std::vector<Row> vrows;
 };
 
-// A version a statement read: its TID, header and row.
-struct Version {
+// A version a statement read: its TID, row oid and row.
+struct ReadRow {
   Tid tid;
-  TupleMeta meta;
+  Oid oid;
   Row row;
 };
 
-// Every version of `table` visible under `snap`, decoded. A heap visitor runs
-// under the page latch, so predicates, writes and nested ranges, each of
-// which may pin pages, run on these copies after the visit.
-Result<std::vector<Version>> VisibleVersions(const TableInfo& table, const Snapshot& snap) {
-  std::vector<Version> out;
-  INV_RETURN_IF_ERROR(table.heap->VisitEach(snap, [&](Tid tid, auto tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(table.schema, tuple));
-    out.push_back(Version{tid, GetTupleMeta(tuple), std::move(row)});
+// The versions of `table` visible under `snap` among those `index` holds
+// under `key` (every one without an index), archive included, decoded
+// (Database::VisitVersions). Its visitor runs under the page latch, so
+// predicates, writes and nested ranges, each of which may pin pages, run on
+// these copies after the visit.
+Result<std::vector<ReadRow>> ReadRows(Database& db, const TableInfo* table,
+                                      const IndexInfo* index, const BtreeKey& key,
+                                      const Snapshot& snap) {
+  std::vector<ReadRow> out;
+  auto collect = [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
+    INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(table->schema, tuple));
+    out.push_back(ReadRow{tid, GetTupleMeta(tuple).oid, std::move(row)});
     return false;
-  }));
+  };
+  INV_RETURN_IF_ERROR(
+      db.VisitVersions(table, index, key, Database::KeyMatch::kExact, snap, collect)
+          .status());
   return out;
+}
+
+// The table `name` for a statement that writes it. The catalogs are refused:
+// only the engine writes them, and a row it did not write, a null relid
+// say, could leave the database unopenable.
+Result<TableInfo*> WritableTable(Database& db, const std::string& name) {
+  INV_ASSIGN_OR_RETURN(TableInfo * table, db.catalog().GetTable(name));
+  if (table->oid < kFirstUserOid) {
+    return Status::InvalidArgument("catalog " + name + " is written only by the engine");
+  }
+  return table;
 }
 
 // The versions of `table` visible to ctx.snap that pass `where` (every one
 // without it), bound as range variable `var`. All are read before any is
 // acted on, so a statement never sees its own writes (Halloween protection).
-Result<std::vector<Version>> Matches(TableInfo* table, const std::string& var,
+Result<std::vector<ReadRow>> Matches(Database& db, TableInfo* table, const std::string& var,
                                      const Expr* where, EvalContext& ctx) {
-  INV_ASSIGN_OR_RETURN(std::vector<Version> versions, VisibleVersions(*table, ctx.snap));
-  std::vector<Version> out;
-  for (Version& v : versions) {
+  INV_ASSIGN_OR_RETURN(std::vector<ReadRow> versions,
+                       ReadRows(db, table, nullptr, BtreeKey{}, ctx.snap));
+  std::vector<ReadRow> out;
+  for (ReadRow& v : versions) {
     ctx.bindings[var] = EvalContext::Binding{table, &v.row};
     bool pass = true;
     if (where != nullptr) {
@@ -202,6 +220,7 @@ Result<ResultSet> Executor::Execute(const Statement& stmt, TxnId txn) {
       if (!hooks_.on_vacuum) {
         return Status::Unimplemented("no vacuum cleaner attached");
       }
+      INV_RETURN_IF_ERROR(WritableTable(*db_, stmt.table).status());
       INV_RETURN_IF_ERROR(hooks_.on_vacuum(stmt.table, txn));
       return ResultSet{};
   }
@@ -214,10 +233,7 @@ Result<ResultSet> Executor::ExecRetrieve(const Statement& stmt, TxnId txn) {
   plans_run_->Add();
   // Resolve range declarations; infer them from qualified column refs when
   // the from-clause is omitted (POSTQUEL's implicit range variables).
-  std::vector<RangeDecl> decls = [] (const Statement& s) {
-    std::vector<RangeDecl> out = s.from;
-    return out;
-  }(stmt);
+  std::vector<RangeDecl> decls = stmt.from;
   if (decls.empty()) {
     std::set<std::string> vars;
     for (const TargetItem& t : stmt.targets) {
@@ -320,9 +336,6 @@ Result<ResultSet> Executor::ExecRetrieve(const Statement& stmt, TxnId txn) {
     if (ranges[i].is_virtual) {
       continue;  // virtual relations have no indexes
     }
-    if (ranges[i].decl.as_of.has_value()) {
-      continue;  // historical scans read heap + archive sequentially
-    }
     for (const Expr* c : conjuncts) {
       if (c->kind != ExprKind::kBinaryOp || c->name != "=") {
         continue;
@@ -409,53 +422,18 @@ Result<ResultSet> Executor::ExecRetrieve(const Statement& stmt, TxnId txn) {
       return Status::Ok();
     }
 
+    BtreeKey key;
     if (paths[level].index != nullptr) {
       INV_ASSIGN_OR_RETURN(Value key_val, Eval(*paths[level].key_expr, ctx));
       const TypeId col_type =
           r.table->schema.column(paths[level].key_column).type;
       INV_ASSIGN_OR_RETURN(Value coerced, CoerceValue(key_val, col_type));
-      INV_ASSIGN_OR_RETURN(BtreeKey key, EncodeKey(std::span(&coerced, 1)));
-      INV_ASSIGN_OR_RETURN(
-          auto tids, db_->Probe(*paths[level].index, key, Database::KeyMatch::kExact));
-      for (Tid tid : tids) {
-        INV_ASSIGN_OR_RETURN(auto row, r.table->heap->Fetch(r.snap, tid));
-        if (row.has_value()) {
-          tuples_scanned_->Add();
-          INV_RETURN_IF_ERROR(emit(std::move(*row)));
-        }
-      }
-      return Status::Ok();
+      INV_ASSIGN_OR_RETURN(key, EncodeKey(std::span(&coerced, 1)));
     }
-
-    // A historical scan reads the heap, then the archive. A version a vacuum
-    // was cut short moving sits in both (DESIGN.md, "Crash-safe vacuum"), so
-    // each archive version stands in for at most one deleted heap version
-    // with its xmin, xmax and row, and only the unmatched ones are emitted.
-    const Oid archive_oid =
-        r.snap.is_historical() ? r.table->archive_oid.load() : kInvalidOid;
-    std::multimap<std::pair<TxnId, TxnId>, Row> deleted;
-    INV_ASSIGN_OR_RETURN(std::vector<Version> versions, VisibleVersions(*r.table, r.snap));
+    INV_ASSIGN_OR_RETURN(std::vector<ReadRow> versions,
+                         ReadRows(*db_, r.table, paths[level].index, key, r.snap));
     tuples_scanned_->Add(versions.size());
-    for (Version& v : versions) {
-      if (archive_oid != kInvalidOid && v.meta.xmax != kInvalidTxn) {
-        deleted.emplace(std::pair(v.meta.xmin, v.meta.xmax), v.row);
-      }
-      INV_RETURN_IF_ERROR(emit(std::move(v.row)));
-    }
-    if (archive_oid == kInvalidOid) {
-      return Status::Ok();
-    }
-    INV_ASSIGN_OR_RETURN(TableInfo * archive, db_->catalog().GetTableByOid(archive_oid));
-    INV_ASSIGN_OR_RETURN(versions, VisibleVersions(*archive, r.snap));
-    tuples_scanned_->Add(versions.size());
-    for (Version& v : versions) {
-      auto [first, last] = deleted.equal_range({v.meta.xmin, v.meta.xmax});
-      auto same =
-          std::find_if(first, last, [&](const auto& d) { return d.second == v.row; });
-      if (same != last) {
-        deleted.erase(same);
-        continue;
-      }
+    for (ReadRow& v : versions) {
       INV_RETURN_IF_ERROR(emit(std::move(v.row)));
     }
     return Status::Ok();
@@ -465,7 +443,7 @@ Result<ResultSet> Executor::ExecRetrieve(const Statement& stmt, TxnId txn) {
 }
 
 Result<ResultSet> Executor::ExecAppend(const Statement& stmt, TxnId txn) {
-  INV_ASSIGN_OR_RETURN(TableInfo * table, db_->catalog().GetTable(stmt.table));
+  INV_ASSIGN_OR_RETURN(TableInfo * table, WritableTable(*db_, stmt.table));
   INV_RETURN_IF_ERROR(db_->LockTable(txn, table, LockMode::kExclusive));
   EvalContext ctx;
   ctx.db = db_;
@@ -483,7 +461,7 @@ Result<ResultSet> Executor::ExecAppend(const Statement& stmt, TxnId txn) {
 }
 
 Result<ResultSet> Executor::ExecReplace(const Statement& stmt, TxnId txn) {
-  INV_ASSIGN_OR_RETURN(TableInfo * table, db_->catalog().GetTable(stmt.table));
+  INV_ASSIGN_OR_RETURN(TableInfo * table, WritableTable(*db_, stmt.table));
   INV_RETURN_IF_ERROR(db_->LockTable(txn, table, LockMode::kExclusive));
   EvalContext ctx;
   ctx.db = db_;
@@ -491,9 +469,9 @@ Result<ResultSet> Executor::ExecReplace(const Statement& stmt, TxnId txn) {
   ctx.snap = db_->SnapshotFor(txn);
   ctx.registry = registry_;
 
-  INV_ASSIGN_OR_RETURN(std::vector<Version> matches,
-                       Matches(table, stmt.table, stmt.where.get(), ctx));
-  for (Version& m : matches) {
+  INV_ASSIGN_OR_RETURN(std::vector<ReadRow> matches,
+                       Matches(*db_, table, stmt.table, stmt.where.get(), ctx));
+  for (ReadRow& m : matches) {
     Row updated = m.row;
     ctx.bindings[stmt.table] = EvalContext::Binding{table, &m.row};
     for (const SetItem& set : stmt.sets) {
@@ -502,7 +480,7 @@ Result<ResultSet> Executor::ExecReplace(const Statement& stmt, TxnId txn) {
       INV_ASSIGN_OR_RETURN(updated[idx],
                            CoerceValue(v, table->schema.column(idx).type));
     }
-    INV_RETURN_IF_ERROR(db_->ReplaceRow(txn, table, m.tid, updated, m.meta.oid).status());
+    INV_RETURN_IF_ERROR(db_->ReplaceRow(txn, table, m.tid, updated, m.oid).status());
   }
   ResultSet rs;
   rs.columns = {"replaced"};
@@ -511,16 +489,16 @@ Result<ResultSet> Executor::ExecReplace(const Statement& stmt, TxnId txn) {
 }
 
 Result<ResultSet> Executor::ExecDelete(const Statement& stmt, TxnId txn) {
-  INV_ASSIGN_OR_RETURN(TableInfo * table, db_->catalog().GetTable(stmt.table));
+  INV_ASSIGN_OR_RETURN(TableInfo * table, WritableTable(*db_, stmt.table));
   INV_RETURN_IF_ERROR(db_->LockTable(txn, table, LockMode::kExclusive));
   EvalContext ctx;
   ctx.db = db_;
   ctx.txn = txn;
   ctx.snap = db_->SnapshotFor(txn);
   ctx.registry = registry_;
-  INV_ASSIGN_OR_RETURN(std::vector<Version> doomed,
-                       Matches(table, stmt.table, stmt.where.get(), ctx));
-  for (const Version& v : doomed) {
+  INV_ASSIGN_OR_RETURN(std::vector<ReadRow> doomed,
+                       Matches(*db_, table, stmt.table, stmt.where.get(), ctx));
+  for (const ReadRow& v : doomed) {
     INV_RETURN_IF_ERROR(db_->DeleteRow(txn, table, v.tid));
   }
   ResultSet rs;

@@ -1,7 +1,6 @@
 #include "src/vacuum/vacuum.h"
 
 #include <algorithm>
-#include <map>
 
 namespace invfs {
 
@@ -26,7 +25,7 @@ Result<VacuumStats> VacuumCleaner::VacuumTable(TxnId txn, TableInfo* table,
   // Classify every physical version. Expunging them waits for the commit
   // (Catalog::OnCommit), so a second vacuum of `table` in this transaction
   // finds them again, and the first one's copies in the archive.
-  std::vector<Obsolete> obsolete;
+  ArchivePairing obsolete;
   INV_RETURN_IF_ERROR(table->heap->VisitEachStored([&](Tid tid, auto tuple) -> Result<bool> {
     ++stats.scanned;
     const TupleMeta meta = GetTupleMeta(tuple);
@@ -44,8 +43,7 @@ Result<VacuumStats> VacuumCleaner::VacuumTable(TxnId txn, TableInfo* table,
     if (now_snap.IsDeadForever(meta) &&
         (horizon == kInvalidTxn || meta.xmax < horizon)) {
       if (keep_history) {
-        INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(table->schema, tuple));
-        obsolete.push_back({tid, meta, std::move(row[0])});
+        obsolete.Note(tid, tuple);
         ++stats.archived;
       } else {
         ++stats.discarded;
@@ -56,7 +54,7 @@ Result<VacuumStats> VacuumCleaner::VacuumTable(TxnId txn, TableInfo* table,
     ++stats.live;
     return false;
   }));
-  if (!obsolete.empty()) {
+  if (!obsolete.notes().empty()) {
     if (Status st = Archive(txn, *table->heap, obsolete, &reclaim); !st.ok()) {
       // Reclaim nothing, but expunge the copies made so far on abort.
       reclaim.dead.clear();
@@ -70,67 +68,33 @@ Result<VacuumStats> VacuumCleaner::VacuumTable(TxnId txn, TableInfo* table,
   return stats;
 }
 
-Status VacuumCleaner::Archive(TxnId txn, const Heap& heap,
-                              const std::vector<Obsolete>& obsolete,
+Status VacuumCleaner::Archive(TxnId txn, const Heap& heap, ArchivePairing& obsolete,
                               Catalog::Reclaim* reclaim) {
   Heap& archive = *reclaim->archive->heap;
-  // Each version the archive holds stands for at most one obsolete version
-  // with its xmin, xmax and row. The first column sifts the candidates
-  // before a row is fetched: versions stamped alike (every chunk one
-  // overwrite replaced) differ in it.
-  std::multimap<std::pair<TxnId, TxnId>, size_t> unmatched;
-  for (size_t i = 0; i < obsolete.size(); ++i) {
-    unmatched.emplace(std::pair(obsolete[i].meta.xmin, obsolete[i].meta.xmax), i);
-  }
-  // The archive versions that may hold a candidate. The heap rows they are
-  // compared with are read after the visit, which holds a page latch.
-  std::vector<std::pair<TupleMeta, Row>> copies;
-  INV_RETURN_IF_ERROR(archive.VisitEachStored([&](Tid, auto tuple) -> Result<bool> {
-    const TupleMeta meta = GetTupleMeta(tuple);
-    auto [first, last] = unmatched.equal_range({meta.xmin, meta.xmax});
-    if (first == last) {
-      return false;
-    }
-    INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(archive.schema(), tuple));
-    if (std::any_of(first, last,
-                    [&](const auto& c) { return obsolete[c.second].first == row[0]; })) {
-      copies.emplace_back(meta, std::move(row));
-    }
+  INV_RETURN_IF_ERROR(archive.VisitEachStored([&](Tid tid, auto tuple) -> Result<bool> {
+    obsolete.CopyOut(tid, tuple);
     return false;
   }));
-  // The row at `tid`: classification saw it, and the table lock keeps it.
-  auto stored_row = [&heap](Tid tid) -> Result<Row> {
-    Row row;
-    INV_ASSIGN_OR_RETURN(const bool found, heap.VisitStored(tid, [&](auto tuple) -> Status {
-      INV_ASSIGN_OR_RETURN(row, DecodeTuple(heap.schema(), tuple));
+  INV_RETURN_IF_ERROR(obsolete.Pair(heap));
+  // The versions the archive lacks, copied in heap order.
+  std::vector<Tid> missing;
+  for (const ArchivePairing::Noted& noted : obsolete.notes()) {
+    if (!noted.paired) {
+      missing.push_back(noted.tid);
+    }
+  }
+  std::sort(missing.begin(), missing.end());
+  std::vector<std::byte> version;
+  for (const Tid tid : missing) {
+    // Classification saw it, and the table lock keeps it.
+    INV_ASSIGN_OR_RETURN(const bool found, heap.VisitStored(tid, [&](auto tuple) {
+      version.assign(tuple.begin(), tuple.end());
       return Status::Ok();
     }));
     if (!found) {
       return Status::NotFound("tuple " + tid.ToString() + " is gone");
     }
-    return row;
-  };
-  std::vector<bool> held(obsolete.size());
-  for (const auto& [meta, row] : copies) {
-    auto [first, last] = unmatched.equal_range({meta.xmin, meta.xmax});
-    for (auto at = first; at != last; ++at) {
-      if (!(obsolete[at->second].first == row[0])) {
-        continue;
-      }
-      INV_ASSIGN_OR_RETURN(const Row version, stored_row(obsolete[at->second].tid));
-      if (version == row) {
-        held[at->second] = true;
-        unmatched.erase(at);
-        break;
-      }
-    }
-  }
-  for (size_t i = 0; i < obsolete.size(); ++i) {
-    if (held[i]) {
-      continue;
-    }
-    INV_ASSIGN_OR_RETURN(const Row version, stored_row(obsolete[i].tid));
-    INV_ASSIGN_OR_RETURN(Tid copy, archive.InsertRaw(txn, version, obsolete[i].meta));
+    INV_ASSIGN_OR_RETURN(Tid copy, archive.InsertStored(txn, version));
     reclaim->archived.push_back(copy);
   }
   return Status::Ok();

@@ -58,19 +58,12 @@ class VacuumCleaner {
   Result<VacuumStats> VacuumAll(TxnId txn, bool keep_history = true);
 
  private:
-  // A heap version to archive, with its header and first column.
-  struct Obsolete {
-    Tid tid;
-    TupleMeta meta;
-    Value first;
-  };
-
-  // Copies the `obsolete` versions of `heap` into `reclaim`'s archive, noting
-  // each copy's TID, but for those the archive holds already: a vacuum that
-  // a crash cut short, before its commit or before its reclaim reached the
-  // disk, leaves its copies there and the versions in the heap, as does an
-  // earlier vacuum of the table in the same transaction.
-  Status Archive(TxnId txn, const Heap& heap, const std::vector<Obsolete>& obsolete,
+  // Copies the versions `obsolete` notes from `heap` into `reclaim`'s archive,
+  // noting each copy's TID, but for those the archive holds already: a
+  // vacuum that a crash cut short, before its commit or before its reclaim
+  // reached the disk, leaves its copies there and the versions in the heap,
+  // as does an earlier vacuum of the table in the same transaction.
+  Status Archive(TxnId txn, const Heap& heap, ArchivePairing& obsolete,
                  Catalog::Reclaim* reclaim);
 
   Database* db_;

@@ -1,8 +1,9 @@
-// Test helper: a heap's versions, read through Heap::VisitEach (or its
-// every-version form) and decoded.
+// Test helpers: a heap's versions, read through Heap::VisitEach (or its
+// every-version form), or one through Heap::Visit, and decoded.
 
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "src/access/heap.h"
@@ -33,6 +34,16 @@ inline Result<std::vector<HeapRow>> HeapRows(const Heap& heap,
 
 inline Result<std::vector<HeapRow>> HeapRows(const Heap& heap, const Snapshot& snap) {
   return HeapRows(heap, &snap);
+}
+
+// The row at `tid` if it is visible under `snap`: Heap::Visit plus a decode.
+inline Result<std::optional<Row>> FetchRow(const Heap& heap, const Snapshot& snap, Tid tid) {
+  std::optional<Row> row;
+  INV_RETURN_IF_ERROR(heap.Visit(snap, tid, [&](std::span<const std::byte> tuple) -> Status {
+    INV_ASSIGN_OR_RETURN(row, DecodeTuple(heap.schema(), tuple));
+    return Status::Ok();
+  }).status());
+  return row;
 }
 
 }  // namespace invfs

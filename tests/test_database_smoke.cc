@@ -176,7 +176,7 @@ TEST(DatabaseSmoke, IndexLookupFindsRows) {
   ASSERT_TRUE(tids.ok());
   ASSERT_EQ(tids->size(), 1u);
   auto reader = db.Begin();
-  auto row = (*table)->heap->Fetch(db.SnapshotFor(*reader), (*tids)[0]);
+  auto row = FetchRow(*(*table)->heap, db.SnapshotFor(*reader), (*tids)[0]);
   ASSERT_TRUE(row.ok());
   ASSERT_TRUE(row->has_value());
   EXPECT_EQ((**row)[1].AsText(), "v250");

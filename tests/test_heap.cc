@@ -59,7 +59,7 @@ TEST_F(HeapTest, DeleteMarksNotRemoves) {
 
   // Invisible to current snapshots...
   auto t3 = Begin();
-  auto row = table_->heap->Fetch(db_->SnapshotFor(*t3), *tid);
+  auto row = FetchRow(*table_->heap, db_->SnapshotFor(*t3), *tid);
   ASSERT_TRUE(row.ok());
   EXPECT_FALSE(row->has_value());
   ASSERT_TRUE(db_->Commit(*t3).ok());
@@ -90,7 +90,7 @@ TEST_F(HeapTest, ReplaceKeepsOldVersionForHistory) {
   EXPECT_NE(*new_tid, *tid);
   ASSERT_TRUE(db_->Commit(*t2).ok());
 
-  auto old_row = table_->heap->Fetch(db_->SnapshotAt(before), *tid);
+  auto old_row = FetchRow(*table_->heap, db_->SnapshotAt(before), *tid);
   ASSERT_TRUE(old_row.ok());
   ASSERT_TRUE(old_row->has_value());
   EXPECT_EQ((**old_row)[1].AsText(), "v1");
@@ -331,7 +331,7 @@ TEST_F(HeapTest, CorruptLinePointersAreRefused) {
       return Status::Ok();
     });
     EXPECT_EQ(visit.status().code(), ErrorCode::kCorruption) << off << "+" << len;
-    EXPECT_EQ(table_->heap->Fetch(snap, *tid).status().code(), ErrorCode::kCorruption);
+    EXPECT_EQ(FetchRow(*table_->heap, snap, *tid).status().code(), ErrorCode::kCorruption);
     auto each = [](Tid, std::span<const std::byte>) -> Result<bool> {
       ADD_FAILURE() << "visitor ran on a corrupt tuple";
       return false;
@@ -350,7 +350,7 @@ TEST_F(HeapTest, CorruptLinePointersAreRefused) {
     PutU16(lp, good_off);
     PutU16(lp + 2, good_len);
   }
-  auto row = table_->heap->Fetch(snap, *tid);
+  auto row = FetchRow(*table_->heap, snap, *tid);
   ASSERT_TRUE(row.ok());
   ASSERT_TRUE(row->has_value());
   EXPECT_EQ((**row)[1].AsText(), "victim");

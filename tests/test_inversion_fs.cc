@@ -402,6 +402,29 @@ TEST_F(InversionFsTest, ReadsRefuseAChunkWithAForeignSelfId) {
   EXPECT_EQ(rs->rows[0][0].AsInt4(), 3);
 }
 
+// POSTQUEL can append namespace rows that leave columns null. The file
+// system reports them as corruption, naming the file oid, and keeps serving.
+TEST_F(InversionFsTest, NullColumnsInNamespaceRowsAreCorruption) {
+  WriteFile("/real.txt", "real\n");
+  const std::string root = std::to_string(fs_->root_oid());
+  ASSERT_TRUE(s_->Query("append naming (filename = \"ghost2\", parentid = " + root +
+                        ", file = 99999)")
+                  .ok());
+  ASSERT_TRUE(s_->Query("append fileatt (file = 99999)").ok());
+  auto listed = s_->readdir("/");
+  EXPECT_EQ(listed.status().code(), ErrorCode::kCorruption);
+  auto st = s_->stat("/ghost2");
+  EXPECT_EQ(st.status().code(), ErrorCode::kCorruption);
+  EXPECT_NE(st.status().message().find("99999"), std::string::npos)
+      << st.status().ToString();
+  EXPECT_EQ(s_->Query("retrieve (size(n.file)) from n in naming "
+                      "where n.filename = \"ghost2\"")
+                .status()
+                .code(),
+            ErrorCode::kCorruption);
+  EXPECT_EQ(ReadFile("/real.txt"), "real\n");
+}
+
 // The time travel of the next two tests: /f.txt holds two lines as of the
 // returned time, then four, and is renamed to /new.txt.
 class RenamedFileHistoryTest : public InversionFsTest {
@@ -481,10 +504,10 @@ TEST_F(RenamedFileHistoryTest, FileFunctionsReadUnderTheRangesTimeBracket) {
 }
 
 // The one-copy chunk read (p_read through VisitChunk, straight from the heap
-// page) against a reference assembled with Heap::Fetch, which decodes whole
-// rows: every chunk version visible under the snapshot, from the chunk heap
-// and its archive. Parameter: whether the chunk index is maintained (false
-// reads through the sequential-scan path).
+// page) against a reference assembled with FetchRow (Heap::Visit plus
+// DecodeTuple), which decodes whole rows: every chunk version visible under
+// the snapshot, from the chunk heap and its archive. Parameter: whether the
+// chunk index is maintained (false reads through the sequential-scan path).
 class ChunkReadTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
@@ -555,7 +578,7 @@ class ChunkReadTest : public ::testing::TestWithParam<bool> {
         continue;
       }
       for (const HeapRow& stored : *all) {
-        auto row = t->heap->Fetch(snap, stored.tid);
+        auto row = FetchRow(*t->heap, snap, stored.tid);
         EXPECT_TRUE(row.ok()) << row.status().ToString();
         if (!row.ok() || !row->has_value()) {
           continue;
@@ -581,7 +604,7 @@ class ChunkReadTest : public ::testing::TestWithParam<bool> {
     return image;
   }
 
-  // p_read, the Heap::Fetch reference and the expected contents agree.
+  // p_read, the FetchRow reference and the expected contents agree.
   void Check(const std::string& path, Timestamp as_of, const std::string& expected) {
     SCOPED_TRACE(path + (as_of == kTimestampNow ? " now" : " as of " + std::to_string(as_of)));
     const std::string read = Read(path, as_of);

@@ -455,7 +455,7 @@ TEST_F(MtStressTest, ReadOnlyRegistryUnderWriterAndVacuum) {
       }
       int visible = 0;
       for (Tid tid : *found) {
-        auto row = table->heap->Fetch(snap, tid);
+        auto row = FetchRow(*table->heap, snap, tid);
         if (!row.ok()) {
           return false;
         }

@@ -344,6 +344,50 @@ TEST_F(ExecutorTest, ErrorsSurfaceCleanly) {
           .ok());
 }
 
+// POSTQUEL writes no catalog: `append pg_class (relname = "zz")` once stored
+// a row with a null relid, and the next Database::Open threw on it.
+TEST_F(ExecutorTest, WritesToCatalogsAreRefused) {
+  ExecutorHooks hooks;
+  hooks.on_vacuum = [](const std::string& table, TxnId) {
+    ADD_FAILURE() << "vacuum reached the hook for " << table;
+    return Status::Ok();
+  };
+  exec_ = std::make_unique<Executor>(db_.get(), &registry_, std::move(hooks));
+  for (const char* text : {"append pg_class (relname = \"zz\")",
+                           "replace pg_class (relname = \"zz\")",
+                           "delete pg_class where pg_class.relname = \"emp\"",
+                           "vacuum pg_class"}) {
+    EXPECT_EQ(ExecExpectError(text).code(), ErrorCode::kInvalidArgument) << text;
+  }
+  ASSERT_TRUE(db_->FlushCaches().ok());
+  exec_.reset();
+  db_.reset();
+  auto db = Database::Open(&env_);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  db_ = std::move(*db);
+  exec_ = std::make_unique<Executor>(db_.get(), &registry_);
+  EXPECT_EQ(Exec("retrieve (e.name) from e in emp").rows.size(), 3u);
+}
+
+// A catalog row with a null column is corruption when the database opens,
+// not a crash.
+TEST_F(ExecutorTest, NullCatalogColumnIsCorruptionAtOpen) {
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  ASSERT_TRUE(db_->catalog()
+                  .pg_class()
+                  ->Insert(*txn, {Value::Text("zz"), Value::Null(), Value::Int4(0),
+                                  Value::Int4(0)})
+                  .ok());
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+  ASSERT_TRUE(db_->FlushCaches().ok());
+  exec_.reset();
+  db_.reset();
+  auto db = Database::Open(&env_);
+  ASSERT_FALSE(db.ok());
+  EXPECT_EQ(db.status().code(), ErrorCode::kCorruption) << db.status().ToString();
+}
+
 TEST_F(ExecutorTest, UncommittedDmlInvisibleToOthers) {
   auto writer = db_->Begin();
   ASSERT_TRUE(writer.ok());

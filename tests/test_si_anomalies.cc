@@ -146,7 +146,7 @@ TEST_F(SiAnomalyTest, ReadSkewPrevented) {
   auto reader = db_->Begin(TxnMode::kReadOnly);
   ASSERT_TRUE(reader.ok());
   const Snapshot snap = db_->ReadSnapshot(*reader);
-  auto first = acct_->heap->Fetch(snap, tid_a_);
+  auto first = FetchRow(*acct_->heap, snap, tid_a_);
   ASSERT_TRUE(first.ok() && first->has_value());
   EXPECT_EQ((**first)[1].AsInt4(), 100);
 
@@ -161,7 +161,7 @@ TEST_F(SiAnomalyTest, ReadSkewPrevented) {
 
   // The same pinned snapshot still sees the pre-transfer state — including
   // row B, read *after* the transfer committed.
-  auto second = acct_->heap->Fetch(snap, tid_b_);
+  auto second = FetchRow(*acct_->heap, snap, tid_b_);
   ASSERT_TRUE(second.ok() && second->has_value());
   EXPECT_EQ((**second)[1].AsInt4(), 100);
   EXPECT_EQ(SumBalances(snap), 200);
