@@ -3,40 +3,35 @@
 #include <algorithm>
 #include <charconv>
 #include <optional>
-#include <tuple>
+#include <set>
 
 namespace invfs {
 
-Schema PgClassSchema() {
-  return Schema{{"relname", TypeId::kText},
-                {"relid", TypeId::kOid},
-                {"reldevice", TypeId::kInt4},
-                {"relkind", TypeId::kInt4}};
+const std::array<CatalogSpec, 5>& CatalogSpecs() {
+  static const std::array<CatalogSpec, 5> specs = {{
+      {kPgClassOid, "pg_class",
+       Schema{{"relname", TypeId::kText}, {"relid", TypeId::kOid},
+              {"reldevice", TypeId::kInt4}, {"relkind", TypeId::kInt4}}},
+      {kPgAttributeOid, "pg_attribute",
+       Schema{{"attrelid", TypeId::kOid}, {"attname", TypeId::kText},
+              {"atttypid", TypeId::kInt4}, {"attnum", TypeId::kInt4}}},
+      {kPgTypeOid, "pg_type", Schema{{"typname", TypeId::kText}, {"typid", TypeId::kOid}}},
+      {kPgProcOid, "pg_proc",
+       Schema{{"proname", TypeId::kText}, {"proid", TypeId::kOid},
+              {"prorettype", TypeId::kInt4}, {"pronargs", TypeId::kInt4},
+              {"prolang", TypeId::kInt4}, {"prosrc", TypeId::kText}}},
+      {kPgIndexOid, "pg_index",
+       Schema{{"indexrelid", TypeId::kOid}, {"indrelid", TypeId::kOid},
+              {"indkeys", TypeId::kText}}},
+  }};
+  return specs;
 }
 
-Schema PgAttributeSchema() {
-  return Schema{{"attrelid", TypeId::kOid},
-                {"attname", TypeId::kText},
-                {"atttypid", TypeId::kInt4},
-                {"attnum", TypeId::kInt4}};
-}
+namespace {
 
-Schema PgTypeSchema() {
-  return Schema{{"typname", TypeId::kText}, {"typid", TypeId::kOid}};
-}
-
-Schema PgProcSchema() {
-  return Schema{{"proname", TypeId::kText},   {"proid", TypeId::kOid},
-                {"prorettype", TypeId::kInt4}, {"pronargs", TypeId::kInt4},
-                {"prolang", TypeId::kInt4},    {"prosrc", TypeId::kText}};
-}
-
-Schema PgIndexSchema() {
-  return Schema{{"indexrelid", TypeId::kOid},
-                {"indrelid", TypeId::kOid},
-                {"indkeys", TypeId::kText}};
-}
-
+// The key columns a pg_index row's `indkeys` text lists ("0,2"), or nullopt
+// unless it is a non-empty comma-separated list of column numbers below
+// `num_columns`.
 std::optional<std::vector<size_t>> DecodeKeyColumns(std::string_view text,
                                                      size_t num_columns) {
   std::vector<size_t> out;
@@ -55,18 +50,16 @@ std::optional<std::vector<size_t>> DecodeKeyColumns(std::string_view text,
   }
 }
 
-namespace {
+bool ValidTypeId(int32_t v) {
+  return v >= static_cast<int32_t>(TypeId::kBool) &&
+         v <= static_cast<int32_t>(TypeId::kTimestamp);
+}
 
 // A row of one of the five catalogs. The engine writes no null into them; a
 // row that has one is corruption, not a value to read.
 Result<Row> DecodeCatalogRow(const TableInfo& catalog, std::span<const std::byte> tuple) {
   INV_ASSIGN_OR_RETURN(Row row, DecodeTuple(catalog.schema, tuple));
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (row[i].is_null()) {
-      return Status::Corruption(catalog.name + " row has a null " +
-                                catalog.schema.column(i).name);
-    }
-  }
+  INV_RETURN_IF_ERROR(RefuseNullColumns(catalog.name, catalog.schema, row));
   return row;
 }
 
@@ -92,6 +85,136 @@ constexpr TypeId kBuiltinTypes[] = {TypeId::kBool, TypeId::kInt4,  TypeId::kInt8
                                     TypeId::kOid,  TypeId::kTimestamp};
 
 }  // namespace
+
+std::string ArchiveName(std::string_view base) { return "a," + std::string(base); }
+
+std::string ArchiveBase(std::string_view name) {
+  return name.starts_with("a,") ? std::string(name.substr(2)) : std::string();
+}
+
+Status RefuseNullColumns(std::string_view catalog, const Schema& schema, const Row& row) {
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (row[i].is_null()) {
+      return Status::Corruption("catalog-null: " + std::string(catalog) + " row has a null " +
+                                schema.column(i).name);
+    }
+  }
+  return Status::Ok();
+}
+
+CatalogDefs DecodeCatalogDefs(std::span<const CatalogRow> pg_class,
+                              std::span<const CatalogRow> pg_attribute,
+                              std::span<const CatalogRow> pg_index) {
+  CatalogDefs defs;
+  std::vector<CatalogDefs::Problem>& problems = defs.problems;
+  std::set<Oid> refused;  // cataloged, but defining nothing
+  for (const auto& [tid, r] : pg_class) {
+    const Oid oid = r[1].AsOid();
+    const int32_t device = r[2].AsInt4();
+    const int32_t kind = r[3].AsInt4();
+    if (defs.relations.contains(oid) || refused.contains(oid)) {
+      problems.push_back({"duplicate-current-version", kPgClassOid, tid.block,
+                          "pg_class row at " + tid.ToString() + " is a second current row of " +
+                              std::to_string(oid)});
+      continue;
+    }
+    if (device < kDeviceMagneticDisk || device > kDeviceJukebox) {
+      problems.push_back({"relation-bad-device", oid, ~0u,
+                          r[0].AsText() + " bound to unknown device " + std::to_string(device)});
+    } else if (kind < 0 || kind > static_cast<int32_t>(RelKind::kArchive)) {
+      problems.push_back({"relation-bad-kind", oid, ~0u,
+                          r[0].AsText() + " has unknown relkind " + std::to_string(kind)});
+    } else {
+      defs.relations.emplace(oid, CatalogDefs::Relation{oid, r[0].AsText(),
+                                                        static_cast<DeviceId>(device),
+                                                        static_cast<RelKind>(kind), {}});
+      continue;
+    }
+    refused.insert(oid);
+  }
+
+  // A heap's or an archive's attribute rows define its schema.
+  std::map<Oid, std::vector<const CatalogRow*>> attrs;
+  for (const CatalogRow& a : pg_attribute) {
+    const Oid relid = a.row[0].AsOid();
+    if (defs.relations.contains(relid) || refused.contains(relid)) {
+      attrs[relid].push_back(&a);
+    } else {
+      problems.push_back({"attribute-orphan", kPgAttributeOid, a.tid.block,
+                          "pg_attribute row at " + a.tid.ToString() +
+                              " references missing relation " + std::to_string(relid)});
+    }
+  }
+  for (auto& [oid, rel] : defs.relations) {
+    if (rel.kind == RelKind::kIndex) {
+      continue;
+    }
+    const std::vector<const CatalogRow*>& rows = attrs[oid];
+    std::vector<Column> cols(rows.size());
+    std::vector<bool> seen(rows.size());
+    if (rows.empty()) {
+      problems.push_back({"attribute-gap", oid, ~0u, rel.name + " has no pg_attribute rows"});
+      refused.insert(oid);
+    }
+    for (const CatalogRow* a : rows) {
+      const int32_t typid = a->row[2].AsInt4();
+      const int32_t attnum = a->row[3].AsInt4();
+      if (attnum < 0 || attnum >= std::ssize(cols) || seen[attnum] || !ValidTypeId(typid)) {
+        problems.push_back({"attribute-gap", oid, a->tid.block,
+                            rel.name + " attribute row at " + a->tid.ToString() +
+                                " has attnum " + std::to_string(attnum) + " / type " +
+                                std::to_string(typid)});
+        refused.insert(oid);
+        break;
+      }
+      seen[attnum] = true;
+      cols[attnum] = Column{a->row[1].AsText(), static_cast<TypeId>(typid)};
+    }
+    rel.schema = Schema(std::move(cols));
+  }
+  std::erase_if(defs.relations, [&](const auto& entry) { return refused.contains(entry.first); });
+
+  std::set<Oid> named;    // the index oids some pg_index row names
+  std::set<Oid> indexed;  // the index oids defined
+  for (const auto& [tid, r] : pg_index) {
+    const Oid index = r[0].AsOid();
+    const Oid heap = r[1].AsOid();
+    named.insert(index);
+    if (refused.contains(index) || refused.contains(heap)) {
+      continue;
+    }
+    const auto iit = defs.relations.find(index);
+    const auto hit = defs.relations.find(heap);
+    const bool paired = iit != defs.relations.end() && iit->second.kind == RelKind::kIndex &&
+                        hit != defs.relations.end() && hit->second.kind != RelKind::kIndex;
+    auto keys = paired ? DecodeKeyColumns(r[2].AsText(), hit->second.schema.num_columns())
+                       : std::nullopt;
+    if (!keys) {
+      problems.push_back({"index-ref", kPgIndexOid, tid.block,
+                          "pg_index row at " + tid.ToString() + " (index " +
+                              std::to_string(index) + " over " + std::to_string(heap) +
+                              ", keys '" + r[2].AsText() +
+                              "') does not pair a cataloged index with a cataloged heap's "
+                              "columns"});
+      continue;
+    }
+    if (!indexed.insert(index).second) {
+      problems.push_back({"duplicate-current-version", kPgIndexOid, tid.block,
+                          "pg_index row at " + tid.ToString() + " is a second current row of " +
+                              std::to_string(index)});
+      continue;
+    }
+    const size_t key_width = FixedKeyWidth(hit->second.schema, *keys);
+    defs.indexes.push_back({index, heap, std::move(*keys), key_width});
+  }
+  for (const auto& [oid, rel] : defs.relations) {
+    if (rel.kind == RelKind::kIndex && !named.contains(oid)) {
+      problems.push_back({"index-unreferenced", oid, ~0u,
+                          rel.name + " is cataloged as an index but has no pg_index row"});
+    }
+  }
+  return defs;
+}
 
 Catalog::Catalog(DeviceSwitch* devices, BufferPool* pool, TxnManager* txns)
     : devices_(devices), pool_(pool), txns_(txns) {}
@@ -146,16 +269,12 @@ Status Catalog::InsertTableRows(TxnId txn, const TableInfo& info) {
 }
 
 Result<std::array<TableInfo*, 5>> Catalog::CacheCatalogs() {
-  const std::tuple<Oid, const char*, Schema, TableInfo**> catalogs[] = {
-      {kPgClassOid, "pg_class", PgClassSchema(), &pg_class_},
-      {kPgAttributeOid, "pg_attribute", PgAttributeSchema(), &pg_attribute_},
-      {kPgTypeOid, "pg_type", PgTypeSchema(), &pg_type_},
-      {kPgProcOid, "pg_proc", PgProcSchema(), &pg_proc_},
-      {kPgIndexOid, "pg_index", PgIndexSchema(), &pg_index_},
-  };
-  for (const auto& [oid, name, schema, member] : catalogs) {
-    INV_ASSIGN_OR_RETURN(*member, MakeCachedTable(oid, name, schema, kDeviceMagneticDisk,
-                                                  RelKind::kHeap));
+  TableInfo** const members[] = {&pg_class_, &pg_attribute_, &pg_type_, &pg_proc_,
+                                 &pg_index_};  // in CatalogSpecs order
+  for (size_t i = 0; i < std::size(members); ++i) {
+    const auto& [oid, name, schema] = CatalogSpecs()[i];
+    INV_ASSIGN_OR_RETURN(*members[i], MakeCachedTable(oid, name, schema, kDeviceMagneticDisk,
+                                                      RelKind::kHeap));
   }
   return std::array{pg_class_, pg_attribute_, pg_type_, pg_proc_, pg_index_};
 }
@@ -196,83 +315,46 @@ Status Catalog::Load() {
   }
   const Snapshot snap{kTimestampNow, kInvalidTxn, &txns_->log(), nullptr};
 
-  // Collect attribute rows grouped by relation.
-  std::map<Oid, std::vector<std::pair<int32_t, Column>>> atts;
-  INV_RETURN_IF_ERROR(pg_attribute_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(const Row r, DecodeCatalogRow(*pg_attribute_, tuple));
-    atts[r[0].AsOid()].push_back(
-        {r[3].AsInt4(), Column{r[1].AsText(), static_cast<TypeId>(r[2].AsInt4())}});
-    return false;
-  }));
-
+  // Relations, schemas and indexes: what DecodeCatalogDefs reads from the
+  // current rows, refused as invfs_check reports it.
+  const TableInfo* defining[] = {pg_class_, pg_attribute_, pg_index_};
+  std::vector<CatalogRow> rows[3];
+  for (size_t i = 0; i < 3; ++i) {
+    const TableInfo& catalog = *defining[i];
+    INV_RETURN_IF_ERROR(catalog.heap->VisitEach(snap, [&](Tid tid, auto tuple) -> Result<bool> {
+      INV_ASSIGN_OR_RETURN(Row row, DecodeCatalogRow(catalog, tuple));
+      rows[i].push_back({tid, std::move(row)});
+      return false;
+    }));
+  }
+  const CatalogDefs defs = DecodeCatalogDefs(rows[0], rows[1], rows[2]);
+  if (!defs.problems.empty()) {
+    const CatalogDefs::Problem& p = defs.problems.front();
+    return Status::Corruption(p.invariant + ": " + p.detail);
+  }
   Oid max_oid = kFirstUserOid - 1;
-  std::vector<Row> class_rows;
-  INV_RETURN_IF_ERROR(pg_class_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(class_rows.emplace_back(), DecodeCatalogRow(*pg_class_, tuple));
-    return false;
-  }));
-  for (const Row& row : class_rows) {
-    const std::string name = row[0].AsText();
-    const Oid oid = row[1].AsOid();
-    const DeviceId device = static_cast<DeviceId>(row[2].AsInt4());
-    const RelKind kind = static_cast<RelKind>(row[3].AsInt4());
+  for (const auto& [oid, rel] : defs.relations) {
     max_oid = std::max(max_oid, oid);
-    devices_->BindRelation(oid, device);
-    if (tables_.contains(oid)) {
-      continue;  // catalogs, already cached
+    devices_->BindRelation(oid, rel.device);
+    if (rel.kind != RelKind::kIndex && !tables_.contains(oid)) {  // catalogs are cached
+      INV_RETURN_IF_ERROR(
+          MakeCachedTable(oid, rel.name, rel.schema, rel.device, rel.kind).status());
     }
-    if (kind == RelKind::kIndex) {
-      continue;  // handled via pg_index below
-    }
-    auto& att_list = atts[oid];
-    std::sort(att_list.begin(), att_list.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<Column> cols;
-    cols.reserve(att_list.size());
-    for (auto& [num, col] : att_list) {
-      cols.push_back(col);
-    }
-    INV_RETURN_IF_ERROR(
-        MakeCachedTable(oid, name, Schema(std::move(cols)), device, kind).status());
   }
-
-  // Indexes. BTree::Open pins the meta page: open each after the visit.
-  std::vector<Row> index_rows;
-  INV_RETURN_IF_ERROR(pg_index_->heap->VisitEach(snap, [&](Tid, auto tuple) -> Result<bool> {
-    INV_ASSIGN_OR_RETURN(index_rows.emplace_back(), DecodeCatalogRow(*pg_index_, tuple));
-    return false;
-  }));
-  for (const Row& r : index_rows) {
-    const Oid index_oid = r[0].AsOid();
-    const Oid table_oid = r[1].AsOid();
-    auto tit = tables_.find(table_oid);
-    if (tit == tables_.end()) {
-      continue;
-    }
+  // BTree::Open pins the meta page: open each after the visits.
+  for (const CatalogDefs::Index& def : defs.indexes) {
     auto info = std::make_unique<IndexInfo>();
-    info->oid = index_oid;
-    info->table = table_oid;
-    auto key_columns = DecodeKeyColumns(r[2].AsText(), tit->second->schema.num_columns());
-    if (!key_columns) {
-      return Status::Corruption("pg_index row of index " + std::to_string(index_oid) +
-                                " lists no valid key columns");
-    }
-    info->key_columns = std::move(*key_columns);
-    INV_ASSIGN_OR_RETURN(info->btree,
-                         BTree::Open(index_oid, pool_,
-                                     FixedKeyWidth(tit->second->schema, info->key_columns)));
-    tit->second->indexes.push_back(info.get());
-    max_oid = std::max(max_oid, index_oid);
-    indexes_[index_oid] = std::move(info);
+    info->oid = def.oid;
+    info->table = def.heap;
+    info->key_columns = def.key_columns;
+    INV_ASSIGN_OR_RETURN(info->btree, BTree::Open(def.oid, pool_, def.key_width));
+    tables_.at(def.heap)->indexes.push_back(info.get());
+    indexes_[def.oid] = std::move(info);
   }
-
-  // Archive links: archives are named "a,<base name>".
   for (auto& [oid, info] : tables_) {
-    if (info->kind == RelKind::kArchive && info->name.rfind("a,", 0) == 0) {
-      auto nit = table_names_.find(info->name.substr(2));
-      if (nit != table_names_.end()) {
-        tables_[nit->second]->archive_oid = oid;
-      }
+    auto nit = table_names_.find(ArchiveBase(info->name));
+    if (info->kind == RelKind::kArchive && nit != table_names_.end()) {
+      tables_[nit->second]->archive_oid = oid;
     }
   }
 
@@ -569,9 +651,8 @@ Status Catalog::OnAbort(TxnId txn) {
         if (tit != tables_.end()) {
           const TableInfo& info = *tit->second;
           if (info.kind == RelKind::kArchive) {
-            // An aborted vacuum's archive "a,<name>": its base table has
-            // none again.
-            auto base = table_names_.find(info.name.substr(2));
+            // An aborted vacuum's archive: its base table has none again.
+            auto base = table_names_.find(ArchiveBase(info.name));
             if (base != table_names_.end()) {
               tables_.at(base->second)->archive_oid = kInvalidOid;
             }
@@ -630,7 +711,7 @@ Result<TableInfo*> Catalog::CreateArchive(TxnId txn, TableInfo* table) {
     return tables_[table->archive_oid].get();
   }
   const Oid oid = next_oid_++;
-  const std::string name = "a," + table->name;
+  const std::string name = ArchiveName(table->name);
   // Archives default to the same device; sites with a jukebox would place
   // them there (see vacuum tests for that configuration).
   INV_RETURN_IF_ERROR(PhysicallyCreate(oid, table->device));

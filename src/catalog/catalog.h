@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -47,20 +48,78 @@ enum class RelKind : int32_t {
   kArchive = 2,  // vacuum's record archive for a heap
 };
 
-// Canonical schemas of the catalog relations. Exposed so offline tools
+// The five catalogs in oid order (pg_class, pg_attribute, pg_type, pg_proc,
+// pg_index) with their canonical schemas. Exposed so offline tools
 // (invfs_check) can decode catalog tuples without a live Catalog instance.
-Schema PgClassSchema();
-Schema PgAttributeSchema();
-Schema PgTypeSchema();
-Schema PgProcSchema();
-Schema PgIndexSchema();
+struct CatalogSpec {
+  Oid oid;
+  const char* name;
+  Schema schema;
+};
+const std::array<CatalogSpec, 5>& CatalogSpecs();
 
-// The key columns a pg_index row's `indkeys` text lists ("0,2"), or nullopt
-// unless it is a non-empty comma-separated list of column numbers below
-// `num_columns`. The index's key width is FixedKeyWidth of these over its
-// heap's schema.
-std::optional<std::vector<size_t>> DecodeKeyColumns(std::string_view text,
-                                                     size_t num_columns);
+// Vacuum's archive of relation `base` is named "a,<base>".
+std::string ArchiveName(std::string_view base);
+// The base relation's name when `name` is an archive's, else "".
+std::string ArchiveBase(std::string_view name);
+
+// Corruption ("catalog-null: ...") when `row` of catalog `catalog` has a
+// null column: the engine writes none, so such a row defines nothing.
+Status RefuseNullColumns(std::string_view catalog, const Schema& schema, const Row& row);
+
+// A current catalog row with no null column, and where it is stored.
+struct CatalogRow {
+  Tid tid;
+  Row row;
+};
+
+// What the current rows of pg_class, pg_attribute and pg_index define: the
+// one reading of them, shared by Catalog::Load and invfs_check.
+struct CatalogDefs {
+  struct Relation {
+    Oid oid = kInvalidOid;
+    std::string name;
+    DeviceId device = kDeviceMagneticDisk;
+    RelKind kind = RelKind::kHeap;
+    Schema schema;  // from pg_attribute; empty for an index
+  };
+  struct Index {
+    Oid oid = kInvalidOid;
+    Oid heap = kInvalidOid;
+    std::vector<size_t> key_columns;
+    size_t key_width = 0;  // FixedKeyWidth of the key columns over the heap
+  };
+  // A row that defines nothing, under invfs_check's invariant name: the
+  // relation (or the catalog holding the row), and the row's block or ~0u.
+  struct Problem {
+    std::string invariant;
+    Oid rel = kInvalidOid;
+    uint32_t block = ~0u;
+    std::string detail;
+  };
+  std::map<Oid, Relation> relations;  // indexes included
+  std::vector<Index> indexes;
+  std::vector<Problem> problems;  // in catalog order: pg_class, pg_attribute, pg_index
+};
+
+// A row defines nothing, and is a Problem, when it is
+//   duplicate-current-version  a second pg_class row of one relid, or a
+//                        second pg_index row defining one index;
+//   relation-bad-device  a pg_class row on none of the three devices a
+//                        Database registers;
+//   relation-bad-kind    a pg_class row whose relkind is not a RelKind;
+//   attribute-orphan     a pg_attribute row of no cataloged relation;
+//   attribute-gap        one of a heap's or archive's attribute rows, when
+//                        their attnums are not 0..n-1 each once or a type id
+//                        is not a TypeId (or the relation has none);
+//   index-ref            a pg_index row not pairing a cataloged index with a
+//                        cataloged heap, or whose `indkeys` ("0,2") is not a
+//                        list of the heap's column numbers;
+//   index-unreferenced   an index relation no pg_index row names.
+// A refused relation is not defined, and rows naming it add no Problem.
+CatalogDefs DecodeCatalogDefs(std::span<const CatalogRow> pg_class,
+                              std::span<const CatalogRow> pg_attribute,
+                              std::span<const CatalogRow> pg_index);
 
 // Function language, per pg_proc.
 enum class ProcLang : int32_t {
@@ -124,7 +183,7 @@ class Catalog {
   Result<Oid> DefineFunction(TxnId txn, const std::string& name, TypeId rettype,
                              int32_t nargs, ProcLang lang, const std::string& src);
 
-  // Create an archive relation for `table` (vacuum). Named "a,<name>". If
+  // Create an archive relation for `table` (vacuum), named ArchiveName. If
   // `txn` aborts, the relation is dropped and `table` has no archive again.
   Result<TableInfo*> CreateArchive(TxnId txn, TableInfo* table);
 
@@ -175,9 +234,6 @@ class Catalog {
   Status OnCommit(TxnId txn);
 
   Heap* pg_class() { return pg_class_->heap.get(); }
-  Heap* pg_attribute() { return pg_attribute_->heap.get(); }
-  Heap* pg_proc() { return pg_proc_->heap.get(); }
-  Heap* pg_type() { return pg_type_->heap.get(); }
 
   TxnManager* txns() { return txns_; }
   BufferPool* pool() { return pool_; }

@@ -2,39 +2,18 @@
 
 #include <algorithm>
 #include <functional>
-#include <optional>
 #include <set>
 #include <string_view>
 
 #include "src/access/btree.h"
 #include "src/catalog/catalog.h"
+#include "src/inversion/chunk_record.h"
 #include "src/storage/page.h"
 #include "src/storage/tuple.h"
 #include "src/util/bytes.h"
 
 namespace invfs {
 namespace {
-
-
-bool ValidTypeId(int32_t v) {
-  return v >= static_cast<int32_t>(TypeId::kBool) &&
-         v <= static_cast<int32_t>(TypeId::kTimestamp);
-}
-
-// Chunk-table names are "inv<oid>"; returns the oid or 0.
-Oid ParseChunkTableName(const std::string& name) {
-  if (name.size() <= 3 || name.compare(0, 3, "inv") != 0) {
-    return kInvalidOid;
-  }
-  Oid oid = 0;
-  for (size_t i = 3; i < name.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') {
-      return kInvalidOid;
-    }
-    oid = oid * 10 + static_cast<Oid>(name[i] - '0');
-  }
-  return oid;
-}
 
 std::string KeyOf(const Row& row, const std::vector<size_t>& key_columns) {
   std::string key;
@@ -93,36 +72,22 @@ std::string CheckReport::ToString() const {
 
 // ---------------------------------------------------------------- commit log
 
-bool Checker::LogView::Known(TxnId x) const {
+TxnStatus Checker::LogView::StatusOf(TxnId x) const {
   if (x == kBootstrapTxn) {
-    return true;
+    return TxnStatus::kCommitted;
   }
-  if (x != kInvalidTxn && x <= horizon) {
-    return true;  // allocated under the persisted horizon; unused = burned
-  }
-  return x < entries.size() &&
-         entries[x].status != static_cast<uint32_t>(TxnStatus::kUnused);
-}
-
-bool Checker::LogView::Committed(TxnId x) const {
-  if (x == kBootstrapTxn) {
-    return true;
-  }
-  return x < entries.size() &&
-         entries[x].status == static_cast<uint32_t>(TxnStatus::kCommitted);
+  const TxnStatus stored = x < entries.size() ? entries[x].status : TxnStatus::kUnused;
+  return CommitLog::RecoveredStatus(x, stored, horizon);
 }
 
 Timestamp Checker::LogView::CommitTs(TxnId x) const {
-  if (x == kBootstrapTxn) {
-    return 0;
-  }
-  return x < entries.size() ? entries[x].commit_ts : 0;
+  return x != kBootstrapTxn && x < entries.size() ? entries[x].commit_ts : 0;
 }
 
 // ------------------------------------------------------------------ checker
 
 Checker::Checker(BlockStore* disk, BlockStore* nvram, BlockStore* jukebox)
-    : disk_(disk), nvram_(nvram), jukebox_(jukebox) {}
+    : stores_{disk, nvram, jukebox} {}
 
 Checker::Checker(StorageEnv& env)
     : Checker(env.disk_store.get(), env.nvram_store.get(),
@@ -156,38 +121,25 @@ bool Checker::Quarantined(Oid rel, uint32_t block) const {
   return quarantined_.count({rel, block}) != 0;
 }
 
-BlockStore* Checker::StoreFor(DeviceId device) const {
-  switch (device) {
-    case kDeviceMagneticDisk:
-      return disk_;
-    case kDeviceNvram:
-      return nvram_;
-    case kDeviceJukebox:
-      return jukebox_;
-    default:
-      return nullptr;
-  }
-}
-
 bool Checker::IsCurrent(const TupleMeta& meta) const {
   return log_.Committed(meta.xmin) &&
          (meta.xmax == kInvalidTxn || !log_.Committed(meta.xmax));
 }
 
 void Checker::LoadCommitLog() {
-  if (!disk_->Exists(kCommitLogRelOid)) {
+  if (!disk()->Exists(kCommitLogRelOid)) {
     Add("commit-log-missing", kCommitLogRelOid, ~0u,
         "no commit log relation on the default device");
     return;
   }
-  auto nblocks = disk_->NumBlocks(kCommitLogRelOid);
+  auto nblocks = disk()->NumBlocks(kCommitLogRelOid);
   if (!nblocks.ok()) {
     Add("commit-log-missing", kCommitLogRelOid, ~0u, nblocks.status().message());
     return;
   }
   std::vector<std::byte> buf(kPageSize);
   for (uint32_t b = 0; b < *nblocks; ++b) {
-    if (Status s = disk_->Read(kCommitLogRelOid, b, buf); !s.ok()) {
+    if (Status s = disk()->Read(kCommitLogRelOid, b, buf); !s.ok()) {
       Add("commit-log-unreadable", kCommitLogRelOid, b, s.message());
       continue;
     }
@@ -202,7 +154,7 @@ void Checker::LoadCommitLog() {
       if (log_.entries.size() <= e.xid) {
         log_.entries.resize(e.xid + 1);
       }
-      log_.entries[e.xid] = LogView::Entry{static_cast<uint32_t>(e.status), e.commit_ts};
+      log_.entries[e.xid] = {e.status, e.commit_ts};
     }
   }
 }
@@ -338,49 +290,30 @@ void Checker::CheckCurrentUnique(Oid rel, const std::vector<HeapTuple>& tuples,
   }
 }
 
-void Checker::CheckChunkTable(const RelInfo& rel, Oid file,
-                              const std::vector<HeapTuple>& tuples,
-                              const Schema& schema) {
-  auto chunkno_col = schema.ColumnIndex("chunkno");
-  auto selfid_col = schema.ColumnIndex("selfid");
-  auto data_col = schema.ColumnIndex("data");
-  if (!chunkno_col.ok() || !selfid_col.ok() || !data_col.ok()) {
+void Checker::CheckChunkTable(const CatalogDefs::Relation& rel, Oid file,
+                              const std::vector<HeapTuple>& tuples) {
+  if (rel.schema.columns() != ChunkTableSchema().columns()) {
     Add("chunk-schema", rel.oid, ~0u,
-        "chunk table " + rel.name + " lacks chunkno/data/selfid columns");
+        "chunk table " + rel.name + " lacks the (chunkno, data, selfid, rawlen) schema");
     return;
   }
+  CheckCurrentUnique(rel.oid, tuples, {0});  // chunkno
   for (const HeapTuple& t : tuples) {
-    const Value& chunkno = t.row[*chunkno_col];
-    const Value& selfid = t.row[*selfid_col];
-    if (chunkno.is_null() || chunkno.AsInt4() < 0) {
-      Add("chunk-number", rel.oid, t.tid.block,
-          "chunk record at " + t.tid.ToString() + " has bad chunk number");
-      continue;
-    }
-    if (t.row[*data_col].is_null()) {
-      Add("chunk-data-null", rel.oid, t.tid.block,
-          "chunk " + std::to_string(chunkno.AsInt4()) + " has null data");
-    }
-    // Every chunk record self-identifies as (file oid << 32) | chunkno; see
-    // inv_session.cc. A mismatch means the record belongs to another file or
-    // another chunk — a misdirected or cross-linked write.
-    const int64_t want =
-        (static_cast<int64_t>(file) << 32) | chunkno.AsInt4();
-    if (selfid.is_null() || selfid.AsInt8() != want) {
-      Add("chunk-self-ident", rel.oid, t.tid.block,
-          "chunk " + std::to_string(chunkno.AsInt4()) + " of file " +
-              std::to_string(file) + " carries selfid " +
-              (selfid.is_null() ? "null" : std::to_string(selfid.AsInt8())) +
-              ", expected " + std::to_string(want));
+    const ChunkFields fields = ChunkFields::Of(t.row);
+    if (const std::string_view fault = ChunkRecordFault(file, fields); !fault.empty()) {
+      Add(std::string(fault), rel.oid, t.tid.block,
+          "chunk record at " + t.tid.ToString() + " of file " + std::to_string(file) +
+              ": chunkno " + (fields.chunkno ? std::to_string(*fields.chunkno) : "null") +
+              ", selfid " + (fields.selfid ? std::to_string(*fields.selfid) : "null") +
+              ", " + std::to_string(fields.length) + " bytes");
     }
   }
 }
 
-void Checker::CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel,
-                         size_t key_width) {
-  auto nblocks = store->NumBlocks(index.oid);
+void Checker::CheckBtree(BlockStore* store, Oid index, Oid heap_rel, size_t key_width) {
+  auto nblocks = store->NumBlocks(index);
   if (!nblocks.ok()) {
-    Add("relation-missing", index.oid, ~0u, nblocks.status().message());
+    Add("relation-missing", index, ~0u, nblocks.status().message());
     return;
   }
   const std::vector<uint16_t>* heap_slots = nullptr;
@@ -394,14 +327,14 @@ void Checker::CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel,
   std::vector<std::byte> buf(kPageSize);
   auto pages = [&](uint32_t b, const std::function<void(std::span<const std::byte>)>& use) {
     reached[b] = true;
-    if (!ReadPage(store, index.oid, b, buf)) {
+    if (!ReadPage(store, index, b, buf)) {
       return false;
     }
     use(buf);
     return true;
   };
   auto violation = [&](std::string_view invariant, uint32_t block, std::string detail) {
-    Add(std::string(invariant), index.oid, block, std::move(detail));
+    Add(std::string(invariant), index, block, std::move(detail));
     return true;
   };
   // What the tree cannot know: its keys' TID suffixes against their
@@ -411,7 +344,7 @@ void Checker::CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel,
     const std::byte* suffix = key.data() + key.size() - BTree::kTidSuffix;
     const Tid key_tid{GetBe32(suffix), GetBe16(suffix + 4)};
     if (key_tid != tid) {
-      Add("btree-tid-suffix", index.oid, block,
+      Add("btree-tid-suffix", index, block,
           "entry " + std::to_string(i) + " key suffix " + key_tid.ToString() +
               " != payload TID " + tid.ToString());
     }
@@ -420,7 +353,7 @@ void Checker::CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel,
       // A TID into a quarantined heap page is fallout: the page's slot
       // count is unknowable, so the entry may well be fine.
       const bool fallout = Quarantined(heap_rel, tid.block);
-      Add("btree-tid-range", index.oid, block,
+      Add("btree-tid-range", index, block,
           "entry " + std::to_string(i) + " points at " + tid.ToString() +
               ", outside heap rel " + std::to_string(heap_rel),
           fallout);
@@ -440,17 +373,17 @@ void Checker::CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel,
   const bool rooted = std::count(reached.begin(), reached.end(), true) > 1;
   for (uint32_t b = 1; b < *nblocks && rooted; ++b) {
     if (!reached[b]) {
-      Add("btree-unreachable", index.oid, b, "node not reachable from the root");
+      Add("btree-unreachable", index, b, "node not reachable from the root");
     }
   }
 
   // A physically damaged page anywhere in this index makes the structural
   // walk's downstream complaints (key order, sibling chain, unreachable
   // nodes, depth) fallout of that damage rather than independent corruption.
-  if (auto it = quarantined_.lower_bound({index.oid, 0});
-      it != quarantined_.end() && it->first == index.oid) {
+  if (auto it = quarantined_.lower_bound({index, 0});
+      it != quarantined_.end() && it->first == index) {
     for (Violation& v : report_.violations) {
-      if (v.rel == index.oid) {
+      if (v.rel == index) {
         v.quarantined = true;
       }
     }
@@ -458,10 +391,10 @@ void Checker::CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel,
 }
 
 Result<CheckReport> Checker::Run() {
-  if (disk_ == nullptr) {
+  if (disk() == nullptr) {
     return Status::InvalidArgument("no default-device store to check");
   }
-  if (!disk_->Exists(kPgClassOid)) {
+  if (!disk()->Exists(kPgClassOid)) {
     Add("catalog-missing", kPgClassOid, ~0u,
         "pg_class does not exist on the default device");
     return report_;
@@ -469,212 +402,106 @@ Result<CheckReport> Checker::Run() {
   LoadCommitLog();
 
   // --- catalogs, with their canonical schemas -----------------------------
-  std::vector<HeapTuple> class_rows;
-  std::vector<HeapTuple> attr_rows;
-  std::vector<HeapTuple> type_rows;
-  std::vector<HeapTuple> proc_rows;
-  std::vector<HeapTuple> index_rows;
-  const Schema class_schema = PgClassSchema();
-  const Schema attr_schema = PgAttributeSchema();
-  WalkHeap(disk_, kPgClassOid, class_schema, &class_rows);
-  WalkHeap(disk_, kPgAttributeOid, attr_schema, &attr_rows);
-  WalkHeap(disk_, kPgTypeOid, PgTypeSchema(), &type_rows);
-  WalkHeap(disk_, kPgProcOid, PgProcSchema(), &proc_rows);
-  WalkHeap(disk_, kPgIndexOid, PgIndexSchema(), &index_rows);
-  report_.relations_checked += 5;
-  CheckCurrentUnique(kPgClassOid, class_rows, {1});       // relid
-  CheckCurrentUnique(kPgAttributeOid, attr_rows, {0, 3});  // (attrelid, attnum)
-  CheckCurrentUnique(kPgTypeOid, type_rows, {1});          // typid
-  CheckCurrentUnique(kPgProcOid, proc_rows, {1});          // proid
-  CheckCurrentUnique(kPgIndexOid, index_rows, {0});        // indexrelid
-
-  // Current relations, and every oid any pg_class version has ever named
-  // (crashed DDL legitimately leaves physical relations whose pg_class row
-  // never committed — those are garbage for vacuum, not corruption).
-  std::map<Oid, RelInfo> rels;
+  // Every pg_class version's oid is remembered: crashed DDL legitimately
+  // leaves physical relations whose pg_class row never committed (garbage
+  // for vacuum, not corruption). The current rows of pg_class, pg_attribute
+  // and pg_index mean what DecodeCatalogDefs reads, as at Database::Open.
   std::set<Oid> named_oids = {kCommitLogRelOid, kPgClassOid, kPgAttributeOid,
                               kPgTypeOid,       kPgProcOid,  kPgIndexOid};
-  for (const HeapTuple& t : class_rows) {
-    if (t.row[1].is_null()) {
-      continue;
+  // Each catalog's logical key, in CatalogSpecs order: (attrelid, attnum),
+  // typid, proid. A second current pg_class or pg_index row is
+  // DecodeCatalogDefs' to report.
+  const std::vector<size_t> keys[] = {{}, {0, 3}, {1}, {1}, {}};
+  std::vector<CatalogRow> current[5];
+  for (size_t i = 0; i < std::size(keys); ++i) {
+    const auto& [oid, name, schema] = CatalogSpecs()[i];
+    std::vector<HeapTuple> rows;
+    WalkHeap(disk(), oid, schema, &rows);
+    ++report_.relations_checked;
+    if (!keys[i].empty()) {
+      CheckCurrentUnique(oid, rows, keys[i]);
     }
-    named_oids.insert(t.row[1].AsOid());
-    if (!IsCurrent(t.meta)) {
-      continue;
+    for (HeapTuple& t : rows) {
+      if (oid == kPgClassOid && !t.row[1].is_null()) {
+        named_oids.insert(t.row[1].AsOid());
+      }
+      if (!IsCurrent(t.meta)) {
+        continue;
+      }
+      if (Status s = RefuseNullColumns(name, schema, t.row); !s.ok()) {
+        Add("catalog-null", oid, t.tid.block, t.tid.ToString() + ": " + s.message());
+        continue;
+      }
+      current[i].push_back({t.tid, std::move(t.row)});
     }
-    RelInfo info;
-    info.name = t.row[0].is_null() ? "" : t.row[0].AsText();
-    info.oid = t.row[1].AsOid();
-    info.device = t.row[2].is_null()
-                      ? kDeviceMagneticDisk
-                      : static_cast<DeviceId>(t.row[2].AsInt4());
-    info.kind = t.row[3].is_null() ? RelKind::kHeap
-                                   : static_cast<RelKind>(t.row[3].AsInt4());
-    rels.emplace(info.oid, info);
   }
-
-  // Current attribute rows grouped by relation.
-  std::map<Oid, std::vector<const HeapTuple*>> attrs;
-  for (const HeapTuple& t : attr_rows) {
-    if (!IsCurrent(t.meta) || t.row[0].is_null()) {
-      continue;
-    }
-    const Oid relid = t.row[0].AsOid();
-    if (relid >= kFirstUserOid && rels.find(relid) == rels.end()) {
-      Add("attribute-orphan", kPgAttributeOid, t.tid.block,
-          "pg_attribute row at " + t.tid.ToString() +
-              " references missing relation " + std::to_string(relid));
-      continue;
-    }
-    attrs[relid].push_back(&t);
+  const CatalogDefs defs = DecodeCatalogDefs(current[0], current[1], current[4]);
+  for (const CatalogDefs::Problem& p : defs.problems) {
+    Add(p.invariant, p.rel, p.block, p.detail);
   }
 
   // --- every cataloged relation -------------------------------------------
-  std::map<Oid, Schema> schemas;  // user heaps', for their indexes' key width
-  std::vector<HeapTuple> fileatt_rows;
-  std::optional<Schema> fileatt_schema;
-  std::vector<std::pair<RelInfo, Oid>> chunk_tables;  // (rel, file oid)
-  for (const auto& [oid, info] : rels) {
-    BlockStore* store = StoreFor(info.device);
+  std::set<Oid> known_files;  // the files some fileatt version names
+  std::vector<std::pair<const CatalogDefs::Relation*, Oid>> chunk_tables;  // (rel, file)
+  for (const auto& [oid, rel] : defs.relations) {
+    BlockStore* store = stores_[rel.device];
     if (store == nullptr) {
       Add("relation-bad-device", oid, ~0u,
-          info.name + " bound to unknown device " + std::to_string(info.device));
+          rel.name + " bound to device " + std::to_string(rel.device) +
+              ", which has no store");
       continue;
     }
     if (!store->Exists(oid)) {
       Add("relation-missing", oid, ~0u,
-          info.name + " is cataloged but absent from device " +
-              std::to_string(info.device));
+          rel.name + " is cataloged but absent from device " + std::to_string(rel.device));
       continue;
     }
-    if (oid >= kFirstUserOid && info.kind != RelKind::kIndex) {
-      // Reconstruct the schema from pg_attribute: attnum must be 0..n-1 with
-      // valid types.
-      auto ait = attrs.find(oid);
-      if (ait == attrs.end()) {
-        Add("attribute-gap", oid, ~0u, info.name + " has no pg_attribute rows");
-        continue;
+    if (oid < kFirstUserOid || rel.kind == RelKind::kIndex) {
+      continue;
+    }
+    std::vector<HeapTuple> tuples;
+    WalkHeap(store, oid, rel.schema, &tuples);
+    ++report_.relations_checked;
+    if (rel.name == "fileatt" || ArchiveBase(rel.name) == "fileatt") {
+      // Any version of a fileatt row (current, superseded, archived by
+      // vacuum or uncommitted) keeps its file's chunk table referenced.
+      if (rel.name == "fileatt") {
+        CheckCurrentUnique(oid, tuples, {0});  // file
       }
-      std::vector<Column> cols(ait->second.size());
-      std::vector<bool> seen(ait->second.size(), false);
-      bool schema_ok = true;
-      for (const HeapTuple* t : ait->second) {
-        const int32_t attnum = t->row[3].is_null() ? -1 : t->row[3].AsInt4();
-        const int32_t typid = t->row[2].is_null() ? -1 : t->row[2].AsInt4();
-        if (attnum < 0 || static_cast<size_t>(attnum) >= cols.size() ||
-            seen[attnum] || !ValidTypeId(typid)) {
-          Add("attribute-gap", oid, t->tid.block,
-              info.name + " attribute row at " + t->tid.ToString() +
-                  " has attnum " + std::to_string(attnum) + " / type " +
-                  std::to_string(typid));
-          schema_ok = false;
-          break;
+      if (auto file_col = rel.schema.ColumnIndex("file"); file_col.ok()) {
+        for (const HeapTuple& t : tuples) {
+          if (!t.row[*file_col].is_null()) {
+            known_files.insert(t.row[*file_col].AsOid());
+          }
         }
-        seen[attnum] = true;
-        cols[attnum] = Column{t->row[1].is_null() ? "" : t->row[1].AsText(),
-                              static_cast<TypeId>(typid)};
       }
-      if (!schema_ok) {
-        continue;
-      }
-      const Schema& schema = schemas.emplace(oid, Schema{cols}).first->second;
-      std::vector<HeapTuple> tuples;
-      WalkHeap(store, oid, schema, &tuples);
-      ++report_.relations_checked;
-      if (info.name == "fileatt" || info.name == "a,fileatt") {
-        // Vacuum moves superseded fileatt rows to the archive, where they
-        // still name their chunk tables.
-        if (info.name == "fileatt") {
-          CheckCurrentUnique(oid, tuples, {0});  // file
-        }
-        fileatt_schema = schema;
-        fileatt_rows.insert(fileatt_rows.end(), std::make_move_iterator(tuples.begin()),
-                            std::make_move_iterator(tuples.end()));
-        continue;
-      }
-      if (info.name == "naming") {
-        CheckCurrentUnique(oid, tuples, {1, 0});  // (parentid, filename)
-        continue;
-      }
-      if (const Oid file = ParseChunkTableName(info.name); file != kInvalidOid) {
-        auto cno = schema.ColumnIndex("chunkno");
-        if (cno.ok()) {
-          CheckCurrentUnique(oid, tuples, {*cno});
-        }
-        CheckChunkTable(info, file, tuples, schema);
-        chunk_tables.emplace_back(info, file);
-      }
+      continue;
+    }
+    if (rel.name == "naming") {
+      CheckCurrentUnique(oid, tuples, {1, 0});  // (parentid, filename)
+      continue;
+    }
+    if (const Oid file = ChunkTableFile(rel.name); file != kInvalidOid) {
+      CheckChunkTable(rel, file, tuples);
+      chunk_tables.emplace_back(&rel, file);
     }
   }
 
   // --- indexes -------------------------------------------------------------
-  std::set<Oid> indexed;
-  for (const HeapTuple& t : index_rows) {
-    if (!IsCurrent(t.meta)) {
-      continue;
-    }
-    const Oid index_oid = t.row[0].is_null() ? kInvalidOid : t.row[0].AsOid();
-    const Oid heap_oid = t.row[1].is_null() ? kInvalidOid : t.row[1].AsOid();
-    auto iit = rels.find(index_oid);
-    if (iit == rels.end() || iit->second.kind != RelKind::kIndex) {
-      Add("index-ref", kPgIndexOid, t.tid.block,
-          "pg_index row at " + t.tid.ToString() + " names " +
-              std::to_string(index_oid) + ", which is not a cataloged index");
-      continue;
-    }
-    auto hit = rels.find(heap_oid);
-    if (hit == rels.end() || hit->second.kind == RelKind::kIndex) {
-      Add("index-ref", kPgIndexOid, t.tid.block,
-          "index " + std::to_string(index_oid) + " is over " +
-              std::to_string(heap_oid) + ", which is not a cataloged heap");
-      continue;
-    }
-    indexed.insert(index_oid);
-    BlockStore* store = StoreFor(iit->second.device);
-    if (store == nullptr || !store->Exists(index_oid)) {
+  for (const CatalogDefs::Index& index : defs.indexes) {
+    BlockStore* store = stores_[defs.relations.at(index.oid).device];
+    if (store == nullptr || !store->Exists(index.oid)) {
       continue;  // already reported above
     }
-    // The key width, as Catalog::Load derives it; 0 (all but the width
-    // checked) when the heap's schema is unknown, which is reported already.
-    size_t key_width = 0;
-    if (auto sit = schemas.find(heap_oid); sit != schemas.end()) {
-      auto key_columns = DecodeKeyColumns(
-          t.row[2].is_null() ? "" : t.row[2].AsText(), sit->second.num_columns());
-      if (!key_columns) {
-        Add("index-ref", kPgIndexOid, t.tid.block,
-            "pg_index row at " + t.tid.ToString() + " lists bad key columns");
-      }
-      key_width = key_columns ? FixedKeyWidth(sit->second, *key_columns) : 0;
-    }
-    CheckBtree(store, iit->second, heap_oid, key_width);
+    CheckBtree(store, index.oid, index.heap, index.key_width);
     ++report_.relations_checked;
   }
-  for (const auto& [oid, info] : rels) {
-    if (info.kind == RelKind::kIndex && indexed.find(oid) == indexed.end()) {
-      Add("index-unreferenced", oid, ~0u,
-          info.name + " is cataloged as an index but has no pg_index row");
-    }
-  }
 
-  // --- orphan chunk tables -------------------------------------------------
-  // Any version of a fileatt row (current, superseded, archived or
-  // uncommitted) keeps a chunk table referenced; a chunk table no version
-  // ever named is an orphan.
-  std::set<Oid> known_files;
-  if (fileatt_schema) {
-    auto file_col = fileatt_schema->ColumnIndex("file");
-    if (file_col.ok()) {
-      for (const HeapTuple& t : fileatt_rows) {
-        if (!t.row[*file_col].is_null()) {
-          known_files.insert(t.row[*file_col].AsOid());
-        }
-      }
-    }
-  }
-  for (const auto& [info, file] : chunk_tables) {
+  // --- orphan chunk tables: no fileatt version ever named their file ------
+  for (const auto& [rel, file] : chunk_tables) {
     if (known_files.find(file) == known_files.end()) {
-      Add("orphan-chunk-table", info.oid, ~0u,
-          info.name + " stores chunks of file " + std::to_string(file) +
+      Add("orphan-chunk-table", rel->oid, ~0u,
+          rel->name + " stores chunks of file " + std::to_string(file) +
               ", which no fileatt row references");
       // A crashed p_creat leaves the chunk table cataloged (its pg_class
       // page flushed) while the fileatt insert never reached disk: garbage
@@ -684,20 +511,15 @@ Result<CheckReport> Checker::Run() {
   }
 
   // --- physical relations nobody names ------------------------------------
-  struct StoreRef {
-    BlockStore* store;
-    const char* name;
-  };
-  const StoreRef stores[] = {{disk_, "disk"}, {nvram_, "nvram"},
-                             {jukebox_, "jukebox"}};
-  for (const StoreRef& s : stores) {
-    if (s.store == nullptr) {
+  constexpr const char* kStoreNames[] = {"disk", "nvram", "jukebox"};
+  for (size_t d = 0; d < stores_.size(); ++d) {
+    if (stores_[d] == nullptr) {
       continue;
     }
-    for (Oid oid : s.store->ListRelations()) {
+    for (Oid oid : stores_[d]->ListRelations()) {
       if (named_oids.find(oid) == named_oids.end()) {
         Add("relation-unreferenced", oid, ~0u,
-            std::string("relation exists on ") + s.name +
+            std::string("relation exists on ") + kStoreNames[d] +
                 " but no pg_class version names it");
         // Relations are created on the device the moment DDL runs, but the
         // pg_class insert only reaches disk at commit (or an eviction). A

@@ -1,33 +1,25 @@
 // invfs_check: offline structural verifier for an Inversion storage image.
 //
 // Walks the raw block stores of a quiescent database — no buffer pool, no
-// transactions — and verifies the invariants the no-overwrite storage design
-// promises. It decodes pages only through the engine's own readers (Page for
-// slotted geometry and line pointers, WalkBtree for B-tree nodes), so it
-// refuses exactly what the engine refuses:
-//   * page integrity: magic, CRC32C checksum, self-identification, slotted
-//     geometry, line-pointer bounds, non-overlapping tuples;
-//   * tuple well-formedness: every live tuple decodes under its relation's
-//     schema, MVCC headers reference known transactions, commit timestamps
-//     are ordered along version chains, and each logical key has at most one
-//     current version;
-//   * B-tree structure (WalkBtree, at the key width the index's columns
-//     give): meta page, node encoding, strict key order, parent separator
-//     bounds, no cycles, uniform leaf depth, sibling chain, every node
-//     reachable; and leaf TIDs that match their key's suffix and point
-//     inside their heap;
-//   * catalog referential integrity: pg_attribute rows reference live
-//     relations, pg_index rows pair index and heap relations, every cataloged
-//     relation physically exists on its bound device (and vice versa);
-//   * Inversion-level consistency: chunk records carry the correct
-//     self-identifier and chunk tables are reachable from fileatt;
-//   * commit-log sanity: every entry has a valid status.
+// transactions — and reads them only through the engine's own readers, so
+// it refuses exactly what the engine refuses: Page (page integrity, slotted
+// geometry, line pointers), WalkBtree (B-tree structure at the key width the
+// index's columns give), CommitLog::DecodePage and RecoveredStatus (commit-log
+// statuses as recovery reads them), DecodeCatalogDefs (what the catalog rows
+// define, as at Database::Open) and the chunk record rule (chunk_record.h).
+// On top it checks what no single engine read can: every live tuple decodes
+// under its relation's schema, MVCC headers reference known transactions
+// with ordered commit timestamps, each logical key has at most one current
+// version, leaf TIDs match their key's suffix and point inside their heap,
+// every B-tree node is reachable, cataloged relations exist on their devices
+// (and vice versa), and chunk tables are reachable from fileatt.
 //
 // The checker never mutates the image. It reports all violations it can find
 // rather than stopping at the first, so a single run characterizes the damage.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -100,27 +92,19 @@ class Checker {
   Result<CheckReport> Run();
 
  private:
-  struct RelInfo {
-    Oid oid = kInvalidOid;
-    std::string name;
-    DeviceId device = kDeviceMagneticDisk;
-    RelKind kind = RelKind::kHeap;
-  };
-
-  // Commit-log view loaded from the raw log relation.
+  // Commit-log view loaded from the raw log relation, read with the
+  // statuses crash recovery gives (CommitLog::RecoveredStatus).
   struct LogView {
     struct Entry {
-      uint32_t status = 0;
+      TxnStatus status = TxnStatus::kUnused;
       Timestamp commit_ts = 0;
     };
-    std::vector<Entry> entries;  // indexed by xid
-    // Durable xid high-water mark (entry 0's timestamp field): xids at or
-    // below it are valid allocations even without a persisted begin record —
-    // if unused on disk they were burned by a crash and count as aborted.
-    TxnId horizon = 0;
+    std::vector<Entry> entries;  // as stored, indexed by xid
+    TxnId horizon = 0;           // the persisted xid horizon
 
-    bool Committed(TxnId x) const;
-    bool Known(TxnId x) const;
+    TxnStatus StatusOf(TxnId x) const;
+    bool Committed(TxnId x) const { return StatusOf(x) == TxnStatus::kCommitted; }
+    bool Known(TxnId x) const { return StatusOf(x) != TxnStatus::kUnused; }
     Timestamp CommitTs(TxnId x) const;
   };
 
@@ -137,7 +121,6 @@ class Checker {
   void Add(std::string invariant, Oid rel, uint32_t block, std::string detail,
            bool fallout = false);
   bool Quarantined(Oid rel, uint32_t block) const;
-  BlockStore* StoreFor(DeviceId device) const;
   bool IsCurrent(const TupleMeta& meta) const;
 
   void LoadCommitLog();
@@ -152,16 +135,17 @@ class Checker {
   // At most one current version per logical key.
   void CheckCurrentUnique(Oid rel, const std::vector<HeapTuple>& tuples,
                           const std::vector<size_t>& key_columns);
-  void CheckChunkTable(const RelInfo& rel, Oid file,
-                       const std::vector<HeapTuple>& tuples, const Schema& schema);
+  // The chunk record rule (chunk_record.h) over every record of `file`'s
+  // chunk table, and at most one current version per chunk number.
+  void CheckChunkTable(const CatalogDefs::Relation& rel, Oid file,
+                       const std::vector<HeapTuple>& tuples);
   // WalkBtree over the index's blocks as stored, with the page-level checks,
   // the TID cross-checks, unreachable blocks and quarantine added.
-  void CheckBtree(BlockStore* store, const RelInfo& index, Oid heap_rel,
-                  size_t key_width);
+  void CheckBtree(BlockStore* store, Oid index, Oid heap_rel, size_t key_width);
 
-  BlockStore* disk_;
-  BlockStore* nvram_;
-  BlockStore* jukebox_;
+  BlockStore* disk() const { return stores_[kDeviceMagneticDisk]; }
+
+  std::array<BlockStore*, 3> stores_;  // by DeviceId; null when not configured
 
   LogView log_;
   CheckReport report_;

@@ -21,26 +21,11 @@
 // when clean), 1 when violations remain, 2 on usage (an unknown option, or
 // no or too many directories) or I/O error.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
 #include "src/check/checker.h"
-
-namespace {
-
-invfs::BlockStore* OpenStore(
-    const char* dir, std::unique_ptr<invfs::FileBlockStore>* slot) {
-  auto store = invfs::FileBlockStore::Open(dir);
-  if (!store.ok()) {
-    std::fprintf(stderr, "invfs_check: cannot open %s: %s\n", dir,
-                 store.status().message().c_str());
-    return nullptr;
-  }
-  *slot = std::move(*store);
-  return slot->get();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bool tolerate_quarantined = false;
@@ -63,21 +48,18 @@ int main(int argc, char** argv) {
                  "[--tolerate-residue] <disk-dir> [nvram-dir] [jukebox-dir]\n");
     return 2;
   }
-  std::unique_ptr<invfs::FileBlockStore> disk, nvram, jukebox;
-  invfs::BlockStore* disk_store = OpenStore(argv[1], &disk);
-  if (disk_store == nullptr) {
-    return 2;
-  }
-  invfs::BlockStore* nvram_store = nullptr;
-  invfs::BlockStore* jukebox_store = nullptr;
-  if (argc > 2 && (nvram_store = OpenStore(argv[2], &nvram)) == nullptr) {
-    return 2;
-  }
-  if (argc > 3 && (jukebox_store = OpenStore(argv[3], &jukebox)) == nullptr) {
-    return 2;
+  std::unique_ptr<invfs::FileBlockStore> stores[3];  // disk, nvram, jukebox
+  for (int i = 1; i < argc; ++i) {
+    auto store = invfs::FileBlockStore::Open(argv[i]);
+    if (!store.ok()) {
+      std::fprintf(stderr, "invfs_check: cannot open %s: %s\n", argv[i],
+                   store.status().message().c_str());
+      return 2;
+    }
+    stores[i - 1] = std::move(*store);
   }
 
-  invfs::Checker checker(disk_store, nvram_store, jukebox_store);
+  invfs::Checker checker(stores[0].get(), stores[1].get(), stores[2].get());
   auto report = checker.Run();
   if (!report.ok()) {
     std::fprintf(stderr, "invfs_check: %s\n", report.status().message().c_str());
@@ -87,14 +69,10 @@ int main(int argc, char** argv) {
   if (report->ok()) {
     return 0;
   }
-  bool all_tolerated = true;
-  for (const invfs::Violation& v : report->violations) {
-    if (!((tolerate_quarantined && v.quarantined) ||
-          (tolerate_residue && v.residue))) {
-      all_tolerated = false;
-      break;
-    }
-  }
+  const bool all_tolerated = std::all_of(
+      report->violations.begin(), report->violations.end(), [&](const invfs::Violation& v) {
+        return (tolerate_quarantined && v.quarantined) || (tolerate_residue && v.residue);
+      });
   if (all_tolerated) {
     std::fputs("invfs_check: all violations tolerated\n", stdout);
     return 0;

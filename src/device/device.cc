@@ -6,17 +6,6 @@
 
 namespace invfs {
 
-// ------------------------------------------------------------------ ExtentMap
-
-uint64_t ExtentMap::PhysicalAddress(Oid rel, uint32_t block) {
-  auto& ext = extents_[rel];
-  const uint32_t extent_index = block / extent_pages_;
-  while (ext.size() <= extent_index) {
-    ext.push_back(next_free_extent_++ * extent_pages_);
-  }
-  return ext[extent_index] + block % extent_pages_;
-}
-
 // --------------------------------------------------------- MagneticDiskDevice
 
 MagneticDiskDevice::MagneticDiskDevice(BlockStore* store, SimClock* clock,
@@ -28,13 +17,6 @@ MagneticDiskDevice::MagneticDiskDevice(BlockStore* store, SimClock* clock,
 MagneticDiskDevice::~MagneticDiskDevice() = default;
 
 DiskModel& MagneticDiskDevice::disk_model() { return *model_; }
-
-Status MagneticDiskDevice::CreateRelation(Oid rel) {
-  INV_RETURN_IF_ERROR(store_->Create(rel));
-  MutexLock lock(mu_);
-  extents_.Add(rel);
-  return Status::Ok();
-}
 
 Status MagneticDiskDevice::DropRelation(Oid rel) {
   INV_RETURN_IF_ERROR(store_->Drop(rel));
@@ -70,13 +52,6 @@ JukeboxDevice::JukeboxDevice(BlockStore* store, SimClock* clock, JukeboxParams p
       extents_(params.extent_pages) {}
 
 JukeboxDevice::~JukeboxDevice() = default;
-
-Status JukeboxDevice::CreateRelation(Oid rel) {
-  INV_RETURN_IF_ERROR(store_->Create(rel));
-  MutexLock lock(mu_);
-  extents_.Add(rel);
-  return Status::Ok();
-}
 
 Status JukeboxDevice::DropRelation(Oid rel) {
   INV_RETURN_IF_ERROR(store_->Drop(rel));

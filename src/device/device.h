@@ -24,6 +24,7 @@
 
 #include "src/device/block_store.h"
 #include "src/sim/cost_params.h"
+#include "src/sim/extent_map.h"
 #include "src/storage/common.h"
 #include "src/util/mutex.h"
 #include "src/util/status.h"
@@ -86,28 +87,6 @@ class NvramDevice final : public DeviceManager {
 
 class DiskModel;
 
-// Logical-to-physical block map shared by the cost-modelled devices: a
-// relation's blocks live in extents of `extent_pages` contiguous physical
-// pages, allocated in logical order from one global cursor. Dropped
-// relations leak their extents on purpose (no free-space reuse). Not
-// thread-safe; the owning device guards it with its own mutex.
-class ExtentMap {
- public:
-  explicit ExtentMap(uint32_t extent_pages) : extent_pages_(extent_pages) {}
-
-  void Add(Oid rel) { extents_.try_emplace(rel); }
-  void Remove(Oid rel) { extents_.erase(rel); }
-  // Physical address of (rel, block); allocates new extents when `block`
-  // crosses the relation's current allocation.
-  uint64_t PhysicalAddress(Oid rel, uint32_t block);
-
- private:
-  uint32_t extent_pages_;
-  uint64_t next_free_extent_ = 0;  // global allocation cursor, in extents
-  // Per relation: physical extent bases in logical order.
-  std::unordered_map<Oid, std::vector<uint64_t>> extents_;
-};
-
 // Magnetic disk: cost-modelled seeks/rotation/transfer over a physical block
 // address space. Relations are laid out in extents allocated from a global
 // cursor, which approximates FFS cylinder-group clustering: blocks within an
@@ -120,7 +99,7 @@ class MagneticDiskDevice final : public DeviceManager {
   ~MagneticDiskDevice() override;
 
   std::string_view name() const override { return "magnetic"; }
-  Status CreateRelation(Oid rel) override;
+  Status CreateRelation(Oid rel) override { return store_->Create(rel); }
   Status DropRelation(Oid rel) override;
   bool RelationExists(Oid rel) const override { return store_->Exists(rel); }
   Result<uint32_t> NumBlocks(Oid rel) const override { return store_->NumBlocks(rel); }
@@ -151,7 +130,7 @@ class JukeboxDevice final : public DeviceManager {
   ~JukeboxDevice() override;
 
   std::string_view name() const override { return "sony_jukebox"; }
-  Status CreateRelation(Oid rel) override;
+  Status CreateRelation(Oid rel) override { return store_->Create(rel); }
   Status DropRelation(Oid rel) override;
   bool RelationExists(Oid rel) const override { return store_->Exists(rel); }
   Result<uint32_t> NumBlocks(Oid rel) const override { return store_->NumBlocks(rel); }

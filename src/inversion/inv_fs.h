@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/catalog/database.h"
+#include "src/inversion/chunk_record.h"
 #include "src/obs/tenant.h"
 #include "src/query/executor.h"
 #include "src/query/function_registry.h"
@@ -43,17 +44,6 @@
 #include "src/vacuum/vacuum.h"
 
 namespace invfs {
-
-// ---- chunk geometry ---------------------------------------------------------
-// Chunk record: (chunkno int4, data bytea, selfid int8, rawlen int4-or-null).
-// Encoded tuple overhead: 14-byte header + 1-byte null bitmap + 4 (chunkno)
-// + 4 (bytea length word) + 8 (selfid) = 31 bytes; page overhead: 24-byte
-// page header + 4-byte line pointer. One full chunk record exactly fills a
-// page:
-inline constexpr uint32_t kInvTupleOverhead = kTupleFixedHeader + 1 + 4 + 4 + 8;
-inline constexpr uint32_t kInvChunkSize =
-    kPageSize - kPageHeaderSize - kLinePointerSize - kInvTupleOverhead;  // 8133
-static_assert(kInvChunkSize > 8000 && kInvChunkSize < kPageSize);
 
 // Paper: "Inversion files can be 17.6 TBytes in length."
 inline constexpr int64_t kInvMaxFileSize = 17'600'000'000'000;
@@ -206,8 +196,6 @@ class InversionFs {
   Result<std::optional<std::pair<Tid, NamingEntry>>> NamingOf(Oid file,
                                                               const Snapshot& snap);
   Result<std::vector<DirEntry>> ListDirectory(Oid dir, const Snapshot& snap);
-
-  static std::string ChunkTableName(Oid file) { return "inv" + std::to_string(file); }
 
   // Calls `fn(tid, chunkno, bytes) -> Status` on the checked raw contents of
   // each version of `file`'s chunks visible under `snap` (archive included,

@@ -31,10 +31,6 @@ Result<std::pair<std::string, std::string>> SplitParentPath(const std::string& p
   return std::make_pair(std::move(dir), std::move(base));
 }
 
-int64_t SelfIdent(Oid file, int64_t chunkno) {
-  return (static_cast<int64_t>(file) << 32) | chunkno;
-}
-
 }  // namespace
 
 InvSession::~InvSession() {
@@ -145,11 +141,7 @@ Result<int> InvSession::p_creat(const std::string& path, CreatOptions options) {
     const Oid oid = fs_->db().catalog().AllocateOid();
     INV_ASSIGN_OR_RETURN(
         TableInfo * chunk_table,
-        fs_->db().catalog().CreateTable(txn, InversionFs::ChunkTableName(oid),
-                                        Schema{{"chunkno", TypeId::kInt4},
-                                               {"data", TypeId::kBytea},
-                                               {"selfid", TypeId::kInt8},
-                                               {"rawlen", TypeId::kInt4}},
+        fs_->db().catalog().CreateTable(txn, ChunkTableName(oid), ChunkTableSchema(),
                                         options.device));
     IndexInfo* chunk_index = nullptr;
     if (fs_->options_.maintain_chunk_index) {
@@ -202,7 +194,7 @@ Result<int> InvSession::p_open(const std::string& path, OpenMode mode,
     }
     // Chunk tables survive unlink (that is what makes undelete-via-time-travel
     // work), so historical opens find the handle in the current catalog cache.
-    auto chunk_table = fs_->db().catalog().GetTable(InversionFs::ChunkTableName(oid));
+    auto chunk_table = fs_->db().catalog().GetTable(ChunkTableName(oid));
     if (!chunk_table.ok()) {
       return Status::NotFound("data table missing for " + path);
     }
@@ -312,22 +304,17 @@ Result<bool> InversionFs::VisitChunks(Oid file, const TableInfo* table,
     if (chunkno.has_value() && no != *chunkno) {
       return false;  // the scans offer every chunk's versions
     }
-    // Self-identifying record check (media corruption defense), and a
-    // length no chunk can have: the callers' buffers hold one chunk.
-    auto corrupt = [&](const char* what) {
-      return Status::Corruption(std::string(what) + " in file " + std::to_string(file) +
+    // The chunk record rule invfs_check applies too (self-identification as
+    // a media corruption defense, and a length the callers' one-chunk
+    // buffers hold).
+    const ChunkFields fields = ChunkFields::Of(cols);
+    if (const std::string_view fault = ChunkRecordFault(file, fields); !fault.empty()) {
+      return Status::Corruption(std::string(fault) + " in file " + std::to_string(file) +
                                 " chunk " + std::to_string(no));
-    };
-    if (!cols[2].null && cols[2].Int8() != SelfIdent(file, no)) {
-      return corrupt("chunk self-identification mismatch");
-    }
-    const size_t len =
-        cols[3].null ? cols[1].bytes.size() : static_cast<size_t>(cols[3].Int4());
-    if (cols[0].null || cols[1].null || len > kInvChunkSize) {
-      return corrupt("chunk number or data missing, or data longer than a chunk");
     }
     if (!cols[3].null) {
-      packed.emplace_back(tid, no, len, Blob(cols[1].bytes.begin(), cols[1].bytes.end()));
+      packed.emplace_back(tid, no, fields.length,
+                          Blob(cols[1].bytes.begin(), cols[1].bytes.end()));
     } else {
       INV_RETURN_IF_ERROR(fn(tid, no, cols[1].bytes));
     }
@@ -415,7 +402,7 @@ Status InvSession::FlushChunk(Handle& h, TxnId txn) {
     data_value = Value::Bytes(std::move(content));
   }
   Row row{Value::Int4(static_cast<int32_t>(chunkno)), std::move(data_value),
-          Value::Int8(SelfIdent(h.file, chunkno)), std::move(rawlen_value)};
+          Value::Int8(ChunkSelfIdent(h.file, chunkno)), std::move(rawlen_value)};
 
   INV_RETURN_IF_ERROR(fs_->db().LockTable(txn, h.chunk_table, LockMode::kExclusive));
   const Snapshot snap = fs_->db().SnapshotFor(txn);

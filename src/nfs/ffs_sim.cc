@@ -10,22 +10,25 @@ FfsSim::FfsSim(SimClock* clock, DiskParams params, size_t cache_pages,
     : clock_(clock),
       disk_(std::make_unique<DiskModel>(clock, params)),
       cache_pages_(cache_pages),
-      extent_pages_(extent_pages),
-      readahead_pages_(readahead_pages) {}
+      readahead_pages_(readahead_pages),
+      extents_(extent_pages) {}
 
 Status FfsSim::Create(const std::string& path) {
   auto [it, inserted] = files_.try_emplace(path);
-  (void)it;
   if (!inserted) {
     return Status::AlreadyExists(path);
   }
+  it->second.id = next_file_id_++;
   return Status::Ok();
 }
 
 Status FfsSim::Remove(const std::string& path) {
-  if (files_.erase(path) == 0) {
+  auto fit = files_.find(path);
+  if (fit == files_.end()) {
     return Status::NotFound(path);
   }
+  extents_.Remove(fit->second.id);
+  files_.erase(fit);
   for (auto it = cache_.begin(); it != cache_.end();) {
     if (it->first.path == path) {
       lru_.remove(it->first);
@@ -47,14 +50,6 @@ Result<int64_t> FfsSim::Size(const std::string& path) const {
   return it->second.size;
 }
 
-uint64_t FfsSim::PhysicalBlock(File& f, uint64_t block) {
-  const uint64_t extent_index = block / extent_pages_;
-  while (f.extents.size() <= extent_index) {
-    f.extents.push_back(next_free_extent_++ * extent_pages_);
-  }
-  return f.extents[extent_index] + block % extent_pages_;
-}
-
 void FfsSim::EvictIfNeeded() {
   while (cache_.size() > cache_pages_ && !lru_.empty()) {
     CacheKey victim = lru_.back();
@@ -64,7 +59,7 @@ void FfsSim::EvictIfNeeded() {
       if (it->second) {
         auto fit = files_.find(victim.path);
         if (fit != files_.end()) {
-          disk_->ChargePageIo(PhysicalBlock(fit->second, victim.block));
+          disk_->ChargePageIo(extents_.PhysicalAddress(fit->second.id, victim.block));
         }
       }
       cache_.erase(it);
@@ -80,7 +75,7 @@ void FfsSim::CacheRead(const std::string& path, File& f, uint64_t block) {
     lru_.push_front(key);
     return;
   }
-  disk_->ChargePageIo(PhysicalBlock(f, block));
+  disk_->ChargePageIo(extents_.PhysicalAddress(f.id, block));
   cache_[key] = false;
   lru_.push_front(key);
   // Sequential read-ahead: prefetch the following blocks while the head is
@@ -95,7 +90,7 @@ void FfsSim::CacheRead(const std::string& path, File& f, uint64_t block) {
       }
       const CacheKey next_key{path, next};
       if (!cache_.contains(next_key)) {
-        disk_->ChargePageIo(PhysicalBlock(f, next));
+        disk_->ChargePageIo(extents_.PhysicalAddress(f.id, next));
         cache_[next_key] = false;
         lru_.push_front(next_key);
       }
@@ -109,7 +104,7 @@ void FfsSim::CacheWrite(const std::string& path, File& f, uint64_t block,
                         bool stable) {
   const CacheKey key{path, block};
   if (stable) {
-    disk_->ChargeSyncPageIo(PhysicalBlock(f, block));
+    disk_->ChargeSyncPageIo(extents_.PhysicalAddress(f.id, block));
     lru_.remove(key);
     cache_[key] = false;  // now clean on disk, still cached
     lru_.push_front(key);
@@ -185,7 +180,7 @@ Status FfsSim::Sync(const std::string& path) {
   }
   for (auto& [key, dirty] : cache_) {
     if (dirty && key.path == path) {
-      disk_->ChargePageIo(PhysicalBlock(fit->second, key.block));
+      disk_->ChargePageIo(extents_.PhysicalAddress(fit->second.id, key.block));
       dirty = false;
     }
   }
@@ -197,7 +192,7 @@ Status FfsSim::FlushCaches() {
     if (dirty) {
       auto fit = files_.find(key.path);
       if (fit != files_.end()) {
-        disk_->ChargePageIo(PhysicalBlock(fit->second, key.block));
+        disk_->ChargePageIo(extents_.PhysicalAddress(fit->second.id, key.block));
       }
       dirty = false;
     }

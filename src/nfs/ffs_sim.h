@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/sim/disk_model.h"
+#include "src/sim/extent_map.h"
 #include "src/util/status.h"
 
 namespace invfs {
@@ -57,7 +58,7 @@ class FfsSim {
   struct File {
     std::vector<std::vector<std::byte>> blocks;  // 8 KB each
     int64_t size = 0;
-    std::vector<uint64_t> extents;  // physical base of each extent
+    uint32_t id = 0;                // its blocks' owner in extents_
     int64_t last_read_block = -1;   // read-ahead detector
   };
 
@@ -67,7 +68,6 @@ class FfsSim {
     auto operator<=>(const CacheKey&) const = default;
   };
 
-  uint64_t PhysicalBlock(File& f, uint64_t block);
   // Touch the cache; on miss charge a disk read and run read-ahead.
   void CacheRead(const std::string& path, File& f, uint64_t block);
   void CacheWrite(const std::string& path, File& f, uint64_t block, bool stable);
@@ -76,11 +76,11 @@ class FfsSim {
   SimClock* clock_;
   std::unique_ptr<DiskModel> disk_;
   size_t cache_pages_;
-  uint32_t extent_pages_;
   uint32_t readahead_pages_;
 
   std::map<std::string, File> files_;
-  uint64_t next_free_extent_ = 0;
+  uint32_t next_file_id_ = 0;
+  ExtentMap extents_;
   // Buffer cache: map key -> dirty flag; LRU order list (front = hottest).
   std::map<CacheKey, bool> cache_;
   std::list<CacheKey> lru_;

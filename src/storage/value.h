@@ -98,6 +98,8 @@ class Value {
 struct Column {
   std::string name;
   TypeId type;
+
+  bool operator==(const Column&) const = default;
 };
 
 // Relation schema: ordered column list.

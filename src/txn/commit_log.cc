@@ -79,48 +79,33 @@ void CommitLog::GrowTo(TxnId n) {
 Status CommitLog::LoadFromDevice() {
   INV_ASSIGN_OR_RETURN(uint32_t nblocks, device_->NumBlocks(kCommitLogRelOid));
   std::vector<std::byte> buf(kPageSize);
-  // Log pages whose entries recovery rewrites; persisted below so the
-  // converted aborts reach the raw image, not just memory.
-  std::set<uint32_t> converted_blocks;
   for (uint32_t b = 0; b < nblocks; ++b) {
     INV_RETURN_IF_ERROR(device_->ReadBlock(kCommitLogRelOid, b, buf));
-    DecodedPage page = DecodePage(b, buf);
+    const DecodedPage page = DecodePage(b, buf);
     if (!page.invalid.empty()) {
       return page.invalid.front();
     }
     if (b == 0) {
       xid_horizon_ = page.horizon;
     }
-    for (DecodedPage::Entry& e : page.used) {
+    for (const DecodedPage::Entry& e : page.used) {
       GrowTo(e.xid + 1);
-      // Crash recovery: an in-progress entry means the writer died before
-      // commit. It never happened.
-      if (e.status == TxnStatus::kInProgress) {
-        e.status = TxnStatus::kAborted;
-        converted_blocks.insert(b);
-      }
       EntryAt(e.xid).Set(e.status, e.commit_ts, 0);
     }
   }
-  // Every xid at or below the horizon may have been handed out without a
-  // persisted begin record (begin only waits on the device when it advances
-  // the horizon). Whatever is still unused after a crash is burned: record it
-  // aborted so the xid can never be reused and offline readers agree.
-  if (xid_horizon_ > 0) {
-    GrowTo(xid_horizon_ + 1);
-    for (TxnId x = kBootstrapTxn + 1; x <= xid_horizon_; ++x) {
-      Entry& e = EntryAt(x);
-      if (e.status.load(std::memory_order_relaxed) ==
-          static_cast<uint32_t>(TxnStatus::kUnused)) {
-        e.Set(TxnStatus::kAborted, 0, 0);
-        converted_blocks.insert(static_cast<uint32_t>(x / kEntriesPerPage));
-      }
+  // Crash recovery, and the log pages it rewrites. Persisting them matters:
+  // without it, a second crash before the next group flush would leave the
+  // entries in progress (or unused) on disk forever.
+  GrowTo(xid_horizon_ + 1);
+  std::set<uint32_t> converted_blocks;
+  for (TxnId x = 0; x < size_.load(std::memory_order_relaxed); ++x) {
+    Entry& e = EntryAt(x);
+    const auto stored = static_cast<TxnStatus>(e.status.load(std::memory_order_relaxed));
+    if (const TxnStatus status = RecoveredStatus(x, stored, xid_horizon_); status != stored) {
+      e.Set(status, e.commit_ts.load(std::memory_order_relaxed), 0);
+      converted_blocks.insert(static_cast<uint32_t>(x / kEntriesPerPage));
     }
   }
-  // Persist the conversions: without this, a second crash before the next
-  // group flush would leave the entries in-progress (or unused) on disk
-  // forever, and any offline reader of the raw image would disagree with us
-  // about their fate.
   for (uint32_t b : converted_blocks) {
     INV_RETURN_IF_ERROR(WriteLogBlock(b, BuildPageImage(b)));
   }

@@ -176,6 +176,19 @@ class CommitLog {
   };
   // The one decoder of a stored log page, shared by Open and invfs_check.
   static DecodedPage DecodePage(uint32_t block, std::span<const std::byte> page);
+  // The status crash recovery gives `xid`, stored as `stored` in a log whose
+  // persisted horizon is `horizon`. An entry left in progress belonged to a
+  // writer that died before commit; an xid at or below the horizon that is
+  // still unused was handed out without a persisted begin record and burned.
+  // Both read as aborted. Open persists the pages this changes; invfs_check
+  // reads the same statuses and writes nothing.
+  static TxnStatus RecoveredStatus(TxnId xid, TxnStatus stored, TxnId horizon) {
+    if (stored == TxnStatus::kInProgress ||
+        (stored == TxnStatus::kUnused && xid > kBootstrapTxn && xid <= horizon)) {
+      return TxnStatus::kAborted;
+    }
+    return stored;
+  }
 
  private:
   CommitLog(DeviceManager* device, MetricsRegistry* metrics);

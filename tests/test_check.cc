@@ -21,6 +21,7 @@
 #include "src/inversion/inv_fs.h"
 #include "src/storage/page.h"
 #include "src/util/bytes.h"
+#include "tests/heap_rows.h"
 
 namespace invfs {
 namespace {
@@ -380,6 +381,135 @@ TEST_F(CheckTest, ChunkSelfIdentMismatchDetected) {
     }
   }
   EXPECT_TRUE(hit) << "no byte in the tuple tail tripped the selfid check";
+}
+
+// The chunk record rule (chunk_record.h) is one for the file system's chunk
+// reads and invfs_check: a record holding more bytes than one chunk is
+// chunk-length to both.
+TEST_F(CheckTest, ChunkLongerThanAChunkIsRefusedByBoth) {
+  MakeFile("/long.txt", "abc");
+  const Snapshot now{kTimestampNow, kInvalidTxn, &db_->txns().log(), nullptr};
+  auto file = fs_->ResolvePath("/long.txt", now);
+  ASSERT_TRUE(file.ok());
+  auto table = db_->catalog().GetTable(ChunkTableName(*file));
+  ASSERT_TRUE(table.ok());
+  auto rows = HeapRows(*(*table)->heap, now);
+  ASSERT_TRUE(rows.ok());
+  ASSERT_EQ(rows->size(), 1u);
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  const Blob data(3, std::byte{'a'});
+  ASSERT_TRUE(db_->ReplaceRow(*txn, *table, rows->front().tid,
+                              {Value::Int4(0), Value::Bytes(data),
+                               Value::Int8(ChunkSelfIdent(*file, 0)),
+                               Value::Int4(kInvChunkSize + 1)})
+                  .ok());
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+
+  const CheckReport report = Check();
+  EXPECT_TRUE(report.Has("chunk-length")) << report.ToString();
+  auto fd = s_->p_open("/long.txt", OpenMode::kRead);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::byte> buf(16);
+  auto read = s_->p_read(*fd, buf);
+  EXPECT_EQ(read.status().code(), ErrorCode::kCorruption);
+  EXPECT_NE(read.status().message().find("chunk-length"), std::string::npos)
+      << read.status().ToString();
+}
+
+// Catalog::Load and invfs_check read pg_class, pg_attribute and pg_index
+// through one DecodeCatalogDefs. Each crafted, committed catalog row below
+// goes into a fresh image holding table t (k text, n int4) and its index on
+// k: invfs_check must report it under the named invariant, and
+// Database::Open must refuse the image with Corruption naming the same one
+// (a second pg_index row of one index used to leave the table holding a
+// freed IndexInfo).
+TEST(CatalogRowsAgree, EveryCraftedRowIsRefusedByBoth) {
+  struct Case {
+    const char* name;
+    const char* invariant;
+    Oid catalog;
+    // The crafted row, from t's oid, its index's and an oid nothing uses.
+    std::function<Row(Oid table, Oid index, Oid unused)> row;
+  };
+  auto attribute = [](Oid rel, int32_t type, int32_t attnum) {
+    return Row{Value::MakeOid(rel), Value::Text("x"), Value::Int4(type), Value::Int4(attnum)};
+  };
+  auto relation = [](Oid rel, int32_t device, int32_t kind) {
+    return Row{Value::Text("r"), Value::MakeOid(rel), Value::Int4(device), Value::Int4(kind)};
+  };
+  auto index_row = [](Oid index, Oid heap, const char* keys) {
+    return Row{Value::MakeOid(index), Value::MakeOid(heap), Value::Text(keys)};
+  };
+  constexpr auto kInt4 = static_cast<int32_t>(TypeId::kInt4);
+  const Case cases[] = {
+      {"repeated attnum", "attribute-gap", kPgAttributeOid,
+       [&](Oid t, Oid, Oid) { return attribute(t, kInt4, 1); }},
+      {"attnum past the column count", "attribute-gap", kPgAttributeOid,
+       [&](Oid t, Oid, Oid) { return attribute(t, kInt4, 5); }},
+      {"atttypid 99", "attribute-gap", kPgAttributeOid,
+       [&](Oid t, Oid, Oid) { return attribute(t, 99, 2); }},
+      {"relkind 9", "relation-bad-kind", kPgClassOid,
+       [&](Oid, Oid, Oid unused) { return relation(unused, kDeviceMagneticDisk, 9); }},
+      {"reldevice 7", "relation-bad-device", kPgClassOid,
+       [&](Oid, Oid, Oid unused) { return relation(unused, 7, 0); }},
+      {"pg_index row naming a heap as its index", "index-ref", kPgIndexOid,
+       [&](Oid t, Oid, Oid) { return index_row(t, t, "0"); }},
+      {"pg_index row over a missing heap", "index-ref", kPgIndexOid,
+       [&](Oid, Oid i, Oid unused) { return index_row(i, unused, "0"); }},
+      {"indkeys past the heap's columns", "index-ref", kPgIndexOid,
+       [&](Oid t, Oid i, Oid) { return index_row(i, t, "2"); }},
+      {"index relation with no pg_index row", "index-unreferenced", kPgClassOid,
+       [&](Oid, Oid, Oid unused) {
+         return relation(unused, kDeviceMagneticDisk, static_cast<int32_t>(RelKind::kIndex));
+       }},
+      {"attribute row of a missing relation", "attribute-orphan", kPgAttributeOid,
+       [&](Oid, Oid, Oid unused) { return attribute(unused, kInt4, 0); }},
+      {"second pg_class row of a relation", "duplicate-current-version", kPgClassOid,
+       [&](Oid t, Oid, Oid) { return relation(t, kDeviceMagneticDisk, 0); }},
+      {"second pg_index row of an index", "duplicate-current-version", kPgIndexOid,
+       [&](Oid t, Oid i, Oid) { return index_row(i, t, "0"); }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    StorageEnv env;
+    {
+      auto db = Database::Open(&env);
+      ASSERT_TRUE(db.ok());
+      Catalog& catalog = (*db)->catalog();
+      auto txn = (*db)->Begin();
+      ASSERT_TRUE(txn.ok());
+      auto table = catalog.CreateTable(
+          *txn, "t", Schema{{"k", TypeId::kText}, {"n", TypeId::kInt4}}, kDeviceMagneticDisk);
+      ASSERT_TRUE(table.ok());
+      auto index = catalog.CreateIndex(*txn, *table, {0});
+      ASSERT_TRUE(index.ok());
+      ASSERT_TRUE(
+          (*db)->InsertRow(*txn, *table, {Value::Text("key"), Value::Int4(1)}).ok());
+      ASSERT_TRUE((*db)->Commit(*txn).ok());
+      ASSERT_TRUE((*db)->FlushCaches().ok());
+      auto clean = CheckImage(env);
+      ASSERT_TRUE(clean.ok());
+      ASSERT_TRUE(clean->ok()) << clean->ToString();
+
+      txn = (*db)->Begin();
+      ASSERT_TRUE(txn.ok());
+      auto holder = catalog.GetTableByOid(c.catalog);
+      ASSERT_TRUE(holder.ok());
+      const Row row = c.row((*table)->oid, (*index)->oid, catalog.AllocateOid());
+      ASSERT_TRUE((*holder)->heap->Insert(*txn, row).ok());
+      ASSERT_TRUE((*db)->Commit(*txn).ok());
+      ASSERT_TRUE((*db)->FlushCaches().ok());
+    }
+    auto report = CheckImage(env);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->Has(c.invariant)) << report->ToString();
+    auto reopened = Database::Open(&env);
+    EXPECT_EQ(reopened.status().code(), ErrorCode::kCorruption)
+        << reopened.status().ToString();
+    EXPECT_NE(reopened.status().message().find(c.invariant), std::string::npos)
+        << reopened.status().ToString();
+  }
 }
 
 // invfs_check and BTree::CheckInvariants run one structural walk of a
