@@ -129,7 +129,7 @@ Result<std::optional<PageRef>> Heap::PinForRead(uint32_t block) const {
   return std::optional<PageRef>(std::move(*ref_or));
 }
 
-Status Heap::CheckTupleHeader(std::span<const std::byte> tuple) {
+Status CheckTupleHeader(std::span<const std::byte> tuple) {
   // GetTupleMeta reads the fixed header unchecked.
   if (tuple.size() < kTupleFixedHeader) {
     return Status::Corruption("tuple of " + std::to_string(tuple.size()) +

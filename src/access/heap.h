@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <span>
@@ -22,6 +23,44 @@
 #include "src/util/status.h"
 
 namespace invfs {
+
+// Corruption when `tuple`, a live slot's bytes, is shorter than the tuple
+// header, which GetTupleMeta reads unchecked: only a corrupt page holds one.
+Status CheckTupleHeader(std::span<const std::byte> tuple);
+
+// The heap's slot rule: the one walk of a heap page, for the engine's heap
+// reads (under a buffer-pool pin) and invfs_check (over a page read from a
+// block store). For each slot of the page in [first, end), in order,
+// Page::GetTuple gives its bytes, a dead slot is skipped, and a live slot
+// shorter than the tuple header is refused. `live(tid, tuple) -> Result<bool>`
+// gets each live version; true ends the walk. `refused(tid, tuple, why) ->
+// Status` gets each refused slot, `tuple` empty when its line pointer was
+// refused; non-OK ends the walk. Returns whether `live` ended it.
+template <typename Live, typename Refused>
+Result<bool> WalkHeapPage(const Page& page, uint32_t block, Live&& live, Refused&& refused,
+                          uint32_t first = 0, uint32_t end = ~0u) {
+  end = std::min<uint32_t>(end, page.num_slots());
+  for (uint32_t s = first; s < end; ++s) {
+    const Tid tid{block, static_cast<uint16_t>(s)};
+    auto tuple = page.GetTuple(tid.slot);
+    if (!tuple.ok()) {
+      INV_RETURN_IF_ERROR(refused(tid, std::span<const std::byte>(), tuple.status()));
+      continue;
+    }
+    if (tuple->empty()) {
+      continue;
+    }
+    if (Status why = CheckTupleHeader(*tuple); !why.ok()) {
+      INV_RETURN_IF_ERROR(refused(tid, *tuple, why));
+      continue;
+    }
+    INV_ASSIGN_OR_RETURN(const bool stop, live(tid, *tuple));
+    if (stop) {
+      return true;
+    }
+  }
+  return false;
+}
 
 class Heap {
  public:
@@ -91,15 +130,8 @@ class Heap {
   // Pin `block` for a read; nullopt when the block lies past the persisted
   // end of the heap (a dangling TID, see heap.cc).
   Result<std::optional<PageRef>> PinForRead(uint32_t block) const;
-  // The one slot rule: the bytes of `slot` if it holds a whole version that
-  // `visible` accepts, else an empty span (a dead or dangling slot
-  // included). Caller holds the latch.
-  template <typename Visible>
-  static Result<std::span<const std::byte>> VisibleTuple(const Page& page, uint16_t slot,
-                                                         Visible visible);
-  // A live slot shorter than the tuple header can only come from a corrupt
-  // page.
-  static Status CheckTupleHeader(std::span<const std::byte> tuple);
+  // The engine refuses what the slot rule refuses.
+  static Status Refuse(Tid, std::span<const std::byte>, const Status& why) { return why; }
   template <typename Visible, typename Fn>
   Result<bool> VisitIf(Visible visible, Tid tid, Fn& fn) const;
   template <typename Visible, typename Fn>
@@ -165,23 +197,6 @@ class ArchivePairing {
   bool sorted_ = true;
 };
 
-template <typename Visible>
-Result<std::span<const std::byte>> Heap::VisibleTuple(const Page& page, uint16_t slot,
-                                                      Visible visible) {
-  if (slot >= page.num_slots()) {
-    return std::span<const std::byte>();  // dangling entry; see PinForRead
-  }
-  INV_ASSIGN_OR_RETURN(auto tuple, page.GetTuple(slot));
-  if (tuple.empty()) {
-    return tuple;
-  }
-  INV_RETURN_IF_ERROR(CheckTupleHeader(tuple));
-  if (!visible(GetTupleMeta(tuple))) {
-    return std::span<const std::byte>();
-  }
-  return tuple;
-}
-
 template <typename Visible, typename Fn>
 Result<bool> Heap::VisitIf(Visible visible, Tid tid, Fn& fn) const {
   INV_ASSIGN_OR_RETURN(std::optional<PageRef> ref, PinForRead(tid.block));
@@ -191,30 +206,32 @@ Result<bool> Heap::VisitIf(Visible visible, Tid tid, Fn& fn) const {
   // Page latch: a concurrent writer may be stamping xmax or appending a
   // slot on this page; readers hold no table lock.
   ReaderMutexLock latch(ref->Latch());
-  INV_ASSIGN_OR_RETURN(auto tuple, VisibleTuple(ref->page(), tid.slot, visible));
-  if (tuple.empty()) {
-    return false;
-  }
-  INV_RETURN_IF_ERROR(fn(tuple));
-  return true;
+  bool visited = false;
+  auto one = [&](Tid, std::span<const std::byte> tuple) -> Result<bool> {
+    if (visible(GetTupleMeta(tuple))) {
+      INV_RETURN_IF_ERROR(fn(tuple));
+      visited = true;
+    }
+    return true;
+  };
+  // A slot past the page's last is a dangling entry (see PinForRead).
+  INV_RETURN_IF_ERROR(
+      WalkHeapPage(ref->page(), tid.block, one, Refuse, tid.slot, tid.slot + 1u).status());
+  return visited;
 }
 
 template <typename Visible, typename Fn>
 Status Heap::VisitEachIf(Visible visible, Fn& fn) const {
   INV_ASSIGN_OR_RETURN(uint32_t nblocks, pool_->NumBlocks(rel_));
+  auto each = [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
+    return visible(GetTupleMeta(tuple)) ? fn(tid, tuple) : false;
+  };
   for (uint32_t block = 0; block < nblocks; ++block) {
     INV_ASSIGN_OR_RETURN(PageRef ref, pool_->Pin(rel_, block));
     ReaderMutexLock latch(ref.Latch());
-    const Page page = ref.page();
-    for (uint16_t slot = 0; slot < page.num_slots(); ++slot) {
-      INV_ASSIGN_OR_RETURN(auto tuple, VisibleTuple(page, slot, visible));
-      if (tuple.empty()) {
-        continue;
-      }
-      INV_ASSIGN_OR_RETURN(bool stop, fn(Tid{block, slot}, tuple));
-      if (stop) {
-        return Status::Ok();
-      }
+    INV_ASSIGN_OR_RETURN(const bool stop, WalkHeapPage(ref.page(), block, each, Refuse));
+    if (stop) {
+      return Status::Ok();
     }
   }
   return Status::Ok();

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <functional>
+#include <optional>
 #include <set>
 #include <string_view>
 
 #include "src/access/btree.h"
+#include "src/access/heap.h"
 #include "src/catalog/catalog.h"
 #include "src/inversion/chunk_record.h"
 #include "src/storage/page.h"
@@ -13,18 +15,6 @@
 #include "src/util/bytes.h"
 
 namespace invfs {
-namespace {
-
-std::string KeyOf(const Row& row, const std::vector<size_t>& key_columns) {
-  std::string key;
-  for (size_t c : key_columns) {
-    key += row[c].ToString();
-    key += '\x1f';
-  }
-  return key;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------- reporting
 
@@ -159,31 +149,26 @@ void Checker::LoadCommitLog() {
   }
 }
 
-void Checker::CheckTupleMeta(Oid rel, const HeapTuple& t) {
-  const TupleMeta& m = t.meta;
+void Checker::CheckTupleMeta(Oid rel, Tid tid, const TupleMeta& m) {
+  auto slot = [&] { return "slot " + std::to_string(tid.slot); };
   if (m.xmin == kInvalidTxn) {
-    Add("tuple-xmin-zero", rel, t.tid.block,
-        "slot " + std::to_string(t.tid.slot) + " has xmin 0");
+    Add("tuple-xmin-zero", rel, tid.block, slot() + " has xmin 0");
     return;
   }
   if (!log_.Known(m.xmin)) {
-    Add("tuple-xmin-unknown", rel, t.tid.block,
-        "slot " + std::to_string(t.tid.slot) + " written by unknown xid " +
-            std::to_string(m.xmin));
+    Add("tuple-xmin-unknown", rel, tid.block,
+        slot() + " written by unknown xid " + std::to_string(m.xmin));
   }
   if (m.xmax != kInvalidTxn && !log_.Known(m.xmax)) {
-    Add("tuple-xmax-unknown", rel, t.tid.block,
-        "slot " + std::to_string(t.tid.slot) + " deleted by unknown xid " +
-            std::to_string(m.xmax));
+    Add("tuple-xmax-unknown", rel, tid.block,
+        slot() + " deleted by unknown xid " + std::to_string(m.xmax));
   }
   if (m.xmax != kInvalidTxn && log_.Committed(m.xmin) && log_.Committed(m.xmax) &&
       log_.CommitTs(m.xmax) < log_.CommitTs(m.xmin)) {
-    Add("commit-ts-order", rel, t.tid.block,
-        "slot " + std::to_string(t.tid.slot) + " deleted (xid " +
-            std::to_string(m.xmax) + ", ts " +
+    Add("commit-ts-order", rel, tid.block,
+        slot() + " deleted (xid " + std::to_string(m.xmax) + ", ts " +
             std::to_string(log_.CommitTs(m.xmax)) + ") before it was written (xid " +
-            std::to_string(m.xmin) + ", ts " +
-            std::to_string(log_.CommitTs(m.xmin)) + ")");
+            std::to_string(m.xmin) + ", ts " + std::to_string(log_.CommitTs(m.xmin)) + ")");
   }
 }
 
@@ -208,7 +193,8 @@ bool Checker::ReadPage(BlockStore* store, Oid rel, uint32_t b, std::vector<std::
 }
 
 void Checker::WalkHeap(BlockStore* store, Oid rel, const Schema& schema,
-                       std::vector<HeapTuple>* out) {
+                       const std::vector<size_t>& key, const TupleSink& sink) {
+  ++report_.relations_checked;
   auto nblocks = store->NumBlocks(rel);
   if (!nblocks.ok()) {
     Add("relation-missing", rel, ~0u, nblocks.status().message());
@@ -217,6 +203,50 @@ void Checker::WalkHeap(BlockStore* store, Oid rel, const Schema& schema,
   std::vector<uint16_t>& slots = heap_slots_[rel];
   slots.assign(*nblocks, 0);
   std::vector<std::byte> buf(kPageSize);
+  std::vector<ColumnView> views(schema.num_columns());
+  std::vector<std::pair<size_t, size_t>> extents;  // the page's live tuples: (offset, length)
+  std::map<std::string, Tid> current;  // each current version's key column bytes -> its TID
+  auto note = [&](std::span<const std::byte> tuple) {
+    extents.emplace_back(static_cast<size_t>(tuple.data() - buf.data()), tuple.size());
+    ++report_.tuples_checked;
+  };
+  auto refused = [&](Tid tid, std::span<const std::byte> tuple, const Status& why) {
+    if (tuple.empty()) {
+      Add("line-pointer-bounds", rel, tid.block, why.message());
+    } else {
+      note(tuple);
+      Add("tuple-decode", rel, tid.block,
+          "slot " + std::to_string(tid.slot) + ": " + why.message());
+    }
+    return Status::Ok();
+  };
+  auto live = [&](Tid tid, std::span<const std::byte> tuple) -> Result<bool> {
+    note(tuple);
+    if (Status s = ViewColumns(schema, tuple, views); !s.ok()) {
+      Add("tuple-decode", rel, tid.block, "slot " + std::to_string(tid.slot) + ": " + s.message());
+      return false;
+    }
+    const TupleMeta meta = GetTupleMeta(tuple);
+    CheckTupleMeta(rel, tid, meta);
+    if (!key.empty() && IsCurrent(meta)) {
+      std::string bytes;
+      for (size_t c : key) {
+        const uint32_t length = static_cast<uint32_t>(views[c].bytes.size());
+        bytes.push_back(views[c].null ? '\0' : '\1');
+        bytes.append(reinterpret_cast<const char*>(&length), sizeof length);
+        bytes.append(reinterpret_cast<const char*>(views[c].bytes.data()), length);
+      }
+      if (const auto [it, inserted] = current.emplace(std::move(bytes), tid); !inserted) {
+        Add("duplicate-current-version", rel, tid.block,
+            "one key is current at both " + it->second.ToString() + " and " + tid.ToString() +
+                " (version chain cut)");
+      }
+    }
+    if (sink) {
+      sink(tid, meta, views, tuple);
+    }
+    return false;
+  };
   for (uint32_t b = 0; b < *nblocks; ++b) {
     if (!ReadPage(store, rel, b, buf)) {
       continue;
@@ -226,86 +256,16 @@ void Checker::WalkHeap(BlockStore* store, Oid rel, const Schema& schema,
       Add("page-geometry", rel, b, s.message());
       continue;  // line pointers cannot be trusted
     }
-    const uint16_t nslots = page.num_slots();
-    slots[b] = nslots;
-    // Live tuples: inside the tuple area (GetTuple's rule) and non-overlapping.
-    std::vector<std::pair<size_t, size_t>> live;  // (offset, length)
-    for (uint16_t s = 0; s < nslots; ++s) {
-      auto tuple = page.GetTuple(s);
-      if (!tuple.ok()) {
-        Add("line-pointer-bounds", rel, b, tuple.status().message());
-        continue;
-      }
-      if (tuple->empty()) {
-        continue;  // dead (or compacted-away) slot
-      }
-      live.emplace_back(static_cast<size_t>(tuple->data() - buf.data()), tuple->size());
-      ++report_.tuples_checked;
-      HeapTuple t;
-      t.tid = Tid{b, s};
-      if (tuple->size() < kTupleFixedHeader) {
-        Add("tuple-decode", rel, b,
-            "slot " + std::to_string(s) + " shorter than the tuple header");
-        continue;
-      }
-      t.meta = GetTupleMeta(*tuple);
-      auto row = DecodeTuple(schema, *tuple);
-      if (!row.ok()) {
-        Add("tuple-decode", rel, b,
-            "slot " + std::to_string(s) + ": " + row.status().message());
-        continue;
-      }
-      t.row = std::move(*row);
-      CheckTupleMeta(rel, t);
-      if (out != nullptr) {
-        out->push_back(std::move(t));
-      }
-    }
-    std::sort(live.begin(), live.end());
-    for (size_t i = 1; i < live.size(); ++i) {
-      if (live[i - 1].first + live[i - 1].second > live[i].first) {
+    slots[b] = page.num_slots();
+    extents.clear();
+    (void)WalkHeapPage(page, b, live, refused);  // neither callback ends the walk
+    std::sort(extents.begin(), extents.end());
+    for (size_t i = 1; i < extents.size(); ++i) {
+      if (extents[i - 1].first + extents[i - 1].second > extents[i].first) {
         Add("tuple-overlap", rel, b,
-            "tuples at offsets " + std::to_string(live[i - 1].first) + " and " +
-                std::to_string(live[i].first) + " overlap");
+            "tuples at offsets " + std::to_string(extents[i - 1].first) + " and " +
+                std::to_string(extents[i].first) + " overlap");
       }
-    }
-  }
-}
-
-void Checker::CheckCurrentUnique(Oid rel, const std::vector<HeapTuple>& tuples,
-                                 const std::vector<size_t>& key_columns) {
-  std::map<std::string, Tid> current;
-  for (const HeapTuple& t : tuples) {
-    if (!IsCurrent(t.meta)) {
-      continue;
-    }
-    std::string key = KeyOf(t.row, key_columns);
-    auto [it, inserted] = current.emplace(std::move(key), t.tid);
-    if (!inserted) {
-      Add("duplicate-current-version", rel, t.tid.block,
-          "key " + KeyOf(t.row, key_columns) + " is current at both " +
-              it->second.ToString() + " and " + t.tid.ToString() +
-              " (version chain cut)");
-    }
-  }
-}
-
-void Checker::CheckChunkTable(const CatalogDefs::Relation& rel, Oid file,
-                              const std::vector<HeapTuple>& tuples) {
-  if (rel.schema.columns() != ChunkTableSchema().columns()) {
-    Add("chunk-schema", rel.oid, ~0u,
-        "chunk table " + rel.name + " lacks the (chunkno, data, selfid, rawlen) schema");
-    return;
-  }
-  CheckCurrentUnique(rel.oid, tuples, {0});  // chunkno
-  for (const HeapTuple& t : tuples) {
-    const ChunkFields fields = ChunkFields::Of(t.row);
-    if (const std::string_view fault = ChunkRecordFault(file, fields); !fault.empty()) {
-      Add(std::string(fault), rel.oid, t.tid.block,
-          "chunk record at " + t.tid.ToString() + " of file " + std::to_string(file) +
-              ": chunkno " + (fields.chunkno ? std::to_string(*fields.chunkno) : "null") +
-              ", selfid " + (fields.selfid ? std::to_string(*fields.selfid) : "null") +
-              ", " + std::to_string(fields.length) + " bytes");
     }
   }
 }
@@ -415,25 +375,21 @@ Result<CheckReport> Checker::Run() {
   std::vector<CatalogRow> current[5];
   for (size_t i = 0; i < std::size(keys); ++i) {
     const auto& [oid, name, schema] = CatalogSpecs()[i];
-    std::vector<HeapTuple> rows;
-    WalkHeap(disk(), oid, schema, &rows);
-    ++report_.relations_checked;
-    if (!keys[i].empty()) {
-      CheckCurrentUnique(oid, rows, keys[i]);
-    }
-    for (HeapTuple& t : rows) {
-      if (oid == kPgClassOid && !t.row[1].is_null()) {
-        named_oids.insert(t.row[1].AsOid());
+    auto sink = [&](Tid tid, const TupleMeta& meta, auto views, auto tuple) {
+      if (oid == kPgClassOid && !views[1].null) {
+        named_oids.insert(views[1].AsOid());
       }
-      if (!IsCurrent(t.meta)) {
-        continue;
+      if (!IsCurrent(meta)) {
+        return;
       }
-      if (Status s = RefuseNullColumns(name, schema, t.row); !s.ok()) {
-        Add("catalog-null", oid, t.tid.block, t.tid.ToString() + ": " + s.message());
-        continue;
+      auto row = DecodeTuple(schema, tuple);  // decodes: its views did
+      if (Status s = row.ok() ? RefuseNullColumns(name, schema, *row) : row.status(); !s.ok()) {
+        Add("catalog-null", oid, tid.block, tid.ToString() + ": " + s.message());
+        return;
       }
-      current[i].push_back({t.tid, std::move(t.row)});
-    }
+      current[i].push_back({tid, std::move(*row)});
+    };
+    WalkHeap(disk(), oid, schema, keys[i], sink);
   }
   const CatalogDefs defs = DecodeCatalogDefs(current[0], current[1], current[4]);
   for (const CatalogDefs::Problem& p : defs.problems) {
@@ -441,6 +397,9 @@ Result<CheckReport> Checker::Run() {
   }
 
   // --- every cataloged relation -------------------------------------------
+  // Each heap is checked as the walk streams it. Vacuum's archive of a
+  // table is checked under the table's rules, but for its logical key (an
+  // archive holds old versions) and the orphan check.
   std::set<Oid> known_files;  // the files some fileatt version names
   std::vector<std::pair<const CatalogDefs::Relation*, Oid>> chunk_tables;  // (rel, file)
   for (const auto& [oid, rel] : defs.relations) {
@@ -459,32 +418,51 @@ Result<CheckReport> Checker::Run() {
     if (oid < kFirstUserOid || rel.kind == RelKind::kIndex) {
       continue;
     }
-    std::vector<HeapTuple> tuples;
-    WalkHeap(store, oid, rel.schema, &tuples);
-    ++report_.relations_checked;
-    if (rel.name == "fileatt" || ArchiveBase(rel.name) == "fileatt") {
-      // Any version of a fileatt row (current, superseded, archived by
-      // vacuum or uncommitted) keeps its file's chunk table referenced.
-      if (rel.name == "fileatt") {
-        CheckCurrentUnique(oid, tuples, {0});  // file
+    const std::string base = ArchiveBase(rel.name);
+    const std::string& table = base.empty() ? rel.name : base;
+    std::vector<size_t> key;  // the logical key kept unique
+    std::optional<size_t> file_column;  // fileatt: every version keeps its file referenced
+    Oid file = ChunkTableFile(table);   // a chunk table: the file it stores
+    if (table == "fileatt") {
+      key = {0};  // file
+      if (auto c = rel.schema.ColumnIndex("file"); c.ok()) {
+        file_column = *c;
       }
-      if (auto file_col = rel.schema.ColumnIndex("file"); file_col.ok()) {
-        for (const HeapTuple& t : tuples) {
-          if (!t.row[*file_col].is_null()) {
-            known_files.insert(t.row[*file_col].AsOid());
-          }
-        }
+    } else if (table == "naming") {
+      key = {1, 0};  // (parentid, filename)
+    } else if (file != kInvalidOid) {
+      key = {0};  // chunkno
+      if (base.empty()) {
+        chunk_tables.emplace_back(&rel, file);
       }
-      continue;
+      if (rel.schema.columns() != ChunkTableSchema().columns()) {
+        Add("chunk-schema", oid, ~0u,
+            "chunk table " + rel.name + " lacks the (chunkno, data, selfid, rawlen) schema");
+        key.clear();
+        file = kInvalidOid;
+      }
     }
-    if (rel.name == "naming") {
-      CheckCurrentUnique(oid, tuples, {1, 0});  // (parentid, filename)
-      continue;
+    if (!base.empty()) {
+      key.clear();  // an archive holds old versions
     }
-    if (const Oid file = ChunkTableFile(rel.name); file != kInvalidOid) {
-      CheckChunkTable(rel, file, tuples);
-      chunk_tables.emplace_back(&rel, file);
-    }
+    WalkHeap(store, oid, rel.schema, key, [&](Tid tid, const TupleMeta&, auto views, auto) {
+      if (file_column && !views[*file_column].null) {
+        known_files.insert(views[*file_column].AsOid());
+      }
+      if (file == kInvalidOid) {
+        return;
+      }
+      // The chunk record rule, as VisitChunks applies it to every version a
+      // read meets, archived ones included.
+      const ChunkFields fields = ChunkFields::Of(views.template first<4>());
+      if (const std::string_view fault = ChunkRecordFault(file, fields); !fault.empty()) {
+        Add(std::string(fault), oid, tid.block,
+            "chunk record at " + tid.ToString() + " of file " + std::to_string(file) +
+                ": chunkno " + (fields.chunkno ? std::to_string(*fields.chunkno) : "null") +
+                ", selfid " + (fields.selfid ? std::to_string(*fields.selfid) : "null") + ", " +
+                std::to_string(fields.length) + " bytes");
+      }
+    });
   }
 
   // --- indexes -------------------------------------------------------------

@@ -3,12 +3,14 @@
 // Walks the raw block stores of a quiescent database — no buffer pool, no
 // transactions — and reads them only through the engine's own readers, so
 // it refuses exactly what the engine refuses: Page (page integrity, slotted
-// geometry, line pointers), WalkBtree (B-tree structure at the key width the
-// index's columns give), CommitLog::DecodePage and RecoveredStatus (commit-log
-// statuses as recovery reads them), DecodeCatalogDefs (what the catalog rows
-// define, as at Database::Open) and the chunk record rule (chunk_record.h).
-// On top it checks what no single engine read can: every live tuple decodes
-// under its relation's schema, MVCC headers reference known transactions
+// geometry), WalkHeapPage (the heap's slot rule, heap.h), WalkBtree (B-tree
+// structure at the key width the index's columns give), CommitLog::DecodePage
+// and RecoveredStatus (commit-log statuses as recovery reads them),
+// DecodeCatalogDefs (what the catalog rows define, as at Database::Open) and
+// the chunk record rule (chunk_record.h), which it applies to archived chunk
+// versions too, as as-of reads do. On top it checks what no single engine
+// read can: every live tuple decodes under its relation's schema, no two
+// live tuples of a page overlap, MVCC headers reference known transactions
 // with ordered commit timestamps, each logical key has at most one current
 // version, leaf TIDs match their key's suffix and point inside their heap,
 // every B-tree node is reachable, cataloged relations exist on their devices
@@ -21,15 +23,17 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/catalog/database.h"
 #include "src/device/block_store.h"
-#include "src/storage/value.h"
+#include "src/storage/tuple.h"
 #include "src/txn/commit_log.h"
 #include "src/util/status.h"
 
@@ -108,12 +112,9 @@ class Checker {
     Timestamp CommitTs(TxnId x) const;
   };
 
-  // One decoded heap tuple (all versions, not just visible).
-  struct HeapTuple {
-    Tid tid;
-    TupleMeta meta;
-    Row row;
-  };
+  // Gets each tuple of a heap walk that decodes, with its column views.
+  using TupleSink = std::function<void(Tid, const TupleMeta&, std::span<const ColumnView>,
+                                       std::span<const std::byte> tuple)>;
 
   // `fallout` forces the quarantined flag for cross-reference damage (e.g. an
   // index entry pointing into a quarantined heap page) that the same-block
@@ -127,18 +128,13 @@ class Checker {
   // Reads block `b` of `rel` into `buf` and runs the page-level checks; false
   // when it is not a readable page at all.
   bool ReadPage(BlockStore* store, Oid rel, uint32_t b, std::vector<std::byte>& buf);
-  // Walk every page of a heap relation, running page-level checks; decoded
-  // tuples (every version) are appended to `out`.
+  // Walk every page of a heap relation through the heap's slot rule, with
+  // the page-level, overlap, decode and MVCC header checks and at most one
+  // current version per value of the `key` columns, handing each tuple that
+  // decodes to `sink` (if set).
   void WalkHeap(BlockStore* store, Oid rel, const Schema& schema,
-                std::vector<HeapTuple>* out);
-  void CheckTupleMeta(Oid rel, const HeapTuple& t);
-  // At most one current version per logical key.
-  void CheckCurrentUnique(Oid rel, const std::vector<HeapTuple>& tuples,
-                          const std::vector<size_t>& key_columns);
-  // The chunk record rule (chunk_record.h) over every record of `file`'s
-  // chunk table, and at most one current version per chunk number.
-  void CheckChunkTable(const CatalogDefs::Relation& rel, Oid file,
-                       const std::vector<HeapTuple>& tuples);
+                const std::vector<size_t>& key, const TupleSink& sink);
+  void CheckTupleMeta(Oid rel, Tid tid, const TupleMeta& m);
   // WalkBtree over the index's blocks as stored, with the page-level checks,
   // the TID cross-checks, unreachable blocks and quarantine added.
   void CheckBtree(BlockStore* store, Oid index, Oid heap_rel, size_t key_width);

@@ -54,8 +54,8 @@ inline int64_t ChunkSelfIdent(Oid file, int64_t chunkno) {
   return (static_cast<int64_t>(file) << 32) | chunkno;
 }
 
-// A chunk record's columns as the rule reads them, from either reader's
-// form of the record.
+// A chunk record's columns as the rule reads them, from the record's column
+// views (ViewColumns).
 struct ChunkFields {
   std::optional<int32_t> chunkno;
   std::optional<int64_t> selfid;
@@ -66,13 +66,6 @@ struct ChunkFields {
     return {c[0].null ? std::nullopt : std::optional(c[0].Int4()),
             c[2].null ? std::nullopt : std::optional(c[2].Int8()), !c[1].null,
             c[3].null ? c[1].bytes.size() : static_cast<size_t>(c[3].Int4())};
-  }
-  static ChunkFields Of(const Row& r) {
-    return {r[0].is_null() ? std::nullopt : std::optional(r[0].AsInt4()),
-            r[2].is_null() ? std::nullopt : std::optional(r[2].AsInt8()), !r[1].is_null(),
-            !r[3].is_null()  ? static_cast<size_t>(r[3].AsInt4())
-            : r[1].is_null() ? 0
-                             : r[1].AsBytes().size()};
   }
 };
 

@@ -44,8 +44,6 @@ Result<std::vector<std::string>> SplitPath(const std::string& path) {
   return parts;
 }
 
-Oid ViewOid(const ColumnView& v) { return static_cast<Oid>(v.Int4()); }
-
 // Corruption unless every column in `cols`, a row of `relation` that names
 // file `cols[file_column]`, is set.
 Status CheckNoNulls(std::span<const ColumnView> cols, const char* relation,
@@ -53,7 +51,7 @@ Status CheckNoNulls(std::span<const ColumnView> cols, const char* relation,
   for (size_t i = 0; i < cols.size(); ++i) {
     if (cols[i].null) {
       const std::string file =
-          cols[file_column].null ? "null" : std::to_string(ViewOid(cols[file_column]));
+          cols[file_column].null ? "null" : std::to_string(cols[file_column].AsOid());
       return Status::Corruption(std::string(relation) + " row of file oid " + file +
                                 " has a null " + schema().column(i).name);
     }
@@ -66,7 +64,7 @@ std::string ViewText(const ColumnView& v) {
 }
 
 // Key tests on a column view that may be null.
-bool IsOid(const ColumnView& v, Oid oid) { return !v.null && ViewOid(v) == oid; }
+bool IsOid(const ColumnView& v, Oid oid) { return !v.null && v.AsOid() == oid; }
 bool IsText(const ColumnView& v, std::string_view text) {
   return !v.null && std::ranges::equal(v.bytes, std::as_bytes(std::span(text)));
 }
@@ -75,7 +73,7 @@ bool IsText(const ColumnView& v, std::string_view text) {
 
 Result<NamingEntry> NamingEntry::Decode(const Views& cols) {
   INV_RETURN_IF_ERROR(CheckNoNulls(cols, "naming", NamingSchema, kFile));
-  return NamingEntry{ViewText(cols[kFilename]), ViewOid(cols[kParent]), ViewOid(cols[kFile])};
+  return NamingEntry{ViewText(cols[kFilename]), cols[kParent].AsOid(), cols[kFile].AsOid()};
 }
 
 Row NamingEntry::ToRow() const {
@@ -84,9 +82,9 @@ Row NamingEntry::ToRow() const {
 
 Result<FileAtt> FileAtt::Decode(const Views& cols) {
   INV_RETURN_IF_ERROR(CheckNoNulls(cols, "fileatt", FileattSchema, kFile));
-  return FileAtt{ViewOid(cols[kFile]),
+  return FileAtt{cols[kFile].AsOid(),
                  ViewText(cols[kOwner]),
-                 ViewOid(cols[kType]),
+                 cols[kType].AsOid(),
                  cols[kSize].Int8(),
                  static_cast<Timestamp>(cols[kCtime].Int8()),
                  static_cast<Timestamp>(cols[kMtime].Int8()),

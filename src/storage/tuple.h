@@ -54,6 +54,7 @@ struct ColumnView {
 
   int32_t Int4() const { return static_cast<int32_t>(GetU32(bytes.data())); }
   int64_t Int8() const { return static_cast<int64_t>(GetU64(bytes.data())); }
+  Oid AsOid() const { return GetU32(bytes.data()); }
 };
 
 // View every column of `tuple` without copying: views[i] for column i.

@@ -8,9 +8,11 @@ namespace invfs {
 namespace {
 
 constinit thread_local uint64_t allocations = 0;
+constinit thread_local uint64_t bytes = 0;
 
 void* Allocate(size_t n) {
   ++allocations;
+  bytes += n;
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -20,6 +22,7 @@ void* Allocate(size_t n) {
 
 void* AllocateAligned(size_t n, std::align_val_t align) {
   ++allocations;
+  bytes += n;
   const auto a = static_cast<size_t>(align);
   // aligned_alloc takes a nonzero multiple of the alignment.
   void* p = std::aligned_alloc(a, (std::max<size_t>(n, 1) + a - 1) / a * a);
@@ -32,6 +35,7 @@ void* AllocateAligned(size_t n, std::align_val_t align) {
 }  // namespace
 
 uint64_t ThreadHeapAllocations() { return allocations; }
+uint64_t ThreadHeapBytes() { return bytes; }
 
 }  // namespace invfs
 

@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <filesystem>
 #include <functional>
@@ -15,6 +16,7 @@
 
 #include "src/access/btree.h"
 #include "src/access/btree_layout.h"
+#include "src/access/heap.h"
 #include "src/buffer/buffer_pool.h"
 #include "src/check/checker.h"
 #include "src/device/device.h"
@@ -82,6 +84,14 @@ class CheckTest : public ::testing::Test {
     auto report = CheckImage(env_);
     EXPECT_TRUE(report.ok()) << report.status().ToString();
     return report.ok() ? *report : CheckReport{};
+  }
+
+  // Close the database and open it again over the same image.
+  void Reopen() {
+    s_.reset();
+    fs_.reset();
+    db_.reset();
+    SetUp();
   }
 
   Oid ChunkTableOid(const std::string& path) {
@@ -417,6 +427,52 @@ TEST_F(CheckTest, ChunkLongerThanAChunkIsRefusedByBoth) {
       << read.status().ToString();
 }
 
+// Every as-of read applies the chunk record rule to the versions vacuum
+// moved into a chunk table's archive (Database::VisitVersions), and so does
+// invfs_check: an archived version whose selfid is one bit off, checksum
+// re-stamped, is chunk-self-ident to both.
+TEST_F(CheckTest, ArchivedChunkSelfIdentIsRefusedByBoth) {
+  MakeFile("/old.txt", "first");
+  const Timestamp first = db_->Now();
+  OverwriteFile("/old.txt", "second");
+  auto txn = db_->Begin();
+  ASSERT_TRUE(txn.ok());
+  auto stats = fs_->Vacuum(*txn);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE(db_->Commit(*txn).ok());
+  ASSERT_GT(stats->archived, 0u);
+  const Snapshot now{kTimestampNow, kInvalidTxn, &db_->txns().log(), nullptr};
+  auto file = fs_->ResolvePath("/old.txt", now);
+  ASSERT_TRUE(file.ok());
+  auto archive = db_->catalog().GetTable(ArchiveName(ChunkTableName(*file)));
+  ASSERT_TRUE(archive.ok());
+  const Oid archived = (*archive)->oid;
+  const CheckReport clean = Check();
+  ASSERT_TRUE(clean.ok()) << clean.ToString();
+
+  MutateAndRestamp(archived, 0, [](std::byte* frame) {
+    const Page page(frame);
+    auto tuple = page.GetTuple(0);
+    ASSERT_TRUE(tuple.ok());
+    std::array<ColumnView, 4> cols;
+    ASSERT_TRUE(ViewColumns(ChunkTableSchema(), *tuple, cols).ok());
+    ASSERT_FALSE(cols[2].null);
+    frame[cols[2].bytes.data() - frame] ^= std::byte{1};  // selfid's low byte
+  });
+  auto report = CheckImage(env_);
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->Has("chunk-self-ident")) << report->ToString();
+
+  Reopen();
+  auto fd = s_->p_open("/old.txt", OpenMode::kRead, first);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::byte> buf(16);
+  auto read = s_->p_read(*fd, buf);
+  EXPECT_EQ(read.status().code(), ErrorCode::kCorruption);
+  EXPECT_NE(read.status().message().find("chunk-self-ident"), std::string::npos)
+      << read.status().ToString();
+}
+
 // Catalog::Load and invfs_check read pg_class, pg_attribute and pg_index
 // through one DecodeCatalogDefs. Each crafted, committed catalog row below
 // goes into a fresh image holding table t (k text, n int4) and its index on
@@ -527,6 +583,8 @@ class VerifiersAgreeTest : public CheckTest {
     auto table = db_->catalog().CreateTable(
         *txn, "t", Schema{{"k", TypeId::kText}, {"n", TypeId::kInt4}}, kDeviceMagneticDisk);
     ASSERT_TRUE(table.ok());
+    table_ = (*table)->oid;
+    schema_ = (*table)->schema;
     auto text = db_->catalog().CreateIndex(*txn, *table, {0});
     auto int4 = db_->catalog().CreateIndex(*txn, *table, {1});
     ASSERT_TRUE(text.ok());
@@ -555,18 +613,38 @@ class VerifiersAgreeTest : public CheckTest {
     return static_cast<uint8_t>(Block(index, block)[bl::kOffType]);
   }
 
-  // CheckInvariants over the stored image.
-  Status EngineCheck(Oid index) {
+  // `read` on a fresh buffer pool over the stored image of `rel`.
+  Status OverImage(Oid rel, const std::function<Status(BufferPool&)>& read) {
     SimClock clock;
     DeviceSwitch devices;
     devices.Register(kDeviceMagneticDisk,
                      std::make_unique<NvramDevice>(env_.disk_store.get()));
-    devices.BindRelation(index, kDeviceMagneticDisk);
+    devices.BindRelation(rel, kDeviceMagneticDisk);
     BufferPool pool(&devices, 16, &clock);
-    auto tree = BTree::Open(index, &pool, index == int4_ ? 4 : 0);
-    return tree.ok() ? (*tree)->CheckInvariants() : tree.status();
+    return read(pool);
+  }
+  // CheckInvariants over the stored image.
+  Status EngineCheck(Oid index) {
+    return OverImage(index, [&](BufferPool& pool) {
+      auto tree = BTree::Open(index, &pool, index == int4_ ? 4 : 0);
+      return tree.ok() ? (*tree)->CheckInvariants() : tree.status();
+    });
+  }
+  // Heap::VisitEachStored over the stored image of t, each version read as
+  // the engine's readers read one (ViewColumns).
+  Status EngineScan() {
+    return OverImage(table_, [&](BufferPool& pool) {
+      const Heap heap(table_, &schema_, &pool, nullptr);
+      std::array<ColumnView, 2> cols;
+      return heap.VisitEachStored([&](Tid, std::span<const std::byte> tuple) -> Result<bool> {
+        INV_RETURN_IF_ERROR(ViewColumns(schema_, tuple, cols));
+        return false;
+      });
+    });
   }
 
+  Oid table_ = kInvalidOid;
+  Schema schema_;
   Oid text_ = kInvalidOid;
   Oid int4_ = kInvalidOid;
 };
@@ -656,6 +734,72 @@ TEST_F(VerifiersAgreeTest, EveryCraftedNodeIsRejectedByBoth) {
     EXPECT_TRUE(report->Has(c.invariant)) << report->ToString();
     EXPECT_EQ(EngineCheck(c.index).code(), ErrorCode::kCorruption);
     ASSERT_TRUE(env_.disk_store->Write(c.index, c.block, saved).ok());
+  }
+  auto restored = CheckImage(env_);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_TRUE(restored->ok()) << restored->ToString();
+}
+
+// invfs_check and the engine's heap reads walk a heap page's slots through
+// one rule (WalkHeapPage, heap.h). Each crafted page of t below must be
+// reported under the named invariant; where the engine reads the damaged
+// slot, Heap::VisitEachStored must refuse it as Corruption too. The
+// overlap and a zero xmin are what only the checker can see.
+using HeapVerifiersAgree = VerifiersAgreeTest;
+
+TEST_F(HeapVerifiersAgree, EveryCraftedHeapPageIsRefusedByBoth) {
+  constexpr uint32_t kNslots = 2;
+  constexpr uint32_t kLower = 4;
+  // Slot `s`'s line pointer: (u16 offset, u16 length).
+  auto lp = [](std::byte* p, uint16_t s) { return p + kPageHeaderSize + s * kLinePointerSize; };
+  auto tuple = [&](std::byte* p, uint16_t s) { return p + GetU16(lp(p, s)); };
+  struct Case {
+    const char* name;
+    const char* invariant;
+    bool engine_refuses;
+    std::function<void(std::byte*)> damage;
+  };
+  const Case cases[] = {
+      {"line pointer past the line-pointer array", "page-geometry", true,
+       [](std::byte* p) { PutU16(p + kNslots, GetU16(p + kNslots) + 1); }},
+      {"line pointer into the free gap", "line-pointer-bounds", true,
+       [&](std::byte* p) { PutU16(lp(p, 0), GetU16(p + kLower)); }},
+      {"line pointer past 8192", "line-pointer-bounds", true,
+       [&](std::byte* p) { PutU16(lp(p, 0) + 2, GetU16(lp(p, 0) + 2) + 1); }},
+      {"live slot shorter than the header", "tuple-decode", true,
+       [&](std::byte* p) { PutU16(lp(p, 0) + 2, kTupleFixedHeader - 1); }},
+      {"natts mismatch", "tuple-decode", true,
+       [&](std::byte* p) { PutU16(tuple(p, 0) + 12, 3); }},
+      {"varlena length past the tuple", "tuple-decode", true,
+       // k's length word follows the header and the one-byte null bitmap.
+       [&](std::byte* p) { PutU32(tuple(p, 0) + kTupleFixedHeader + 1, 5000); }},
+      {"two overlapping tuples", "tuple-overlap", false,
+       [&](std::byte* p) { std::memcpy(lp(p, 1), lp(p, 0), kLinePointerSize); }},
+      {"lower one line pointer short", "page-geometry", true,
+       [](std::byte* p) { PutU16(p + kLower, GetU16(p + kLower) - kLinePointerSize); }},
+      {"xmin 0", "tuple-xmin-zero", false,
+       [&](std::byte* p) { PutU32(tuple(p, 0) + 4, kInvalidTxn); }},
+  };
+
+  auto clean = CheckImage(env_);
+  ASSERT_TRUE(clean.ok());
+  ASSERT_TRUE(clean->ok()) << clean->ToString();
+  ASSERT_TRUE(EngineScan().ok());
+  ASSERT_GE(GetU16(Block(table_, 0).data() + kNslots), 2);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const std::vector<std::byte> saved = Block(table_, 0);
+    MutateAndRestamp(table_, 0, c.damage);
+    auto report = CheckImage(env_);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->Has(c.invariant)) << report->ToString();
+    const Status engine = EngineScan();
+    if (c.engine_refuses) {
+      EXPECT_EQ(engine.code(), ErrorCode::kCorruption) << engine.ToString();
+    } else {
+      EXPECT_TRUE(engine.ok()) << engine.ToString();
+    }
+    ASSERT_TRUE(env_.disk_store->Write(table_, 0, saved).ok());
   }
   auto restored = CheckImage(env_);
   ASSERT_TRUE(restored.ok());

@@ -1,13 +1,15 @@
-// A warm p_read allocates nothing. This binary links the counting global
-// operator new (src/util/alloc_counter.h), so it is its own test: the
-// chunk-index probe, the heap visit and the copy into the caller's buffer
-// must all run without one heap allocation once the pages are cached, for
-// the current version and for an as-of read that sees the older one.
+// A warm p_read allocates nothing, and invfs_check copies no chunk. This
+// binary links the counting global operator new (src/util/alloc_counter.h),
+// so it is its own test: the chunk-index probe, the heap visit and the copy
+// into the caller's buffer must all run without one heap allocation once the
+// pages are cached, for the current version and for an as-of read that sees
+// the older one.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "src/check/checker.h"
 #include "src/harness/worlds.h"
 #include "src/util/alloc_counter.h"
 
@@ -70,12 +72,44 @@ TEST(ReadAllocations, WarmReadsAllocateNothing) {
   }
 }
 
+// invfs_check streams each relation, checking chunk records on their column
+// views: verifying an image that holds one 4 MB file asks for fewer bytes
+// than a quarter of the file, so it copies none of the file's chunks.
+TEST(CheckAllocations, CheckerCopiesNoChunkBytes) {
+  constexpr size_t kFileBytes = size_t{4} << 20;
+  StorageEnv env;
+  {
+    auto db = Database::Open(&env);
+    ASSERT_TRUE(db.ok());
+    InversionFs fs(db->get());
+    ASSERT_TRUE(fs.Mount().ok());
+    auto session = fs.NewSession();
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE((*session)->p_begin().ok());
+    auto fd = (*session)->p_creat("/big.dat");
+    ASSERT_TRUE(fd.ok());
+    const std::vector<std::byte> data(kFileBytes, std::byte{'c'});
+    ASSERT_TRUE((*session)->p_write(*fd, data).ok());
+    ASSERT_TRUE((*session)->p_close(*fd).ok());
+    ASSERT_TRUE((*session)->p_commit().ok());
+    ASSERT_TRUE((*db)->FlushCaches().ok());
+  }
+  const uint64_t before = ThreadHeapBytes();
+  auto report = CheckImage(env);
+  const uint64_t requested = ThreadHeapBytes() - before;
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->ok()) << report->ToString();
+  EXPECT_LT(requested, kFileBytes / 4) << requested << " bytes requested";
+}
+
 // The counter sees allocations at all: a passing test above is not a
 // counter that never moves.
 TEST(ReadAllocations, CounterCountsAllocations) {
   const uint64_t before = ThreadHeapAllocations();
+  const uint64_t bytes_before = ThreadHeapBytes();
   std::vector<int>* volatile p = new std::vector<int>(100);  // object + buffer
   EXPECT_EQ(ThreadHeapAllocations() - before, 2u);
+  EXPECT_GE(ThreadHeapBytes() - bytes_before, 100 * sizeof(int));
   delete p;
 }
 
